@@ -129,8 +129,8 @@ def run_grid(n_values=DEFAULT_N_VALUES) -> dict:
         "workload": f"make_compas_like(seed={DATASET_SEED}) projected to 2 attributes, "
         "FM1 (<= 60% African-American in top 30%); mixed delta of "
         "3 inserts + 2 deletes + 1 update",
-        "incremental_path": "QueryEngine.apply_delta: re-sweep only exchange "
-        "pairs touching changed items",
+        "incremental_path": "QueryEngine.apply_delta: remap the cached exchange "
+        "arrays, re-derive only pairs touching changed items, re-sweep",
         "rebuild_path": "create_engine(...).preprocess() on the mutated dataset",
         "generated_unix_time": time.time(),
         "results": results,

@@ -2,10 +2,12 @@
 
 Times the seed implementation (scalar per-pair exchange construction +
 black-box per-sector oracle evaluation) against the rebuilt hot path
-(broadcast exchange kernel + incremental-oracle protocol) on COMPAS-like
-synthetic data, asserting the outputs are *identical* — same satisfactory
-intervals, same exchange counts, same oracle-call accounting — while the
-wall-clock drops.
+(broadcast exchange kernel + the array sweep kernel over the
+incremental-oracle protocol) on COMPAS-like synthetic data, asserting the
+outputs are *identical* — same satisfactory intervals, same exchange counts,
+same oracle-call accounting — while the wall-clock drops.  A third column
+times the per-swap loop (the same sweep with the array kernel declined), so
+the record also shows what the array kernel itself buys.
 
 Run standalone to regenerate the machine-readable trajectory consumed by
 future perf PRs::
@@ -43,10 +45,18 @@ def _workload(n: int):
     return dataset, oracle
 
 
+class _PerSwapOracle(CountingOracle):
+    """A counting wrapper whose ``verdict`` override sends the sweep down the per-swap loop."""
+
+    def verdict(self) -> bool:
+        return super().verdict()
+
+
 def compare_preprocessing(n: int) -> dict:
-    """Time seed-path vs vectorized+incremental 2DRAYSWEEP at one dataset size."""
+    """Time seed-path vs per-swap loop vs array-kernel 2DRAYSWEEP at one dataset size."""
     dataset, oracle = _workload(n)
     reference_oracle = CountingOracle(oracle)
+    loop_oracle = _PerSwapOracle(oracle)
     fast_oracle = CountingOracle(oracle)
 
     start = time.perf_counter()
@@ -59,23 +69,30 @@ def compare_preprocessing(n: int) -> dict:
     reference_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
+    loop = TwoDRaySweep(dataset, loop_oracle).run()
+    loop_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
     fast = TwoDRaySweep(dataset, fast_oracle).run()
     fast_seconds = time.perf_counter() - start
 
-    intervals_equal = [(iv.start, iv.end) for iv in reference.intervals] == [
-        (iv.start, iv.end) for iv in fast.intervals
-    ]
+    def intervals(index) -> list[tuple[str, str]]:
+        return [(iv.start.hex(), iv.end.hex()) for iv in index.intervals]
+
     return {
         "n": n,
         "reference_seconds": reference_seconds,
+        "loop_seconds": loop_seconds,
         "vectorized_seconds": fast_seconds,
         "speedup": reference_seconds / fast_seconds if fast_seconds > 0 else float("inf"),
+        "speedup_vs_loop": loop_seconds / fast_seconds if fast_seconds > 0 else float("inf"),
         "ordering_exchanges": fast.n_exchanges,
         "oracle_calls_reference": reference_oracle.calls,
+        "oracle_calls_loop": loop_oracle.calls,
         "oracle_calls_vectorized": fast_oracle.calls,
-        "oracle_calls_equal": reference_oracle.calls == fast_oracle.calls,
+        "oracle_calls_equal": reference_oracle.calls == loop_oracle.calls == fast_oracle.calls,
         "intervals": len(fast.intervals),
-        "intervals_equal": intervals_equal,
+        "intervals_equal": intervals(reference) == intervals(loop) == intervals(fast),
     }
 
 
@@ -86,7 +103,8 @@ def run_grid(n_values=DEFAULT_N_VALUES) -> dict:
         "workload": "make_compas_like(seed=5) projected to 2 attributes, "
         "FM1 (<= share+10% African-American in top 30%)",
         "reference_path": "scalar per-pair exchange construction + black-box per-sector oracle",
-        "vectorized_path": "broadcast exchange kernel + incremental-oracle protocol",
+        "loop_path": "broadcast exchange kernel + per-swap incremental-oracle loop",
+        "vectorized_path": "broadcast exchange kernel + array sweep kernel (sweep_verdicts)",
         "generated_unix_time": time.time(),
         "results": results,
     }
@@ -115,14 +133,16 @@ def main() -> None:
         "BENCH_preprocessing.json",
         payload,
         parameters={"n_values": list(DEFAULT_N_VALUES), "dimension": 2, "seed": 5},
-        repeat_policy="single timed run per path per n, reference and "
+        repeat_policy="single timed run per path per n, reference, loop and "
         "vectorized interleaved",
     )
     for row in payload["results"]:
         print(
             f"n={row['n']}: reference {row['reference_seconds']:.3f}s, "
+            f"loop {row['loop_seconds']:.3f}s, "
             f"vectorized {row['vectorized_seconds']:.3f}s, "
-            f"speedup {row['speedup']:.1f}x, intervals_equal={row['intervals_equal']}, "
+            f"speedup {row['speedup']:.1f}x ({row['speedup_vs_loop']:.1f}x vs loop), "
+            f"intervals_equal={row['intervals_equal']}, "
             f"oracle_calls_equal={row['oracle_calls_equal']}"
         )
     print(f"wrote {output}")

@@ -17,7 +17,11 @@ Runs, in order:
 6. the delta smoke — the delta-vs-rebuild bit-identity test on one small
    dataset (``tests/test_dynamic_equivalence.py``): an engine maintained
    through ``apply_delta`` must answer identically to a from-scratch rebuild
-   on the mutated dataset.
+   on the mutated dataset;
+7. the sweep smoke — one FM1 ray sweep on one small dataset three ways
+   (``tests/test_incremental_oracle.py``): the array sweep kernel, the
+   per-swap loop and the black-box oracle must give bit-identical intervals
+   and oracle-call counts.
 
 Usage::
 
@@ -55,6 +59,10 @@ DIFFERENTIAL_SMOKE = (
 #: The delta-vs-rebuild smoke test (one small 2-D dataset, one mixed delta) —
 #: the cheap incarnation of the PR-10 maintenance bit-identity proof.
 DELTA_SMOKE = "tests/test_dynamic_equivalence.py::TestDeltaSmoke::test_delta_smoke"
+
+#: The array-kernel-vs-loop-vs-black-box sweep smoke test (one small 2-D
+#: dataset, one FM1 oracle).
+SWEEP_SMOKE = "tests/test_incremental_oracle.py::TestArraySweepKernel::test_sweep_smoke"
 
 
 def _load_script(name: str):
@@ -113,6 +121,13 @@ def run_delta_smoke() -> int:
     )
 
 
+def run_sweep_smoke() -> int:
+    return _run_pytest(
+        (SWEEP_SMOKE,),
+        "sweep smoke: OK (array kernel == per-swap loop == black box)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="consolidated pre-PR gate")
     parser.add_argument(
@@ -128,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         ("doctests", run_doctests),
         ("differential_smoke", run_differential_smoke),
         ("delta_smoke", run_delta_smoke),
+        ("sweep_smoke", run_sweep_smoke),
     )
     if args.quick:
         gates = (("differential_smoke", run_differential_smoke),)

@@ -45,7 +45,7 @@ from repro.core.sampling import (
 )
 from repro.core.session import DesignSession, ProposalRecord, SessionSummary
 from repro.core.system import FairRankingDesigner
-from repro.core.two_dim import AngularInterval, TwoDIndex, TwoDRaySweep, two_d_online
+from repro.core.two_dim import AngularInterval, TwoDIndex, TwoDRaySweep
 
 __all__ = [
     "QueryEngine",
@@ -65,7 +65,6 @@ __all__ = [
     "AngularInterval",
     "TwoDIndex",
     "TwoDRaySweep",
-    "two_d_online",
     "SatisfactoryRegion",
     "MDExactIndex",
     "SatRegions",

@@ -51,8 +51,8 @@ from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import to_angles_many, to_weights
 from repro.geometry.cellplane import merged_cell_plane_index
 from repro.geometry.dual import (
-    build_exchange_angles_2d,
     exchange_angles_for_pairs,
+    exchange_arrays_2d,
     hyperpolar_many,
 )
 from repro.geometry.partition import locate_cells
@@ -671,86 +671,80 @@ class TwoDEngine(_EngineBase):
     """The §3 pipeline: ``2DRAYSWEEP`` offline, ``2DONLINE`` online."""
 
     def _build_index(self, working: Dataset) -> TwoDIndex:
-        base_builder = build_exchange_angles_2d
+        builder = exchange_arrays_2d
         if self.config.preprocess_workers > 1:
             from repro.parallel.preprocess import make_parallel_exchange_builder
 
-            base_builder = make_parallel_exchange_builder(
-                self.config.preprocess_workers
-            )
-        # Capture the exchange triples the sweep consumed: they are the
-        # oracle-free geometry apply_delta() maintains incrementally.
-        captured: dict[str, list[tuple[float, int, int]]] = {}
+            builder = make_parallel_exchange_builder(self.config.preprocess_workers)
+        return self._sweep(working, builder)
 
-        def capturing_builder(dataset: Dataset) -> list[tuple[float, int, int]]:
-            triples = list(base_builder(dataset))
-            captured["triples"] = triples
-            return triples
+    def _sweep(self, dataset: Dataset, exchange_builder) -> TwoDIndex:
+        """Run the ray sweep, caching the sorted exchange arrays it consumed.
 
-        index = TwoDRaySweep(
-            working,
+        The arrays are the oracle-free geometry apply_delta() maintains.
+        """
+        sweep = TwoDRaySweep(
+            dataset,
             self.oracle,
             use_incremental=self.config.use_incremental,
-            exchange_builder=capturing_builder,
-        ).run()
-        self._exchange_triples: list[tuple[float, int, int]] | None = sorted(
-            captured["triples"]
+            exchange_builder=exchange_builder,
         )
+        index = sweep.run()
+        self._exchanges = sweep.exchanges
         return index
 
     def _supports_incremental(self, delta: DatasetDelta) -> bool:
         return (
             self.config.sample_size is None
-            and getattr(self, "_exchange_triples", None) is not None
+            and getattr(self, "_exchanges", None) is not None
         )
 
     def _apply_delta_incremental(self, delta: DatasetDelta, mutated: Dataset) -> dict[str, Any]:
         """Re-sweep only the exchange pairs touching changed items.
 
         Pairs between untouched items keep their exchange angles verbatim
-        (eligibility and angle are functions of the two score rows alone);
+        (eligibility and angle are functions of the two score rows alone) and
+        are remapped to post-delta indices through an old→new index array;
         pairs touching an updated, deleted or inserted item are dropped and
-        re-derived with the same vectorised kernels the full build uses, so
-        the merged triple set — and therefore the re-run sweep — is
-        bit-identical to a from-scratch build on the mutated dataset.
+        re-derived with the same vectorised kernels the full build uses.  The
+        sweep's one lexsort merges both, so the exchange arrays — and
+        therefore the re-run sweep — are bit-identical to a from-scratch
+        build on the mutated dataset.
         """
-        mapping = delta.index_map(self.dataset.n_items)
-        touched = delta.touched_new_indices(self.dataset.n_items, mutated.n_items)
-        retained: list[tuple[float, int, int]] = []
-        for angle, i, j in self._exchange_triples:
-            new_i = mapping.get(i)
-            new_j = mapping.get(j)
-            if new_i is None or new_j is None or new_i in touched or new_j in touched:
-                continue
-            retained.append((angle, new_i, new_j))
-        pairs = exchange_pairs_touching(mutated.scores, touched)
-        fresh = exchange_angles_for_pairs(mutated.scores, pairs)
-        merged = sorted(retained + fresh)
+        n_before = self.dataset.n_items
+        with stage_span("maintenance.exchange_remap") as span:
+            new_index = np.full(n_before, -1, dtype=np.intp)
+            mapping = delta.index_map(n_before)
+            new_index[list(mapping)] = list(mapping.values())
+            touched = delta.touched_new_indices(n_before, mutated.n_items)
+            stale = np.zeros(mutated.n_items + 1, dtype=bool)
+            stale[list(touched)] = True
+            stale[-1] = True  # slot -1 catches the new index of a deleted item
+            angles, first, second = self._exchanges
+            first, second = new_index[first], new_index[second]
+            keep = ~(stale[first] | stale[second])
+            fresh = exchange_angles_for_pairs(
+                mutated.scores, exchange_pairs_touching(mutated.scores, touched)
+            )
+            merged = tuple(
+                np.concatenate((retained[keep], added))
+                for retained, added in zip((angles, first, second), fresh)
+            )
+            n_retained, n_fresh = int(np.count_nonzero(keep)), int(fresh[0].size)
+            if span is not None:
+                span.set("n_retained", n_retained)
+                span.set("n_fresh", n_fresh)
         self.dataset = mutated
         self._preprocessing_dataset = mutated
-        self._index = TwoDRaySweep(
-            mutated,
-            self.oracle,
-            use_incremental=self.config.use_incremental,
-            exchange_builder=lambda dataset: list(merged),
-        ).run()
-        self._exchange_triples = merged
-        return {
-            "n_retained_exchanges": len(retained),
-            "n_fresh_exchanges": len(fresh),
-        }
+        self._index = self._sweep(mutated, lambda dataset: merged)
+        return {"n_retained_exchanges": n_retained, "n_fresh_exchanges": n_fresh}
 
     def _refresh_index(self) -> None:
-        triples = getattr(self, "_exchange_triples", None)
-        if triples is None:
+        exchanges = getattr(self, "_exchanges", None)
+        if exchanges is None:
             super()._refresh_index()
             return
-        self._index = TwoDRaySweep(
-            self.preprocessing_dataset,
-            self.oracle,
-            use_incremental=self.config.use_incremental,
-            exchange_builder=lambda dataset: list(triples),
-        ).run()
+        self._index = self._sweep(self.preprocessing_dataset, lambda dataset: exchanges)
 
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         return self.index.query(function)

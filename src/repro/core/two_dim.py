@@ -11,15 +11,27 @@ list (Algorithm 2).
 
 Hot-path architecture
 ---------------------
-Offline, the sweep is vectorised end to end: exchange angles come from the
-broadcast kernel in :mod:`repro.geometry.dual` (no per-pair Python calls), and
-when the oracle implements the :class:`~repro.fairness.incremental.IncrementalOracle`
-protocol the verdict is maintained *incrementally* — ``apply_swap`` per
-exchange event, O(1) ``verdict()`` per sector — instead of re-evaluating the
-oracle from a cold start in every sector.  Black-box oracles keep working
-through the original per-sector ``is_satisfactory`` path, and both paths make
-exactly one counted oracle call per sector, so the paper's oracle-call metric
-(Theorem 1) is unchanged.  Online, :class:`TwoDIndex` caches the interval
+Offline, the exchanges stay three parallel arrays ``(angles, i, j)`` from the
+broadcast kernel in :mod:`repro.geometry.dual` to the engine's maintenance
+cache.  One ``np.lexsort`` puts them in ``(angle, i, j)`` order, and event
+groups come from an ``np.diff`` over the sorted angles.  Two kernels then
+judge the sectors:
+
+* **array** — for oracles :func:`~repro.fairness.incremental.as_bulk_sweep`
+  accepts (the top-``k`` counting family).  Every item's rank before every
+  event is a per-item cumulative sum of ±1 moves.  One vectorised check
+  proves each event an adjacent transposition; the oracle's
+  ``sweep_verdicts`` then turns the ranks into one verdict per sector.
+* **loop** — the per-swap reference, and the path of every oracle or input
+  the array kernel does not cover (prefix and black-box oracles, duplicate
+  rows, non-adjacent swaps at one angle).  With the
+  :class:`~repro.fairness.incremental.IncrementalOracle` protocol it calls
+  ``apply_swap`` per event and ``verdict()`` per sector; without it,
+  ``is_satisfactory`` per sector.
+
+Every route makes exactly one counted oracle call per sector, so the paper's
+oracle-call metric (Theorem 1) is unchanged; the ``preprocess.sweep`` span
+records which kernel ran.  Online, :class:`TwoDIndex` caches the interval
 start angles as a NumPy array whenever ``intervals`` is assigned, keeping
 ``2DONLINE`` a true O(log |intervals|) ``searchsorted`` without per-query list
 rebuilding.
@@ -34,15 +46,15 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import GeometryError, NoSatisfactoryFunctionError, NotPreprocessedError
-from repro.fairness.incremental import as_incremental
+from repro.fairness.incremental import as_bulk_sweep, as_incremental
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import HALF_PI
-from repro.geometry.dual import build_exchange_angles_2d
+from repro.geometry.dual import ExchangeArrays, exchange_arrays_2d
 from repro.obs.trace import stage_span
 from repro.core.result import SuggestionResult
 from repro.ranking.scoring import LinearScoringFunction
 
-__all__ = ["AngularInterval", "TwoDIndex", "TwoDRaySweep", "two_d_online"]
+__all__ = ["AngularInterval", "TwoDIndex", "TwoDRaySweep"]
 
 #: Exchange angles closer than this are processed as a single sweep event.
 _ANGLE_GROUP_TOLERANCE = 1e-12
@@ -304,13 +316,19 @@ class TwoDRaySweep:
         The fairness oracle that labels orderings.
     use_incremental:
         When True (default) and the oracle implements the incremental-oracle
-        protocol, sector verdicts are maintained in O(1) per swap instead of
-        re-evaluating the oracle per sector.  Disable to force the black-box
-        path (the reference behaviour benchmarks compare against).
+        protocol, the sweep follows the oracle's state across swaps instead
+        of re-evaluating the oracle per sector: in one ``sweep_verdicts``
+        call when the array kernel applies, else in O(1) per swap.  Disable
+        to force the black-box path (the reference behaviour benchmarks
+        compare against).
     exchange_builder:
-        Exchange-construction function (defaults to the vectorised
-        :func:`~repro.geometry.dual.build_exchange_angles_2d`); benchmarks
-        inject the scalar reference kernel here.
+        Exchange-construction function returning ``(angles, i, j)`` arrays or
+        a sequence of ``(angle, i, j)`` triples (defaults to the vectorised
+        :func:`~repro.geometry.dual.exchange_arrays_2d`); benchmarks inject
+        the scalar reference kernel here.
+
+    After :meth:`run`, :attr:`exchanges` holds the exchanges the sweep
+    consumed as ``(angles, i, j)`` arrays in sweep order.
     """
 
     def __init__(
@@ -325,97 +343,202 @@ class TwoDRaySweep:
         self.dataset = dataset
         self.oracle = oracle
         self.use_incremental = use_incremental
-        self.exchange_builder = exchange_builder or build_exchange_angles_2d
+        self.exchange_builder = exchange_builder or exchange_arrays_2d
+        self.exchanges: ExchangeArrays | None = None
 
     def run(self) -> TwoDIndex:
         """Sweep the ray from the x-axis to the y-axis and index satisfactory regions."""
         with stage_span("preprocess.exchange_build") as span:
-            exchanges = sorted(self.exchange_builder(self.dataset))
+            angles, first, second = _as_exchange_arrays(self.exchange_builder(self.dataset))
+            # One lexsort reproduces the (angle, i, j) tuple order.
+            n_items = self.dataset.n_items
+            order = np.lexsort(
+                (_item_key(second, n_items), _item_key(first, n_items), angles)
+            )
+            angles, first, second = angles[order], first[order], second[order]
+            self.exchanges = (angles, first, second)
             if span is not None:
-                span.set("n_exchanges", len(exchanges))
-        index = TwoDIndex(n_exchanges=len(exchanges))
-
-        # Ordering at angle 0 (f = x): descending x, ties broken by descending y
-        # (the order that holds for angles slightly above 0), then by item index.
-        scores = self.dataset.scores
-        n = self.dataset.n_items
-        ordering = np.lexsort((np.arange(n), -scores[:, 1], -scores[:, 0])).tolist()
-        position_of = {item: position for position, item in enumerate(ordering)}
-
-        # Sector boundaries: 0, the grouped exchange angles, π/2.
-        grouped: list[tuple[float, list[tuple[int, int]]]] = []
-        for angle, i, j in exchanges:
-            if grouped and abs(angle - grouped[-1][0]) <= _ANGLE_GROUP_TOLERANCE:
-                grouped[-1][1].append((i, j))
-            else:
-                grouped.append((angle, [(i, j)]))
-
+                span.set("n_exchanges", int(angles.size))
+        index = TwoDIndex(n_exchanges=int(angles.size))
         incremental = as_incremental(self.oracle) if self.use_incremental else None
-        if incremental is not None:
-            incremental.begin(np.asarray(ordering, dtype=int), self.dataset)
 
-            def evaluate_current() -> bool:
-                index.oracle_calls += 1
-                return incremental.verdict()
-
-        else:
-
-            def evaluate_current() -> bool:
-                index.oracle_calls += 1
-                return self.oracle.is_satisfactory(np.asarray(ordering, dtype=int), self.dataset)
-
-        satisfactory_flags: list[bool] = []
-        sector_bounds: list[tuple[float, float]] = []
-        previous_angle = 0.0
-
-        with stage_span(
-            "preprocess.sweep",
-            n_sectors=len(grouped) + 1,
-            incremental=incremental is not None,
-        ):
-            for angle, pairs in grouped:
-                if angle > previous_angle:
-                    sector_bounds.append((previous_angle, angle))
-                    satisfactory_flags.append(evaluate_current())
-                    previous_angle = angle
-                for i, j in pairs:
-                    position_i, position_j = position_of[i], position_of[j]
-                    ordering[position_i], ordering[position_j] = ordering[position_j], ordering[position_i]
-                    position_of[i], position_of[j] = position_j, position_i
-                    if incremental is not None:
-                        incremental.apply_swap(position_i, position_j)
-            sector_bounds.append((previous_angle, HALF_PI))
-            satisfactory_flags.append(evaluate_current())
+        with stage_span("preprocess.sweep", incremental=incremental is not None) as span:
+            # Ordering at angle 0 (f = x): descending x, ties broken by
+            # descending y (the order that holds for angles slightly above 0),
+            # then by item index.
+            scores = self.dataset.scores
+            ordering = np.lexsort((np.arange(n_items), -scores[:, 1], -scores[:, 0]))
+            # Sector boundaries: 0, the grouped exchange angles, π/2.  The
+            # sector before group g is judged once the events before the
+            # group's first exchange are applied; a first group at angle 0
+            # has no sector before it.
+            starts = _group_starts(angles)
+            bounds = np.concatenate(([0.0], angles[starts], [HALF_PI]))
+            judge_at = np.append(starts, angles.size)
+            if starts.size and not angles[0] > 0.0:
+                bounds, judge_at = bounds[1:], judge_at[1:]
+            trace = None
+            if incremental is not None and as_bulk_sweep(incremental) is not None:
+                trace = _adjacent_swap_trace(scores[:, 0], ordering, first, second)
+            if trace is not None:
+                incremental.begin(ordering, self.dataset)
+                flags = np.asarray(incremental.sweep_verdicts(*trace, judge_at), dtype=bool)
+            else:
+                flags = self._sweep_loop(ordering, first, second, judge_at, incremental)
+            index.oracle_calls = int(judge_at.size)
+            if span is not None:
+                span.set("n_sectors", int(starts.size) + 1)
+                span.set("kernel", "loop" if trace is None else "array")
 
         with stage_span("preprocess.interval_build") as span:
-            index.intervals = _merge_sectors(sector_bounds, satisfactory_flags)
+            index.intervals = _merge_sectors(bounds, flags)
             if span is not None:
                 span.set("n_intervals", len(index.intervals))
         return index
 
+    def _sweep_loop(
+        self,
+        ordering: np.ndarray,
+        first: np.ndarray,
+        second: np.ndarray,
+        judge_at: np.ndarray,
+        incremental,
+    ) -> list[bool]:
+        """The per-swap sweep: apply the exchanges in order, judging each sector in turn.
 
-def _merge_sectors(
-    bounds: list[tuple[float, float]], flags: list[bool]
-) -> list[AngularInterval]:
-    """Merge consecutive satisfactory sectors into maximal intervals."""
-    intervals: list[AngularInterval] = []
-    current_start: float | None = None
-    current_end: float | None = None
-    for (start, end), satisfactory in zip(bounds, flags):
-        if satisfactory:
-            if current_start is None:
-                current_start, current_end = start, end
-            else:
-                current_end = end
+        The reference the array kernel reproduces, and the path of every
+        oracle or input it does not cover.  With ``incremental`` the oracle
+        follows each swap; without it the oracle judges each ordering afresh.
+        """
+        ordering = ordering.tolist()
+        position_of = [0] * len(ordering)
+        for position, item in enumerate(ordering):
+            position_of[item] = position
+        if incremental is not None:
+            incremental.begin(np.asarray(ordering, dtype=int), self.dataset)
+            apply_swap, evaluate = incremental.apply_swap, incremental.verdict
         else:
-            if current_start is not None:
-                intervals.append(AngularInterval(current_start, current_end))
-                current_start = current_end = None
-    if current_start is not None:
-        intervals.append(AngularInterval(current_start, current_end))
-    return intervals
+            apply_swap = None
+
+            def evaluate() -> bool:
+                return self.oracle.is_satisfactory(np.asarray(ordering, dtype=int), self.dataset)
+
+        first, second = first.tolist(), second.tolist()
+        flags: list[bool] = []
+        applied = 0
+        for stop in judge_at.tolist():
+            for i, j in zip(first[applied:stop], second[applied:stop]):
+                position_i, position_j = position_of[i], position_of[j]
+                ordering[position_i], ordering[position_j] = j, i
+                position_of[i], position_of[j] = position_j, position_i
+                if apply_swap is not None:
+                    apply_swap(position_i, position_j)
+            applied = stop
+            flags.append(evaluate())
+        return flags
 
 
-def two_d_online(index: TwoDIndex, function: LinearScoringFunction) -> SuggestionResult:
-    """Functional alias of :meth:`TwoDIndex.query` matching the paper's ``2DONLINE`` name."""
-    return index.query(function)
+def _as_exchange_arrays(exchanges) -> ExchangeArrays:
+    """``(angles, i, j)`` arrays of an exchange builder's output (arrays or triples)."""
+    if (
+        isinstance(exchanges, tuple)
+        and len(exchanges) == 3
+        and all(isinstance(part, np.ndarray) for part in exchanges)
+    ):
+        return exchanges
+    triples = list(exchanges)
+    angles = np.array([angle for angle, _, _ in triples], dtype=float)
+    first = np.array([i for _, i, _ in triples], dtype=np.intp)
+    second = np.array([j for _, _, j in triples], dtype=np.intp)
+    return angles, first, second
+
+
+def _item_key(items: np.ndarray, n_items: int) -> np.ndarray:
+    """Item ids as a sort key: 16-bit when they fit, so stable sorts take NumPy's radix sort."""
+    return items.astype(np.uint16) if n_items <= 1 << 16 else items
+
+
+def _group_starts(angles: np.ndarray) -> np.ndarray:
+    """Index of the first exchange of every sweep event group, for sorted ``angles``.
+
+    An angle joins the current group when it lies within
+    ``_ANGLE_GROUP_TOLERANCE`` of the group's *first* angle.  A gap wider than
+    the tolerance between neighbours therefore always starts a group (float
+    subtraction is monotone, so the distance to the group's first angle is at
+    least that gap).  Only a run of near-ties spanning more than the
+    tolerance end to end needs the first-angle loop.
+    """
+    if angles.size == 0:
+        return np.empty(0, dtype=np.intp)
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(angles) > _ANGLE_GROUP_TOLERANCE) + 1))
+    lasts = np.append(runs[1:], angles.size) - 1
+    wide = np.flatnonzero(angles[lasts] - angles[runs] > _ANGLE_GROUP_TOLERANCE)
+    if wide.size == 0:
+        return runs
+    starts = runs.tolist()
+    values = angles.tolist()
+    for run in wide.tolist():
+        group_first = values[runs[run]]
+        for position in range(runs[run] + 1, lasts[run] + 1):
+            if abs(values[position] - group_first) > _ANGLE_GROUP_TOLERANCE:
+                starts.append(position)
+                group_first = values[position]
+    return np.array(sorted(starts), dtype=np.intp)
+
+
+def _adjacent_swap_trace(
+    x_scores: np.ndarray, ordering: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Positions of the sorted exchanges, when every one is an adjacent transposition.
+
+    Before its exchange the item with the larger x-score is ahead; at the
+    exchange it moves one place down and its partner one place up.  Each
+    item's rank before every event is then its rank at angle 0 plus a
+    per-item cumulative sum of those ±1 moves.  The ranks are checked, not
+    trusted: if on every event the partner sits exactly one place below
+    (``rank(up) == rank(down) + 1``), induction over the events shows they are
+    the per-swap loop's positions, so every loop swap is ``(low, low + 1)``.
+    Returns ``(low, leaving, entering)`` per event — the smaller of the two
+    swapped positions, the item moving down from it and the item moving up
+    into it — or ``None`` when any event fails the check (duplicate rows,
+    several non-adjacent swaps at one angle).
+    """
+    n_events = first.size
+    ahead = x_scores[first] > x_scores[second]
+    leaving = np.where(ahead, first, second)
+    entering = np.where(ahead, second, first)
+    if n_events == 0:
+        return np.empty(0, dtype=np.intp), leaving, entering
+    rank0 = np.empty(ordering.size, dtype=np.int64)
+    rank0[ordering] = np.arange(ordering.size)
+    # Moves in event order: event e's down move at 2e, its up move at 2e + 1.
+    items = np.empty(2 * n_events, dtype=np.intp)
+    items[0::2], items[1::2] = leaving, entering
+    moves = np.empty(2 * n_events, dtype=np.int64)
+    moves[0::2], moves[1::2] = 1, -1
+    # A stable sort by item keeps each item's moves in event order.
+    by_item = np.argsort(_item_key(items, ordering.size), kind="stable")
+    sorted_items = items[by_item]
+    sorted_moves = moves[by_item]
+    moved_before = np.cumsum(sorted_moves) - sorted_moves
+    item_starts = np.flatnonzero(np.diff(sorted_items, prepend=-1))
+    run_start = np.repeat(item_starts, np.diff(item_starts, append=sorted_items.size))
+    ranks = np.empty(2 * n_events, dtype=np.int64)
+    ranks[by_item] = rank0[sorted_items] + moved_before - moved_before[run_start]
+    low = ranks[0::2]
+    if not np.array_equal(ranks[1::2], low + 1):
+        return None
+    return low, leaving, entering
+
+
+def _merge_sectors(bounds: np.ndarray, flags) -> list[AngularInterval]:
+    """Merge runs of consecutive satisfactory sectors into maximal intervals.
+
+    Sector ``s`` spans ``[bounds[s], bounds[s + 1]]``.
+    """
+    padded = np.concatenate(([False], np.asarray(flags, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [
+        AngularInterval(start, end)
+        for start, end in zip(bounds[edges[0::2]].tolist(), bounds[edges[1::2]].tolist())
+    ]

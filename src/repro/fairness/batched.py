@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import OracleError
-from repro.fairness.incremental import _tree_shares_nodes
+from repro.fairness.incremental import _not_overridden_below, _tree_shares_nodes
 from repro.ranking.scoring import order_many
 
 __all__ = [
@@ -66,28 +66,6 @@ class BatchedOracle(Protocol):
         ...
 
 
-def _protocol_is_consistent(oracle) -> bool:
-    """Guard against subclasses that override ``is_satisfactory`` only.
-
-    A subclass of a batched-capable oracle that redefines ``is_satisfactory``
-    without redefining ``is_satisfactory_many`` would be silently judged with
-    the *parent's* batched verdicts, diverging from its own black-box
-    semantics.  Detect that by requiring the MRO class that defines
-    ``is_satisfactory`` to be at or below the one defining
-    ``is_satisfactory_many`` (same rule as the incremental protocol's guard).
-    """
-    mro = type(oracle).__mro__
-    satisfactory_owner = batched_owner = None
-    for position, cls in enumerate(mro):
-        if satisfactory_owner is None and "is_satisfactory" in cls.__dict__:
-            satisfactory_owner = position
-        if batched_owner is None and "is_satisfactory_many" in cls.__dict__:
-            batched_owner = position
-    if satisfactory_owner is None or batched_owner is None:
-        return True
-    return satisfactory_owner >= batched_owner
-
-
 def as_batched(oracle) -> BatchedOracle | None:
     """Return ``oracle`` as a :class:`BatchedOracle`, or ``None``.
 
@@ -100,7 +78,9 @@ def as_batched(oracle) -> BatchedOracle | None:
     """
     if not isinstance(oracle, BatchedOracle):
         return None
-    if not _protocol_is_consistent(oracle):
+    # A subclass overriding is_satisfactory below the class providing
+    # is_satisfactory_many would silently be judged with the parent's verdicts.
+    if not _not_overridden_below(oracle, "is_satisfactory_many", ("is_satisfactory",)):
         return None
     capable = getattr(oracle, "batched_capable", None)
     if capable is not None and not capable():

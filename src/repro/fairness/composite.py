@@ -22,12 +22,21 @@ __all__ = ["AndOracle", "OrOracle", "NotOracle"]
 
 
 class _NaryOracle(FairnessOracle):
-    """Shared child handling and incremental/batched plumbing of And/Or composites.
+    """And/Or composites: the children's verdicts, short-circuited on the decisive one.
 
-    The incremental protocol is forwarded to every child and the batched
-    protocol reduces the children's verdict vectors; subclasses only define
-    how the child results combine.  Capable only when every child is.
+    A child verdict equal to ``_decisive`` (False for AND, True for OR)
+    decides the composite, and later children are not asked.  Every route —
+    scalar, batched, per-swap and whole-sweep — short-circuits the same way,
+    so a counting child (or one with side effects) observes the same
+    evaluations and call totals however the composite is judged.  The
+    incremental protocol is forwarded to every child; capable only when every
+    child is.
     """
+
+    #: The child verdict that decides the composite's.
+    _decisive: bool
+    #: The operator ``describe`` joins the children with.
+    _joiner: str
 
     def __init__(self, children: Sequence[FairnessOracle]):
         children = list(children)
@@ -36,6 +45,32 @@ class _NaryOracle(FairnessOracle):
         if not all(isinstance(child, FairnessOracle) for child in children):
             raise OracleError("all children must be FairnessOracle instances")
         self.children = children
+
+    def _combine(self, verdicts) -> bool:
+        """Short-circuit over lazily computed child verdicts."""
+        for verdict in verdicts:
+            if bool(verdict) == self._decisive:
+                return self._decisive
+        return not self._decisive
+
+    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
+        return self._combine(child.is_satisfactory(ordering, dataset) for child in self.children)
+
+    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
+        """Combined verdict vector (≡ a loop of ``is_satisfactory``).
+
+        Each child only sees the rows no earlier child decided.
+        """
+        orderings = ordering_matrix(orderings)
+        verdicts = np.full(orderings.shape[0], not self._decisive)
+        remaining = np.arange(orderings.shape[0])
+        for child in self.children:
+            if remaining.size == 0:
+                break
+            decided = evaluate_many(child, orderings[remaining], dataset) == self._decisive
+            verdicts[remaining[decided]] = self._decisive
+            remaining = remaining[~decided]
+        return verdicts
 
     def incremental_capable(self) -> bool:
         return all(as_incremental(child) is not None for child in self.children)
@@ -53,68 +88,49 @@ class _NaryOracle(FairnessOracle):
         for child in self.children:
             child.apply_swap(pos_i, pos_j)
 
+    def verdict(self) -> bool:
+        return self._combine(child.verdict() for child in self.children)
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        """Combined verdict per sector.
+
+        Each child judges only the sectors no earlier child decided; every
+        child still receives every event, as every child receives every
+        ``apply_swap``.
+        """
+        verdicts = np.full(judge_at.shape, not self._decisive)
+        open_sectors = np.arange(judge_at.size)
+        for child in self.children:
+            child_verdicts = child.sweep_verdicts(
+                low, leaving, entering, judge_at[open_sectors]
+            )
+            decided = np.asarray(child_verdicts, dtype=bool) == self._decisive
+            verdicts[open_sectors[decided]] = self._decisive
+            open_sectors = open_sectors[~decided]
+        return verdicts
+
+    def describe(self) -> str:
+        return f" {self._joiner} ".join(child.describe() for child in self.children)
+
 
 class AndOracle(_NaryOracle):
     """Satisfied when every child oracle is satisfied (conjunction; FM2 is built this way)."""
 
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        return all(child.is_satisfactory(ordering, dataset) for child in self.children)
-
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """AND of the children's verdict vectors (≡ a loop of ``is_satisfactory``).
-
-        Short-circuits per row exactly like the scalar ``all(...)``: each child
-        only sees the rows every earlier child accepted, so a counting child
-        (or one with side effects) observes the same per-row evaluation set —
-        and the same call totals — as the per-ordering loop.
-        """
-        orderings = ordering_matrix(orderings)
-        verdicts = np.ones(orderings.shape[0], dtype=bool)
-        remaining = np.arange(orderings.shape[0])
-        for child in self.children:
-            if remaining.size == 0:
-                break
-            child_verdicts = evaluate_many(child, orderings[remaining], dataset)
-            verdicts[remaining[~child_verdicts]] = False
-            remaining = remaining[child_verdicts]
-        return verdicts
-
-    def verdict(self) -> bool:
-        return all(child.verdict() for child in self.children)
-
-    def describe(self) -> str:
-        return " AND ".join(child.describe() for child in self.children)
+    _decisive = False
+    _joiner = "AND"
 
 
 class OrOracle(_NaryOracle):
     """Satisfied when at least one child oracle is satisfied (disjunction)."""
 
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        return any(child.is_satisfactory(ordering, dataset) for child in self.children)
-
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """OR of the children's verdict vectors (≡ a loop of ``is_satisfactory``).
-
-        Short-circuits per row exactly like the scalar ``any(...)``: each child
-        only sees the rows every earlier child rejected, keeping counting
-        children's call totals equal to the per-ordering loop's.
-        """
-        orderings = ordering_matrix(orderings)
-        verdicts = np.zeros(orderings.shape[0], dtype=bool)
-        remaining = np.arange(orderings.shape[0])
-        for child in self.children:
-            if remaining.size == 0:
-                break
-            child_verdicts = evaluate_many(child, orderings[remaining], dataset)
-            verdicts[remaining[child_verdicts]] = True
-            remaining = remaining[~child_verdicts]
-        return verdicts
-
-    def verdict(self) -> bool:
-        return any(child.verdict() for child in self.children)
-
-    def describe(self) -> str:
-        return " OR ".join(child.describe() for child in self.children)
+    _decisive = True
+    _joiner = "OR"
 
 
 class NotOracle(FairnessOracle):
@@ -146,6 +162,17 @@ class NotOracle(FairnessOracle):
 
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
         self.child.apply_swap(pos_i, pos_j)
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        return ~np.asarray(
+            self.child.sweep_verdicts(low, leaving, entering, judge_at), dtype=bool
+        )
 
     def verdict(self) -> bool:
         return not self.child.verdict()

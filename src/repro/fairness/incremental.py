@@ -19,6 +19,18 @@ equivalence is asserted property-style in the test suite, and the sweep counts
 one oracle call per ``verdict()`` so the paper's reported oracle-call metric
 is unchanged.
 
+The top-``k`` counting oracles also judge a whole sweep in one call, after
+``begin``:
+
+* ``sweep_verdicts(low, leaving, entering, judge_at)`` — event ``e`` is the
+  adjacent transposition of positions ``low[e]`` and ``low[e] + 1``
+  (``leaving[e]`` moves down, ``entering[e]`` moves up); return the verdict
+  after the first ``judge_at[s]`` events for every sector ``s``.
+
+The sweep uses it only when it has proved every event adjacent (see
+:mod:`repro.core.two_dim`) and :func:`as_bulk_sweep` accepts the oracle;
+wrappers count one call per sector, as the per-swap loop does.
+
 Any oracle that does not implement the protocol (or reports itself incapable
 via ``incremental_capable``) is used as a black box, so user-supplied
 :class:`~repro.fairness.oracle.CallableOracle` criteria keep working
@@ -37,6 +49,7 @@ from repro.exceptions import OracleError
 __all__ = [
     "IncrementalOracle",
     "as_incremental",
+    "as_bulk_sweep",
     "TopKGroupCounter",
     "PrefixGroupCounter",
 ]
@@ -102,25 +115,28 @@ def _tree_shares_nodes(oracle) -> bool:
     return False
 
 
-def _protocol_is_consistent(oracle) -> bool:
-    """Guard against subclasses that override ``is_satisfactory`` only.
+def _not_overridden_below(oracle, method: str, others: tuple[str, ...]) -> bool:
+    """True unless a class below the one defining ``method`` redefines one of ``others``.
 
-    A subclass of an incremental-capable oracle that redefines
+    The guard of every protocol probe: a subclass that redefines, say,
     ``is_satisfactory`` without redefining ``verdict`` would be silently swept
     with the *parent's* incremental verdict, diverging from its own black-box
-    semantics.  Detect that by requiring the MRO class that defines
-    ``is_satisfactory`` to be at or below the one defining ``verdict``.
+    semantics.  Detect that by requiring every MRO class that defines one of
+    ``others`` to be at or above the one defining ``method``.
     """
     mro = type(oracle).__mro__
-    satisfactory_owner = verdict_owner = None
-    for position, cls in enumerate(mro):
-        if satisfactory_owner is None and "is_satisfactory" in cls.__dict__:
-            satisfactory_owner = position
-        if verdict_owner is None and "verdict" in cls.__dict__:
-            verdict_owner = position
-    if satisfactory_owner is None or verdict_owner is None:
+
+    def owner(name: str) -> int | None:
+        return next(
+            (position for position, cls in enumerate(mro) if name in cls.__dict__), None
+        )
+
+    anchor = owner(method)
+    if anchor is None:
         return True
-    return satisfactory_owner >= verdict_owner
+    return all(
+        position is None or position >= anchor for position in map(owner, others)
+    )
 
 
 def as_incremental(oracle) -> IncrementalOracle | None:
@@ -134,12 +150,36 @@ def as_incremental(oracle) -> IncrementalOracle | None:
     """
     if not isinstance(oracle, IncrementalOracle):
         return None
-    if not _protocol_is_consistent(oracle):
+    if not _not_overridden_below(oracle, "verdict", ("is_satisfactory",)):
         return None
     capable = getattr(oracle, "incremental_capable", None)
     if capable is not None and not capable():
         return None
     if _tree_shares_nodes(oracle):
+        return None
+    return oracle
+
+
+def _bulk_capable(node) -> bool:
+    if not callable(getattr(node, "sweep_verdicts", None)):
+        return False
+    if not _not_overridden_below(
+        node, "sweep_verdicts", ("verdict", "apply_swap", "is_satisfactory")
+    ):
+        return False
+    return all(_bulk_capable(delegate) for delegate in _delegate_oracles(node))
+
+
+def as_bulk_sweep(oracle) -> IncrementalOracle | None:
+    """Return ``oracle`` when one ``sweep_verdicts`` call may judge a whole sweep.
+
+    Requires :func:`as_incremental` to accept the oracle, and every node of
+    its tree to define ``sweep_verdicts`` at or below the classes defining its
+    ``verdict``, ``apply_swap`` and ``is_satisfactory``: a subclass that
+    overrides one of those (to observe or change the per-swap path) gets the
+    per-swap loop.  ``None`` means the sweep runs that loop.
+    """
+    if as_incremental(oracle) is None or not _bulk_capable(oracle):
         return None
     return oracle
 
@@ -171,6 +211,26 @@ class TopKGroupCounter:
         ordering[low], ordering[high] = entering, leaving
         if low < self.k <= high:
             self.count += int(self._member[entering]) - int(self._member[leaving])
+
+    def counts_along(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        """The count after the first ``judge_at[s]`` of a stream of adjacent swaps.
+
+        Event ``e`` swaps positions ``low[e]`` and ``low[e] + 1``, so it
+        crosses the rank-``k`` boundary exactly when ``low[e] == k - 1``; the
+        count is then the current one plus a cumulative sum of the crossing
+        events' member changes.  The counter's own state does not advance.
+        """
+        steps = np.zeros(low.size + 1, dtype=np.int64)
+        crossing = np.flatnonzero(low == self.k - 1)
+        member = self._member.astype(np.int64)
+        steps[crossing + 1] = member[entering[crossing]] - member[leaving[crossing]]
+        return self.count + np.cumsum(steps)[judge_at]
 
 
 class PrefixGroupCounter:

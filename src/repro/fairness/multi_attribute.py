@@ -122,6 +122,15 @@ class MultiAttributeOracle(FairnessOracle):
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
         self._inner.apply_swap(pos_i, pos_j)
 
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        return self._inner.sweep_verdicts(low, leaving, entering, judge_at)
+
     def verdict(self) -> bool:
         return self._inner.verdict()
 

@@ -125,11 +125,12 @@ class CountingOracle(FairnessOracle):
 
     # ------------------------------------------------------------------ #
     # incremental protocol: forward to the wrapped oracle, counting one call
-    # per verdict so sweep-style algorithms report the same oracle-call
-    # numbers whether they run incrementally or as a black box.  The wrapped
-    # oracle may not implement the protocol at all (``incremental_capable``
-    # then reports False); forwarding is guarded so a direct call fails with
-    # a clear error instead of an ``AttributeError``.
+    # per verdict (one per judged sector of a ``sweep_verdicts`` call) so
+    # sweep-style algorithms report the same oracle-call numbers whether they
+    # run incrementally or as a black box.  The wrapped oracle may not
+    # implement the protocol at all (``incremental_capable`` then reports
+    # False); forwarding is guarded so a direct call fails with a clear error
+    # instead of an ``AttributeError``.
     # ------------------------------------------------------------------ #
     def incremental_capable(self) -> bool:
         return as_incremental(self.inner) is not None
@@ -164,6 +165,17 @@ class CountingOracle(FairnessOracle):
         inner = self._incremental_inner()
         self.calls += 1
         return inner.verdict()
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        inner = self._incremental_inner()
+        self.calls += int(judge_at.size)
+        return inner.sweep_verdicts(low, leaving, entering, judge_at)
 
     def reset(self) -> None:
         """Reset the call counter."""

@@ -23,6 +23,16 @@ from repro.ranking.topk import group_counts_at_k, resolve_k
 __all__ = ["ProportionalOracle", "TopKGroupBoundOracle"]
 
 
+def _within(counts: np.ndarray, min_count: int | None, max_count: int | None) -> np.ndarray:
+    """Elementwise ``min_count <= counts <= max_count``; a missing bound always holds."""
+    verdicts = np.ones(counts.shape, dtype=bool)
+    if min_count is not None:
+        verdicts &= counts >= min_count
+    if max_count is not None:
+        verdicts &= counts <= max_count
+    return verdicts
+
+
 class ProportionalOracle(FairnessOracle):
     """Bound the share of one group in the top-``k`` (FM1).
 
@@ -96,18 +106,27 @@ class ProportionalOracle(FairnessOracle):
     # ------------------------------------------------------------------ #
     # oracle
     # ------------------------------------------------------------------ #
+    def _count_bounds(self, k: int) -> tuple[int | None, int | None]:
+        """The fraction bounds as member counts in a top-``k`` of that size.
+
+        A count requirement derived from a fraction is rounded the way a
+        regulator would: at least ceil(fraction * k) members, at most
+        floor(fraction * k).
+        """
+        return (
+            None if self.min_fraction is None else math.ceil(self.min_fraction * k - 1e-9),
+            None if self.max_fraction is None else math.floor(self.max_fraction * k + 1e-9),
+        )
+
     def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
         k = resolve_k(dataset, self.k)
         counts = group_counts_at_k(dataset, ordering, self.attribute, k)
         count = counts.get(self.group, 0)
-        if self.min_fraction is not None:
-            # A count requirement derived from a fraction is rounded the way a
-            # regulator would: at least ceil(fraction * k) members.
-            if count < math.ceil(self.min_fraction * k - 1e-9):
-                return False
-        if self.max_fraction is not None:
-            if count > math.floor(self.max_fraction * k + 1e-9):
-                return False
+        min_count, max_count = self._count_bounds(k)
+        if min_count is not None and count < min_count:
+            return False
+        if max_count is not None and count > max_count:
+            return False
         return True
 
     # ------------------------------------------------------------------ #
@@ -124,12 +143,7 @@ class ProportionalOracle(FairnessOracle):
         k = resolve_k(dataset, self.k)
         member = np.asarray(dataset.type_column(self.attribute) == self.group)
         counts = member[orderings[:, :k]].sum(axis=1)
-        verdicts = np.ones(orderings.shape[0], dtype=bool)
-        if self.min_fraction is not None:
-            verdicts &= counts >= math.ceil(self.min_fraction * k - 1e-9)
-        if self.max_fraction is not None:
-            verdicts &= counts <= math.floor(self.max_fraction * k + 1e-9)
-        return verdicts
+        return _within(counts, *self._count_bounds(k))
 
     # ------------------------------------------------------------------ #
     # incremental protocol (sweep hot path)
@@ -139,15 +153,21 @@ class ProportionalOracle(FairnessOracle):
         k = resolve_k(dataset, self.k)
         self._counter = TopKGroupCounter(dataset, ordering, self.attribute, self.group, k)
         # The same rounded thresholds is_satisfactory applies per call.
-        self._min_count = (
-            None if self.min_fraction is None else math.ceil(self.min_fraction * k - 1e-9)
-        )
-        self._max_count = (
-            None if self.max_fraction is None else math.floor(self.max_fraction * k + 1e-9)
-        )
+        self._min_count, self._max_count = self._count_bounds(k)
 
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
         self._counter.apply_swap(pos_i, pos_j)
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        """Verdicts of a whole sweep of adjacent swaps (see :mod:`repro.fairness.incremental`)."""
+        counts = self._counter.counts_along(low, leaving, entering, judge_at)
+        return _within(counts, self._min_count, self._max_count)
 
     def verdict(self) -> bool:
         count = self._counter.count
@@ -215,12 +235,7 @@ class TopKGroupBoundOracle(FairnessOracle):
         k = resolve_k(dataset, self.k)
         member = np.asarray(dataset.type_column(self.attribute) == self.group)
         counts = member[orderings[:, :k]].sum(axis=1)
-        verdicts = np.ones(orderings.shape[0], dtype=bool)
-        if self.min_count is not None:
-            verdicts &= counts >= self.min_count
-        if self.max_count is not None:
-            verdicts &= counts <= self.max_count
-        return verdicts
+        return _within(counts, self.min_count, self.max_count)
 
     # ------------------------------------------------------------------ #
     # incremental protocol (sweep hot path)
@@ -232,6 +247,17 @@ class TopKGroupBoundOracle(FairnessOracle):
 
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
         self._counter.apply_swap(pos_i, pos_j)
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        """Verdicts of a whole sweep of adjacent swaps (see :mod:`repro.fairness.incremental`)."""
+        counts = self._counter.counts_along(low, leaving, entering, judge_at)
+        return _within(counts, self.min_count, self.max_count)
 
     def verdict(self) -> bool:
         count = self._counter.count

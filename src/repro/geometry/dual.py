@@ -29,7 +29,10 @@ so the O(n²) broadcast never materialises the full difference tensor), all
 exchange hyperplanes come from :func:`hyperpolar_many` — one batched SVD over
 the ``(m, 1, d)`` stack of exchange normals for the nullspace bases, one
 batched ``np.linalg.solve`` over the ``(m, d-1, d-1)`` angle matrices —
-instead of m per-pair nullspace/solve calls.  The scalar routes are retained
+instead of m per-pair nullspace/solve calls.  The 2-D exchanges stay arrays
+(:func:`exchange_arrays_2d`) all the way into the ray sweep; the triple list
+of :func:`build_exchange_angles_2d` is a view for callers and tests.  The
+scalar routes are retained
 (``build_exchange_angles_2d_reference`` / ``build_exchange_hyperplanes_reference``,
 and ``method="scalar"`` on :func:`hyperplanes_for_dataset`) so tests and
 benchmarks can assert the kernels are exactly equivalent.  Scalar and batched
@@ -64,7 +67,9 @@ __all__ = [
     "build_exchange_hyperplanes_reference",
     "build_exchange_angles_2d",
     "build_exchange_angles_2d_reference",
+    "exchange_arrays_2d",
     "exchange_angles_for_pairs",
+    "exchange_triples",
 ]
 
 #: Methods accepted by :func:`hyperplanes_for_dataset`.
@@ -530,15 +535,37 @@ def hyperplanes_for_dataset(
     return hyperplanes
 
 
-def build_exchange_angles_2d(dataset: Dataset) -> list[tuple[float, int, int]]:
-    """Return all 2-D ordering exchanges of a dataset as ``(angle, i, j)`` triples.
+#: 2-D exchanges as three parallel arrays: angles, first item, second item.
+ExchangeArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def exchange_arrays_2d(dataset: Dataset) -> ExchangeArrays:
+    """Return all 2-D ordering exchanges of a dataset as ``(angles, i, j)`` arrays.
 
     Dominated and identical pairs are skipped, exactly as in Algorithm 1
-    lines 2–8.  The list is *not* sorted; the ray-sweep sorts it.
+    lines 2–8.  Pairs come in row-major ``i < j`` order, *not* sorted by
+    angle; the ray sweep sorts them.
 
     Vectorised: pair eligibility comes from one dominance-matrix kernel and
     all angles from a single ``arctan2`` over the pairwise score differences —
-    no per-pair Python calls.  Output is identical (bit-for-bit) to
+    no per-pair Python calls.
+    """
+    if dataset.n_attributes != 2:
+        raise GeometryError("build_exchange_angles_2d requires a 2-attribute dataset")
+    scores = dataset.scores
+    return exchange_angles_for_pairs(scores, exchange_pair_indices(scores))
+
+
+def exchange_triples(exchanges: ExchangeArrays) -> list[tuple[float, int, int]]:
+    """The ``(angle, i, j)`` triples of exchange arrays, in array order."""
+    angles, first, second = exchanges
+    return list(zip(angles.tolist(), first.tolist(), second.tolist()))
+
+
+def build_exchange_angles_2d(dataset: Dataset) -> list[tuple[float, int, int]]:
+    """Return all 2-D ordering exchanges of a dataset as ``(angle, i, j)`` triples.
+
+    The triples of :func:`exchange_arrays_2d`; identical (bit-for-bit) to
     :func:`build_exchange_angles_2d_reference`.
 
     >>> import numpy as np
@@ -549,36 +576,26 @@ def build_exchange_angles_2d(dataset: Dataset) -> list[tuple[float, int, int]]:
     >>> build_exchange_angles_2d(dataset)
     [(0.7853981633974483, 0, 1)]
     """
-    if dataset.n_attributes != 2:
-        raise GeometryError("build_exchange_angles_2d requires a 2-attribute dataset")
-    scores = dataset.scores
-    pairs = exchange_pair_indices(scores)
-    return exchange_angles_for_pairs(scores, pairs)
+    return exchange_triples(exchange_arrays_2d(dataset))
 
 
-def exchange_angles_for_pairs(
-    scores: np.ndarray, pairs: np.ndarray
-) -> list[tuple[float, int, int]]:
-    """The 2-D angle kernel of :func:`build_exchange_angles_2d` over explicit pairs.
+def exchange_angles_for_pairs(scores: np.ndarray, pairs: np.ndarray) -> ExchangeArrays:
+    """The 2-D angle kernel of :func:`exchange_arrays_2d` over explicit pairs.
 
     Elementwise, so running it over any subset of the eligible pairs (e.g. the
-    pairs touching a dataset delta's changed items) yields triples bit-identical
-    to the corresponding rows of the full construction — the property the
-    incremental index maintenance of :mod:`repro.core.two_dim` relies on.
-    ``pairs`` rows must be exchange-eligible ``(i, j)`` indices into ``scores``.
+    pairs touching a dataset delta's changed items, or one shard's block)
+    yields exchanges bit-identical to the corresponding rows of the full
+    construction — the property incremental index maintenance and sharded
+    enumeration rely on.  ``pairs`` rows must be exchange-eligible ``(i, j)``
+    indices into ``scores``.
     """
     scores = np.asarray(scores, dtype=float)
-    pairs = np.asarray(pairs, dtype=int)
-    if pairs.shape[0] == 0:
-        return []
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     differences = scores[pairs[:, 0]] - scores[pairs[:, 1]]
     # Non-dominated 2-D pairs have dx, dy of strictly opposite signs; the
     # first-quadrant exchange direction is (|dy|, |dx|) (Eq. 2).
     angles = np.arctan2(np.abs(differences[:, 0]), np.abs(differences[:, 1]))
-    return [
-        (float(angle), int(i), int(j))
-        for angle, i, j in zip(angles.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist())
-    ]
+    return angles, pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
 def build_exchange_angles_2d_reference(dataset: Dataset) -> list[tuple[float, int, int]]:

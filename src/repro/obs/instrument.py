@@ -22,7 +22,8 @@ test-asserted equal.  The incremental protocol (``begin``/``apply_swap``/
 ``verdict``) is counted but deliberately *not* spanned per call: the 2-D
 sweep applies O(n²) swaps, and a span per swap would cost more than the
 sweep itself — ``begin`` gets a span, the per-swap traffic shows up as
-counters.
+counters.  A bulk ``sweep_verdicts`` call gets one span and counts what the
+per-swap loop would: one verdict per sector, one swap per event.
 
 Answers are bit-identical to the uninstrumented engine: instrumentation
 only observes, and the oracle wrapper forwards verdicts unchanged.
@@ -91,7 +92,8 @@ class InstrumentedOracle(FairnessOracle):
     Call totals are arithmetic-identical to
     :class:`~repro.fairness.oracle.CountingOracle`: +1 per
     ``is_satisfactory`` / ``verdict``, +q per ``is_satisfactory_many``
-    batch.  Batched and incremental capability mirror the inner oracle.
+    batch, +1 per sector of a ``sweep_verdicts`` call.  Batched and
+    incremental capability mirror the inner oracle.
     """
 
     def __init__(
@@ -175,6 +177,25 @@ class InstrumentedOracle(FairnessOracle):
         self.calls += 1
         self._verdict_calls.inc()
         return self._incremental_inner().verdict()
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        """A whole sweep at once, counted as its sectors' verdicts and its events' swaps."""
+        delegate = self._incremental_inner()
+        self.calls += int(judge_at.size)
+        self._verdict_calls.inc(int(judge_at.size))
+        self._swap_calls.inc(int(low.size))
+        if self.recorder is None:
+            return delegate.sweep_verdicts(low, leaving, entering, judge_at)
+        with self.recorder.span(
+            "oracle.sweep_verdicts", n_sectors=int(judge_at.size), n_events=int(low.size)
+        ):
+            return delegate.sweep_verdicts(low, leaving, entering, judge_at)
 
     # -- bookkeeping ----------------------------------------------------- #
     def reset(self) -> None:

@@ -37,8 +37,11 @@ from repro.data.dominance import default_row_chunk_size, exchange_pairs_for_bloc
 from repro.exceptions import ConfigurationError, DatasetError, GeometryError
 from repro.geometry.dual import (
     HYPERPLANE_METHODS,
+    ExchangeArrays,
     _hyperpolar_unchecked,
-    build_exchange_angles_2d,
+    exchange_angles_for_pairs,
+    exchange_arrays_2d,
+    exchange_triples,
     hyperpolar_many,
     hyperplanes_for_dataset,
 )
@@ -233,43 +236,30 @@ def _init_angle_worker(scores: np.ndarray, base_seed: int) -> None:
     _BASE_SEED = base_seed
 
 
-def _angle_chunk_task(
-    chunk_index: int, start: int, stop: int
-) -> list[tuple[float, int, int]]:
-    """Enumerate one block's exchange angles; runs in a worker process."""
+def _angle_chunk_task(chunk_index: int, start: int, stop: int) -> ExchangeArrays:
+    """Enumerate one block's exchange arrays; runs in a worker process."""
     global _RNG
     _RNG = np.random.default_rng(derive_shard_seed(_BASE_SEED, chunk_index))
-    pairs = exchange_pairs_for_block(_SCORES, start, stop)
-    if pairs.shape[0] == 0:
-        return []
-    differences = _SCORES[pairs[:, 0]] - _SCORES[pairs[:, 1]]
-    # Same Eq. 2 kernel as build_exchange_angles_2d, applied block-wise.
-    angles = np.arctan2(np.abs(differences[:, 0]), np.abs(differences[:, 1]))
-    return [
-        (float(angle), int(i), int(j))
-        for angle, i, j in zip(
-            angles.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist()
-        )
-    ]
+    # Same Eq. 2 kernel as exchange_arrays_2d, applied block-wise.
+    return exchange_angles_for_pairs(_SCORES, exchange_pairs_for_block(_SCORES, start, stop))
 
 
-def parallel_exchange_angles_2d(
+def _parallel_exchange_arrays_2d(
     dataset: Dataset,
-    *,
-    n_workers: int = 1,
-    row_chunk_size: int | None = None,
-    start_method: str | None = None,
-    seed: int = 0,
-) -> list[tuple[float, int, int]]:
-    """Sharded-parallel :func:`repro.geometry.dual.build_exchange_angles_2d`.
+    n_workers: int,
+    row_chunk_size: int | None,
+    start_method: str | None,
+    seed: int,
+) -> ExchangeArrays:
+    """Sharded-parallel :func:`repro.geometry.dual.exchange_arrays_2d`.
 
-    Concatenating block results in chunk order reproduces the serial triple
-    list exactly (same pairs, same row-major order, same ``arctan2`` bits);
+    Concatenating block arrays in chunk order reproduces the serial arrays
+    exactly (same pairs, same row-major order, same ``arctan2`` bits);
     ``n_workers=1`` delegates to the serial function.
     """
     _require_workers(n_workers)
     if n_workers == 1:
-        return build_exchange_angles_2d(dataset)
+        return exchange_arrays_2d(dataset)
     if dataset.n_attributes != 2:
         raise GeometryError("build_exchange_angles_2d requires a 2-attribute dataset")
     scores = dataset.scores
@@ -280,9 +270,9 @@ def parallel_exchange_angles_2d(
         raise DatasetError("row_chunk_size must be >= 1")
     bounds = plan_shards(n, row_chunk_size)
     if not bounds:
-        return []
+        return exchange_angles_for_pairs(scores, np.empty((0, 2), dtype=np.intp))
 
-    exchanges: list[tuple[float, int, int]] = []
+    chunks: list[ExchangeArrays] = []
     with _executor(
         min(n_workers, len(bounds)), start_method, _init_angle_worker, (scores, seed)
     ) as executor:
@@ -296,9 +286,26 @@ def parallel_exchange_angles_2d(
             ) as span:
                 chunk = future.result()
                 if span is not None:
-                    span.set("n_exchanges", len(chunk))
-            exchanges.extend(chunk)
-    return exchanges
+                    span.set("n_exchanges", int(chunk[0].size))
+            chunks.append(chunk)
+    return tuple(np.concatenate(column) for column in zip(*chunks))
+
+
+def parallel_exchange_angles_2d(
+    dataset: Dataset,
+    *,
+    n_workers: int = 1,
+    row_chunk_size: int | None = None,
+    start_method: str | None = None,
+    seed: int = 0,
+) -> list[tuple[float, int, int]]:
+    """Sharded-parallel :func:`repro.geometry.dual.build_exchange_angles_2d`.
+
+    The triples of the sharded exchange arrays: the serial triple list exactly.
+    """
+    return exchange_triples(
+        _parallel_exchange_arrays_2d(dataset, n_workers, row_chunk_size, start_method, seed)
+    )
 
 
 def make_parallel_exchange_builder(
@@ -307,24 +314,19 @@ def make_parallel_exchange_builder(
     row_chunk_size: int | None = None,
     start_method: str | None = None,
     seed: int = 0,
-) -> Callable[[Dataset], list[tuple[float, int, int]]]:
+) -> Callable[[Dataset], ExchangeArrays]:
     """Exchange-builder closure for :class:`repro.core.two_dim.TwoDRaySweep`.
 
-    The ray sweep accepts any ``dataset -> [(angle, i, j), ...]`` callable as
-    its ``exchange_builder`` seam; this wraps
-    :func:`parallel_exchange_angles_2d` with a fixed worker count so
-    ``TwoDEngine`` can inject sharded enumeration when
-    ``preprocess_workers > 1``.
+    The ray sweep accepts any ``dataset -> (angles, i, j)`` callable as its
+    ``exchange_builder`` seam; this one enumerates the exchange arrays over a
+    fixed number of worker processes, so ``TwoDEngine`` can inject sharded
+    enumeration when ``preprocess_workers > 1``.
     """
     _require_workers(n_workers)
 
-    def build(dataset: Dataset) -> list[tuple[float, int, int]]:
-        return parallel_exchange_angles_2d(
-            dataset,
-            n_workers=n_workers,
-            row_chunk_size=row_chunk_size,
-            start_method=start_method,
-            seed=seed,
+    def build(dataset: Dataset) -> ExchangeArrays:
+        return _parallel_exchange_arrays_2d(
+            dataset, n_workers, row_chunk_size, start_method, seed
         )
 
     return build

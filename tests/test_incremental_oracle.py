@@ -1,10 +1,12 @@
 """Equivalence tests for the vectorized + incremental sweep hot path.
 
-Two retained reference paths anchor these tests:
+Three retained reference paths anchor these tests:
 
 * the scalar per-pair exchange construction
   (``build_exchange_angles_2d_reference`` / ``build_exchange_hyperplanes_reference``),
-* black-box per-sector oracle evaluation (``TwoDRaySweep(use_incremental=False)``).
+* black-box per-sector oracle evaluation (``TwoDRaySweep(use_incremental=False)``),
+* the per-swap ``begin``/``apply_swap``/``verdict`` loop, which the array
+  sweep kernel must reproduce wherever it runs.
 
 The vectorized kernels and the incremental-oracle protocol must reproduce
 them *exactly*: same angles (bit-for-bit), same pair labels, same
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.two_dim import TwoDRaySweep
+from repro.core.two_dim import _ANGLE_GROUP_TOLERANCE, TwoDRaySweep, _group_starts
 from repro.data.dataset import Dataset
 from repro.data.dominance import (
     dominance_matrix,
@@ -30,7 +32,7 @@ from repro.data.synthetic import make_compas_like
 from repro.fairness.composite import AndOracle, NotOracle, OrOracle
 from repro.fairness.incremental import as_incremental
 from repro.fairness.multi_attribute import MultiAttributeOracle
-from repro.fairness.oracle import CallableOracle, CountingOracle
+from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
 from repro.fairness.prefix import MinimumAtEveryPrefixOracle, PrefixProportionalOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.dual import (
@@ -40,6 +42,8 @@ from repro.geometry.dual import (
     build_exchange_hyperplanes_reference,
     has_exchange,
 )
+from repro.obs.instrument import InstrumentedOracle
+from repro.obs.trace import TraceRecorder, activated
 
 
 def _compas_2d(n: int, seed: int) -> Dataset:
@@ -315,3 +319,238 @@ class TestIndexStartCache:
         assert index.interval_starts.tolist() == [0.3, 0.8]
         assert index.is_satisfactory_angle(0.85)
         assert not index.is_satisfactory_angle(0.5)
+
+
+# --------------------------------------------------------------------- #
+# the array sweep kernel against the per-swap loop and the black box
+# --------------------------------------------------------------------- #
+#: Indices of the ``_oracle_zoo`` oracles built from top-k group counters
+#: only (FM1, both-sided FM1, the count bound, FM2, and their AND).
+TOP_K_FAMILY = (0, 1, 2, 5, 6)
+
+
+class _PerSwapOnly(FairnessOracle):
+    """Forwards the per-swap protocol but not ``sweep_verdicts``: the sweep must loop."""
+
+    def __init__(self, inner: FairnessOracle) -> None:
+        self.inner = inner
+
+    def is_satisfactory(self, ordering, dataset) -> bool:
+        return self.inner.is_satisfactory(ordering, dataset)
+
+    def incremental_capable(self) -> bool:
+        return as_incremental(self.inner) is not None
+
+    def begin(self, ordering, dataset) -> None:
+        self.inner.begin(ordering, dataset)
+
+    def apply_swap(self, pos_i: int, pos_j: int) -> None:
+        self.inner.apply_swap(pos_i, pos_j)
+
+    def verdict(self) -> bool:
+        return self.inner.verdict()
+
+
+def _traced_sweep(dataset: Dataset, oracle, **options) -> tuple[tuple, dict]:
+    """Sweep under a recorder: a bit-level fingerprint and the sweep span's attributes."""
+    recorder = TraceRecorder()
+    with activated(recorder):
+        index = TwoDRaySweep(dataset, oracle, **options).run()
+    (span,) = [span for span in recorder.spans if span.name == "preprocess.sweep"]
+    fingerprint = (
+        [(interval.start.hex(), interval.end.hex()) for interval in index.intervals],
+        index.n_exchanges,
+        index.oracle_calls,
+    )
+    return fingerprint, dict(span.attributes)
+
+
+def _assert_routes_agree(dataset: Dataset, make_oracle) -> dict:
+    """Default route ≡ per-swap loop ≡ black box; returns the default sweep span's attributes."""
+    default, per_swap, black_box = (CountingOracle(make_oracle()) for _ in range(3))
+    fast, attributes = _traced_sweep(dataset, default)
+    looped, looped_attributes = _traced_sweep(dataset, _PerSwapOnly(per_swap))
+    reference, reference_attributes = _traced_sweep(dataset, black_box, use_incremental=False)
+    assert (looped_attributes["kernel"], looped_attributes["incremental"]) == ("loop", True)
+    assert (reference_attributes["kernel"], reference_attributes["incremental"]) == (
+        "loop",
+        False,
+    )
+    assert fast == looped == reference
+    assert default.calls == per_swap.calls == black_box.calls == reference[2]
+    return attributes
+
+
+def _two_group_dataset(scores, types=None) -> Dataset:
+    scores = np.asarray(scores, dtype=float)
+    n = scores.shape[0]
+    if types is None:
+        types = np.array(["a", "b"] * n)[:n]
+    return Dataset(scores=scores, scoring_attributes=["x", "y"], types={"group": types})
+
+
+def _degenerate_oracles(dataset: Dataset) -> list:
+    """A top-k oracle (array kernel candidate) and a prefix oracle (always the loop)."""
+    return [
+        ProportionalOracle("group", "a", k=0.5, min_fraction=0.3, max_fraction=0.6),
+        MinimumAtEveryPrefixOracle("group", "a", k=0.5, target_fraction=0.3),
+    ]
+
+
+class TestArraySweepKernel:
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("oracle_index", range(9))
+    def test_routes_agree_on_every_zoo_oracle(self, oracle_index, seed):
+        """Three routes agree; the top-k family takes the array kernel, the rest the loop."""
+        dataset = _compas_2d(40, seed)
+        attributes = _assert_routes_agree(
+            dataset, lambda: _oracle_zoo(dataset)[oracle_index]
+        )
+        expected = "array" if oracle_index in TOP_K_FAMILY else "loop"
+        assert (attributes["kernel"], attributes["incremental"]) == (expected, True)
+
+    @pytest.mark.perf_smoke
+    def test_sweep_smoke(self):
+        """One FM1 sweep three ways on one small dataset: the check_all.py sweep gate."""
+        dataset = _compas_2d(60, seed=5)
+        attributes = _assert_routes_agree(dataset, lambda: _oracle_zoo(dataset)[0])
+        assert attributes["kernel"] == "array"
+
+    def test_instrumented_wrappers_count_the_loop_totals(self):
+        """Verdicts and swaps of nested instrumented wrappers match the per-swap loop."""
+        dataset = _compas_2d(80, seed=6)
+
+        def instrumented_and():
+            fm1, _, bound = _oracle_zoo(dataset)[:3]
+            children = [InstrumentedOracle(fm1), InstrumentedOracle(bound)]
+            return InstrumentedOracle(AndOracle(children)), children
+
+        def totals(outer, children):
+            return [
+                (wrapper.calls, wrapper.metrics.counter_total("oracle.swaps"))
+                for wrapper in (outer, *children)
+            ]
+
+        fast, fast_children = instrumented_and()
+        looped, looped_children = instrumented_and()
+        fast_print, attributes = _traced_sweep(dataset, fast)
+        looped_print, _ = _traced_sweep(dataset, _PerSwapOnly(looped))
+        assert attributes["kernel"] == "array"
+        assert fast_print == looped_print
+        assert totals(fast, fast_children) == totals(looped, looped_children)
+        # The second child only judges the sectors the first one accepted.
+        assert fast_children[1].calls < fast_children[0].calls == fast_print[2]
+
+    def test_subclass_overriding_verdict_takes_the_loop(self):
+        """A subclass overriding the per-swap protocol below sweep_verdicts gets the loop."""
+
+        class ObservedOracle(InstrumentedOracle):
+            def verdict(self) -> bool:
+                return super().verdict()
+
+        dataset = _compas_2d(40, seed=1)
+        observed = ObservedOracle(_oracle_zoo(dataset)[0])
+        _, attributes = _traced_sweep(dataset, observed)
+        assert (attributes["kernel"], attributes["incremental"]) == ("loop", True)
+        plain = InstrumentedOracle(_oracle_zoo(dataset)[0])
+        _, attributes = _traced_sweep(dataset, plain)
+        assert attributes["kernel"] == "array"
+        assert observed.calls == plain.calls
+        assert observed.metrics.counter_total("oracle.swaps") == plain.metrics.counter_total(
+            "oracle.swaps"
+        )
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [[1, 2], [1, 2], [0.5, 3], [2, 1], [0.8, 2.5]],
+            [[1, 2], [1 + 5e-9, 2 - 5e-9], [0.5, 3], [2, 1]],
+        ],
+        ids=["exact-duplicates", "allclose-duplicates"],
+    )
+    def test_duplicate_rows_fall_back_to_the_loop(self, scores):
+        dataset = _two_group_dataset(scores)
+        for oracle_index in range(2):
+            attributes = _assert_routes_agree(
+                dataset, lambda: _degenerate_oracles(dataset)[oracle_index]
+            )
+            assert attributes["kernel"] == "loop"
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            # Exactly equal angles: the tied swaps run as a bubble sort.
+            [[1, 4], [2, 3], [3, 2], [4, 1], [0.5, 0.5], [2.5, 3.5]],
+            [[3, 2], [1, 4], [4, 1], [2, 3]],
+            # Angles equal up to rounding: one group, angle order not index order.
+            np.column_stack((np.linspace(0.1, 0.9, 9), 0.9 - np.linspace(0.0, 0.8, 9))),
+        ],
+        ids=["collinear-exact", "collinear-shuffled", "collinear-rounded"],
+    )
+    def test_collinear_groups_with_several_pairs(self, scores):
+        dataset = _two_group_dataset(scores)
+        for oracle_index in range(2):
+            attributes = _assert_routes_agree(
+                dataset, lambda: _degenerate_oracles(dataset)[oracle_index]
+            )
+            n_exchanges = len(build_exchange_angles_2d(dataset))
+            assert attributes["n_sectors"] < n_exchanges + 1
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_tied_integer_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        dataset = _two_group_dataset(rng.integers(1, 6, size=(14, 2)).astype(float))
+        attributes = _assert_routes_agree(
+            dataset, lambda: TopKGroupBoundOracle("group", "a", k=5, max_count=3)
+        )
+        assert attributes["kernel"] == "loop"
+
+    @pytest.mark.parametrize("n_items", [1, 2])
+    def test_tiny_datasets(self, n_items):
+        dataset = _two_group_dataset([[0.3, 0.4], [0.4, 0.3]][:n_items])
+        for oracle_index in range(2):
+            attributes = _assert_routes_agree(
+                dataset, lambda: _degenerate_oracles(dataset)[oracle_index]
+            )
+            assert attributes["n_sectors"] == n_items
+
+    def test_single_group_dataset(self):
+        rng = np.random.default_rng(4)
+        dataset = _two_group_dataset(rng.random((30, 2)), np.array(["a"] * 30))
+        for oracle_index in range(2):
+            _assert_routes_agree(dataset, lambda: _degenerate_oracles(dataset)[oracle_index])
+
+
+def _group_starts_reference(angles: np.ndarray) -> list[int]:
+    """The sweep's original grouping loop: compare each angle to its group's first angle."""
+    starts: list[int] = []
+    group_first = None
+    for position, angle in enumerate(angles.tolist()):
+        if group_first is None or abs(angle - group_first) > _ANGLE_GROUP_TOLERANCE:
+            starts.append(position)
+            group_first = angle
+    return starts
+
+
+class TestGrouping:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_group_starts_match_the_first_angle_loop(self, seed):
+        """Near-tie chains wider than the tolerance split where the loop splits them."""
+        rng = np.random.default_rng(seed)
+        tolerance = _ANGLE_GROUP_TOLERANCE
+        pieces = [np.sort(rng.uniform(0.0, 1.5, size=40))]
+        for _ in range(8):
+            # A chain of steps each within tolerance, spanning several tolerances.
+            steps = rng.uniform(0.0, 1.2 * tolerance, size=int(rng.integers(2, 12)))
+            pieces.append(rng.uniform(0.0, 1.5) + np.cumsum(steps))
+        angles = np.sort(np.concatenate(pieces))
+        angles[rng.integers(0, angles.size, size=5)] = angles[0]  # exact ties
+        angles = np.sort(angles)
+        assert _group_starts(angles).tolist() == _group_starts_reference(angles)
+
+    def test_group_starts_of_empty_and_single_angle(self):
+        assert _group_starts(np.empty(0)).tolist() == []
+        assert _group_starts(np.array([0.5])).tolist() == [0]
+        chain = 0.5 + np.arange(5) * 0.9 * _ANGLE_GROUP_TOLERANCE
+        assert _group_starts(chain).tolist() == _group_starts_reference(chain) == [0, 2, 4]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.two_dim import AngularInterval, TwoDIndex, TwoDRaySweep, two_d_online
+from repro.core.two_dim import AngularInterval, TwoDIndex, TwoDRaySweep
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_compas_like
 from repro.exceptions import (
@@ -142,11 +142,6 @@ class TestTwoDOnline:
         query = LinearScoringFunction((3.0 * math.cos(0.7), 3.0 * math.sin(0.7)))
         result = index.query(query)
         assert np.linalg.norm(result.function.as_array()) == pytest.approx(3.0)
-
-    def test_functional_alias(self):
-        index = self.make_index()
-        query = LinearScoringFunction((math.cos(0.3), math.sin(0.3)))
-        assert two_d_online(index, query).satisfactory
 
     def test_no_satisfactory_region_raises(self):
         index = TwoDIndex(intervals=[], n_exchanges=3, oracle_calls=4)
