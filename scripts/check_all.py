@@ -48,7 +48,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Modules whose doctests are part of the documentation contract.
-DOCTEST_MODULES = ("src/repro/geometry/dual.py", "src/repro/core/engine.py")
+DOCTEST_MODULES = (
+    "src/repro/geometry/dual.py",
+    "src/repro/core/engine.py",
+    "src/repro/core/system.py",
+)
 
 #: The unconditional serial-vs-pooled smoke test (workers 1 and 2, one small
 #: dataset) — must stay cheap enough to run on every check_all invocation.

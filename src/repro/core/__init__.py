@@ -34,7 +34,6 @@ from repro.core.monitoring import (
     check_approx_index_freshness,
     check_two_d_index_freshness,
     error_budget_report,
-    refresh_approx_index,
 )
 from repro.core.multi_dim import MDExactIndex, SatisfactoryRegion, SatRegions, md_baseline
 from repro.core.result import SuggestionResult
@@ -80,7 +79,6 @@ __all__ = [
     "FreshnessReport",
     "check_approx_index_freshness",
     "check_two_d_index_freshness",
-    "refresh_approx_index",
     "ErrorBudgetReport",
     "error_budget_report",
     "DesignSession",

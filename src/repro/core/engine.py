@@ -12,7 +12,9 @@ one is behind a query.  This module gives every pipeline the same shape:
 * a :class:`QueryEngine` with ``preprocess`` / ``suggest`` / ``suggest_many``
   / ``capabilities`` and ``to_payload`` / ``from_payload`` persistence hooks;
 * a registry keyed by engine name, so facades (and later shards / async
-  servers) dispatch on data instead of ``isinstance`` checks.
+  servers) dispatch on data instead of ``isinstance`` checks;
+* :class:`EngineWrapper`, the base of the engines that wrap another engine
+  (pool, instrumented, fallback, chaos), which forwards the seam to it.
 
 ``suggest_many`` is the batch entry point for serving-shaped workloads: the
 2-D engine classifies a whole weight matrix with one ``searchsorted`` over the
@@ -74,6 +76,9 @@ __all__ = [
     "engine_name_for_config",
     "create_engine",
     "engine_from_payload",
+    "default_engine_config",
+    "as_weight_matrix",
+    "EngineWrapper",
     "ENGINE_FORMAT",
 ]
 
@@ -389,6 +394,32 @@ def engine_from_payload(payload: dict[str, Any], oracle: FairnessOracle) -> "Que
     return get_engine(str(payload.get("engine"))).from_payload(payload, oracle)
 
 
+def default_engine_config(dataset: Dataset) -> EngineConfig:
+    """The config used when none is given: the 2-D sweep for two attributes, else the grid."""
+    return TwoDConfig() if dataset.n_attributes == 2 else ApproxConfig()
+
+
+def as_weight_matrix(
+    weights_matrix: np.ndarray | Sequence[Sequence[float]], n_attributes: int
+) -> np.ndarray:
+    """The ``suggest_many`` input as a float ``(q, n_attributes)`` matrix.
+
+    >>> as_weight_matrix([[1, 2]], 2).dtype
+    dtype('float64')
+    >>> as_weight_matrix([1.0, 2.0], 2)
+    Traceback (most recent call last):
+        ...
+    repro.exceptions.ConfigurationError: suggest_many expects a (q, 2) weight matrix, got shape (2,)
+    """
+    matrix = np.asarray(weights_matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != n_attributes:
+        raise ConfigurationError(
+            f"suggest_many expects a (q, {n_attributes}) weight matrix, "
+            f"got shape {matrix.shape}"
+        )
+    return matrix
+
+
 # --------------------------------------------------------------------------- #
 # shared engine machinery
 # --------------------------------------------------------------------------- #
@@ -586,21 +617,10 @@ class _EngineBase:
         Engines with a native batched path override this; the loop is the
         reference semantics every override must reproduce exactly.
         """
-        matrix = self._as_matrix(weights_matrix)
+        matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         return [
             self.suggest(LinearScoringFunction(tuple(row))) for row in matrix.tolist()
         ]
-
-    def _as_matrix(
-        self, weights_matrix: np.ndarray | Sequence[Sequence[float]]
-    ) -> np.ndarray:
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight matrix, "
-                f"got shape {matrix.shape}"
-            )
-        return matrix
 
     # -- persistence ----------------------------------------------------- #
     def to_payload(self) -> dict[str, Any]:
@@ -753,7 +773,9 @@ class TwoDEngine(_EngineBase):
         self, weights_matrix: np.ndarray | Sequence[Sequence[float]]
     ) -> list[SuggestionResult]:
         """Batched ``2DONLINE``: one ``searchsorted`` classifies the whole batch."""
-        return self.index.query_many(self._as_matrix(weights_matrix))
+        return self.index.query_many(
+            as_weight_matrix(weights_matrix, self.dataset.n_attributes)
+        )
 
     @classmethod
     def capabilities(cls) -> EngineCapabilities:
@@ -997,7 +1019,7 @@ class ApproxEngine(_EngineBase):
         nearest-assigned fallback answered from the index's cached assigned
         stack.  Results are bit-identical to looping :meth:`suggest`.
         """
-        matrix = self._as_matrix(weights_matrix)
+        matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         index = self.index
         if not index.assigned_angles:
             raise NotPreprocessedError(
@@ -1093,3 +1115,92 @@ class ApproxEngine(_EngineBase):
         from repro.io.index_store import approx_index_from_dict
 
         return approx_index_from_dict(payload, oracle=oracle, dataset=dataset)
+
+
+# --------------------------------------------------------------------------- #
+# the serving-layer wrapper base
+# --------------------------------------------------------------------------- #
+class EngineWrapper:
+    """Base of the engines that wrap another engine, held as ``self.inner``.
+
+    Forwards the seam (``preprocess`` / ``suggest`` / ``suggest_many`` /
+    ``apply_delta`` / ``refresh``) and the read-only engine state (``dataset``,
+    ``index``, ``is_preprocessed``, ``preprocessing_dataset``, ``journal``,
+    ``base_payload``) to ``self.inner`` unchanged, so a wrapper overrides only
+    what it changes.  ``oracle`` is not forwarded: each wrapper keeps its own.
+    For the registered wrappers it also supplies ``capabilities()`` and the
+    not-persistable ``to_payload`` / ``from_payload``.
+    """
+
+    name: str
+    inner: Any
+
+    @property
+    def dataset(self) -> Dataset:
+        return self.inner.dataset
+
+    @property
+    def index(self) -> Any:
+        return self.inner.index
+
+    @property
+    def is_preprocessed(self) -> bool:
+        return self.inner.is_preprocessed
+
+    @property
+    def preprocessing_dataset(self) -> Dataset:
+        return self.inner.preprocessing_dataset
+
+    @property
+    def journal(self) -> tuple[DatasetDelta, ...]:
+        return self.inner.journal
+
+    @property
+    def base_payload(self) -> dict[str, Any] | None:
+        return self.inner.base_payload
+
+    def preprocess(
+        self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None
+    ) -> "EngineWrapper":
+        self.inner.preprocess(dataset, oracle)
+        return self
+
+    def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
+        return self.inner.suggest(function)
+
+    def suggest_many(
+        self, weights_matrix: np.ndarray | Sequence[Sequence[float]]
+    ) -> list[Any]:
+        return self.inner.suggest_many(weights_matrix)
+
+    def apply_delta(self, delta: DatasetDelta) -> MaintenanceReport:
+        return self.inner.apply_delta(delta)
+
+    def refresh(self) -> MaintenanceReport:
+        return self.inner.refresh()
+
+    @classmethod
+    def capabilities(cls) -> EngineCapabilities:
+        return EngineCapabilities(
+            name=cls.name,
+            exact=False,
+            min_attributes=2,
+            max_attributes=None,
+            batched=True,
+            persistable=False,
+        )
+
+    def to_payload(self) -> dict[str, Any]:
+        raise self._not_persistable()
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any], oracle: FairnessOracle) -> "EngineWrapper":
+        raise cls._not_persistable()
+
+    @classmethod
+    def _not_persistable(cls) -> ConfigurationError:
+        return ConfigurationError(
+            f"{cls.__name__} is a serving-layer wrapper and is not persistable as "
+            "one payload; save the wrapped engine(s) and re-wrap them after "
+            "loading with from_engine() / from_engines()"
+        )

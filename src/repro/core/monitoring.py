@@ -17,11 +17,8 @@ needed".  This module implements that verification step for a deployed index:
 * :func:`refresh_if_stale` closes the loop: when a check finds stale
   assignments it drives the engine's ``refresh()`` hook — a cheap partial
   refresh that re-runs only the oracle-dependent stages over the engine's
-  cached geometry — instead of a full rebuild;
-* :func:`refresh_approx_index` rebuilds the assignment against the new
-  snapshot while keeping the same partition, so cell identities (and any
-  caller-side caches keyed by cell) remain stable — the heavyweight path,
-  kept for callers holding a bare index rather than an engine;
+  cached geometry — instead of a full rebuild (a new dataset snapshot is
+  indexed with ``engine.preprocess(new_dataset)``);
 * :func:`error_budget_report` summarises a fallback engine's serving
   telemetry (see :mod:`repro.resilience.fallback`) as an error budget —
   freshness watches the *data*, the error budget watches the *serving path*.
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.approx import ApproximatePreprocessor, MDApproxIndex
+from repro.core.approx import MDApproxIndex
 from repro.core.two_dim import TwoDIndex
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
@@ -57,7 +54,6 @@ __all__ = [
     "check_two_d_index_freshness",
     "check_engine_freshness",
     "refresh_if_stale",
-    "refresh_approx_index",
     "ErrorBudgetReport",
     "error_budget_report",
 ]
@@ -368,8 +364,7 @@ def refresh_if_stale(
     The refresh goes through the engine seam
     (:meth:`~repro.core.engine.QueryEngine.refresh`), which re-runs only the
     oracle-dependent stages over the engine's cached geometry — cheap next to
-    the full rebuild of :func:`refresh_approx_index`, and applicable to every
-    engine family, not just the approximate one.
+    a full rebuild, and applicable to every engine family.
 
     Returns
     -------
@@ -388,42 +383,3 @@ def refresh_if_stale(
         return report, None
     return report, engine.refresh()
 
-
-def refresh_approx_index(
-    index: MDApproxIndex,
-    dataset: Dataset,
-    oracle: FairnessOracle | None = None,
-    max_hyperplanes: int | None = None,
-) -> MDApproxIndex:
-    """Rebuild an approximate index against a new dataset, reusing its partition.
-
-    The cell grid (and therefore every cell index) is kept identical to the old
-    index so downstream consumers keyed by cell stay valid; only the exchange
-    hyperplanes, cell assignments and colouring are recomputed from the new
-    data.
-
-    Parameters
-    ----------
-    index:
-        The existing (possibly stale) index.
-    dataset:
-        The new dataset snapshot.
-    oracle:
-        Oracle to preprocess with; defaults to the index's oracle.
-    max_hyperplanes:
-        Optional cap on exchange hyperplanes, as in
-        :class:`~repro.core.approx.ApproximatePreprocessor`.
-    """
-    if dataset.n_attributes != index.dataset.n_attributes:
-        raise ConfigurationError(
-            "the new dataset must have the same scoring attributes as the indexed one"
-        )
-    oracle = oracle if oracle is not None else index.oracle
-    preprocessor = ApproximatePreprocessor(
-        dataset,
-        oracle,
-        n_cells=index.partition.n_cells,
-        partition=index.partition,
-        max_hyperplanes=max_hyperplanes,
-    )
-    return preprocessor.run()

@@ -19,9 +19,8 @@ typed configuration dataclass —
   tier), with per-query fault isolation; see ``docs/robustness.md``.
 
 With no config, the designer auto-picks the 2-D pipeline for two attributes
-and the approximate pipeline otherwise.  The pre-engine keyword arguments
-(``mode=...``, ``n_cells=...``, ...) still work but emit a
-``DeprecationWarning``; pass a config dataclass instead.  Batch queries go
+and the approximate pipeline otherwise
+(:func:`~repro.core.engine.default_engine_config`).  Batch queries go
 through :meth:`FairRankingDesigner.suggest_many`, and a preprocessed designer
 round-trips through :meth:`FairRankingDesigner.save` /
 :meth:`FairRankingDesigner.load` without redoing any preprocessing.
@@ -29,7 +28,6 @@ round-trips through :meth:`FairRankingDesigner.save` /
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +39,7 @@ from repro.core.engine import (
     QueryEngine,
     TwoDConfig,
     create_engine,
+    default_engine_config,
 )
 from repro.core.result import SuggestionResult
 from repro.data.dataset import Dataset
@@ -49,48 +48,6 @@ from repro.fairness.oracle import FairnessOracle
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = ["FairRankingDesigner"]
-
-_MODES = ("auto", "2d", "exact", "approximate")
-
-#: Defaults of the deprecated keyword constructor, kept for the shim.
-_LEGACY_DEFAULTS = {
-    "mode": "auto",
-    "n_cells": 1024,
-    "partition": "uniform",
-    "sample_size": None,
-    "max_hyperplanes": None,
-    "convex_layer_k": None,
-}
-
-_SENTINEL = object()
-
-
-def _config_from_legacy(dataset: Dataset, legacy: dict):
-    """Translate the deprecated keyword arguments into a typed engine config."""
-    mode = legacy["mode"]
-    if mode not in _MODES:
-        raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "2d" and dataset.n_attributes != 2:
-        raise ConfigurationError("mode='2d' requires exactly two scoring attributes")
-    if mode in ("exact", "approximate") and dataset.n_attributes < 3:
-        raise ConfigurationError(f"mode={mode!r} requires at least three scoring attributes")
-    if mode == "auto":
-        mode = "2d" if dataset.n_attributes == 2 else "approximate"
-    if mode == "2d":
-        return TwoDConfig(sample_size=legacy["sample_size"])
-    if mode == "exact":
-        return ExactConfig(
-            max_hyperplanes=legacy["max_hyperplanes"],
-            convex_layer_k=legacy["convex_layer_k"],
-            sample_size=legacy["sample_size"],
-        )
-    return ApproxConfig(
-        n_cells=legacy["n_cells"],
-        partition=legacy["partition"],
-        max_hyperplanes=legacy["max_hyperplanes"],
-        convex_layer_k=legacy["convex_layer_k"],
-        sample_size=legacy["sample_size"],
-    )
 
 
 class FairRankingDesigner:
@@ -108,9 +65,6 @@ class FairRankingDesigner:
         :class:`~repro.core.engine.ApproxConfig`).  Omitted, the designer
         auto-picks the 2-D pipeline for two scoring attributes and the
         approximate pipeline otherwise, with default settings.
-    mode, n_cells, partition, sample_size, max_hyperplanes, convex_layer_k:
-        Deprecated keyword configuration; still honoured (translated to the
-        equivalent config dataclass) but emits a ``DeprecationWarning``.
 
     Examples
     --------
@@ -121,7 +75,8 @@ class FairRankingDesigner:
     ...     ["c_days_from_compas", "juv_other_count", "start"])
     >>> oracle = ProportionalOracle.at_most_share_plus_slack(
     ...     dataset, "race", "African-American", k=0.3, slack=0.10)
-    >>> designer = FairRankingDesigner(dataset, oracle, ApproxConfig(n_cells=256))
+    >>> designer = FairRankingDesigner(
+    ...     dataset, oracle, ApproxConfig(n_cells=64, max_hyperplanes=24))
     >>> _ = designer.preprocess()
     >>> result = designer.suggest([0.4, 0.3, 0.3])
     >>> result.function.dimension
@@ -133,49 +88,9 @@ class FairRankingDesigner:
         dataset: Dataset,
         oracle: FairnessOracle,
         config: TwoDConfig | ExactConfig | ApproxConfig | None = None,
-        *,
-        mode=_SENTINEL,
-        n_cells=_SENTINEL,
-        partition=_SENTINEL,
-        sample_size=_SENTINEL,
-        max_hyperplanes=_SENTINEL,
-        convex_layer_k=_SENTINEL,
     ) -> None:
-        legacy_given = {
-            name: value
-            for name, value in {
-                "mode": mode,
-                "n_cells": n_cells,
-                "partition": partition,
-                "sample_size": sample_size,
-                "max_hyperplanes": max_hyperplanes,
-                "convex_layer_k": convex_layer_k,
-            }.items()
-            if value is not _SENTINEL
-        }
-        if isinstance(config, str):
-            # Pre-engine code could pass mode as the third positional
-            # argument; route it through the same deprecation shim the
-            # keyword form uses.
-            if "mode" in legacy_given:
-                raise ConfigurationError("mode was given both positionally and by keyword")
-            legacy_given["mode"] = config
-            config = None
-        if config is not None and legacy_given:
-            raise ConfigurationError(
-                "pass either a config dataclass or the deprecated keyword "
-                f"arguments, not both (got config and {sorted(legacy_given)})"
-            )
         if config is None:
-            if legacy_given:
-                warnings.warn(
-                    "configuring FairRankingDesigner with keyword arguments "
-                    f"({', '.join(sorted(legacy_given))}) is deprecated; pass a "
-                    "TwoDConfig / ExactConfig / ApproxConfig instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = _config_from_legacy(dataset, {**_LEGACY_DEFAULTS, **legacy_given})
+            config = default_engine_config(dataset)
         self._engine: QueryEngine = create_engine(dataset, oracle, config)
 
     @classmethod
@@ -215,32 +130,6 @@ class FairRankingDesigner:
     def oracle(self) -> FairnessOracle:
         """The fairness oracle."""
         return self._engine.oracle
-
-    # -- deprecated config attributes, kept so pre-engine call sites read -- #
-    @property
-    def n_cells(self) -> int | None:
-        """Grid size of the approximate pipeline (``None`` for other engines)."""
-        return getattr(self.config, "n_cells", None)
-
-    @property
-    def partition(self) -> str | None:
-        """Partition kind of the approximate pipeline (``None`` for other engines)."""
-        return getattr(self.config, "partition", None)
-
-    @property
-    def sample_size(self) -> int | None:
-        """Preprocessing sample size, if sampling was configured."""
-        return getattr(self.config, "sample_size", None)
-
-    @property
-    def max_hyperplanes(self) -> int | None:
-        """Exchange-hyperplane cap of the multi-dimensional pipelines."""
-        return getattr(self.config, "max_hyperplanes", None)
-
-    @property
-    def convex_layer_k(self) -> int | None:
-        """Convex-layer filter of the multi-dimensional pipelines."""
-        return getattr(self.config, "convex_layer_k", None)
 
     # ------------------------------------------------------------------ #
     # offline phase

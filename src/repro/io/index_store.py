@@ -498,14 +498,14 @@ def save_engine(engine, path: str | Path, *, journaled: bool = False) -> None:
             json.dumps(_wrap_payload(engine.to_payload())), encoding="utf-8"
         )
         return
-    journal = tuple(getattr(engine, "journal", ()))
+    journal = engine.journal
     if not journal:
         base = engine.to_payload()
     else:
-        base = getattr(engine, "base_payload", None)
+        base = engine.base_payload
         if base is None:
             raise ConfigurationError(
-                f"engine {getattr(engine, 'name', '?')!r} holds {len(journal)} "
+                f"engine {engine.name!r} holds {len(journal)} "
                 "journaled delta(s) but no base snapshot; journaled persistence "
                 "needs a full-dataset, persistable engine (sampled engines "
                 "persist snapshot-only — save with journaled=False)"

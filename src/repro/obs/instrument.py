@@ -33,17 +33,17 @@ inner engine and re-wrap on load, see :meth:`InstrumentedEngine.from_engine`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.clock import Clock, monotonic_clock
 from repro.core.engine import (
-    ApproxConfig,
-    EngineCapabilities,
-    TwoDConfig,
+    EngineWrapper,
+    as_weight_matrix,
     create_engine,
+    default_engine_config,
     engine_name_for_config,
     register_engine,
 )
@@ -63,10 +63,9 @@ __all__ = ["InstrumentedConfig", "InstrumentedEngine", "InstrumentedOracle"]
 class InstrumentedConfig:
     """Config of the ``"instrumented"`` engine.
 
-    ``inner`` is any registered engine config (``None`` auto-picks
-    :class:`TwoDConfig` for two scoring attributes, :class:`ApproxConfig`
-    otherwise, mirroring the facade default).  ``max_spans`` bounds the
-    trace buffer; ``record_workload`` turns on the
+    ``inner`` is any registered engine config (``None`` picks the facade
+    default, :func:`~repro.core.engine.default_engine_config`).
+    ``max_spans`` bounds the trace buffer; ``record_workload`` turns on the
     :class:`~repro.obs.workload.WorkloadRecorder`.
     """
 
@@ -207,7 +206,7 @@ class InstrumentedOracle(FairnessOracle):
 
 
 @register_engine("instrumented", InstrumentedConfig)
-class InstrumentedEngine:
+class InstrumentedEngine(EngineWrapper):
     """Observability wrapper around any inner engine; see the module docstring."""
 
     def __init__(
@@ -227,7 +226,6 @@ class InstrumentedEngine:
                 f"InstrumentedEngine expects an InstrumentedConfig, "
                 f"got {type(config).__name__}"
             )
-        self.dataset = dataset
         self.oracle = oracle
         self._clock: Clock = clock if clock is not None else monotonic_clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -240,17 +238,9 @@ class InstrumentedEngine:
             oracle, metrics=self.metrics, recorder=self.recorder
         )
         if engine is None:
-            inner_config = config.inner
-            if inner_config is None:
-                inner_config = (
-                    TwoDConfig() if dataset.n_attributes == 2 else ApproxConfig()
-                )
-                config = InstrumentedConfig(
-                    inner=inner_config,
-                    max_spans=config.max_spans,
-                    record_workload=config.record_workload,
-                )
-            self.inner = create_engine(dataset, self.instrumented_oracle, inner_config)
+            if config.inner is None:
+                config = replace(config, inner=default_engine_config(dataset))
+            self.inner = create_engine(dataset, self.instrumented_oracle, config.inner)
         else:
             # Wrapping an already-built engine (from_engine): rebind its
             # oracle — and the one its index captured, when it captured one —
@@ -280,7 +270,7 @@ class InstrumentedEngine:
         zero), so the error budget and the obs report read one counter
         source instead of double counting.
         """
-        if getattr(self.inner, "telemetry", None) is None:
+        if self.telemetry is None:
             return
         from repro.resilience.fallback import FallbackTelemetry
 
@@ -315,8 +305,6 @@ class InstrumentedEngine:
     # engine protocol
     # ------------------------------------------------------------------ #
     def preprocess(self, dataset=None, oracle=None) -> "InstrumentedEngine":
-        if dataset is not None:
-            self.dataset = dataset
         if oracle is not None:
             self.oracle = oracle
             self.instrumented_oracle = InstrumentedOracle(
@@ -353,12 +341,7 @@ class InstrumentedEngine:
         return result
 
     def suggest_many(self, weights_matrix) -> list:
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight "
-                f"matrix, got shape {matrix.shape}"
-            )
+        matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         calls_before = self.instrumented_oracle.calls
         started = self._clock()
         with activated(self.recorder):
@@ -397,7 +380,6 @@ class InstrumentedEngine:
                 n_changes=delta.n_changes,
             ):
                 report = self.inner.apply_delta(delta)
-        self.dataset = self.inner.dataset
         self.metrics.counter("maintenance.apply_delta", engine=self.inner.name).inc()
         self.metrics.counter(
             f"maintenance.{report.strategy}", engine=self.inner.name
@@ -421,58 +403,20 @@ class InstrumentedEngine:
         return LinearScoringFunction(tuple(np.asarray(function, dtype=float)))
 
     def _answering_tier(self) -> str | None:
-        record = getattr(self.inner, "last_record", None)
+        record = self.last_record
         if record is not None:
             return record.tier
         return self.inner.name
 
     def _batch_tiers(self, size: int) -> Sequence[str | None]:
-        report = getattr(self.inner, "last_report", None)
+        report = self.last_report
         if report is not None and len(report.records) == size:
             return [record.tier for record in report.records]
         return [self.inner.name] * size
 
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            name="instrumented",
-            exact=False,
-            min_attributes=2,
-            max_attributes=None,
-            batched=True,
-            persistable=False,
-        )
-
-    def to_payload(self) -> dict:
-        raise ConfigurationError(
-            "an instrumented engine is a serving-layer wrapper and is not "
-            "persistable as one payload; save the inner engine "
-            "(engine.inner) and re-wrap after loading with "
-            "InstrumentedEngine.from_engine()"
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict, oracle: FairnessOracle):
-        raise ConfigurationError(
-            "instrumented engines are not persistable; load the inner engine "
-            "and re-wrap it with InstrumentedEngine.from_engine()"
-        )
-
     # ------------------------------------------------------------------ #
-    # forwarded state
+    # fallback-chain state, read through
     # ------------------------------------------------------------------ #
-    @property
-    def index(self):
-        return self.inner.index
-
-    @property
-    def is_preprocessed(self) -> bool:
-        return self.inner.is_preprocessed
-
-    @property
-    def preprocessing_dataset(self):
-        return self.inner.preprocessing_dataset
-
     @property
     def last_record(self):
         return getattr(self.inner, "last_record", None)
@@ -484,11 +428,3 @@ class InstrumentedEngine:
     @property
     def telemetry(self):
         return getattr(self.inner, "telemetry", None)
-
-    @property
-    def journal(self) -> tuple:
-        return getattr(self.inner, "journal", ())
-
-    @property
-    def base_payload(self):
-        return getattr(self.inner, "base_payload", None)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import tempfile
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any
@@ -54,14 +54,14 @@ from typing import Any
 import numpy as np
 
 from repro.core.engine import (
-    EngineCapabilities,
     EngineConfig,
+    EngineWrapper,
+    as_weight_matrix,
     create_engine,
     engine_name_for_config,
     get_engine,
     register_engine,
 )
-from repro.core.result import SuggestionResult
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, NotPreprocessedError
 from repro.fairness.oracle import FairnessOracle
@@ -69,7 +69,6 @@ from repro.io.index_store import load_engine, read_store_digest, save_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import reset_stage_recorder, stage_span
 from repro.parallel.shards import derive_shard_seed, plan_shards, shard_size_for
-from repro.ranking.scoring import LinearScoringFunction
 from repro.resilience.fallback import _PASS_THROUGH, FallbackEngine, QueryFailure, TierError
 
 __all__ = ["PoolConfig", "PoolEngine"]
@@ -193,7 +192,7 @@ def _pool_worker_task(
 # parent side
 # ---------------------------------------------------------------------- #
 @register_engine("pool", PoolConfig)
-class PoolEngine:
+class PoolEngine(EngineWrapper):
     """Process-pool serving over one persistable inner engine; see module docstring."""
 
     def __init__(
@@ -210,7 +209,6 @@ class PoolEngine:
             raise ConfigurationError(
                 f"PoolEngine expects a PoolConfig, got {type(config).__name__}"
             )
-        self.dataset = dataset
         self.oracle = oracle
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if inner_engine is None:
@@ -220,18 +218,12 @@ class PoolEngine:
                 else self._default_inner(dataset)
             )
             _require_persistable_config(inner_config)
-            config = PoolConfig(
-                inner=inner_config,
-                n_workers=config.n_workers,
-                shard_size=config.shard_size,
-                start_method=config.start_method,
-                seed=config.seed,
-            )
+            config = replace(config, inner=inner_config)
             inner_engine = create_engine(dataset, oracle, inner_config)
         else:
             _require_persistable_config(inner_engine.config)
         self.config = config
-        self._inner = inner_engine
+        self.inner = inner_engine
         self._executor: ProcessPoolExecutor | None = None
         self._local_chain: FallbackEngine | None = None
         self._tempdir: tempfile.TemporaryDirectory | None = None
@@ -286,28 +278,12 @@ class PoolEngine:
         self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None
     ) -> "PoolEngine":
         """Preprocess the inner engine (if needed) and publish its index file."""
-        if dataset is not None:
-            self.dataset = dataset
         if oracle is not None:
             self.oracle = oracle
-        if not self._inner.is_preprocessed or dataset is not None or oracle is not None:
-            self._inner.preprocess(dataset, oracle)
+        if not self.inner.is_preprocessed or dataset is not None or oracle is not None:
+            self.inner.preprocess(dataset, oracle)
         self._publish_index()
         return self
-
-    @property
-    def is_preprocessed(self) -> bool:
-        return self._inner.is_preprocessed
-
-    @property
-    def index(self) -> Any:
-        """The inner engine's offline index."""
-        return self._inner.index
-
-    @property
-    def inner_engine(self) -> Any:
-        """The wrapped engine (answers single queries, owns the index)."""
-        return self._inner
 
     @property
     def index_digest(self) -> str | None:
@@ -319,7 +295,7 @@ class PoolEngine:
         if self._tempdir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-pool-")
         path = Path(self._tempdir.name) / "index.json"
-        save_engine(self._inner, path)
+        save_engine(self.inner, path)
         self._index_path = path
         self._index_digest = read_store_digest(path)
         # Workers of an existing pool hold the previous index: retire them.
@@ -328,7 +304,7 @@ class PoolEngine:
 
     def _ensure_published(self) -> None:
         if self._index_path is None:
-            if not self._inner.is_preprocessed:
+            if not self.inner.is_preprocessed:
                 raise NotPreprocessedError("call preprocess() first")
             self._publish_index()
 
@@ -345,48 +321,25 @@ class PoolEngine:
         mechanism that guards against index corruption — a worker can never
         serve from pre-delta bytes.
         """
-        report = self._inner.apply_delta(delta)
-        self.dataset = self._inner.dataset
+        report = self.inner.apply_delta(delta)
         self.metrics.counter("pool.index_republished").inc()
         self._publish_index()
         return report
 
     def refresh(self) -> Any:
         """Refresh the inner engine's oracle-dependent stages and republish."""
-        report = self._inner.refresh()
+        report = self.inner.refresh()
         self.metrics.counter("pool.index_republished").inc()
         self._publish_index()
         return report
 
-    @property
-    def journal(self) -> tuple:
-        """The inner engine's applied-delta journal (pools serialise as it)."""
-        return self._inner.journal
-
-    @property
-    def base_payload(self) -> dict | None:
-        """The inner engine's pre-delta base snapshot, for journaled saves."""
-        return self._inner.base_payload
-
     # ------------------------------------------------------------------ #
-    # online phase
+    # online phase (``suggest`` is inherited: a single query never amortises
+    # the IPC round-trip, so the inner engine answers it in-process)
     # ------------------------------------------------------------------ #
-    def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
-        """Answer one query on the inner engine in-process.
-
-        A single query never amortises the IPC round-trip, so ``suggest``
-        always serves locally — bit-identical to the unwrapped engine.
-        """
-        return self._inner.suggest(function)
-
     def suggest_many(self, weights_matrix: Any) -> list:
         """Answer a batch across the pool; see the module docstring for semantics."""
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight "
-                f"matrix, got shape {matrix.shape}"
-            )
+        matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         self._ensure_published()
         q = matrix.shape[0]
         self.metrics.counter("pool.batches").inc()
@@ -534,7 +487,7 @@ class PoolEngine:
         exactly the entries (and tier labels) a one-worker pool would.
         """
         if self._local_chain is None:
-            self._local_chain = FallbackEngine.from_engines([self._inner]).preprocess()
+            self._local_chain = FallbackEngine.from_engines([self.inner]).preprocess()
         return self._local_chain
 
     def _shutdown_executor(self) -> None:
@@ -565,19 +518,8 @@ class PoolEngine:
             pass
 
     # ------------------------------------------------------------------ #
-    # capabilities and persistence
+    # persistence
     # ------------------------------------------------------------------ #
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            name="pool",
-            exact=False,
-            min_attributes=2,
-            max_attributes=None,
-            batched=True,
-            persistable=False,
-        )
-
     def to_payload(self) -> dict:
         """The *inner* engine's payload (a pool is serving topology, not state).
 
@@ -585,15 +527,7 @@ class PoolEngine:
         the differential harness compares; loading it back yields the inner
         engine — re-wrap with :meth:`from_engine` to restore a pool.
         """
-        return self._inner.to_payload()
-
-    @classmethod
-    def from_payload(cls, payload: dict, oracle: FairnessOracle) -> "PoolEngine":
-        raise ConfigurationError(
-            "a pool engine serialises as its inner engine; load the payload "
-            "with load_engine()/engine_from_payload() and re-wrap the result "
-            "with PoolEngine.from_engine()"
-        )
+        return self.inner.to_payload()
 
 
 def _failure_count(entries: list) -> int:

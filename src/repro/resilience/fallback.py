@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.engine import (
-    EngineCapabilities,
+    EngineWrapper,
+    as_weight_matrix,
     create_engine,
     engine_name_for_config,
     register_engine,
@@ -292,8 +293,13 @@ class FallbackTelemetry:
 
 
 @register_engine("fallback", FallbackConfig)
-class FallbackEngine:
-    """The ordered-chain engine; see the module docstring for semantics."""
+class FallbackEngine(EngineWrapper):
+    """The ordered-chain engine; see the module docstring for semantics.
+
+    Its ``inner`` engine — the one the forwarded state (``dataset``,
+    ``index``, ``journal``, ...) reads from — is the first active tier, or
+    the first configured tier before :meth:`preprocess`.
+    """
 
     def __init__(
         self,
@@ -310,17 +316,11 @@ class FallbackEngine:
             raise ConfigurationError(
                 f"FallbackEngine expects a FallbackConfig, got {type(config).__name__}"
             )
-        self.dataset = dataset
         self.oracle = oracle
         self._clock = clock if clock is not None else time.monotonic
         if engines is None:
-            tiers = config.tiers or self._default_tiers(dataset)
-            config = FallbackConfig(
-                tiers=tiers,
-                per_query_deadline=config.per_query_deadline,
-                lenient_preprocess=config.lenient_preprocess,
-            )
-            engines = tuple(create_engine(dataset, oracle, tier) for tier in tiers)
+            config = replace(config, tiers=config.tiers or self._default_tiers(dataset))
+            engines = tuple(create_engine(dataset, oracle, tier) for tier in config.tiers)
         engines = tuple(engines)
         if not engines:
             raise ConfigurationError("a fallback chain needs at least one tier")
@@ -380,9 +380,13 @@ class FallbackEngine:
     # offline phase
     # ------------------------------------------------------------------ #
     def preprocess(self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None):
-        """Preprocess every tier; drop tiers that fail when lenient."""
-        if dataset is not None:
-            self.dataset = dataset
+        """Preprocess every tier; drop tiers that fail when lenient.
+
+        A bare ``preprocess()`` skips tiers that are already preprocessed
+        (how :meth:`from_engines` adopts built tiers); passing a dataset or
+        oracle re-preprocesses every tier on it.
+        """
+        rebind = dataset is not None or oracle is not None
         if oracle is not None:
             self.oracle = oracle
         active: list[tuple[str, object]] = []
@@ -390,7 +394,7 @@ class FallbackEngine:
         for position, engine in enumerate(self.engines):
             label = self._tier_label(position, engine)
             try:
-                if not getattr(engine, "is_preprocessed", False):
+                if rebind or not engine.is_preprocessed:
                     engine.preprocess(dataset, oracle)
                 active.append((label, engine))
             except Exception as error:  # noqa: BLE001 — isolation is the point
@@ -411,14 +415,13 @@ class FallbackEngine:
         return self._active is not None
 
     @property
+    def inner(self):
+        return self._active[0][1] if self._active is not None else self.engines[0]
+
+    @property
     def active_tiers(self) -> tuple[str, ...]:
         """Labels of the tiers that survived preprocessing, in chain order."""
         return tuple(label for label, _ in self._active_chain())
-
-    @property
-    def index(self):
-        """The first active tier's index (the authoritative answer source)."""
-        return self._active_chain()[0][1].index
 
     def _active_chain(self) -> tuple[tuple[str, object], ...]:
         if self._active is None:
@@ -466,7 +469,6 @@ class FallbackEngine:
             )
         self.preprocess_errors = tuple(errors)
         self._active = tuple(survivors)
-        self.dataset = survivors[0][1].dataset
         primary = reports[0][1]
         from repro.core.maintenance import MaintenanceReport
 
@@ -533,12 +535,7 @@ class FallbackEngine:
         per-query faults; see the module docstring for the two pass-through
         exception types.
         """
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight "
-                f"matrix, got shape {matrix.shape}"
-            )
+        matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         chain = self._active_chain()
         q = matrix.shape[0]
         self.telemetry.n_queries += q
@@ -663,31 +660,3 @@ class FallbackEngine:
                 tuple(QueryRecord(position, label) for position in range(q))
             )
         return self._last_batch
-
-    # ------------------------------------------------------------------ #
-    # capabilities and persistence
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            name="fallback",
-            exact=False,
-            min_attributes=2,
-            max_attributes=None,
-            batched=True,
-            persistable=False,
-        )
-
-    def to_payload(self) -> dict:
-        raise ConfigurationError(
-            "a fallback engine is a serving-layer composite and is not "
-            "persistable as one payload; save each tier engine individually "
-            "and rebuild the chain with FallbackEngine.from_engines()"
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict, oracle: FairnessOracle):
-        raise ConfigurationError(
-            "fallback engines are not persistable; load each tier engine and "
-            "rebuild the chain with FallbackEngine.from_engines()"
-        )

@@ -5,8 +5,8 @@ Two enforcement points:
 * ``scripts/check_docs.py`` — every code reference in ``README.md`` and
   ``docs/*.md`` (module paths, ``BENCH_*`` trajectory names, repo paths,
   relative links) must still resolve;
-* a ``--doctest-modules`` pytest run over ``repro.geometry.dual`` and
-  ``repro.core.engine`` — the ``>>>`` examples in their public docstrings
+* a ``--doctest-modules`` pytest run over each of ``scripts/check_all.py``'s
+  ``DOCTEST_MODULES`` — the ``>>>`` examples in their public docstrings
   must stay runnable.
 """
 
@@ -22,9 +22,9 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_check_docs():
+def _load_script(name: str):
     spec = importlib.util.spec_from_file_location(
-        "check_docs", REPO_ROOT / "scripts" / "check_docs.py"
+        name, REPO_ROOT / "scripts" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -33,11 +33,11 @@ def _load_check_docs():
 
 class TestCheckDocs:
     def test_repository_docs_have_no_stale_references(self):
-        check_docs = _load_check_docs()
+        check_docs = _load_script("check_docs")
         assert check_docs.collect_errors() == []
 
     def test_detects_stale_references(self, tmp_path):
-        check_docs = _load_check_docs()
+        check_docs = _load_script("check_docs")
         stale = tmp_path / "stale.md"
         stale.write_text(
             "Uses `repro.geometry.warp_drive` and `BENCH_nonexistent.json`, "
@@ -54,7 +54,7 @@ class TestCheckDocs:
         assert any("missing.md" in error for error in errors)
 
     def test_accepts_module_attribute_references(self, tmp_path):
-        check_docs = _load_check_docs()
+        check_docs = _load_script("check_docs")
         good = tmp_path / "good.md"
         good.write_text(
             "`repro.io.index_store.save_engine` and `repro.geometry.dual` "
@@ -77,10 +77,7 @@ class TestCheckDocs:
 
 
 class TestDoctests:
-    @pytest.mark.parametrize(
-        "module_path",
-        ["src/repro/geometry/dual.py", "src/repro/core/engine.py"],
-    )
+    @pytest.mark.parametrize("module_path", _load_script("check_all").DOCTEST_MODULES)
     def test_doctest_modules_pass(self, module_path):
         result = subprocess.run(
             [

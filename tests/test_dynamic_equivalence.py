@@ -17,7 +17,9 @@ Covered:
   re-save of the loaded engine is byte-identical to the original file;
 * the wrapper engines (``pool``, ``instrumented``, ``fallback``) that
   override ``apply_delta``: each propagates a delta to the same bits as a
-  fresh rebuild.
+  fresh rebuild; every wrapper, ``ChaosEngine`` included, exposes the
+  wrapped engine's seam state, and a chaos tier survives maintenance in a
+  fallback chain.
 
 The oracles on both sides of every differential are constructed with *fixed*
 parameters (never derived from a dataset, e.g. via
@@ -37,7 +39,12 @@ import json
 import numpy as np
 import pytest
 
-from differential import assert_engines_equivalent, make_weight_grid, payload_bytes
+from differential import (
+    assert_engines_equivalent,
+    entry_fingerprint,
+    make_weight_grid,
+    payload_bytes,
+)
 from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.core.maintenance import DatasetDelta, MaintenanceReport
 from repro.data.synthetic import make_compas_like
@@ -47,6 +54,7 @@ from repro.fairness.proportional import ProportionalOracle
 from repro.io.index_store import save_engine, load_engine
 from repro.obs.instrument import InstrumentedEngine
 from repro.parallel.pool import PoolEngine
+from repro.resilience.chaos import ChaosEngine
 from repro.resilience.fallback import FallbackEngine
 
 pytestmark = pytest.mark.dynamic
@@ -305,6 +313,60 @@ class TestWrapperEngines:
             ]
         finally:
             engine.close()
+
+    WRAPPERS = {
+        "fallback": lambda inner: FallbackEngine.from_engines([inner]),
+        "instrumented": InstrumentedEngine.from_engine,
+        "pool": lambda inner: PoolEngine.from_engine(inner, n_workers=1),
+        "chaos": ChaosEngine,
+    }
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    def test_wrapper_exposes_the_inner_seam_state(self, wrapper):
+        ds, inner = self._base()
+        engine = self.WRAPPERS[wrapper](inner).preprocess()
+        try:
+            delta = random_delta(ds, seed=0)
+            assert engine.apply_delta(delta).strategy == "incremental"
+            assert engine.refresh().strategy == "refresh"
+            assert engine.is_preprocessed
+            assert engine.dataset is inner.dataset
+            assert engine.index is inner.index
+            assert engine.preprocessing_dataset is inner.preprocessing_dataset
+            assert engine.journal == inner.journal == (delta,)
+            assert engine.base_payload is inner.base_payload is not None
+        finally:
+            if isinstance(engine, PoolEngine):
+                engine.close()
+
+    def test_fallback_keeps_a_chaos_tier_through_maintenance(self):
+        ds, first = self._base()
+        _, second = self._base()
+        chain = FallbackEngine.from_engines([ChaosEngine(first), second]).preprocess()
+        delta = random_delta(ds, seed=0)
+        chain.apply_delta(delta)
+        chain.refresh()
+        assert chain.active_tiers == ("0:2d", "1:2d")
+        assert chain.preprocess_errors == ()
+        fresh = self._fresh_after(delta)
+        grid = make_weight_grid(24, 2, seed=3)
+        assert_engines_equivalent(
+            chain, fresh, grid, check_oracle_calls=False, check_payloads=False
+        )
+        for tier in chain.engines:
+            assert_engines_equivalent(tier, fresh, grid, check_oracle_calls=False)
+
+    def test_fallback_rebind_re_preprocesses_built_tiers(self):
+        _, inner = self._base()
+        chain = FallbackEngine.from_engines([inner]).preprocess()
+        rebound = dataset(60, 2, seed=2)
+        chain.preprocess(dataset=rebound)
+        fresh = fresh_twin(rebound, TwoDConfig(staleness_fraction=1.0))
+        grid = make_weight_grid(24, 2, seed=3)
+        assert [entry_fingerprint(entry) for entry in chain.suggest_many(grid)] == [
+            entry_fingerprint(entry) for entry in fresh.suggest_many(grid)
+        ]
+        assert chain.preprocessing_dataset.n_items == 60
 
 
 # --------------------------------------------------------------------------- #

@@ -88,9 +88,9 @@ class TestFairRankingDesignerModes:
             FairRankingDesigner(dataset_2d, oracle, ExactConfig())
         with pytest.raises(ConfigurationError):
             FairRankingDesigner(dataset_3d, oracle, TwoDConfig())
-        # The deprecated keyword shim still validates its mode string.
-        with pytest.warns(DeprecationWarning), pytest.raises(ConfigurationError):
-            FairRankingDesigner(dataset_2d, oracle, mode="bogus")
+        # A third argument that is not an engine config is rejected.
+        with pytest.raises(ConfigurationError):
+            FairRankingDesigner(dataset_2d, oracle, "bogus")
 
     def test_query_before_preprocess_raises(self):
         dataset = make_compas_like(n=20, seed=23).project(

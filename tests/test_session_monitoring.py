@@ -7,12 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.engine import ApproxConfig, TwoDConfig
+from repro.core.engine import ApproxConfig, TwoDConfig, create_engine
 from repro.core.monitoring import (
     FreshnessReport,
     check_approx_index_freshness,
+    check_engine_freshness,
     check_two_d_index_freshness,
-    refresh_approx_index,
 )
 from repro.core.session import DesignSession
 from repro.core.system import FairRankingDesigner
@@ -218,33 +218,34 @@ class TestTwoDFreshness:
 
 
 class TestRefresh:
-    def test_refresh_keeps_the_partition_and_is_fresh_on_new_data(
-        self, shared_approx_index, shared_race_oracle_3d
+    """A new dataset snapshot is indexed by re-preprocessing the engine on it."""
+
+    @staticmethod
+    def _engine_on(shared_compas_3d, shared_race_oracle_3d):
+        config = ApproxConfig(n_cells=64, max_hyperplanes=40)
+        return create_engine(shared_compas_3d, shared_race_oracle_3d, config).preprocess()
+
+    def test_repreprocessed_engine_is_fresh_on_new_data(
+        self, shared_compas_3d, shared_race_oracle_3d
     ):
         new_dataset = make_compas_like(n=60, seed=11).project(
-            list(shared_approx_index.dataset.scoring_attributes)
+            list(shared_compas_3d.scoring_attributes)
         )
         oracle = ProportionalOracle.at_most_share_plus_slack(
             new_dataset, "race", "African-American", k=0.3, slack=0.10
         )
-        refreshed = refresh_approx_index(
-            shared_approx_index, new_dataset, oracle=oracle, max_hyperplanes=40
-        )
-        assert refreshed.partition is shared_approx_index.partition
-        assert refreshed.n_cells == shared_approx_index.n_cells
-        report = check_approx_index_freshness(refreshed, new_dataset, oracle=oracle)
-        assert report.is_fresh
+        engine = self._engine_on(shared_compas_3d, shared_race_oracle_3d)
+        engine.preprocess(new_dataset, oracle)
+        assert engine.index.n_cells == 64
+        assert check_engine_freshness(engine).is_fresh
 
-    def test_refresh_rejects_dimension_mismatch(self, shared_approx_index, paper_2d_dataset):
-        with pytest.raises(ConfigurationError):
-            refresh_approx_index(shared_approx_index, paper_2d_dataset)
-
-    def test_refreshed_index_answers_queries(self, shared_approx_index, shared_race_oracle_3d):
+    def test_repreprocessed_engine_answers_queries(
+        self, shared_compas_3d, shared_race_oracle_3d
+    ):
         new_dataset = make_compas_like(n=60, seed=13).project(
-            list(shared_approx_index.dataset.scoring_attributes)
+            list(shared_compas_3d.scoring_attributes)
         )
-        refreshed = refresh_approx_index(
-            shared_approx_index, new_dataset, max_hyperplanes=40
-        )
-        answer = refreshed.query(LinearScoringFunction((0.5, 0.3, 0.2)))
+        engine = self._engine_on(shared_compas_3d, shared_race_oracle_3d)
+        engine.preprocess(new_dataset)
+        answer = engine.suggest(LinearScoringFunction((0.5, 0.3, 0.2)))
         assert answer.angular_distance >= 0.0
