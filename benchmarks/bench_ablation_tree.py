@@ -15,12 +15,12 @@ import time
 from repro.experiments import default_compas_dataset, format_table
 from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree
-from repro.geometry.dual import build_exchange_hyperplanes
+from repro.geometry.dual import hyperplanes_for_dataset
 
 
 def _build_both(n_hyperplanes: int):
     dataset = default_compas_dataset(n=70, d=3, seed=0)
-    hyperplanes = build_exchange_hyperplanes(dataset)[:n_hyperplanes]
+    hyperplanes = hyperplanes_for_dataset(dataset)[:n_hyperplanes]
 
     started = time.perf_counter()
     flat = Arrangement.build(hyperplanes, dimension=2)

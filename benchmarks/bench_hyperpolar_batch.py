@@ -25,10 +25,25 @@ import time
 
 from _results import write_bench_record
 
+from repro.data.dominance import iter_exchange_pair_chunks
 from repro.data.synthetic import make_uniform_dataset
-from repro.geometry.dual import hyperplanes_for_dataset
+from repro.geometry.dual import _hyperpolar_unchecked, hyperplanes_for_dataset
 
 DEFAULT_GRID = ((300, 3), (300, 4), (300, 5))
+
+
+def scalar_hyperplanes(dataset) -> list:
+    """Per-pair HYPERPOLAR over the same vectorised pair enumeration as the batched path.
+
+    Only the per-pair construction differs from :func:`hyperplanes_for_dataset`,
+    so the two columns time exactly the kernel the batch replaces.
+    """
+    scores = dataset.scores
+    return [
+        _hyperpolar_unchecked(scores[i], scores[j], (i, j))
+        for pairs in iter_exchange_pair_chunks(scores)
+        for i, j in pairs.tolist()
+    ]
 
 
 def compare_construction(n: int, d: int, seed: int = 11) -> dict:
@@ -36,11 +51,11 @@ def compare_construction(n: int, d: int, seed: int = 11) -> dict:
     dataset = make_uniform_dataset(n=n, d=d, seed=seed)
 
     start = time.perf_counter()
-    scalar = hyperplanes_for_dataset(dataset, method="scalar")
+    scalar = scalar_hyperplanes(dataset)
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = hyperplanes_for_dataset(dataset, method="batched")
+    batched = hyperplanes_for_dataset(dataset)
     batched_seconds = time.perf_counter() - start
 
     return {

@@ -4,8 +4,8 @@ Three phases, each timed at worker counts 1, 2 and 4 with bit-identity
 asserted against the serial path on every run:
 
 * ``angles_2d`` — sharded 2-D exchange-angle enumeration
-  (:func:`repro.parallel.parallel_exchange_angles_2d`), the pair-enumeration
-  workload that dominates 2-D preprocessing at large n;
+  (:func:`repro.parallel.preprocess.make_parallel_exchange_builder`), the
+  pair-enumeration workload that dominates 2-D preprocessing at large n;
 * ``hyperplanes`` — sharded exchange-hyperplane construction
   (:func:`repro.parallel.parallel_hyperplanes_for_dataset`), the
   multi-dimensional preprocessing kernel;
@@ -35,22 +35,20 @@ import argparse
 import os
 import time
 
+import numpy as np
 from _results import write_bench_record
 from repro.core.engine import ApproxConfig, create_engine
 from repro.data.synthetic import make_compas_like
 from repro.fairness.proportional import ProportionalOracle
-from repro.geometry.dual import build_exchange_angles_2d, hyperplanes_for_dataset
-from repro.parallel import (
-    PoolEngine,
-    parallel_exchange_angles_2d,
-    parallel_hyperplanes_for_dataset,
-)
+from repro.geometry.dual import exchange_arrays_2d, hyperplanes_for_dataset
+from repro.parallel import PoolEngine, parallel_hyperplanes_for_dataset
+from repro.parallel.preprocess import make_parallel_exchange_builder
 
 WORKER_COUNTS = (1, 2, 4)
 
-# angles_n is bounded by memory, not time: the exchange list is O(n^2) Python
-# tuples (~1M per 2k items on COMPAS-like data), so n=5000 already moves ~6M
-# tuples per run while staying comfortably inside a small container.
+# angles_n is bounded by memory, not time: the exchanges are O(n^2) array rows
+# (~1M per 2k items on COMPAS-like data), so n=5000 already moves ~6M rows per
+# run while staying comfortably inside a small container.
 FULL_SCALE = {"angles_n": 5_000, "hyperplanes_n": 500, "serving_n": 1_000, "batch": 240}
 QUICK_SCALE = {"angles_n": 2_000, "hyperplanes_n": 120, "serving_n": 200, "batch": 48}
 
@@ -77,17 +75,18 @@ def _scaling_rows(serial_seconds: float, runs: list[tuple[int, float, bool]]) ->
 
 def bench_angles_2d(n_items: int) -> dict:
     dataset = make_compas_like(n=n_items, seed=5).project(ATTRIBUTES[:2])
-    serial, serial_seconds = _timed(build_exchange_angles_2d, dataset)
+    serial, serial_seconds = _timed(exchange_arrays_2d, dataset)
     runs = []
     for n_workers in WORKER_COUNTS:
-        parallel, seconds = _timed(
-            parallel_exchange_angles_2d, dataset, n_workers=n_workers
+        parallel, seconds = _timed(make_parallel_exchange_builder(n_workers), dataset)
+        identical = all(
+            np.array_equal(left, right) for left, right in zip(parallel, serial)
         )
-        runs.append((n_workers, seconds, parallel == serial))
+        runs.append((n_workers, seconds, identical))
     return {
         "phase": "angles_2d",
         "n_items": n_items,
-        "n_exchanges": len(serial),
+        "n_exchanges": int(serial[0].size),
         "serial_seconds": serial_seconds,
         "workers": _scaling_rows(serial_seconds, runs),
     }
@@ -112,8 +111,6 @@ def bench_hyperplanes(n_items: int) -> dict:
 
 
 def bench_serving(n_items: int, batch: int) -> dict:
-    import numpy as np
-
     dataset = make_compas_like(n=n_items, seed=5).project(ATTRIBUTES)
     oracle = ProportionalOracle.at_most_share_plus_slack(
         dataset, "race", "African-American", k=0.3, slack=0.10

@@ -1,7 +1,8 @@
 """Old-vs-new 2-D preprocessing benchmark: vectorized + incremental sweep.
 
 Times the seed implementation (scalar per-pair exchange construction +
-black-box per-sector oracle evaluation) against the rebuilt hot path
+black-box per-sector oracle evaluation, the route a
+:class:`~repro.fairness.oracle.CallableOracle` takes) against the rebuilt hot path
 (broadcast exchange kernel + the array sweep kernel over the
 incremental-oracle protocol) on COMPAS-like synthetic data, asserting the
 outputs are *identical* — same satisfactory intervals, same exchange counts,
@@ -22,15 +23,19 @@ the ``perf_smoke``-marked tier-1 tests in ``tests/test_incremental_oracle.py``.
 
 from __future__ import annotations
 
+import sys
 import time
 
-from _results import write_bench_record
+from _results import REPO_ROOT, write_bench_record
 
-from repro.core.two_dim import TwoDRaySweep
-from repro.data.synthetic import make_compas_like
-from repro.fairness.oracle import CountingOracle
-from repro.fairness.proportional import ProportionalOracle
-from repro.geometry.dual import build_exchange_angles_2d_reference
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+
+from reference.exchanges import build_exchange_angles_2d_reference  # noqa: E402
+
+from repro.core.two_dim import TwoDRaySweep  # noqa: E402
+from repro.data.synthetic import make_compas_like  # noqa: E402
+from repro.fairness.oracle import CallableOracle, CountingOracle  # noqa: E402
+from repro.fairness.proportional import ProportionalOracle  # noqa: E402
 
 DEFAULT_N_VALUES = (200, 500, 1000)
 
@@ -62,8 +67,7 @@ def compare_preprocessing(n: int) -> dict:
     start = time.perf_counter()
     reference = TwoDRaySweep(
         dataset,
-        reference_oracle,
-        use_incremental=False,
+        CallableOracle(reference_oracle.is_satisfactory),
         exchange_builder=build_exchange_angles_2d_reference,
     ).run()
     reference_seconds = time.perf_counter() - start

@@ -3,7 +3,6 @@
 from repro.core.approx import (
     ApproximatePreprocessor,
     MDApproxIndex,
-    PreprocessingTimings,
     md_online,
     md_online_lookup,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "md_baseline",
     "ApproximatePreprocessor",
     "MDApproxIndex",
-    "PreprocessingTimings",
     "md_online",
     "md_online_lookup",
     "SampleValidationReport",

@@ -22,7 +22,6 @@ preprocessing, assigns one satisfactory function to *every* cell:
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ from repro.geometry.angles import (
 )
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.cellplane import CellPlaneIndex, assign_hyperplanes_to_cells
-from repro.geometry.dual import HYPERPLANE_METHODS, hyperplanes_for_dataset
+from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.hyperplane import Hyperplane, Region
 from repro.obs.trace import stage_span
 from repro.geometry.partition import (
@@ -59,32 +58,11 @@ from repro.geometry.partition import (
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = [
-    "PreprocessingTimings",
     "MDApproxIndex",
     "ApproximatePreprocessor",
     "md_online",
     "md_online_lookup",
 ]
-
-
-@dataclass
-class PreprocessingTimings:
-    """Wall-clock seconds spent in each preprocessing step (paper Figs. 22–23)."""
-
-    hyperplane_construction: float = 0.0
-    cell_plane_assignment: float = 0.0
-    mark_cells: float = 0.0
-    cell_coloring: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Total preprocessing time across all steps."""
-        return (
-            self.hyperplane_construction
-            + self.cell_plane_assignment
-            + self.mark_cells
-            + self.cell_coloring
-        )
 
 
 @dataclass
@@ -105,7 +83,6 @@ class MDApproxIndex:
     cell_plane_index: CellPlaneIndex | None = None
     n_hyperplanes: int = 0
     oracle_calls: int = 0
-    timings: PreprocessingTimings = field(default_factory=PreprocessingTimings)
     #: Lazily built stack over the assigned cells (cell indices, weight rows,
     #: row norms) backing the vectorised nearest-assigned fallback.
     _assigned_stack_cache: tuple | None = field(
@@ -235,10 +212,6 @@ class ApproximatePreprocessor:
         Optional cap on the number of exchange hyperplanes (useful for sweeps).
     convex_layer_k:
         Optional §8 convex-layer filter for top-``k`` oracles.
-    hyperplane_method:
-        ``"batched"`` (default) constructs the exchange hyperplanes with the
-        stacked :func:`~repro.geometry.dual.hyperpolar_many` kernel;
-        ``"scalar"`` uses the bit-identical per-pair reference loop.
     preprocess_workers:
         Worker processes for the hyperplane construction (``1`` = serial;
         ``> 1`` shards the pair-enumeration blocks over
@@ -254,7 +227,6 @@ class ApproximatePreprocessor:
         partition: str | AnglePartitionProtocol = "uniform",
         max_hyperplanes: int | None = None,
         convex_layer_k: int | None = None,
-        hyperplane_method: str = "batched",
         preprocess_workers: int = 1,
     ) -> None:
         if dataset.n_attributes < 3:
@@ -263,17 +235,11 @@ class ApproximatePreprocessor:
             )
         if n_cells < 1:
             raise ConfigurationError("n_cells must be >= 1")
-        if hyperplane_method not in HYPERPLANE_METHODS:
-            raise ConfigurationError(
-                f"unknown hyperplane_method {hyperplane_method!r}; "
-                f"expected one of {HYPERPLANE_METHODS}"
-            )
         self.dataset = dataset
         self.oracle = oracle
         self.n_cells = n_cells
         self.max_hyperplanes = max_hyperplanes
         self.convex_layer_k = convex_layer_k
-        self.hyperplane_method = hyperplane_method
         self.preprocess_workers = preprocess_workers
         #: Hyperplanes the last :meth:`run` consumed (built or injected); the
         #: engines cache this list for incremental maintenance.
@@ -311,14 +277,12 @@ class ApproximatePreprocessor:
             return parallel_hyperplanes_for_dataset(
                 self.dataset,
                 item_indices,
-                method=self.hyperplane_method,
                 n_workers=self.preprocess_workers,
                 max_hyperplanes=self.max_hyperplanes,
             )
         return hyperplanes_for_dataset(
             self.dataset,
             item_indices,
-            method=self.hyperplane_method,
             max_hyperplanes=self.max_hyperplanes,
         )
 
@@ -333,7 +297,7 @@ class ApproximatePreprocessor:
         ``hyperplanes`` and ``cell_plane_index`` inject precomputed oracle-free
         geometry (the delta-maintenance path of
         :meth:`repro.core.engine.ApproxEngine.apply_delta`): injected stages
-        are skipped — their timings stay ``0.0`` — while marking and colouring
+        are skipped — they emit no stage span — while marking and colouring
         always re-run, since their oracle verdicts are data-dependent.
         """
         index = MDApproxIndex(
@@ -341,23 +305,18 @@ class ApproximatePreprocessor:
         )
 
         if hyperplanes is None:
-            started = time.perf_counter()
             with stage_span("preprocess.hyperplane_construction") as span:
                 hyperplanes = self.build_hyperplanes()
                 if span is not None:
                     span.set("n_hyperplanes", len(hyperplanes))
-            index.timings.hyperplane_construction = time.perf_counter() - started
         index.n_hyperplanes = len(hyperplanes)
         self.hyperplanes_ = hyperplanes
 
         if cell_plane_index is None:
-            started = time.perf_counter()
             with stage_span("preprocess.cell_plane_assignment"):
                 cell_plane_index = assign_hyperplanes_to_cells(self.partition, hyperplanes)
-            index.timings.cell_plane_assignment = time.perf_counter() - started
         index.cell_plane_index = cell_plane_index
 
-        started = time.perf_counter()
         with stage_span("preprocess.mark_cells") as span:
             assigned, marked, oracle_calls = self._mark_cells(
                 hyperplanes, cell_plane_index
@@ -367,12 +326,9 @@ class ApproximatePreprocessor:
         index.assigned_angles = assigned
         index.marked = marked
         index.oracle_calls += oracle_calls
-        index.timings.mark_cells = time.perf_counter() - started
 
-        started = time.perf_counter()
         with stage_span("preprocess.cell_coloring"):
             self._color_cells(index)
-        index.timings.cell_coloring = time.perf_counter() - started
         return index
 
     # ------------------------------------------------------------------ #

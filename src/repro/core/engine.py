@@ -99,9 +99,6 @@ class TwoDConfig:
         If given, preprocessing runs on a uniform sample of this size (§5.4).
     sample_seed:
         Seed of the preprocessing sample draw.
-    use_incremental:
-        Maintain sector verdicts incrementally when the oracle supports the
-        incremental protocol (see :mod:`repro.fairness.incremental`).
     preprocess_workers:
         Worker processes for the exchange enumeration (``1`` = serial; see
         :mod:`repro.parallel` — the sharded path is bit-identical).
@@ -110,8 +107,6 @@ class TwoDConfig:
         may mutate before ``apply_delta`` abandons incremental maintenance and
         rebuilds the index from scratch.
 
-    >>> TwoDConfig().use_incremental
-    True
     >>> TwoDConfig(staleness_fraction=1.5)
     Traceback (most recent call last):
         ...
@@ -120,28 +115,21 @@ class TwoDConfig:
 
     sample_size: int | None = None
     sample_seed: int = 0
-    use_incremental: bool = True
     preprocess_workers: int = 1
     staleness_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.preprocess_workers < 1:
-            raise ConfigurationError(
-                f"preprocess_workers must be >= 1, got {self.preprocess_workers}"
-            )
-        _check_staleness_fraction(self.staleness_fraction)
+        _check_shared_fields(self)
 
 
 @dataclass(frozen=True)
 class ExactConfig:
     """Configuration of the exact ``SATREGIONS`` + ``MDBASELINE`` pipeline (§4).
 
-    ``hyperplane_method`` selects how the exchange hyperplanes are built:
-    ``"batched"`` (default, the stacked :func:`~repro.geometry.dual.hyperpolar_many`
-    kernel) or ``"scalar"`` (the bit-identical per-pair reference loop).
-
-    >>> ExactConfig().hyperplane_method
-    'batched'
+    >>> ExactConfig(max_hyperplanes=-1)
+    Traceback (most recent call last):
+        ...
+    repro.exceptions.ConfigurationError: max_hyperplanes must be >= 0, got -1
     """
 
     max_hyperplanes: int | None = None
@@ -149,21 +137,11 @@ class ExactConfig:
     use_arrangement_tree: bool = True
     sample_size: int | None = None
     sample_seed: int = 0
-    hyperplane_method: str = "batched"
     preprocess_workers: int = 1
     staleness_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.hyperplane_method not in ("batched", "scalar"):
-            raise ConfigurationError(
-                f"hyperplane_method must be 'batched' or 'scalar', "
-                f"got {self.hyperplane_method!r}"
-            )
-        if self.preprocess_workers < 1:
-            raise ConfigurationError(
-                f"preprocess_workers must be >= 1, got {self.preprocess_workers}"
-            )
-        _check_staleness_fraction(self.staleness_fraction)
+        _check_shared_fields(self)
 
 
 @dataclass(frozen=True)
@@ -188,7 +166,6 @@ class ApproxConfig:
     convex_layer_k: int | None = None
     sample_size: int | None = None
     sample_seed: int = 0
-    hyperplane_method: str = "batched"
     preprocess_workers: int = 1
     staleness_fraction: float = 0.5
 
@@ -199,22 +176,29 @@ class ApproxConfig:
             raise ConfigurationError(
                 f"partition must be 'uniform' or 'angle', got {self.partition!r}"
             )
-        if self.hyperplane_method not in ("batched", "scalar"):
-            raise ConfigurationError(
-                f"hyperplane_method must be 'batched' or 'scalar', "
-                f"got {self.hyperplane_method!r}"
-            )
-        if self.preprocess_workers < 1:
-            raise ConfigurationError(
-                f"preprocess_workers must be >= 1, got {self.preprocess_workers}"
-            )
-        _check_staleness_fraction(self.staleness_fraction)
+        _check_shared_fields(self)
 
 
-def _check_staleness_fraction(value: float) -> None:
-    """Shared validation of the configs' incremental-maintenance threshold."""
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"staleness_fraction must be in [0, 1], got {value}")
+#: Smallest legal value of each integer field the configs share; ``None``
+#: (unset) always passes.  The 2-D config has no hyperplane fields.
+_SHARED_FIELD_MINIMUMS = {
+    "sample_size": 1,
+    "preprocess_workers": 1,
+    "max_hyperplanes": 0,
+    "convex_layer_k": 1,
+}
+
+
+def _check_shared_fields(config: EngineConfig) -> None:
+    """Validate the fields the configs share, raising :class:`ConfigurationError`."""
+    for name, minimum in _SHARED_FIELD_MINIMUMS.items():
+        value = getattr(config, name, None)
+        if value is not None and value < minimum:
+            raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    if not 0.0 <= config.staleness_fraction <= 1.0:
+        raise ConfigurationError(
+            f"staleness_fraction must be in [0, 1], got {config.staleness_fraction}"
+        )
 
 
 EngineConfig = TwoDConfig | ExactConfig | ApproxConfig
@@ -663,7 +647,7 @@ class _EngineBase:
         if unknown:
             warnings.warn(
                 f"ignoring unknown {cls.config_type.__name__} key(s) in the engine "
-                f"payload: {', '.join(unknown)} (the payload may come from a newer "
+                f"payload: {', '.join(unknown)} (the payload may come from another "
                 "version of this library)",
                 UserWarning,
                 stacklevel=2,
@@ -703,12 +687,7 @@ class TwoDEngine(_EngineBase):
 
         The arrays are the oracle-free geometry apply_delta() maintains.
         """
-        sweep = TwoDRaySweep(
-            dataset,
-            self.oracle,
-            use_incremental=self.config.use_incremental,
-            exchange_builder=exchange_builder,
-        )
+        sweep = TwoDRaySweep(dataset, self.oracle, exchange_builder=exchange_builder)
         index = sweep.run()
         self._exchanges = sweep.exchanges
         return index
@@ -807,7 +786,6 @@ class ExactEngine(_EngineBase):
             use_arrangement_tree=self.config.use_arrangement_tree,
             max_hyperplanes=self.config.max_hyperplanes,
             convex_layer_k=self.config.convex_layer_k,
-            hyperplane_method=self.config.hyperplane_method,
             preprocess_workers=self.config.preprocess_workers,
         )
         index = builder.run()
@@ -854,7 +832,6 @@ class ExactEngine(_EngineBase):
             mutated,
             self.oracle,
             use_arrangement_tree=True,
-            hyperplane_method=self.config.hyperplane_method,
             preprocess_workers=self.config.preprocess_workers,
         ).evaluate_tree(tree, n_hyperplanes=len(merged))
         self._exact_hyperplanes = merged
@@ -873,7 +850,6 @@ class ExactEngine(_EngineBase):
             self.preprocessing_dataset,
             self.oracle,
             use_arrangement_tree=True,
-            hyperplane_method=self.config.hyperplane_method,
             preprocess_workers=self.config.preprocess_workers,
         ).evaluate_tree(tree, n_hyperplanes=len(hyperplanes))
 
@@ -918,7 +894,6 @@ class ApproxEngine(_EngineBase):
             partition=self.config.partition,
             max_hyperplanes=self.config.max_hyperplanes,
             convex_layer_k=self.config.convex_layer_k,
-            hyperplane_method=self.config.hyperplane_method,
             preprocess_workers=self.config.preprocess_workers,
         )
         index = preprocessor.run()
@@ -959,7 +934,6 @@ class ApproxEngine(_EngineBase):
             self.oracle,
             n_cells=self.config.n_cells,
             partition=self.config.partition,
-            hyperplane_method=self.config.hyperplane_method,
             preprocess_workers=self.config.preprocess_workers,
         )
         cell_plane_index = merged_cell_plane_index(
@@ -992,7 +966,6 @@ class ApproxEngine(_EngineBase):
             self.oracle,
             n_cells=self.config.n_cells,
             partition=self.config.partition,
-            hyperplane_method=self.config.hyperplane_method,
             preprocess_workers=self.config.preprocess_workers,
         )
         self._index = preprocessor.run(

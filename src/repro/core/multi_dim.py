@@ -30,7 +30,7 @@ from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import HALF_PI, angular_distance_angles, to_angles, to_weights
 from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree
-from repro.geometry.dual import HYPERPLANE_METHODS, hyperplanes_for_dataset
+from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.hyperplane import Hyperplane, Region
 from repro.ranking.scoring import LinearScoringFunction
 
@@ -82,12 +82,6 @@ class SatRegions:
         If given, restrict exchange construction to the items in the first
         ``k`` convex layers — the §8 "onion" optimisation, valid when the
         oracle only inspects the top-``k``.
-    hyperplane_method:
-        ``"batched"`` (default) constructs all exchange hyperplanes with the
-        stacked linear-algebra kernel of
-        :func:`~repro.geometry.dual.hyperpolar_many`; ``"scalar"`` uses the
-        per-pair reference loop.  Both are bit-identical, so this is purely a
-        preprocessing throughput knob.
     preprocess_workers:
         Worker processes for the hyperplane construction (``1`` = serial;
         ``> 1`` shards the pair-enumeration blocks over
@@ -102,22 +96,15 @@ class SatRegions:
         use_arrangement_tree: bool = True,
         max_hyperplanes: int | None = None,
         convex_layer_k: int | None = None,
-        hyperplane_method: str = "batched",
         preprocess_workers: int = 1,
     ) -> None:
         if dataset.n_attributes < 3:
             raise GeometryError("SatRegions requires d >= 3; use TwoDRaySweep for d = 2")
-        if hyperplane_method not in HYPERPLANE_METHODS:
-            raise GeometryError(
-                f"unknown hyperplane_method {hyperplane_method!r}; "
-                f"expected one of {HYPERPLANE_METHODS}"
-            )
         self.dataset = dataset
         self.oracle = oracle
         self.use_arrangement_tree = use_arrangement_tree
         self.max_hyperplanes = max_hyperplanes
         self.convex_layer_k = convex_layer_k
-        self.hyperplane_method = hyperplane_method
         self.preprocess_workers = preprocess_workers
         self._hyperplanes: list[Hyperplane] | None = None
         #: Canonically ordered hyperplanes of the last :meth:`run` (the exact
@@ -136,8 +123,7 @@ class SatRegions:
         Pair eligibility is decided by the chunked vectorised dominance kernel
         inside :func:`~repro.geometry.dual.hyperplanes_for_dataset` (broadcast
         row blocks instead of ~n²/2 per-pair dominance re-tests), and the
-        hyperplanes themselves by the batched ``hyperpolar_many`` kernel (or
-        the scalar reference loop when ``hyperplane_method="scalar"``).  The
+        hyperplanes themselves by the batched ``hyperpolar_many`` kernel.  The
         result is memoized on the instance: dataset and filter parameters are
         fixed at construction, so repeated ``run()`` calls reuse the
         hyperplanes.
@@ -155,7 +141,6 @@ class SatRegions:
                 self._hyperplanes = parallel_hyperplanes_for_dataset(
                     self.dataset,
                     item_indices,
-                    method=self.hyperplane_method,
                     n_workers=self.preprocess_workers,
                     max_hyperplanes=self.max_hyperplanes,
                 )
@@ -163,7 +148,6 @@ class SatRegions:
                 self._hyperplanes = hyperplanes_for_dataset(
                     self.dataset,
                     item_indices,
-                    method=self.hyperplane_method,
                     max_hyperplanes=self.max_hyperplanes,
                 )
         return self._hyperplanes

@@ -313,19 +313,18 @@ class TwoDRaySweep:
     dataset:
         A dataset with exactly two scoring attributes.
     oracle:
-        The fairness oracle that labels orderings.
-    use_incremental:
-        When True (default) and the oracle implements the incremental-oracle
-        protocol, the sweep follows the oracle's state across swaps instead
-        of re-evaluating the oracle per sector: in one ``sweep_verdicts``
-        call when the array kernel applies, else in O(1) per swap.  Disable
-        to force the black-box path (the reference behaviour benchmarks
-        compare against).
+        The fairness oracle that labels orderings.  When it implements the
+        incremental-oracle protocol, the sweep follows the oracle's state
+        across swaps instead of re-evaluating it per sector: in one
+        ``sweep_verdicts`` call when the array kernel applies, else in O(1)
+        per swap.  A black-box oracle (e.g. a
+        :class:`~repro.fairness.oracle.CallableOracle`) judges every sector
+        with ``is_satisfactory``.
     exchange_builder:
-        Exchange-construction function returning ``(angles, i, j)`` arrays or
-        a sequence of ``(angle, i, j)`` triples (defaults to the vectorised
-        :func:`~repro.geometry.dual.exchange_arrays_2d`); benchmarks inject
-        the scalar reference kernel here.
+        Exchange-construction function returning ``(angles, i, j)`` arrays
+        (defaults to the vectorised
+        :func:`~repro.geometry.dual.exchange_arrays_2d`); index maintenance
+        and sharded enumeration inject their exchanges here.
 
     After :meth:`run`, :attr:`exchanges` holds the exchanges the sweep
     consumed as ``(angles, i, j)`` arrays in sweep order.
@@ -335,21 +334,19 @@ class TwoDRaySweep:
         self,
         dataset: Dataset,
         oracle: FairnessOracle,
-        use_incremental: bool = True,
         exchange_builder=None,
     ) -> None:
         if dataset.n_attributes != 2:
             raise GeometryError("TwoDRaySweep requires a dataset with exactly 2 scoring attributes")
         self.dataset = dataset
         self.oracle = oracle
-        self.use_incremental = use_incremental
         self.exchange_builder = exchange_builder or exchange_arrays_2d
         self.exchanges: ExchangeArrays | None = None
 
     def run(self) -> TwoDIndex:
         """Sweep the ray from the x-axis to the y-axis and index satisfactory regions."""
         with stage_span("preprocess.exchange_build") as span:
-            angles, first, second = _as_exchange_arrays(self.exchange_builder(self.dataset))
+            angles, first, second = self.exchange_builder(self.dataset)
             # One lexsort reproduces the (angle, i, j) tuple order.
             n_items = self.dataset.n_items
             order = np.lexsort(
@@ -360,7 +357,7 @@ class TwoDRaySweep:
             if span is not None:
                 span.set("n_exchanges", int(angles.size))
         index = TwoDIndex(n_exchanges=int(angles.size))
-        incremental = as_incremental(self.oracle) if self.use_incremental else None
+        incremental = as_incremental(self.oracle)
 
         with stage_span("preprocess.sweep", incremental=incremental is not None) as span:
             # Ordering at angle 0 (f = x): descending x, ties broken by
@@ -436,21 +433,6 @@ class TwoDRaySweep:
             applied = stop
             flags.append(evaluate())
         return flags
-
-
-def _as_exchange_arrays(exchanges) -> ExchangeArrays:
-    """``(angles, i, j)`` arrays of an exchange builder's output (arrays or triples)."""
-    if (
-        isinstance(exchanges, tuple)
-        and len(exchanges) == 3
-        and all(isinstance(part, np.ndarray) for part in exchanges)
-    ):
-        return exchanges
-    triples = list(exchanges)
-    angles = np.array([angle for angle, _, _ in triples], dtype=float)
-    first = np.array([i for _, i, _ in triples], dtype=np.intp)
-    second = np.array([j for _, _, j in triples], dtype=np.intp)
-    return angles, first, second
 
 
 def _item_key(items: np.ndarray, n_items: int) -> np.ndarray:

@@ -32,9 +32,10 @@ from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.cellplane import assign_hyperplanes_to_cells
-from repro.geometry.dual import build_exchange_hyperplanes
+from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.partition import UniformGridPartition
 from repro.core.multi_dim import SatRegions
+from repro.obs.trace import TraceRecorder, activated
 from repro.ranking.queries import random_queries
 from repro.ranking.scoring import LinearScoringFunction
 
@@ -298,7 +299,7 @@ def experiment_fig18_arrangement_tree(
 ) -> SweepResult:
     """Arrangement construction time: flat region list vs. arrangement tree."""
     dataset = default_compas_dataset(n=n_items, d=d, seed=seed)
-    hyperplanes = build_exchange_hyperplanes(dataset)
+    hyperplanes = hyperplanes_for_dataset(dataset)
     result = SweepResult(parameter="hyperplanes")
     baseline_series = result.series_named("baseline_seconds")
     tree_series = result.series_named("arrangement_tree_seconds")
@@ -323,7 +324,7 @@ def experiment_fig19_region_growth(
 ) -> SweepResult:
     """Number of arrangement regions as hyperplanes are added incrementally."""
     dataset = default_compas_dataset(n=n_items, d=d, seed=seed)
-    hyperplanes = build_exchange_hyperplanes(dataset)
+    hyperplanes = hyperplanes_for_dataset(dataset)
     result = SweepResult(parameter="hyperplanes")
     regions_series = result.series_named("regions")
     arrangement = Arrangement(dimension=d - 1)
@@ -350,7 +351,7 @@ def experiment_fig20_hyperplanes(
     for n in n_values:
         dataset = default_compas_dataset(n=n, d=d, seed=seed)
         started = time.perf_counter()
-        hyperplanes = build_exchange_hyperplanes(dataset)
+        hyperplanes = hyperplanes_for_dataset(dataset)
         time_series.add(n, time.perf_counter() - started)
         count_series.add(n, len(hyperplanes))
     return result
@@ -365,7 +366,7 @@ def experiment_fig21_cell_hyperplanes(
 ) -> np.ndarray:
     """Sorted number of hyperplanes passing through each cell (the Fig. 21 curve)."""
     dataset = default_compas_dataset(n=n_items, d=d, seed=seed)
-    hyperplanes = build_exchange_hyperplanes(dataset)
+    hyperplanes = hyperplanes_for_dataset(dataset)
     if max_hyperplanes is not None:
         hyperplanes = hyperplanes[:max_hyperplanes]
     partition = UniformGridPartition(d - 1, n_cells)
@@ -376,6 +377,34 @@ def experiment_fig21_cell_hyperplanes(
 # --------------------------------------------------------------------------- #
 # E12–E13 / Figures 22–23 — preprocessing step times
 # --------------------------------------------------------------------------- #
+#: Series of Figs. 22–23 and the approximate-pipeline stage span each one reads.
+_APPROX_STAGE_SPANS = {
+    "hyperplane_seconds": "preprocess.hyperplane_construction",
+    "cell_plane_seconds": "preprocess.cell_plane_assignment",
+    "mark_cell_seconds": "preprocess.mark_cells",
+    "coloring_seconds": "preprocess.cell_coloring",
+}
+
+
+def _approx_stage_seconds(
+    dataset: Dataset, oracle: FairnessOracle, n_cells: int, max_hyperplanes: int | None
+) -> dict[str, float]:
+    """Seconds of each approximate preprocessing stage, read from one run's stage spans.
+
+    Spans are matched by exact name, so the ``pair_chunk`` and
+    ``hyperplane_chunk`` spans nested inside a stage are not counted twice.
+    """
+    recorder = TraceRecorder()
+    with activated(recorder):
+        ApproximatePreprocessor(
+            dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
+        ).run()
+    durations = {span.name: span.duration for span in recorder.spans}
+    seconds = {series: durations[name] for series, name in _APPROX_STAGE_SPANS.items()}
+    seconds["total_seconds"] = sum(seconds.values())
+    return seconds
+
+
 def experiment_fig22_preprocessing_vs_n(
     n_values: Sequence[int] = (50, 100, 200),
     d: int = 3,
@@ -388,15 +417,9 @@ def experiment_fig22_preprocessing_vs_n(
     for n in n_values:
         dataset = default_compas_dataset(n=n, d=d, seed=seed)
         oracle = default_compas_oracle(dataset)
-        index = ApproximatePreprocessor(
-            dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
-        ).run()
-        timings = index.timings
-        result.series_named("hyperplane_seconds").add(n, timings.hyperplane_construction)
-        result.series_named("cell_plane_seconds").add(n, timings.cell_plane_assignment)
-        result.series_named("mark_cell_seconds").add(n, timings.mark_cells)
-        result.series_named("coloring_seconds").add(n, timings.cell_coloring)
-        result.series_named("total_seconds").add(n, timings.total)
+        stages = _approx_stage_seconds(dataset, oracle, n_cells, max_hyperplanes)
+        for series, seconds in stages.items():
+            result.series_named(series).add(n, seconds)
     return result
 
 
@@ -412,15 +435,9 @@ def experiment_fig23_preprocessing_vs_d(
     for d in d_values:
         dataset = default_compas_dataset(n=n_items, d=d, seed=seed)
         oracle = default_compas_oracle(dataset)
-        index = ApproximatePreprocessor(
-            dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
-        ).run()
-        timings = index.timings
-        result.series_named("hyperplane_seconds").add(d, timings.hyperplane_construction)
-        result.series_named("cell_plane_seconds").add(d, timings.cell_plane_assignment)
-        result.series_named("mark_cell_seconds").add(d, timings.mark_cells)
-        result.series_named("coloring_seconds").add(d, timings.cell_coloring)
-        result.series_named("total_seconds").add(d, timings.total)
+        stages = _approx_stage_seconds(dataset, oracle, n_cells, max_hyperplanes)
+        for series, seconds in stages.items():
+            result.series_named(series).add(d, seconds)
     return result
 
 

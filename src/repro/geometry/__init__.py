@@ -26,10 +26,6 @@ from repro.geometry.cellplane import (
     hyperplanes_through_cell,
 )
 from repro.geometry.dual import (
-    build_exchange_angles_2d,
-    build_exchange_angles_2d_reference,
-    build_exchange_hyperplanes,
-    build_exchange_hyperplanes_reference,
     exchange_angle_2d,
     exchange_normal,
     has_exchange,
@@ -68,10 +64,6 @@ __all__ = [
     "hyperpolar",
     "hyperpolar_many",
     "hyperplanes_for_dataset",
-    "build_exchange_angles_2d",
-    "build_exchange_angles_2d_reference",
-    "build_exchange_hyperplanes",
-    "build_exchange_hyperplanes_reference",
     "Hyperplane",
     "HalfSpace",
     "Region",

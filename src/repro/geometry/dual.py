@@ -29,17 +29,16 @@ so the O(n²) broadcast never materialises the full difference tensor), all
 exchange hyperplanes come from :func:`hyperpolar_many` — one batched SVD over
 the ``(m, 1, d)`` stack of exchange normals for the nullspace bases, one
 batched ``np.linalg.solve`` over the ``(m, d-1, d-1)`` angle matrices —
-instead of m per-pair nullspace/solve calls.  The 2-D exchanges stay arrays
-(:func:`exchange_arrays_2d`) all the way into the ray sweep; the triple list
-of :func:`build_exchange_angles_2d` is a view for callers and tests.  The
-scalar routes are retained
-(``build_exchange_angles_2d_reference`` / ``build_exchange_hyperplanes_reference``,
-and ``method="scalar"`` on :func:`hyperplanes_for_dataset`) so tests and
-benchmarks can assert the kernels are exactly equivalent.  Scalar and batched
-paths share the same primitives — ``np.arctan2`` for angles, the numpy SVD
-gufunc for nullspaces, the numpy solve gufunc for the linear systems — and
-numpy gufuncs apply the identical per-matrix routine across the stacked batch,
-so the produced angles and hyperplane coefficients are bit-identical.
+instead of m per-pair nullspace/solve calls.  Each setting has one production
+builder: the 2-D exchanges stay ``(angles, i, j)`` arrays
+(:func:`exchange_arrays_2d`) all the way into the ray sweep, and
+:func:`hyperplanes_for_dataset` builds every d ≥ 3 hyperplane.  The scalar
+per-pair references the tests compare them against live in
+``tests/reference/``; they share the same primitives — ``np.arctan2`` for
+angles, the numpy SVD gufunc for nullspaces, the numpy solve gufunc for the
+linear systems — and numpy gufuncs apply the identical per-matrix routine
+across the stacked batch, so the produced angles and hyperplane coefficients
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,17 +62,9 @@ __all__ = [
     "hyperpolar",
     "hyperpolar_many",
     "hyperplanes_for_dataset",
-    "build_exchange_hyperplanes",
-    "build_exchange_hyperplanes_reference",
-    "build_exchange_angles_2d",
-    "build_exchange_angles_2d_reference",
     "exchange_arrays_2d",
     "exchange_angles_for_pairs",
-    "exchange_triples",
 ]
-
-#: Methods accepted by :func:`hyperplanes_for_dataset`.
-HYPERPLANE_METHODS = ("batched", "scalar")
 
 
 def exchange_normal(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -438,19 +429,17 @@ def hyperplanes_for_dataset(
     dataset: Dataset,
     item_indices: np.ndarray | None = None,
     *,
-    method: str = "batched",
     pair_chunk_size: int | None = None,
     max_hyperplanes: int | None = None,
 ) -> list[Hyperplane]:
     """Construct every exchange hyperplane of a dataset through one entry point.
 
     This is the preprocessing front door shared by the exact (``SATREGIONS``)
-    and approximate (§5 grid) engines.  Pair eligibility always comes from the
-    vectorised dominance kernel, enumerated in bounded-memory row blocks; the
-    per-pair hyperplane construction is either the batched stacked-linear-
-    algebra kernel (:func:`hyperpolar_many`, the default) or the scalar
-    reference loop — both produce bit-identical hyperplanes, so the choice is
-    purely a throughput knob.
+    and approximate (§5 grid) engines.  Pair eligibility comes from the
+    vectorised dominance kernel, enumerated in bounded-memory row blocks, and
+    the hyperplanes of each block from the batched stacked-linear-algebra
+    kernel :func:`hyperpolar_many`, bit-identical to :func:`hyperpolar` per
+    pair.
 
     Parameters
     ----------
@@ -459,9 +448,6 @@ def hyperplanes_for_dataset(
     item_indices:
         Optional subset of item indices to restrict the construction to (used
         by the convex-layer optimisation); defaults to all items.
-    method:
-        ``"batched"`` (default) for the stacked kernel, ``"scalar"`` for the
-        per-pair reference loop.
     pair_chunk_size:
         Rows per pair-enumeration block (see
         :func:`~repro.data.dominance.iter_exchange_pair_chunks`); defaults to
@@ -471,33 +457,27 @@ def hyperplanes_for_dataset(
         honoured *inside* the chunked enumeration — construction stops as soon
         as the cap is reached, so a capped sweep never pays the full O(n²)
         construction cost — and yields exactly the first ``max_hyperplanes``
-        hyperplanes of the uncapped enumeration order, identically for the
-        scalar and batched paths.
+        hyperplanes of the uncapped enumeration order.
 
     Returns
     -------
     list of Hyperplane
         One hyperplane per exchanging pair, labelled with the pair's original
-        item indices, in the same order for both methods.
+        item indices, in row-major pair order over ``item_indices``.
 
     >>> import numpy as np
     >>> from repro.data.dataset import Dataset
-    >>> dataset = Dataset(
-    ...     scores=np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 1.0], [5.3, 1.0, 6.0]]),
-    ...     scoring_attributes=["x", "y", "z"],
-    ... )
-    >>> batched = hyperplanes_for_dataset(dataset)
-    >>> scalar = hyperplanes_for_dataset(dataset, method="scalar")
-    >>> batched == scalar
+    >>> scores = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 1.0], [5.3, 1.0, 6.0]])
+    >>> dataset = Dataset(scores=scores, scoring_attributes=["x", "y", "z"])
+    >>> planes = hyperplanes_for_dataset(dataset)
+    >>> pairs = [plane.label for plane in planes]
+    >>> pairs
+    [(0, 1), (0, 2), (1, 2)]
+    >>> planes == [hyperpolar(scores[i], scores[j], label=(i, j)) for i, j in pairs]
     True
     """
     if dataset.n_attributes < 3:
         raise GeometryError("hyperplanes_for_dataset requires d >= 3")
-    if method not in HYPERPLANE_METHODS:
-        raise GeometryError(
-            f"unknown hyperplane construction method {method!r}; "
-            f"expected one of {HYPERPLANE_METHODS}"
-        )
     if max_hyperplanes is not None and max_hyperplanes < 0:
         raise GeometryError("max_hyperplanes must be non-negative")
     if max_hyperplanes == 0:
@@ -516,20 +496,12 @@ def hyperplanes_for_dataset(
         if max_hyperplanes is not None:
             position_pairs = position_pairs[: max_hyperplanes - len(hyperplanes)]
         global_pairs = indices[position_pairs]
-        # Per-chunk span around the stacked-SVD + batched-solve kernel (or
-        # the scalar reference loop); no-op outside instrumented runs.
+        # Per-chunk span around the stacked-SVD + batched-solve kernel; no-op
+        # outside instrumented runs.
         with stage_span(
-            "preprocess.hyperplane_chunk",
-            method=method,
-            n_pairs=int(global_pairs.shape[0]),
+            "preprocess.hyperplane_chunk", n_pairs=int(global_pairs.shape[0])
         ):
-            if method == "batched":
-                hyperplanes.extend(hyperpolar_many(scores, global_pairs))
-            else:
-                for i, j in global_pairs.tolist():
-                    hyperplanes.append(
-                        _hyperpolar_unchecked(scores[i], scores[j], label=(i, j))
-                    )
+            hyperplanes.extend(hyperpolar_many(scores, global_pairs))
         if max_hyperplanes is not None and len(hyperplanes) >= max_hyperplanes:
             break
     return hyperplanes
@@ -551,32 +523,9 @@ def exchange_arrays_2d(dataset: Dataset) -> ExchangeArrays:
     no per-pair Python calls.
     """
     if dataset.n_attributes != 2:
-        raise GeometryError("build_exchange_angles_2d requires a 2-attribute dataset")
+        raise GeometryError("exchange_arrays_2d requires a 2-attribute dataset")
     scores = dataset.scores
     return exchange_angles_for_pairs(scores, exchange_pair_indices(scores))
-
-
-def exchange_triples(exchanges: ExchangeArrays) -> list[tuple[float, int, int]]:
-    """The ``(angle, i, j)`` triples of exchange arrays, in array order."""
-    angles, first, second = exchanges
-    return list(zip(angles.tolist(), first.tolist(), second.tolist()))
-
-
-def build_exchange_angles_2d(dataset: Dataset) -> list[tuple[float, int, int]]:
-    """Return all 2-D ordering exchanges of a dataset as ``(angle, i, j)`` triples.
-
-    The triples of :func:`exchange_arrays_2d`; identical (bit-for-bit) to
-    :func:`build_exchange_angles_2d_reference`.
-
-    >>> import numpy as np
-    >>> from repro.data.dataset import Dataset
-    >>> dataset = Dataset(
-    ...     scores=np.array([[1.0, 2.0], [2.0, 1.0]]), scoring_attributes=["x", "y"]
-    ... )
-    >>> build_exchange_angles_2d(dataset)
-    [(0.7853981633974483, 0, 1)]
-    """
-    return exchange_triples(exchange_arrays_2d(dataset))
 
 
 def exchange_angles_for_pairs(scores: np.ndarray, pairs: np.ndarray) -> ExchangeArrays:
@@ -596,73 +545,3 @@ def exchange_angles_for_pairs(scores: np.ndarray, pairs: np.ndarray) -> Exchange
     # first-quadrant exchange direction is (|dy|, |dx|) (Eq. 2).
     angles = np.arctan2(np.abs(differences[:, 0]), np.abs(differences[:, 1]))
     return angles, pairs[:, 0].copy(), pairs[:, 1].copy()
-
-
-def build_exchange_angles_2d_reference(dataset: Dataset) -> list[tuple[float, int, int]]:
-    """Scalar per-pair reference implementation of :func:`build_exchange_angles_2d`.
-
-    Retained (not used on the hot path) so tests and benchmarks can verify the
-    vectorised kernel produces exactly the same exchanges.
-    """
-    if dataset.n_attributes != 2:
-        raise GeometryError("build_exchange_angles_2d requires a 2-attribute dataset")
-    scores = dataset.scores
-    exchanges: list[tuple[float, int, int]] = []
-    n = dataset.n_items
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if not has_exchange(scores[i], scores[j]):
-                continue
-            exchanges.append((exchange_angle_2d(scores[i], scores[j]), i, j))
-    return exchanges
-
-
-def build_exchange_hyperplanes(
-    dataset: Dataset, item_indices: np.ndarray | None = None
-) -> list[Hyperplane]:
-    """Construct the angle-space exchange hyperplanes of every non-dominated pair.
-
-    A thin alias of :func:`hyperplanes_for_dataset` with the default batched
-    method, kept for callers predating the unified entry point.
-
-    Parameters
-    ----------
-    dataset:
-        Dataset with ``d >= 3`` scoring attributes.
-    item_indices:
-        Optional subset of item indices to restrict the construction to (used
-        by the convex-layer optimisation); defaults to all items.
-
-    Returns
-    -------
-    list of Hyperplane
-        One hyperplane per exchanging pair, labelled with the pair's original
-        item indices.
-    """
-    return hyperplanes_for_dataset(dataset, item_indices, method="batched")
-
-
-def build_exchange_hyperplanes_reference(
-    dataset: Dataset, item_indices: np.ndarray | None = None
-) -> list[Hyperplane]:
-    """Scalar per-pair reference implementation of :func:`build_exchange_hyperplanes`.
-
-    Retained so tests can verify the vectorised pair enumeration selects
-    exactly the same pairs (and therefore the same hyperplanes).
-    """
-    if dataset.n_attributes < 3:
-        raise GeometryError("build_exchange_hyperplanes requires d >= 3")
-    if item_indices is None:
-        indices = np.arange(dataset.n_items)
-    else:
-        indices = np.asarray(item_indices, dtype=int)
-    scores = dataset.scores
-    hyperplanes: list[Hyperplane] = []
-    for position_i in range(indices.size - 1):
-        i = int(indices[position_i])
-        for position_j in range(position_i + 1, indices.size):
-            j = int(indices[position_j])
-            if not has_exchange(scores[i], scores[j]):
-                continue
-            hyperplanes.append(hyperpolar(scores[i], scores[j], label=(i, j)))
-    return hyperplanes

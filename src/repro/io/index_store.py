@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.approx import MDApproxIndex, PreprocessingTimings
+from repro.core.approx import MDApproxIndex
 from repro.core.multi_dim import MDExactIndex, SatisfactoryRegion
 from repro.core.two_dim import AngularInterval, TwoDIndex
 from repro.data.dataset import Dataset
@@ -327,12 +327,6 @@ def approx_index_to_dict(index: MDApproxIndex, include_dataset: bool = False) ->
         "marked": [bool(flag) for flag in index.marked],
         "n_hyperplanes": index.n_hyperplanes,
         "oracle_calls": index.oracle_calls,
-        "timings": {
-            "hyperplane_construction": index.timings.hyperplane_construction,
-            "cell_plane_assignment": index.timings.cell_plane_assignment,
-            "mark_cells": index.timings.mark_cells,
-            "cell_coloring": index.timings.cell_coloring,
-        },
     }
     if include_dataset:
         payload["dataset"] = dataset_to_dict(index.dataset)
@@ -349,7 +343,8 @@ def approx_index_from_dict(
     Parameters
     ----------
     payload:
-        Output of :func:`approx_index_to_dict`.
+        Output of :func:`approx_index_to_dict`.  Keys it does not read, such
+        as the ``timings`` block older versions wrote, are ignored.
     oracle:
         The fairness oracle (``MDONLINE`` re-checks queries against it).
     dataset:
@@ -388,13 +383,6 @@ def approx_index_from_dict(
         None if angles is None else np.asarray(angles, dtype=float) for angles in assigned_payload
     ]
     marked = [bool(flag) for flag in payload.get("marked", [False] * len(assigned))]
-    timings_payload = payload.get("timings", {})
-    timings = PreprocessingTimings(
-        hyperplane_construction=float(timings_payload.get("hyperplane_construction", 0.0)),
-        cell_plane_assignment=float(timings_payload.get("cell_plane_assignment", 0.0)),
-        mark_cells=float(timings_payload.get("mark_cells", 0.0)),
-        cell_coloring=float(timings_payload.get("cell_coloring", 0.0)),
-    )
     return MDApproxIndex(
         dataset=dataset,
         oracle=oracle,
@@ -404,7 +392,6 @@ def approx_index_from_dict(
         cell_plane_index=None,
         n_hyperplanes=int(payload.get("n_hyperplanes", 0)),
         oracle_calls=int(payload.get("oracle_calls", 0)),
-        timings=timings,
     )
 
 

@@ -22,17 +22,13 @@ argument and the worker-failure semantics.
 """
 
 from repro.parallel.pool import PoolConfig, PoolEngine
-from repro.parallel.preprocess import (
-    parallel_exchange_angles_2d,
-    parallel_hyperplanes_for_dataset,
-)
+from repro.parallel.preprocess import parallel_hyperplanes_for_dataset
 from repro.parallel.shards import derive_shard_seed, plan_shards
 
 __all__ = [
     "PoolConfig",
     "PoolEngine",
     "derive_shard_seed",
-    "parallel_exchange_angles_2d",
     "parallel_hyperplanes_for_dataset",
     "plan_shards",
 ]

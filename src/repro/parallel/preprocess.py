@@ -9,9 +9,9 @@ very same blocks out over a ``ProcessPoolExecutor``:
 * every worker runs :func:`repro.data.dominance.exchange_pairs_for_block` —
   the exact kernel the serial generator runs — over the exact block bounds
   the serial chunking would use;
-* per-pair construction (``hyperpolar_many`` / the scalar reference loop) is
-  independent per pair, so constructing a whole block in a worker and taking
-  a prefix in the parent equals constructing the prefix serially;
+* per-pair construction (``hyperpolar_many``) is independent per pair, so
+  constructing a whole block in a worker and taking a prefix in the parent
+  equals constructing the prefix serially;
 * the parent merges results **in chunk-submission order**, never in
   completion order, so the assembled list is bit-identical to the serial one
   regardless of worker count or scheduling;
@@ -36,12 +36,9 @@ from repro.data.dataset import Dataset
 from repro.data.dominance import default_row_chunk_size, exchange_pairs_for_block
 from repro.exceptions import ConfigurationError, DatasetError, GeometryError
 from repro.geometry.dual import (
-    HYPERPLANE_METHODS,
     ExchangeArrays,
-    _hyperpolar_unchecked,
     exchange_angles_for_pairs,
     exchange_arrays_2d,
-    exchange_triples,
     hyperpolar_many,
     hyperplanes_for_dataset,
 )
@@ -52,7 +49,6 @@ from repro.parallel.shards import derive_shard_seed, plan_shards
 
 __all__ = [
     "make_parallel_exchange_builder",
-    "parallel_exchange_angles_2d",
     "parallel_hyperplanes_for_dataset",
 ]
 
@@ -62,7 +58,6 @@ __all__ = [
 _SCORES: np.ndarray | None = None
 _RESTRICTED: np.ndarray | None = None
 _INDICES: np.ndarray | None = None
-_METHOD: str = "batched"
 _BASE_SEED: int = 0
 _RNG: np.random.Generator | None = None
 
@@ -90,16 +85,14 @@ def _init_hyperplane_worker(
     scores: np.ndarray,
     restricted: np.ndarray,
     indices: np.ndarray,
-    method: str,
     base_seed: int,
 ) -> None:
     """Per-worker setup: detach inherited obs state, pin the shared inputs."""
-    global _SCORES, _RESTRICTED, _INDICES, _METHOD, _BASE_SEED
+    global _SCORES, _RESTRICTED, _INDICES, _BASE_SEED
     reset_stage_recorder()
     _SCORES = scores
     _RESTRICTED = restricted
     _INDICES = indices
-    _METHOD = method
     _BASE_SEED = base_seed
 
 
@@ -115,20 +108,13 @@ def _hyperplane_chunk_task(chunk_index: int, start: int, stop: int) -> list[Hype
     position_pairs = exchange_pairs_for_block(_RESTRICTED, start, stop)
     if position_pairs.shape[0] == 0:
         return []
-    global_pairs = _INDICES[position_pairs]
-    if _METHOD == "batched":
-        return hyperpolar_many(_SCORES, global_pairs)
-    return [
-        _hyperpolar_unchecked(_SCORES[i], _SCORES[j], (i, j))
-        for i, j in global_pairs.tolist()
-    ]
+    return hyperpolar_many(_SCORES, _INDICES[position_pairs])
 
 
 def parallel_hyperplanes_for_dataset(
     dataset: Dataset,
     item_indices: np.ndarray | None = None,
     *,
-    method: str = "batched",
     n_workers: int = 1,
     pair_chunk_size: int | None = None,
     max_hyperplanes: int | None = None,
@@ -161,17 +147,11 @@ def parallel_hyperplanes_for_dataset(
         return hyperplanes_for_dataset(
             dataset,
             item_indices,
-            method=method,
             pair_chunk_size=pair_chunk_size,
             max_hyperplanes=max_hyperplanes,
         )
     if dataset.n_attributes < 3:
         raise GeometryError("hyperplanes_for_dataset requires d >= 3")
-    if method not in HYPERPLANE_METHODS:
-        raise GeometryError(
-            f"unknown hyperplane construction method {method!r}; "
-            f"expected one of {HYPERPLANE_METHODS}"
-        )
     if max_hyperplanes is not None and max_hyperplanes < 0:
         raise GeometryError("max_hyperplanes must be non-negative")
     if max_hyperplanes == 0:
@@ -197,7 +177,7 @@ def parallel_hyperplanes_for_dataset(
         min(n_workers, len(bounds)),
         start_method,
         _init_hyperplane_worker,
-        (scores, restricted, indices, method, seed),
+        (scores, restricted, indices, seed),
     ) as executor:
         futures = [
             executor.submit(_hyperplane_chunk_task, chunk_index, start, stop)
@@ -261,7 +241,7 @@ def _parallel_exchange_arrays_2d(
     if n_workers == 1:
         return exchange_arrays_2d(dataset)
     if dataset.n_attributes != 2:
-        raise GeometryError("build_exchange_angles_2d requires a 2-attribute dataset")
+        raise GeometryError("sharded exchange_arrays_2d requires a 2-attribute dataset")
     scores = dataset.scores
     n = dataset.n_items
     if row_chunk_size is None:
@@ -289,23 +269,6 @@ def _parallel_exchange_arrays_2d(
                     span.set("n_exchanges", int(chunk[0].size))
             chunks.append(chunk)
     return tuple(np.concatenate(column) for column in zip(*chunks))
-
-
-def parallel_exchange_angles_2d(
-    dataset: Dataset,
-    *,
-    n_workers: int = 1,
-    row_chunk_size: int | None = None,
-    start_method: str | None = None,
-    seed: int = 0,
-) -> list[tuple[float, int, int]]:
-    """Sharded-parallel :func:`repro.geometry.dual.build_exchange_angles_2d`.
-
-    The triples of the sharded exchange arrays: the serial triple list exactly.
-    """
-    return exchange_triples(
-        _parallel_exchange_arrays_2d(dataset, n_workers, row_chunk_size, start_method, seed)
-    )
 
 
 def make_parallel_exchange_builder(

@@ -99,30 +99,14 @@ def payload_bytes(engine) -> bytes | None:
     ``None`` for engines that refuse to serialise (the serving composites
     raise ``ConfigurationError`` from ``to_payload``), so two such engines
     compare equal — per the contract that a pool *is* its inner engine's
-    state plus serving topology.
-
-    The per-stage ``timings`` profile (wall-clock seconds recorded during
-    preprocessing) is scrubbed before comparison: it is observability
-    metadata riding along in the payload, not index state, and wall clocks
-    are the one thing two bit-identical preprocessing runs never agree on.
+    state plus serving topology.  Payloads carry no wall-clock data, so the
+    bytes are compared whole.
     """
     try:
         payload = engine.to_payload()
     except ConfigurationError:
         return None
-    return json.dumps(_scrub_timings(payload), sort_keys=True).encode("utf-8")
-
-
-def _scrub_timings(value):
-    if isinstance(value, dict):
-        return {
-            key: _scrub_timings(item)
-            for key, item in value.items()
-            if key != "timings"
-        }
-    if isinstance(value, list):
-        return [_scrub_timings(item) for item in value]
-    return value
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 def make_weight_grid(n_queries: int, dimension: int, seed: int = 0) -> np.ndarray:

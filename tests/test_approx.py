@@ -18,6 +18,7 @@ from repro.fairness.oracle import CallableOracle
 from repro.fairness.proportional import TopKGroupBoundOracle
 from repro.geometry.angles import to_weights
 from repro.geometry.partition import UniformGridPartition, theorem6_bound
+from repro.obs.trace import TraceRecorder, activated
 from repro.ranking.queries import random_queries
 from repro.ranking.scoring import LinearScoringFunction
 
@@ -76,11 +77,24 @@ class TestPreprocessing:
             assert oracle.evaluate_function(function, dataset)
 
     def test_timings_recorded(self, approx_setup):
-        _, _, index = approx_setup
-        timings = index.timings
-        assert timings.total >= timings.mark_cells
-        assert timings.mark_cells > 0.0
-        assert timings.hyperplane_construction > 0.0
+        """Each pipeline stage is timed by exactly one ``preprocess.*`` stage span."""
+        dataset, oracle, _ = approx_setup
+        recorder = TraceRecorder()
+        with activated(recorder):
+            ApproximatePreprocessor(dataset, oracle, n_cells=36, max_hyperplanes=30).run()
+        names = [span.name for span in recorder.spans]
+        seconds = {span.name: span.duration for span in recorder.spans}
+        stages = (
+            "preprocess.hyperplane_construction",
+            "preprocess.cell_plane_assignment",
+            "preprocess.mark_cells",
+            "preprocess.cell_coloring",
+        )
+        assert all(names.count(stage) == 1 for stage in stages)
+        total = sum(seconds[stage] for stage in stages)
+        assert total >= seconds["preprocess.mark_cells"]
+        assert seconds["preprocess.mark_cells"] > 0.0
+        assert seconds["preprocess.hyperplane_construction"] > 0.0
 
     def test_approximation_bound_matches_theorem6(self, approx_setup):
         _, _, index = approx_setup

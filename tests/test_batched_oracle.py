@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.exchanges import build_exchange_hyperplanes_reference
 
 from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online_lookup
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
@@ -283,15 +284,21 @@ class TestOrderMany:
 
 
 class TestHyperplaneCap:
-    @pytest.mark.parametrize("method", ["batched", "scalar"])
-    def test_capped_construction_equals_uncapped_prefix(self, method):
+    @pytest.mark.parametrize(
+        "uncapped_builder",
+        [
+            pytest.param(hyperplanes_for_dataset, id="batched"),
+            pytest.param(build_exchange_hyperplanes_reference, id="scalar"),
+        ],
+    )
+    def test_capped_construction_equals_uncapped_prefix(self, uncapped_builder):
         dataset = _compas(25, seed=12, d=3)
-        full = hyperplanes_for_dataset(dataset, method=method)
+        full = uncapped_builder(dataset)
         for cap in (0, 1, 7, len(full), len(full) + 10):
             capped = hyperplanes_for_dataset(
-                dataset, method=method, max_hyperplanes=cap, pair_chunk_size=3
+                dataset, max_hyperplanes=cap, pair_chunk_size=3
             )
-            assert capped == full[: cap]
+            assert capped == full[:cap]
 
     def test_preprocessor_and_satregions_honor_the_cap(self):
         dataset = _compas(25, seed=13, d=3)

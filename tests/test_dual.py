@@ -14,21 +14,25 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference.exchanges import (
+    build_exchange_angles_2d_reference,
+    build_exchange_hyperplanes_reference,
+    exchange_rows,
+)
 
 from repro.data.dataset import Dataset
 from repro.exceptions import GeometryError
 from repro.geometry.angles import to_weights
 from repro.geometry.dual import (
-    build_exchange_angles_2d,
-    build_exchange_hyperplanes,
-    build_exchange_hyperplanes_reference,
     exchange_angle_2d,
+    exchange_arrays_2d,
     exchange_normal,
     has_exchange,
     hyperplanes_for_dataset,
     hyperpolar,
     hyperpolar_many,
 )
+from repro.parallel.preprocess import make_parallel_exchange_builder
 
 
 def item_vectors(dimension: int):
@@ -141,17 +145,23 @@ class TestHyperpolar:
 
 class TestBatchConstruction:
     def test_build_exchange_angles_counts(self, paper_2d_dataset):
-        exchanges = build_exchange_angles_2d(paper_2d_dataset)
+        exchanges = exchange_rows(exchange_arrays_2d(paper_2d_dataset))
         # All 5 items of Figure 3 are mutually non-dominated: C(5,2)=10 exchanges.
         assert len(exchanges) == 10
         assert all(0.0 <= angle <= math.pi / 2 for angle, _, _ in exchanges)
+        assert exchanges == exchange_rows(build_exchange_angles_2d_reference(paper_2d_dataset))
 
     def test_build_exchange_angles_requires_2d(self, paper_3d_dataset):
-        with pytest.raises(GeometryError):
-            build_exchange_angles_2d(paper_3d_dataset)
+        with pytest.raises(GeometryError, match="^exchange_arrays_2d requires"):
+            exchange_arrays_2d(paper_3d_dataset)
+
+    def test_sharded_exchange_builder_requires_2d(self, paper_3d_dataset):
+        build = make_parallel_exchange_builder(2)
+        with pytest.raises(GeometryError, match="^sharded exchange_arrays_2d requires"):
+            build(paper_3d_dataset)
 
     def test_build_exchange_hyperplanes(self, paper_3d_dataset):
-        hyperplanes = build_exchange_hyperplanes(paper_3d_dataset)
+        hyperplanes = hyperplanes_for_dataset(paper_3d_dataset)
         labels = {plane.label for plane in hyperplanes}
         assert all(i < j for i, j in labels)
         # t3=(5.3,1,6) vs t1=(1,2,3): t3 does not dominate t1 (1 < 2 on y), so
@@ -159,18 +169,18 @@ class TestBatchConstruction:
         assert len(hyperplanes) >= 4
 
     def test_build_exchange_hyperplanes_subset(self, paper_3d_dataset):
-        subset = build_exchange_hyperplanes(paper_3d_dataset, item_indices=np.array([0, 1]))
+        subset = hyperplanes_for_dataset(paper_3d_dataset, item_indices=np.array([0, 1]))
         assert len(subset) == 1
         assert subset[0].label == (0, 1)
 
     def test_build_exchange_hyperplanes_requires_md(self, paper_2d_dataset):
         with pytest.raises(GeometryError):
-            build_exchange_hyperplanes(paper_2d_dataset)
+            hyperplanes_for_dataset(paper_2d_dataset)
 
     def test_dominated_pairs_are_skipped(self):
         scores = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 1.0, 2.0]])
         dataset = Dataset(scores=scores, scoring_attributes=["a", "b", "c"])
-        labels = {plane.label for plane in build_exchange_hyperplanes(dataset)}
+        labels = {plane.label for plane in hyperplanes_for_dataset(dataset)}
         assert (0, 1) not in labels  # item 1 dominates item 0
         assert (1, 2) in labels
 
@@ -190,13 +200,11 @@ class TestHyperpolarMany:
     @pytest.mark.parametrize("dimension", [3, 4, 5])
     def test_bit_identical_to_scalar_reference(self, dimension):
         dataset = uniform_dataset(40, dimension, seed=dimension)
-        batched = hyperplanes_for_dataset(dataset, method="batched")
-        scalar = hyperplanes_for_dataset(dataset, method="scalar")
+        batched = hyperplanes_for_dataset(dataset)
         reference = build_exchange_hyperplanes_reference(dataset)
         assert len(batched) > 0
         # Hyperplane is a frozen dataclass: == compares the exact coefficient
         # tuples and labels, so this asserts bit-identity, not approximation.
-        assert batched == scalar
         assert batched == reference
 
     @pytest.mark.perf_smoke
@@ -239,10 +247,6 @@ class TestHyperpolarMany:
             hyperpolar_many(
                 paper_3d_dataset.scores, np.array([[0, 1]]), labels=[(0, 1), (1, 2)]
             )
-
-    def test_unknown_method_raises(self, paper_3d_dataset):
-        with pytest.raises(GeometryError):
-            hyperplanes_for_dataset(paper_3d_dataset, method="turbo")
 
     def test_subset_matches_reference(self, paper_3d_dataset):
         indices = np.array([3, 0, 2])

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference.exchanges import build_exchange_hyperplanes_reference
 
 from repro.core.engine import (
     ApproxConfig,
@@ -137,31 +138,53 @@ class TestRegistry:
             ExactEngine(dataset, oracle, ApproxConfig())
 
     def test_approx_config_validates_fields(self):
-        with pytest.raises(ConfigurationError):
-            ApproxConfig(n_cells=0)
-        with pytest.raises(ConfigurationError):
-            ApproxConfig(partition="weird")
+        """Out-of-range fields of every config raise at construction, naming the field."""
+        invalid = [
+            (ApproxConfig, {"n_cells": 0}),
+            (ApproxConfig, {"partition": "weird"}),
+            (TwoDConfig, {"sample_size": 0}),
+            (ExactConfig, {"sample_size": 0}),
+            (ApproxConfig, {"sample_size": -3}),
+            (ExactConfig, {"max_hyperplanes": -1}),
+            (ApproxConfig, {"max_hyperplanes": -1}),
+            (ExactConfig, {"convex_layer_k": 0}),
+            (ApproxConfig, {"convex_layer_k": 0}),
+            (TwoDConfig, {"preprocess_workers": 0}),
+            (ExactConfig, {"preprocess_workers": 0}),
+            (ApproxConfig, {"preprocess_workers": 0}),
+            (TwoDConfig, {"staleness_fraction": 1.5}),
+            (ExactConfig, {"staleness_fraction": -0.1}),
+        ]
+        for config_type, values in invalid:
+            (field,) = values
+            with pytest.raises(ConfigurationError, match=field):
+                config_type(**values)
+        # The boundary values themselves are legal.
+        TwoDConfig(sample_size=1, staleness_fraction=0.0)
+        ExactConfig(max_hyperplanes=0, convex_layer_k=1, sample_size=1)
+        ApproxConfig(max_hyperplanes=0, convex_layer_k=1, staleness_fraction=1.0)
 
-    def test_hyperplane_method_validated(self):
-        with pytest.raises(ConfigurationError):
-            ExactConfig(hyperplane_method="turbo")
-        with pytest.raises(ConfigurationError):
-            ApproxConfig(hyperplane_method="turbo")
-        assert ExactConfig().hyperplane_method == "batched"
-        assert ApproxConfig().hyperplane_method == "batched"
+
+def _reference_hyperplanes(dataset, item_indices=None, *, max_hyperplanes=None):
+    """Stand-in for ``hyperplanes_for_dataset`` built by the scalar per-pair reference."""
+    return build_exchange_hyperplanes_reference(dataset, item_indices)[:max_hyperplanes]
 
 
 @pytest.mark.perf_smoke
 class TestHyperplaneMethodEquivalence:
-    """Both d >= 3 engines must preprocess identically under either method."""
+    """Both d >= 3 engines must preprocess identically from the batched
+    production kernel and from the scalar per-pair reference in ``tests/reference/``."""
 
-    def test_exact_engine_batched_matches_scalar(self, md_dataset_oracle):
+    def test_exact_engine_batched_matches_scalar(self, md_dataset_oracle, monkeypatch):
         dataset, oracle = md_dataset_oracle
         batched = FairRankingDesigner(
             dataset, oracle, ExactConfig(max_hyperplanes=20)
         ).preprocess()
+        monkeypatch.setattr(
+            "repro.core.multi_dim.hyperplanes_for_dataset", _reference_hyperplanes
+        )
         scalar = FairRankingDesigner(
-            dataset, oracle, ExactConfig(max_hyperplanes=20, hyperplane_method="scalar")
+            dataset, oracle, ExactConfig(max_hyperplanes=20)
         ).preprocess()
         assert batched.index.n_hyperplanes == scalar.index.n_hyperplanes
         assert batched.index.oracle_calls == scalar.index.oracle_calls
@@ -171,15 +194,14 @@ class TestHyperplaneMethodEquivalence:
         queries = _random_queries(4, 3, seed=2)
         assert batched.suggest_many(queries) == scalar.suggest_many(queries)
 
-    def test_approx_engine_batched_matches_scalar(self, md_dataset_oracle):
+    def test_approx_engine_batched_matches_scalar(self, md_dataset_oracle, monkeypatch):
         dataset, oracle = md_dataset_oracle
         batched = FairRankingDesigner(
             dataset, oracle, ApproxConfig(n_cells=25, max_hyperplanes=25)
         ).preprocess()
+        monkeypatch.setattr("repro.core.approx.hyperplanes_for_dataset", _reference_hyperplanes)
         scalar = FairRankingDesigner(
-            dataset,
-            oracle,
-            ApproxConfig(n_cells=25, max_hyperplanes=25, hyperplane_method="scalar"),
+            dataset, oracle, ApproxConfig(n_cells=25, max_hyperplanes=25)
         ).preprocess()
         assert batched.index.oracle_calls == scalar.index.oracle_calls
         assert batched.index.marked == scalar.index.marked

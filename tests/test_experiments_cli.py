@@ -142,6 +142,8 @@ class TestWorkloadsSmallScale:
         totals = sweep.series["total_seconds"].ys
         marks = sweep.series["mark_cell_seconds"].ys
         assert all(total >= mark for total, mark in zip(totals, marks))
+        assert all(mark > 0.0 for mark in marks)
+        assert all(seconds > 0.0 for seconds in sweep.series["hyperplane_seconds"].ys)
 
     def test_fig23(self):
         sweep = experiment_fig23_preprocessing_vs_d(

@@ -1,10 +1,12 @@
 """Equivalence tests for the vectorized + incremental sweep hot path.
 
-Three retained reference paths anchor these tests:
+Three reference paths anchor these tests:
 
-* the scalar per-pair exchange construction
+* the scalar per-pair exchange construction of ``tests/reference/``
   (``build_exchange_angles_2d_reference`` / ``build_exchange_hyperplanes_reference``),
-* black-box per-sector oracle evaluation (``TwoDRaySweep(use_incremental=False)``),
+* black-box per-sector oracle evaluation — the route a
+  :class:`~repro.fairness.oracle.CallableOracle` takes, so wrapping an
+  oracle's ``is_satisfactory`` in one forces it,
 * the per-swap ``begin``/``apply_swap``/``verdict`` loop, which the array
   sweep kernel must reproduce wherever it runs.
 
@@ -19,6 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.exchanges import (
+    build_exchange_angles_2d_reference,
+    build_exchange_hyperplanes_reference,
+    exchange_rows,
+)
 
 from repro.core.two_dim import _ANGLE_GROUP_TOLERANCE, TwoDRaySweep, _group_starts
 from repro.data.dataset import Dataset
@@ -35,13 +42,7 @@ from repro.fairness.multi_attribute import MultiAttributeOracle
 from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
 from repro.fairness.prefix import MinimumAtEveryPrefixOracle, PrefixProportionalOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
-from repro.geometry.dual import (
-    build_exchange_angles_2d,
-    build_exchange_angles_2d_reference,
-    build_exchange_hyperplanes,
-    build_exchange_hyperplanes_reference,
-    has_exchange,
-)
+from repro.geometry.dual import exchange_arrays_2d, has_exchange, hyperplanes_for_dataset
 from repro.obs.instrument import InstrumentedOracle
 from repro.obs.trace import TraceRecorder, activated
 
@@ -86,8 +87,8 @@ class TestVectorizedKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exchange_angles_match_reference_exactly(self, seed):
         dataset = _compas_2d(60, seed)
-        assert build_exchange_angles_2d(dataset) == build_exchange_angles_2d_reference(
-            dataset
+        assert exchange_rows(exchange_arrays_2d(dataset)) == exchange_rows(
+            build_exchange_angles_2d_reference(dataset)
         )
 
     def test_exchange_angles_with_duplicates_and_dominated_rows(self):
@@ -101,8 +102,8 @@ class TestVectorizedKernels:
             ]
         )
         dataset = Dataset(scores=scores, scoring_attributes=["x", "y"])
-        vectorized = build_exchange_angles_2d(dataset)
-        assert vectorized == build_exchange_angles_2d_reference(dataset)
+        vectorized = exchange_rows(exchange_arrays_2d(dataset))
+        assert vectorized == exchange_rows(build_exchange_angles_2d_reference(dataset))
         labels = {(i, j) for _, i, j in vectorized}
         assert (0, 1) not in labels
         assert (0, 4) not in labels
@@ -113,7 +114,7 @@ class TestVectorizedKernels:
         dataset = make_compas_like(n=30, seed=seed).project(
             ["c_days_from_compas", "juv_other_count", "start"]
         )
-        vectorized = build_exchange_hyperplanes(dataset)
+        vectorized = hyperplanes_for_dataset(dataset)
         reference = build_exchange_hyperplanes_reference(dataset)
         assert [(p.label, p.coefficients) for p in vectorized] == [
             (p.label, p.coefficients) for p in reference
@@ -121,7 +122,7 @@ class TestVectorizedKernels:
 
     def test_exchange_hyperplanes_subset_match_reference(self, paper_3d_dataset):
         indices = np.array([2, 0, 3])
-        vectorized = build_exchange_hyperplanes(paper_3d_dataset, item_indices=indices)
+        vectorized = hyperplanes_for_dataset(paper_3d_dataset, item_indices=indices)
         reference = build_exchange_hyperplanes_reference(
             paper_3d_dataset, item_indices=indices
         )
@@ -216,7 +217,7 @@ class TestIncrementalProtocol:
         assert as_incremental(shared) is None
         nested = OrOracle([leaf, AndOracle([leaf])])
         assert as_incremental(nested) is None
-        black_box = TwoDRaySweep(dataset, shared, use_incremental=False).run()
+        black_box = TwoDRaySweep(dataset, CallableOracle(shared.is_satisfactory)).run()
         swept = TwoDRaySweep(dataset, shared).run()
         assert [(iv.start, iv.end) for iv in swept.intervals] == [
             (iv.start, iv.end) for iv in black_box.intervals
@@ -240,8 +241,7 @@ class TestIncrementalProtocol:
         assert as_incremental(stricter) is None
         reference = TwoDRaySweep(
             dataset,
-            CountingOracle(stricter),
-            use_incremental=False,
+            CallableOracle(stricter.is_satisfactory),
             exchange_builder=build_exchange_angles_2d_reference,
         ).run()
         swept = TwoDRaySweep(dataset, stricter).run()
@@ -274,8 +274,7 @@ class TestSweepEquivalence:
 
         reference = TwoDRaySweep(
             dataset,
-            black_box,
-            use_incremental=False,
+            CallableOracle(black_box.is_satisfactory),
             exchange_builder=build_exchange_angles_2d_reference,
         ).run()
         fast = TwoDRaySweep(dataset, incremental).run()
@@ -301,7 +300,7 @@ class TestSweepEquivalence:
             TopKGroupBoundOracle("group", "a", k=5, max_count=3)
         )
         black_box, incremental = oracle_factory(), oracle_factory()
-        reference = TwoDRaySweep(dataset, black_box, use_incremental=False).run()
+        reference = TwoDRaySweep(dataset, CallableOracle(black_box.is_satisfactory)).run()
         fast = TwoDRaySweep(dataset, incremental).run()
         assert [(iv.start, iv.end) for iv in fast.intervals] == [
             (iv.start, iv.end) for iv in reference.intervals
@@ -351,11 +350,11 @@ class _PerSwapOnly(FairnessOracle):
         return self.inner.verdict()
 
 
-def _traced_sweep(dataset: Dataset, oracle, **options) -> tuple[tuple, dict]:
+def _traced_sweep(dataset: Dataset, oracle) -> tuple[tuple, dict]:
     """Sweep under a recorder: a bit-level fingerprint and the sweep span's attributes."""
     recorder = TraceRecorder()
     with activated(recorder):
-        index = TwoDRaySweep(dataset, oracle, **options).run()
+        index = TwoDRaySweep(dataset, oracle).run()
     (span,) = [span for span in recorder.spans if span.name == "preprocess.sweep"]
     fingerprint = (
         [(interval.start.hex(), interval.end.hex()) for interval in index.intervals],
@@ -370,7 +369,9 @@ def _assert_routes_agree(dataset: Dataset, make_oracle) -> dict:
     default, per_swap, black_box = (CountingOracle(make_oracle()) for _ in range(3))
     fast, attributes = _traced_sweep(dataset, default)
     looped, looped_attributes = _traced_sweep(dataset, _PerSwapOnly(per_swap))
-    reference, reference_attributes = _traced_sweep(dataset, black_box, use_incremental=False)
+    reference, reference_attributes = _traced_sweep(
+        dataset, CallableOracle(black_box.is_satisfactory)
+    )
     assert (looped_attributes["kernel"], looped_attributes["incremental"]) == ("loop", True)
     assert (reference_attributes["kernel"], reference_attributes["incremental"]) == (
         "loop",
@@ -494,7 +495,7 @@ class TestArraySweepKernel:
             attributes = _assert_routes_agree(
                 dataset, lambda: _degenerate_oracles(dataset)[oracle_index]
             )
-            n_exchanges = len(build_exchange_angles_2d(dataset))
+            n_exchanges = exchange_arrays_2d(dataset)[0].size
             assert attributes["n_sectors"] < n_exchanges + 1
 
     @pytest.mark.parametrize("seed", [0, 7])

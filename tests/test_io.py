@@ -6,13 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from differential import assert_engines_equivalent, make_weight_grid, payload_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.core.multi_dim import SatRegions, md_baseline
 from repro.core.two_dim import AngularInterval, TwoDIndex
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, DatasetError, GeometryError
+from repro.fairness.oracle import CountingOracle
 from repro.geometry.angles import HALF_PI
 from repro.io import (
     approx_index_from_dict,
@@ -22,12 +25,15 @@ from repro.io import (
     exact_index_from_dict,
     exact_index_to_dict,
     load_dataset_json,
+    load_engine,
     load_index,
     save_dataset_json,
+    save_engine,
     save_index,
     two_d_index_from_dict,
     two_d_index_to_dict,
 )
+from repro.io.index_store import payload_checksum
 from repro.ranking.scoring import LinearScoringFunction
 
 
@@ -253,14 +259,6 @@ class TestApproxIndexStore:
                 payload, oracle=shared_race_oracle_3d, dataset=shared_compas_3d
             )
 
-    def test_timings_preserved(self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d):
-        rebuilt = approx_index_from_dict(
-            approx_index_to_dict(shared_approx_index),
-            oracle=shared_race_oracle_3d,
-            dataset=shared_compas_3d,
-        )
-        assert rebuilt.timings.total == pytest.approx(shared_approx_index.timings.total)
-
     def test_payload_is_json_serialisable(self, shared_approx_index):
         json.dumps(approx_index_to_dict(shared_approx_index, include_dataset=True))
 
@@ -284,3 +282,59 @@ class TestLoadIndexDispatch:
     def test_rejects_unknown_object(self, tmp_path):
         with pytest.raises(ConfigurationError):
             save_index(object(), tmp_path / "x.json")  # type: ignore[arg-type]
+
+
+# --------------------------------------------------------------------------- #
+# engine payload bytes across runs and versions
+# --------------------------------------------------------------------------- #
+def _preprocessed(dataset, oracle, config):
+    return create_engine(dataset, CountingOracle(oracle), config).preprocess()
+
+
+class TestEnginePayloadBytes:
+    def test_identical_approximate_preprocesses_give_identical_bytes(
+        self, shared_compas_3d, shared_race_oracle_3d
+    ):
+        config = ApproxConfig(n_cells=8, max_hyperplanes=10)
+        first = _preprocessed(shared_compas_3d, shared_race_oracle_3d, config)
+        second = _preprocessed(shared_compas_3d, shared_race_oracle_3d, config)
+        assert payload_bytes(first) == payload_bytes(second)
+
+    @pytest.mark.parametrize(
+        "config, removed_key, removed_value",
+        [
+            (TwoDConfig(), "use_incremental", True),
+            (ExactConfig(max_hyperplanes=12), "hyperplane_method", "batched"),
+            (ApproxConfig(n_cells=8, max_hyperplanes=10), "hyperplane_method", "batched"),
+        ],
+        ids=["2d", "exact", "approximate"],
+    )
+    def test_payload_with_a_removed_config_key_still_loads(
+        self, config, removed_key, removed_value, shared_compas_3d, shared_race_oracle_3d, tmp_path
+    ):
+        """A file carrying a config key (and approximate ``timings``) this version dropped."""
+        dataset = shared_compas_3d
+        if isinstance(config, TwoDConfig):
+            dataset = dataset.project(["c_days_from_compas", "juv_other_count"])
+        path = tmp_path / "engine.json"
+        save_engine(_preprocessed(dataset, shared_race_oracle_3d, config), path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        payload = document["payload"]
+        payload["config"][removed_key] = removed_value
+        if payload["engine"] == "approximate":
+            payload["index"]["timings"] = {
+                "hyperplane_construction": 0.01,
+                "cell_plane_assignment": 0.02,
+                "mark_cells": 0.3,
+                "cell_coloring": 0.004,
+            }
+        document["digest"] = payload_checksum(payload)
+        path.write_text(json.dumps(document), encoding="utf-8")
+
+        with pytest.warns(UserWarning) as caught:
+            loaded = load_engine(path, CountingOracle(shared_race_oracle_3d))
+        messages = [str(r.message) for r in caught if issubclass(r.category, UserWarning)]
+        assert len(messages) == 1
+        assert removed_key in messages[0]
+        fresh = _preprocessed(dataset, shared_race_oracle_3d, config)
+        assert_engines_equivalent(loaded, fresh, make_weight_grid(12, dataset.n_attributes))

@@ -16,6 +16,9 @@ d ∈ {2, 3, 4}.  Three angles of attack:
   caps 0 and "everything";
 * the 2-D exchange-angle merge must reproduce the serial kernel exactly.
 
+Both merges are also checked against the scalar per-pair references in
+``tests/reference/``, so parallel ≡ serial ≡ reference.
+
 These run on any machine: the merge path only needs ``n_workers >= 2``
 *requested*, not two physical CPUs (the executors are short-lived and the
 datasets tiny).
@@ -25,14 +28,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference.exchanges import (
+    build_exchange_angles_2d_reference,
+    build_exchange_hyperplanes_reference,
+    exchange_rows,
+)
 
 from repro.data.dataset import Dataset
 from repro.data.dominance import exchange_pairs_for_block
-from repro.geometry.dual import build_exchange_angles_2d, hyperplanes_for_dataset
-from repro.parallel import (
-    parallel_exchange_angles_2d,
-    parallel_hyperplanes_for_dataset,
-)
+from repro.geometry.dual import exchange_arrays_2d, hyperplanes_for_dataset
+from repro.parallel import parallel_hyperplanes_for_dataset
+from repro.parallel.preprocess import make_parallel_exchange_builder
 from repro.parallel.shards import plan_shards
 
 pytestmark = pytest.mark.parallel
@@ -59,6 +65,7 @@ def test_hyperplane_merge_invariant_to_chunks_and_workers(seed, dimension):
     dataset = _random_dataset(rng, dimension)
     serial = hyperplanes_for_dataset(dataset)
     assert serial, "a random continuous dataset must have exchange hyperplanes"
+    assert serial == build_exchange_hyperplanes_reference(dataset)
     for chunk_size in (1, 5, dataset.n_items):
         for n_workers in (1, 2):
             parallel = parallel_hyperplanes_for_dataset(
@@ -107,26 +114,26 @@ def test_cap_truncates_identically_at_shard_edges(seed):
 def test_exchange_angle_merge_matches_serial_2d(seed):
     rng = np.random.default_rng(seed)
     dataset = _random_dataset(rng, 2)
-    serial = build_exchange_angles_2d(dataset)
+    serial = exchange_rows(exchange_arrays_2d(dataset))
+    assert serial == exchange_rows(build_exchange_angles_2d_reference(dataset))
     for chunk_size in (1, 5, dataset.n_items):
-        parallel = parallel_exchange_angles_2d(
-            dataset, n_workers=2, row_chunk_size=chunk_size
-        )
-        assert parallel == serial, (
+        parallel = make_parallel_exchange_builder(2, row_chunk_size=chunk_size)(dataset)
+        assert exchange_rows(parallel) == serial, (
             f"2-D angle merge diverges at chunk_size={chunk_size} (seed {seed})"
         )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scalar_and_batched_methods_agree_in_parallel(seed):
-    """The per-pair scalar fallback and the stacked gufunc kernel stay
-    bit-identical when fanned over shards, exactly as they are serially."""
+    """The stacked gufunc kernel fanned over shards stays bit-identical to the
+    scalar per-pair reference, on all items and on an item subset (the
+    convex-layer route)."""
     rng = np.random.default_rng(seed)
     dataset = _random_dataset(rng, 3)
-    batched = parallel_hyperplanes_for_dataset(
-        dataset, n_workers=2, pair_chunk_size=7, method="batched"
-    )
-    scalar = parallel_hyperplanes_for_dataset(
-        dataset, n_workers=2, pair_chunk_size=7, method="scalar"
-    )
-    assert batched == scalar
+    subset = np.sort(rng.choice(dataset.n_items, size=dataset.n_items // 2, replace=False))
+    for item_indices in (None, subset):
+        batched = parallel_hyperplanes_for_dataset(
+            dataset, item_indices, n_workers=2, pair_chunk_size=7
+        )
+        scalar = build_exchange_hyperplanes_reference(dataset, item_indices)
+        assert batched == scalar
