@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ast
 from abc import ABC, abstractmethod
-from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.findings import Finding
@@ -31,7 +30,6 @@ __all__ = [
     "DeterminismRule",
     "ObsClockRule",
     "RegistryHygieneRule",
-    "DeltaEquivalenceRule",
     "all_rules",
     "rules_by_id",
     "SYNTAX_ERROR_RULE_ID",
@@ -528,109 +526,6 @@ class RegistryHygieneRule(Rule):
         yield from visit(module.tree)
 
 
-# --------------------------------------------------------------------------- #
-# delta-equivalence
-# --------------------------------------------------------------------------- #
-#: Differential harness whose fixture list every ``apply_delta`` override
-#: must appear in (path relative to the repo root).
-_DELTA_HARNESS_RELPATH = "tests/test_dynamic_equivalence.py"
-#: Module-level constant inside the harness naming the exercised engines.
-_DELTA_HARNESS_CONSTANT = "DELTA_EXERCISED_ENGINES"
-
-
-class DeltaEquivalenceRule(Rule):
-    """Every ``apply_delta`` override is pinned by the differential harness.
-
-    The PR-10 maintenance seam promises that applying a delta yields an
-    engine bit-identical to a from-scratch rebuild on the mutated dataset.
-    The base ``QueryEngine.apply_delta`` carries that proof via
-    ``tests/test_dynamic_equivalence.py``; any registered engine that
-    *overrides* ``apply_delta`` (wrappers like the pool, the instrumented
-    engine, or the fallback chain) re-implements the promise and so must be
-    named in that harness's ``DELTA_EXERCISED_ENGINES`` fixture list —
-    otherwise the override ships unproven.
-    """
-
-    rule_id = "delta-equivalence"
-    title = "apply_delta overrides must be exercised by the differential harness"
-    rationale = (
-        "PR 10: delta maintenance is only trusted because it is proven "
-        "bit-identical to a rebuild"
-    )
-
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        overriders = [
-            info
-            for info in model.classes()
-            if info.registered_engine is not None and "apply_delta" in info.methods
-        ]
-        if not overriders:
-            return
-        exercised = self._exercised_engines()
-        for info in overriders:
-            lineno = info.methods["apply_delta"].lineno
-            if exercised is None:
-                yield self._finding(
-                    info.module,
-                    lineno,
-                    f"engine '{info.registered_engine}' overrides apply_delta "
-                    f"but the differential harness ({_DELTA_HARNESS_RELPATH}) "
-                    f"or its {_DELTA_HARNESS_CONSTANT} list is missing",
-                    qualname=info.qualname,
-                )
-            elif info.registered_engine not in exercised:
-                yield self._finding(
-                    info.module,
-                    lineno,
-                    f"engine '{info.registered_engine}' overrides apply_delta "
-                    f"but is not listed in {_DELTA_HARNESS_CONSTANT} of "
-                    f"{_DELTA_HARNESS_RELPATH}: add it so the delta-vs-rebuild "
-                    "differential covers the override",
-                    qualname=info.qualname,
-                )
-
-    def _exercised_engines(self) -> frozenset[str] | None:
-        """Engine names the harness exercises, or ``None`` when unavailable.
-
-        The harness lives outside the scanned tree (``tests/`` vs
-        ``src/repro``), so it is located relative to this file's repo
-        checkout and parsed with :mod:`ast` — never imported, per the
-        linter's no-execution discipline.
-        """
-        harness = Path(__file__).resolve().parents[3] / _DELTA_HARNESS_RELPATH
-        try:
-            tree = ast.parse(harness.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError):
-            return None
-        for node in tree.body:
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            named = any(
-                isinstance(target, ast.Name)
-                and target.id == _DELTA_HARNESS_CONSTANT
-                for target in targets
-            )
-            if not named:
-                continue
-            if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                names = [
-                    element.value
-                    for element in value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                ]
-                return frozenset(names)
-            return None
-        return None
-
-
 def all_rules() -> tuple[Rule, ...]:
     """One instance of every built-in contract rule, in report order."""
     return (
@@ -640,7 +535,6 @@ def all_rules() -> tuple[Rule, ...]:
         DeterminismRule(),
         ObsClockRule(),
         RegistryHygieneRule(),
-        DeltaEquivalenceRule(),
     )
 
 

@@ -241,9 +241,6 @@ class ApproximatePreprocessor:
         self.max_hyperplanes = max_hyperplanes
         self.convex_layer_k = convex_layer_k
         self.preprocess_workers = preprocess_workers
-        #: Hyperplanes the last :meth:`run` consumed (built or injected); the
-        #: engines cache this list for incremental maintenance.
-        self.hyperplanes_: list[Hyperplane] = []
         dimension = dataset.n_attributes - 1
         if isinstance(partition, str):
             if partition == "uniform":
@@ -286,35 +283,23 @@ class ApproximatePreprocessor:
             max_hyperplanes=self.max_hyperplanes,
         )
 
-    def run(
-        self,
-        *,
-        hyperplanes: list[Hyperplane] | None = None,
-        cell_plane_index: CellPlaneIndex | None = None,
-    ) -> MDApproxIndex:
+    def run(self) -> MDApproxIndex:
         """Execute the full preprocessing pipeline and return the cell index.
 
-        ``hyperplanes`` and ``cell_plane_index`` inject precomputed oracle-free
-        geometry (the delta-maintenance path of
-        :meth:`repro.core.engine.ApproxEngine.apply_delta`): injected stages
-        are skipped — they emit no stage span — while marking and colouring
-        always re-run, since their oracle verdicts are data-dependent.
+        Each of the four stages runs under its own stage span.
         """
         index = MDApproxIndex(
             dataset=self.dataset, oracle=self.oracle, partition=self.partition
         )
 
-        if hyperplanes is None:
-            with stage_span("preprocess.hyperplane_construction") as span:
-                hyperplanes = self.build_hyperplanes()
-                if span is not None:
-                    span.set("n_hyperplanes", len(hyperplanes))
+        with stage_span("preprocess.hyperplane_construction") as span:
+            hyperplanes = self.build_hyperplanes()
+            if span is not None:
+                span.set("n_hyperplanes", len(hyperplanes))
         index.n_hyperplanes = len(hyperplanes)
-        self.hyperplanes_ = hyperplanes
 
-        if cell_plane_index is None:
-            with stage_span("preprocess.cell_plane_assignment"):
-                cell_plane_index = assign_hyperplanes_to_cells(self.partition, hyperplanes)
+        with stage_span("preprocess.cell_plane_assignment"):
+            cell_plane_index = assign_hyperplanes_to_cells(self.partition, hyperplanes)
         index.cell_plane_index = cell_plane_index
 
         with stage_span("preprocess.mark_cells") as span:

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online
-from repro.core.maintenance import DatasetDelta, MaintenanceReport, maintain_hyperplanes
+from repro.core.maintenance import DatasetDelta, MaintenanceReport
 from repro.core.multi_dim import MDExactIndex, SatRegions, md_baseline
 from repro.core.result import SuggestionResult
 from repro.core.two_dim import TwoDIndex, TwoDRaySweep
@@ -51,7 +51,6 @@ from repro.exceptions import (
 from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import to_angles_many, to_weights
-from repro.geometry.cellplane import merged_cell_plane_index
 from repro.geometry.dual import (
     exchange_angles_for_pairs,
     exchange_arrays_2d,
@@ -80,10 +79,15 @@ __all__ = [
     "as_weight_matrix",
     "EngineWrapper",
     "ENGINE_FORMAT",
+    "STALENESS_THRESHOLD",
 ]
 
 #: Schema identifier written into every serialised engine payload.
 ENGINE_FORMAT = "repro.engine/v1"
+
+#: Largest fraction of the dataset one delta may mutate and still be
+#: maintained incrementally; ``apply_delta`` rebuilds above it.
+STALENESS_THRESHOLD = 0.5
 
 
 # --------------------------------------------------------------------------- #
@@ -102,21 +106,16 @@ class TwoDConfig:
     preprocess_workers:
         Worker processes for the exchange enumeration (``1`` = serial; see
         :mod:`repro.parallel` — the sharded path is bit-identical).
-    staleness_fraction:
-        Largest fraction of the dataset one :class:`~repro.core.maintenance.DatasetDelta`
-        may mutate before ``apply_delta`` abandons incremental maintenance and
-        rebuilds the index from scratch.
 
-    >>> TwoDConfig(staleness_fraction=1.5)
+    >>> TwoDConfig(sample_size=0)
     Traceback (most recent call last):
         ...
-    repro.exceptions.ConfigurationError: staleness_fraction must be in [0, 1], got 1.5
+    repro.exceptions.ConfigurationError: sample_size must be >= 1, got 0
     """
 
     sample_size: int | None = None
     sample_seed: int = 0
     preprocess_workers: int = 1
-    staleness_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         _check_shared_fields(self)
@@ -138,7 +137,6 @@ class ExactConfig:
     sample_size: int | None = None
     sample_seed: int = 0
     preprocess_workers: int = 1
-    staleness_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         _check_shared_fields(self)
@@ -167,7 +165,6 @@ class ApproxConfig:
     sample_size: int | None = None
     sample_seed: int = 0
     preprocess_workers: int = 1
-    staleness_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_cells < 1:
@@ -195,10 +192,6 @@ def _check_shared_fields(config: EngineConfig) -> None:
         value = getattr(config, name, None)
         if value is not None and value < minimum:
             raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
-    if not 0.0 <= config.staleness_fraction <= 1.0:
-        raise ConfigurationError(
-            f"staleness_fraction must be in [0, 1], got {config.staleness_fraction}"
-        )
 
 
 EngineConfig = TwoDConfig | ExactConfig | ApproxConfig
@@ -270,7 +263,7 @@ class QueryEngine(Protocol):
         """Apply one batch of item mutations, maintaining the index in place."""
 
     def refresh(self) -> MaintenanceReport:
-        """Re-run the oracle-dependent stages over the engine's cached geometry."""
+        """Re-run the oracle-dependent stages, e.g. after the oracle's criterion drifted."""
 
     def capabilities(self) -> EngineCapabilities:
         """Static description of what the engine supports."""
@@ -448,20 +441,24 @@ class _EngineBase:
     def preprocess(
         self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None
     ) -> "_EngineBase":
-        """Run the offline phase (optionally rebinding dataset/oracle first)."""
-        if dataset is not None:
-            self.dataset = dataset
-        if oracle is not None:
-            self.oracle = oracle
-        working = self.dataset
+        """Run the offline phase (optionally rebinding dataset/oracle first).
+
+        The dataset, oracle and index are committed together once the index
+        is built, so a build that raises leaves the engine as it was.
+        """
+        dataset = self.dataset if dataset is None else dataset
+        oracle = self.oracle if oracle is None else oracle
+        working = dataset
         sample_size = self.config.sample_size
         if sample_size is not None and sample_size < working.n_items:
             working = working.sample(sample_size, seed=self.config.sample_seed)
-        self._preprocessing_dataset = working
-        self._index = self._build_index(working)
+        index = self._build_index(working, oracle)
+        self.dataset, self.oracle = dataset, oracle
+        self._preprocessing_dataset, self._index = working, index
         return self
 
-    def _build_index(self, working: Dataset) -> Any:
+    def _build_index(self, working: Dataset, oracle: FairnessOracle) -> Any:
+        """Build the index; engines cache its geometry only once it is built."""
         raise NotImplementedError
 
     # -- maintenance (the build-and-maintain lifecycle) ------------------ #
@@ -472,11 +469,12 @@ class _EngineBase:
         oracle-call budget, same persisted payload bytes — to a from-scratch
         :meth:`preprocess` on ``delta.apply(self.dataset)``.  Small deltas on
         eligible engines run the incremental geometry paths; a delta mutating
-        more than ``config.staleness_fraction`` of the dataset (or an engine
+        more than :data:`STALENESS_THRESHOLD` of the dataset (or an engine
         without its geometry caches, e.g. one rebuilt from a payload) falls
         back to a full rebuild.  Applied deltas are journaled so
         :func:`repro.io.index_store.save_engine` can persist a base snapshot
-        plus the delta log.
+        plus the delta log.  A delta that raises is neither applied nor
+        journaled: the engine keeps its pre-delta state, so retrying is safe.
         """
         if not isinstance(delta, DatasetDelta):
             raise ConfigurationError(
@@ -488,28 +486,31 @@ class _EngineBase:
             return MaintenanceReport(engine=self.name, strategy="noop")
         fraction = delta.staleness_fraction(self.dataset.n_items)
         mutated = delta.apply(self.dataset)
+        base_payload = self._base_payload
         if (
-            self._base_payload is None
+            base_payload is None
             and not self._journal
             and self.config.sample_size is None
             and self.capabilities().persistable
         ):
             # Snapshot the pre-delta engine once, before the first mutation:
             # the journaled payload format replays the delta log against it.
-            self._base_payload = self.to_payload()
+            base_payload = self.to_payload()
         with stage_span(
             "maintenance.apply_delta", engine=self.name, n_changes=delta.n_changes
         ) as span:
-            if fraction > self.config.staleness_fraction or not self._supports_incremental(
-                delta
-            ):
+            if fraction > STALENESS_THRESHOLD or not self._supports_incremental(delta):
                 strategy = "rebuild"
-                details = self._rebuild_on(mutated)
+                self.preprocess(mutated)
+                details: dict[str, Any] = {"n_items": mutated.n_items}
             else:
                 strategy = "incremental"
-                details = self._apply_delta_incremental(delta, mutated)
+                index, details = self._apply_delta_incremental(delta, mutated)
+                self.dataset = self._preprocessing_dataset = mutated
+                self._index = index
             if span is not None:
                 span.set("strategy", strategy)
+        self._base_payload = base_payload
         self._journal.append(delta)
         return MaintenanceReport(
             engine=self.name,
@@ -522,14 +523,14 @@ class _EngineBase:
         )
 
     def refresh(self) -> MaintenanceReport:
-        """Re-run the oracle-dependent stages over the engine's cached geometry.
+        """Re-run the oracle-dependent stages, e.g. after the oracle's criterion drifted.
 
-        The partial-refresh hook the freshness monitors drive
-        (:func:`repro.core.monitoring.refresh_if_stale`): oracle verdicts are
-        re-evaluated in full — they are data- and oracle-state-dependent —
-        but the oracle-free geometry (exchange angles, hyperplanes, cell-plane
-        assignments, the arrangement tree) is reused from the engine's caches.
-        Engines without caches (e.g. loaded from a payload) rebuild.
+        The refresh hook the freshness monitors drive
+        (:func:`repro.core.monitoring.refresh_if_stale`).  Oracle verdicts are
+        re-evaluated in full on the preprocessing dataset.  The 2-D engine
+        reuses its cached exchange arrays and the exact engine its cached
+        arrangement tree; the approximate engine, and any engine without its
+        caches (e.g. one loaded from a payload), rebuilds from scratch.
         """
         if self._index is None:
             raise NotPreprocessedError("preprocess() before refreshing")
@@ -541,18 +542,15 @@ class _EngineBase:
         """True when this engine can maintain its index incrementally for ``delta``."""
         return False
 
-    def _apply_delta_incremental(self, delta: DatasetDelta, mutated: Dataset) -> dict[str, Any]:
+    def _apply_delta_incremental(
+        self, delta: DatasetDelta, mutated: Dataset
+    ) -> tuple[Any, dict[str, Any]]:
+        """Return the index for ``mutated`` and the report details; ``apply_delta`` commits."""
         raise NotImplementedError  # only reachable when _supports_incremental lies
-
-    def _rebuild_on(self, mutated: Dataset) -> dict[str, Any]:
-        """Full-rebuild fallback: preprocess from scratch on the mutated dataset."""
-        self.dataset = mutated
-        self.preprocess()
-        return {"n_items": mutated.n_items}
 
     def _refresh_index(self) -> None:
         """Default refresh: rebuild the index on the preprocessing dataset."""
-        self._index = self._build_index(self.preprocessing_dataset)
+        self._index = self._build_index(self.preprocessing_dataset, self.oracle)
 
     @property
     def journal(self) -> tuple[DatasetDelta, ...]:
@@ -674,20 +672,20 @@ class _EngineBase:
 class TwoDEngine(_EngineBase):
     """The §3 pipeline: ``2DRAYSWEEP`` offline, ``2DONLINE`` online."""
 
-    def _build_index(self, working: Dataset) -> TwoDIndex:
+    def _build_index(self, working: Dataset, oracle: FairnessOracle) -> TwoDIndex:
         builder = exchange_arrays_2d
         if self.config.preprocess_workers > 1:
             from repro.parallel.preprocess import make_parallel_exchange_builder
 
             builder = make_parallel_exchange_builder(self.config.preprocess_workers)
-        return self._sweep(working, builder)
+        return self._sweep(working, oracle, builder)
 
-    def _sweep(self, dataset: Dataset, exchange_builder) -> TwoDIndex:
+    def _sweep(self, dataset: Dataset, oracle: FairnessOracle, exchange_builder) -> TwoDIndex:
         """Run the ray sweep, caching the sorted exchange arrays it consumed.
 
         The arrays are the oracle-free geometry apply_delta() maintains.
         """
-        sweep = TwoDRaySweep(dataset, self.oracle, exchange_builder=exchange_builder)
+        sweep = TwoDRaySweep(dataset, oracle, exchange_builder=exchange_builder)
         index = sweep.run()
         self._exchanges = sweep.exchanges
         return index
@@ -698,7 +696,9 @@ class TwoDEngine(_EngineBase):
             and getattr(self, "_exchanges", None) is not None
         )
 
-    def _apply_delta_incremental(self, delta: DatasetDelta, mutated: Dataset) -> dict[str, Any]:
+    def _apply_delta_incremental(
+        self, delta: DatasetDelta, mutated: Dataset
+    ) -> tuple[TwoDIndex, dict[str, Any]]:
         """Re-sweep only the exchange pairs touching changed items.
 
         Pairs between untouched items keep their exchange angles verbatim
@@ -733,17 +733,17 @@ class TwoDEngine(_EngineBase):
             if span is not None:
                 span.set("n_retained", n_retained)
                 span.set("n_fresh", n_fresh)
-        self.dataset = mutated
-        self._preprocessing_dataset = mutated
-        self._index = self._sweep(mutated, lambda dataset: merged)
-        return {"n_retained_exchanges": n_retained, "n_fresh_exchanges": n_fresh}
+        index = self._sweep(mutated, self.oracle, lambda dataset: merged)
+        return index, {"n_retained_exchanges": n_retained, "n_fresh_exchanges": n_fresh}
 
     def _refresh_index(self) -> None:
         exchanges = getattr(self, "_exchanges", None)
         if exchanges is None:
             super()._refresh_index()
             return
-        self._index = self._sweep(self.preprocessing_dataset, lambda dataset: exchanges)
+        self._index = self._sweep(
+            self.preprocessing_dataset, self.oracle, lambda dataset: exchanges
+        )
 
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         return self.index.query(function)
@@ -779,10 +779,10 @@ class TwoDEngine(_EngineBase):
 class ExactEngine(_EngineBase):
     """The §4 pipeline: ``SATREGIONS`` offline, ``MDBASELINE`` online."""
 
-    def _build_index(self, working: Dataset) -> MDExactIndex:
+    def _build_index(self, working: Dataset, oracle: FairnessOracle) -> MDExactIndex:
         builder = SatRegions(
             working,
-            self.oracle,
+            oracle,
             use_arrangement_tree=self.config.use_arrangement_tree,
             max_hyperplanes=self.config.max_hyperplanes,
             convex_layer_k=self.config.convex_layer_k,
@@ -808,7 +808,9 @@ class ExactEngine(_EngineBase):
             and getattr(self, "_exact_hyperplanes", None) is not None
         )
 
-    def _apply_delta_incremental(self, delta: DatasetDelta, mutated: Dataset) -> dict[str, Any]:
+    def _apply_delta_incremental(
+        self, delta: DatasetDelta, mutated: Dataset
+    ) -> tuple[MDExactIndex, dict[str, Any]]:
         """Extend the cached arrangement tree with the inserted items' hyperplanes.
 
         ``SatRegions`` inserts hyperplanes in the canonical ``(j, i)`` label
@@ -816,26 +818,26 @@ class ExactEngine(_EngineBase):
         always ``>= n_before`` — sorts after every existing pair: the fresh
         hyperplanes extend the cached tree exactly as a from-scratch build on
         the mutated dataset would insert them.  Only the (oracle-dependent)
-        region evaluation re-runs in full.
+        region evaluation re-runs in full.  The tree is extended in place, so
+        it leaves the cache until the new index is built: after a failure the
+        next delta rebuilds instead of reusing a half-extended tree.
         """
         touched = delta.touched_new_indices(self.dataset.n_items, mutated.n_items)
         pairs = exchange_pairs_touching(mutated.scores, touched)
         fresh = hyperpolar_many(mutated.scores, pairs) if pairs.shape[0] else []
         fresh.sort(key=lambda plane: (plane.label[1], plane.label[0]))
-        tree = self._exact_tree
+        tree, self._exact_tree = self._exact_tree, None
         for plane in fresh:
             tree.insert(plane)
         merged = list(self._exact_hyperplanes) + fresh
-        self.dataset = mutated
-        self._preprocessing_dataset = mutated
-        self._index = SatRegions(
+        index = SatRegions(
             mutated,
             self.oracle,
             use_arrangement_tree=True,
             preprocess_workers=self.config.preprocess_workers,
         ).evaluate_tree(tree, n_hyperplanes=len(merged))
-        self._exact_hyperplanes = merged
-        return {
+        self._exact_hyperplanes, self._exact_tree = merged, tree
+        return index, {
             "n_cached_hyperplanes": len(merged) - len(fresh),
             "n_fresh_hyperplanes": len(fresh),
         }
@@ -886,91 +888,18 @@ class ApproxEngine(_EngineBase):
     #: Queries whose cells are located per vectorised batch in ``suggest_many``.
     lookup_chunk_size = 1024
 
-    def _build_index(self, working: Dataset) -> MDApproxIndex:
-        preprocessor = ApproximatePreprocessor(
+    def _build_index(self, working: Dataset, oracle: FairnessOracle) -> MDApproxIndex:
+        # No geometry is cached: MARKCELL's oracle probes dominate a build and
+        # re-run after any delta, so apply_delta() and refresh() rebuild.
+        return ApproximatePreprocessor(
             working,
-            self.oracle,
+            oracle,
             n_cells=self.config.n_cells,
             partition=self.config.partition,
             max_hyperplanes=self.config.max_hyperplanes,
             convex_layer_k=self.config.convex_layer_k,
             preprocess_workers=self.config.preprocess_workers,
-        )
-        index = preprocessor.run()
-        # Cache the oracle-free geometry apply_delta() maintains: the full
-        # hyperplane list and the CELLPLANE× assignment.
-        self._approx_hyperplanes = preprocessor.hyperplanes_
-        self._approx_cell_plane_index = index.cell_plane_index
-        return index
-
-    def _supports_incremental(self, delta: DatasetDelta) -> bool:
-        # Convex-layer filtering and hyperplane caps make the retained-plane
-        # computation unsound (see maintain_hyperplanes), so either rebuilds.
-        return (
-            self.config.sample_size is None
-            and self.config.max_hyperplanes is None
-            and self.config.convex_layer_k is None
-            and getattr(self, "_approx_hyperplanes", None) is not None
-            and getattr(self, "_approx_cell_plane_index", None) is not None
-        )
-
-    def _apply_delta_incremental(self, delta: DatasetDelta, mutated: Dataset) -> dict[str, Any]:
-        """Re-assign only the cells whose hyperplane set changed.
-
-        The hyperplane list is maintained by
-        :func:`~repro.core.maintenance.maintain_hyperplanes` (drop the planes
-        touching changed items, construct only the fresh pairs' planes, merge
-        in canonical order); the ``CELLPLANE×`` index then re-assigns only the
-        fresh planes geometrically, remapping every retained plane's cell
-        memberships in place.  Marking and colouring — the oracle-dependent
-        stages — re-run in full on the maintained geometry, producing an index
-        bit-identical to a from-scratch build on the mutated dataset.
-        """
-        merged, position_map, fresh_positions = maintain_hyperplanes(
-            self._approx_hyperplanes, delta, mutated.scores, self.dataset.n_items
-        )
-        preprocessor = ApproximatePreprocessor(
-            mutated,
-            self.oracle,
-            n_cells=self.config.n_cells,
-            partition=self.config.partition,
-            preprocess_workers=self.config.preprocess_workers,
-        )
-        cell_plane_index = merged_cell_plane_index(
-            preprocessor.partition,
-            self._approx_cell_plane_index,
-            position_map,
-            [merged[position] for position in fresh_positions],
-            fresh_positions,
-        )
-        self.dataset = mutated
-        self._preprocessing_dataset = mutated
-        self._index = preprocessor.run(
-            hyperplanes=merged, cell_plane_index=cell_plane_index
-        )
-        self._approx_hyperplanes = merged
-        self._approx_cell_plane_index = cell_plane_index
-        return {
-            "n_retained_hyperplanes": len(position_map),
-            "n_fresh_hyperplanes": len(fresh_positions),
-        }
-
-    def _refresh_index(self) -> None:
-        hyperplanes = getattr(self, "_approx_hyperplanes", None)
-        cell_plane_index = getattr(self, "_approx_cell_plane_index", None)
-        if hyperplanes is None or cell_plane_index is None:
-            super()._refresh_index()
-            return
-        preprocessor = ApproximatePreprocessor(
-            self.preprocessing_dataset,
-            self.oracle,
-            n_cells=self.config.n_cells,
-            partition=self.config.partition,
-            preprocess_workers=self.config.preprocess_workers,
-        )
-        self._index = preprocessor.run(
-            hyperplanes=list(hyperplanes), cell_plane_index=cell_plane_index
-        )
+        ).run()
 
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         return md_online(self.index, function)

@@ -10,12 +10,7 @@ lifecycle that replaces it:
   :class:`~repro.data.dataset.Dataset`;
 * :class:`MaintenanceReport` — what an engine's ``apply_delta`` returns:
   which strategy ran (incremental maintenance vs. full rebuild), how many
-  items changed, and the staleness fraction that drove the decision;
-* :func:`maintain_hyperplanes` — the shared incremental-geometry kernel for
-  the ``d >= 3`` engines: drop the exchange hyperplanes touching changed
-  items, remap the retained labels through the delta's index map, construct
-  hyperplanes only for the pairs that involve a changed item, and merge the
-  two sets back into the canonical enumeration order.
+  items changed, and the staleness fraction that drove the decision.
 
 The correctness discipline throughout is *bit-identity*: a delta-maintained
 index must be indistinguishable — same answers, same oracle-call budget, same
@@ -23,8 +18,8 @@ persisted payload bytes — from an index rebuilt from scratch on the mutated
 dataset.  Oracle verdicts are data-dependent, so every oracle-consuming stage
 (sector evaluation, cell marking/colouring, region evaluation) re-runs in
 full after a delta; what the incremental paths avoid recomputing is the
-oracle-free geometry (exchange angles, exchange hyperplanes, cell-plane
-assignments), which is exactly the part that is safe to reuse verbatim.
+oracle-free geometry (the 2-D exchange angles, the exact engine's
+arrangement tree), which is exactly the part that is safe to reuse verbatim.
 Deltas apply **updates, then deletes, then inserts**: update indices and
 delete indices both refer to pre-delta item positions, and inserted items are
 appended after the surviving rows.
@@ -38,15 +33,11 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.dominance import exchange_pairs_touching
 from repro.exceptions import ConfigurationError, DatasetError
-from repro.geometry.dual import hyperpolar_many
-from repro.geometry.hyperplane import Hyperplane
 
 __all__ = [
     "DatasetDelta",
     "MaintenanceReport",
-    "maintain_hyperplanes",
     "DELTA_FORMAT",
 ]
 
@@ -329,11 +320,13 @@ class MaintenanceReport:
 
     ``strategy`` is ``"incremental"`` when the oracle-free geometry was
     maintained in place, ``"rebuild"`` when the engine fell back to a full
-    from-scratch preprocess (e.g. the delta exceeded the configured staleness
-    fraction, or the engine was loaded without its geometry caches), and
-    ``"refresh"`` when only the oracle-dependent stages were re-run over
-    unchanged geometry.  No wall clocks are recorded here — reports ride
-    along in journaled payloads, which must stay byte-stable.
+    from-scratch preprocess (the delta exceeded
+    :data:`~repro.core.engine.STALENESS_THRESHOLD`, or the engine holds no
+    geometry to maintain: the approximate engine never caches any, and a
+    loaded engine starts without), and ``"refresh"`` when the
+    oracle-dependent stages were re-run after the oracle changed.  No wall
+    clocks are recorded here — reports ride along in journaled payloads,
+    which must stay byte-stable.
     """
 
     engine: str
@@ -356,76 +349,3 @@ class MaintenanceReport:
             "details": dict(self.details),
         }
 
-
-def maintain_hyperplanes(
-    old_hyperplanes: Sequence[Hyperplane],
-    delta: DatasetDelta,
-    new_scores: np.ndarray,
-    n_before: int,
-) -> tuple[list[Hyperplane], dict[int, int], list[int]]:
-    """Incrementally maintain a full exchange-hyperplane list under a delta.
-
-    Drops the hyperplanes whose pair touches a deleted or updated item, remaps
-    the retained labels through the delta's (monotone) index map — reusing the
-    coefficient floats verbatim — constructs hyperplanes only for the pairs
-    that involve a changed item (via the same
-    :func:`~repro.geometry.dual.hyperpolar_many` kernel the full build uses,
-    which is batch-independent per pair), and merges both sets sorted by the
-    ``(i, j)`` pair label.  Because the full build enumerates pairs in
-    row-major ``i < j`` order, the merged list is bit-identical — same
-    hyperplanes, same order — to ``hyperplanes_for_dataset`` on the mutated
-    dataset.
-
-    Only valid for *complete* hyperplane lists: convex-layer filtering and
-    ``max_hyperplanes`` caps make the retained-set computation unsound, so
-    engines using either must rebuild.
-
-    Returns
-    -------
-    (merged, position_map, fresh_positions)
-        ``merged`` is the new hyperplane list; ``position_map`` maps old list
-        positions of retained hyperplanes to their new positions;
-        ``fresh_positions`` lists the new positions of the newly constructed
-        hyperplanes, in construction order.
-    """
-    new_scores = np.asarray(new_scores, dtype=float)
-    n_after = new_scores.shape[0]
-    mapping = delta.index_map(n_before)
-    touched = delta.touched_new_indices(n_before, n_after)
-
-    retained: list[tuple[tuple[int, int], tuple[str, int], Hyperplane]] = []
-    for position, plane in enumerate(old_hyperplanes):
-        if plane.label is None:
-            raise ConfigurationError(
-                "incremental hyperplane maintenance requires pair-labelled hyperplanes"
-            )
-        i, j = plane.label
-        new_i = mapping.get(i)
-        new_j = mapping.get(j)
-        if new_i is None or new_j is None or new_i in touched or new_j in touched:
-            continue
-        if (new_i, new_j) != (i, j):
-            plane = Hyperplane(plane.coefficients, label=(new_i, new_j))
-        retained.append(((plane.label[0], plane.label[1]), ("old", position), plane))
-
-    fresh: list[Hyperplane] = []
-    if touched:
-        pairs = exchange_pairs_touching(new_scores, touched)
-        if pairs.shape[0]:
-            fresh = hyperpolar_many(new_scores, pairs)
-    tagged = retained + [
-        ((plane.label[0], plane.label[1]), ("new", position), plane)
-        for position, plane in enumerate(fresh)
-    ]
-    tagged.sort(key=lambda entry: entry[0])
-
-    merged: list[Hyperplane] = []
-    position_map: dict[int, int] = {}
-    fresh_positions: list[int] = [0] * len(fresh)
-    for new_position, (_label, (origin, position), plane) in enumerate(tagged):
-        merged.append(plane)
-        if origin == "old":
-            position_map[position] = new_position
-        else:
-            fresh_positions[position] = new_position
-    return merged, position_map, fresh_positions

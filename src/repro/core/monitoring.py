@@ -15,10 +15,10 @@ needed".  This module implements that verification step for a deployed index:
   :class:`~repro.core.engine.QueryEngine` seam, so monitors need not know
   which index kind an engine serves;
 * :func:`refresh_if_stale` closes the loop: when a check finds stale
-  assignments it drives the engine's ``refresh()`` hook — a cheap partial
-  refresh that re-runs only the oracle-dependent stages over the engine's
-  cached geometry — instead of a full rebuild (a new dataset snapshot is
-  indexed with ``engine.preprocess(new_dataset)``);
+  assignments it drives the engine's ``refresh()`` hook, which re-runs the
+  oracle-dependent stages — over the cached exchange arrays on a 2-D
+  engine, as a full rebuild on a grid (a new dataset snapshot is indexed
+  with ``engine.preprocess(new_dataset)``);
 * :func:`error_budget_report` summarises a fallback engine's serving
   telemetry (see :mod:`repro.resilience.fallback`) as an error budget —
   freshness watches the *data*, the error budget watches the *serving path*.
@@ -359,12 +359,14 @@ def refresh_if_stale(
     probes_per_interval: int = 3,
     seed: int | None = 0,
 ):
-    """Check an engine's freshness and drive a partial refresh when stale.
+    """Check an engine's freshness and drive a refresh when stale.
 
     The refresh goes through the engine seam
-    (:meth:`~repro.core.engine.QueryEngine.refresh`), which re-runs only the
-    oracle-dependent stages over the engine's cached geometry — cheap next to
-    a full rebuild, and applicable to every engine family.
+    (:meth:`~repro.core.engine.QueryEngine.refresh`), which re-runs the
+    oracle-dependent stages.  A 2-D engine reuses its cached exchange arrays,
+    so its refresh skips the exchange build; an approximate engine rebuilds
+    in full, since ``MARKCELL``'s oracle probes dominate its preprocessing.
+    Only these two families have a freshness check.
 
     Returns
     -------

@@ -156,15 +156,15 @@ class FairRankingDesigner:
         """Apply a batch of item mutations to the live index.
 
         Forwards a :class:`~repro.core.maintenance.DatasetDelta` through the
-        engine seam: the engine maintains its index incrementally when the
-        delta is small and supported, and falls back to a full rebuild past
-        its configured ``staleness_fraction``.  Returns the engine's
-        :class:`~repro.core.maintenance.MaintenanceReport`.
+        engine seam: the 2-D and exact engines maintain their index
+        incrementally when the delta is small and supported, and every engine
+        rebuilds past :data:`~repro.core.engine.STALENESS_THRESHOLD`.
+        Returns the engine's :class:`~repro.core.maintenance.MaintenanceReport`.
         """
         return self._engine.apply_delta(delta)
 
     def refresh(self):
-        """Re-run the oracle-dependent stages over the engine's cached geometry."""
+        """Re-run the oracle-dependent stages, e.g. after the oracle's criterion drifted."""
         return self._engine.refresh()
 
     # ------------------------------------------------------------------ #

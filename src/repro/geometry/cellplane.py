@@ -24,7 +24,6 @@ from repro.geometry.partition import AnglePartitionProtocol, Cell
 __all__ = [
     "assign_hyperplanes_to_cells",
     "hyperplanes_through_cell",
-    "merged_cell_plane_index",
     "CellPlaneIndex",
 ]
 
@@ -134,68 +133,3 @@ def assign_hyperplanes_to_cells(
         _recurse(hyperplane, hyperplane_index, cells, cell_indices, lows, highs, index)
     return index
 
-
-def merged_cell_plane_index(
-    partition: AnglePartitionProtocol,
-    old_index: CellPlaneIndex,
-    position_map: dict[int, int],
-    fresh_planes: list[Hyperplane],
-    fresh_positions: list[int],
-) -> CellPlaneIndex:
-    """Incrementally maintain a ``CELLPLANE×`` index under a hyperplane delta.
-
-    A hyperplane's cell membership is the purely geometric
-    :meth:`~repro.geometry.hyperplane.Hyperplane.crosses_box` test against the
-    cell's box, independent of every other hyperplane — so when a delta drops
-    and adds hyperplanes, the retained planes keep their memberships verbatim
-    and only the fresh planes run the divide-and-prune assignment.
-
-    Parameters
-    ----------
-    partition:
-        The (unchanged) angle-space partition.
-    old_index:
-        The pre-delta assignment.
-    position_map:
-        Old hyperplane-list position → new position, for the retained planes
-        (as returned by :func:`repro.core.maintenance.maintain_hyperplanes`);
-        planes absent from the map were dropped.
-    fresh_planes:
-        Newly constructed hyperplanes to assign geometrically.
-    fresh_positions:
-        New-list position of each fresh plane, aligned with ``fresh_planes``.
-
-    Returns
-    -------
-    CellPlaneIndex
-        Per-cell hyperplane lists identical — same members, same ascending
-        order — to :func:`assign_hyperplanes_to_cells` on the merged
-        hyperplane list.  ``box_tests`` accumulates on top of the old index's
-        count (it tracks total assignment work, not one pass).
-    """
-    cells = partition.cells()
-    if not cells:
-        raise GeometryError("partition has no cells")
-    if len(old_index.by_cell) != len(cells):
-        raise GeometryError("cell-plane index does not match the partition")
-    if len(fresh_planes) != len(fresh_positions):
-        raise GeometryError("fresh_planes and fresh_positions must align")
-    for hyperplane in fresh_planes:
-        if hyperplane.dimension != partition.dimension:
-            raise GeometryError("hyperplane dimension does not match the partition")
-    merged = CellPlaneIndex(len(cells))
-    merged.box_tests = old_index.box_tests
-    lows = np.asarray([cell.low for cell in cells], dtype=float)
-    highs = np.asarray([cell.high for cell in cells], dtype=float)
-    cell_indices = np.arange(len(cells))
-    for hyperplane, new_position in zip(fresh_planes, fresh_positions):
-        _recurse(hyperplane, int(new_position), cells, cell_indices, lows, highs, merged)
-    for cell_index, entries in enumerate(old_index.by_cell):
-        retained = [
-            position_map[position] for position in entries if position in position_map
-        ]
-        # The fresh additions and the remapped retained positions are each
-        # ascending (the recursion processes planes in order; the position map
-        # is monotone), so one sort restores the full-build list order.
-        merged.by_cell[cell_index] = sorted(retained + merged.by_cell[cell_index])
-    return merged

@@ -390,7 +390,7 @@ class InstrumentedEngine(EngineWrapper):
         return report
 
     def refresh(self):
-        """Forward a partial refresh to the inner engine, spanned and counted."""
+        """Forward a refresh to the inner engine, spanned and counted."""
         with activated(self.recorder):
             with self.recorder.span("maintenance.refresh", engine=self.inner.name):
                 report = self.inner.refresh()

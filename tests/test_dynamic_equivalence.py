@@ -9,9 +9,16 @@ Covered:
 
 * all three engine families (``2d``, ``exact``, ``approximate``) under a
   seeded random insert/delete/update sequence (the exact family insert-only,
-  the one shape its arrangement-tree cache supports incrementally);
+  the one shape its arrangement-tree cache supports incrementally; the
+  approximate family always rebuilds);
 * both maintenance strategies — ``incremental`` (cheap geometry reuse) and
   ``rebuild`` (staleness threshold exceeded) — land on the same bits;
+* every registered engine, wrappers included, passes one delta-vs-rebuild
+  differential; a newly registered engine fails until it has a case;
+* a delta or preprocess that raises leaves the engine as it was, and the
+  retried delta still lands on rebuild bits;
+* ``refresh()`` after the oracle's criterion drifted in place equals a fresh
+  preprocess under the drifted oracle, and ``refresh_if_stale`` drives it;
 * the journaled persistence format: a save/load round trip of base snapshot
   plus delta journal replays to the same answers and payload bytes, and a
   re-save of the loaded engine is byte-identical to the original file;
@@ -26,10 +33,6 @@ parameters (never derived from a dataset, e.g. via
 ``at_most_share_plus_slack``) — a dataset-derived constraint would differ
 between the base and mutated datasets and the two engines would answer
 different questions.
-
-``DELTA_EXERCISED_ENGINES`` below is the fixture list the contract linter's
-``delta-equivalence`` rule parses (by AST, never importing this module):
-any registered engine overriding ``apply_delta`` must be named here.
 """
 
 from __future__ import annotations
@@ -45,11 +48,19 @@ from differential import (
     make_weight_grid,
     payload_bytes,
 )
-from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
+from repro.core.engine import (
+    STALENESS_THRESHOLD,
+    ApproxConfig,
+    ExactConfig,
+    TwoDConfig,
+    available_engines,
+    create_engine,
+)
 from repro.core.maintenance import DatasetDelta, MaintenanceReport
+from repro.core.monitoring import check_engine_freshness, refresh_if_stale
 from repro.data.synthetic import make_compas_like
-from repro.exceptions import DatasetError
-from repro.fairness.oracle import CountingOracle
+from repro.exceptions import DatasetError, OracleError
+from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.io.index_store import save_engine, load_engine
 from repro.obs.instrument import InstrumentedEngine
@@ -58,18 +69,6 @@ from repro.resilience.chaos import ChaosEngine
 from repro.resilience.fallback import FallbackEngine
 
 pytestmark = pytest.mark.dynamic
-
-#: Engine registry names whose ``apply_delta`` path this module proves
-#: bit-identical to a rebuild.  Parsed by the ``delta-equivalence`` linter
-#: rule: every registered engine that overrides ``apply_delta`` must appear.
-DELTA_EXERCISED_ENGINES = (
-    "2d",
-    "exact",
-    "approximate",
-    "pool",
-    "instrumented",
-    "fallback",
-)
 
 ATTRIBUTES = ["c_days_from_compas", "juv_other_count", "start"]
 
@@ -130,79 +129,72 @@ def fresh_twin(mutated, config):
 class TestFamilies:
     def test_two_d_mixed_delta_incremental(self):
         ds = dataset(40, 2, seed=1)
-        engine = create_engine(
-            ds, fixed_oracle(), TwoDConfig(staleness_fraction=1.0)
-        ).preprocess()
+        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
         delta = random_delta(ds, seed=0)
         report = engine.apply_delta(delta)
         assert report.strategy == "incremental", report.as_dict()
         assert (report.n_inserted, report.n_deleted, report.n_updated) == (3, 2, 1)
-        fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig(staleness_fraction=1.0))
+        fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig())
         assert_engines_equivalent(engine, fresh, make_weight_grid(24, 2, seed=3))
 
     def test_two_d_staleness_forces_rebuild_same_bits(self):
         ds = dataset(40, 2, seed=1)
-        engine = create_engine(
-            ds, fixed_oracle(), TwoDConfig(staleness_fraction=0.01)
-        ).preprocess()
-        delta = random_delta(ds, seed=0)
+        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
+        delta = random_delta(ds, seed=0, n_inserts=21)
+        assert delta.staleness_fraction(ds.n_items) > STALENESS_THRESHOLD
         report = engine.apply_delta(delta)
         assert report.strategy == "rebuild", report.as_dict()
-        fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig(staleness_fraction=0.01))
+        fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig())
         assert_engines_equivalent(engine, fresh, make_weight_grid(24, 2, seed=3))
 
     def test_two_d_chained_deltas(self):
         """Two deltas applied in sequence still land on rebuild bits."""
         ds = dataset(40, 2, seed=2)
-        engine = create_engine(
-            ds, fixed_oracle(), TwoDConfig(staleness_fraction=1.0)
-        ).preprocess()
+        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
         first = random_delta(ds, seed=10)
         engine.apply_delta(first)
         mutated_once = first.apply(dataset(40, 2, seed=2))
         second = random_delta(mutated_once, seed=11, deletes=(0, 2), update_index=4)
         engine.apply_delta(second)
-        fresh = fresh_twin(
-            second.apply(mutated_once), TwoDConfig(staleness_fraction=1.0)
-        )
+        fresh = fresh_twin(second.apply(mutated_once), TwoDConfig())
         assert_engines_equivalent(engine, fresh, make_weight_grid(24, 2, seed=6))
 
     @pytest.mark.slow
     def test_exact_insert_only_incremental(self):
         ds = dataset(12, 3, seed=2)
-        config = ExactConfig(staleness_fraction=1.0)
+        config = ExactConfig()
         engine = create_engine(ds, fixed_oracle(), config).preprocess()
         delta = insert_only_delta(ds, seed=1)
         report = engine.apply_delta(delta)
         assert report.strategy == "incremental", report.as_dict()
-        fresh = fresh_twin(delta.apply(dataset(12, 3, seed=2)), ExactConfig(staleness_fraction=1.0))
+        fresh = fresh_twin(delta.apply(dataset(12, 3, seed=2)), ExactConfig())
         assert_engines_equivalent(engine, fresh, make_weight_grid(24, 3, seed=4))
 
     def test_exact_mixed_delta_falls_back_to_rebuild(self):
         """Deletes/updates invalidate the arrangement-tree cache -> rebuild."""
         ds = dataset(10, 3, seed=2)
-        config = ExactConfig(max_hyperplanes=20, staleness_fraction=1.0)
+        config = ExactConfig(max_hyperplanes=20)
         engine = create_engine(ds, fixed_oracle(), config).preprocess()
         delta = random_delta(ds, seed=3, n_inserts=1, deletes=(1,), update_index=None)
         report = engine.apply_delta(delta)
         assert report.strategy == "rebuild", report.as_dict()
         fresh = fresh_twin(
             delta.apply(dataset(10, 3, seed=2)),
-            ExactConfig(max_hyperplanes=20, staleness_fraction=1.0),
+            ExactConfig(max_hyperplanes=20),
         )
         assert_engines_equivalent(engine, fresh, make_weight_grid(16, 3, seed=5))
 
     @pytest.mark.slow
-    def test_approx_mixed_delta_incremental(self):
+    def test_approx_mixed_delta_rebuilds(self):
         ds = dataset(16, 3, seed=3)
-        config = ApproxConfig(n_cells=27, staleness_fraction=1.0)
+        config = ApproxConfig(n_cells=27)
         engine = create_engine(ds, fixed_oracle(), config).preprocess()
         delta = random_delta(ds, seed=2)
         report = engine.apply_delta(delta)
-        assert report.strategy == "incremental", report.as_dict()
+        assert report.strategy == "rebuild", report.as_dict()
         fresh = fresh_twin(
             delta.apply(dataset(16, 3, seed=3)),
-            ApproxConfig(n_cells=27, staleness_fraction=1.0),
+            ApproxConfig(n_cells=27),
         )
         assert_engines_equivalent(engine, fresh, make_weight_grid(24, 3, seed=5))
 
@@ -213,9 +205,7 @@ class TestFamilies:
 class TestJournaledPersistence:
     def test_round_trip_matches_rebuild_and_resave_is_stable(self, tmp_path):
         ds = dataset(40, 2, seed=1)
-        engine = create_engine(
-            ds, fixed_oracle(), TwoDConfig(staleness_fraction=1.0)
-        ).preprocess()
+        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
         delta = random_delta(ds, seed=0)
         engine.apply_delta(delta)
 
@@ -223,7 +213,7 @@ class TestJournaledPersistence:
         save_engine(engine, path, journaled=True)
         loaded = load_engine(path, fixed_oracle())
 
-        fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig(staleness_fraction=1.0))
+        fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig())
         grid = make_weight_grid(24, 2, seed=3)
         assert_engines_equivalent(engine, loaded, grid)
         assert payload_bytes(loaded) == payload_bytes(fresh)
@@ -234,9 +224,7 @@ class TestJournaledPersistence:
 
     def test_journal_records_every_delta(self, tmp_path):
         ds = dataset(40, 2, seed=2)
-        engine = create_engine(
-            ds, fixed_oracle(), TwoDConfig(staleness_fraction=1.0)
-        ).preprocess()
+        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
         first = random_delta(ds, seed=10)
         engine.apply_delta(first)
         second = random_delta(
@@ -260,12 +248,10 @@ class TestJournaledPersistence:
 class TestWrapperEngines:
     def _base(self, seed=1):
         ds = dataset(40, 2, seed=seed)
-        return ds, create_engine(ds, fixed_oracle(), TwoDConfig(staleness_fraction=1.0))
+        return ds, create_engine(ds, fixed_oracle(), TwoDConfig())
 
     def _fresh_after(self, delta, seed=1):
-        return fresh_twin(
-            delta.apply(dataset(40, 2, seed=seed)), TwoDConfig(staleness_fraction=1.0)
-        )
+        return fresh_twin(delta.apply(dataset(40, 2, seed=seed)), TwoDConfig())
 
     def test_instrumented_forwards_and_counts(self):
         ds, inner = self._base()
@@ -361,12 +347,181 @@ class TestWrapperEngines:
         chain = FallbackEngine.from_engines([inner]).preprocess()
         rebound = dataset(60, 2, seed=2)
         chain.preprocess(dataset=rebound)
-        fresh = fresh_twin(rebound, TwoDConfig(staleness_fraction=1.0))
+        fresh = fresh_twin(rebound, TwoDConfig())
         grid = make_weight_grid(24, 2, seed=3)
         assert [entry_fingerprint(entry) for entry in chain.suggest_many(grid)] == [
             entry_fingerprint(entry) for entry in fresh.suggest_many(grid)
         ]
         assert chain.preprocessing_dataset.n_items == 60
+
+
+# --------------------------------------------------------------------------- #
+# every registered engine: one delta-vs-rebuild differential each
+# --------------------------------------------------------------------------- #
+#: Dataset size, dimension and config of each engine family's differentials.
+FAMILY_CASES = {
+    "2d": (60, 2, TwoDConfig()),
+    "exact": (10, 3, ExactConfig(max_hyperplanes=20)),
+    "approximate": (16, 3, ApproxConfig(n_cells=16, max_hyperplanes=20)),
+}
+
+
+class TestRegisteredEngines:
+    @pytest.mark.parametrize("name", sorted(available_engines()))
+    def test_delta_matches_rebuild(self, name):
+        """Families run directly; wrappers run over a 2-D inner engine."""
+        if name in FAMILY_CASES:
+            n, dimension, config = FAMILY_CASES[name]
+            wrap = None
+        elif name in TestWrapperEngines.WRAPPERS:
+            n, dimension, config = FAMILY_CASES["2d"]
+            wrap = TestWrapperEngines.WRAPPERS[name]
+        else:
+            pytest.fail(f"registered engine {name!r} has no delta-vs-rebuild case")
+        ds = dataset(n, dimension, seed=2)
+        engine = create_engine(ds, fixed_oracle(), config)
+        if wrap is not None:
+            engine = wrap(engine)
+        engine.preprocess()
+        try:
+            delta = random_delta(ds, seed=0)
+            engine.apply_delta(delta)
+            fresh = fresh_twin(delta.apply(dataset(n, dimension, seed=2)), config)
+            grid = make_weight_grid(16, dimension, seed=3)
+            if wrap is None:
+                assert_engines_equivalent(engine, fresh, grid)
+            else:
+                assert_engines_equivalent(
+                    engine, fresh, grid, check_oracle_calls=False, check_payloads=False
+                )
+                assert_engines_equivalent(
+                    engine.inner, fresh, grid, check_oracle_calls=False
+                )
+        finally:
+            if isinstance(engine, PoolEngine):
+                engine.close()
+
+
+# --------------------------------------------------------------------------- #
+# a maintenance step that raises leaves the engine as it was
+# --------------------------------------------------------------------------- #
+class Criterion:
+    """The fixed oracle's constraint as a callable whose cap can drift in place.
+
+    While ``armed`` it raises instead of judging, standing in for an oracle
+    that fails half way through a build.
+    """
+
+    def __init__(self, max_fraction: float = 0.60) -> None:
+        self.max_fraction = max_fraction
+        self.armed = False
+
+    def __call__(self, ordering, ds) -> bool:
+        if self.armed:
+            raise OracleError("the criterion is armed to fail")
+        return ProportionalOracle(
+            "race", "African-American", 0.3, max_fraction=self.max_fraction
+        ).is_satisfactory(ordering, ds)
+
+
+def criterion_oracle(criterion: Criterion) -> CountingOracle:
+    return CountingOracle(CallableOracle(criterion))
+
+
+#: Dataset size, dimension, config, the delta, and the strategy the retried
+#: delta takes: the exact engine drops the tree it was extending, so it rebuilds.
+FAILURE_CASES = {
+    "2d-incremental": (
+        40, 2, TwoDConfig(), lambda ds: random_delta(ds, seed=0), "incremental"
+    ),
+    "2d-rebuild": (
+        40, 2, TwoDConfig(), lambda ds: random_delta(ds, seed=0, n_inserts=21), "rebuild"
+    ),
+    "exact-incremental": (
+        6, 3, ExactConfig(), lambda ds: insert_only_delta(ds, seed=1), "rebuild"
+    ),
+    "approximate": (
+        16, 3, FAMILY_CASES["approximate"][2], lambda ds: random_delta(ds, seed=0), "rebuild"
+    ),
+}
+
+
+class TestFailedMaintenance:
+    @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+    def test_failed_delta_leaves_the_engine_unchanged(self, case):
+        n, dimension, config, make_delta, retry_strategy = FAILURE_CASES[case]
+        ds = dataset(n, dimension, seed=2)
+        criterion = Criterion()
+        engine = create_engine(ds, criterion_oracle(criterion), config).preprocess()
+        delta = make_delta(ds)
+        before = payload_bytes(engine)
+        criterion.armed = True
+        with pytest.raises(OracleError):
+            engine.apply_delta(delta)
+        criterion.armed = False
+        assert payload_bytes(engine) == before
+        assert engine.journal == ()
+        assert engine.base_payload is None
+        assert engine.dataset is ds
+        assert engine.apply_delta(delta).strategy == retry_strategy
+        fresh = create_engine(
+            delta.apply(dataset(n, dimension, seed=2)), criterion_oracle(Criterion()), config
+        ).preprocess()
+        assert_engines_equivalent(engine, fresh, make_weight_grid(16, dimension, seed=3))
+
+    def test_failed_preprocess_keeps_the_dataset_oracle_and_index(self):
+        ds = dataset(40, 2, seed=1)
+        oracle = criterion_oracle(Criterion())
+        engine = create_engine(ds, oracle, TwoDConfig()).preprocess()
+        before = payload_bytes(engine)
+        armed = Criterion()
+        armed.armed = True
+        with pytest.raises(OracleError):
+            engine.preprocess(dataset(30, 2, seed=5), criterion_oracle(armed))
+        assert engine.dataset is ds
+        assert engine.oracle is oracle
+        assert payload_bytes(engine) == before
+
+
+# --------------------------------------------------------------------------- #
+# refresh after the oracle's criterion drifted in place
+# --------------------------------------------------------------------------- #
+#: The drifted cap of each family; each changes that family's index, so a
+#: refresh that kept the old index would fail the differential.
+DRIFTED_CAP = {"2d": 0.5, "exact": 0.7, "approximate": 0.5}
+
+
+class TestRefresh:
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_refresh_equals_a_fresh_preprocess_under_the_drifted_oracle(self, family):
+        """2-D re-sweeps its cached exchanges, exact re-evaluates its cached
+        tree, and approximate rebuilds."""
+        n, dimension, config = FAMILY_CASES[family]
+        ds = dataset(n, dimension, seed=2)
+        criterion = Criterion()
+        engine = create_engine(ds, criterion_oracle(criterion), config).preprocess()
+        criterion.max_fraction = DRIFTED_CAP[family]
+        fresh = create_engine(
+            ds, criterion_oracle(Criterion(DRIFTED_CAP[family])), config
+        ).preprocess()
+        assert payload_bytes(engine) != payload_bytes(fresh)
+        assert engine.refresh().strategy == "refresh"
+        assert_engines_equivalent(engine, fresh, make_weight_grid(16, dimension, seed=3))
+
+    def test_refresh_if_stale_refreshes_only_a_drifted_engine(self):
+        n, dimension, config = FAMILY_CASES["2d"]
+        criterion = Criterion()
+        engine = create_engine(
+            dataset(n, dimension, seed=2), criterion_oracle(criterion), config
+        ).preprocess()
+        report, maintenance = refresh_if_stale(engine)
+        assert report.is_fresh and maintenance is None
+        criterion.max_fraction = DRIFTED_CAP["2d"]
+        report, maintenance = refresh_if_stale(engine)
+        assert not report.is_fresh
+        assert maintenance.strategy == "refresh"
+        after = check_engine_freshness(engine)
+        assert after.is_fresh and after.n_checked > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -376,13 +531,11 @@ class TestDeltaSmoke:
     def test_delta_smoke(self):
         """Tiny 2-D delta differential: the check_all.py dynamic gate."""
         ds = dataset(25, 2, seed=4)
-        engine = create_engine(
-            ds, fixed_oracle(), TwoDConfig(staleness_fraction=1.0)
-        ).preprocess()
+        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
         delta = random_delta(ds, seed=4, deletes=(2,), update_index=3)
         report = engine.apply_delta(delta)
         assert isinstance(report, MaintenanceReport)
-        fresh = fresh_twin(delta.apply(dataset(25, 2, seed=4)), TwoDConfig(staleness_fraction=1.0))
+        fresh = fresh_twin(delta.apply(dataset(25, 2, seed=4)), TwoDConfig())
         assert_engines_equivalent(engine, fresh, make_weight_grid(12, 2, seed=8))
 
 

@@ -152,17 +152,15 @@ class TestRegistry:
             (TwoDConfig, {"preprocess_workers": 0}),
             (ExactConfig, {"preprocess_workers": 0}),
             (ApproxConfig, {"preprocess_workers": 0}),
-            (TwoDConfig, {"staleness_fraction": 1.5}),
-            (ExactConfig, {"staleness_fraction": -0.1}),
         ]
         for config_type, values in invalid:
             (field,) = values
             with pytest.raises(ConfigurationError, match=field):
                 config_type(**values)
         # The boundary values themselves are legal.
-        TwoDConfig(sample_size=1, staleness_fraction=0.0)
+        TwoDConfig(sample_size=1)
         ExactConfig(max_hyperplanes=0, convex_layer_k=1, sample_size=1)
-        ApproxConfig(max_hyperplanes=0, convex_layer_k=1, staleness_fraction=1.0)
+        ApproxConfig(max_hyperplanes=0, convex_layer_k=1)
 
 
 def _reference_hyperplanes(dataset, item_indices=None, *, max_hyperplanes=None):

@@ -306,8 +306,18 @@ class TestEnginePayloadBytes:
             (TwoDConfig(), "use_incremental", True),
             (ExactConfig(max_hyperplanes=12), "hyperplane_method", "batched"),
             (ApproxConfig(n_cells=8, max_hyperplanes=10), "hyperplane_method", "batched"),
+            (TwoDConfig(), "staleness_fraction", 0.5),
+            (ExactConfig(max_hyperplanes=12), "staleness_fraction", 0.5),
+            (ApproxConfig(n_cells=8, max_hyperplanes=10), "staleness_fraction", 0.5),
         ],
-        ids=["2d", "exact", "approximate"],
+        ids=[
+            "2d",
+            "exact",
+            "approximate",
+            "2d-staleness",
+            "exact-staleness",
+            "approximate-staleness",
+        ],
     )
     def test_payload_with_a_removed_config_key_still_loads(
         self, config, removed_key, removed_value, shared_compas_3d, shared_race_oracle_3d, tmp_path

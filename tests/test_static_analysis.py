@@ -96,7 +96,6 @@ class TestRuleFixtures:
         "determinism": "determinism",
         "obs-clock": "obs_clock/obs",
         "registry-hygiene": "registry_hygiene",
-        "delta-equivalence": "delta_equivalence",
     }
 
     @pytest.mark.parametrize("rule_id", sorted(CASES))
