@@ -22,11 +22,11 @@ import time
 
 import numpy as np
 from _results import write_bench_record
+from _timing import time_batched_queries
 
 from repro.core.engine import TwoDConfig
 from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import make_compas_like
-from repro.experiments.harness import time_batched_queries
 from repro.fairness.proportional import ProportionalOracle
 
 DEFAULT_N_VALUES = (200, 1000)

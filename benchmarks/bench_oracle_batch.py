@@ -27,11 +27,11 @@ import time
 
 import numpy as np
 from _results import write_bench_record
+from _timing import time_batched_queries
 
 from repro.core.engine import ApproxConfig
 from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import make_compas_like
-from repro.experiments.harness import time_batched_queries
 from repro.fairness.oracle import CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 

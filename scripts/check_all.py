@@ -5,8 +5,10 @@ Runs, in order:
 
 1. ``scripts/check_docs.py`` — no stale code references in ``README.md`` /
    ``docs/*.md``;
-2. ``scripts/check_contracts.py`` — the contract linter over ``src/repro``
-   (plus the scoped ``mypy --strict`` pass when mypy is installed);
+2. ``scripts/check_contracts.py`` — the contract linter over ``src/repro``,
+   then the executed engine-seam and oracle-parity contracts
+   (``tests/test_contracts.py``), plus the scoped ``mypy --strict`` pass when
+   mypy is installed;
 3. ``scripts/check_obs.py`` — the observability layer produces byte-identical
    trace exports and metrics snapshots on a fake clock;
 4. the doctest pass — ``pytest --doctest-modules`` over the modules whose

@@ -1,20 +1,24 @@
 #!/usr/bin/env python
-"""Run the contract linter (and, when available, a scoped strict mypy pass).
+"""Run the repo's six contracts: the linter, the executed contract tests, mypy.
 
-The linter (:mod:`repro.analysis`) statically enforces the repo's contracts —
-engine seam, oracle batch parity, typed exceptions, determinism, registry
-hygiene — over ``src/repro`` with the committed allowlist
-(``contracts_allowlist.txt``).  On top of that, when mypy is installed, the
-two fully annotated modules (``src/repro/exceptions.py`` and
+The linter (:mod:`repro.analysis`) statically enforces four contracts —
+typed exceptions, determinism, the observability clock, registry hygiene —
+over ``src/repro`` with the committed allowlist (``contracts_allowlist.txt``).
+The other two need the classes' real method resolution, so they are executed
+tests over the imported classes (``tests/test_contracts.py``): every
+registered engine accepts the ``QueryEngine`` seam, and every oracle that
+overrides ``is_satisfactory`` keeps a batched twin.  On top of that, when mypy
+is installed, the two fully annotated modules (``src/repro/exceptions.py`` and
 ``src/repro/core/engine.py``) are checked with ``mypy --strict``; when mypy
-is absent the step is skipped cleanly (the container does not ship it).
+is absent the step is skipped cleanly.
 
 Run it as a tier-2 check::
 
     PYTHONPATH=src python scripts/check_contracts.py
 
 Exit status 0 means every contract holds; 1 lists the violations.  The same
-gate runs inside the test suite via ``tests/test_static_analysis.py``.
+gates run inside the test suite via ``tests/test_static_analysis.py`` and
+``tests/test_contracts.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: The executed contracts: the engine seam and oracle batch parity.
+CONTRACT_TESTS = "tests/test_contracts.py"
+
 #: Modules held to ``mypy --strict`` (scoped: imports are not followed).
 STRICT_MODULES = ("src/repro/exceptions.py", "src/repro/core/engine.py")
 
@@ -36,6 +43,24 @@ def run_linter() -> int:
     from repro.analysis import main as analysis_main
 
     return analysis_main([str(REPO_ROOT / "src" / "repro")])
+
+
+def run_contract_tests() -> int:
+    """Run the executed seam and oracle-parity contracts; returns pytest's exit code."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CONTRACT_TESTS],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+    )
+    if result.returncode != 0:
+        print(f"check_contracts: {CONTRACT_TESTS} failed:")
+        print(result.stdout.strip())
+        if result.stderr.strip():
+            print(result.stderr.strip())
+        return result.returncode
+    print(f"check_contracts: {CONTRACT_TESTS} OK")
+    return 0
 
 
 def run_mypy() -> int:
@@ -65,9 +90,8 @@ def run_mypy() -> int:
 
 
 def main() -> int:
-    status = run_linter()
-    mypy_status = run_mypy()
-    return 1 if (status or mypy_status) else 0
+    statuses = (run_linter(), run_contract_tests(), run_mypy())
+    return 1 if any(statuses) else 0
 
 
 if __name__ == "__main__":

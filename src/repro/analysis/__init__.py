@@ -1,13 +1,15 @@
 """Static contract analysis for the ``repro`` source tree.
 
 An AST rule engine that enforces, before any test runs, the invariants past
-PRs established at runtime: the PR-2 ``QueryEngine`` seam on every registered
-engine (``engine-contract``), the PR-5 scalar/batched oracle parity surface
-(``oracle-batch-parity``), the PR-6 typed exception discipline
+PRs established at runtime: the PR-6 typed exception discipline
 (``typed-exceptions``), seeded-RNG/injectable-clock determinism
-(``determinism``), and registration through the registry API only
+(``determinism``), the PR-8 injected clock in observability code
+(``obs-clock``), and registration through the registry API only
 (``registry-hygiene``).  Files that fail to parse are reported as
-``syntax-error`` findings instead of crashing the run.
+``syntax-error`` findings instead of crashing the run.  The ``QueryEngine``
+seam and scalar/batched oracle parity are checked against the imported
+classes by ``tests/test_contracts.py``, which ``scripts/check_contracts.py``
+runs after the linter.
 
 Run it as a gate::
 
@@ -29,8 +31,6 @@ from repro.analysis.model import ProjectModel
 from repro.analysis.report import REPORT_FORMAT, render_json, render_text
 from repro.analysis.rules import (
     DeterminismRule,
-    EngineContractRule,
-    OracleBatchParityRule,
     RegistryHygieneRule,
     Rule,
     SYNTAX_ERROR_RULE_ID,
@@ -52,8 +52,6 @@ __all__ = [
     "Finding",
     "ProjectModel",
     "Rule",
-    "EngineContractRule",
-    "OracleBatchParityRule",
     "TypedExceptionsRule",
     "DeterminismRule",
     "RegistryHygieneRule",

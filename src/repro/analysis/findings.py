@@ -1,8 +1,8 @@
 """Structured findings emitted by the contract linter.
 
 A :class:`Finding` pins one contract violation to a file, a line, and a rule
-id, plus an *anchor* — a stable ``path::qualname`` identifier that allowlist
-entries match against (see :mod:`repro.analysis.suppress`).  Findings are
+id, plus an *anchor* — the stable identifier that allowlist entries match
+against (see :mod:`repro.analysis.suppress`).  Findings are
 plain frozen dataclasses so reporters can serialise them without knowing
 anything about the rules that produced them.
 """
@@ -29,8 +29,8 @@ class Finding:
     message:
         Human-readable description of what was violated and how to fix it.
     anchor:
-        Stable identifier for allowlisting: ``file`` for line-level findings,
-        ``file::Qualname`` for class/method-level findings.
+        Stable identifier for allowlisting; every built-in rule anchors its
+        findings at ``file``.
     """
 
     file: str

@@ -3,16 +3,11 @@
 Rules do not import the code they check — importing would execute it, and a
 linter that executes its subject cannot be run on broken or hostile trees.
 Instead :class:`ProjectModel` parses every ``*.py`` file with :mod:`ast` and
-exposes just enough structure for the contract rules:
-
-* per-module import tables (alias → dotted target), so a rule can tell that
-  ``np.random.default_rng`` really is ``numpy.random.default_rng`` and that a
-  base class named ``FairnessOracle`` is ``repro.fairness.oracle.FairnessOracle``;
-* a class index keyed by dotted qualname, with resolved base-class names, so
-  subclass relations and method resolution (a depth-first linearisation over
-  classes defined in the tree) work without importing anything;
-* engine registrations: classes decorated with
-  :func:`repro.core.engine.register_engine` and the registry name they claim.
+exposes each module's syntax tree, source text, dotted module name and import
+table (alias → dotted target), so a rule can tell that
+``np.random.default_rng`` really is ``numpy.random.default_rng``.  Contracts
+that need class hierarchies and method resolution are checked against the
+imported classes by ``tests/test_contracts.py`` instead.
 
 Files that fail to parse are collected as :class:`ParseFailure` records — the
 runner turns them into ``syntax-error`` findings instead of crashing.
@@ -26,8 +21,6 @@ from pathlib import Path
 from typing import Iterator
 
 __all__ = [
-    "FunctionInfo",
-    "ClassInfo",
     "ModuleInfo",
     "ParseFailure",
     "ProjectModel",
@@ -47,61 +40,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class FunctionInfo:
-    """One function or method definition."""
-
-    name: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-    decorators: tuple[str, ...]
-    lineno: int
-
-    @property
-    def is_classmethod(self) -> bool:
-        return any(dec.split(".")[-1] == "classmethod" for dec in self.decorators)
-
-    @property
-    def is_staticmethod(self) -> bool:
-        return any(dec.split(".")[-1] == "staticmethod" for dec in self.decorators)
-
-    @property
-    def is_abstract(self) -> bool:
-        return any(dec.split(".")[-1] == "abstractmethod" for dec in self.decorators)
-
-    def accepts(self, n_args: int) -> bool:
-        """True when the def can be called with ``n_args`` positional arguments.
-
-        The implicit ``self``/``cls`` of instance methods and classmethods is
-        excluded, ``*args`` absorbs any excess, and required keyword-only
-        parameters make every positional call count incompatible.
-        """
-        args = self.node.args
-        positional = list(args.posonlyargs) + list(args.args)
-        if not self.is_staticmethod and positional:
-            positional = positional[1:]
-        required = max(len(positional) - len(args.defaults), 0)
-        if n_args < required:
-            return False
-        if n_args > len(positional) and args.vararg is None:
-            return False
-        return all(default is not None for default in args.kw_defaults)
-
-
-@dataclass
-class ClassInfo:
-    """One class definition, with bases resolved to dotted names."""
-
-    name: str
-    qualname: str
-    module: "ModuleInfo"
-    node: ast.ClassDef
-    base_names: tuple[str, ...]
-    methods: dict[str, FunctionInfo]
-    lineno: int
-    #: Registry name when the class is decorated with ``register_engine``.
-    registered_engine: str | None = None
-
-
 @dataclass
 class ModuleInfo:
     """One parsed source file."""
@@ -112,14 +50,12 @@ class ModuleInfo:
     tree: ast.Module
     source: str
     imports: dict[str, str] = field(default_factory=dict)
-    classes: dict[str, ClassInfo] = field(default_factory=dict)
 
     def resolve(self, name: str | None) -> str | None:
         """Expand the first segment of a dotted name through the import table.
 
         ``np.random.default_rng`` resolves to ``numpy.random.default_rng``
-        under ``import numpy as np``; a bare local class name resolves to its
-        in-module qualname; unknown names pass through unchanged.
+        under ``import numpy as np``; unknown names pass through unchanged.
         """
         if name is None:
             return None
@@ -127,8 +63,6 @@ class ModuleInfo:
         if head in self.imports:
             target = self.imports[head]
             return f"{target}.{rest}" if rest else target
-        if head in self.classes and not rest:
-            return self.classes[head].qualname
         return name
 
 
@@ -177,51 +111,6 @@ def _collect_imports(tree: ast.Module, module_name: str) -> dict[str, str]:
     return imports
 
 
-def _collect_classes(module: ModuleInfo) -> None:
-    for node in module.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods: dict[str, FunctionInfo] = {}
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                decorators = tuple(
-                    name
-                    for dec in item.decorator_list
-                    if (name := dotted_name(dec)) is not None
-                )
-                methods[item.name] = FunctionInfo(
-                    item.name, item, decorators, item.lineno
-                )
-        registered: str | None = None
-        for dec in node.decorator_list:
-            if isinstance(dec, ast.Call):
-                dec_name = dotted_name(dec.func)
-                if dec_name and dec_name.split(".")[-1] == "register_engine":
-                    if dec.args and isinstance(dec.args[0], ast.Constant):
-                        registered = str(dec.args[0].value)
-                    else:
-                        registered = "?"
-        bases = tuple(
-            resolved
-            for base in node.bases
-            if (name := dotted_name(base)) is not None
-            and (resolved := module.resolve(name)) is not None
-        )
-        qualname = (
-            f"{module.module_name}.{node.name}" if module.module_name else node.name
-        )
-        module.classes[node.name] = ClassInfo(
-            name=node.name,
-            qualname=qualname,
-            module=module,
-            node=node,
-            base_names=bases,
-            methods=methods,
-            lineno=node.lineno,
-            registered_engine=registered,
-        )
-
-
 class ProjectModel:
     """Parsed view of a source tree, shared by every rule in one run."""
 
@@ -229,18 +118,13 @@ class ProjectModel:
         self.root = root
         self.modules: list[ModuleInfo] = []
         self.failures: list[ParseFailure] = []
-        self._class_index: dict[str, ClassInfo] = {}
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
     @classmethod
     def build(cls, paths: list[Path], root: Path) -> "ProjectModel":
         """Parse every ``*.py`` file under ``paths`` (files or directories)."""
         model = cls(root)
         for path in _iter_source_files(paths):
             model._add_file(path)
-        model._index_classes()
         return model
 
     def _add_file(self, path: Path) -> None:
@@ -265,66 +149,7 @@ class ProjectModel:
             source=source,
         )
         module.imports = _collect_imports(tree, module.module_name)
-        _collect_classes(module)
         self.modules.append(module)
-
-    def _index_classes(self) -> None:
-        for module in self.modules:
-            for info in module.classes.values():
-                self._class_index[info.qualname] = info
-
-    # ------------------------------------------------------------------ #
-    # queries used by rules
-    # ------------------------------------------------------------------ #
-    def classes(self) -> Iterator[ClassInfo]:
-        for module in self.modules:
-            yield from module.classes.values()
-
-    def resolve_class(self, qualname: str | None) -> ClassInfo | None:
-        if qualname is None:
-            return None
-        return self._class_index.get(qualname)
-
-    def is_subclass(self, info: ClassInfo, target_qualname: str) -> bool:
-        """True when ``info`` transitively derives from ``target_qualname``.
-
-        The target class itself does not count as its own subclass.  Bases
-        that cannot be resolved to a class in the tree still match when their
-        resolved dotted name equals the target.
-        """
-        seen: set[str] = set()
-        stack = list(info.base_names)
-        while stack:
-            base = stack.pop()
-            if base in seen:
-                continue
-            seen.add(base)
-            if base == target_qualname:
-                return True
-            parent = self._class_index.get(base)
-            if parent is not None:
-                stack.extend(parent.base_names)
-        return False
-
-    def resolved_methods(self, info: ClassInfo) -> dict[str, tuple[FunctionInfo, ClassInfo]]:
-        """Methods visible on ``info``: own defs first, then a depth-first
-        left-to-right walk of the bases defined in the tree (closest wins)."""
-        resolved: dict[str, tuple[FunctionInfo, ClassInfo]] = {}
-        seen: set[str] = set()
-
-        def visit(current: ClassInfo) -> None:
-            if current.qualname in seen:
-                return
-            seen.add(current.qualname)
-            for name, function in current.methods.items():
-                resolved.setdefault(name, (function, current))
-            for base in current.base_names:
-                parent = self._class_index.get(base)
-                if parent is not None:
-                    visit(parent)
-
-        visit(info)
-        return resolved
 
 
 def _iter_source_files(paths: list[Path]) -> Iterator[Path]:

@@ -3,8 +3,11 @@ established at runtime.
 
 Every rule walks the shared :class:`~repro.analysis.model.ProjectModel` and
 yields :class:`~repro.analysis.findings.Finding` records; it never imports or
-executes the code under analysis.  See ``docs/static_analysis.md`` for the
-rationale behind each rule id and how to suppress a finding.
+executes the code under analysis.  The two contracts that need the classes'
+real method resolution — the engine seam and oracle batch parity — are
+executed tests instead (``tests/test_contracts.py``).  See
+``docs/static_analysis.md`` for the rationale behind each rule id and how to
+suppress a finding.
 """
 
 from __future__ import annotations
@@ -14,18 +17,10 @@ from abc import ABC, abstractmethod
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.model import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    ProjectModel,
-    dotted_name,
-)
+from repro.analysis.model import ModuleInfo, ProjectModel, dotted_name
 
 __all__ = [
     "Rule",
-    "EngineContractRule",
-    "OracleBatchParityRule",
     "TypedExceptionsRule",
     "DeterminismRule",
     "ObsClockRule",
@@ -55,127 +50,14 @@ class Rule(ABC):
     def check(self, model: ProjectModel) -> Iterator[Finding]:
         """Yield one finding per violation found in the model."""
 
-    def _finding(
-        self, module: ModuleInfo, line: int, message: str, qualname: str | None = None
-    ) -> Finding:
-        anchor = f"{module.relpath}::{qualname}" if qualname else module.relpath
+    def _finding(self, module: ModuleInfo, line: int, message: str) -> Finding:
         return Finding(
             file=module.relpath,
             line=line,
             rule=self.rule_id,
             message=message,
-            anchor=anchor,
+            anchor=module.relpath,
         )
-
-
-# --------------------------------------------------------------------------- #
-# engine-contract
-# --------------------------------------------------------------------------- #
-class EngineContractRule(Rule):
-    """Registered engines must implement the full PR-2 seam.
-
-    Every class decorated with ``register_engine`` must define (or inherit
-    from a class in the tree) ``preprocess`` / ``suggest`` / ``suggest_many``
-    / ``capabilities`` / ``to_payload`` / ``from_payload`` with signatures a
-    registry caller can invoke: ``preprocess()`` and ``preprocess(dataset,
-    oracle)``, ``suggest(function)``, ``suggest_many(matrix)``,
-    ``capabilities()``, ``to_payload()``, and classmethod
-    ``from_payload(payload, oracle)``.
-    """
-
-    rule_id = "engine-contract"
-    title = "registered engines implement the full QueryEngine seam"
-    rationale = "PR 2: the unified engine API every facade/serving path dispatches on"
-
-    #: method name -> (positional call arities that must be accepted, must be classmethod)
-    _SEAM: dict[str, tuple[tuple[int, ...], bool]] = {
-        "preprocess": ((0, 2), False),
-        "suggest": ((1,), False),
-        "suggest_many": ((1,), False),
-        "capabilities": ((0,), False),
-        "to_payload": ((0,), False),
-        "from_payload": ((2,), True),
-    }
-
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        for info in model.classes():
-            if info.registered_engine is None:
-                continue
-            resolved = model.resolved_methods(info)
-            for method, (arities, needs_classmethod) in self._SEAM.items():
-                if method not in resolved:
-                    yield self._finding(
-                        info.module,
-                        info.lineno,
-                        f"engine {info.registered_engine!r} ({info.name}) does not "
-                        f"define or inherit {method}(); every registered engine "
-                        "must implement the full QueryEngine seam",
-                        qualname=info.name,
-                    )
-                    continue
-                function, owner = resolved[method]
-                bad_arity = [n for n in arities if not function.accepts(n)]
-                if bad_arity:
-                    yield self._finding(
-                        info.module,
-                        function.lineno if owner is info else info.lineno,
-                        f"engine {info.registered_engine!r} ({info.name}): "
-                        f"{method}() (defined on {owner.name}) cannot be called "
-                        f"with {' or '.join(str(n) for n in bad_arity)} positional "
-                        "argument(s) as the QueryEngine protocol requires",
-                        qualname=f"{info.name}.{method}",
-                    )
-                if needs_classmethod and not (
-                    function.is_classmethod or function.is_staticmethod
-                ):
-                    yield self._finding(
-                        info.module,
-                        function.lineno if owner is info else info.lineno,
-                        f"engine {info.registered_engine!r} ({info.name}): "
-                        f"{method}() must be a classmethod so payload dispatch "
-                        "can rebuild the engine without an instance",
-                        qualname=f"{info.name}.{method}",
-                    )
-
-
-# --------------------------------------------------------------------------- #
-# oracle-batch-parity
-# --------------------------------------------------------------------------- #
-_FAIRNESS_ORACLE = "repro.fairness.oracle.FairnessOracle"
-
-
-class OracleBatchParityRule(Rule):
-    """Oracles overriding ``is_satisfactory`` must keep the batched path.
-
-    A ``FairnessOracle`` subclass that overrides the scalar verdict without
-    implementing (or inheriting) ``is_satisfactory_many`` silently drops out
-    of the PR-5 batched protocol: ``suggest_many`` falls back to the per-query
-    loop and the scalar/batched bit-parity guarantee has nothing to check.
-    Deliberate black-box oracles go on the committed allowlist instead.
-    """
-
-    rule_id = "oracle-batch-parity"
-    title = "scalar oracle overrides keep a batched twin"
-    rationale = "PR 5: scalar/batched bit-parity of the batched oracle protocol"
-
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        for info in model.classes():
-            if not model.is_subclass(info, _FAIRNESS_ORACLE):
-                continue
-            own = info.methods.get("is_satisfactory")
-            if own is None or own.is_abstract:
-                continue
-            if "is_satisfactory_many" in model.resolved_methods(info):
-                continue
-            yield self._finding(
-                info.module,
-                own.lineno,
-                f"{info.name} overrides is_satisfactory() without an "
-                "is_satisfactory_many() batched twin; implement the batched "
-                "protocol (see repro.fairness.batched) or add the class to the "
-                "black-box allowlist",
-                qualname=info.name,
-            )
 
 
 # --------------------------------------------------------------------------- #
@@ -529,8 +411,6 @@ class RegistryHygieneRule(Rule):
 def all_rules() -> tuple[Rule, ...]:
     """One instance of every built-in contract rule, in report order."""
     return (
-        EngineContractRule(),
-        OracleBatchParityRule(),
         TypedExceptionsRule(),
         DeterminismRule(),
         ObsClockRule(),

@@ -8,8 +8,8 @@ Two mechanisms, with different intended lifetimes:
   or docstring never counts);
 * an allowlist file holds the *deliberate*, reviewed exceptions — one
   ``<rule-id> <pattern>`` pair per line, where the :mod:`fnmatch` pattern is
-  matched against each finding's anchor (``path::Qualname``) and its file
-  path.  Unused entries are reported so the allowlist cannot rot.
+  matched against each finding's file path.  Unused entries are reported so
+  the allowlist cannot rot.
 
 The repository convention is to keep the tree free of inline suppressions and
 route every deliberate exception through the committed allowlist
@@ -73,18 +73,14 @@ def collect_suppressions(module: ModuleInfo) -> list[SuppressionComment]:
 
 @dataclass(frozen=True)
 class AllowlistEntry:
-    """One reviewed exception: a rule id plus an anchor pattern."""
+    """One reviewed exception: a rule id plus a file path pattern."""
 
     rule: str
     pattern: str
     line: int
 
     def matches(self, finding: Finding) -> bool:
-        if self.rule != finding.rule:
-            return False
-        return fnmatch(finding.anchor, self.pattern) or fnmatch(
-            finding.file, self.pattern
-        )
+        return self.rule == finding.rule and fnmatch(finding.file, self.pattern)
 
 
 class Allowlist:

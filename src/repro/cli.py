@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--load-index",
         required=True,
         metavar="PATH",
-        help="engine file written by 'suggest --save-index' (journaled or plain)",
+        help="engine file written by 'suggest --save-index'",
     )
     maintain.add_argument("--attribute", required=True, help="type attribute of the constraint")
     maintain.add_argument("--group", required=True, help="protected group value")
@@ -171,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-index",
         metavar="PATH",
         help="persist the maintained engine to PATH (defaults to not saving)",
-    )
-    maintain.add_argument(
-        "--journaled",
-        action="store_true",
-        help="save as base snapshot + delta journal instead of a flat payload",
     )
 
     figures = subparsers.add_parser(
@@ -436,7 +431,7 @@ def _run_maintain(args: argparse.Namespace) -> int:
         print(f"{key}: {value}")
     if args.save_index:
         try:
-            designer.save(args.save_index, journaled=args.journaled)
+            designer.save(args.save_index)
         except ReproError as error:
             print(f"error: cannot save the engine: {error}", file=sys.stderr)
             return 2

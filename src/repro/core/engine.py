@@ -435,7 +435,6 @@ class _EngineBase:
         self._index: Any = None
         self._preprocessing_dataset: Dataset | None = None
         self._journal: list[DatasetDelta] = []
-        self._base_payload: dict[str, Any] | None = None
 
     # -- offline phase ------------------------------------------------- #
     def preprocess(
@@ -444,10 +443,18 @@ class _EngineBase:
         """Run the offline phase (optionally rebinding dataset/oracle first).
 
         The dataset, oracle and index are committed together once the index
-        is built, so a build that raises leaves the engine as it was.
+        is built, and a successful build starts an empty :attr:`journal`; a
+        build that raises leaves the engine, journal included, as it was.
         """
-        dataset = self.dataset if dataset is None else dataset
-        oracle = self.oracle if oracle is None else oracle
+        self._rebuild(
+            self.dataset if dataset is None else dataset,
+            self.oracle if oracle is None else oracle,
+        )
+        self._journal = []
+        return self
+
+    def _rebuild(self, dataset: Dataset, oracle: FairnessOracle) -> None:
+        """Build the index for ``dataset`` and commit it with the dataset and oracle."""
         working = dataset
         sample_size = self.config.sample_size
         if sample_size is not None and sample_size < working.n_items:
@@ -455,7 +462,6 @@ class _EngineBase:
         index = self._build_index(working, oracle)
         self.dataset, self.oracle = dataset, oracle
         self._preprocessing_dataset, self._index = working, index
-        return self
 
     def _build_index(self, working: Dataset, oracle: FairnessOracle) -> Any:
         """Build the index; engines cache its geometry only once it is built."""
@@ -471,10 +477,9 @@ class _EngineBase:
         eligible engines run the incremental geometry paths; a delta mutating
         more than :data:`STALENESS_THRESHOLD` of the dataset (or an engine
         without its geometry caches, e.g. one rebuilt from a payload) falls
-        back to a full rebuild.  Applied deltas are journaled so
-        :func:`repro.io.index_store.save_engine` can persist a base snapshot
-        plus the delta log.  A delta that raises is neither applied nor
-        journaled: the engine keeps its pre-delta state, so retrying is safe.
+        back to a full rebuild.  Applied deltas are appended to
+        :attr:`journal`.  A delta that raises is neither applied nor recorded:
+        the engine keeps its pre-delta state, so retrying is safe.
         """
         if not isinstance(delta, DatasetDelta):
             raise ConfigurationError(
@@ -486,22 +491,12 @@ class _EngineBase:
             return MaintenanceReport(engine=self.name, strategy="noop")
         fraction = delta.staleness_fraction(self.dataset.n_items)
         mutated = delta.apply(self.dataset)
-        base_payload = self._base_payload
-        if (
-            base_payload is None
-            and not self._journal
-            and self.config.sample_size is None
-            and self.capabilities().persistable
-        ):
-            # Snapshot the pre-delta engine once, before the first mutation:
-            # the journaled payload format replays the delta log against it.
-            base_payload = self.to_payload()
         with stage_span(
             "maintenance.apply_delta", engine=self.name, n_changes=delta.n_changes
         ) as span:
             if fraction > STALENESS_THRESHOLD or not self._supports_incremental(delta):
                 strategy = "rebuild"
-                self.preprocess(mutated)
+                self._rebuild(mutated, self.oracle)
                 details: dict[str, Any] = {"n_items": mutated.n_items}
             else:
                 strategy = "incremental"
@@ -510,7 +505,6 @@ class _EngineBase:
                 self._index = index
             if span is not None:
                 span.set("strategy", strategy)
-        self._base_payload = base_payload
         self._journal.append(delta)
         return MaintenanceReport(
             engine=self.name,
@@ -554,19 +548,11 @@ class _EngineBase:
 
     @property
     def journal(self) -> tuple[DatasetDelta, ...]:
-        """Deltas applied since preprocessing (the journaled payload's delta log)."""
-        return tuple(self._journal)
+        """Deltas applied since the last :meth:`preprocess`, oldest first.
 
-    @property
-    def base_payload(self) -> dict[str, Any] | None:
-        """Engine payload captured before the first delta (None when unavailable).
-
-        Sampled engines never capture a base snapshot: their persisted
-        preprocessing dataset is the sample, so a replayed delta log could not
-        be applied against the full pre-delta dataset.  They persist
-        snapshot-only (``save_engine(..., journaled=False)``).
+        Kept in memory only: a saved engine is a snapshot of its current index.
         """
-        return self._base_payload
+        return tuple(self._journal)
 
     @property
     def is_preprocessed(self) -> bool:
@@ -1027,10 +1013,10 @@ class EngineWrapper:
 
     Forwards the seam (``preprocess`` / ``suggest`` / ``suggest_many`` /
     ``apply_delta`` / ``refresh``) and the read-only engine state (``dataset``,
-    ``index``, ``is_preprocessed``, ``preprocessing_dataset``, ``journal``,
-    ``base_payload``) to ``self.inner`` unchanged, so a wrapper overrides only
-    what it changes.  ``oracle`` is not forwarded: each wrapper keeps its own.
-    For the registered wrappers it also supplies ``capabilities()`` and the
+    ``index``, ``is_preprocessed``, ``preprocessing_dataset``, ``journal``) to
+    ``self.inner`` unchanged, so a wrapper overrides only what it changes.
+    ``oracle`` is not forwarded: each wrapper keeps its own.  For the
+    registered wrappers it also supplies ``capabilities()`` and the
     not-persistable ``to_payload`` / ``from_payload``.
     """
 
@@ -1056,10 +1042,6 @@ class EngineWrapper:
     @property
     def journal(self) -> tuple[DatasetDelta, ...]:
         return self.inner.journal
-
-    @property
-    def base_payload(self) -> dict[str, Any] | None:
-        return self.inner.base_payload
 
     def preprocess(
         self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None

@@ -325,8 +325,8 @@ class MaintenanceReport:
     geometry to maintain: the approximate engine never caches any, and a
     loaded engine starts without), and ``"refresh"`` when the
     oracle-dependent stages were re-run after the oracle changed.  No wall
-    clocks are recorded here — reports ride along in journaled payloads,
-    which must stay byte-stable.
+    clocks are recorded here, so a report depends only on the engine and the
+    delta; the ``maintenance.apply_delta`` stage span carries the timing.
     """
 
     engine: str

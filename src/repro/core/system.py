@@ -207,20 +207,16 @@ class FairRankingDesigner:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path, *, journaled: bool = False) -> None:
+    def save(self, path) -> None:
         """Write the preprocessed engine (config + index + sample) to a JSON file.
 
         The file embeds the preprocessing dataset — the sample, when
         ``sample_size`` was configured — so :meth:`load` answers queries
         bit-identically to this designer without redoing any preprocessing.
-        With ``journaled=True`` the file records the pre-delta base snapshot
-        plus the applied-delta journal instead (see
-        :func:`repro.io.index_store.save_engine`); loading replays the
-        journal through the engine seam.
         """
         from repro.io.index_store import save_engine
 
-        save_engine(self._engine, path, journaled=journaled)
+        save_engine(self._engine, path)
 
     @classmethod
     def load(cls, path, oracle: FairnessOracle) -> "FairRankingDesigner":

@@ -1,59 +1,16 @@
-"""Experiment harness: timers, sweep runners and series containers.
+"""Experiment harness: the series containers the paper's figures are made of.
 
 Every table and figure of the paper's evaluation is regenerated by a function
-in :mod:`repro.experiments.workloads`; those functions use the small utilities
-here so that benchmarks and the EXPERIMENTS report share one implementation of
-"run this configuration, time each step, collect the series".
+in :mod:`repro.experiments.workloads`; those functions collect their points
+into the :class:`Series` and :class:`SweepResult` containers here, so that
+benchmarks and the EXPERIMENTS report share one shape of result.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
 
-__all__ = [
-    "StepTimer",
-    "Series",
-    "SweepResult",
-    "run_sweep",
-    "BatchQueryTiming",
-    "time_batched_queries",
-]
-
-
-class StepTimer:
-    """Accumulates named wall-clock durations.
-
-    Example
-    -------
-    >>> timer = StepTimer()
-    >>> with timer.measure("step"):
-    ...     _ = sum(range(100))
-    >>> timer.seconds("step") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._durations: dict[str, float] = {}
-
-    @contextmanager
-    def measure(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self._durations[name] = self._durations.get(name, 0.0) + elapsed
-
-    def seconds(self, name: str) -> float:
-        """Accumulated seconds for a named step (0 if never measured)."""
-        return self._durations.get(name, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        """All measured durations."""
-        return dict(self._durations)
+__all__ = ["Series", "SweepResult"]
 
 
 @dataclass
@@ -91,74 +48,3 @@ class SweepResult:
         if name not in self.series:
             self.series[name] = Series(name=name, x_label=self.parameter, y_label=y_label or name)
         return self.series[name]
-
-
-@dataclass(frozen=True)
-class BatchQueryTiming:
-    """Looped vs batched online answering of one weight-matrix workload.
-
-    ``identical`` records whether the engine's ``suggest_many`` reproduced the
-    reference loop result-for-result — the invariant the batched paths are
-    required to keep.
-    """
-
-    n_items: int
-    n_queries: int
-    engine: str
-    loop_seconds: float
-    batched_seconds: float
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        """How much faster the batched path answered the workload."""
-        if self.batched_seconds <= 0.0:
-            return float("inf")
-        return self.loop_seconds / self.batched_seconds
-
-
-def time_batched_queries(designer, weights_matrix, repeats: int = 3) -> BatchQueryTiming:
-    """Time a preprocessed designer answering a weight matrix both ways.
-
-    Runs ``suggest`` in a Python loop and ``suggest_many`` as one batch,
-    ``repeats`` times each (best-of to suppress scheduler noise), and verifies
-    the two produce identical results.  Takes a preprocessed
-    :class:`~repro.core.system.FairRankingDesigner` (any engine behind it).
-    """
-    matrix = [list(row) for row in weights_matrix]
-    loop_seconds = float("inf")
-    looped = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        looped = [designer.suggest(row) for row in matrix]
-        loop_seconds = min(loop_seconds, time.perf_counter() - started)
-    batched_seconds = float("inf")
-    batched = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        batched = designer.suggest_many(matrix)
-        batched_seconds = min(batched_seconds, time.perf_counter() - started)
-    return BatchQueryTiming(
-        n_items=designer.dataset.n_items,
-        n_queries=len(matrix),
-        engine=designer.mode if hasattr(designer, "mode") else designer.name,
-        loop_seconds=loop_seconds,
-        batched_seconds=batched_seconds,
-        identical=(batched == looped),
-    )
-
-
-def run_sweep(
-    parameter: str,
-    values: Sequence,
-    body: Callable[[object, SweepResult], None],
-) -> SweepResult:
-    """Run ``body(value, result)`` for every parameter value, collecting series.
-
-    The body receives the sweep value and the shared :class:`SweepResult`, and
-    is responsible for adding points to whichever series it needs.
-    """
-    result = SweepResult(parameter=parameter)
-    for value in values:
-        body(value, result)
-    return result

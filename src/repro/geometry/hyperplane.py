@@ -11,7 +11,6 @@ with the legal angle box ``[0, π/2]^{d-1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -295,13 +294,3 @@ class Region:
     def __len__(self) -> int:
         return len(self.half_spaces)
 
-
-def region_from_signs(
-    hyperplanes: Sequence[Hyperplane], signs: Iterable[int], dimension: int
-) -> Region:
-    """Build a region from parallel lists of hyperplanes and side signs."""
-    region = Region.whole_space(dimension)
-    for hyperplane, sign in zip(hyperplanes, signs):
-        half_space = hyperplane.negative() if sign < 0 else hyperplane.positive()
-        region = region.with_half_space(half_space)
-    return region

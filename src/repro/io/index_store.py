@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "payload_checksum",
     "read_store_digest",
     "STORE_FORMAT",
-    "ENGINE_JOURNAL_FORMAT",
 ]
 
 #: Schema identifier written into every serialised index.
@@ -62,8 +62,9 @@ STORE_FORMAT = "repro.store/v1"
 #: Hash algorithm the envelope records (and the only one this version reads).
 _STORE_ALGORITHM = "sha256"
 
-#: Schema identifier of a journaled engine payload (base snapshot + deltas).
-ENGINE_JOURNAL_FORMAT = "repro.engine-journal/v1"
+#: Schema identifier of the base-snapshot-plus-delta-log engine files earlier
+#: versions could write; :func:`load_engine` still reads them.
+_LEGACY_JOURNAL_FORMAT = "repro.engine-journal/v1"
 
 
 # --------------------------------------------------------------------------- #
@@ -461,48 +462,21 @@ def load_index(
 # --------------------------------------------------------------------------- #
 # engine-level persistence ("preprocess once, serve many")
 # --------------------------------------------------------------------------- #
-def save_engine(engine, path: str | Path, *, journaled: bool = False) -> None:
+def save_engine(engine, path: str | Path) -> None:
     """Write a preprocessed :class:`~repro.core.engine.QueryEngine` to a JSON file.
 
     The payload bundles the engine name, its typed configuration, the offline
     index, and the preprocessing dataset (the sample when sampling was used),
     so :func:`load_engine` restores an engine that answers queries
-    bit-identically without re-preprocessing.  The payload is wrapped in the
-    :data:`STORE_FORMAT` checksum envelope so :func:`load_engine` can detect
-    corruption.
-
-    With ``journaled=True`` the file instead records the engine's *base*
-    snapshot (its payload from before the first ``apply_delta``) plus the
-    serialised journal of every delta applied since
-    (:data:`ENGINE_JOURNAL_FORMAT`).  Loading replays the journal through
-    ``apply_delta``, reproducing the live engine bit-identically.  Engines
-    that cannot journal soundly — sampled engines persist only the sample,
-    which delta indices do not refer to — raise
-    :class:`~repro.exceptions.ConfigurationError` once deltas exist.
+    bit-identically without re-preprocessing.  A maintained engine is saved
+    as a snapshot of its current index: the file is byte-identical to one
+    saved from a fresh rebuild on the mutated dataset.  The payload is
+    wrapped in the :data:`STORE_FORMAT` checksum envelope so
+    :func:`load_engine` can detect corruption.
     """
-    if not journaled:
-        Path(path).write_text(
-            json.dumps(_wrap_payload(engine.to_payload())), encoding="utf-8"
-        )
-        return
-    journal = engine.journal
-    if not journal:
-        base = engine.to_payload()
-    else:
-        base = engine.base_payload
-        if base is None:
-            raise ConfigurationError(
-                f"engine {engine.name!r} holds {len(journal)} "
-                "journaled delta(s) but no base snapshot; journaled persistence "
-                "needs a full-dataset, persistable engine (sampled engines "
-                "persist snapshot-only — save with journaled=False)"
-            )
-    payload = {
-        "format": ENGINE_JOURNAL_FORMAT,
-        "base": base,
-        "deltas": [delta.to_dict() for delta in journal],
-    }
-    Path(path).write_text(json.dumps(_wrap_payload(payload)), encoding="utf-8")
+    Path(path).write_text(
+        json.dumps(_wrap_payload(engine.to_payload())), encoding="utf-8"
+    )
 
 
 def load_engine(path: str | Path, oracle: FairnessOracle):
@@ -514,6 +488,11 @@ def load_engine(path: str | Path, oracle: FairnessOracle):
     engine at all, and a typed :class:`~repro.exceptions.IndexIntegrityError`
     when the file's checksum envelope fails verification (see
     :func:`load_index`).
+
+    A file in the legacy ``repro.engine-journal/v1`` format (a base snapshot
+    plus a delta log) still loads: its deltas are replayed through
+    ``apply_delta`` with a :class:`UserWarning`, and re-saving the engine
+    writes a snapshot.
     """
     # Imported lazily: repro.core.engine imports this module's serialisers
     # inside its persistence hooks, so a module-level import would be cyclic.
@@ -526,7 +505,14 @@ def load_engine(path: str | Path, oracle: FairnessOracle):
             f"{path} holds a bare index (format {INDEX_FORMAT!r}); use load_index() "
             "for index files, or re-save through FairRankingDesigner.save()"
         )
-    if isinstance(payload, dict) and payload.get("format") == ENGINE_JOURNAL_FORMAT:
+    if isinstance(payload, dict) and payload.get("format") == _LEGACY_JOURNAL_FORMAT:
+        warnings.warn(
+            f"{path} is a {_LEGACY_JOURNAL_FORMAT!r} file, a format this version "
+            "no longer writes; its delta log is replayed now, and save_engine() "
+            "re-saves the engine as a snapshot",
+            UserWarning,
+            stacklevel=2,
+        )
         try:
             engine = engine_from_payload(payload["base"], oracle)
             for delta_payload in payload.get("deltas", ()):

@@ -305,16 +305,17 @@ class InstrumentedEngine(EngineWrapper):
     # engine protocol
     # ------------------------------------------------------------------ #
     def preprocess(self, dataset=None, oracle=None) -> "InstrumentedEngine":
+        """Preprocess the inner engine; a new oracle is committed only once it succeeds."""
+        instrumented = None
         if oracle is not None:
-            self.oracle = oracle
-            self.instrumented_oracle = InstrumentedOracle(
+            instrumented = InstrumentedOracle(
                 oracle, metrics=self.metrics, recorder=self.recorder
             )
         with activated(self.recorder):
             with self.recorder.span("engine.preprocess", engine=self.inner.name):
-                self.inner.preprocess(
-                    dataset, self.instrumented_oracle if oracle is not None else None
-                )
+                self.inner.preprocess(dataset, instrumented)
+        if instrumented is not None:
+            self.oracle, self.instrumented_oracle = oracle, instrumented
         self.metrics.counter("engine.preprocess", engine=self.inner.name).inc()
         return self
 

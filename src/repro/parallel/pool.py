@@ -277,11 +277,14 @@ class PoolEngine(EngineWrapper):
     def preprocess(
         self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None
     ) -> "PoolEngine":
-        """Preprocess the inner engine (if needed) and publish its index file."""
-        if oracle is not None:
-            self.oracle = oracle
+        """Preprocess the inner engine (if needed) and publish its index file.
+
+        A new oracle is committed only once the inner preprocess succeeds.
+        """
         if not self.inner.is_preprocessed or dataset is not None or oracle is not None:
             self.inner.preprocess(dataset, oracle)
+        if oracle is not None:
+            self.oracle = oracle
         self._publish_index()
         return self
 

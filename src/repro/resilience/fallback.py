@@ -298,7 +298,8 @@ class FallbackEngine(EngineWrapper):
 
     Its ``inner`` engine — the one the forwarded state (``dataset``,
     ``index``, ``journal``, ...) reads from — is the first active tier, or
-    the first configured tier before :meth:`preprocess`.
+    the first configured tier before :meth:`preprocess`.  As with every
+    engine, a new oracle is committed only once :meth:`preprocess` succeeds.
     """
 
     def __init__(
@@ -384,11 +385,11 @@ class FallbackEngine(EngineWrapper):
 
         A bare ``preprocess()`` skips tiers that are already preprocessed
         (how :meth:`from_engines` adopts built tiers); passing a dataset or
-        oracle re-preprocesses every tier on it.
+        oracle re-preprocesses every tier on it.  The chain's oracle, active
+        tiers and ``preprocess_errors`` change only when at least one tier
+        succeeds.
         """
         rebind = dataset is not None or oracle is not None
-        if oracle is not None:
-            self.oracle = oracle
         active: list[tuple[str, object]] = []
         errors: list[TierError] = []
         for position, engine in enumerate(self.engines):
@@ -401,12 +402,14 @@ class FallbackEngine(EngineWrapper):
                 if not self.config.lenient_preprocess:
                     raise
                 errors.append(TierError(label, type(error).__name__, str(error)))
-        self.preprocess_errors = tuple(errors)
         if not active:
             raise ConfigurationError(
                 "every tier of the fallback chain failed to preprocess: "
                 + "; ".join(f"{e.tier}: {e.message}" for e in errors)
             )
+        if oracle is not None:
+            self.oracle = oracle
+        self.preprocess_errors = tuple(errors)
         self._active = tuple(active)
         return self
 

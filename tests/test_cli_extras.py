@@ -1,10 +1,16 @@
-"""Tests for the ``audit`` and ``figures`` CLI subcommands."""
+"""Tests for the ``audit``, ``suggest``, ``maintain`` and ``figures`` CLI subcommands."""
 
 from __future__ import annotations
 
 import pytest
 
+from differential import assert_engines_equivalent, make_weight_grid
 from repro.cli import build_parser, main
+from repro.core.engine import TwoDConfig, create_engine
+from repro.core.maintenance import DatasetDelta
+from repro.data.synthetic import COMPAS_SCORING_ATTRIBUTES, make_compas_like
+from repro.fairness.proportional import ProportionalOracle
+from repro.io.index_store import load_engine
 
 
 class TestParser:
@@ -195,6 +201,83 @@ class TestSuggestBatchAndPersistence:
         assert code == 0
         # Identical answer text before and after the round trip.
         assert loaded_out.strip() in saved_out
+
+
+class TestMaintainCommand:
+    """``suggest --save-index`` then ``maintain --load-index``, end to end."""
+
+    _CONSTRAINT = [
+        "--attribute",
+        "race",
+        "--group",
+        "African-American",
+        "--k",
+        "0.3",
+        "--max-share",
+        "0.6",
+    ]
+    _TYPES = "race=African-American;sex=female;age_binary=over_35;age_bucketized=over_40"
+
+    def _saved_engine(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        code = main(
+            TestSuggestBatchAndPersistence._BASE
+            + ["--weights", "0.9,0.1", "--save-index", str(path)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        return path
+
+    def _maintain(self, source, *delta_args):
+        return main(["maintain", "--load-index", str(source), *self._CONSTRAINT, *delta_args])
+
+    def test_maintained_engine_matches_a_fresh_rebuild(self, tmp_path, capsys):
+        source, target = self._saved_engine(tmp_path, capsys), tmp_path / "b.json"
+        code = self._maintain(
+            source,
+            "--insert",
+            f"0.5,0.3;{self._TYPES}",
+            "--update",
+            "7:0.2,0.9",
+            "--delete",
+            "3",
+            "--save-index",
+            str(target),
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        # A loaded engine holds no exchange cache, so the delta rebuilds.
+        assert "strategy: rebuild" in out and "engine saved" in out
+
+        oracle = ProportionalOracle("race", "African-American", k=0.3, max_fraction=0.6)
+        base = make_compas_like(n=60, seed=0).project(list(COMPAS_SCORING_ATTRIBUTES[:2]))
+        delta = DatasetDelta(
+            inserts=((0.5, 0.3),),
+            insert_types={
+                "race": ("African-American",),
+                "sex": ("female",),
+                "age_binary": ("over_35",),
+                "age_bucketized": ("over_40",),
+            },
+            deletes=(3,),
+            updates=((7, (0.2, 0.9)),),
+        )
+        fresh = create_engine(delta.apply(base), oracle, TwoDConfig()).preprocess()
+        assert_engines_equivalent(
+            load_engine(target, oracle), fresh, make_weight_grid(16, 2, seed=1)
+        )
+
+    def test_malformed_update_exits_2(self, tmp_path, capsys):
+        code = self._maintain(self._saved_engine(tmp_path, capsys), "--update", "7-0.2,0.9")
+        assert code == 2
+        assert "malformed delta argument" in capsys.readouterr().err
+
+    def test_journaled_flag_is_gone(self, tmp_path, capsys):
+        source = self._saved_engine(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exit_info:
+            self._maintain(source, "--delete", "3", "--journaled")
+        assert exit_info.value.code == 2
+        assert "--journaled" in capsys.readouterr().err
 
 
 @pytest.mark.slow

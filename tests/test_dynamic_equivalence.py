@@ -15,13 +15,16 @@ Covered:
   ``rebuild`` (staleness threshold exceeded) — land on the same bits;
 * every registered engine, wrappers included, passes one delta-vs-rebuild
   differential; a newly registered engine fails until it has a case;
-* a delta or preprocess that raises leaves the engine as it was, and the
-  retried delta still lands on rebuild bits;
+* a delta or preprocess that raises leaves the engine as it was — a wrapper
+  and its inner engine keep their oracle too — and the retried delta still
+  lands on rebuild bits;
 * ``refresh()`` after the oracle's criterion drifted in place equals a fresh
   preprocess under the drifted oracle, and ``refresh_if_stale`` drives it;
-* the journaled persistence format: a save/load round trip of base snapshot
-  plus delta journal replays to the same answers and payload bytes, and a
-  re-save of the loaded engine is byte-identical to the original file;
+* persistence: a maintained engine saves as a snapshot with a fresh
+  rebuild's bytes, reloads equivalent to it and re-saves byte-identically; a
+  base-snapshot-plus-delta-log file in the retired
+  ``repro.engine-journal/v1`` format replays with one warning; the in-memory
+  journal records every delta since the last successful ``preprocess``;
 * the wrapper engines (``pool``, ``instrumented``, ``fallback``) that
   override ``apply_delta``: each propagates a delta to the same bits as a
   fresh rebuild; every wrapper, ``ChaosEngine`` included, exposes the
@@ -59,10 +62,10 @@ from repro.core.engine import (
 from repro.core.maintenance import DatasetDelta, MaintenanceReport
 from repro.core.monitoring import check_engine_freshness, refresh_if_stale
 from repro.data.synthetic import make_compas_like
-from repro.exceptions import DatasetError, OracleError
+from repro.exceptions import ConfigurationError, DatasetError, OracleError
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
-from repro.io.index_store import save_engine, load_engine
+from repro.io.index_store import STORE_FORMAT, load_engine, payload_checksum, save_engine
 from repro.obs.instrument import InstrumentedEngine
 from repro.parallel.pool import PoolEngine
 from repro.resilience.chaos import ChaosEngine
@@ -200,46 +203,82 @@ class TestFamilies:
 
 
 # --------------------------------------------------------------------------- #
-# journaled persistence: save -> load -> replay == rebuild
+# persistence: a maintained engine saves as a snapshot; the in-memory journal
 # --------------------------------------------------------------------------- #
-class TestJournaledPersistence:
+class TestPersistence:
     def test_round_trip_matches_rebuild_and_resave_is_stable(self, tmp_path):
         ds = dataset(40, 2, seed=1)
         engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
         delta = random_delta(ds, seed=0)
         engine.apply_delta(delta)
 
-        path = tmp_path / "journaled.json"
-        save_engine(engine, path, journaled=True)
+        path = tmp_path / "maintained.json"
+        save_engine(engine, path)
         loaded = load_engine(path, fixed_oracle())
 
         fresh = fresh_twin(delta.apply(dataset(40, 2, seed=1)), TwoDConfig())
-        grid = make_weight_grid(24, 2, seed=3)
-        assert_engines_equivalent(engine, loaded, grid)
-        assert payload_bytes(loaded) == payload_bytes(fresh)
+        rebuilt = tmp_path / "rebuilt.json"
+        save_engine(fresh, rebuilt)
+        assert path.read_bytes() == rebuilt.read_bytes()
+        assert_engines_equivalent(loaded, fresh, make_weight_grid(24, 2, seed=3))
 
         resaved = tmp_path / "resaved.json"
-        save_engine(loaded, resaved, journaled=True)
+        save_engine(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
-    def test_journal_records_every_delta(self, tmp_path):
+    def test_legacy_journaled_file_replays_with_one_warning(self, tmp_path):
+        """A base snapshot plus delta log, as earlier versions wrote it."""
         ds = dataset(40, 2, seed=2)
-        engine = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
+        base = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
+        first = random_delta(ds, seed=10)
+        mutated_once = first.apply(ds)
+        second = random_delta(mutated_once, seed=11, deletes=(0,), update_index=2)
+        payload = {
+            "format": "repro.engine-journal/v1",
+            "base": base.to_payload(),
+            "deltas": [first.to_dict(), second.to_dict()],
+        }
+        envelope = {
+            "format": STORE_FORMAT,
+            "algorithm": "sha256",
+            "digest": payload_checksum(payload),
+            "payload": payload,
+        }
+        path = tmp_path / "journaled.json"
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+
+        with pytest.warns(UserWarning, match="repro.engine-journal/v1") as caught:
+            loaded = load_engine(path, fixed_oracle())
+        assert len(caught) == 1
+        assert loaded.journal == (first, second)
+        fresh = fresh_twin(second.apply(mutated_once), TwoDConfig())
+        assert_engines_equivalent(loaded, fresh, make_weight_grid(24, 2, seed=3))
+
+    def test_journal_records_every_delta(self):
+        ds = dataset(40, 2, seed=2)
+        criterion = Criterion()
+        engine = create_engine(ds, criterion_oracle(criterion), TwoDConfig()).preprocess()
         first = random_delta(ds, seed=10)
         engine.apply_delta(first)
-        second = random_delta(
-            first.apply(dataset(40, 2, seed=2)), seed=11, deletes=(0,), update_index=2
-        )
+        mutated_once = first.apply(dataset(40, 2, seed=2))
+        second = random_delta(mutated_once, seed=11, deletes=(0,), update_index=2)
         engine.apply_delta(second)
-        assert [d.to_dict() for d in engine.journal] == [
-            first.to_dict(),
-            second.to_dict(),
-        ]
-        path = tmp_path / "journaled.json"
-        save_engine(engine, path, journaled=True)
-        stored = json.loads(path.read_text())
-        assert stored["payload"]["format"] == "repro.engine-journal/v1"
-        assert len(stored["payload"]["deltas"]) == 2
+        assert engine.journal == (first, second)
+
+        # A rebuilding delta keeps the earlier entries and appends itself.
+        third = random_delta(second.apply(mutated_once), seed=12, n_inserts=30)
+        assert engine.apply_delta(third).strategy == "rebuild"
+        assert engine.journal == (first, second, third)
+
+        # A preprocess that raises leaves the journal; one that succeeds empties it.
+        rebound = dataset(30, 2, seed=5)
+        criterion.armed = True
+        with pytest.raises(OracleError):
+            engine.preprocess(rebound)
+        criterion.armed = False
+        assert engine.journal == (first, second, third)
+        engine.preprocess(rebound)
+        assert engine.journal == ()
 
 
 # --------------------------------------------------------------------------- #
@@ -320,7 +359,6 @@ class TestWrapperEngines:
             assert engine.index is inner.index
             assert engine.preprocessing_dataset is inner.preprocessing_dataset
             assert engine.journal == inner.journal == (delta,)
-            assert engine.base_payload is inner.base_payload is not None
         finally:
             if isinstance(engine, PoolEngine):
                 engine.close()
@@ -461,7 +499,6 @@ class TestFailedMaintenance:
         criterion.armed = False
         assert payload_bytes(engine) == before
         assert engine.journal == ()
-        assert engine.base_payload is None
         assert engine.dataset is ds
         assert engine.apply_delta(delta).strategy == retry_strategy
         fresh = create_engine(
@@ -469,18 +506,29 @@ class TestFailedMaintenance:
         ).preprocess()
         assert_engines_equivalent(engine, fresh, make_weight_grid(16, dimension, seed=3))
 
-    def test_failed_preprocess_keeps_the_dataset_oracle_and_index(self):
+    @pytest.mark.parametrize("wrapper", ["2d", *sorted(TestWrapperEngines.WRAPPERS)])
+    def test_failed_preprocess_keeps_the_dataset_oracle_and_index(self, wrapper):
+        """The plain 2-D engine, and every wrapper over one, commit a new oracle last."""
         ds = dataset(40, 2, seed=1)
-        oracle = criterion_oracle(Criterion())
-        engine = create_engine(ds, oracle, TwoDConfig()).preprocess()
-        before = payload_bytes(engine)
-        armed = Criterion()
-        armed.armed = True
-        with pytest.raises(OracleError):
-            engine.preprocess(dataset(30, 2, seed=5), criterion_oracle(armed))
-        assert engine.dataset is ds
-        assert engine.oracle is oracle
-        assert payload_bytes(engine) == before
+        inner = create_engine(ds, criterion_oracle(Criterion()), TwoDConfig())
+        engine = inner if wrapper == "2d" else TestWrapperEngines.WRAPPERS[wrapper](inner)
+        engine.preprocess()
+        try:
+            oracle, inner_oracle = engine.oracle, inner.oracle
+            before = payload_bytes(inner)
+            armed = Criterion()
+            armed.armed = True
+            # A chain whose every tier failed reports them in one ConfigurationError.
+            error = ConfigurationError if wrapper == "fallback" else OracleError
+            with pytest.raises(error):
+                engine.preprocess(dataset(30, 2, seed=5), criterion_oracle(armed))
+            assert engine.dataset is inner.dataset is ds
+            assert engine.oracle is oracle
+            assert inner.oracle is inner_oracle
+            assert payload_bytes(inner) == before
+        finally:
+            if isinstance(engine, PoolEngine):
+                engine.close()
 
 
 # --------------------------------------------------------------------------- #

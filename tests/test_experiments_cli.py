@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.harness import Series, StepTimer, SweepResult, run_sweep
+from repro.experiments.harness import Series, SweepResult
 from repro.experiments.reporting import (
     format_histogram,
     format_series,
@@ -38,23 +38,12 @@ from repro.experiments.workloads import (
 
 
 class TestHarness:
-    def test_step_timer(self):
-        timer = StepTimer()
-        with timer.measure("work"):
-            sum(range(1000))
-        assert timer.seconds("work") > 0.0
-        assert "work" in timer.as_dict()
-        assert timer.seconds("missing") == 0.0
-
     def test_series_and_sweep(self):
         series = Series("s", "x", "y")
         series.add(1, 2)
         series.add(3, 4)
         assert len(series) == 2
         assert series.rows() == [(1.0, 2.0), (3.0, 4.0)]
-
-        result = run_sweep("n", [1, 2], lambda value, res: res.series_named("y").add(value, value * 2))
-        assert result.series["y"].ys == [2.0, 4.0]
 
     def test_reporting_formats(self):
         table = format_table(["a", "b"], [[1, 2.5], [3, 0.0001]])
