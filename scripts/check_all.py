@@ -23,7 +23,11 @@ Runs, in order:
 7. the sweep smoke — one FM1 ray sweep on one small dataset three ways
    (``tests/test_incremental_oracle.py``): the array sweep kernel, the
    per-swap loop and the black-box oracle must give bit-identical intervals
-   and oracle-call counts.
+   and oracle-call counts;
+8. the region smoke — one small exact build twice
+   (``tests/test_region_polygon.py``): with the d = 3 polygon route and
+   with every region split and emptiness test forced through the linear
+   program, bit-identical answers, oracle-call counts and payload bytes.
 
 Usage::
 
@@ -69,6 +73,9 @@ DELTA_SMOKE = "tests/test_dynamic_equivalence.py::TestDeltaSmoke::test_delta_smo
 #: The array-kernel-vs-loop-vs-black-box sweep smoke test (one small 2-D
 #: dataset, one FM1 oracle).
 SWEEP_SMOKE = "tests/test_incremental_oracle.py::TestArraySweepKernel::test_sweep_smoke"
+
+#: The polygon-route-vs-all-LP smoke test (one small exact build).
+REGION_SMOKE = "tests/test_region_polygon.py::test_region_smoke"
 
 
 def _load_script(name: str):
@@ -134,6 +141,13 @@ def run_sweep_smoke() -> int:
     )
 
 
+def run_region_smoke() -> int:
+    return _run_pytest(
+        (REGION_SMOKE,),
+        "region smoke: OK (polygon route == all-LP route on one exact build)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="consolidated pre-PR gate")
     parser.add_argument(
@@ -150,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         ("differential_smoke", run_differential_smoke),
         ("delta_smoke", run_delta_smoke),
         ("sweep_smoke", run_sweep_smoke),
+        ("region_smoke", run_region_smoke),
     )
     if args.quick:
         gates = (("differential_smoke", run_differential_smoke),)

@@ -38,7 +38,7 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online
 from repro.core.maintenance import DatasetDelta, MaintenanceReport
-from repro.core.multi_dim import MDExactIndex, SatRegions, md_baseline
+from repro.core.multi_dim import MDExactIndex, SatRegions, insert_hyperplanes, md_baseline
 from repro.core.result import SuggestionResult
 from repro.core.two_dim import TwoDIndex, TwoDRaySweep
 from repro.data.dataset import Dataset
@@ -813,8 +813,7 @@ class ExactEngine(_EngineBase):
         fresh = hyperpolar_many(mutated.scores, pairs) if pairs.shape[0] else []
         fresh.sort(key=lambda plane: (plane.label[1], plane.label[0]))
         tree, self._exact_tree = self._exact_tree, None
-        for plane in fresh:
-            tree.insert(plane)
+        insert_hyperplanes(tree, fresh)
         merged = list(self._exact_hyperplanes) + fresh
         index = SatRegions(
             mutated,

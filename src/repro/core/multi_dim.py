@@ -13,6 +13,7 @@ nearest-point problem per satisfactory region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,9 +33,10 @@ from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.hyperplane import Hyperplane, Region
+from repro.obs.trace import stage_span
 from repro.ranking.scoring import LinearScoringFunction
 
-__all__ = ["SatisfactoryRegion", "MDExactIndex", "SatRegions", "md_baseline"]
+__all__ = ["SatisfactoryRegion", "MDExactIndex", "SatRegions", "insert_hyperplanes", "md_baseline"]
 
 
 @dataclass(frozen=True)
@@ -162,29 +164,30 @@ class SatRegions:
         an item has a larger index ``>= n``, so its hyperplane sorts after all
         existing ones and an insert-only delta can continue the cached tree's
         insertion sequence exactly where a from-scratch build would.
+
+        The three stages run under the stage spans
+        ``preprocess.hyperplane_construction``, ``preprocess.arrangement_build``
+        (with its ``split_tests``) and ``preprocess.region_evaluation``.
         """
         dimension = self.dataset.n_attributes - 1
-        hyperplanes = self.build_hyperplanes()
-        if all(plane.label is not None for plane in hyperplanes):
-            hyperplanes = sorted(
-                hyperplanes, key=lambda plane: (plane.label[1], plane.label[0])
-            )
+        with stage_span("preprocess.hyperplane_construction") as span:
+            hyperplanes = self.build_hyperplanes()
+            if all(plane.label is not None for plane in hyperplanes):
+                hyperplanes = sorted(
+                    hyperplanes, key=lambda plane: (plane.label[1], plane.label[0])
+                )
+            if span is not None:
+                span.set("n_hyperplanes", len(hyperplanes))
         self.hyperplanes_ = hyperplanes
-        index = MDExactIndex(dimension=dimension, n_hyperplanes=len(hyperplanes))
-
         if self.use_arrangement_tree:
             tree = ArrangementTree(dimension=dimension)
-            for hyperplane in hyperplanes:
-                tree.insert(hyperplane)
-            regions = tree.leaf_regions()
+            insert_hyperplanes(tree, hyperplanes)
             self.tree_ = tree
-        else:
-            arrangement = Arrangement.build(hyperplanes, dimension=dimension)
-            regions = arrangement.non_empty_regions()
-            self.tree_ = None
-        index.n_regions = len(regions)
-        self._evaluate_regions(regions, index)
-        return index
+            return self.evaluate_tree(tree, len(hyperplanes))
+        arrangement = Arrangement(dimension=dimension)
+        insert_hyperplanes(arrangement, hyperplanes)
+        self.tree_ = None
+        return self._evaluate_regions(arrangement.non_empty_regions, len(hyperplanes))
 
     def evaluate_tree(self, tree: ArrangementTree, n_hyperplanes: int) -> MDExactIndex:
         """Evaluate the leaf regions of a (possibly cached) arrangement tree.
@@ -195,28 +198,39 @@ class SatRegions:
         The result is exactly what :meth:`run` would produce after inserting
         the same hyperplane sequence into a fresh tree.
         """
-        index = MDExactIndex(
-            dimension=self.dataset.n_attributes - 1, n_hyperplanes=int(n_hyperplanes)
-        )
-        regions = tree.leaf_regions()
-        index.n_regions = len(regions)
-        self._evaluate_regions(regions, index)
-        return index
+        return self._evaluate_regions(tree.leaf_regions, n_hyperplanes)
 
-    def _evaluate_regions(self, regions: list[Region], index: MDExactIndex) -> None:
-        """One oracle call per region; keep the satisfactory ones (Algorithm 4 tail)."""
-        for region in regions:
-            angles = region.interior_point()
-            function = LinearScoringFunction(tuple(to_weights(angles)))
-            index.oracle_calls += 1
-            if self.oracle.evaluate_function(function, self.dataset):
-                index.satisfactory_regions.append(
-                    SatisfactoryRegion(
-                        region=region,
-                        representative_angles=tuple(angles),
-                        representative=function,
+    def _evaluate_regions(
+        self, leaf_regions: Callable[[], list[Region]], n_hyperplanes: int
+    ) -> MDExactIndex:
+        """One oracle call per non-empty region; keep the satisfactory ones (Algorithm 4 tail).
+
+        Runs under the ``preprocess.region_evaluation`` stage span, which
+        carries ``n_regions`` and ``oracle_calls``.
+        """
+        with stage_span("preprocess.region_evaluation") as span:
+            regions = leaf_regions()
+            index = MDExactIndex(
+                dimension=self.dataset.n_attributes - 1,
+                n_hyperplanes=int(n_hyperplanes),
+                n_regions=len(regions),
+            )
+            for region in regions:
+                angles = region.interior_point()
+                function = LinearScoringFunction(tuple(to_weights(angles)))
+                index.oracle_calls += 1
+                if self.oracle.evaluate_function(function, self.dataset):
+                    index.satisfactory_regions.append(
+                        SatisfactoryRegion(
+                            region=region,
+                            representative_angles=tuple(angles),
+                            representative=function,
+                        )
                     )
-                )
+            if span is not None:
+                span.set("n_regions", index.n_regions)
+                span.set("oracle_calls", index.oracle_calls)
+        return index
 
     # ------------------------------------------------------------------ #
     # online answering (MDBASELINE)
@@ -230,6 +244,23 @@ class SatRegions:
         overall closest one is suggested.
         """
         return md_baseline(self.dataset, self.oracle, index, function)
+
+
+def insert_hyperplanes(
+    arrangement: Arrangement | ArrangementTree, hyperplanes: Iterable[Hyperplane]
+) -> None:
+    """Insert ``hyperplanes`` in order under the ``preprocess.arrangement_build`` span.
+
+    The span carries ``split_tests``, the region-vs-hyperplane tests these
+    insertions made.  Serves the full build and the exact engine's
+    insert-only delta, which extends its cached tree.
+    """
+    with stage_span("preprocess.arrangement_build") as span:
+        split_tests = arrangement.split_tests
+        for hyperplane in hyperplanes:
+            arrangement.insert(hyperplane)
+        if span is not None:
+            span.set("split_tests", arrangement.split_tests - split_tests)
 
 
 def _closest_point_in_region(

@@ -10,9 +10,12 @@ is pruned from the search — the practical speed-up demonstrated in the paper's
 Figure 18.
 
 Each node keeps the :class:`~repro.geometry.hyperplane.Region` objects of its
-two sides.  Because those objects persist across insertions, the feasibility
-witnesses they cache make most of the hyperplane-vs-region tests a single
-linear program (or none at all) instead of two.
+two sides, and those objects persist across insertions.  At ``d = 3`` each
+keeps its convex polygon, which decides nearly every hyperplane-vs-region
+test without a linear program.  At other dimensions each test is one or two
+feasibility LPs: a point the region already knows (its interior point or an
+earlier LP witness) certifies its own side, and only the other side needs
+an LP.
 
 Two insertion modes are provided:
 
@@ -45,8 +48,8 @@ class ArrangementTreeNode:
     """One internal node of the arrangement tree: a hyperplane and its two sides.
 
     ``region`` is the convex region this node's hyperplane splits; the two side
-    regions are materialised once and reused by every later insertion so their
-    cached feasibility witnesses keep paying off.
+    regions are materialised once and reused by every later insertion so
+    their polygons and cached feasibility witnesses keep paying off.
     """
 
     hyperplane: Hyperplane

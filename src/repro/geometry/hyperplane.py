@@ -6,10 +6,21 @@ angle coordinate system.  The half-space :math:`\\sum h[k] θ_k \\le 1` is writt
 ``h⁻`` and :math:`\\sum h[k] θ_k \\ge 1` is ``h⁺``; a convex region of the
 arrangement is a conjunction of such half-spaces (Eq. 6), always intersected
 with the legal angle box ``[0, π/2]^{d-1}``.
+
+The Eq. 6 linear program (:func:`~repro.geometry.lp.feasible_point`) is the
+specification of the split and emptiness tests.  At ``d = 3`` the angle space
+is a plane and every region is a convex polygon, so a region also keeps its
+vertices there and answers those two tests from the vertex values
+``h · v - 1`` whenever the answer is certain; every uncertain case (a vertex
+within the band of a hyperplane, a degenerate or empty polygon) and every
+region of any other dimension runs the linear program.  Representative
+points are always Chebyshev centres from
+:func:`~repro.geometry.lp.chebyshev_center`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +33,23 @@ __all__ = ["Hyperplane", "HalfSpace", "Region", "angle_box_bounds"]
 
 #: Default slack used when testing sidedness; absorbs LP and float round-off.
 _SIDE_TOLERANCE = 1e-12
+
+#: The split test's margin: each side must be reachable with this much slack.
+_SPLIT_MARGIN = 1e-12
+#: A polygon vertex whose value ``h · v - 1`` lies within this band of zero
+#: is too close to the hyperplane to certify a side.  It sits far above the
+#: split margin, so a vertex beyond it satisfies its side with that slack.
+_POLYGON_BAND = 1e-9
+#: Every vertex this far beyond the hyperplane proves the other side empty.
+#: It sits ten times above HiGHS's 1e-7 primal feasibility tolerance, so the
+#: linear program cannot reach that side by bending a constraint either.
+_POLYGON_FAR = 1e-6
+#: A polygon whose area / perimeter (between half its inradius and its
+#: inradius) does not exceed this floor is degenerate and decides nothing.
+_POLYGON_FLOOR = 1e-9
+
+#: Counter-clockwise corners of the two-dimensional angle box.
+_BOX_POLYGON = ((0.0, 0.0), (HALF_PI, 0.0), (HALF_PI, HALF_PI), (0.0, HALF_PI))
 
 
 def angle_box_bounds(dimension: int) -> list[tuple[float, float]]:
@@ -141,6 +169,45 @@ class HalfSpace:
         return HalfSpace(self.hyperplane, -self.sign)
 
 
+def _solid(polygon: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """``polygon`` as a tuple if its area / perimeter exceeds the floor, else ``()``."""
+    if len(polygon) < 3:
+        return ()
+    twice_area = perimeter = 0.0
+    previous_x, previous_y = polygon[-1]
+    for x, y in polygon:
+        twice_area += previous_x * y - x * previous_y
+        perimeter += math.hypot(x - previous_x, y - previous_y)
+        previous_x, previous_y = x, y
+    return tuple(polygon) if 0.5 * twice_area > _POLYGON_FLOOR * perimeter else ()
+
+
+def _clip(
+    polygon: tuple[tuple[float, float], ...], half_space: HalfSpace
+) -> tuple[tuple[float, float], ...]:
+    """One Sutherland–Hodgman step: the part of a convex polygon inside ``half_space``.
+
+    Returns ``()`` when no solid polygon remains, so an empty or degenerate
+    region stays one under further clipping.
+    """
+    if not polygon:
+        return ()
+    h0, h1 = half_space.hyperplane.coefficients
+    sign = half_space.sign
+    # Positive means outside: h · v > 1 for h⁻, h · v < 1 for h⁺.
+    outside = [(1.0 - h0 * x - h1 * y) * sign for x, y in polygon]
+    clipped: list[tuple[float, float]] = []
+    (previous_x, previous_y), previous = polygon[-1], outside[-1]
+    for (x, y), value in zip(polygon, outside):
+        if previous < 0.0 < value or value < 0.0 < previous:
+            t = previous / (previous - value)
+            clipped.append((previous_x + t * (x - previous_x), previous_y + t * (y - previous_y)))
+        if value <= 0.0:
+            clipped.append((x, y))
+        previous_x, previous_y, previous = x, y, value
+    return _solid(clipped)
+
+
 @dataclass
 class Region:
     """A convex region of the arrangement: an intersection of half-spaces.
@@ -149,12 +216,20 @@ class Region:
     ``[0, π/2]^{d-1}``.  The class caches an interior representative point the
     first time one is requested, because the arrangement algorithms evaluate
     the fairness oracle exactly once per region at such a point.
+
+    A region of dimension 2 (``d = 3``) also keeps its convex polygon: the
+    angle box clipped by each half-space in turn, counter-clockwise, or ``()``
+    once no solid polygon remains.  :meth:`with_half_space` clips the parent's
+    polygon once; a region constructed directly builds it on first use.
     """
 
     dimension: int
     half_spaces: list[HalfSpace] = field(default_factory=list)
     _cached_interior: np.ndarray | None = field(default=None, repr=False, compare=False)
     _witness: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _polygon: tuple[tuple[float, float], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -170,7 +245,10 @@ class Region:
         """Return a new region further constrained by ``half_space``."""
         if half_space.hyperplane.dimension != self.dimension:
             raise GeometryError("half-space dimension mismatch")
-        return Region(self.dimension, [*self.half_spaces, half_space])
+        region = Region(self.dimension, [*self.half_spaces, half_space])
+        if self.dimension == 2:
+            region._polygon = _clip(self._vertices(), half_space)
+        return region
 
     @classmethod
     def whole_space(cls, dimension: int) -> "Region":
@@ -208,25 +286,72 @@ class Region:
             return False
         return all(half_space.contains(point, tolerance) for half_space in self.half_spaces)
 
+    def _vertices(self) -> tuple[tuple[float, float], ...]:
+        """The polygon of a dimension-2 region, built from the half-spaces on first use."""
+        if self._polygon is None:
+            polygon = _BOX_POLYGON
+            for half_space in self.half_spaces:
+                polygon = _clip(polygon, half_space)
+            self._polygon = polygon
+        return self._polygon
+
+    def _polygon_meets(self, hyperplane: Hyperplane | None = None) -> bool | None:
+        """What the polygon proves: is the region non-empty, or split by ``hyperplane``?
+
+        Returns None whenever the answer is not certain — any dimension but 2,
+        a degenerate or empty polygon, or a vertex value ``h · v - 1`` inside
+        the band where the linear program's tolerances could tip the answer —
+        and the caller then runs the linear program.
+        """
+        if self.dimension != 2:
+            return None
+        polygon = self._vertices()
+        if not polygon:
+            return None
+        if hyperplane is None:
+            return True
+        h0, h1 = hyperplane.coefficients
+        values = [h0 * x + h1 * y - 1.0 for x, y in polygon]
+        low, high = min(values), max(values)
+        if low < -_POLYGON_BAND and high > _POLYGON_BAND:
+            return True
+        if low > _POLYGON_FAR or high < -_POLYGON_FAR:
+            return False
+        return None
+
     def is_empty(self, margin: float = 0.0) -> bool:
-        """Return True if no point of the angle box satisfies every half-space."""
+        """Return True if no point of the angle box satisfies every half-space.
+
+        A solid polygon answers "not empty" for margins up to the split test's;
+        otherwise the Eq. 6 linear program decides.
+        """
+        if margin <= _SPLIT_MARGIN and self._polygon_meets() is not None:
+            return False
         a_matrix, b_vector = self.inequality_system()
         return not feasible_point(a_matrix, b_vector, self.bounds(), margin=margin).feasible
 
-    def intersects_hyperplane(self, hyperplane: Hyperplane, margin: float = 1e-12) -> bool:
+    def intersects_hyperplane(
+        self, hyperplane: Hyperplane, margin: float = _SPLIT_MARGIN
+    ) -> bool:
         """Return True if ``hyperplane`` passes through the region (Eq. 6 LP test).
 
         A hyperplane splits the region iff both of its closed half-spaces have
         a non-empty intersection with the region: requiring both sides to be
         reachable avoids "splitting" a region the hyperplane merely touches.
 
-        When an interior point of the region is already cached, the side it
-        falls on is known to be reachable for free, so only the opposite side
-        needs a feasibility LP — this halves the number of LPs solved during
-        arrangement construction.
+        A dimension-2 region answers from its polygon when the vertex values
+        make the answer certain.  Otherwise the linear program decides: when
+        a point of the region is already known (the cached interior point or
+        an earlier witness), the side it falls on is reachable for free and
+        only the opposite side needs a feasibility LP; without one, both
+        sides do.
         """
         if hyperplane.dimension != self.dimension:
             raise GeometryError("hyperplane dimension mismatch")
+        if margin <= _SPLIT_MARGIN:
+            meets = self._polygon_meets(hyperplane)
+            if meets is not None:
+                return meets
         a_matrix, b_vector = self.inequality_system()
         sides = [hyperplane.negative(), hyperplane.positive()]
         certificate = self._cached_interior if self._cached_interior is not None else self._witness

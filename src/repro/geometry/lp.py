@@ -14,6 +14,12 @@ Both are answered here.  Regions in the paper are open (they exclude their
 bounding hyperplanes), so the feasibility routine supports a small interior
 margin and the representative-point routine returns the Chebyshev centre,
 the point deepest inside the region.
+
+The feasibility routine is the specification of the first question.  At
+``d = 3`` a :class:`~repro.geometry.hyperplane.Region` answers it from its
+convex polygon whenever the answer is certain and calls this routine only in
+the uncertain cases; at every other dimension each test is a linear program.
+Representative points are Chebyshev centres at every dimension.
 """
 
 from __future__ import annotations

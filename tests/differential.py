@@ -25,25 +25,53 @@ instrument behind that claim:
 The harness is deliberately engine-agnostic — any two objects with
 ``suggest_many`` / ``oracle`` / ``to_payload`` compare — so it also serves as
 the fast differential smoke target of ``scripts/check_all.py``.
+
+:func:`lp_only_regions` builds the other side of the region-route
+differential: inside it, every region split and emptiness test runs the
+Eq. 6 linear program, as if no region kept a polygon.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.result import SuggestionResult
 from repro.exceptions import ConfigurationError
+from repro.geometry.hyperplane import Region
 from repro.resilience.fallback import QueryFailure
 
 __all__ = [
     "assert_engines_equivalent",
     "entry_fingerprint",
+    "lp_only_regions",
     "make_weight_grid",
     "oracle_call_count",
     "payload_bytes",
 ]
+
+
+def _undecided(region, hyperplane=None):
+    return None
+
+
+@contextmanager
+def lp_only_regions() -> Iterator[None]:
+    """Route every ``Region`` split and emptiness test through the linear program.
+
+    Patches the polygon decision of dimension-2 regions to "undecided" for
+    the body, so ``intersects_hyperplane`` and ``is_empty`` run the LP code
+    they run at ``d >= 4``.  Production code has no such switch.
+    """
+    decide = Region._polygon_meets
+    Region._polygon_meets = _undecided
+    try:
+        yield
+    finally:
+        Region._polygon_meets = decide
 
 
 def _weights_hex(weights) -> tuple[str, ...]:

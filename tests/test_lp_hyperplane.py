@@ -131,70 +131,87 @@ class TestHalfSpace:
         assert half_space.flipped().sign == 1
 
 
+def _plane(dimension: int, *coefficients: float) -> Hyperplane:
+    """A hyperplane of the angle plane, extended by zero coefficients to ``dimension``."""
+    return Hyperplane(coefficients + (0.0,) * (dimension - len(coefficients)))
+
+
+def _point(dimension: int, *values: float) -> np.ndarray:
+    """A point of the angle plane, extended by 0.5 coordinates to ``dimension``."""
+    return np.array(values + (0.5,) * (dimension - len(values)))
+
+
+#: Dimension 2 (d = 3) answers split and emptiness tests from the region's
+#: polygon; dimension 3 (d = 4) keeps the linear-program route.
+@pytest.mark.parametrize("dimension", [2, 3])
 class TestRegion:
-    def test_whole_space_contains_everything_in_box(self):
-        region = Region.whole_space(2)
-        assert region.contains(np.array([0.1, 1.2]))
-        assert not region.contains(np.array([0.1, HALF_PI + 0.5]))
+    def test_whole_space_contains_everything_in_box(self, dimension):
+        region = Region.whole_space(dimension)
+        assert region.contains(_point(dimension, 0.1, 1.2))
+        assert not region.contains(_point(dimension, 0.1, HALF_PI + 0.5))
 
-    def test_with_half_space_restricts(self):
-        hyperplane = Hyperplane((1.0, 1.0))
-        region = Region.whole_space(2).with_half_space(hyperplane.negative())
-        assert region.contains(np.array([0.2, 0.3]))
-        assert not region.contains(np.array([1.0, 1.0]))
+    def test_with_half_space_restricts(self, dimension):
+        hyperplane = _plane(dimension, 1.0, 1.0)
+        region = Region.whole_space(dimension).with_half_space(hyperplane.negative())
+        assert region.contains(_point(dimension, 0.2, 0.3))
+        assert not region.contains(_point(dimension, 1.0, 1.0))
 
-    def test_interior_point_satisfies_constraints(self):
-        hyperplane = Hyperplane((1.0, 1.0))
-        region = Region.whole_space(2).with_half_space(hyperplane.negative())
+    def test_interior_point_satisfies_constraints(self, dimension):
+        hyperplane = _plane(dimension, 1.0, 1.0)
+        region = Region.whole_space(dimension).with_half_space(hyperplane.negative())
         point = region.interior_point()
         assert region.contains(point)
         assert hyperplane.evaluate(point) < 0.0
 
-    def test_interior_point_of_empty_region_raises(self):
-        hyperplane = Hyperplane((1000.0, 1000.0))
+    def test_interior_point_of_empty_region_raises(self, dimension):
+        hyperplane = _plane(dimension, 1000.0, 1000.0)
         region = (
-            Region.whole_space(2)
+            Region.whole_space(dimension)
             .with_half_space(hyperplane.negative())
-            .with_half_space(Hyperplane((0.1, 0.1)).positive())
+            .with_half_space(_plane(dimension, 0.1, 0.1).positive())
         )
         assert region.is_empty()
         with pytest.raises(InfeasibleRegionError):
             region.interior_point()
 
-    def test_split_produces_complementary_regions(self):
-        hyperplane = Hyperplane((1.0, 1.0))
-        below, above = Region.whole_space(2).split(hyperplane)
-        point = np.array([0.2, 0.2])
+    def test_split_produces_complementary_regions(self, dimension):
+        hyperplane = _plane(dimension, 1.0, 1.0)
+        below, above = Region.whole_space(dimension).split(hyperplane)
+        point = _point(dimension, 0.2, 0.2)
         assert below.contains(point)
         assert not above.contains(point)
 
-    def test_intersects_hyperplane_true_and_false(self):
-        region = Region.whole_space(2).with_half_space(Hyperplane((1.0, 1.0)).negative())
-        assert region.intersects_hyperplane(Hyperplane((1.5, 1.5)))
-        assert not region.intersects_hyperplane(Hyperplane((0.1, 0.1)))
+    def test_intersects_hyperplane_true_and_false(self, dimension):
+        region = Region.whole_space(dimension).with_half_space(
+            _plane(dimension, 1.0, 1.0).negative()
+        )
+        assert region.intersects_hyperplane(_plane(dimension, 1.5, 1.5))
+        assert not region.intersects_hyperplane(_plane(dimension, 0.1, 0.1))
 
-    def test_intersects_uses_cached_interior(self):
-        region = Region.whole_space(2).with_half_space(Hyperplane((1.0, 1.0)).negative())
+    def test_intersects_uses_cached_interior(self, dimension):
+        region = Region.whole_space(dimension).with_half_space(
+            _plane(dimension, 1.0, 1.0).negative()
+        )
         region.interior_point()  # populate the cache
-        assert region.intersects_hyperplane(Hyperplane((1.5, 1.5)))
-        assert not region.intersects_hyperplane(Hyperplane((0.1, 0.1)))
+        assert region.intersects_hyperplane(_plane(dimension, 1.5, 1.5))
+        assert not region.intersects_hyperplane(_plane(dimension, 0.1, 0.1))
 
-    def test_defining_hyperplanes_deduplicates(self):
-        hyperplane = Hyperplane((1.0, 1.0))
+    def test_defining_hyperplanes_deduplicates(self, dimension):
+        hyperplane = _plane(dimension, 1.0, 1.0)
         region = (
-            Region.whole_space(2)
+            Region.whole_space(dimension)
             .with_half_space(hyperplane.negative())
             .with_half_space(hyperplane.negative())
         )
         assert len(region.defining_hyperplanes()) == 1
 
-    def test_dimension_checks(self):
+    def test_dimension_checks(self, dimension):
         with pytest.raises(GeometryError):
             Region.whole_space(0)
         with pytest.raises(GeometryError):
-            Region.whole_space(2).with_half_space(Hyperplane((1.0,)).negative())
+            Region.whole_space(dimension).with_half_space(Hyperplane((1.0,)).negative())
 
-    def test_angle_box_bounds(self):
-        assert angle_box_bounds(3) == [(0.0, HALF_PI)] * 3
+    def test_angle_box_bounds(self, dimension):
+        assert angle_box_bounds(dimension) == [(0.0, HALF_PI)] * dimension
         with pytest.raises(GeometryError):
             angle_box_bounds(0)

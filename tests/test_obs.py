@@ -20,10 +20,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.engine import ApproxConfig, TwoDConfig, create_engine
+from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
+from repro.core.maintenance import DatasetDelta
 from repro.core.monitoring import error_budget_report
+from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError
 from repro.fairness.oracle import CountingOracle
+from repro.fairness.proportional import ProportionalOracle
 from repro.obs import (
     InstrumentedConfig,
     InstrumentedEngine,
@@ -230,6 +233,63 @@ def test_span_coverage_reaches_every_stage(small_compas_2d, race_oracle_2d):
     assert "engine.suggest_many" in names
     assert any(name.startswith("oracle.") for name in names)
     assert any(name.startswith("preprocess.") for name in names)
+
+
+def _children(recorder: TraceRecorder, parent) -> list:
+    return [span for span in recorder.spans if span.parent_id == parent.span_id]
+
+
+def test_exact_pipeline_stage_spans_nest_and_count():
+    """SATREGIONS spans its three stages, and the insert-only delta two of them."""
+    attributes = ["c_days_from_compas", "juv_other_count", "start"]
+    oracle = CountingOracle(
+        ProportionalOracle("race", "African-American", 0.3, max_fraction=0.60)
+    )
+    engine = create_engine(
+        make_compas_like(n=6, seed=2).project(attributes), oracle, ExactConfig()
+    )
+    recorder = TraceRecorder()
+    with activated(recorder):
+        with recorder.span("op.preprocess"):
+            engine.preprocess()
+    (operation,) = [span for span in recorder.spans if span.name == "op.preprocess"]
+    stages = _children(recorder, operation)
+    assert [span.name for span in stages] == [
+        "preprocess.hyperplane_construction",
+        "preprocess.arrangement_build",
+        "preprocess.region_evaluation",
+    ]
+    construction, build, evaluation = (dict(span.attributes) for span in stages)
+    tree = engine._exact_tree
+    assert construction["n_hyperplanes"] == tree.n_hyperplanes == engine.index.n_hyperplanes
+    assert build["split_tests"] == tree.split_tests > 0
+    assert evaluation["n_regions"] == engine.index.n_regions
+    assert evaluation["oracle_calls"] == engine.index.oracle_calls == oracle.calls
+
+    split_tests_before, calls_before = tree.split_tests, oracle.calls
+    inserts = ((0.5, 0.4, 0.3), (0.2, 0.9, 0.6))
+    insert_types = {
+        name: tuple(np.asarray(column)[:2]) for name, column in engine.dataset.types.items()
+    }
+    recorder.clear()
+    with activated(recorder):
+        with recorder.span("op.apply_delta"):
+            report = engine.apply_delta(
+                DatasetDelta(inserts=inserts, insert_types=insert_types)
+            )
+    assert report.strategy == "incremental"
+    (operation,) = [span for span in recorder.spans if span.name == "op.apply_delta"]
+    (maintenance,) = _children(recorder, operation)
+    assert maintenance.name == "maintenance.apply_delta"
+    stages = _children(recorder, maintenance)
+    assert [span.name for span in stages] == [
+        "preprocess.arrangement_build",
+        "preprocess.region_evaluation",
+    ]
+    build, evaluation = (dict(span.attributes) for span in stages)
+    assert build["split_tests"] == engine._exact_tree.split_tests - split_tests_before > 0
+    assert evaluation["n_regions"] == engine.index.n_regions
+    assert evaluation["oracle_calls"] == engine.index.oracle_calls == oracle.calls - calls_before
 
 
 def test_instrumented_engine_counts_queries_and_latency(

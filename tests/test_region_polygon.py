@@ -1,0 +1,287 @@
+"""The polygon route of dimension-2 regions against its specification, the Eq. 6 LP.
+
+At ``d = 3`` a :class:`~repro.geometry.hyperplane.Region` answers its split
+and emptiness tests from its convex polygon when the vertex values make the
+answer certain, and defers to the linear program otherwise.  The LP stays the
+specification: every polygon decision must equal the LP route called
+directly, or the polygon must have deferred.  Covered:
+
+* one parameter table of degenerate geometry — hyperplanes through a vertex,
+  along an edge or touching only a box corner, duplicates, three concurrent
+  lines, a sliver thinner than the band, a region clipped to empty, the
+  whole box;
+* seeded random arrangements of 30+ lines, checked at every split test of
+  the arrangement tree and every emptiness test of its leaves;
+* the polygon itself: clipping the parent's polygon equals building it from
+  the half-spaces, and its vertices satisfy every half-space;
+* the all-LP differential at the engine seam: forcing every decision
+  through the LP changes no answer, oracle call or payload byte, for the
+  exact engine with and without the arrangement tree, the approximate
+  engine on both partitions, and an exact insert-only ``apply_delta``.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+
+from differential import (
+    assert_engines_equivalent,
+    lp_only_regions,
+    make_weight_grid,
+)
+from repro.core.engine import ApproxConfig, ExactConfig, create_engine
+from repro.core.maintenance import DatasetDelta
+from repro.data.synthetic import make_compas_like
+from repro.fairness.oracle import CountingOracle
+from repro.fairness.proportional import ProportionalOracle
+from repro.geometry.angles import HALF_PI
+from repro.geometry.arrangement_tree import ArrangementTree
+from repro.geometry.dual import hyperpolar_many
+from repro.geometry.hyperplane import Hyperplane, Region
+
+ATTRIBUTES = ["c_days_from_compas", "juv_other_count", "start"]
+
+
+def line_through(p, q) -> Hyperplane:
+    """The hyperplane ``h · θ = 1`` through two points of the angle plane."""
+    return Hyperplane(tuple(np.linalg.solve(np.array([p, q], dtype=float), np.ones(2))))
+
+
+def box_region(*half_spaces) -> Region:
+    region = Region.whole_space(2)
+    for half_space in half_spaces:
+        region = region.with_half_space(half_space)
+    return region
+
+
+def lp_intersects(region: Region, hyperplane: Hyperplane) -> bool:
+    with lp_only_regions():
+        return Region(2, list(region.half_spaces)).intersects_hyperplane(hyperplane)
+
+
+def lp_is_empty(region: Region) -> bool:
+    with lp_only_regions():
+        return Region(2, list(region.half_spaces)).is_empty()
+
+
+def assert_matches_lp(region: Region, hyperplane: Hyperplane | None):
+    """The polygon's decision equals the LP route's, or the polygon deferred."""
+    verdict = region._polygon_meets(hyperplane)
+    if verdict is not None:
+        if hyperplane is None:
+            assert verdict is not lp_is_empty(region)
+        else:
+            assert verdict is lp_intersects(region, hyperplane)
+    return verdict
+
+
+# --------------------------------------------------------------------------- #
+# degenerate geometry: one parameter table
+# --------------------------------------------------------------------------- #
+TRIANGLE = (Hyperplane((1.0, 1.0)).negative(),)  # x + y <= 1: corners (0,0), (1,0), (0,1)
+APEX = (0.6, 0.7)
+WEDGE = (
+    line_through(APEX, (1.2, 0.0)).negative(),
+    line_through(APEX, (0.0, 0.3)).negative(),
+)
+SLIVER = (
+    Hyperplane((1.0 / 0.5, 0.0)).positive(),
+    Hyperplane((1.0 / (0.5 + 1e-10), 0.0)).negative(),
+)
+CLIPPED_EMPTY = (Hyperplane((2.0, 2.0)).negative(), Hyperplane((1.0, 1.0)).positive())
+
+#: ``(case, region half-spaces, hyperplane or None for the emptiness test,
+#: the polygon's expected decision: True / False, or None when it defers)``.
+DEGENERATE_CASES = [
+    ("through-vertex-touching", TRIANGLE, Hyperplane((1.0, 0.5)), None),
+    ("through-vertex-splitting", TRIANGLE, Hyperplane((1.0, 2.0)), True),
+    ("along-box-edge", (), Hyperplane((1.0 / HALF_PI, 0.0)), None),
+    ("along-region-edge", WEDGE, line_through((0.9, 0.35), (1.2, 0.0)), None),
+    ("touching-box-corner", (), Hyperplane((1.0 / np.pi, 1.0 / np.pi)), None),
+    ("duplicate-defining", TRIANGLE, Hyperplane((1.0, 1.0)), None),
+    ("concurrent-through-apex", WEDGE, line_through(APEX, (0.2, 1.2)), True),
+    ("concurrent-touching-apex", WEDGE, Hyperplane((0.0, 1.0 / APEX[1])), None),
+    ("sliver-crossed", SLIVER, Hyperplane((0.0, 2.0)), None),
+    ("sliver-emptiness", SLIVER, None, None),
+    ("clipped-to-empty", CLIPPED_EMPTY, Hyperplane((1.0, 0.5)), None),
+    ("clipped-to-empty-emptiness", CLIPPED_EMPTY, None, None),
+    ("whole-box-split", (), Hyperplane((1.0, 1.0)), True),
+    ("whole-box-missed", (), Hyperplane((0.1, 0.1)), False),
+    ("whole-box-emptiness", (), None, True),
+    ("triangle-missed-beyond", TRIANGLE, Hyperplane((0.4, 0.4)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "half_spaces, hyperplane, expected",
+    [case[1:] for case in DEGENERATE_CASES],
+    ids=[case[0] for case in DEGENERATE_CASES],
+)
+def test_degenerate_geometry_matches_the_lp_or_defers(half_spaces, hyperplane, expected):
+    region = box_region(*half_spaces)
+    assert assert_matches_lp(region, hyperplane) is expected
+    # The public methods agree with the LP route whichever route answered.
+    if hyperplane is None:
+        assert region.is_empty() is lp_is_empty(region)
+    else:
+        assert region.intersects_hyperplane(hyperplane) is lp_intersects(region, hyperplane)
+
+
+def test_touching_box_corner_is_a_crossing_for_cellplane():
+    """The corner-touching row is the case ``crosses_box`` admits."""
+    low, high = np.zeros(2), np.full(2, HALF_PI)
+    assert Hyperplane((1.0 / np.pi, 1.0 / np.pi)).crosses_box(low, high)
+
+
+def test_three_exchanges_of_one_item_triple():
+    """The exchanges of items i, j, k, split against each other's regions."""
+    scores = np.array([[0.9, 0.2, 0.5], [0.3, 0.8, 0.4], [0.5, 0.5, 0.6]])
+    planes = hyperpolar_many(scores, np.array([[0, 1], [1, 2], [0, 2]]))
+    assert len(planes) == 3
+    for first, second, third in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
+        for sign_a in ("negative", "positive"):
+            for sign_b in ("negative", "positive"):
+                region = box_region(
+                    getattr(planes[first], sign_a)(), getattr(planes[second], sign_b)()
+                )
+                assert_matches_lp(region, planes[third])
+                assert_matches_lp(region, None)
+
+
+# --------------------------------------------------------------------------- #
+# seeded random arrangements
+# --------------------------------------------------------------------------- #
+def random_lines(seed: int, count: int) -> list[Hyperplane]:
+    """Lines through two random points of the angle box (each crosses it)."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    while len(lines) < count:
+        p, q = rng.uniform(0.0, HALF_PI, size=(2, 2))
+        if abs(np.linalg.det(np.array([p, q]))) > 1e-3:
+            lines.append(line_through(p, q))
+    return lines
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_arrangements_decide_like_the_lp(seed, monkeypatch):
+    split_tests = []
+    original = Region.intersects_hyperplane
+
+    def recorded(region, hyperplane, margin=1e-12):
+        split_tests.append((region, hyperplane))
+        return original(region, hyperplane, margin)
+
+    monkeypatch.setattr(Region, "intersects_hyperplane", recorded)
+    tree = ArrangementTree(dimension=2)
+    for line in random_lines(seed, 30):
+        tree.insert(line)
+    monkeypatch.undo()
+    assert len(split_tests) == tree.split_tests
+    leaves = tree.leaf_regions(skip_empty=False)
+    verdicts = [assert_matches_lp(region, line) for region, line in split_tests]
+    verdicts += [assert_matches_lp(leaf, None) for leaf in leaves]
+    # Random lines in general position leave the band alone: the polygon
+    # decides nearly everything, and every decision matched the LP above.
+    assert verdicts.count(None) <= 0.01 * len(verdicts)
+
+
+# --------------------------------------------------------------------------- #
+# the polygon itself
+# --------------------------------------------------------------------------- #
+def test_clipped_polygon_equals_the_lazily_built_one():
+    for line in random_lines(4, 12):
+        region = box_region(*TRIANGLE, line.negative())
+        direct = Region(2, list(region.half_spaces))
+        assert region._polygon == direct._vertices()
+
+
+def test_polygon_vertices_satisfy_every_half_space():
+    lines = random_lines(5, 8)
+    region = Region.whole_space(2)
+    for index, line in enumerate(lines):
+        side = line.negative() if index % 2 else line.positive()
+        candidate = region.with_half_space(side)
+        if candidate._vertices():
+            region = candidate
+    assert region._vertices()
+    for vertex in region._vertices():
+        assert region.contains(np.asarray(vertex), tolerance=1e-12)
+
+
+def test_other_dimensions_keep_no_polygon():
+    for dimension in (1, 3):
+        region = Region.whole_space(dimension)
+        plane = Hyperplane((1.0,) * dimension)
+        assert region._polygon_meets(plane) is None
+        assert region.with_half_space(plane.negative())._polygon is None
+
+
+# --------------------------------------------------------------------------- #
+# all-LP differential at the engine seam
+# --------------------------------------------------------------------------- #
+def fixed_oracle() -> CountingOracle:
+    return CountingOracle(ProportionalOracle("race", "African-American", 0.3, max_fraction=0.60))
+
+
+def dataset(n: int, seed: int):
+    return make_compas_like(n=n, seed=seed).project(ATTRIBUTES)
+
+
+def insert_only_delta(ds, seed: int, n_inserts: int = 2) -> DatasetDelta:
+    rng = np.random.default_rng(seed)
+    inserts = tuple(
+        tuple(float(x) for x in row) for row in rng.random((n_inserts, ds.n_attributes)) + 0.01
+    )
+    insert_types = {
+        attribute: tuple(rng.choice(np.asarray(column), size=n_inserts))
+        for attribute, column in ds.types.items()
+    }
+    return DatasetDelta(inserts=inserts, insert_types=insert_types)
+
+
+def assert_lp_route_identical(n: int, seed: int, config, n_queries: int = 16):
+    polygon = create_engine(dataset(n, seed), fixed_oracle(), config).preprocess()
+    with lp_only_regions():
+        all_lp = create_engine(dataset(n, seed), fixed_oracle(), config).preprocess()
+    assert polygon.oracle.calls == all_lp.oracle.calls
+    assert_engines_equivalent(polygon, all_lp, make_weight_grid(n_queries, 3, seed=seed))
+
+
+LP_ROUTE_CASES = {
+    "exact-tree": (40, 3, ExactConfig(max_hyperplanes=20)),
+    "exact-flat": (40, 3, ExactConfig(max_hyperplanes=12, use_arrangement_tree=False)),
+    "approximate-uniform": (120, 5, ApproxConfig(n_cells=25, max_hyperplanes=20)),
+    "approximate-angle": (120, 5, ApproxConfig(n_cells=25, max_hyperplanes=20, partition="angle")),
+}
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("case", sorted(LP_ROUTE_CASES))
+def test_all_lp_route_is_bit_identical(case):
+    n, seed, config = LP_ROUTE_CASES[case]
+    assert_lp_route_identical(n, seed, config)
+
+
+@pytest.mark.perf_smoke
+def test_all_lp_route_is_bit_identical_after_an_insert_only_delta():
+    ds = dataset(6, 2)
+    delta = insert_only_delta(ds, seed=1)
+    engines = []
+    for route in (nullcontext, lp_only_regions):
+        engine = create_engine(dataset(6, 2), fixed_oracle(), ExactConfig())
+        with route():
+            engine.preprocess()
+            report = engine.apply_delta(delta)
+        assert report.strategy == "incremental", report.as_dict()
+        engines.append(engine)
+    assert engines[0].oracle.calls == engines[1].oracle.calls
+    assert_engines_equivalent(*engines, make_weight_grid(8, 3, seed=2))
+
+
+@pytest.mark.perf_smoke
+def test_region_smoke():
+    """One small exact build both ways: the check_all.py region gate."""
+    assert_lp_route_identical(30, 1, ExactConfig(max_hyperplanes=12), n_queries=8)
