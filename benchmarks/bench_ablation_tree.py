@@ -1,8 +1,8 @@
 """A1 — ablation of the arrangement tree and early stopping inside SATREGIONS/MARKCELL.
 
-DESIGN.md calls out two design choices worth ablating: (1) the arrangement
-tree (§4) against a flat region scan, and (2) the early-stopping probe used by
-MARKCELL (§5.1) against marking cells by exhaustive arrangement construction.
+Two design choices are worth ablating: (1) the arrangement tree (§4) against
+a flat region scan, and (2) the early-stopping probe used by MARKCELL (§5.1)
+against marking cells by exhaustive arrangement construction.
 This benchmark quantifies (1) in terms of hyperplane-vs-region intersection
 tests and wall-clock time on the same input, at a slightly larger scale than
 Figure 18.

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import time
 
-from repro import LinearScoringFunction, MultiAttributeOracle, ProportionalOracle
-from repro.core import md_online, preprocess_with_sampling, validate_index_on_dataset
+from repro import ApproxConfig, LinearScoringFunction, MultiAttributeOracle, ProportionalOracle
+from repro.core import create_engine, validate_index_on_dataset
 from repro.data import make_dot_like
 from repro.ranking import topk
 
@@ -43,11 +43,12 @@ def main() -> None:
     )
 
     # Offline phase on a uniform sample (the paper uses 1,000 of 1.3M rows).
+    config = ApproxConfig(n_cells=256, max_hyperplanes=120, sample_size=400, sample_seed=5)
     started = time.perf_counter()
-    index = preprocess_with_sampling(
-        dataset, oracle, sample_size=400, n_cells=256, max_hyperplanes=120, seed=5
-    )
-    print(f"\npreprocessing on a 500-row sample took {time.perf_counter() - started:.1f}s "
+    engine = create_engine(dataset, oracle, config).preprocess()
+    index = engine.index
+    print(f"\npreprocessing on a {engine.preprocessing_dataset.n_items}-row sample took "
+          f"{time.perf_counter() - started:.1f}s "
           f"({index.n_marked_cells}/{index.n_cells} cells marked directly)")
 
     # Validate the sample-derived functions against the full dataset (§6.4).
@@ -59,7 +60,7 @@ def main() -> None:
 
     # Online phase: a user proposes to rank flights mostly by departure delay.
     proposal = LinearScoringFunction((0.8, 0.1, 0.1))
-    answer = md_online(index, proposal)
+    answer = engine.suggest(proposal)
     k = int(0.10 * dataset.n_items)
 
     def carrier_counts(function: LinearScoringFunction) -> dict:

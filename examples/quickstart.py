@@ -19,7 +19,7 @@ from repro.fairness import group_share_at_k
 
 def main() -> None:
     # 1. A dataset: scoring attributes in [0, 1] plus protected type attributes.
-    #    (A synthetic stand-in for COMPAS; see DESIGN.md for the substitution.)
+    #    (A synthetic stand-in for COMPAS; repro.data.synthetic explains the substitution.)
     dataset = make_compas_like(n=500, seed=7).project(
         ["c_days_from_compas", "juv_other_count"]
     )

@@ -4,7 +4,8 @@
 Runs, in order:
 
 1. ``scripts/check_docs.py`` — no stale code references in ``README.md`` /
-   ``docs/*.md``;
+   ``docs/*.md``, and no ``*.md`` name in ``src/``, ``examples/`` or
+   ``benchmarks/`` that does not exist;
 2. ``scripts/check_contracts.py`` — the contract linter over ``src/repro``,
    then the executed engine-seam and oracle-parity contracts
    (``tests/test_contracts.py``), plus the scoped ``mypy --strict`` pass when

@@ -17,6 +17,10 @@ resolves:
   blocks) must exist;
 * relative markdown link targets must exist.
 
+It also walks the Python files under ``src/``, ``examples/`` and
+``benchmarks/``: every ``*.md`` name their docstrings, comments or help texts
+mention must exist at the repository root or in ``docs/``.
+
 Run it as a tier-2 check::
 
     PYTHONPATH=src python scripts/check_docs.py
@@ -45,6 +49,10 @@ _PATH_TOKEN = re.compile(r"(?:src|docs|tests|benchmarks|examples|scripts)/[\w./*
 #: Inline code spans and markdown link targets.
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _LINK_TARGET = re.compile(r"\[[^\]\n]*\]\(([^)#\s]+)\)")
+#: Markdown file names mentioned in code, with any leading directories.
+_MD_NAME = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
+#: Code trees whose ``*.md`` mentions must resolve.
+_CODE_DIRS = ("src", "examples", "benchmarks")
 
 
 def _module_error(reference: str) -> str | None:
@@ -119,16 +127,45 @@ def check_file(path: Path) -> list[str]:
     return [f"{location}: {error}" for error in errors]
 
 
+def _iter_code() -> list[Path]:
+    return sorted(
+        path
+        for directory in _CODE_DIRS
+        if (REPO_ROOT / directory).is_dir()
+        for path in (REPO_ROOT / directory).rglob("*.py")
+    )
+
+
+def check_code_file(path: Path) -> list[str]:
+    """Return the ``*.md`` names one Python file mentions that do not exist.
+
+    A name resolves when it exists relative to the repository root or to
+    ``docs/`` (so both ``docs/api.md`` and ``api.md`` name the API guide).
+    """
+    text = path.read_text(encoding="utf-8")
+    try:
+        location = path.relative_to(REPO_ROOT)
+    except ValueError:
+        location = path.name
+    return [
+        f"{location}: {name}: no such markdown file at the repository root or in docs/"
+        for name in _MD_NAME.findall(text)
+        if not ((REPO_ROOT / name).exists() or (REPO_ROOT / "docs" / name).exists())
+    ]
+
+
 def collect_errors() -> list[str]:
-    """Check every documentation file and return all stale references."""
+    """Check every documentation and code file and return all stale references."""
     errors: list[str] = []
     for path in _iter_docs():
         errors.extend(check_file(path))
+    for path in _iter_code():
+        errors.extend(check_code_file(path))
     return errors
 
 
 def main() -> int:
-    documents = _iter_docs()
+    documents = _iter_docs() + _iter_code()
     errors = collect_errors()
     if errors:
         print(f"check_docs: {len(errors)} stale reference(s) in {len(documents)} file(s):")

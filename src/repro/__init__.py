@@ -78,7 +78,7 @@ from repro.fairness import (
     as_batched,
     as_incremental,
 )
-from repro.io import load_engine, load_index, save_engine, save_index
+from repro.io import load_engine, save_engine
 from repro.obs import (
     InstrumentedConfig,
     InstrumentedEngine,
@@ -119,8 +119,6 @@ __all__ = [
     "ApproxConfig",
     "available_engines",
     "get_engine",
-    "save_index",
-    "load_index",
     "save_engine",
     "load_engine",
     "TwoDRaySweep",

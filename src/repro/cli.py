@@ -9,6 +9,7 @@ Examples
 Check a weight vector on a synthetic COMPAS-like dataset::
 
     repro-fair-ranking suggest --dataset compas --n 500 --d 3 \\
+        --n-cells 256 --max-hyperplanes 50 \\
         --attribute race --group African-American --k 0.3 --max-share 0.6 \\
         --weights 0.5,0.3,0.2
 
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "name",
         choices=["fig16", "fig17", "layouts", "online2d", "onlinemd", "sampling"],
-        help="experiment identifier (see DESIGN.md)",
+        help="experiment identifier (one of the paper's §6 experiments)",
     )
 
     audit = subparsers.add_parser(
@@ -206,9 +207,46 @@ def _format_result(result, prefix: str = "") -> None:
         )
 
 
-def _run_suggest(args: argparse.Namespace) -> int:
+def _constraint_oracle(args: argparse.Namespace) -> ProportionalOracle | None:
+    """The FM1 oracle the constraint flags describe, or ``None`` after printing why not."""
     if args.max_share is None and args.min_share is None:
         print("error: provide --max-share and/or --min-share", file=sys.stderr)
+        return None
+    return ProportionalOracle(
+        args.attribute,
+        args.group,
+        k=args.k if args.k < 1 else int(args.k),
+        min_fraction=args.min_share,
+        max_fraction=args.max_share,
+    )
+
+
+def _load_engine_file(path: str, oracle: ProportionalOracle) -> FairRankingDesigner | None:
+    """Load a ``--load-index`` engine file, or return ``None`` after printing why not.
+
+    Every load failure — missing file, corruption, a file in another format —
+    becomes one actionable line on stderr (the caller exits 2), never a
+    traceback.
+    """
+    try:
+        return FairRankingDesigner.load(path, oracle)
+    except IndexIntegrityError as error:
+        message = str(error)
+    except FileNotFoundError:
+        message = (
+            f"engine file {path!r} does not exist; create one with 'suggest --save-index'"
+        )
+    except IsADirectoryError:
+        message = f"{path!r} is a directory, not an engine file"
+    except ReproError as error:
+        message = f"cannot load {path!r}: {error}"
+    print(f"error: {message}", file=sys.stderr)
+    return None
+
+
+def _run_suggest(args: argparse.Namespace) -> int:
+    oracle = _constraint_oracle(args)
+    if oracle is None:
         return 2
     if args.weights is None and args.weights_file is None:
         print("error: provide --weights and/or --weights-file", file=sys.stderr)
@@ -225,38 +263,10 @@ def _run_suggest(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    k = args.k if args.k < 1 else int(args.k)
-    oracle = ProportionalOracle(
-        args.attribute,
-        args.group,
-        k=k,
-        min_fraction=args.min_share,
-        max_fraction=args.max_share,
-    )
     if args.load_index:
         # Serve from a persisted engine: no dataset load, no preprocessing.
-        # Every load failure — missing file, corruption, a wrong-kind file —
-        # becomes an actionable message and a nonzero exit, never a traceback.
-        try:
-            designer = FairRankingDesigner.load(args.load_index, oracle)
-        except IndexIntegrityError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        except FileNotFoundError:
-            print(
-                f"error: engine file {args.load_index!r} does not exist; "
-                "create one with --save-index",
-                file=sys.stderr,
-            )
-            return 2
-        except IsADirectoryError:
-            print(
-                f"error: {args.load_index!r} is a directory, not an engine file",
-                file=sys.stderr,
-            )
-            return 2
-        except ReproError as error:
-            print(f"error: cannot load {args.load_index!r}: {error}", file=sys.stderr)
+        designer = _load_engine_file(args.load_index, oracle)
+        if designer is None:
             return 2
         if args.record_workload:
             # Re-wrap the loaded engine: instrumented engines are not
@@ -298,7 +308,7 @@ def _run_suggest(args: argparse.Namespace) -> int:
         _format_result(result)
         if getattr(args, "explain", False):
             print()
-            print(format_explanation(explain_repair(dataset, result, k=k)))
+            print(format_explanation(explain_repair(dataset, result, k=oracle.k)))
     if args.weights_file is not None:
         with open(args.weights_file, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
@@ -328,7 +338,7 @@ def _run_suggest(args: argparse.Namespace) -> int:
                     f"(distance {result.angular_distance:.4f} rad)"
                 )
             if getattr(args, "explain", False):
-                print(format_explanation(explain_repair(dataset, result, k=k)))
+                print(format_explanation(explain_repair(dataset, result, k=oracle.k)))
                 print()
     if args.record_workload:
         workload = designer.engine.workload
@@ -385,42 +395,16 @@ def _parse_delta(args: argparse.Namespace):
 
 
 def _run_maintain(args: argparse.Namespace) -> int:
-    if args.max_share is None and args.min_share is None:
-        print("error: provide --max-share and/or --min-share", file=sys.stderr)
+    oracle = _constraint_oracle(args)
+    if oracle is None:
         return 2
-    k = args.k if args.k < 1 else int(args.k)
-    oracle = ProportionalOracle(
-        args.attribute,
-        args.group,
-        k=k,
-        min_fraction=args.min_share,
-        max_fraction=args.max_share,
-    )
     try:
         delta = _parse_delta(args)
     except ValueError as error:
         print(f"error: malformed delta argument: {error}", file=sys.stderr)
         return 2
-    try:
-        designer = FairRankingDesigner.load(args.load_index, oracle)
-    except IndexIntegrityError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError:
-        print(
-            f"error: engine file {args.load_index!r} does not exist; "
-            "create one with 'suggest --save-index'",
-            file=sys.stderr,
-        )
-        return 2
-    except IsADirectoryError:
-        print(
-            f"error: {args.load_index!r} is a directory, not an engine file",
-            file=sys.stderr,
-        )
-        return 2
-    except ReproError as error:
-        print(f"error: cannot load {args.load_index!r}: {error}", file=sys.stderr)
+    designer = _load_engine_file(args.load_index, oracle)
+    if designer is None:
         return 2
     try:
         report = designer.apply_delta(delta)

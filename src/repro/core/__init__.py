@@ -36,11 +36,7 @@ from repro.core.monitoring import (
 )
 from repro.core.multi_dim import MDExactIndex, SatisfactoryRegion, SatRegions, md_baseline
 from repro.core.result import SuggestionResult
-from repro.core.sampling import (
-    SampleValidationReport,
-    preprocess_with_sampling,
-    validate_index_on_dataset,
-)
+from repro.core.sampling import SampleValidationReport, validate_index_on_dataset
 from repro.core.session import DesignSession, ProposalRecord, SessionSummary
 from repro.core.system import FairRankingDesigner
 from repro.core.two_dim import AngularInterval, TwoDIndex, TwoDRaySweep
@@ -72,7 +68,6 @@ __all__ = [
     "md_online",
     "md_online_lookup",
     "SampleValidationReport",
-    "preprocess_with_sampling",
     "validate_index_on_dataset",
     "FreshnessReport",
     "check_approx_index_freshness",

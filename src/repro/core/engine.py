@@ -992,9 +992,7 @@ class ApproxEngine(_EngineBase):
     def _index_to_dict(self) -> dict[str, Any]:
         from repro.io.index_store import approx_index_to_dict
 
-        # The preprocessing dataset is stored once at the engine level; no
-        # need to embed a second copy inside the index payload.
-        return approx_index_to_dict(self.index, include_dataset=False)
+        return approx_index_to_dict(self.index)
 
     def _index_from_dict(
         self, payload: dict[str, Any], dataset: Dataset, oracle: FairnessOracle

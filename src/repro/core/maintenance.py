@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError, DatasetError
+from repro.exceptions import DatasetError
 
 __all__ = [
     "DatasetDelta",
@@ -289,29 +289,6 @@ class DatasetDelta:
             "deletes": list(self.deletes),
             "updates": [[index, list(row)] for index, row in self.updates],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DatasetDelta":
-        """Rebuild a delta from :meth:`to_dict` output."""
-        if not isinstance(payload, Mapping) or payload.get("format") != DELTA_FORMAT:
-            raise ConfigurationError(
-                f"payload is not a serialised dataset delta "
-                f"(expected format {DELTA_FORMAT!r})"
-            )
-        try:
-            return cls(
-                inserts=tuple(tuple(row) for row in payload.get("inserts", ())),
-                insert_types={
-                    key: tuple(values)
-                    for key, values in dict(payload.get("insert_types", {})).items()
-                },
-                deletes=tuple(payload.get("deletes", ())),
-                updates=tuple(
-                    (index, tuple(row)) for index, row in payload.get("updates", ())
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed dataset-delta payload: {exc}") from exc
 
 
 @dataclass(frozen=True)

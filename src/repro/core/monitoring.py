@@ -327,13 +327,16 @@ def check_engine_freshness(
         Forwarded to the approximate check.
     probes_per_interval:
         Forwarded to the 2-D check.
+
+    Raises
+    ------
+    NotPreprocessedError
+        If the engine has not been preprocessed (reading its ``index``
+        raises it).
+    ConfigurationError
+        If the engine serves an index kind without a freshness check.
     """
-    index = getattr(engine, "index", None)
-    if index is None:
-        raise ConfigurationError(
-            f"engine {getattr(engine, 'name', '?')!r} has no index yet; "
-            "preprocess() before checking freshness"
-        )
+    index = engine.index
     dataset = dataset if dataset is not None else engine.dataset
     oracle = oracle if oracle is not None else engine.oracle
     if isinstance(index, TwoDIndex):
@@ -373,6 +376,12 @@ def refresh_if_stale(
     (FreshnessReport, MaintenanceReport | None)
         The freshness report, and the maintenance report of the refresh when
         one ran (``None`` when the index was fresh).
+
+    Raises
+    ------
+    NotPreprocessedError
+        If the engine has not been preprocessed, as
+        :func:`check_engine_freshness` raises it.
     """
     report = check_engine_freshness(
         engine,

@@ -6,9 +6,10 @@ the offline phase on a *uniform sample*: the sample preserves the distribution
 of scoring and type attributes, so a function that is satisfactory on the
 sample is expected to be satisfactory on the full data.  §6.4 validates this
 on the 1.3M-row DOT dataset by checking every cell's assigned function against
-the full dataset — all of them pass.  :func:`preprocess_with_sampling` runs the
-pipeline on a sample, and :func:`validate_index_on_dataset` reproduces that
-validation step.
+the full dataset — all of them pass.  An engine config with ``sample_size``
+set (e.g. ``ApproxConfig(sample_size=1000)``) runs the pipeline on such a
+sample — or on the whole dataset when it has no more items than that — and
+:func:`validate_index_on_dataset` reproduces the validation step.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.approx import ApproximatePreprocessor, MDApproxIndex
+from repro.core.approx import MDApproxIndex
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError
 from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import to_weights
 from repro.ranking.scoring import LinearScoringFunction
 
-__all__ = ["SampleValidationReport", "preprocess_with_sampling", "validate_index_on_dataset"]
+__all__ = ["SampleValidationReport", "validate_index_on_dataset"]
 
 
 @dataclass(frozen=True)
@@ -46,36 +46,6 @@ class SampleValidationReport:
     def all_satisfactory(self) -> bool:
         """True if every checked function passed on the full dataset (the §6.4 outcome)."""
         return self.n_functions_checked > 0 and self.n_satisfactory == self.n_functions_checked
-
-
-def preprocess_with_sampling(
-    dataset: Dataset,
-    oracle: FairnessOracle,
-    sample_size: int,
-    n_cells: int = 1024,
-    seed: int | None = 0,
-    partition: str = "uniform",
-    max_hyperplanes: int | None = None,
-) -> MDApproxIndex:
-    """Run the approximate preprocessing pipeline on a uniform sample of the dataset.
-
-    The returned index references the *sample* dataset; use
-    :func:`validate_index_on_dataset` to check its assignments against the full
-    data, and evaluate online queries against whichever dataset is relevant.
-    """
-    if sample_size > dataset.n_items:
-        raise ConfigurationError(
-            f"sample_size {sample_size} exceeds the dataset size {dataset.n_items}"
-        )
-    sample = dataset.sample(sample_size, seed=seed)
-    preprocessor = ApproximatePreprocessor(
-        sample,
-        oracle,
-        n_cells=n_cells,
-        partition=partition,
-        max_hyperplanes=max_hyperplanes,
-    )
-    return preprocessor.run()
 
 
 def validate_index_on_dataset(

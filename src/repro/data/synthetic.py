@@ -17,8 +17,7 @@ buckets, the carrier market shares), and the mild correlation between scoring
 attributes and protected groups that makes some orderings unfair and others
 fair.  Absolute values differ from the originals, but every algorithm in the
 library only consumes (numeric scoring attributes, categorical types), so the
-code paths exercised are identical.  See DESIGN.md §4 for the substitution
-rationale.
+code paths exercised are identical.
 """
 
 from __future__ import annotations

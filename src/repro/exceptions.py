@@ -108,7 +108,7 @@ class ConfigurationError(ReproError):
 
 
 class IndexIntegrityError(ConfigurationError):
-    """Raised when a persisted index/engine file fails its integrity checks.
+    """Raised when a persisted engine file fails its integrity checks.
 
     Subclasses :class:`ConfigurationError` so pre-checksum callers that guard
     loads with ``except ConfigurationError`` keep working.  ``hint`` carries

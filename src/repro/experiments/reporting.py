@@ -2,8 +2,7 @@
 
 The paper presents results as figures; without a plotting dependency we print
 the same information as aligned text tables (one row per x value, one column
-per series), which is what the benchmark harness writes to stdout and what
-EXPERIMENTS.md quotes.
+per series), which is what the benchmark harness writes to stdout.
 """
 
 from __future__ import annotations

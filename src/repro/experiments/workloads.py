@@ -1,11 +1,11 @@
 """Workload definitions: one function per experiment in the paper's §6.
 
 Every table and figure of the evaluation maps to one ``experiment_*`` function
-here (see the per-experiment index in DESIGN.md).  The functions accept scale
-parameters so the same code can be run at paper scale (hours) or at the
-scaled-down sizes used by the benchmark suite (seconds) — the paper's claims
-that we reproduce are about *shapes and relative factors*, which are preserved
-across scales.
+here (docs/benchmarks.md names the benchmarks that run them).  The functions
+accept scale parameters so the same code can be run at paper scale (hours) or
+at the scaled-down sizes used by the benchmark suite (seconds) — the paper's
+claims that we reproduce are about *shapes and relative factors*, which are
+preserved across scales.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.approx import ApproximatePreprocessor, md_online, md_online_lookup
-from repro.core.sampling import preprocess_with_sampling, validate_index_on_dataset
+from repro.core.engine import ApproxConfig, create_engine
+from repro.core.sampling import validate_index_on_dataset
 from repro.core.two_dim import TwoDRaySweep
 from repro.data.dataset import Dataset
 from repro.data.synthetic import (
@@ -482,20 +483,19 @@ def experiment_sampling_dot(
         ],
         k=top_fraction,
     )
-    started = time.perf_counter()
-    index = preprocess_with_sampling(
-        dataset,
-        oracle,
-        sample_size=sample_size,
+    config = ApproxConfig(
         n_cells=n_cells,
-        seed=seed,
         max_hyperplanes=max_hyperplanes,
+        sample_size=sample_size,
+        sample_seed=seed,
     )
+    started = time.perf_counter()
+    engine = create_engine(dataset, oracle, config).preprocess()
     elapsed = time.perf_counter() - started
-    report = validate_index_on_dataset(index, dataset, oracle)
+    report = validate_index_on_dataset(engine.index, dataset, oracle)
     return SamplingResult(
         full_size=full_size,
-        sample_size=sample_size,
+        sample_size=engine.preprocessing_dataset.n_items,
         preprocess_seconds=elapsed,
         n_functions_checked=report.n_functions_checked,
         n_satisfactory_on_full=report.n_satisfactory,

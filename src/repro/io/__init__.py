@@ -1,12 +1,14 @@
-"""Persistence layer: JSON round-trips for datasets and offline indexes.
+"""Persistence layer: JSON round-trips for datasets and preprocessed engines.
 
 The paper's workflow separates an expensive offline phase (indexing the
 satisfactory regions of weight space) from an interactive online phase
 (answering queries against the index).  In a deployed system those phases run
 at different times — often on different machines — so the index has to be
-storable.  This package serialises every index kind produced by
-:mod:`repro.core` (and the :class:`~repro.data.dataset.Dataset` itself) to
-plain JSON, and reloads them for online use.
+storable.  :func:`save_engine` / :func:`load_engine` persist a preprocessed
+engine (config, index and preprocessing dataset) in one checksummed file; the
+``*_index_to_dict`` / ``*_index_from_dict`` pairs serialise each index kind
+produced by :mod:`repro.core` inside that payload, and the dataset helpers
+round-trip a :class:`~repro.data.dataset.Dataset` on its own.
 """
 
 from repro.io.dataset_json import (
@@ -21,9 +23,7 @@ from repro.io.index_store import (
     exact_index_from_dict,
     exact_index_to_dict,
     load_engine,
-    load_index,
     save_engine,
-    save_index,
     two_d_index_from_dict,
     two_d_index_to_dict,
 )
@@ -39,8 +39,6 @@ __all__ = [
     "exact_index_from_dict",
     "approx_index_to_dict",
     "approx_index_from_dict",
-    "save_index",
-    "load_index",
     "save_engine",
     "load_engine",
 ]

@@ -1,10 +1,10 @@
 """JSON round-trip for :class:`~repro.data.dataset.Dataset`.
 
 CSV persistence (``Dataset.to_csv`` / ``from_csv``) is convenient for
-interchange with spreadsheets; the JSON form here is what the index store uses
-when an index file should be self-contained (carrying the exact dataset
-snapshot it was built against), and it preserves the dataset name and the
-distinction between scoring and type attributes without header conventions.
+interchange with spreadsheets; the JSON form here is what an engine file
+embeds so it is self-contained (carrying the exact dataset snapshot its index
+was built on), and it preserves the dataset name and the distinction between
+scoring and type attributes without header conventions.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
-"""Serialisation of offline indexes to JSON ("build once, query many times").
+"""Serialisation of preprocessed engines to JSON ("build once, query many times").
 
-Three index kinds exist, one per pipeline:
+:func:`save_engine` writes an engine's ``repro.engine/v1`` payload inside the
+checksummed :data:`STORE_FORMAT` envelope, and :func:`load_engine` reads it
+back; that pair is the only file format.  The payload's ``"index"`` block is
+one of three index kinds, one per pipeline, each with a ``*_to_dict`` /
+``*_from_dict`` pair here:
 
 * :class:`~repro.core.two_dim.TwoDIndex` — the sorted satisfactory angular
   intervals of ``2DRAYSWEEP``;
@@ -11,16 +15,14 @@ Three index kinds exist, one per pipeline:
 
 The 2-D and exact indexes are fully self-contained.  The approximate index
 needs the dataset and the fairness oracle at query time (``MDONLINE`` first
-re-checks whether the query itself is satisfactory), so loading it requires
-the caller to supply them — optionally the dataset snapshot can be embedded in
-the file so only the oracle has to be reconstructed.
+re-checks whether the query itself is satisfactory): the engine payload
+carries the preprocessing dataset, and the caller supplies the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,6 @@ from repro.fairness.oracle import FairnessOracle
 from repro.geometry.hyperplane import HalfSpace, Hyperplane, Region
 from repro.geometry.partition import AnglePartition, AnglePartitionProtocol, UniformGridPartition
 from repro.geometry.angles import to_weights
-from repro.io.dataset_json import dataset_from_dict, dataset_to_dict
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "exact_index_from_dict",
     "approx_index_to_dict",
     "approx_index_from_dict",
-    "save_index",
-    "load_index",
     "save_engine",
     "load_engine",
     "payload_checksum",
@@ -53,7 +52,7 @@ __all__ = [
     "STORE_FORMAT",
 ]
 
-#: Schema identifier written into every serialised index.
+#: Schema identifier of the ``"index"`` block inside every engine payload.
 INDEX_FORMAT = "repro.index/v1"
 
 #: Schema identifier of the file-level checksum envelope.
@@ -61,10 +60,6 @@ STORE_FORMAT = "repro.store/v1"
 
 #: Hash algorithm the envelope records (and the only one this version reads).
 _STORE_ALGORITHM = "sha256"
-
-#: Schema identifier of the base-snapshot-plus-delta-log engine files earlier
-#: versions could write; :func:`load_engine` still reads them.
-_LEGACY_JOURNAL_FORMAT = "repro.engine-journal/v1"
 
 
 # --------------------------------------------------------------------------- #
@@ -81,7 +76,7 @@ def payload_checksum(payload: dict) -> str:
 
 
 def _wrap_payload(payload: dict) -> dict:
-    """Wrap an index/engine payload in the versioned checksum envelope."""
+    """Wrap an engine payload in the versioned checksum envelope."""
     return {
         "format": STORE_FORMAT,
         "algorithm": _STORE_ALGORITHM,
@@ -90,15 +85,16 @@ def _wrap_payload(payload: dict) -> dict:
     }
 
 
-def read_store_digest(path: str | Path) -> str | None:
-    """The checksum envelope's recorded digest of a store file, or ``None``.
+_REBUILD_HINT = "the file is unusable; rebuild and re-save the index to recover"
 
-    Returns the ``digest`` field of a :data:`STORE_FORMAT` envelope without
-    reconstructing the payload — enough for a serving pool to pin the exact
-    index bytes every worker must load (each worker compares this digest and
-    the full :func:`load_engine` verification still runs on load).  Returns
-    ``None`` for pre-envelope files; raises
-    :class:`~repro.exceptions.IndexIntegrityError` for unreadable JSON.
+
+def _read_envelope(path: str | Path) -> dict:
+    """Read a store file and return its structurally checked checksum envelope.
+
+    Raises :class:`~repro.exceptions.IndexIntegrityError` for unreadable JSON,
+    a document that is not a :data:`STORE_FORMAT` envelope (a newer store
+    version, or no envelope at all), an unknown algorithm, or a missing or
+    mistyped ``payload`` / ``digest``.  The digest is not verified here.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -109,35 +105,20 @@ def read_store_digest(path: str | Path) -> str | None:
             path=path,
             hint=_REBUILD_HINT,
         ) from exc
-    if not isinstance(document, dict) or document.get("format") != STORE_FORMAT:
-        return None
-    digest = document.get("digest")
-    return digest if isinstance(digest, str) else None
-
-
-_REBUILD_HINT = "the file is unusable; rebuild and re-save the index to recover"
-
-
-def _unwrap_payload(document, path):
-    """Verify and strip the checksum envelope; pass legacy bare payloads through.
-
-    Raises :class:`~repro.exceptions.IndexIntegrityError` — never returns a
-    partially-validated payload — when the envelope announces a newer store
-    version, an unknown algorithm, a malformed structure, or a digest that
-    does not match the payload bytes.
-    """
-    if not isinstance(document, dict) or not str(document.get("format", "")).startswith(
-        "repro.store/"
-    ):
-        # Pre-envelope file (or a bare payload dict): served unchanged so
-        # indexes saved before checksumming keep loading.
-        return document
-    if document["format"] != STORE_FORMAT:
+    found = document.get("format") if isinstance(document, dict) else None
+    if found != STORE_FORMAT:
+        if isinstance(found, str) and found.startswith("repro.store/"):
+            raise IndexIntegrityError(
+                f"{path} uses store format {found!r} but this version reads "
+                f"{STORE_FORMAT!r}",
+                path=path,
+                hint="upgrade the library, or rebuild and re-save the index",
+            )
         raise IndexIntegrityError(
-            f"{path} uses store format {document['format']!r} but this version "
-            f"reads {STORE_FORMAT!r}",
+            f"{path} is not a serialised engine (expected a {STORE_FORMAT!r} "
+            f"envelope, found format {found!r})",
             path=path,
-            hint="upgrade the library, or rebuild and re-save the index",
+            hint=_REBUILD_HINT,
         )
     algorithm = document.get("algorithm")
     if algorithm != _STORE_ALGORITHM:
@@ -146,15 +127,40 @@ def _unwrap_payload(document, path):
             path=path,
             hint=_REBUILD_HINT,
         )
-    payload = document.get("payload")
-    digest = document.get("digest")
-    if not isinstance(payload, dict) or not isinstance(digest, str):
+    if not isinstance(document.get("payload"), dict) or not isinstance(
+        document.get("digest"), str
+    ):
         raise IndexIntegrityError(
             f"{path} has a malformed checksum envelope "
             "(missing or mistyped 'payload'/'digest')",
             path=path,
             hint=_REBUILD_HINT,
         )
+    return document
+
+
+def read_store_digest(path: str | Path) -> str:
+    """The checksum envelope's recorded digest of a store file.
+
+    Returns the ``digest`` field of a :data:`STORE_FORMAT` envelope without
+    verifying or reconstructing the payload — enough for a serving pool to
+    pin the exact index bytes every worker must load (each worker compares
+    this digest and the full :func:`load_engine` verification still runs on
+    load).  Raises :class:`~repro.exceptions.IndexIntegrityError` when the
+    file is not a well-formed envelope.
+    """
+    return _read_envelope(path)["digest"]
+
+
+def _read_payload(path: str | Path) -> dict:
+    """Read a store file and return its payload once the digest verifies.
+
+    Raises :class:`~repro.exceptions.IndexIntegrityError` — never returns a
+    partially-validated payload — for everything :func:`_read_envelope`
+    rejects and for a digest that does not match the payload bytes.
+    """
+    document = _read_envelope(path)
+    payload, digest = document["payload"], document["digest"]
     actual = payload_checksum(payload)
     if actual != digest:
         raise IndexIntegrityError(
@@ -165,20 +171,6 @@ def _unwrap_payload(document, path):
             hint=_REBUILD_HINT,
         )
     return payload
-
-
-def _read_document(path: str | Path):
-    """Read a JSON store file and return its verified payload."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IndexIntegrityError(
-            f"{path} does not contain valid JSON — the file is corrupt or truncated",
-            path=path,
-            hint=_REBUILD_HINT,
-        ) from exc
-    return _unwrap_payload(document, path)
 
 
 # --------------------------------------------------------------------------- #
@@ -304,20 +296,14 @@ def _partition_from_dict(payload: dict) -> AnglePartitionProtocol:
     raise ConfigurationError(f"unknown serialised partition kind {kind!r}")
 
 
-def approx_index_to_dict(index: MDApproxIndex, include_dataset: bool = False) -> dict:
+def approx_index_to_dict(index: MDApproxIndex) -> dict:
     """Serialise an approximate (per-cell) index.
 
-    Parameters
-    ----------
-    index:
-        The preprocessed index.
-    include_dataset:
-        If True, embed the dataset snapshot the index was built against so
-        loading only needs the fairness oracle.  The per-cell hyperplane
-        assignment is not stored — it is a preprocessing artefact that online
-        answering never touches.
+    The dataset is not stored here (the engine payload carries it once), and
+    neither is the per-cell hyperplane assignment — a preprocessing artefact
+    that online answering never touches.
     """
-    payload = {
+    return {
         "format": INDEX_FORMAT,
         "index_kind": "approx",
         "partition": _partition_to_dict(index.partition),
@@ -329,15 +315,10 @@ def approx_index_to_dict(index: MDApproxIndex, include_dataset: bool = False) ->
         "n_hyperplanes": index.n_hyperplanes,
         "oracle_calls": index.oracle_calls,
     }
-    if include_dataset:
-        payload["dataset"] = dataset_to_dict(index.dataset)
-    return payload
 
 
 def approx_index_from_dict(
-    payload: dict,
-    oracle: FairnessOracle,
-    dataset: Dataset | None = None,
+    payload: dict, oracle: FairnessOracle, dataset: Dataset
 ) -> MDApproxIndex:
     """Rebuild an approximate index for online answering.
 
@@ -349,25 +330,18 @@ def approx_index_from_dict(
     oracle:
         The fairness oracle (``MDONLINE`` re-checks queries against it).
     dataset:
-        The dataset to answer queries over.  May be omitted when the payload
-        embeds the dataset (``include_dataset=True`` at save time).
+        The dataset to answer queries over (the engine's preprocessing
+        dataset).
 
     Raises
     ------
     ConfigurationError
-        If no dataset is available, or the partition does not match the
-        dataset's dimensionality, or the stored cell assignment does not match
-        the reconstructed partition.
+        If the partition does not match the dataset's dimensionality.
+    GeometryError
+        If the stored cell assignment does not match the reconstructed
+        partition.
     """
     _check_payload(payload, "approx")
-    if dataset is None:
-        embedded = payload.get("dataset")
-        if embedded is None:
-            raise ConfigurationError(
-                "loading an approximate index requires a dataset "
-                "(none was supplied and none is embedded in the file)"
-            )
-        dataset = dataset_from_dict(embedded)
     partition = _partition_from_dict(payload["partition"])
     if partition.dimension != dataset.n_attributes - 1:
         raise ConfigurationError(
@@ -397,69 +371,6 @@ def approx_index_from_dict(
 
 
 # --------------------------------------------------------------------------- #
-# file-level helpers
-# --------------------------------------------------------------------------- #
-def save_index(
-    index: TwoDIndex | MDExactIndex | MDApproxIndex,
-    path: str | Path,
-    include_dataset: bool = False,
-) -> None:
-    """Write any index kind to a JSON file.
-
-    ``include_dataset`` only affects approximate indexes (the other kinds are
-    self-contained).
-    """
-    if isinstance(index, TwoDIndex):
-        payload = two_d_index_to_dict(index)
-    elif isinstance(index, MDExactIndex):
-        payload = exact_index_to_dict(index)
-    elif isinstance(index, MDApproxIndex):
-        payload = approx_index_to_dict(index, include_dataset=include_dataset)
-    else:
-        raise ConfigurationError(f"cannot serialise index of type {type(index).__name__}")
-    Path(path).write_text(json.dumps(_wrap_payload(payload)), encoding="utf-8")
-
-
-def load_index(
-    path: str | Path,
-    oracle: FairnessOracle | None = None,
-    dataset: Dataset | None = None,
-) -> TwoDIndex | MDExactIndex | MDApproxIndex:
-    """Read an index file, dispatching on its stored kind.
-
-    2-D and exact indexes ignore ``oracle`` and ``dataset``; approximate
-    indexes require an oracle and either a dataset argument or an embedded
-    dataset snapshot.
-
-    Files written by this version carry a checksum envelope
-    (:data:`STORE_FORMAT`); corruption — truncation, bit flips, hand edits —
-    raises a typed :class:`~repro.exceptions.IndexIntegrityError` with a
-    rebuild hint instead of surfacing as an arbitrary reconstruction error.
-    Pre-envelope files still load.
-    """
-    payload = _read_document(path)
-    kind = payload.get("index_kind") if isinstance(payload, dict) else None
-    try:
-        if kind == "2d":
-            return two_d_index_from_dict(payload)
-        if kind == "exact":
-            return exact_index_from_dict(payload)
-        if kind == "approx":
-            if oracle is None:
-                raise ConfigurationError(
-                    "loading an approximate index requires a fairness oracle"
-                )
-            return approx_index_from_dict(payload, oracle=oracle, dataset=dataset)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        # A verified checksum rules corruption out: the payload is malformed
-        # at the schema level (likely hand-built or from a different tool).
-        raise ConfigurationError(
-            f"{path} holds a {kind!r} index whose payload is malformed: {exc}"
-        ) from exc
-    raise ConfigurationError(f"{path} is not a serialised repro index (kind={kind!r})")
-
-
-# --------------------------------------------------------------------------- #
 # engine-level persistence ("preprocess once, serve many")
 # --------------------------------------------------------------------------- #
 def save_engine(engine, path: str | Path) -> None:
@@ -483,52 +394,31 @@ def load_engine(path: str | Path, oracle: FairnessOracle):
     """Read an engine file, dispatching on the engine name stored inside it.
 
     The fairness oracle is supplied by the caller (oracles are arbitrary code
-    and are never serialised).  Raises :class:`ConfigurationError` when the
-    file holds a bare index (see :func:`load_index`) or is not a serialised
-    engine at all, and a typed :class:`~repro.exceptions.IndexIntegrityError`
-    when the file's checksum envelope fails verification (see
-    :func:`load_index`).
-
-    A file in the legacy ``repro.engine-journal/v1`` format (a base snapshot
-    plus a delta log) still loads: its deltas are replayed through
-    ``apply_delta`` with a :class:`UserWarning`, and re-saving the engine
-    writes a snapshot.
+    and are never serialised).  The file must be a :data:`STORE_FORMAT`
+    envelope around a ``repro.engine/v1`` payload, as :func:`save_engine`
+    writes it.  A file that fails the envelope's checks — unreadable JSON, no
+    envelope, another store version, a digest mismatch — raises a typed
+    :class:`~repro.exceptions.IndexIntegrityError` with a rebuild hint; a
+    verified payload that is not an engine payload, or whose schema is
+    broken, raises :class:`ConfigurationError`.  A file in a format this
+    version no longer reads gets one of these errors naming the format it
+    expected.
     """
     # Imported lazily: repro.core.engine imports this module's serialisers
     # inside its persistence hooks, so a module-level import would be cyclic.
     from repro.core.engine import ENGINE_FORMAT, engine_from_payload
-    from repro.core.maintenance import DatasetDelta
 
-    payload = _read_document(path)
-    if isinstance(payload, dict) and payload.get("format") == INDEX_FORMAT:
+    payload = _read_payload(path)
+    if payload.get("format") != ENGINE_FORMAT:
         raise ConfigurationError(
-            f"{path} holds a bare index (format {INDEX_FORMAT!r}); use load_index() "
-            "for index files, or re-save through FairRankingDesigner.save()"
-        )
-    if isinstance(payload, dict) and payload.get("format") == _LEGACY_JOURNAL_FORMAT:
-        warnings.warn(
-            f"{path} is a {_LEGACY_JOURNAL_FORMAT!r} file, a format this version "
-            "no longer writes; its delta log is replayed now, and save_engine() "
-            "re-saves the engine as a snapshot",
-            UserWarning,
-            stacklevel=2,
-        )
-        try:
-            engine = engine_from_payload(payload["base"], oracle)
-            for delta_payload in payload.get("deltas", ()):
-                engine.apply_delta(DatasetDelta.from_dict(delta_payload))
-            return engine
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigurationError(
-                f"{path} holds a journaled engine whose payload is malformed: {exc}"
-            ) from exc
-    if not isinstance(payload, dict) or payload.get("format") != ENGINE_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a serialised engine (expected format {ENGINE_FORMAT!r})"
+            f"{path} is not a serialised engine (expected format {ENGINE_FORMAT!r}, "
+            f"found {payload.get('format')!r})"
         )
     try:
         return engine_from_payload(payload, oracle)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        # A verified checksum rules corruption out: the payload is malformed
+        # at the schema level (likely hand-built or from a different tool).
         raise ConfigurationError(
             f"{path} holds a {payload.get('engine')!r} engine whose payload is "
             f"malformed: {exc}"

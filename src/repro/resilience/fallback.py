@@ -35,12 +35,12 @@ dataset — every tier would agree — not a failure to answer).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.clock import monotonic_clock
 from repro.core.engine import (
     EngineWrapper,
     as_weight_matrix,
@@ -318,7 +318,7 @@ class FallbackEngine(EngineWrapper):
                 f"FallbackEngine expects a FallbackConfig, got {type(config).__name__}"
             )
         self.oracle = oracle
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock if clock is not None else monotonic_clock
         if engines is None:
             config = replace(config, tiers=config.tiers or self._default_tiers(dataset))
             engines = tuple(create_engine(dataset, oracle, tier) for tier in config.tiers)

@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.clock import monotonic_clock
 from repro.data.dataset import Dataset
 from repro.exceptions import OracleError, OracleTimeoutError, OracleUnavailableError
 from repro.fairness.batched import as_batched, evaluate_many, ordering_matrix
@@ -130,7 +131,7 @@ class ResilientOracle(FairnessOracle):
             raise OracleError("ResilientOracle wraps a FairnessOracle")
         self.inner = inner
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock if clock is not None else monotonic_clock
         self.circuit_breaker = (
             circuit_breaker
             if circuit_breaker is not None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clock import monotonic_clock
 from repro.exceptions import ConfigurationError, TransientOracleError
 
 __all__ = [
@@ -137,11 +138,9 @@ class CircuitBreaker:
             raise ConfigurationError("failure_threshold must be >= 1")
         if recovery_time < 0:
             raise ConfigurationError("recovery_time must be non-negative")
-        import time
-
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock if clock is not None else monotonic_clock
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at: float | None = None

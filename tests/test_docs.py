@@ -1,18 +1,22 @@
 """Documentation health checks (tier-2, but cheap enough to ride in tier-1).
 
-Two enforcement points:
+Three enforcement points:
 
 * ``scripts/check_docs.py`` — every code reference in ``README.md`` and
   ``docs/*.md`` (module paths, ``BENCH_*`` trajectory names, repo paths,
-  relative links) must still resolve;
+  relative links) and every ``*.md`` name in the code must still resolve;
 * a ``--doctest-modules`` pytest run over each of ``scripts/check_all.py``'s
   ``DOCTEST_MODULES`` — the ``>>>`` examples in their public docstrings
-  must stay runnable.
+  must stay runnable;
+* the README quickstart and its command lines run to completion within a
+  time limit.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +56,19 @@ class TestCheckDocs:
         assert any("bench_nonexistent.py" in error for error in errors)
         assert any("src/repro/missing_module.py" in error for error in errors)
         assert any("missing.md" in error for error in errors)
+
+    def test_detects_missing_markdown_names_in_code(self, tmp_path):
+        check_docs = _load_script("check_docs")
+        source = tmp_path / "module.py"
+        source.write_text(
+            '"""See DESIGN.md, docs/api.md, api.md and README.md."""\n'
+            "# results as quoted in notes/EXPERIMENTS.md\n",
+            encoding="utf-8",
+        )
+        errors = check_docs.check_code_file(source)
+        assert len(errors) == 2
+        assert "DESIGN.md" in errors[0]
+        assert "notes/EXPERIMENTS.md" in errors[1]
 
     def test_accepts_module_attribute_references(self, tmp_path):
         check_docs = _load_script("check_docs")
@@ -97,3 +114,52 @@ class TestDoctests:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "passed" in result.stdout
+
+
+def _fenced_block(text: str, language: str, after: str) -> str:
+    """The body of the first ``language`` fenced block after the text ``after``."""
+    pattern = re.compile(rf"```{language}\n(.*?)```", re.S)
+    return pattern.search(text, text.index(after)).group(1)
+
+
+def _command_lines(block: str) -> list[list[str]]:
+    """Shell commands of a fenced block, continuation lines joined, comments dropped."""
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in joined.splitlines() if line.strip()]
+
+
+class TestDocumentedEntryPoints:
+    def test_readme_quickstart_and_command_lines_finish(self, tmp_path):
+        """The quickstart block, then the two CLI commands through ``repro.cli.main``."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        api_guide = (REPO_ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+        quickstart = _fenced_block(readme, "python", after="## Quickstart")
+        commands = _command_lines(
+            _fenced_block(readme, "bash", after="available on the command line")
+        )
+        assert [command[0] for command in commands] == ["repro-fair-ranking"] * 2
+        # docs/api.md repeats both examples; they must stay the bounded ones run here.
+        config = re.compile(r"ApproxConfig\([^)]*\)")
+        api_entry = _fenced_block(api_guide, "python", after="## Entry points")
+        assert config.findall(api_entry) == config.findall(quickstart)
+        api_commands = _fenced_block(api_guide, "bash", after="## Command line")
+        assert _command_lines(api_commands) == commands
+        (tmp_path / "queries.txt").write_text("0.5,0.3,0.2\n0.2,0.4,0.4\n", encoding="utf-8")
+        script = (
+            quickstart
+            + "\nfrom repro.cli import main\n"
+            + f"for argv in {[command[1:] for command in commands]!r}:\n"
+            + "    assert main(argv) == 0, argv\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "engine saved to engine.json" in result.stdout
+        assert result.stdout.count(" -> ") == 2
+        assert (tmp_path / "engine.json").exists()

@@ -21,10 +21,9 @@ Covered:
 * ``refresh()`` after the oracle's criterion drifted in place equals a fresh
   preprocess under the drifted oracle, and ``refresh_if_stale`` drives it;
 * persistence: a maintained engine saves as a snapshot with a fresh
-  rebuild's bytes, reloads equivalent to it and re-saves byte-identically; a
-  base-snapshot-plus-delta-log file in the retired
-  ``repro.engine-journal/v1`` format replays with one warning; the in-memory
-  journal records every delta since the last successful ``preprocess``;
+  rebuild's bytes, reloads equivalent to it and re-saves byte-identically;
+  the in-memory journal records every delta since the last successful
+  ``preprocess``;
 * the wrapper engines (``pool``, ``instrumented``, ``fallback``) that
   override ``apply_delta``: each propagates a delta to the same bits as a
   fresh rebuild; every wrapper, ``ChaosEngine`` included, exposes the
@@ -59,13 +58,13 @@ from repro.core.engine import (
     available_engines,
     create_engine,
 )
-from repro.core.maintenance import DatasetDelta, MaintenanceReport
+from repro.core.maintenance import DELTA_FORMAT, DatasetDelta, MaintenanceReport
 from repro.core.monitoring import check_engine_freshness, refresh_if_stale
 from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError, DatasetError, OracleError
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
-from repro.io.index_store import STORE_FORMAT, load_engine, payload_checksum, save_engine
+from repro.io.index_store import load_engine, save_engine
 from repro.obs.instrument import InstrumentedEngine
 from repro.parallel.pool import PoolEngine
 from repro.resilience.chaos import ChaosEngine
@@ -225,34 +224,6 @@ class TestPersistence:
         resaved = tmp_path / "resaved.json"
         save_engine(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
-
-    def test_legacy_journaled_file_replays_with_one_warning(self, tmp_path):
-        """A base snapshot plus delta log, as earlier versions wrote it."""
-        ds = dataset(40, 2, seed=2)
-        base = create_engine(ds, fixed_oracle(), TwoDConfig()).preprocess()
-        first = random_delta(ds, seed=10)
-        mutated_once = first.apply(ds)
-        second = random_delta(mutated_once, seed=11, deletes=(0,), update_index=2)
-        payload = {
-            "format": "repro.engine-journal/v1",
-            "base": base.to_payload(),
-            "deltas": [first.to_dict(), second.to_dict()],
-        }
-        envelope = {
-            "format": STORE_FORMAT,
-            "algorithm": "sha256",
-            "digest": payload_checksum(payload),
-            "payload": payload,
-        }
-        path = tmp_path / "journaled.json"
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-
-        with pytest.warns(UserWarning, match="repro.engine-journal/v1") as caught:
-            loaded = load_engine(path, fixed_oracle())
-        assert len(caught) == 1
-        assert loaded.journal == (first, second)
-        fresh = fresh_twin(second.apply(mutated_once), TwoDConfig())
-        assert_engines_equivalent(loaded, fresh, make_weight_grid(24, 2, seed=3))
 
     def test_journal_records_every_delta(self):
         ds = dataset(40, 2, seed=2)
@@ -591,12 +562,14 @@ class TestDeltaSmoke:
 # DatasetDelta mechanics
 # --------------------------------------------------------------------------- #
 class TestDatasetDelta:
-    def test_round_trip_through_dict(self):
+    def test_to_dict_is_json_ready(self):
         ds = dataset(20, 2, seed=1)
         delta = random_delta(ds, seed=0)
-        clone = DatasetDelta.from_dict(delta.to_dict())
-        assert clone == delta
-        assert clone.to_dict() == delta.to_dict()
+        payload = delta.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["format"] == DELTA_FORMAT
+        counts = (len(payload["inserts"]), len(payload["deletes"]), len(payload["updates"]))
+        assert counts == (3, 2, 1)
 
     def test_counts_and_staleness(self):
         ds = dataset(20, 2, seed=1)

@@ -10,6 +10,7 @@ must be bit-identical to the pre-save ones.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -35,7 +36,13 @@ from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError, NotPreprocessedError
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.partition import AnglePartition, UniformGridPartition, locate_cells
-from repro.io.index_store import load_engine, save_engine, save_index
+from repro.io.index_store import (
+    STORE_FORMAT,
+    load_engine,
+    payload_checksum,
+    save_engine,
+    two_d_index_to_dict,
+)
 
 
 def _random_queries(q: int, d: int, seed: int) -> np.ndarray:
@@ -392,9 +399,17 @@ class TestPersistence:
             designer.save(tmp_path / "engine.json")
 
     def test_load_rejects_bare_index_files(self, two_d_designer, tmp_path):
+        """An enveloped bare index payload, as the retired ``save_index`` wrote it."""
+        payload = two_d_index_to_dict(two_d_designer.index)
+        envelope = {
+            "format": STORE_FORMAT,
+            "algorithm": "sha256",
+            "digest": payload_checksum(payload),
+            "payload": payload,
+        }
         path = tmp_path / "index.json"
-        save_index(two_d_designer.index, path)
-        with pytest.raises(ConfigurationError):
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="repro.engine/v1"):
             load_engine(path, two_d_designer.oracle)
 
     def test_load_rejects_garbage(self, tmp_path, two_d_designer):

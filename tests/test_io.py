@@ -26,10 +26,8 @@ from repro.io import (
     exact_index_to_dict,
     load_dataset_json,
     load_engine,
-    load_index,
     save_dataset_json,
     save_engine,
-    save_index,
     two_d_index_from_dict,
     two_d_index_to_dict,
 )
@@ -100,14 +98,6 @@ class TestTwoDIndexStore:
             original_answer.angular_distance
         )
 
-    def test_save_and_load_index_file(self, shared_two_d_index, tmp_path):
-        _dataset, _oracle, index = shared_two_d_index
-        path = tmp_path / "index2d.json"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert isinstance(loaded, TwoDIndex)
-        assert len(loaded.intervals) == len(index.intervals)
-
     def test_from_dict_rejects_wrong_kind(self, shared_two_d_index):
         _dataset, _oracle, index = shared_two_d_index
         payload = two_d_index_to_dict(index)
@@ -176,13 +166,6 @@ class TestExactIndexStore:
         assert copy.satisfactory == original.satisfactory
         assert copy.angular_distance == pytest.approx(original.angular_distance, abs=1e-6)
 
-    def test_save_and_load_index_file(self, exact_setup, tmp_path):
-        _dataset, _oracle, index = exact_setup
-        path = tmp_path / "exact.json"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.n_regions == index.n_regions
-
     def test_payload_is_json_serialisable(self, exact_setup):
         _dataset, _oracle, index = exact_setup
         json.dumps(exact_index_to_dict(index))
@@ -221,27 +204,6 @@ class TestApproxIndexStore:
         assert copy.satisfactory == original.satisfactory
         assert copy.angular_distance == pytest.approx(original.angular_distance)
 
-    def test_embedded_dataset_round_trip(self, shared_approx_index, shared_race_oracle_3d, tmp_path):
-        path = tmp_path / "approx.json"
-        save_index(shared_approx_index, path, include_dataset=True)
-        loaded = load_index(path, oracle=shared_race_oracle_3d)
-        assert loaded.n_cells == shared_approx_index.n_cells
-        assert np.allclose(loaded.dataset.scores, shared_approx_index.dataset.scores)
-
-    def test_load_without_dataset_or_embedding_fails(
-        self, shared_approx_index, shared_race_oracle_3d, tmp_path
-    ):
-        path = tmp_path / "approx_no_ds.json"
-        save_index(shared_approx_index, path, include_dataset=False)
-        with pytest.raises(ConfigurationError):
-            load_index(path, oracle=shared_race_oracle_3d)
-
-    def test_load_without_oracle_fails(self, shared_approx_index, tmp_path):
-        path = tmp_path / "approx.json"
-        save_index(shared_approx_index, path, include_dataset=True)
-        with pytest.raises(ConfigurationError):
-            load_index(path)
-
     def test_dimension_mismatch_rejected(
         self, shared_approx_index, shared_race_oracle_3d, paper_2d_dataset
     ):
@@ -260,28 +222,7 @@ class TestApproxIndexStore:
             )
 
     def test_payload_is_json_serialisable(self, shared_approx_index):
-        json.dumps(approx_index_to_dict(shared_approx_index, include_dataset=True))
-
-
-# --------------------------------------------------------------------------- #
-# file-level dispatch
-# --------------------------------------------------------------------------- #
-class TestLoadIndexDispatch:
-    def test_rejects_non_index_json(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"hello": "world"}), encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_index(path)
-
-    def test_rejects_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("][", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_index(path)
-
-    def test_rejects_unknown_object(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            save_index(object(), tmp_path / "x.json")  # type: ignore[arg-type]
+        json.dumps(approx_index_to_dict(shared_approx_index))
 
 
 # --------------------------------------------------------------------------- #

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig
-from repro.core.sampling import preprocess_with_sampling, validate_index_on_dataset
+from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
+from repro.core.sampling import validate_index_on_dataset
 from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import make_compas_like, make_dot_like
 from repro.exceptions import ConfigurationError, NotPreprocessedError
@@ -16,19 +16,31 @@ from repro.ranking.queries import random_queries
 from repro.ranking.scoring import LinearScoringFunction
 
 
+def _sampled_index(dataset, oracle, sample_size, n_cells, max_hyperplanes, seed):
+    """The approximate index built on a uniform sample through the engine seam."""
+    config = ApproxConfig(
+        n_cells=n_cells,
+        max_hyperplanes=max_hyperplanes,
+        sample_size=sample_size,
+        sample_seed=seed,
+    )
+    return create_engine(dataset, oracle, config).preprocess().index
+
+
 class TestSampling:
-    def test_sample_size_must_fit(self):
+    def test_oversized_sample_indexes_the_whole_dataset(self):
         dataset = make_dot_like(n=100, seed=0)
         oracle = CallableOracle(lambda ordering, data: True, "always")
-        with pytest.raises(ConfigurationError):
-            preprocess_with_sampling(dataset, oracle, sample_size=200, n_cells=4)
+        config = ApproxConfig(n_cells=4, max_hyperplanes=5, sample_size=200)
+        engine = create_engine(dataset, oracle, config).preprocess()
+        assert engine.preprocessing_dataset is dataset
 
     def test_validation_report_on_permissive_oracle(self):
         dataset = make_dot_like(n=2000, seed=1)
         oracle = ProportionalOracle.at_most_share_plus_slack(
             dataset, "carrier", "WN", k=0.1, slack=0.15
         )
-        index = preprocess_with_sampling(
+        index = _sampled_index(
             dataset, oracle, sample_size=200, n_cells=36, max_hyperplanes=60, seed=1
         )
         report = validate_index_on_dataset(index, dataset, oracle)
@@ -41,7 +53,7 @@ class TestSampling:
         oracle = ProportionalOracle.at_most_share_plus_slack(
             dataset, "carrier", "WN", k=0.1, slack=0.12
         )
-        index = preprocess_with_sampling(
+        index = _sampled_index(
             dataset, oracle, sample_size=200, n_cells=36, max_hyperplanes=60, seed=2
         )
         report = validate_index_on_dataset(index, dataset, oracle)
@@ -51,7 +63,7 @@ class TestSampling:
     def test_empty_report_when_unsatisfiable(self):
         dataset = make_dot_like(n=300, seed=3)
         oracle = CallableOracle(lambda ordering, data: False, "never")
-        index = preprocess_with_sampling(
+        index = _sampled_index(
             dataset, oracle, sample_size=40, n_cells=9, max_hyperplanes=10, seed=3
         )
         report = validate_index_on_dataset(index, dataset, oracle)

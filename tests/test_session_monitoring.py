@@ -7,17 +7,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.engine import ApproxConfig, TwoDConfig, create_engine
+from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.core.monitoring import (
     FreshnessReport,
     check_approx_index_freshness,
     check_engine_freshness,
     check_two_d_index_freshness,
+    refresh_if_stale,
 )
 from repro.core.session import DesignSession
 from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import make_compas_like
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, NotPreprocessedError
 from repro.fairness.oracle import CallableOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.ranking.scoring import LinearScoringFunction
@@ -249,3 +250,20 @@ class TestRefresh:
         engine.preprocess(new_dataset)
         answer = engine.suggest(LinearScoringFunction((0.5, 0.3, 0.2)))
         assert answer.angular_distance >= 0.0
+
+@pytest.mark.parametrize(
+    "config",
+    [TwoDConfig(), ExactConfig(max_hyperplanes=5), ApproxConfig(n_cells=4, max_hyperplanes=5)],
+    ids=["2d", "exact", "approximate"],
+)
+def test_unpreprocessed_engine_raises_not_preprocessed(config):
+    """Reading a fresh engine's index raises before any freshness dispatch."""
+    attributes = ["c_days_from_compas", "juv_other_count", "start"]
+    n_attributes = 2 if isinstance(config, TwoDConfig) else 3
+    dataset = make_compas_like(n=20, seed=3).project(attributes[:n_attributes])
+    oracle = CallableOracle(lambda ordering, data: True, "always")
+    engine = create_engine(dataset, oracle, config)
+    with pytest.raises(NotPreprocessedError):
+        check_engine_freshness(engine)
+    with pytest.raises(NotPreprocessedError):
+        refresh_if_stale(engine)
