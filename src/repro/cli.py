@@ -43,7 +43,7 @@ from repro.experiments import (
     format_sweep,
     generate_figures,
 )
-from repro.exceptions import ConfigurationError, IndexIntegrityError, ReproError
+from repro.exceptions import ConfigurationError, IndexIntegrityError, OracleError, ReproError
 from repro.fairness.auditing import audit_function, format_audit
 from repro.fairness.proportional import ProportionalOracle
 from repro.ranking.scoring import LinearScoringFunction
@@ -212,13 +212,20 @@ def _constraint_oracle(args: argparse.Namespace) -> ProportionalOracle | None:
     if args.max_share is None and args.min_share is None:
         print("error: provide --max-share and/or --min-share", file=sys.stderr)
         return None
-    return ProportionalOracle(
-        args.attribute,
-        args.group,
-        k=args.k if args.k < 1 else int(args.k),
-        min_fraction=args.min_share,
-        max_fraction=args.max_share,
-    )
+    try:
+        return ProportionalOracle(
+            args.attribute,
+            args.group,
+            k=args.k if args.k < 1 else int(args.k),
+            min_fraction=args.min_share,
+            max_fraction=args.max_share,
+        )
+    except OracleError as error:
+        # The oracle names its parameters; the user typed the flags.
+        message = str(error).replace("min_fraction", "--min-share")
+        message = message.replace("max_fraction", "--max-share")
+        print(f"error: {message}", file=sys.stderr)
+        return None
 
 
 def _load_engine_file(path: str, oracle: ProportionalOracle) -> FairRankingDesigner | None:

@@ -843,9 +843,10 @@ class ExactEngine(_EngineBase):
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         return md_baseline(self.preprocessing_dataset, self.oracle, self.index, function)
 
-    # suggest_many inherits the reference loop: each MDBASELINE answer solves
-    # one constrained minimisation per satisfactory region, so there is no
-    # shared work to batch — the per-query solves dominate end to end.
+    # suggest_many inherits the reference loop: an MDBASELINE answer is its
+    # own pre-check, one pass over the region polygons at d = 3 (one SLSQP
+    # solve per satisfactory region above) and its blend probes, so the only
+    # work queries could share is the polygon edges the index already caches.
 
     @classmethod
     def capabilities(cls) -> EngineCapabilities:

@@ -6,12 +6,23 @@ this box (via ``HYPERPOLAR``), and the cells of their *arrangement* are the
 maximal regions with a constant ordering.  ``SATREGIONS`` (Algorithm 4) builds
 the arrangement — optionally through the arrangement tree of Algorithm 5 — and
 keeps the regions whose representative ordering the fairness oracle accepts.
-``MDBASELINE`` (Algorithm 6) then answers a query exactly, by solving one
-nearest-point problem per satisfactory region.
+``MDBASELINE`` (Algorithm 6) then answers a query exactly, from the point of
+every satisfactory region nearest to the query.
+
+At ``d = 3`` every region is a convex polygon, and the nearest point of a
+polygon to a query outside it lies on an edge.  The index flattens the edges
+of all its satisfactory polygons into arrays once, and each query finds every
+region's nearest point in one vectorised pass over them: the cosine to the
+query at ``EDGE_SAMPLES`` points of every edge, ``GOLDEN_STEPS`` golden-section
+steps around each edge's best sample, and the query itself for a polygon that
+contains it.  Any other dimension, and a region whose polygon is degenerate,
+solves one SLSQP minimisation per region (:func:`_closest_point_in_region`),
+which is also the reference the polygon route is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -38,6 +49,15 @@ from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = ["SatisfactoryRegion", "MDExactIndex", "SatRegions", "insert_hyperplanes", "md_baseline"]
 
+#: Evenly spaced points, both vertices included, at which the d = 3 route
+#: evaluates every polygon edge before refining.
+EDGE_SAMPLES = 17
+#: Golden-section steps refining each edge around its best sample.
+GOLDEN_STEPS = 40
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Where a golden-section bracket ``[low, low + width]`` is probed.
+_INTERIOR = np.array([[1.0 - _GOLDEN], [_GOLDEN]])
+
 
 @dataclass(frozen=True)
 class SatisfactoryRegion:
@@ -46,6 +66,42 @@ class SatisfactoryRegion:
     region: Region
     representative_angles: tuple[float, ...]
     representative: LinearScoringFunction
+
+
+@dataclass(frozen=True)
+class _PolygonEdges:
+    """The edges of every solid satisfactory polygon of a ``d = 3`` index, flattened.
+
+    Edge ``e`` runs from ``starts[e]`` to ``starts[e] + directions[e]``
+    counter-clockwise around the polygon of ``satisfactory_regions[owners[e]]``.
+    The edges of one polygon are contiguous and begin at an entry of ``offsets``.
+    """
+
+    starts: np.ndarray
+    directions: np.ndarray
+    owners: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, regions: list[SatisfactoryRegion]) -> "_PolygonEdges":
+        starts: list[tuple[float, float]] = []
+        ends: list[tuple[float, float]] = []
+        owners: list[int] = []
+        offsets: list[int] = []
+        for position, satisfactory in enumerate(regions):
+            polygon = satisfactory.region.polygon
+            if polygon:
+                offsets.append(len(starts))
+                starts.extend(polygon)
+                ends.extend(polygon[1:] + polygon[:1])
+                owners.extend([position] * len(polygon))
+        start_array = np.asarray(starts, dtype=float).reshape(-1, 2)
+        return cls(
+            starts=start_array,
+            directions=np.asarray(ends, dtype=float).reshape(-1, 2) - start_array,
+            owners=np.asarray(owners, dtype=np.intp),
+            offsets=np.asarray(offsets, dtype=np.intp),
+        )
 
 
 @dataclass
@@ -57,11 +113,19 @@ class MDExactIndex:
     n_hyperplanes: int = 0
     n_regions: int = 0
     oracle_calls: int = 0
+    #: The flattened polygon edges of a d = 3 index, built on first use and
+    #: never persisted: a loaded or maintained index builds its own.
+    _edges: _PolygonEdges | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def has_satisfactory_region(self) -> bool:
         """True if at least one region of the arrangement is satisfactory."""
         return bool(self.satisfactory_regions)
+
+    def _polygon_edges(self) -> _PolygonEdges:
+        if self._edges is None:
+            self._edges = _PolygonEdges.of(self.satisfactory_regions)
+        return self._edges
 
 
 class SatRegions:
@@ -238,10 +302,12 @@ class SatRegions:
     def query(self, index: MDExactIndex, function: LinearScoringFunction) -> SuggestionResult:
         """Answer a query exactly (Algorithm 6, ``MDBASELINE``).
 
-        If the query is already satisfactory it is returned unchanged;
-        otherwise the closest point of every satisfactory region is found with
-        a constrained non-linear minimisation of the angular distance, and the
-        overall closest one is suggested.
+        If the query is already satisfactory it is returned unchanged.
+        Otherwise the closest point of every satisfactory region is found — at
+        ``d = 3`` from the region polygons in one vectorised pass over their
+        edges, otherwise (and for a degenerate polygon) with a constrained
+        non-linear minimisation of the angular distance — and the closest
+        point the oracle verifies is suggested.
         """
         return md_baseline(self.dataset, self.oracle, index, function)
 
@@ -264,15 +330,17 @@ def insert_hyperplanes(
 
 
 def _closest_point_in_region(
-    region: Region, query_angles: np.ndarray
+    satisfactory: SatisfactoryRegion, query_angles: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Minimise the angular distance from ``query_angles`` to a convex region.
 
     Solved with SLSQP over the region's linear inequality constraints and the
-    angle box bounds, started from the region's Chebyshev centre.
+    angle box bounds, started from the region's representative point — its
+    Chebyshev centre, which the index persists, so no linear program runs.
     """
+    region = satisfactory.region
     a_matrix, b_vector = region.inequality_system()
-    start = region.interior_point()
+    start = np.asarray(satisfactory.representative_angles, dtype=float)
 
     def objective(theta: np.ndarray) -> float:
         return angular_distance_angles(np.clip(theta, 0.0, HALF_PI), query_angles)
@@ -297,6 +365,91 @@ def _closest_point_in_region(
     return candidate, angular_distance_angles(candidate, query_angles)
 
 
+def _nearest_polygon_points(
+    edges: _PolygonEdges, query_angles: np.ndarray
+) -> dict[int, tuple[np.ndarray, float]]:
+    """The point of every solid satisfactory polygon nearest the query, and its distance.
+
+    Keyed by region position.  The query's ray has the largest cosine at the
+    closest point, so one pass maximises the cosine along every edge at once:
+    ``EDGE_SAMPLES`` evenly spaced points (both vertices among them), then
+    ``GOLDEN_STEPS`` golden-section steps over the two sample intervals
+    around each edge's best sample.  A polygon that contains the query
+    answers with the query itself, at distance 0.
+    """
+    # cos(query, ray(θ)) = u0 cos θ1 + ρ sin θ1 cos(θ2 - φ), with u the query's
+    # unit weight vector and (ρ, φ) the polar form of (u1, u2).
+    u0, u1, u2 = to_weights(query_angles)
+    rho, phi = math.hypot(u1, u2), math.atan2(u2, u1)
+    start1, start2 = edges.starts[:, 0], edges.starts[:, 1] - phi
+    step1, step2 = edges.directions[:, 0], edges.directions[:, 1]
+
+    def cosines(t: np.ndarray) -> np.ndarray:
+        theta1 = start1 + t * step1
+        return u0 * np.cos(theta1) + rho * np.sin(theta1) * np.cos(start2 + t * step2)
+
+    samples = np.linspace(0.0, 1.0, EDGE_SAMPLES)[:, None]
+    sampled = cosines(samples)
+    best_t, best_cosine = samples[sampled.argmax(axis=0), 0], sampled.max(axis=0)
+    # Golden-section search for the maximum on [low, low + width]: both
+    # interior points are evaluated each step, and the bracket keeps the
+    # side of the larger one, shrinking by the golden ratio (the right side
+    # starts (1 - g) w = g² w further on).
+    low = np.maximum(best_t - samples[1, 0], 0.0)
+    width = np.minimum(best_t + samples[1, 0], 1.0) - low
+    for _step in range(GOLDEN_STEPS):
+        inner = cosines(low + _INTERIOR * width)
+        width = width * _GOLDEN
+        low = low + (inner[0] < inner[1]) * (_GOLDEN * width)
+    refined = low + 0.5 * width
+    refined_cosine = cosines(refined)
+    better = refined_cosine > best_cosine
+    best_t = np.where(better, refined, best_t)
+    best_cosine = np.where(better, refined_cosine, best_cosine)
+
+    # Counter-clockwise polygons: the query is inside when it lies on the
+    # left of (or on) every edge of its polygon.
+    relative = query_angles - edges.starts
+    cross = step1 * relative[:, 1] - step2 * relative[:, 0]
+    offsets = edges.offsets.tolist()
+    inside = np.minimum.reduceat(cross, offsets) >= 0.0
+    nearest: dict[int, tuple[np.ndarray, float]] = {}
+    for first, stop, contains in zip(offsets, [*offsets[1:], len(cross)], inside):
+        position = int(edges.owners[first])
+        if contains:
+            nearest[position] = (np.array(query_angles, dtype=float), 0.0)
+            continue
+        edge = first + int(np.argmax(best_cosine[first:stop]))
+        point = edges.starts[edge] + best_t[edge] * edges.directions[edge]
+        distance = math.acos(min(1.0, max(-1.0, float(best_cosine[edge]))))
+        nearest[position] = (np.clip(point, 0.0, HALF_PI), distance)
+    return nearest
+
+
+def _region_candidates(
+    index: MDExactIndex, query_angles: np.ndarray
+) -> tuple[list[tuple[float, np.ndarray, SatisfactoryRegion]], int, int]:
+    """Every satisfactory region's point nearest the query, with its angular distance.
+
+    Also returns the number of polygon edges scanned and of SLSQP solves made.
+    """
+    nearest: dict[int, tuple[np.ndarray, float]] = {}
+    n_edges = 0
+    if index.dimension == 2:
+        edges = index._polygon_edges()
+        n_edges = len(edges.owners)
+        if n_edges:
+            nearest = _nearest_polygon_points(edges, query_angles)
+    candidates: list[tuple[float, np.ndarray, SatisfactoryRegion]] = []
+    for position, satisfactory in enumerate(index.satisfactory_regions):
+        if position in nearest:
+            point, distance = nearest[position]
+        else:
+            point, distance = _closest_point_in_region(satisfactory, query_angles)
+        candidates.append((distance, point, satisfactory))
+    return candidates, n_edges, len(candidates) - len(nearest)
+
+
 def md_baseline(
     dataset: Dataset,
     oracle: FairnessOracle,
@@ -304,6 +457,11 @@ def md_baseline(
     function: LinearScoringFunction,
 ) -> SuggestionResult:
     """Exact CLOSEST SATISFACTORY FUNCTION answering over an ``MDExactIndex``.
+
+    Runs under three stage spans: ``query.precheck`` (the query's own
+    verdict), ``query.region_distances`` (attributes ``n_regions``,
+    ``n_edges`` and ``minimize_calls``) and ``query.blend_verification``
+    (attribute ``oracle_calls``); a satisfactory query opens only the first.
 
     Raises
     ------
@@ -316,7 +474,9 @@ def md_baseline(
         raise NotPreprocessedError("run SatRegions before issuing online queries")
     if function.dimension != dataset.n_attributes:
         raise GeometryError("query dimension does not match the dataset")
-    if oracle.evaluate_function(function, dataset):
+    with stage_span("query.precheck"):
+        satisfactory_query = oracle.evaluate_function(function, dataset)
+    if satisfactory_query:
         return SuggestionResult(
             query=function, satisfactory=True, function=function, angular_distance=0.0
         )
@@ -326,11 +486,13 @@ def md_baseline(
         )
     query_angles = to_angles(function.as_array())
     radius = float(np.linalg.norm(function.as_array()))
-    candidates: list[tuple[float, np.ndarray, SatisfactoryRegion]] = []
-    for satisfactory in index.satisfactory_regions:
-        candidate, distance = _closest_point_in_region(satisfactory.region, query_angles)
-        candidates.append((distance, candidate, satisfactory))
-    candidates.sort(key=lambda entry: entry[0])
+    with stage_span("query.region_distances") as span:
+        candidates, n_edges, minimize_calls = _region_candidates(index, query_angles)
+        candidates.sort(key=lambda entry: entry[0])
+        if span is not None:
+            span.set("n_regions", len(candidates))
+            span.set("n_edges", n_edges)
+            span.set("minimize_calls", minimize_calls)
 
     # The closest point usually lies on the region's boundary, where the induced
     # ordering can tip to the unsatisfactory side (the angle-space hyperplanes
@@ -343,35 +505,42 @@ def md_baseline(
     # one is_satisfactory_many); every candidate is still evaluated at exactly
     # the levels the per-candidate loop would reach, so oracle-call totals are
     # unchanged.
-    verified: list[tuple[float, np.ndarray]] = []
-    active = [
-        (candidate, np.asarray(satisfactory.representative_angles, dtype=float))
-        for _distance, candidate, satisfactory in candidates[:3]
-    ]
-    for blend in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0):
-        if not active:
-            break
-        blended_points = [
-            (1.0 - blend) * candidate + blend * interior for candidate, interior in active
+    with stage_span("query.blend_verification") as span:
+        verified: list[tuple[float, np.ndarray]] = []
+        active = [
+            (candidate, np.asarray(satisfactory.representative_angles, dtype=float))
+            for _distance, candidate, satisfactory in candidates[:3]
         ]
-        probes = [
-            LinearScoringFunction(tuple(to_weights(point, radius=radius)))
-            for point in blended_points
-        ]
-        accepted = evaluate_functions_many(oracle, dataset, probes)
-        still_active = []
-        for pair, point, ok in zip(active, blended_points, accepted):
-            if ok:
-                verified.append((angular_distance_angles(point, query_angles), point))
-            else:
-                still_active.append(pair)
-        active = still_active
-    # Region representatives are satisfactory by construction; they both serve
-    # as a fallback and cap the suggestion distance from above.
-    for satisfactory in index.satisfactory_regions:
-        representative = np.asarray(satisfactory.representative_angles, dtype=float)
-        verified.append((angular_distance_angles(representative, query_angles), representative))
-    best_distance, best_angles = min(verified, key=lambda entry: entry[0])
+        oracle_calls = 0
+        for blend in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0):
+            if not active:
+                break
+            blended_points = [
+                (1.0 - blend) * candidate + blend * interior for candidate, interior in active
+            ]
+            probes = [
+                LinearScoringFunction(tuple(to_weights(point, radius=radius)))
+                for point in blended_points
+            ]
+            accepted = evaluate_functions_many(oracle, dataset, probes)
+            oracle_calls += len(probes)
+            still_active = []
+            for pair, point, ok in zip(active, blended_points, accepted):
+                if ok:
+                    verified.append((angular_distance_angles(point, query_angles), point))
+                else:
+                    still_active.append(pair)
+            active = still_active
+        # Region representatives are satisfactory by construction; they both
+        # serve as a fallback and cap the suggestion distance from above.
+        for satisfactory in index.satisfactory_regions:
+            representative = np.asarray(satisfactory.representative_angles, dtype=float)
+            verified.append(
+                (angular_distance_angles(representative, query_angles), representative)
+            )
+        best_distance, best_angles = min(verified, key=lambda entry: entry[0])
+        if span is not None:
+            span.set("oracle_calls", oracle_calls)
     suggestion = LinearScoringFunction(tuple(to_weights(best_angles, radius=radius)))
     return SuggestionResult(
         query=function,

@@ -217,10 +217,11 @@ class Region:
     first time one is requested, because the arrangement algorithms evaluate
     the fairness oracle exactly once per region at such a point.
 
-    A region of dimension 2 (``d = 3``) also keeps its convex polygon: the
-    angle box clipped by each half-space in turn, counter-clockwise, or ``()``
-    once no solid polygon remains.  :meth:`with_half_space` clips the parent's
-    polygon once; a region constructed directly builds it on first use.
+    A region of dimension 2 (``d = 3``) also keeps its convex polygon
+    (:attr:`polygon`): the angle box clipped by each half-space in turn,
+    counter-clockwise, or ``()`` once no solid polygon remains.
+    :meth:`with_half_space` clips the parent's polygon once; a region
+    constructed directly builds it on first use.
     """
 
     dimension: int
@@ -285,6 +286,21 @@ class Region:
         if np.any(point < -tolerance) or np.any(point > HALF_PI + tolerance):
             return False
         return all(half_space.contains(point, tolerance) for half_space in self.half_spaces)
+
+    @property
+    def polygon(self) -> tuple[tuple[float, float], ...]:
+        """The convex polygon of a dimension-2 region: counter-clockwise vertices.
+
+        ``()`` when no solid polygon remains (an empty or degenerate region).
+
+        Raises
+        ------
+        GeometryError
+            If the region's dimension is not 2.
+        """
+        if self.dimension != 2:
+            raise GeometryError("only a dimension-2 region keeps a polygon")
+        return self._vertices()
 
     def _vertices(self) -> tuple[tuple[float, float], ...]:
         """The polygon of a dimension-2 region, built from the half-spaces on first use."""

@@ -28,7 +28,9 @@ the fast differential smoke target of ``scripts/check_all.py``.
 
 :func:`lp_only_regions` builds the other side of the region-route
 differential: inside it, every region split and emptiness test runs the
-Eq. 6 linear program, as if no region kept a polygon.
+Eq. 6 linear program, as if no region kept a polygon.  Likewise, inside
+:func:`slsqp_only_regions` ``MDBASELINE`` finds every region's nearest point
+with one SLSQP solve, as it does at ``d >= 4``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.multi_dim import MDExactIndex, _PolygonEdges
 from repro.core.result import SuggestionResult
 from repro.exceptions import ConfigurationError
 from repro.geometry.hyperplane import Region
@@ -51,6 +54,7 @@ __all__ = [
     "make_weight_grid",
     "oracle_call_count",
     "payload_bytes",
+    "slsqp_only_regions",
 ]
 
 
@@ -72,6 +76,27 @@ def lp_only_regions() -> Iterator[None]:
         yield
     finally:
         Region._polygon_meets = decide
+
+
+def _no_polygons(index):
+    return _PolygonEdges.of([])
+
+
+@contextmanager
+def slsqp_only_regions() -> Iterator[None]:
+    """Route every ``MDBASELINE`` nearest-point step through SLSQP.
+
+    Patches the polygon edges of every exact index to none for the body, so
+    each satisfactory region takes the per-region minimisation that
+    ``d >= 4`` (and a degenerate polygon) takes.  Production code has no
+    such switch.
+    """
+    edges = MDExactIndex._polygon_edges
+    MDExactIndex._polygon_edges = _no_polygons
+    try:
+        yield
+    finally:
+        MDExactIndex._polygon_edges = edges
 
 
 def _weights_hex(weights) -> tuple[str, ...]:

@@ -280,6 +280,43 @@ class TestMaintainCommand:
         assert "--journaled" in capsys.readouterr().err
 
 
+class TestShareFlags:
+    """Out-of-range or crossed share bounds exit 2 with one line naming the flag."""
+
+    @pytest.mark.parametrize("command", ["suggest", "maintain"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--max-share", "1.5"], ["--max-share"]),
+            (["--min-share", "-0.1"], ["--min-share"]),
+            (["--min-share", "0.7", "--max-share", "0.6"], ["--min-share", "--max-share"]),
+        ],
+        ids=["max-above-1", "min-below-0", "min-above-max"],
+    )
+    def test_bad_share_exits_2_naming_the_flag(self, command, flags, named, tmp_path, capsys):
+        constraint = ["--attribute", "race", "--group", "African-American", "--k", "0.3", *flags]
+        if command == "suggest":
+            argv = [
+                "suggest", "--dataset", "compas", "--n", "60", "--d", "2",
+                *constraint, "--weights", "0.9,0.1",
+            ]
+        else:
+            source = tmp_path / "a.json"
+            assert main(
+                TestSuggestBatchAndPersistence._BASE
+                + ["--weights", "0.9,0.1", "--save-index", str(source)]
+            ) == 0
+            capsys.readouterr()
+            argv = ["maintain", "--load-index", str(source), *constraint, "--delete", "3"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert all(flag in line for flag in named)
+
+
 @pytest.mark.slow
 class TestFiguresCommand:
     def test_figures_writes_requested_artifacts(self, tmp_path, capsys):

@@ -130,10 +130,12 @@ def _command_lines(block: str) -> list[list[str]]:
 
 class TestDocumentedEntryPoints:
     def test_readme_quickstart_and_command_lines_finish(self, tmp_path):
-        """The quickstart block, then the two CLI commands through ``repro.cli.main``."""
+        """The quickstart block, the "serve many" block that continues it, then
+        the two CLI commands through ``repro.cli.main``, in one process."""
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         api_guide = (REPO_ROOT / "docs" / "api.md").read_text(encoding="utf-8")
         quickstart = _fenced_block(readme, "python", after="## Quickstart")
+        serve_many = _fenced_block(readme, "python", after="## Preprocess once, serve many")
         commands = _command_lines(
             _fenced_block(readme, "bash", after="available on the command line")
         )
@@ -147,6 +149,7 @@ class TestDocumentedEntryPoints:
         (tmp_path / "queries.txt").write_text("0.5,0.3,0.2\n0.2,0.4,0.4\n", encoding="utf-8")
         script = (
             quickstart
+            + serve_many
             + "\nfrom repro.cli import main\n"
             + f"for argv in {[command[1:] for command in commands]!r}:\n"
             + "    assert main(argv) == 0, argv\n"

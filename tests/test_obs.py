@@ -240,7 +240,8 @@ def _children(recorder: TraceRecorder, parent) -> list:
 
 
 def test_exact_pipeline_stage_spans_nest_and_count():
-    """SATREGIONS spans its three stages, and the insert-only delta two of them."""
+    """SATREGIONS spans its three stages, the insert-only delta two of them,
+    and an unsatisfactory MDBASELINE query its three online stages."""
     attributes = ["c_days_from_compas", "juv_other_count", "start"]
     oracle = CountingOracle(
         ProportionalOracle("race", "African-American", 0.3, max_fraction=0.60)
@@ -290,6 +291,26 @@ def test_exact_pipeline_stage_spans_nest_and_count():
     assert build["split_tests"] == engine._exact_tree.split_tests - split_tests_before > 0
     assert evaluation["n_regions"] == engine.index.n_regions
     assert evaluation["oracle_calls"] == engine.index.oracle_calls == oracle.calls - calls_before
+
+    calls_before = oracle.calls
+    recorder.clear()
+    with activated(recorder):
+        with recorder.span("op.suggest"):
+            result = engine.suggest(LinearScoringFunction((0.5, 0.3, 0.2)))
+    assert not result.satisfactory
+    (operation,) = [span for span in recorder.spans if span.name == "op.suggest"]
+    stages = _children(recorder, operation)
+    assert [span.name for span in stages] == [
+        "query.precheck",
+        "query.region_distances",
+        "query.blend_verification",
+    ]
+    _precheck, distances, verification = (dict(span.attributes) for span in stages)
+    polygons = [region.region.polygon for region in engine.index.satisfactory_regions]
+    assert distances["n_regions"] == len(polygons) > 0
+    assert distances["n_edges"] == sum(len(polygon) for polygon in polygons)
+    assert distances["minimize_calls"] == sum(1 for polygon in polygons if not polygon) == 0
+    assert 1 <= verification["oracle_calls"] == oracle.calls - calls_before - 1
 
 
 def test_instrumented_engine_counts_queries_and_latency(
