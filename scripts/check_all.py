@@ -28,7 +28,11 @@ Runs, in order:
 8. the region smoke — one small exact build twice
    (``tests/test_region_polygon.py``): with the d = 3 polygon route and
    with every region split and emptiness test forced through the linear
-   program, bit-identical answers, oracle-call counts and payload bytes.
+   program, bit-identical answers, oracle-call counts and payload bytes;
+9. the cellplane smoke — the ``CELLPLANE×`` array kernel on one uniform
+   grid and one angle partition (``tests/test_partition_cellplane.py``):
+   every cell's hyperplane list must equal the scalar per-cell corner
+   test's, order included.
 
 Usage::
 
@@ -77,6 +81,10 @@ SWEEP_SMOKE = "tests/test_incremental_oracle.py::TestArraySweepKernel::test_swee
 
 #: The polygon-route-vs-all-LP smoke test (one small exact build).
 REGION_SMOKE = "tests/test_region_polygon.py::test_region_smoke"
+
+#: The CELLPLANE× array-kernel-vs-scalar-reference smoke test (one uniform
+#: grid, one angle partition).
+CELLPLANE_SMOKE = "tests/test_partition_cellplane.py::test_cellplane_smoke"
 
 
 def _load_script(name: str):
@@ -149,6 +157,13 @@ def run_region_smoke() -> int:
     )
 
 
+def run_cellplane_smoke() -> int:
+    return _run_pytest(
+        (CELLPLANE_SMOKE,),
+        "cellplane smoke: OK (array kernel == scalar corner test, both partitions)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="consolidated pre-PR gate")
     parser.add_argument(
@@ -166,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         ("delta_smoke", run_delta_smoke),
         ("sweep_smoke", run_sweep_smoke),
         ("region_smoke", run_region_smoke),
+        ("cellplane_smoke", run_cellplane_smoke),
     )
     if args.quick:
         gates = (("differential_smoke", run_differential_smoke),)

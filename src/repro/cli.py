@@ -207,16 +207,33 @@ def _format_result(result, prefix: str = "") -> None:
         )
 
 
+def _top_k(args: argparse.Namespace) -> float | int | None:
+    """``--k`` as a fraction in (0, 1) or a whole count, or ``None`` after printing why not."""
+    if 0.0 < args.k < 1.0:
+        return args.k
+    if args.k >= 1.0 and args.k.is_integer():
+        return int(args.k)
+    print(
+        f"error: --k must be a fraction strictly between 0 and 1 or a whole count >= 1, "
+        f"got {args.k:g}",
+        file=sys.stderr,
+    )
+    return None
+
+
 def _constraint_oracle(args: argparse.Namespace) -> ProportionalOracle | None:
     """The FM1 oracle the constraint flags describe, or ``None`` after printing why not."""
     if args.max_share is None and args.min_share is None:
         print("error: provide --max-share and/or --min-share", file=sys.stderr)
         return None
+    k = _top_k(args)
+    if k is None:
+        return None
     try:
         return ProportionalOracle(
             args.attribute,
             args.group,
-            k=args.k if args.k < 1 else int(args.k),
+            k=k,
             min_fraction=args.min_share,
             max_fraction=args.max_share,
         )
@@ -469,9 +486,11 @@ def _run_experiment(name: str) -> int:
 
 
 def _run_audit(args: argparse.Namespace) -> int:
+    k = _top_k(args)
+    if k is None:
+        return 2
     dataset = _load_dataset(args)
     weights = [float(value) for value in args.weights.split(",")]
-    k = args.k if args.k < 1 else int(args.k)
     function = LinearScoringFunction(tuple(weights))
     audit = audit_function(dataset, function, args.attribute, args.group, k=k)
     print(format_audit(audit, title=f"fairness audit of weights [{args.weights}]"))

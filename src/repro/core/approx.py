@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.multi_dim import exchange_hyperplanes
 from repro.core.result import SuggestionResult
 from repro.data.dataset import Dataset
-from repro.data.layers import topk_candidate_indices
 from repro.exceptions import (
     ConfigurationError,
     GeometryError,
@@ -44,8 +44,7 @@ from repro.geometry.angles import (
     to_weights,
 )
 from repro.geometry.arrangement_tree import ArrangementTree
-from repro.geometry.cellplane import CellPlaneIndex, assign_hyperplanes_to_cells
-from repro.geometry.dual import hyperplanes_for_dataset
+from repro.geometry.cellplane import assign_hyperplanes_to_cells
 from repro.geometry.hyperplane import Hyperplane, Region
 from repro.obs.trace import stage_span
 from repro.geometry.partition import (
@@ -80,7 +79,6 @@ class MDApproxIndex:
     partition: AnglePartitionProtocol
     assigned_angles: list[np.ndarray | None] = field(default_factory=list)
     marked: list[bool] = field(default_factory=list)
-    cell_plane_index: CellPlaneIndex | None = None
     n_hyperplanes: int = 0
     oracle_calls: int = 0
     #: Lazily built stack over the assigned cells (cell indices, weight rows,
@@ -214,9 +212,7 @@ class ApproximatePreprocessor:
         Optional §8 convex-layer filter for top-``k`` oracles.
     preprocess_workers:
         Worker processes for the hyperplane construction (``1`` = serial;
-        ``> 1`` shards the pair-enumeration blocks over
-        :func:`repro.parallel.preprocess.parallel_hyperplanes_for_dataset`,
-        which is bit-identical to the serial path).
+        see :func:`~repro.core.multi_dim.exchange_hyperplanes`).
     """
 
     def __init__(
@@ -257,32 +253,6 @@ class ApproximatePreprocessor:
     # ------------------------------------------------------------------ #
     # pipeline steps
     # ------------------------------------------------------------------ #
-    def build_hyperplanes(self) -> list[Hyperplane]:
-        """Construct the exchange hyperplanes (optionally filtered / capped).
-
-        ``max_hyperplanes`` is pushed into the chunked enumeration of
-        :func:`~repro.geometry.dual.hyperplanes_for_dataset`, so a capped
-        sweep stops constructing as soon as the cap is reached instead of
-        building all O(n²) hyperplanes and slicing afterwards.
-        """
-        item_indices = None
-        if self.convex_layer_k is not None:
-            item_indices = topk_candidate_indices(self.dataset.scores, self.convex_layer_k)
-        if self.preprocess_workers > 1:
-            from repro.parallel.preprocess import parallel_hyperplanes_for_dataset
-
-            return parallel_hyperplanes_for_dataset(
-                self.dataset,
-                item_indices,
-                n_workers=self.preprocess_workers,
-                max_hyperplanes=self.max_hyperplanes,
-            )
-        return hyperplanes_for_dataset(
-            self.dataset,
-            item_indices,
-            max_hyperplanes=self.max_hyperplanes,
-        )
-
     def run(self) -> MDApproxIndex:
         """Execute the full preprocessing pipeline and return the cell index.
 
@@ -293,19 +263,21 @@ class ApproximatePreprocessor:
         )
 
         with stage_span("preprocess.hyperplane_construction") as span:
-            hyperplanes = self.build_hyperplanes()
+            hyperplanes = exchange_hyperplanes(
+                self.dataset,
+                max_hyperplanes=self.max_hyperplanes,
+                convex_layer_k=self.convex_layer_k,
+                preprocess_workers=self.preprocess_workers,
+            )
             if span is not None:
                 span.set("n_hyperplanes", len(hyperplanes))
         index.n_hyperplanes = len(hyperplanes)
 
         with stage_span("preprocess.cell_plane_assignment"):
-            cell_plane_index = assign_hyperplanes_to_cells(self.partition, hyperplanes)
-        index.cell_plane_index = cell_plane_index
+            by_cell = assign_hyperplanes_to_cells(self.partition, hyperplanes).by_cell
 
         with stage_span("preprocess.mark_cells") as span:
-            assigned, marked, oracle_calls = self._mark_cells(
-                hyperplanes, cell_plane_index
-            )
+            assigned, marked, oracle_calls = self._mark_cells(hyperplanes, by_cell)
             if span is not None:
                 span.set("oracle_calls", int(oracle_calls))
         index.assigned_angles = assigned
@@ -341,7 +313,7 @@ class ApproximatePreprocessor:
         return self.oracle.evaluate_function(function, self.dataset)
 
     def _mark_cells(
-        self, hyperplanes: list[Hyperplane], cell_plane_index: CellPlaneIndex
+        self, hyperplanes: list[Hyperplane], by_cell: list[list[int]]
     ) -> tuple[list[np.ndarray | None], list[bool], int]:
         """Assign a satisfactory function to every cell that contains one (``MARKCELL``)."""
         cells = self.partition.cells()
@@ -350,7 +322,7 @@ class ApproximatePreprocessor:
         oracle_calls = 0
 
         for cell in cells:
-            crossing = cell_plane_index.by_cell[cell.index]
+            crossing = by_cell[cell.index]
             center = cell.center()
             # No hyperplane crosses the cell: the ordering is constant inside
             # it, one oracle call at the centre decides the whole cell.
@@ -397,7 +369,7 @@ class ApproximatePreprocessor:
         tree = ArrangementTree(dimension=self.partition.dimension, base_region=cell_region)
         tree.insert(first)
         for hyperplane in crossing[1:]:
-            result = tree.insert_with_probe(hyperplane, probe)
+            result = tree.insert(hyperplane, probe)
             if result is not None:
                 return np.asarray(result, dtype=float), oracle_calls
         return None, oracle_calls

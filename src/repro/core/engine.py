@@ -133,7 +133,6 @@ class ExactConfig:
 
     max_hyperplanes: int | None = None
     convex_layer_k: int | None = None
-    use_arrangement_tree: bool = True
     sample_size: int | None = None
     sample_seed: int = 0
     preprocess_workers: int = 1
@@ -769,7 +768,6 @@ class ExactEngine(_EngineBase):
         builder = SatRegions(
             working,
             oracle,
-            use_arrangement_tree=self.config.use_arrangement_tree,
             max_hyperplanes=self.config.max_hyperplanes,
             convex_layer_k=self.config.convex_layer_k,
             preprocess_workers=self.config.preprocess_workers,
@@ -789,7 +787,6 @@ class ExactEngine(_EngineBase):
             and self.config.sample_size is None
             and self.config.max_hyperplanes is None
             and self.config.convex_layer_k is None
-            and self.config.use_arrangement_tree
             and getattr(self, "_exact_tree", None) is not None
             and getattr(self, "_exact_hyperplanes", None) is not None
         )
@@ -818,7 +815,6 @@ class ExactEngine(_EngineBase):
         index = SatRegions(
             mutated,
             self.oracle,
-            use_arrangement_tree=True,
             preprocess_workers=self.config.preprocess_workers,
         ).evaluate_tree(tree, n_hyperplanes=len(merged))
         self._exact_hyperplanes, self._exact_tree = merged, tree
@@ -836,7 +832,6 @@ class ExactEngine(_EngineBase):
         self._index = SatRegions(
             self.preprocessing_dataset,
             self.oracle,
-            use_arrangement_tree=True,
             preprocess_workers=self.config.preprocess_workers,
         ).evaluate_tree(tree, n_hyperplanes=len(hyperplanes))
 

@@ -4,8 +4,8 @@ For ``d > 2`` scoring attributes the space of ranking functions is the
 ``(d-1)``-dimensional angle box.  The ordering exchanges become hyperplanes in
 this box (via ``HYPERPOLAR``), and the cells of their *arrangement* are the
 maximal regions with a constant ordering.  ``SATREGIONS`` (Algorithm 4) builds
-the arrangement — optionally through the arrangement tree of Algorithm 5 — and
-keeps the regions whose representative ordering the fairness oracle accepts.
+the arrangement through the arrangement tree of Algorithm 5 and keeps the
+regions whose representative ordering the fairness oracle accepts.
 ``MDBASELINE`` (Algorithm 6) then answers a query exactly, from the point of
 every satisfactory region nearest to the query.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -40,14 +40,20 @@ from repro.exceptions import (
 from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import HALF_PI, angular_distance_angles, to_angles, to_weights
-from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.hyperplane import Hyperplane, Region
 from repro.obs.trace import stage_span
 from repro.ranking.scoring import LinearScoringFunction
 
-__all__ = ["SatisfactoryRegion", "MDExactIndex", "SatRegions", "insert_hyperplanes", "md_baseline"]
+__all__ = [
+    "SatisfactoryRegion",
+    "MDExactIndex",
+    "SatRegions",
+    "exchange_hyperplanes",
+    "insert_hyperplanes",
+    "md_baseline",
+]
 
 #: Evenly spaced points, both vertices included, at which the d = 3 route
 #: evaluates every polygon edge before refining.
@@ -128,6 +134,38 @@ class MDExactIndex:
         return self._edges
 
 
+def exchange_hyperplanes(
+    dataset: Dataset,
+    max_hyperplanes: int | None = None,
+    convex_layer_k: int | None = None,
+    preprocess_workers: int = 1,
+) -> list[Hyperplane]:
+    """The exchange hyperplanes of a ``d >= 3`` dataset, for both pipelines.
+
+    ``convex_layer_k`` keeps only the items of the first ``k`` convex layers
+    (the §8 filter for top-``k`` oracles).  ``max_hyperplanes`` is honoured
+    inside the chunked enumeration of
+    :func:`~repro.geometry.dual.hyperplanes_for_dataset`, so a capped build
+    stops constructing at the cap.  ``preprocess_workers > 1`` shards the
+    enumeration over
+    :func:`repro.parallel.preprocess.parallel_hyperplanes_for_dataset`, which
+    is bit-identical to the serial path.
+    """
+    item_indices = None
+    if convex_layer_k is not None:
+        item_indices = topk_candidate_indices(dataset.scores, convex_layer_k)
+    if preprocess_workers > 1:
+        from repro.parallel.preprocess import parallel_hyperplanes_for_dataset
+
+        return parallel_hyperplanes_for_dataset(
+            dataset,
+            item_indices,
+            n_workers=preprocess_workers,
+            max_hyperplanes=max_hyperplanes,
+        )
+    return hyperplanes_for_dataset(dataset, item_indices, max_hyperplanes=max_hyperplanes)
+
+
 class SatRegions:
     """Offline construction of satisfactory regions in multiple dimensions (Algorithm 4).
 
@@ -137,10 +175,6 @@ class SatRegions:
         Dataset with ``d >= 3`` scoring attributes.
     oracle:
         Fairness oracle labelling orderings.
-    use_arrangement_tree:
-        Use the hierarchical arrangement tree (Algorithm 5) instead of scanning
-        every region on each insertion.  Identical output, much faster in
-        practice (paper Fig. 18).
     max_hyperplanes:
         Optional cap on the number of exchange hyperplanes inserted (the paper
         caps insertions when reporting Figs. 18–19); ``None`` inserts all.
@@ -150,16 +184,13 @@ class SatRegions:
         oracle only inspects the top-``k``.
     preprocess_workers:
         Worker processes for the hyperplane construction (``1`` = serial;
-        ``> 1`` shards the pair-enumeration blocks over
-        :func:`repro.parallel.preprocess.parallel_hyperplanes_for_dataset`,
-        which is bit-identical to the serial path).
+        see :func:`exchange_hyperplanes`).
     """
 
     def __init__(
         self,
         dataset: Dataset,
         oracle: FairnessOracle,
-        use_arrangement_tree: bool = True,
         max_hyperplanes: int | None = None,
         convex_layer_k: int | None = None,
         preprocess_workers: int = 1,
@@ -168,15 +199,14 @@ class SatRegions:
             raise GeometryError("SatRegions requires d >= 3; use TwoDRaySweep for d = 2")
         self.dataset = dataset
         self.oracle = oracle
-        self.use_arrangement_tree = use_arrangement_tree
         self.max_hyperplanes = max_hyperplanes
         self.convex_layer_k = convex_layer_k
         self.preprocess_workers = preprocess_workers
         self._hyperplanes: list[Hyperplane] | None = None
         #: Canonically ordered hyperplanes of the last :meth:`run` (the exact
         #: insertion sequence), and the arrangement tree it built (``None``
-        #: before the first run or when ``use_arrangement_tree=False``).  The
-        #: engines cache both so insert-only deltas extend the tree in place.
+        #: before the first run).  The engines cache both so insert-only
+        #: deltas extend the tree in place.
         self.hyperplanes_: list[Hyperplane] = []
         self.tree_: ArrangementTree | None = None
 
@@ -184,38 +214,18 @@ class SatRegions:
     # offline construction
     # ------------------------------------------------------------------ #
     def build_hyperplanes(self) -> list[Hyperplane]:
-        """Construct the exchange hyperplanes (optionally convex-layer filtered / capped).
+        """The exchange hyperplanes (:func:`exchange_hyperplanes`), memoized on the instance.
 
-        Pair eligibility is decided by the chunked vectorised dominance kernel
-        inside :func:`~repro.geometry.dual.hyperplanes_for_dataset` (broadcast
-        row blocks instead of ~n²/2 per-pair dominance re-tests), and the
-        hyperplanes themselves by the batched ``hyperpolar_many`` kernel.  The
-        result is memoized on the instance: dataset and filter parameters are
-        fixed at construction, so repeated ``run()`` calls reuse the
-        hyperplanes.
+        Dataset and filter parameters are fixed at construction, so repeated
+        ``run()`` calls reuse the hyperplanes.
         """
         if self._hyperplanes is None:
-            item_indices = None
-            if self.convex_layer_k is not None:
-                item_indices = topk_candidate_indices(self.dataset.scores, self.convex_layer_k)
-            # The cap is honoured inside the chunked enumeration, so capped
-            # sweeps stop constructing early instead of building all O(n²)
-            # hyperplanes and slicing.
-            if self.preprocess_workers > 1:
-                from repro.parallel.preprocess import parallel_hyperplanes_for_dataset
-
-                self._hyperplanes = parallel_hyperplanes_for_dataset(
-                    self.dataset,
-                    item_indices,
-                    n_workers=self.preprocess_workers,
-                    max_hyperplanes=self.max_hyperplanes,
-                )
-            else:
-                self._hyperplanes = hyperplanes_for_dataset(
-                    self.dataset,
-                    item_indices,
-                    max_hyperplanes=self.max_hyperplanes,
-                )
+            self._hyperplanes = exchange_hyperplanes(
+                self.dataset,
+                max_hyperplanes=self.max_hyperplanes,
+                convex_layer_k=self.convex_layer_k,
+                preprocess_workers=self.preprocess_workers,
+            )
         return self._hyperplanes
 
     def run(self) -> MDExactIndex:
@@ -243,15 +253,10 @@ class SatRegions:
             if span is not None:
                 span.set("n_hyperplanes", len(hyperplanes))
         self.hyperplanes_ = hyperplanes
-        if self.use_arrangement_tree:
-            tree = ArrangementTree(dimension=dimension)
-            insert_hyperplanes(tree, hyperplanes)
-            self.tree_ = tree
-            return self.evaluate_tree(tree, len(hyperplanes))
-        arrangement = Arrangement(dimension=dimension)
-        insert_hyperplanes(arrangement, hyperplanes)
-        self.tree_ = None
-        return self._evaluate_regions(arrangement.non_empty_regions, len(hyperplanes))
+        tree = ArrangementTree(dimension=dimension)
+        insert_hyperplanes(tree, hyperplanes)
+        self.tree_ = tree
+        return self.evaluate_tree(tree, len(hyperplanes))
 
     def evaluate_tree(self, tree: ArrangementTree, n_hyperplanes: int) -> MDExactIndex:
         """Evaluate the leaf regions of a (possibly cached) arrangement tree.
@@ -261,19 +266,13 @@ class SatRegions:
         is data-dependent and must re-run after any change — happens here.
         The result is exactly what :meth:`run` would produce after inserting
         the same hyperplane sequence into a fresh tree.
-        """
-        return self._evaluate_regions(tree.leaf_regions, n_hyperplanes)
 
-    def _evaluate_regions(
-        self, leaf_regions: Callable[[], list[Region]], n_hyperplanes: int
-    ) -> MDExactIndex:
-        """One oracle call per non-empty region; keep the satisfactory ones (Algorithm 4 tail).
-
-        Runs under the ``preprocess.region_evaluation`` stage span, which
-        carries ``n_regions`` and ``oracle_calls``.
+        One oracle call per non-empty leaf region keeps the satisfactory ones
+        (Algorithm 4 tail), under the ``preprocess.region_evaluation`` stage
+        span, which carries ``n_regions`` and ``oracle_calls``.
         """
         with stage_span("preprocess.region_evaluation") as span:
-            regions = leaf_regions()
+            regions = tree.leaf_regions()
             index = MDExactIndex(
                 dimension=self.dataset.n_attributes - 1,
                 n_hyperplanes=int(n_hyperplanes),
@@ -312,9 +311,7 @@ class SatRegions:
         return md_baseline(self.dataset, self.oracle, index, function)
 
 
-def insert_hyperplanes(
-    arrangement: Arrangement | ArrangementTree, hyperplanes: Iterable[Hyperplane]
-) -> None:
+def insert_hyperplanes(tree: ArrangementTree, hyperplanes: Iterable[Hyperplane]) -> None:
     """Insert ``hyperplanes`` in order under the ``preprocess.arrangement_build`` span.
 
     The span carries ``split_tests``, the region-vs-hyperplane tests these
@@ -322,11 +319,11 @@ def insert_hyperplanes(
     insert-only delta, which extends its cached tree.
     """
     with stage_span("preprocess.arrangement_build") as span:
-        split_tests = arrangement.split_tests
+        split_tests = tree.split_tests
         for hyperplane in hyperplanes:
-            arrangement.insert(hyperplane)
+            tree.insert(hyperplane)
         if span is not None:
-            span.set("split_tests", arrangement.split_tests - split_tests)
+            span.set("split_tests", tree.split_tests - split_tests)
 
 
 def _closest_point_in_region(

@@ -515,9 +515,7 @@ def experiment_ablation_convex_layers(
     )
     results: dict[str, float] = {}
     for label, layer_k in (("full", None), ("convex_layers", k)):
-        builder = SatRegions(
-            dataset, oracle, use_arrangement_tree=True, max_hyperplanes=60, convex_layer_k=layer_k
-        )
+        builder = SatRegions(dataset, oracle, max_hyperplanes=60, convex_layer_k=layer_k)
         started = time.perf_counter()
         hyperplanes = builder.build_hyperplanes()
         index = builder.run()

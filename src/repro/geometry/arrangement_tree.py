@@ -17,13 +17,10 @@ feasibility LPs: a point the region already knows (its interior point or an
 earlier LP witness) certifies its own side, and only the other side needs
 an LP.
 
-Two insertion modes are provided:
-
-* :meth:`ArrangementTree.insert` — the plain ``AT+`` of Algorithm 5;
-* :meth:`ArrangementTree.insert_with_probe` — the ``ATC+`` of Algorithm 9,
-  which evaluates a caller-supplied probe on every *newly created* leaf region
-  and stops the whole insertion as soon as the probe returns a result (the
-  early-stopping strategy used by ``MARKCELL``).
+:meth:`ArrangementTree.insert` is the ``AT+`` of Algorithm 5.  Given a probe
+it is the ``ATC+`` of Algorithm 9: it evaluates the probe on every *newly
+created* leaf region and stops the whole insertion as soon as the probe
+returns a result (the early-stopping strategy used by ``MARKCELL``).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.exceptions import GeometryError, InfeasibleRegionError
+from repro.exceptions import GeometryError
 from repro.geometry.hyperplane import Hyperplane, Region
 
 __all__ = ["ArrangementTree", "ArrangementTreeNode"]
@@ -97,52 +94,23 @@ class ArrangementTree:
     # ------------------------------------------------------------------ #
     # insertion
     # ------------------------------------------------------------------ #
-    def insert(self, hyperplane: Hyperplane) -> None:
-        """Insert a hyperplane (Algorithm 5, ``AT+``)."""
-        self._check_dimension(hyperplane)
-        self.n_hyperplanes += 1
-        if self.root is None:
-            self.root = ArrangementTreeNode(hyperplane, self.base_region)
-            return
-        self._insert_recursive(self.root, hyperplane)
+    def insert(self, hyperplane: Hyperplane, probe: RegionProbe | None = None) -> object | None:
+        """Insert a hyperplane (Algorithm 5, ``AT+``; with a probe, Algorithm 9, ``ATC+``).
 
-    def insert_with_probe(self, hyperplane: Hyperplane, probe: RegionProbe) -> object | None:
-        """Insert a hyperplane, probing every new leaf region (Algorithm 9, ``ATC+``).
-
-        Returns the first non-None value produced by ``probe`` (the insertion
-        stops as soon as that happens), or None if the probe never fired.
+        ``probe`` runs on every new leaf region; the insertion stops at its
+        first non-None result and returns it.  Returns None if the probe
+        never fired or none was given.
         """
-        self._check_dimension(hyperplane)
-        self.n_hyperplanes += 1
-        if self.root is None:
-            self.root = ArrangementTreeNode(hyperplane, self.base_region)
-            for region in (self.root.left_region, self.root.right_region):
-                result = probe(region)
-                if result is not None:
-                    return result
-            return None
-        return self._insert_probe_recursive(self.root, hyperplane, probe)
-
-    def _check_dimension(self, hyperplane: Hyperplane) -> None:
         if hyperplane.dimension != self.dimension:
             raise GeometryError("hyperplane dimension mismatch")
+        self.n_hyperplanes += 1
+        if self.root is None:
+            self.root = ArrangementTreeNode(hyperplane, self.base_region)
+            return self._probe(self.root, probe)
+        return self._insert(self.root, hyperplane, probe)
 
-    def _insert_recursive(self, node: ArrangementTreeNode, hyperplane: Hyperplane) -> None:
-        for side_name, side_region in node.sides():
-            self.split_tests += 1
-            if not side_region.intersects_hyperplane(hyperplane):
-                continue
-            child = getattr(node, side_name)
-            if child is None:
-                setattr(node, side_name, ArrangementTreeNode(hyperplane, side_region))
-            else:
-                self._insert_recursive(child, hyperplane)
-
-    def _insert_probe_recursive(
-        self,
-        node: ArrangementTreeNode,
-        hyperplane: Hyperplane,
-        probe: RegionProbe,
+    def _insert(
+        self, node: ArrangementTreeNode, hyperplane: Hyperplane, probe: RegionProbe | None
     ) -> object | None:
         for side_name, side_region in node.sides():
             self.split_tests += 1
@@ -150,14 +118,21 @@ class ArrangementTree:
                 continue
             child = getattr(node, side_name)
             if child is None:
-                new_node = ArrangementTreeNode(hyperplane, side_region)
-                setattr(node, side_name, new_node)
-                for new_region in (new_node.left_region, new_node.right_region):
-                    result = probe(new_region)
-                    if result is not None:
-                        return result
+                child = ArrangementTreeNode(hyperplane, side_region)
+                setattr(node, side_name, child)
+                result = self._probe(child, probe)
             else:
-                result = self._insert_probe_recursive(child, hyperplane, probe)
+                result = self._insert(child, hyperplane, probe)
+            if result is not None:
+                return result
+        return None
+
+    @staticmethod
+    def _probe(node: ArrangementTreeNode, probe: RegionProbe | None) -> object | None:
+        """The first non-None probe result over a new node's two sides."""
+        if probe is not None:
+            for region in (node.left_region, node.right_region):
+                result = probe(region)
                 if result is not None:
                     return result
         return None

@@ -356,7 +356,10 @@ class Region:
         reachable avoids "splitting" a region the hyperplane merely touches.
 
         A dimension-2 region answers from its polygon when the vertex values
-        make the answer certain.  Otherwise the linear program decides: when
+        make the answer certain.  A hyperplane with the coefficients of one
+        that already bounds the region (tied scores give different item
+        pairs the same hyperplane) leaves the whole region on one side, so it
+        does not split it.  Otherwise the linear program decides: when
         a point of the region is already known (the cached interior point or
         an earlier witness), the side it falls on is reachable for free and
         only the opposite side needs a feasibility LP; without one, both
@@ -368,6 +371,9 @@ class Region:
             meets = self._polygon_meets(hyperplane)
             if meets is not None:
                 return meets
+        coefficients = hyperplane.coefficients
+        if any(side.hyperplane.coefficients == coefficients for side in self.half_spaces):
+            return False
         a_matrix, b_vector = self.inequality_system()
         sides = [hyperplane.negative(), hyperplane.positive()]
         certificate = self._cached_interior if self._cached_interior is not None else self._witness

@@ -364,7 +364,6 @@ def approx_index_from_dict(
         partition=partition,
         assigned_angles=assigned,
         marked=marked,
-        cell_plane_index=None,
         n_hyperplanes=int(payload.get("n_hyperplanes", 0)),
         oracle_calls=int(payload.get("oracle_calls", 0)),
     )

@@ -368,15 +368,18 @@ class InstrumentedEngine(EngineWrapper):
     def apply_delta(self, delta):
         """Forward a dataset delta to the inner engine, spanned and counted.
 
-        ``maintenance.apply_delta`` counts every call; the per-strategy
-        counters (``maintenance.incremental`` / ``maintenance.rebuild`` /
-        ``maintenance.noop``) split them by what the inner engine actually
-        did, and ``maintenance.items_changed`` accumulates the mutation
-        volume.  Answers are untouched — instrumentation only observes.
+        The ``engine.apply_delta`` span wraps the inner engine's own
+        ``maintenance.apply_delta`` span, so each delta records one span of
+        that name.  The ``maintenance.apply_delta`` counter counts every
+        call; the per-strategy counters (``maintenance.incremental`` /
+        ``maintenance.rebuild`` / ``maintenance.noop``) split them by what
+        the inner engine actually did, and ``maintenance.items_changed``
+        accumulates the mutation volume.  Answers are untouched —
+        instrumentation only observes.
         """
         with activated(self.recorder):
             with self.recorder.span(
-                "maintenance.apply_delta",
+                "engine.apply_delta",
                 engine=self.inner.name,
                 n_changes=delta.n_changes,
             ):
@@ -393,7 +396,7 @@ class InstrumentedEngine(EngineWrapper):
     def refresh(self):
         """Forward a refresh to the inner engine, spanned and counted."""
         with activated(self.recorder):
-            with self.recorder.span("maintenance.refresh", engine=self.inner.name):
+            with self.recorder.span("engine.refresh", engine=self.inner.name):
                 report = self.inner.refresh()
         self.metrics.counter("maintenance.refresh", engine=self.inner.name).inc()
         return report

@@ -120,7 +120,7 @@ class TestArrangementTree:
         assert tree.split_tests <= flat.split_tests
 
     def test_probe_early_stop(self):
-        """insert_with_probe stops at the first region accepted by the probe."""
+        """insert with a probe stops at the first region accepted by the probe."""
         tree = ArrangementTree(dimension=2)
         tree.insert(Hyperplane((1.0, 1.0)))
         calls = []
@@ -129,20 +129,20 @@ class TestArrangementTree:
             calls.append(region)
             return region.interior_point()
 
-        result = tree.insert_with_probe(Hyperplane((2.0, 0.5)), probe)
+        result = tree.insert(Hyperplane((2.0, 0.5)), probe)
         assert result is not None
         assert len(calls) == 1
 
     def test_probe_none_means_exhausted(self):
         tree = ArrangementTree(dimension=2)
         tree.insert(Hyperplane((1.0, 1.0)))
-        result = tree.insert_with_probe(Hyperplane((2.0, 0.5)), lambda region: None)
+        result = tree.insert(Hyperplane((2.0, 0.5)), lambda region: None)
         assert result is None
 
     def test_probe_on_empty_tree_covers_both_sides(self):
         tree = ArrangementTree(dimension=2)
         seen = []
-        tree.insert_with_probe(Hyperplane((1.0, 1.0)), lambda region: seen.append(region))
+        tree.insert(Hyperplane((1.0, 1.0)), lambda region: seen.append(region))
         assert len(seen) >= 1
 
     def test_n_regions_counts_leaves(self, sample_hyperplanes):

@@ -51,7 +51,7 @@ class TestInsert:
         with pytest.raises(GeometryError, match="dimension mismatch"):
             tree.insert(Hyperplane((1.0,)))
         with pytest.raises(GeometryError, match="dimension mismatch"):
-            tree.insert_with_probe(Hyperplane((1.0, 2.0, 3.0)), lambda region: None)
+            tree.insert(Hyperplane((1.0, 2.0, 3.0)), lambda region: None)
         with pytest.raises(GeometryError):
             built_tree().locate(np.array([0.3]))
 
@@ -67,7 +67,7 @@ class TestInsertWithProbe:
         tree = ArrangementTree(dimension=2)
         seen: list[Region] = []
         for hyperplane in crossing_hyperplanes():
-            result = tree.insert_with_probe(hyperplane, lambda r: seen.append(r))
+            result = tree.insert(hyperplane, lambda r: seen.append(r))
             assert result is None
         # Never-firing probe (append returns None): same tree as plain insert.
         plain = built_tree()
@@ -82,7 +82,7 @@ class TestInsertWithProbe:
             return "stop"
 
         tree = ArrangementTree(dimension=2)
-        result = tree.insert_with_probe(crossing_hyperplanes()[0], firing_probe)
+        result = tree.insert(crossing_hyperplanes()[0], firing_probe)
         assert result == "stop"
         assert len(hits) == 1  # second side of the root never probed
 
@@ -99,7 +99,7 @@ class TestInsertWithProbe:
 
         # `second` crosses both sides of `first`; firing on the first new
         # region must stop before the right side is ever split.
-        result = tree.insert_with_probe(second, fire_immediately)
+        result = tree.insert(second, fire_immediately)
         assert result == 1
         assert calls["n"] == 1
         assert (tree.root.left is None) != (tree.root.right is None)
@@ -107,7 +107,7 @@ class TestInsertWithProbe:
         # A never-firing probe on a fresh tree splits both sides instead.
         control = ArrangementTree(dimension=2)
         control.insert(first)
-        control.insert_with_probe(second, lambda region: None)
+        control.insert(second, lambda region: None)
         assert control.root.left is not None and control.root.right is not None
 
 

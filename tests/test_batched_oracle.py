@@ -20,7 +20,7 @@ from reference.exchanges import build_exchange_hyperplanes_reference
 from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online_lookup
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
 from repro.core.monitoring import check_approx_index_freshness
-from repro.core.multi_dim import SatRegions
+from repro.core.multi_dim import SatRegions, exchange_hyperplanes
 from repro.core.sampling import validate_index_on_dataset
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_compas_like
@@ -304,11 +304,10 @@ class TestHyperplaneCap:
         dataset = _compas(25, seed=13, d=3)
         oracle = CallableOracle(lambda ordering, data: True, "always")
         full = hyperplanes_for_dataset(dataset)
-        approx = ApproximatePreprocessor(
-            dataset, oracle, n_cells=9, max_hyperplanes=10
-        ).build_hyperplanes()
+        approx = ApproximatePreprocessor(dataset, oracle, n_cells=9, max_hyperplanes=10).run()
         exact = SatRegions(dataset, oracle, max_hyperplanes=10).build_hyperplanes()
-        assert approx == full[:10]
+        assert exchange_hyperplanes(dataset, max_hyperplanes=10) == full[:10]
+        assert approx.n_hyperplanes == 10
         assert exact == full[:10]
 
 

@@ -317,6 +317,50 @@ class TestShareFlags:
         assert all(flag in line for flag in named)
 
 
+class TestTopKFlag:
+    """A ``--k`` that is neither a fraction in (0, 1) nor a whole count exits 2."""
+
+    @pytest.mark.parametrize("command", ["suggest", "maintain", "audit"])
+    @pytest.mark.parametrize("k", ["0", "-3", "2.5"])
+    def test_bad_k_exits_2_naming_the_flag(self, command, k, tmp_path, capsys):
+        constraint = ["--attribute", "race", "--group", "African-American", "--k", k]
+        if command == "suggest":
+            argv = [
+                "suggest", "--dataset", "compas", "--n", "60", "--d", "2",
+                *constraint, "--max-share", "0.6", "--weights", "0.9,0.1",
+            ]
+        elif command == "maintain":
+            source = tmp_path / "a.json"
+            assert main(
+                TestSuggestBatchAndPersistence._BASE
+                + ["--weights", "0.9,0.1", "--save-index", str(source)]
+            ) == 0
+            capsys.readouterr()
+            argv = [
+                "maintain", "--load-index", str(source), *constraint,
+                "--max-share", "0.6", "--delete", "3",
+            ]
+        else:
+            argv = ["audit", "--n", "60", *constraint, "--weights", "0.5,0.3,0.2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --k ")
+
+    @pytest.mark.parametrize("k, expected", [("0.25", 0.25), ("1", 1), ("7.0", 7)])
+    def test_fractions_and_whole_counts_pass(self, k, expected, capsys):
+        from repro.cli import _top_k, build_parser
+
+        args = build_parser().parse_args(
+            ["audit", "--attribute", "race", "--group", "x", "--k", k, "--weights", "1,1"]
+        )
+        value = _top_k(args)
+        assert value == expected and type(value) is type(expected)
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.slow
 class TestFiguresCommand:
     def test_figures_writes_requested_artifacts(self, tmp_path, capsys):

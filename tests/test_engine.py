@@ -204,7 +204,9 @@ class TestHyperplaneMethodEquivalence:
         batched = FairRankingDesigner(
             dataset, oracle, ApproxConfig(n_cells=25, max_hyperplanes=25)
         ).preprocess()
-        monkeypatch.setattr("repro.core.approx.hyperplanes_for_dataset", _reference_hyperplanes)
+        monkeypatch.setattr(
+            "repro.core.multi_dim.hyperplanes_for_dataset", _reference_hyperplanes
+        )
         scalar = FairRankingDesigner(
             dataset, oracle, ApproxConfig(n_cells=25, max_hyperplanes=25)
         ).preprocess()
@@ -385,6 +387,18 @@ class TestPersistence:
         with pytest.warns(UserWarning, match="another_knob, future_knob"):
             rebuilt = engine_from_payload(payload, two_d_designer.oracle)
         assert rebuilt.config == two_d_designer.config
+
+    def test_retired_tree_key_warns_and_answers_identically(self, md_dataset_oracle):
+        """An exact file written while ``use_arrangement_tree`` was a field still loads."""
+        dataset, oracle = md_dataset_oracle
+        engine = create_engine(dataset, oracle, ExactConfig(max_hyperplanes=12)).preprocess()
+        payload = engine.to_payload()
+        payload["config"]["use_arrangement_tree"] = True
+        with pytest.warns(UserWarning, match=r"ExactConfig key\(s\).*use_arrangement_tree"):
+            loaded = engine_from_payload(payload, oracle)
+        assert loaded.config == engine.config
+        queries = _random_queries(6, 3, seed=5)
+        assert loaded.suggest_many(queries) == engine.suggest_many(queries)
 
     def test_known_config_keys_do_not_warn(self, two_d_designer):
         payload = two_d_designer.engine.to_payload()

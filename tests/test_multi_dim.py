@@ -26,6 +26,7 @@ from repro.exceptions import (
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.angles import angular_distance_angles, to_angles, to_weights
+from repro.geometry.arrangement import Arrangement
 from repro.geometry.hyperplane import Region
 from repro.io.index_store import load_engine, save_engine
 from repro.obs.trace import TraceRecorder, activated
@@ -40,7 +41,7 @@ def md_setup():
         ["c_days_from_compas", "juv_other_count", "start"]
     )
     oracle = TopKGroupBoundOracle("race", "African-American", k=8, max_count=5)
-    builder = SatRegions(dataset, oracle, use_arrangement_tree=True, max_hyperplanes=40)
+    builder = SatRegions(dataset, oracle, max_hyperplanes=40)
     index = builder.run()
     return dataset, oracle, builder, index
 
@@ -70,20 +71,23 @@ class TestSatRegions:
             )
 
     def test_tree_and_flat_construction_agree_on_labels(self):
+        """The tree build keeps exactly the regions the flat Arrangement finds satisfactory."""
         dataset = make_compas_like(n=15, seed=6).project(
             ["c_days_from_compas", "juv_other_count", "start"]
         )
         oracle = TopKGroupBoundOracle("race", "African-American", k=5, max_count=3)
-        with_tree = SatRegions(dataset, oracle, use_arrangement_tree=True, max_hyperplanes=15).run()
-        without_tree = SatRegions(
-            dataset, oracle, use_arrangement_tree=False, max_hyperplanes=15
-        ).run()
-        # The region decompositions may differ in bookkeeping but the set of
-        # satisfactory orderings is identical; compare via random probes.
-        for query in random_queries(3, 15, seed=1):
-            expected = oracle.evaluate_function(query, dataset)
-            assert expected == oracle.evaluate_function(query, dataset)
-        assert with_tree.has_satisfactory_region == without_tree.has_satisfactory_region
+        builder = SatRegions(dataset, oracle, max_hyperplanes=15)
+        with_tree = builder.run()
+        flat = Arrangement.build(builder.hyperplanes_, dimension=2).non_empty_regions()
+        satisfactory = []
+        for region in flat:
+            function = LinearScoringFunction(tuple(to_weights(region.interior_point())))
+            if oracle.evaluate_function(function, dataset):
+                satisfactory.append((region, function))
+        assert with_tree.n_regions == len(flat)
+        assert with_tree.has_satisfactory_region
+        kept = [(entry.region, entry.representative) for entry in with_tree.satisfactory_regions]
+        assert kept == satisfactory
 
     def test_max_hyperplanes_caps_construction(self):
         dataset = make_compas_like(n=20, seed=7).project(

@@ -331,6 +331,28 @@ def test_instrumented_engine_counts_queries_and_latency(
     assert batch_latency["count"] == 1
 
 
+def test_instrumented_maintenance_records_one_span_per_operation(
+    small_compas_2d, race_oracle_2d
+):
+    """The wrapper's ``engine.*`` span holds the inner engine's ``maintenance.*`` span."""
+    engine = create_engine(
+        small_compas_2d, race_oracle_2d, InstrumentedConfig(inner=TwoDConfig())
+    ).preprocess()
+    engine.recorder.clear()
+    engine.apply_delta(DatasetDelta(deletes=(3,)))
+    engine.refresh()
+    names = [span.name for span in engine.recorder.spans]
+    assert names.count("maintenance.apply_delta") == 1
+    assert names.count("maintenance.refresh") == 1
+    for operation in ("apply_delta", "refresh"):
+        (outer,) = [span for span in engine.recorder.spans if span.name == f"engine.{operation}"]
+        assert [span.name for span in _children(engine.recorder, outer)] == [
+            f"maintenance.{operation}"
+        ]
+    assert engine.metrics.counter_total("maintenance.apply_delta") == 1
+    assert engine.metrics.counter_total("maintenance.refresh") == 1
+
+
 def test_from_engine_wraps_a_prebuilt_engine(small_compas_2d, race_oracle_2d):
     engine = create_engine(small_compas_2d, race_oracle_2d, TwoDConfig()).preprocess()
     baseline = engine.suggest_many(_queries(5, 2))

@@ -1,4 +1,12 @@
-"""Tests for angle-space partitions and the CELLPLANE× cell-hyperplane assignment."""
+"""Tests for angle-space partitions and the CELLPLANE× cell-hyperplane assignment.
+
+The array kernel of :func:`~repro.geometry.cellplane.assign_hyperplanes_to_cells`
+is checked against its specification, the scalar corner test of
+:func:`~repro.geometry.cellplane.hyperplanes_through_cell`: every cell's list
+must be equal, order included, on both partitions at d = 3 to 6, for a table
+of hyperplanes through cell corners and along cell edges, with negative and
+zero coefficients, missing the box, none at all, and spread over many blocks.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +18,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ConfigurationError, GeometryError
 from repro.geometry.angles import HALF_PI, angular_distance_angles
+import repro.geometry.cellplane as cellplane_module
 from repro.geometry.cellplane import assign_hyperplanes_to_cells, hyperplanes_through_cell
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.partition import (
     AnglePartition,
+    Cell,
     UniformGridPartition,
     cell_gamma,
     theorem6_bound,
@@ -172,13 +182,6 @@ class TestCellPlaneAssignment:
         assert counts.shape == (partition.n_cells,)
         assert counts.sum() == sum(len(entry) for entry in index.by_cell)
 
-    def test_pruning_does_fewer_tests_than_full_pairwise(self):
-        partition = UniformGridPartition(2, 100)
-        rng = np.random.default_rng(4)
-        hyperplanes = [Hyperplane(tuple(rng.uniform(0.5, 3.0, size=2))) for _ in range(15)]
-        index = assign_hyperplanes_to_cells(partition, hyperplanes)
-        assert index.box_tests < partition.n_cells * len(hyperplanes)
-
     def test_dimension_mismatch_raises(self):
         partition = UniformGridPartition(2, 4)
         with pytest.raises(GeometryError):
@@ -191,3 +194,117 @@ class TestCellPlaneAssignment:
         for cell in partition.cells():
             expected = set(hyperplanes_through_cell(cell, hyperplanes))
             assert set(index.by_cell[cell.index]) == expected
+
+
+#: Both partitions at d = 3 to 6 (angle-space dimension 2 to 5).
+KERNEL_PARTITIONS = {
+    "uniform-d3": lambda: UniformGridPartition(2, 36),
+    "uniform-d4": lambda: UniformGridPartition(3, 64),
+    "uniform-d5": lambda: UniformGridPartition(4, 81),
+    "uniform-d6": lambda: UniformGridPartition(5, 32),
+    "angle-d3": lambda: AnglePartition(2, 40),
+    "angle-d4": lambda: AnglePartition(3, 60),
+    "angle-d5": lambda: AnglePartition(4, 60),
+    "angle-d6": lambda: AnglePartition(5, 60),
+}
+
+
+def hyperplane_table(partition, seed: int) -> list[Hyperplane]:
+    """Seeded hyperplanes covering the corner test's edge cases on ``partition``."""
+    rng = np.random.default_rng(seed)
+    dimension = partition.dimension
+    cells = partition.cells()
+    table = [Hyperplane(tuple(rng.uniform(0.3, 3.0, dimension))) for _ in range(10)]
+    for _ in range(8):
+        # Negative and zero coefficients.
+        coefficients = rng.uniform(-3.0, 3.0, dimension)
+        coefficients[rng.integers(dimension)] = 0.0
+        coefficients[rng.integers(dimension)] = rng.uniform(0.5, 3.0)
+        table.append(Hyperplane(tuple(coefficients)))
+    for position in rng.choice(len(cells), size=6, replace=False).tolist():
+        cell = cells[position]
+        # Through a cell corner (h · corner = 1) and along a cell edge.
+        corner = np.asarray(cell.high)
+        table.append(Hyperplane(tuple(corner / float(corner @ corner))))
+        axis = int(rng.integers(dimension))
+        edge = [0.0] * dimension
+        edge[axis] = 1.0 / cell.high[axis]
+        table.append(Hyperplane(tuple(edge)))
+    # Missing the whole box: beyond its far corner, and on its negative side.
+    table.append(Hyperplane(tuple([0.05] * dimension)))
+    table.append(Hyperplane(tuple([-1.0] * dimension)))
+    return table
+
+
+def assert_matches_reference(partition, hyperplanes) -> None:
+    index = assign_hyperplanes_to_cells(partition, hyperplanes)
+    assert len(index.by_cell) == partition.n_cells
+    for cell in partition.cells():
+        assert index.by_cell[cell.index] == hyperplanes_through_cell(cell, hyperplanes)
+
+
+@pytest.mark.perf_smoke
+class TestCellPlaneKernel:
+    """The array kernel returns the scalar corner test's lists, order included."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_PARTITIONS))
+    def test_lists_equal_the_scalar_reference(self, case):
+        partition = KERNEL_PARTITIONS[case]()
+        hyperplanes = hyperplane_table(partition, seed=len(case))
+        pairs = int(assign_hyperplanes_to_cells(partition, hyperplanes).counts().sum())
+        assert 0 < pairs < partition.n_cells * len(hyperplanes)
+        assert_matches_reference(partition, hyperplanes)
+
+    @pytest.mark.parametrize("case", ["uniform-d3", "angle-d5"])
+    def test_no_hyperplanes_gives_empty_lists(self, case):
+        partition = KERNEL_PARTITIONS[case]()
+        index = assign_hyperplanes_to_cells(partition, [])
+        assert index.by_cell == [[] for _ in range(partition.n_cells)]
+        assert index.counts().tolist() == [0] * partition.n_cells
+
+    def test_missing_hyperplanes_cross_no_cell(self):
+        partition = UniformGridPartition(3, 64)
+        missing = [Hyperplane((0.05, 0.05, 0.05)), Hyperplane((-1.0, 0.0, -2.0))]
+        assert not any(assign_hyperplanes_to_cells(partition, missing).by_cell)
+
+    def test_sums_the_corner_terms_in_the_scalar_order(self):
+        """A corner minimum whose rounding depends on the order of its three terms.
+
+        The terms are 1, t and t with t = 0.75 ulp(1) / 2.  Summed left to
+        right, as the scalar test sums them, the minimum rounds back to
+        exactly 1 and the box is crossed; adding the two small terms first
+        rounds it up past 1, and the box would be missed.
+        """
+        tiny = 0.75 * 2.0**-53
+        cell = Cell(index=0, low=(1.0, 1.0, 1.0), high=(1.25, 1.25, 1.25))
+
+        class OneCell:
+            dimension = 3
+
+            def cells(self):
+                return [cell]
+
+        hyperplanes = [Hyperplane((1.0, tiny, tiny)), Hyperplane((0.5, 0.25, 0.25))]
+        assert hyperplanes_through_cell(cell, hyperplanes) == [0, 1]
+        assert assign_hyperplanes_to_cells(OneCell(), hyperplanes).by_cell == [[0, 1]]
+
+    @pytest.mark.parametrize("case", ["uniform-d4", "angle-d3"])
+    def test_many_blocks_match_one(self, case, monkeypatch):
+        partition = KERNEL_PARTITIONS[case]()
+        hyperplanes = hyperplane_table(partition, seed=7) * 3
+        whole = assign_hyperplanes_to_cells(partition, hyperplanes).by_cell
+        # Three hyperplanes per block: many blocks, the last one partial.
+        monkeypatch.setattr(
+            cellplane_module,
+            "_BLOCK_ELEMENTS",
+            3 * partition.n_cells * partition.dimension,
+        )
+        assert assign_hyperplanes_to_cells(partition, hyperplanes).by_cell == whole
+        assert_matches_reference(partition, hyperplanes)
+
+
+@pytest.mark.perf_smoke
+def test_cellplane_smoke():
+    """One uniform grid and one angle partition: the check_all.py cellplane gate."""
+    for partition in (UniformGridPartition(3, 64), AnglePartition(2, 40)):
+        assert_matches_reference(partition, hyperplane_table(partition, seed=3))

@@ -14,10 +14,14 @@ directly, or the polygon must have deferred.  Covered:
   the arrangement tree and every emptiness test of its leaves;
 * the polygon itself: clipping the parent's polygon equals building it from
   the half-spaces, and its vertices satisfy every half-space;
+* tied scores: a hyperplane equal to one that already bounds a region
+  splits nothing, so a build with duplicate hyperplanes equals the build
+  without them, for the exact and the approximate engine;
 * the all-LP differential at the engine seam: forcing every decision
   through the LP changes no answer, oracle call or payload byte, for the
-  exact engine with and without the arrangement tree, the approximate
-  engine on both partitions, and an exact insert-only ``apply_delta``.
+  exact engine, the approximate engine on both partitions, and an exact
+  insert-only ``apply_delta``; and no region of the flat
+  :class:`~repro.geometry.arrangement.Arrangement`.
 """
 
 from __future__ import annotations
@@ -34,12 +38,14 @@ from differential import (
 )
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
 from repro.core.maintenance import DatasetDelta
-from repro.data.synthetic import make_compas_like
+from repro.data.dataset import Dataset
+from repro.data.synthetic import COMPAS_SCORING_ATTRIBUTES, make_compas_like
 from repro.fairness.oracle import CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.geometry.angles import HALF_PI
+from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree
-from repro.geometry.dual import hyperpolar_many
+from repro.geometry.dual import hyperplanes_for_dataset, hyperpolar_many
 from repro.geometry.hyperplane import Hyperplane, Region
 
 ATTRIBUTES = ["c_days_from_compas", "juv_other_count", "start"]
@@ -252,7 +258,6 @@ def assert_lp_route_identical(n: int, seed: int, config, n_queries: int = 16):
 
 LP_ROUTE_CASES = {
     "exact-tree": (40, 3, ExactConfig(max_hyperplanes=20)),
-    "exact-flat": (40, 3, ExactConfig(max_hyperplanes=12, use_arrangement_tree=False)),
     "approximate-uniform": (120, 5, ApproxConfig(n_cells=25, max_hyperplanes=20)),
     "approximate-angle": (120, 5, ApproxConfig(n_cells=25, max_hyperplanes=20, partition="angle")),
 }
@@ -263,6 +268,22 @@ LP_ROUTE_CASES = {
 def test_all_lp_route_is_bit_identical(case):
     n, seed, config = LP_ROUTE_CASES[case]
     assert_lp_route_identical(n, seed, config)
+
+
+@pytest.mark.perf_smoke
+def test_all_lp_route_is_bit_identical_on_the_flat_arrangement():
+    """The flat arrangement, the tree's reference, splits the same regions on both routes."""
+    hyperplanes = hyperplanes_for_dataset(dataset(40, 3), max_hyperplanes=12)
+    polygon = Arrangement.build(hyperplanes, dimension=2)
+    with lp_only_regions():
+        all_lp = Arrangement.build(hyperplanes, dimension=2)
+        lp_regions = all_lp.non_empty_regions()
+    regions = polygon.non_empty_regions()
+    assert polygon.split_tests == all_lp.split_tests
+    assert len(regions) > len(hyperplanes)
+    assert regions == lp_regions
+    for region, lp_region in zip(regions, lp_regions):
+        assert np.array_equal(region.interior_point(), lp_region.interior_point())
 
 
 @pytest.mark.perf_smoke
@@ -279,6 +300,59 @@ def test_all_lp_route_is_bit_identical_after_an_insert_only_delta():
         engines.append(engine)
     assert engines[0].oracle.calls == engines[1].oracle.calls
     assert_engines_equivalent(*engines, make_weight_grid(8, 3, seed=2))
+
+
+# --------------------------------------------------------------------------- #
+# tied scores: duplicate hyperplanes
+# --------------------------------------------------------------------------- #
+def tied_dataset() -> Dataset:
+    """Scores rounded to quarters: the first 21 hyperplanes hold only 11 distinct ones."""
+    source = make_compas_like(n=15, seed=104).project(list(COMPAS_SCORING_ATTRIBUTES[:3]))
+    return Dataset(
+        np.round(source.scores * 4) / 4, list(source.scoring_attributes), source.types
+    )
+
+
+def distinct_hyperplanes(insertion_key):
+    """A ``hyperplanes_for_dataset`` that drops duplicates.
+
+    Of each set of hyperplanes with equal coefficients it keeps the one the
+    pipeline inserts first (smallest ``insertion_key``), in enumeration order.
+    """
+
+    def build(dataset, item_indices=None, *, max_hyperplanes=None):
+        planes = hyperplanes_for_dataset(dataset, item_indices, max_hyperplanes=max_hyperplanes)
+        first: dict[tuple[float, ...], Hyperplane] = {}
+        for plane in sorted(planes, key=insertion_key):
+            first.setdefault(plane.coefficients, plane)
+        return [plane for plane in planes if first[plane.coefficients] is plane]
+
+    return build
+
+
+#: ``(config, the order its pipeline inserts hyperplanes in, oracle calls)``.
+TIED_CASES = {
+    # SATREGIONS inserts in (j, i) label order, MARKCELL in enumeration order.
+    "exact": (ExactConfig(max_hyperplanes=21), lambda plane: plane.label[::-1], 61),
+    "approximate": (ApproxConfig(n_cells=64, max_hyperplanes=21), lambda plane: 0, 211),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED_CASES))
+def test_duplicate_hyperplanes_split_no_region(case, monkeypatch):
+    config, insertion_key, oracle_calls = TIED_CASES[case]
+    tied = create_engine(tied_dataset(), fixed_oracle(), config).preprocess()
+    monkeypatch.setattr(
+        "repro.core.multi_dim.hyperplanes_for_dataset", distinct_hyperplanes(insertion_key)
+    )
+    distinct = create_engine(tied_dataset(), fixed_oracle(), config).preprocess()
+    assert (tied.index.n_hyperplanes, distinct.index.n_hyperplanes) == (21, 11)
+    assert tied.oracle.calls == distinct.oracle.calls == oracle_calls
+    assert_engines_equivalent(tied, distinct, make_weight_grid(16, 3, seed=4), check_payloads=False)
+    payloads = [engine.to_payload() for engine in (tied, distinct)]
+    for payload in payloads:
+        del payload["index"]["n_hyperplanes"]
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.perf_smoke
