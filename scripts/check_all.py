@@ -63,6 +63,9 @@ DOCTEST_MODULES = (
     "src/repro/geometry/dual.py",
     "src/repro/core/engine.py",
     "src/repro/core/system.py",
+    "src/repro/core/session.py",
+    "src/repro/parallel/shards.py",
+    "src/repro/resilience/policy.py",
 )
 
 #: The unconditional serial-vs-pooled smoke test (workers 1 and 2, one small

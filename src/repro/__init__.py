@@ -17,7 +17,7 @@ Typical use::
     oracle = ProportionalOracle.at_most_share_plus_slack(
         dataset, "race", "African-American", k=0.3, slack=0.10)
     designer = FairRankingDesigner(
-        dataset, oracle, ApproxConfig(n_cells=4096)).preprocess()
+        dataset, oracle, ApproxConfig(n_cells=256, max_hyperplanes=50)).preprocess()
     result = designer.suggest([0.5, 0.3, 0.2])
     batch = designer.suggest_many([[0.5, 0.3, 0.2], [0.2, 0.4, 0.4]])
 

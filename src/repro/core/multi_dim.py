@@ -39,7 +39,14 @@ from repro.exceptions import (
 )
 from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
-from repro.geometry.angles import HALF_PI, angular_distance_angles, to_angles, to_weights
+from repro.geometry.angles import (
+    HALF_PI,
+    angular_distance_angles,
+    checked_ray,
+    ray_distance,
+    to_angles,
+    to_weights,
+)
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.hyperplane import Hyperplane, Region
@@ -119,9 +126,11 @@ class MDExactIndex:
     n_hyperplanes: int = 0
     n_regions: int = 0
     oracle_calls: int = 0
-    #: The flattened polygon edges of a d = 3 index, built on first use and
-    #: never persisted: a loaded or maintained index builds its own.
+    #: The flattened polygon edges of a d = 3 index and every representative's
+    #: angles with its checked ray, each built on first use and never
+    #: persisted: a loaded or maintained index builds its own.
     _edges: _PolygonEdges | None = field(default=None, init=False, repr=False, compare=False)
+    _rays: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def has_satisfactory_region(self) -> bool:
@@ -132,6 +141,14 @@ class MDExactIndex:
         if self._edges is None:
             self._edges = _PolygonEdges.of(self.satisfactory_regions)
         return self._edges
+
+    def _representative_rays(self) -> list[tuple[np.ndarray, tuple]]:
+        if self._rays is None:
+            self._rays = []
+            for satisfactory in self.satisfactory_regions:
+                angles = np.asarray(satisfactory.representative_angles, dtype=float)
+                self._rays.append((angles, checked_ray(to_weights(angles))))
+        return self._rays
 
 
 def exchange_hyperplanes(
@@ -530,11 +547,9 @@ def md_baseline(
             active = still_active
         # Region representatives are satisfactory by construction; they both
         # serve as a fallback and cap the suggestion distance from above.
-        for satisfactory in index.satisfactory_regions:
-            representative = np.asarray(satisfactory.representative_angles, dtype=float)
-            verified.append(
-                (angular_distance_angles(representative, query_angles), representative)
-            )
+        query_ray = checked_ray(to_weights(query_angles))
+        for representative, ray in index._representative_rays():
+            verified.append((ray_distance(ray, query_ray), representative))
         best_distance, best_angles = min(verified, key=lambda entry: entry[0])
         if span is not None:
             span.set("oracle_calls", oracle_calls)

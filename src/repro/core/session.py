@@ -124,10 +124,11 @@ class DesignSession:
     ...     ["c_days_from_compas", "juv_other_count", "start"])
     >>> oracle = ProportionalOracle.at_most_share_plus_slack(
     ...     dataset, "race", "African-American", k=0.3, slack=0.10)
-    >>> session = DesignSession(
-    ...     FairRankingDesigner(dataset, oracle, ApproxConfig(n_cells=64)))
+    >>> session = DesignSession(FairRankingDesigner(
+    ...     dataset, oracle, ApproxConfig(n_cells=64, max_hyperplanes=24)))
     >>> record = session.propose([0.4, 0.3, 0.3], note="first guess")
-    >>> session.accept()
+    >>> session.accept().accepted
+    True
     >>> session.summary().n_proposals
     1
     """

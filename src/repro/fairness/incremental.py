@@ -80,16 +80,16 @@ class IncrementalOracle(Protocol):
 def _delegate_oracles(node) -> list:
     """Oracles a composite/wrapper forwards the incremental protocol to.
 
-    Inspects instance attributes only (``children`` / ``child`` / ``inner`` /
-    ``_inner``), so a delegating *property* over the same underlying children
-    (e.g. ``MultiAttributeOracle.children``) is not double-counted.
+    Inspects instance attributes only (``children`` / ``child`` / ``inner``),
+    so a delegating *property* over the same underlying children is not
+    double-counted.
     """
     state = getattr(node, "__dict__", {})
     delegates = []
     children = state.get("children")
     if isinstance(children, (list, tuple)):
         delegates.extend(children)
-    for attribute in ("child", "inner", "_inner"):
+    for attribute in ("child", "inner"):
         candidate = state.get(attribute)
         if candidate is not None and hasattr(candidate, "is_satisfactory"):
             delegates.append(candidate)

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.data.dataset import Dataset
 from repro.exceptions import OracleError
-from repro.fairness.batched import as_batched, evaluate_many
 from repro.fairness.composite import AndOracle
 from repro.fairness.oracle import FairnessOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
@@ -24,8 +21,12 @@ from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 __all__ = ["MultiAttributeOracle"]
 
 
-class MultiAttributeOracle(FairnessOracle):
+class MultiAttributeOracle(AndOracle):
     """Conjunction of group bounds over several type attributes (FM2).
+
+    An :class:`~repro.fairness.composite.AndOracle` over its per-group
+    bounds: every verdict route is the conjunction's, and only the
+    constructors and the ``FM2[...]`` description are its own.
 
     Parameters
     ----------
@@ -62,7 +63,7 @@ class MultiAttributeOracle(FairnessOracle):
             )
         if not children:
             raise OracleError("MultiAttributeOracle needs at least one constraint")
-        self._inner = AndOracle(children)
+        super().__init__(children)
         self.k = k
 
     @classmethod
@@ -101,43 +102,5 @@ class MultiAttributeOracle(FairnessOracle):
                 )
         return cls(children, k=k)
 
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        return self._inner.is_satisfactory(ordering, dataset)
-
-    # batched protocol: FM2 is a conjunction, so delegate to it wholesale.
-    def batched_capable(self) -> bool:
-        return as_batched(self._inner) is not None
-
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """Verdict vector of the underlying conjunction (≡ a loop of ``is_satisfactory``)."""
-        return evaluate_many(self._inner, orderings, dataset)
-
-    # incremental protocol: FM2 is a conjunction, so delegate to it wholesale.
-    def incremental_capable(self) -> bool:
-        return self._inner.incremental_capable()
-
-    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
-        self._inner.begin(ordering, dataset)
-
-    def apply_swap(self, pos_i: int, pos_j: int) -> None:
-        self._inner.apply_swap(pos_i, pos_j)
-
-    def sweep_verdicts(
-        self,
-        low: np.ndarray,
-        leaving: np.ndarray,
-        entering: np.ndarray,
-        judge_at: np.ndarray,
-    ) -> np.ndarray:
-        return self._inner.sweep_verdicts(low, leaving, entering, judge_at)
-
-    def verdict(self) -> bool:
-        return self._inner.verdict()
-
     def describe(self) -> str:
-        return f"FM2[{self._inner.describe()}]"
-
-    @property
-    def children(self) -> list[FairnessOracle]:
-        """The individual per-group constraints."""
-        return list(self._inner.children)
+        return f"FM2[{super().describe()}]"

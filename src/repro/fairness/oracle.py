@@ -12,6 +12,7 @@ them applicable to diversity constraints and other binary criteria as well
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,9 @@ from repro.fairness.incremental import as_incremental
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = ["FairnessOracle", "CallableOracle", "CountingOracle"]
+
+#: The context of a call no span observes (reusable: it keeps no state).
+_NO_SPAN = nullcontext()
 
 
 class FairnessOracle(ABC):
@@ -98,72 +102,100 @@ class CountingOracle(FairnessOracle):
     The complexity results of the paper (Theorems 1 and 3) are stated in terms
     of the number of oracle calls, so benchmarks wrap their oracles in this
     class to report that number alongside wall-clock time.
+
+    This is the one counting rule of the library: +1 per ``is_satisfactory``
+    or ``verdict``, +q per ``is_satisfactory_many`` batch of q, +1 per sector
+    of a ``sweep_verdicts`` call, so a workload reports the same number
+    whether it runs per query, batched, per swap or as one whole sweep.  The
+    batched and incremental protocols are forwarded to the wrapped oracle and
+    capable exactly when it is.  Every call passes through two hooks,
+    :meth:`_count` and :meth:`_span`; a subclass that observes the calls
+    (:class:`~repro.obs.instrument.InstrumentedOracle`) extends those and
+    redefines no protocol method, so :func:`~repro.fairness.incremental.as_bulk_sweep`
+    still hands it whole sweeps.
     """
 
     def __init__(self, inner: FairnessOracle):
         if not isinstance(inner, FairnessOracle):
-            raise OracleError("CountingOracle wraps a FairnessOracle")
+            raise OracleError(
+                f"{type(self).__name__} wraps a FairnessOracle, got {type(inner).__name__}"
+            )
         self.inner = inner
         self.calls = 0
+        self._incremental_delegate = None
 
+    # ------------------------------------------------------------------ #
+    # the two hooks
+    # ------------------------------------------------------------------ #
+    def _count(self, method: str, verdicts: int, swaps: int = 0) -> None:
+        """Record ``verdicts`` verdicts and ``swaps`` applied swaps.
+
+        ``method`` is ``"is_satisfactory"``, ``"is_satisfactory_many"`` or
+        ``"verdict"`` (a whole sweep counts as its sectors' verdicts), or
+        ``"apply_swap"``, which asks no verdict.
+        """
+        self.calls += verdicts
+
+    def _span(self, name: str, **attributes):
+        """The context one forwarded call runs in; a plain counter opens none."""
+        return _NO_SPAN
+
+    # ------------------------------------------------------------------ #
+    # scalar and batched verdicts
+    # ------------------------------------------------------------------ #
     def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        self.calls += 1
-        return self.inner.is_satisfactory(ordering, dataset)
+        self._count("is_satisfactory", 1)
+        with self._span("oracle.is_satisfactory"):
+            return self.inner.is_satisfactory(ordering, dataset)
 
-    # ------------------------------------------------------------------ #
-    # batched protocol: forward to the wrapped oracle, counting one call per
-    # ordering so batched workloads report the same oracle-call numbers a
-    # per-query loop would.
-    # ------------------------------------------------------------------ #
     def batched_capable(self) -> bool:
         return as_batched(self.inner) is not None
 
     def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
         orderings = ordering_matrix(orderings)
-        self.calls += orderings.shape[0]
-        return evaluate_many(self.inner, orderings, dataset)
+        q = int(orderings.shape[0])
+        self._count("is_satisfactory_many", q)
+        with self._span("oracle.is_satisfactory_many", q=q):
+            return evaluate_many(self.inner, orderings, dataset)
 
     # ------------------------------------------------------------------ #
-    # incremental protocol: forward to the wrapped oracle, counting one call
-    # per verdict (one per judged sector of a ``sweep_verdicts`` call) so
-    # sweep-style algorithms report the same oracle-call numbers whether they
-    # run incrementally or as a black box.  The wrapped oracle may not
-    # implement the protocol at all (``incremental_capable`` then reports
-    # False); forwarding is guarded so a direct call fails with a clear error
-    # instead of an ``AttributeError``.
+    # incremental protocol.  The wrapped oracle may not implement it at all
+    # (``incremental_capable`` then reports False); forwarding is guarded so a
+    # direct call fails with a clear error instead of an ``AttributeError``.
     # ------------------------------------------------------------------ #
     def incremental_capable(self) -> bool:
         return as_incremental(self.inner) is not None
 
     def _incremental_inner(self):
-        inner = getattr(self, "_incremental_delegate", None)
-        if inner is None:
+        if self._incremental_delegate is None:
             raise OracleError(
-                "the oracle wrapped by CountingOracle does not support the "
+                f"the oracle wrapped by {type(self).__name__} does not support the "
                 "incremental protocol (or begin() has not run); evaluate it "
                 "as a black box via is_satisfactory instead"
             )
-        return inner
+        return self._incremental_delegate
 
     def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
         inner = as_incremental(self.inner)
         if inner is None:
             raise OracleError(
-                "the oracle wrapped by CountingOracle does not support the "
+                f"the oracle wrapped by {type(self).__name__} does not support the "
                 "incremental protocol; evaluate it as a black box via "
                 "is_satisfactory instead"
             )
         # Cache the probed delegate so the per-swap hot path stays a plain
         # attribute lookup instead of re-running the capability probe.
         self._incremental_delegate = inner
-        inner.begin(ordering, dataset)
+        with self._span("oracle.begin"):
+            inner.begin(ordering, dataset)
 
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
+        self._count("apply_swap", 0, swaps=1)
         self._incremental_inner().apply_swap(pos_i, pos_j)
 
     def verdict(self) -> bool:
         inner = self._incremental_inner()
-        self.calls += 1
+        self._count("verdict", 1)
         return inner.verdict()
 
     def sweep_verdicts(
@@ -173,12 +205,15 @@ class CountingOracle(FairnessOracle):
         entering: np.ndarray,
         judge_at: np.ndarray,
     ) -> np.ndarray:
+        """A whole sweep at once, counted as its sectors' verdicts and its events' swaps."""
         inner = self._incremental_inner()
-        self.calls += int(judge_at.size)
-        return inner.sweep_verdicts(low, leaving, entering, judge_at)
+        n_sectors, n_events = int(judge_at.size), int(low.size)
+        self._count("verdict", n_sectors, swaps=n_events)
+        with self._span("oracle.sweep_verdicts", n_sectors=n_sectors, n_events=n_events):
+            return inner.sweep_verdicts(low, leaving, entering, judge_at)
 
     def reset(self) -> None:
-        """Reset the call counter."""
+        """Zero the call count (a subclass's metrics stay cumulative)."""
         self.calls = 0
 
     def describe(self) -> str:

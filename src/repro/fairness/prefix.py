@@ -14,7 +14,8 @@ Two oracles are provided:
 * :class:`PrefixProportionalOracle` — lower and/or upper bounds on the
   protected share of every prefix ``1..k``;
 * :class:`MinimumAtEveryPrefixOracle` — the classic FA*IR form, "at least
-  ``ceil(p · i)`` protected members in every prefix ``i``".
+  ``ceil(p · i)`` protected members in every prefix ``i``": the first
+  oracle with only ``min_fraction = p``, so it shares that oracle's routes.
 """
 
 from __future__ import annotations
@@ -31,29 +32,6 @@ from repro.fairness.oracle import FairnessOracle
 from repro.ranking.topk import resolve_k
 
 __all__ = ["PrefixProportionalOracle", "MinimumAtEveryPrefixOracle"]
-
-
-def _protected_prefix_counts(
-    dataset: Dataset, ordering: np.ndarray, attribute: str, protected, k: int
-) -> np.ndarray:
-    """Cumulative protected-member counts over the first ``k`` prefix lengths."""
-    ordering = np.asarray(ordering, dtype=int)
-    column = dataset.type_column(attribute)
-    member = (column[ordering[:k]] == protected).astype(int)
-    return np.cumsum(member)
-
-
-def _protected_prefix_count_matrix(
-    dataset: Dataset, orderings: np.ndarray, attribute: str, protected, k: int
-) -> np.ndarray:
-    """Batched :func:`_protected_prefix_counts`: one ``(q, k)`` count matrix.
-
-    Row ``i`` equals ``_protected_prefix_counts(dataset, orderings[i], ...)``
-    exactly — integer cumulative sums are order-independent bit-for-bit.
-    """
-    column = dataset.type_column(attribute)
-    member = (column[orderings[:, :k]] == protected).astype(int)
-    return np.cumsum(member, axis=1)
 
 
 class PrefixProportionalOracle(FairnessOracle):
@@ -137,7 +115,7 @@ class PrefixProportionalOracle(FairnessOracle):
         if slack < 0:
             raise OracleError("slack must be non-negative")
         share = dataset.group_proportions(attribute).get(protected, 0.0)
-        return cls(
+        return PrefixProportionalOracle(
             attribute,
             protected,
             k,
@@ -145,48 +123,14 @@ class PrefixProportionalOracle(FairnessOracle):
             max_fraction=min(1.0, share + slack),
         )
 
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        k = resolve_k(dataset, self.k)
-        counts = _protected_prefix_counts(dataset, ordering, self.attribute, self.protected, k)
-        prefix_lengths = np.arange(1, k + 1)
-        enforced = prefix_lengths >= self.min_prefix
-        if self.min_fraction is not None:
-            required = np.ceil(self.min_fraction * prefix_lengths - 1e-9)
-            if np.any(enforced & (counts < required)):
-                return False
-        if self.max_fraction is not None:
-            allowed = np.floor(self.max_fraction * prefix_lengths + 1e-9)
-            if np.any(enforced & (counts > allowed)):
-                return False
-        return True
+    def _prefix_bounds(self, k: int) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+        """Per-prefix ``(required, allowed, enforced)`` for prefix lengths ``1..k``.
 
-    # ------------------------------------------------------------------ #
-    # batched protocol (query-batch hot path)
-    # ------------------------------------------------------------------ #
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``)."""
-        orderings = ordering_matrix(orderings)
-        k = resolve_k(dataset, self.k)
-        counts = _protected_prefix_count_matrix(
-            dataset, orderings, self.attribute, self.protected, k
-        )
-        prefix_lengths = np.arange(1, k + 1)
-        enforced = prefix_lengths >= self.min_prefix
-        verdicts = np.ones(orderings.shape[0], dtype=bool)
-        if self.min_fraction is not None:
-            required = np.ceil(self.min_fraction * prefix_lengths - 1e-9)
-            verdicts &= ~np.any(enforced & (counts < required), axis=1)
-        if self.max_fraction is not None:
-            allowed = np.floor(self.max_fraction * prefix_lengths + 1e-9)
-            verdicts &= ~np.any(enforced & (counts > allowed), axis=1)
-        return verdicts
-
-    # ------------------------------------------------------------------ #
-    # incremental protocol (sweep hot path)
-    # ------------------------------------------------------------------ #
-    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
-        """Initialise per-prefix count tracking (O(1) per adjacent swap)."""
-        k = resolve_k(dataset, self.k)
+        ``required`` is ``ceil(min_fraction · i)`` and ``allowed``
+        ``floor(max_fraction · i)`` (``None`` for a missing bound), as floats;
+        ``enforced`` masks the lengths below ``min_prefix``.  Every route
+        compares its counts with these arrays.
+        """
         prefix_lengths = np.arange(1, k + 1)
         required = (
             None
@@ -198,6 +142,39 @@ class PrefixProportionalOracle(FairnessOracle):
             if self.max_fraction is None
             else np.floor(self.max_fraction * prefix_lengths + 1e-9)
         )
+        return required, allowed, prefix_lengths >= self.min_prefix
+
+    def _violated(self, orderings: np.ndarray, dataset: Dataset, k: int) -> np.ndarray:
+        """Per-prefix violation flags of one ordering or a stack (prefix lengths last)."""
+        member = dataset.type_column(self.attribute)[orderings[..., :k]] == self.protected
+        counts = np.cumsum(member.astype(int), axis=-1)
+        required, allowed, enforced = self._prefix_bounds(k)
+        violated = np.zeros(counts.shape, dtype=bool)
+        if required is not None:
+            violated |= counts < required
+        if allowed is not None:
+            violated |= counts > allowed
+        return violated & enforced
+
+    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
+        k = resolve_k(dataset, self.k)
+        return not np.any(self._violated(np.asarray(ordering, dtype=int), dataset, k))
+
+    # ------------------------------------------------------------------ #
+    # batched protocol (query-batch hot path)
+    # ------------------------------------------------------------------ #
+    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
+        """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``)."""
+        orderings = ordering_matrix(orderings)
+        return ~np.any(self._violated(orderings, dataset, resolve_k(dataset, self.k)), axis=1)
+
+    # ------------------------------------------------------------------ #
+    # incremental protocol (sweep hot path)
+    # ------------------------------------------------------------------ #
+    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
+        """Initialise per-prefix count tracking (O(1) per adjacent swap)."""
+        k = resolve_k(dataset, self.k)
+        required, allowed, enforced = self._prefix_bounds(k)
         self._counter = PrefixGroupCounter(
             dataset,
             ordering,
@@ -206,7 +183,7 @@ class PrefixProportionalOracle(FairnessOracle):
             k,
             required,
             allowed,
-            enforced=prefix_lengths >= self.min_prefix,
+            enforced=enforced,
         )
 
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
@@ -230,13 +207,15 @@ class PrefixProportionalOracle(FairnessOracle):
         return f"PrefixFM1({self.attribute}={self.protected} {bounds} of {scope})"
 
 
-class MinimumAtEveryPrefixOracle(FairnessOracle):
+class MinimumAtEveryPrefixOracle(PrefixProportionalOracle):
     """FA*IR-style constraint: at least ``ceil(p · i)`` protected members in every prefix ``i``.
 
     This is the deterministic core of the FA*IR ranked group fairness test
     (the published algorithm relaxes the per-prefix minimum with a binomial
     significance correction; the uncorrected form used here is the strictest
-    variant and therefore a conservative oracle).
+    variant and therefore a conservative oracle).  It is
+    ``PrefixProportionalOracle(attribute, protected, k, min_fraction=p)``
+    and judges exactly as that oracle does.
 
     Parameters
     ----------
@@ -253,59 +232,18 @@ class MinimumAtEveryPrefixOracle(FairnessOracle):
     def __init__(self, attribute: str, protected, k: int | float, target_fraction: float) -> None:
         if not 0.0 <= target_fraction <= 1.0:
             raise OracleError(f"target_fraction must lie in [0, 1], got {target_fraction}")
-        self.attribute = attribute
-        self.protected = protected
-        self.k = k
-        self.target_fraction = target_fraction
+        super().__init__(attribute, protected, k, min_fraction=target_fraction)
+
+    @property
+    def target_fraction(self) -> float:
+        """The target protected proportion ``p``."""
+        return self.min_fraction
 
     def minimum_at(self, prefix_length: int) -> int:
         """The minimum number of protected members required in a prefix of this length."""
         if prefix_length < 1:
             raise OracleError("prefix_length must be at least 1")
         return int(math.ceil(self.target_fraction * prefix_length - 1e-9))
-
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        k = resolve_k(dataset, self.k)
-        counts = _protected_prefix_counts(dataset, ordering, self.attribute, self.protected, k)
-        prefix_lengths = np.arange(1, k + 1)
-        required = np.ceil(self.target_fraction * prefix_lengths - 1e-9)
-        return bool(np.all(counts >= required))
-
-    # ------------------------------------------------------------------ #
-    # batched protocol (query-batch hot path)
-    # ------------------------------------------------------------------ #
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``)."""
-        orderings = ordering_matrix(orderings)
-        k = resolve_k(dataset, self.k)
-        counts = _protected_prefix_count_matrix(
-            dataset, orderings, self.attribute, self.protected, k
-        )
-        required = np.ceil(self.target_fraction * np.arange(1, k + 1) - 1e-9)
-        return np.all(counts >= required, axis=1)
-
-    # ------------------------------------------------------------------ #
-    # incremental protocol (sweep hot path)
-    # ------------------------------------------------------------------ #
-    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
-        """Initialise per-prefix count tracking (O(1) per adjacent swap)."""
-        k = resolve_k(dataset, self.k)
-        prefix_lengths = np.arange(1, k + 1)
-        self._counter = PrefixGroupCounter(
-            dataset,
-            ordering,
-            self.attribute,
-            self.protected,
-            k,
-            np.ceil(self.target_fraction * prefix_lengths - 1e-9),
-            None,
-        )
-
-    def apply_swap(self, pos_i: int, pos_j: int) -> None:
-        self._counter.apply_swap(pos_i, pos_j)
-
-    def verdict(self) -> bool:
-        return self._counter.satisfied
 
     def describe(self) -> str:
         return (

@@ -10,6 +10,7 @@ usually phrases it — relative to the group's share of the whole dataset
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
 
 import numpy as np
 
@@ -33,7 +34,81 @@ def _within(counts: np.ndarray, min_count: int | None, max_count: int | None) ->
     return verdicts
 
 
-class ProportionalOracle(FairnessOracle):
+def _holds(count: int, min_count: int | None, max_count: int | None) -> bool:
+    """Scalar ``min_count <= count <= max_count``; a missing bound always holds."""
+    if min_count is not None and count < min_count:
+        return False
+    if max_count is not None and count > max_count:
+        return False
+    return True
+
+
+class _TopKCountOracle(FairnessOracle):
+    """One group's member count in the top-``k``, held between two count bounds.
+
+    The body of :class:`ProportionalOracle` and :class:`TopKGroupBoundOracle`:
+    the scalar, batched, per-swap and whole-sweep routes all compare the
+    count with the bounds :meth:`_count_bounds` gives at the resolved ``k``,
+    so the routes agree by construction.  A subclass sets ``attribute``,
+    ``group`` and ``k`` and supplies only how its bounds are derived.
+    """
+
+    attribute: str
+    group: object
+    k: int | float
+
+    @abstractmethod
+    def _count_bounds(self, k: int) -> tuple[int | None, int | None]:
+        """The ``(min_count, max_count)`` bounds in a top-``k`` of size ``k``."""
+
+    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
+        k = resolve_k(dataset, self.k)
+        counts = group_counts_at_k(dataset, ordering, self.attribute, k)
+        return _holds(counts.get(self.group, 0), *self._count_bounds(k))
+
+    # ------------------------------------------------------------------ #
+    # batched protocol (query-batch hot path)
+    # ------------------------------------------------------------------ #
+    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
+        """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``).
+
+        One boolean gather counts the group's members in every row's top-``k``
+        prefix, compared with the same bounds the scalar route uses.
+        """
+        orderings = ordering_matrix(orderings)
+        k = resolve_k(dataset, self.k)
+        member = np.asarray(dataset.type_column(self.attribute) == self.group)
+        counts = member[orderings[:, :k]].sum(axis=1)
+        return _within(counts, *self._count_bounds(k))
+
+    # ------------------------------------------------------------------ #
+    # incremental protocol (sweep hot path)
+    # ------------------------------------------------------------------ #
+    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
+        """Initialise O(1)-per-swap tracking of the top-``k`` group count."""
+        k = resolve_k(dataset, self.k)
+        self._counter = TopKGroupCounter(dataset, ordering, self.attribute, self.group, k)
+        self._bounds = self._count_bounds(k)
+
+    def apply_swap(self, pos_i: int, pos_j: int) -> None:
+        self._counter.apply_swap(pos_i, pos_j)
+
+    def sweep_verdicts(
+        self,
+        low: np.ndarray,
+        leaving: np.ndarray,
+        entering: np.ndarray,
+        judge_at: np.ndarray,
+    ) -> np.ndarray:
+        """Verdicts of a whole sweep of adjacent swaps (see :mod:`repro.fairness.incremental`)."""
+        counts = self._counter.counts_along(low, leaving, entering, judge_at)
+        return _within(counts, *self._bounds)
+
+    def verdict(self) -> bool:
+        return _holds(self._counter.count, *self._bounds)
+
+
+class ProportionalOracle(_TopKCountOracle):
     """Bound the share of one group in the top-``k`` (FM1).
 
     Parameters
@@ -103,9 +178,6 @@ class ProportionalOracle(FairnessOracle):
         share = dataset.group_proportions(attribute).get(group, 0.0)
         return cls(attribute, group, k, min_fraction=max(0.0, share - slack))
 
-    # ------------------------------------------------------------------ #
-    # oracle
-    # ------------------------------------------------------------------ #
     def _count_bounds(self, k: int) -> tuple[int | None, int | None]:
         """The fraction bounds as member counts in a top-``k`` of that size.
 
@@ -118,65 +190,6 @@ class ProportionalOracle(FairnessOracle):
             None if self.max_fraction is None else math.floor(self.max_fraction * k + 1e-9),
         )
 
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        k = resolve_k(dataset, self.k)
-        counts = group_counts_at_k(dataset, ordering, self.attribute, k)
-        count = counts.get(self.group, 0)
-        min_count, max_count = self._count_bounds(k)
-        if min_count is not None and count < min_count:
-            return False
-        if max_count is not None and count > max_count:
-            return False
-        return True
-
-    # ------------------------------------------------------------------ #
-    # batched protocol (query-batch hot path)
-    # ------------------------------------------------------------------ #
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``).
-
-        One boolean gather counts the group's members in every row's top-``k``
-        prefix; the thresholds are the same rounded counts the scalar path
-        compares against, so the verdicts are exactly equal.
-        """
-        orderings = ordering_matrix(orderings)
-        k = resolve_k(dataset, self.k)
-        member = np.asarray(dataset.type_column(self.attribute) == self.group)
-        counts = member[orderings[:, :k]].sum(axis=1)
-        return _within(counts, *self._count_bounds(k))
-
-    # ------------------------------------------------------------------ #
-    # incremental protocol (sweep hot path)
-    # ------------------------------------------------------------------ #
-    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
-        """Initialise O(1)-per-swap tracking of the top-``k`` group count."""
-        k = resolve_k(dataset, self.k)
-        self._counter = TopKGroupCounter(dataset, ordering, self.attribute, self.group, k)
-        # The same rounded thresholds is_satisfactory applies per call.
-        self._min_count, self._max_count = self._count_bounds(k)
-
-    def apply_swap(self, pos_i: int, pos_j: int) -> None:
-        self._counter.apply_swap(pos_i, pos_j)
-
-    def sweep_verdicts(
-        self,
-        low: np.ndarray,
-        leaving: np.ndarray,
-        entering: np.ndarray,
-        judge_at: np.ndarray,
-    ) -> np.ndarray:
-        """Verdicts of a whole sweep of adjacent swaps (see :mod:`repro.fairness.incremental`)."""
-        counts = self._counter.counts_along(low, leaving, entering, judge_at)
-        return _within(counts, self._min_count, self._max_count)
-
-    def verdict(self) -> bool:
-        count = self._counter.count
-        if self._min_count is not None and count < self._min_count:
-            return False
-        if self._max_count is not None and count > self._max_count:
-            return False
-        return True
-
     def describe(self) -> str:
         parts = []
         if self.min_fraction is not None:
@@ -187,7 +200,7 @@ class ProportionalOracle(FairnessOracle):
         return f"FM1({self.attribute}={self.group} {bounds} of top-{self.k})"
 
 
-class TopKGroupBoundOracle(FairnessOracle):
+class TopKGroupBoundOracle(_TopKCountOracle):
     """Bound the *count* of one group in the top-``k`` with absolute numbers.
 
     The §6.2 FM2 experiment states constraints as absolute counts ("at most 90
@@ -216,56 +229,9 @@ class TopKGroupBoundOracle(FairnessOracle):
         self.min_count = min_count
         self.max_count = max_count
 
-    def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
-        k = resolve_k(dataset, self.k)
-        counts = group_counts_at_k(dataset, ordering, self.attribute, k)
-        count = counts.get(self.group, 0)
-        if self.min_count is not None and count < self.min_count:
-            return False
-        if self.max_count is not None and count > self.max_count:
-            return False
-        return True
-
-    # ------------------------------------------------------------------ #
-    # batched protocol (query-batch hot path)
-    # ------------------------------------------------------------------ #
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``)."""
-        orderings = ordering_matrix(orderings)
-        k = resolve_k(dataset, self.k)
-        member = np.asarray(dataset.type_column(self.attribute) == self.group)
-        counts = member[orderings[:, :k]].sum(axis=1)
-        return _within(counts, self.min_count, self.max_count)
-
-    # ------------------------------------------------------------------ #
-    # incremental protocol (sweep hot path)
-    # ------------------------------------------------------------------ #
-    def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
-        """Initialise O(1)-per-swap tracking of the top-``k`` group count."""
-        k = resolve_k(dataset, self.k)
-        self._counter = TopKGroupCounter(dataset, ordering, self.attribute, self.group, k)
-
-    def apply_swap(self, pos_i: int, pos_j: int) -> None:
-        self._counter.apply_swap(pos_i, pos_j)
-
-    def sweep_verdicts(
-        self,
-        low: np.ndarray,
-        leaving: np.ndarray,
-        entering: np.ndarray,
-        judge_at: np.ndarray,
-    ) -> np.ndarray:
-        """Verdicts of a whole sweep of adjacent swaps (see :mod:`repro.fairness.incremental`)."""
-        counts = self._counter.counts_along(low, leaving, entering, judge_at)
-        return _within(counts, self.min_count, self.max_count)
-
-    def verdict(self) -> bool:
-        count = self._counter.count
-        if self.min_count is not None and count < self.min_count:
-            return False
-        if self.max_count is not None and count > self.max_count:
-            return False
-        return True
+    def _count_bounds(self, k: int) -> tuple[int | None, int | None]:
+        """The absolute count bounds, whatever the size of the top-``k``."""
+        return self.min_count, self.max_count
 
     def describe(self) -> str:
         parts = []

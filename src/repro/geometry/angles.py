@@ -39,6 +39,8 @@ __all__ = [
     "to_weights",
     "angular_distance",
     "angular_distance_angles",
+    "checked_ray",
+    "ray_distance",
     "is_first_orthant_direction",
     "clamp_angles",
 ]
@@ -182,9 +184,26 @@ def angular_distance(first: np.ndarray, second: np.ndarray) -> float:
     second = np.asarray(second, dtype=float)
     if first.shape != second.shape:
         raise GeometryError("angular_distance requires vectors of equal dimension")
-    if not (is_first_orthant_direction(first) and is_first_orthant_direction(second)):
+    return ray_distance(checked_ray(first), checked_ray(second))
+
+
+def checked_ray(weights: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """A weight vector and its norm, once checked to be a first-orthant direction.
+
+    The operand of :func:`ray_distance`: a caller that measures many distances
+    from the same vectors checks and normalises each of them only once.
+    """
+    if not is_first_orthant_direction(weights):
         raise GeometryError("angular_distance requires valid first-orthant directions")
-    cosine = float(np.dot(first, second) / (np.linalg.norm(first) * np.linalg.norm(second)))
+    return weights, np.linalg.norm(weights)
+
+
+def ray_distance(
+    first: tuple[np.ndarray, np.floating], second: tuple[np.ndarray, np.floating]
+) -> float:
+    """:func:`angular_distance` between two :func:`checked_ray` operands."""
+    (first_weights, first_norm), (second_weights, second_norm) = first, second
+    cosine = float(np.dot(first_weights, second_weights) / (first_norm * second_norm))
     cosine = min(1.0, max(-1.0, cosine))
     return math.acos(cosine)
 

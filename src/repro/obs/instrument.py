@@ -15,15 +15,16 @@ counted and spanned.  Around the inner ``preprocess`` it activates its
 ``data/dominance.py``, ``geometry/dual.py``, ``core/two_dim.py`` and
 ``core/approx.py`` land as children of the ``engine.preprocess`` span.
 
-Call accounting is arithmetic-identical to
-:class:`~repro.fairness.oracle.CountingOracle` (one per ``is_satisfactory``
-or ``verdict``, ``q`` per ``is_satisfactory_many`` batch) and is
-test-asserted equal.  The incremental protocol (``begin``/``apply_swap``/
-``verdict``) is counted but deliberately *not* spanned per call: the 2-D
-sweep applies O(n²) swaps, and a span per swap would cost more than the
-sweep itself — ``begin`` gets a span, the per-swap traffic shows up as
-counters.  A bulk ``sweep_verdicts`` call gets one span and counts what the
-per-swap loop would: one verdict per sector, one swap per event.
+:class:`InstrumentedOracle` is a
+:class:`~repro.fairness.oracle.CountingOracle`, so its call accounting is
+the counter's own rule (one per ``is_satisfactory`` or ``verdict``, ``q``
+per ``is_satisfactory_many`` batch, one per swept sector).  The incremental
+protocol (``begin``/``apply_swap``/``verdict``) is counted but deliberately
+*not* spanned per call: the 2-D sweep applies O(n²) swaps, and a span per
+swap would cost more than the sweep itself — ``begin`` gets a span, the
+per-swap traffic shows up as counters.  A bulk ``sweep_verdicts`` call gets
+one span and counts what the per-swap loop would: one verdict per sector,
+one swap per event.
 
 Answers are bit-identical to the uninstrumented engine: instrumentation
 only observes, and the oracle wrapper forwards verdicts unchanged.
@@ -47,10 +48,8 @@ from repro.core.engine import (
     engine_name_for_config,
     register_engine,
 )
-from repro.exceptions import ConfigurationError, OracleError
-from repro.fairness.batched import as_batched, evaluate_many, ordering_matrix
-from repro.fairness.incremental import as_incremental
-from repro.fairness.oracle import FairnessOracle
+from repro.exceptions import ConfigurationError
+from repro.fairness.oracle import CountingOracle, FairnessOracle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder, activated
 from repro.obs.workload import WorkloadRecorder
@@ -85,14 +84,16 @@ class InstrumentedConfig:
             raise ConfigurationError(f"max_spans must be >= 1, got {self.max_spans}")
 
 
-class InstrumentedOracle(FairnessOracle):
-    """Counts and spans every oracle call, forwarding verdicts unchanged.
+class InstrumentedOracle(CountingOracle):
+    """A :class:`~repro.fairness.oracle.CountingOracle` that also meters and spans its calls.
 
-    Call totals are arithmetic-identical to
-    :class:`~repro.fairness.oracle.CountingOracle`: +1 per
-    ``is_satisfactory`` / ``verdict``, +q per ``is_satisfactory_many``
-    batch, +1 per sector of a ``sweep_verdicts`` call.  Batched and
-    incremental capability mirror the inner oracle.
+    It extends only the counter's two hooks: ``_count`` mirrors every count
+    into ``oracle.calls`` (labelled by ``method``), ``oracle.swaps`` and
+    ``oracle.batches``, and ``_span`` opens a span per scalar call, batch,
+    ``begin`` and whole sweep when a ``recorder`` is given.  Counting and
+    forwarding stay the parent's, so the call totals are the parent's by
+    construction, and batched, incremental and whole-sweep capability mirror
+    the inner oracle.
     """
 
     def __init__(
@@ -102,104 +103,32 @@ class InstrumentedOracle(FairnessOracle):
         metrics: MetricsRegistry | None = None,
         recorder: TraceRecorder | None = None,
     ) -> None:
-        if not isinstance(inner, FairnessOracle):
-            raise OracleError(
-                f"InstrumentedOracle wraps a FairnessOracle, got {type(inner).__name__}"
-            )
-        self.inner = inner
+        super().__init__(inner)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.recorder = recorder
-        self.calls = 0
-        self._incremental_delegate = None
-        self._scalar_calls = self.metrics.counter("oracle.calls", method="is_satisfactory")
-        self._batched_calls = self.metrics.counter(
-            "oracle.calls", method="is_satisfactory_many"
-        )
-        self._verdict_calls = self.metrics.counter("oracle.calls", method="verdict")
+        self._method_calls = {
+            method: self.metrics.counter("oracle.calls", method=method)
+            for method in ("is_satisfactory", "is_satisfactory_many", "verdict")
+        }
+        # Subclasses read the batch-row and swap counters by these names
+        # (perfbench's MeteredOracle reports them as batch_rows and swaps).
+        self._batched_calls = self._method_calls["is_satisfactory_many"]
         self._swap_calls = self.metrics.counter("oracle.swaps")
         self._batches = self.metrics.counter("oracle.batches")
 
-    # -- scalar and batched verdicts ------------------------------------ #
-    def is_satisfactory(self, ordering: np.ndarray, dataset) -> bool:
-        self.calls += 1
-        self._scalar_calls.inc()
+    def _count(self, method: str, verdicts: int, swaps: int = 0) -> None:
+        super()._count(method, verdicts, swaps)
+        if verdicts:
+            self._method_calls[method].inc(verdicts)
+        if swaps:
+            self._swap_calls.inc(swaps)
+        if method == "is_satisfactory_many":
+            self._batches.inc()
+
+    def _span(self, name: str, **attributes):
         if self.recorder is None:
-            return self.inner.is_satisfactory(ordering, dataset)
-        with self.recorder.span("oracle.is_satisfactory"):
-            return self.inner.is_satisfactory(ordering, dataset)
-
-    def is_satisfactory_many(self, orderings: np.ndarray, dataset) -> np.ndarray:
-        orderings = ordering_matrix(orderings)
-        self.calls += int(orderings.shape[0])
-        self._batched_calls.inc(int(orderings.shape[0]))
-        self._batches.inc()
-        if self.recorder is None:
-            return evaluate_many(self.inner, orderings, dataset)
-        with self.recorder.span("oracle.is_satisfactory_many", q=int(orderings.shape[0])):
-            return evaluate_many(self.inner, orderings, dataset)
-
-    def batched_capable(self) -> bool:
-        return as_batched(self.inner) is not None
-
-    # -- incremental protocol (counted, not spanned per swap) ----------- #
-    def incremental_capable(self) -> bool:
-        return as_incremental(self.inner) is not None
-
-    def _incremental_inner(self):
-        if self._incremental_delegate is None:
-            raise OracleError(
-                f"{self.describe()} wraps a black-box oracle without the "
-                "incremental protocol; call begin() on an incremental-capable "
-                "oracle before apply_swap()/verdict()"
-            )
-        return self._incremental_delegate
-
-    def begin(self, ordering: np.ndarray, dataset) -> None:
-        delegate = as_incremental(self.inner)
-        if delegate is None:
-            raise OracleError(
-                f"{self.describe()} wraps a black-box oracle without the "
-                "incremental protocol"
-            )
-        self._incremental_delegate = delegate
-        if self.recorder is None:
-            delegate.begin(ordering, dataset)
-            return
-        with self.recorder.span("oracle.begin"):
-            delegate.begin(ordering, dataset)
-
-    def apply_swap(self, pos_i: int, pos_j: int) -> None:
-        self._swap_calls.inc()
-        self._incremental_inner().apply_swap(pos_i, pos_j)
-
-    def verdict(self) -> bool:
-        self.calls += 1
-        self._verdict_calls.inc()
-        return self._incremental_inner().verdict()
-
-    def sweep_verdicts(
-        self,
-        low: np.ndarray,
-        leaving: np.ndarray,
-        entering: np.ndarray,
-        judge_at: np.ndarray,
-    ) -> np.ndarray:
-        """A whole sweep at once, counted as its sectors' verdicts and its events' swaps."""
-        delegate = self._incremental_inner()
-        self.calls += int(judge_at.size)
-        self._verdict_calls.inc(int(judge_at.size))
-        self._swap_calls.inc(int(low.size))
-        if self.recorder is None:
-            return delegate.sweep_verdicts(low, leaving, entering, judge_at)
-        with self.recorder.span(
-            "oracle.sweep_verdicts", n_sectors=int(judge_at.size), n_events=int(low.size)
-        ):
-            return delegate.sweep_verdicts(low, leaving, entering, judge_at)
-
-    # -- bookkeeping ----------------------------------------------------- #
-    def reset(self) -> None:
-        """Zero the plain call count (metrics counters are left cumulative)."""
-        self.calls = 0
+            return super()._span(name)
+        return self.recorder.span(name, **attributes)
 
     def describe(self) -> str:
         return f"instrumented({self.inner.describe()})"

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+import repro
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -140,10 +142,12 @@ class TestDocumentedEntryPoints:
             _fenced_block(readme, "bash", after="available on the command line")
         )
         assert [command[0] for command in commands] == ["repro-fair-ranking"] * 2
-        # docs/api.md repeats both examples; they must stay the bounded ones run here.
+        # docs/api.md repeats both examples, and the package docstring the
+        # quickstart; they must stay the bounded ones run here.
         config = re.compile(r"ApproxConfig\([^)]*\)")
         api_entry = _fenced_block(api_guide, "python", after="## Entry points")
         assert config.findall(api_entry) == config.findall(quickstart)
+        assert config.findall(repro.__doc__) == config.findall(quickstart)
         api_commands = _fenced_block(api_guide, "bash", after="## Command line")
         assert _command_lines(api_commands) == commands
         (tmp_path / "queries.txt").write_text("0.5,0.3,0.2\n0.2,0.4,0.4\n", encoding="utf-8")

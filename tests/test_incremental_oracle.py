@@ -37,7 +37,8 @@ from repro.data.dominance import (
 )
 from repro.data.synthetic import make_compas_like
 from repro.fairness.composite import AndOracle, NotOracle, OrOracle
-from repro.fairness.incremental import as_incremental
+from repro.fairness.batched import as_batched, evaluate_many
+from repro.fairness.incremental import as_bulk_sweep, as_incremental
 from repro.fairness.multi_attribute import MultiAttributeOracle
 from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
 from repro.fairness.prefix import MinimumAtEveryPrefixOracle, PrefixProportionalOracle
@@ -521,6 +522,180 @@ class TestArraySweepKernel:
         dataset = _two_group_dataset(rng.random((30, 2)), np.array(["a"] * 30))
         for oracle_index in range(2):
             _assert_routes_agree(dataset, lambda: _degenerate_oracles(dataset)[oracle_index])
+
+
+# --------------------------------------------------------------------- #
+# oracles that share one body: sibling front doors judge alike on every
+# route, and the counting wrappers keep their totals and descriptions
+# --------------------------------------------------------------------- #
+#: Sectors at which the whole-sweep route is judged (after that many events).
+JUDGE_AT = np.array([0, 3, 10, 20, 33, 40])
+
+
+def _route_inputs(dataset: Dataset, seed: int) -> tuple:
+    """30 orderings, 30 arbitrary swaps and 40 adjacent sweep events.
+
+    The events swap positions 8..14, so they often cross the rank-12
+    boundary of the top-k oracles here.
+    """
+    rng = np.random.default_rng(seed)
+    orderings = np.stack([rng.permutation(dataset.n_items) for _ in range(30)])
+    swaps = [tuple(rng.choice(dataset.n_items, size=2, replace=False)) for _ in range(30)]
+    return orderings, swaps, rng.integers(8, 14, size=JUDGE_AT[-1])
+
+
+def _scalar_route(oracle, dataset: Dataset, inputs: tuple) -> list:
+    return [bool(oracle.is_satisfactory(row, dataset)) for row in inputs[0]]
+
+
+def _batched_route(oracle, dataset: Dataset, inputs: tuple) -> list:
+    return evaluate_many(oracle, inputs[0], dataset).tolist()
+
+
+def _per_swap_route(oracle, dataset: Dataset, inputs: tuple) -> list:
+    orderings, swaps, _ = inputs
+    incremental = as_incremental(oracle)
+    incremental.begin(orderings[0].copy(), dataset)
+    verdicts = [bool(incremental.verdict())]
+    for pos_i, pos_j in swaps:
+        incremental.apply_swap(int(pos_i), int(pos_j))
+        verdicts.append(bool(incremental.verdict()))
+    return verdicts
+
+
+def _whole_sweep_route(oracle, dataset: Dataset, inputs: tuple) -> list | None:
+    """``sweep_verdicts`` over the adjacent events; ``None`` when the oracle has no bulk route."""
+    orderings, _, low = inputs
+    bulk = as_bulk_sweep(oracle)
+    if bulk is None:
+        return None
+    ordering = orderings[0].copy()
+    leaving, entering = np.empty_like(low), np.empty_like(low)
+    for event, position in enumerate(low):
+        leaving[event], entering[event] = ordering[position], ordering[position + 1]
+        ordering[[position, position + 1]] = ordering[[position + 1, position]]
+    bulk.begin(orderings[0].copy(), dataset)
+    return np.asarray(bulk.sweep_verdicts(low, leaving, entering, JUDGE_AT)).tolist()
+
+
+ROUTES = {
+    "scalar": _scalar_route,
+    "batched": _batched_route,
+    "per_swap": _per_swap_route,
+    "whole_sweep": _whole_sweep_route,
+}
+
+
+def _fm2_children(dataset: Dataset) -> list:
+    return [
+        ProportionalOracle.at_most_share_plus_slack(dataset, "sex", "male", k=0.3, slack=0.02),
+        ProportionalOracle.at_most_share_plus_slack(
+            dataset, "race", "African-American", k=0.3, slack=0.02
+        ),
+    ]
+
+
+#: Pairs of front doors to one body: each pair must judge alike.  At k = 12
+#: the fractions 25 % and 50 % round to the counts 3 and 6; the FM2 pair's
+#: children are counted, so their short-circuited totals are compared too.
+SIBLINGS = {
+    "fm1-vs-count-bound": (
+        lambda dataset: ProportionalOracle(
+            "race", "African-American", k=12, min_fraction=0.25, max_fraction=0.5
+        ),
+        lambda dataset: TopKGroupBoundOracle(
+            "race", "African-American", k=12, min_count=3, max_count=6
+        ),
+    ),
+    "fair-vs-prefix": (
+        lambda dataset: MinimumAtEveryPrefixOracle("sex", "male", k=12, target_fraction=0.3),
+        lambda dataset: PrefixProportionalOracle("sex", "male", k=12, min_fraction=0.3),
+    ),
+    "fm2-vs-conjunction": (
+        lambda dataset: MultiAttributeOracle(
+            [CountingOracle(child) for child in _fm2_children(dataset)], k=0.3
+        ),
+        lambda dataset: AndOracle([CountingOracle(child) for child in _fm2_children(dataset)]),
+    ),
+}
+
+#: ``describe()`` of every ``_oracle_zoo`` oracle, in zoo order.
+ZOO_DESCRIPTIONS = (
+    "FM1(race=African-American <= 68% of top-0.3)",
+    "FM1(race=African-American >= 20% and <= 70% of top-0.4)",
+    "TopKBound(sex=male >= 2 and <= 8 in top-10)",
+    "PrefixFM1(race=African-American <= 80% of every prefix of top-0.4 of length >= 3)",
+    "FA*IR(sex=male >= ceil(30% · i) in every prefix i of top-12)",
+    "FM2[FM1(sex=male <= 85% of top-0.3) AND FM1(race=African-American <= 68% of top-0.3)]",
+    "FM1(race=African-American <= 68% of top-0.3) AND TopKBound(sex=male >= 2 and <= 8 in top-10)",
+    "FM1(race=African-American >= 20% and <= 70% of top-0.4) OR "
+    "FA*IR(sex=male >= ceil(30% · i) in every prefix i of top-12)",
+    "NOT (PrefixFM1(race=African-American <= 80% of every prefix of top-0.4 of length >= 3))",
+)
+
+#: Per route, the call totals of a counted FM2 and of its two counted
+#: children (the second child is asked only where the first accepts), then
+#: each instrumented wrapper's ``oracle.calls``, ``oracle.swaps`` and
+#: ``oracle.batches`` totals.
+COUNTED_TOTALS = {
+    "scalar": ([30, 30, 16], [[30, 0, 0], [30, 0, 0], [16, 0, 0]]),
+    "batched": ([30, 30, 16], [[30, 0, 1], [30, 0, 1], [16, 0, 1]]),
+    "per_swap": ([31, 31, 28], [[31, 30, 0], [31, 30, 0], [28, 30, 0]]),
+    "whole_sweep": ([6, 6, 5], [[6, 40, 0], [6, 40, 0], [5, 40, 0]]),
+}
+
+
+class TestSharedBodies:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("pair", sorted(SIBLINGS))
+    def test_siblings_agree_on_every_route(self, pair, seed):
+        """Both front doors give the same verdicts, probes, sweeps and child totals,
+        and each one's 2-D sweep routes agree with its black box."""
+        dataset = _compas_2d(40, seed)
+        inputs = _route_inputs(dataset, seed)
+
+        def observed(make) -> dict:
+            oracle = make(dataset)
+            record = {
+                name: route(oracle, dataset, inputs) for name, route in ROUTES.items()
+            }
+            record["probes"] = tuple(
+                probe(oracle) is not None for probe in (as_batched, as_incremental, as_bulk_sweep)
+            )
+            record["sweep"] = _traced_sweep(dataset, make(dataset))
+            record["sweep_routes"] = _assert_routes_agree(dataset, lambda: make(dataset))
+            record["child_calls"] = [
+                child.calls for child in getattr(oracle, "children", [])
+            ]
+            return record
+
+        first, second = (observed(make) for make in SIBLINGS[pair])
+        assert first == second
+        assert first["batched"] == first["scalar"]
+        assert len(set(first["scalar"])) == 2
+
+    def test_zoo_descriptions_are_unchanged(self):
+        dataset = _compas_2d(40, seed=0)
+        for oracle, expected in zip(_oracle_zoo(dataset), ZOO_DESCRIPTIONS, strict=True):
+            assert oracle.describe() == expected
+            assert CountingOracle(oracle).describe() == f"counting({expected})"
+            assert InstrumentedOracle(oracle).describe() == f"instrumented({expected})"
+
+    @pytest.mark.parametrize("route", sorted(COUNTED_TOTALS))
+    @pytest.mark.parametrize("wrapper", [CountingOracle, InstrumentedOracle])
+    def test_counters_keep_their_totals(self, wrapper, route):
+        dataset = _compas_2d(40, seed=0)
+        children = [wrapper(child) for child in _fm2_children(dataset)]
+        outer = wrapper(MultiAttributeOracle(children, k=0.3))
+        ROUTES[route](outer, dataset, _route_inputs(dataset, seed=0))
+        calls, metrics = COUNTED_TOTALS[route]
+        assert [wrapper.calls for wrapper in (outer, *children)] == calls
+        if wrapper is InstrumentedOracle:
+            names = ("oracle.calls", "oracle.swaps", "oracle.batches")
+            assert [
+                [wrapper.metrics.counter_total(name) for name in names]
+                for wrapper in (outer, *children)
+            ] == metrics
 
 
 def _group_starts_reference(angles: np.ndarray) -> list[int]:

@@ -25,7 +25,13 @@ from repro.exceptions import (
 )
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
-from repro.geometry.angles import angular_distance_angles, to_angles, to_weights
+from repro.geometry.angles import (
+    angular_distance_angles,
+    checked_ray,
+    ray_distance,
+    to_angles,
+    to_weights,
+)
 from repro.geometry.arrangement import Arrangement
 from repro.geometry.hyperplane import Region
 from repro.io.index_store import load_engine, save_engine
@@ -342,9 +348,18 @@ class TestPolygonRoute:
         path = tmp_path / "exact.json"
         save_engine(engine, path)
         loaded = load_engine(path, oracle)
-        assert loaded.index._edges is None
+        assert loaded.index._edges is None and loaded.index._rays is None
         assert [entry_fingerprint(entry) for entry in loaded.suggest_many(grid)] == batch
         assert "edges" not in path.read_text(encoding="utf-8")
+        # The rebuilt representative rays give angular_distance_angles bit for bit.
+        rays = loaded.index._rays
+        assert len(rays) == len(loaded.index.satisfactory_regions) > 0
+        for query_angles in (to_angles(row) for row in grid):
+            query_ray = checked_ray(to_weights(query_angles))
+            for angles, ray in rays:
+                assert ray_distance(ray, query_ray) == angular_distance_angles(
+                    angles, query_angles
+                )
 
 
 def test_loaded_d4_exact_engine_solves_no_linear_program_online(tmp_path, monkeypatch):
@@ -364,6 +379,7 @@ def test_loaded_d4_exact_engine_solves_no_linear_program_online(tmp_path, monkey
     path = tmp_path / "exact4.json"
     save_engine(engine, path)
     loaded = load_engine(path, oracle)
+    assert loaded.index._rays is None
     centres = []
     solve = hyperplane_module.chebyshev_center
     monkeypatch.setattr(
@@ -373,3 +389,4 @@ def test_loaded_d4_exact_engine_solves_no_linear_program_online(tmp_path, monkey
     )
     assert [entry_fingerprint(loaded.suggest(query)) for query in queries] == built
     assert centres == []
+    assert len(loaded.index._rays) == len(loaded.index.satisfactory_regions)

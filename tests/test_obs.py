@@ -5,8 +5,9 @@ Covers the four pillars the PR promises:
 * **Determinism** — trace exports and metrics snapshots are byte-identical
   on a fake clock, whatever order the series were created in;
 * **Transparency** — the ``"instrumented"`` engine returns bit-identical
-  answers on the 2-D and approximate paths, and its oracle accounting is
-  arithmetic-identical to :class:`~repro.fairness.oracle.CountingOracle`;
+  answers on the 2-D and approximate paths, and its oracle wrapper, a
+  :class:`~repro.fairness.oracle.CountingOracle` subclass, reports the
+  counter's totals;
 * **Replayability** — a recorded workload saves, loads and replays bit for
   bit through a fresh engine;
 * **One counter source** — a fallback engine handed a shared registry keeps
