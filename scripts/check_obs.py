@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Observability smoke gate: deterministic traces and metrics on a fake clock.
+"""Observability smoke gate: deterministic traces and metrics, one timing source.
 
-Two round trips, no dataset and no preprocessing, so the gate runs in
-milliseconds:
+Two round trips with no dataset, then two small runs on a clock that ticks
+once per read, so the gate runs in about a second:
 
 1. **Trace export** — drive a :class:`repro.obs.trace.TraceRecorder` on a
    :class:`repro.resilience.policy.FakeClock` through a nested span tree,
@@ -12,6 +12,11 @@ milliseconds:
    :class:`repro.obs.metrics.MetricsRegistry` instances in different
    creation orders, and require byte-identical ``to_json()`` output plus a
    correct ``merge``/``reset`` round trip.
+3. **Engine latency** — an instrumented 2-D engine's ``engine.suggest`` and
+   ``engine.suggest_many`` latency histograms must sum to exactly the
+   durations of its spans of those names.
+4. **Experiment timings** — Fig. 17 at one small ``n``, with the ticking
+   clock as the recorders' default, must report a whole number of ticks.
 
 Usage::
 
@@ -90,13 +95,74 @@ def check_metrics_determinism() -> list[str]:
     return errors
 
 
+class _TickingClock:
+    """A clock that advances one whole tick on every read."""
+
+    def __init__(self) -> None:
+        self.ticks = 0.0
+
+    def __call__(self) -> float:
+        self.ticks += 1.0
+        return self.ticks
+
+
+def check_engine_latency_is_its_span() -> list[str]:
+    from repro.core.engine import TwoDConfig
+    from repro.data.synthetic import make_compas_like
+    from repro.fairness.proportional import ProportionalOracle
+    from repro.obs.instrument import InstrumentedConfig, InstrumentedEngine
+
+    dataset = make_compas_like(n=80, seed=3).project(["c_days_from_compas", "juv_other_count"])
+    oracle = ProportionalOracle.at_most_share_plus_slack(
+        dataset, "race", "African-American", k=0.3, slack=0.10
+    )
+    engine = InstrumentedEngine(
+        dataset, oracle, InstrumentedConfig(inner=TwoDConfig()), clock=_TickingClock()
+    ).preprocess()
+    engine.suggest((1.0, 0.5))
+    engine.suggest_many([(1.0, 0.5), (0.2, 0.9)])
+    sums = {series["name"]: series["sum"] for series in engine.metrics.snapshot()["histograms"]}
+    errors = []
+    for name in ("engine.suggest", "engine.suggest_many"):
+        spans = sum(span.duration for span in engine.recorder.spans if span.name == name)
+        if sums.get(f"{name}_seconds") != spans:
+            errors.append(
+                f"{name}_seconds sums {sums.get(f'{name}_seconds')} ticks, its spans {spans}"
+            )
+    return errors
+
+
+def check_experiment_reads_spans() -> list[str]:
+    import repro.obs.trace as trace
+    from repro.experiments.workloads import experiment_fig17_2d_preprocessing
+
+    default = trace.monotonic_clock
+    trace.monotonic_clock = _TickingClock()
+    try:
+        sweep = experiment_fig17_2d_preprocessing(n_values=(30,))
+    finally:
+        trace.monotonic_clock = default
+    seconds = sweep.series["preprocess_seconds"].ys
+    if not seconds or not all(value >= 1 and value.is_integer() for value in seconds):
+        return [f"Fig. 17 reported {seconds}, not whole ticks of the recorders' clock"]
+    return []
+
+
 def main() -> int:
-    errors = check_trace_determinism() + check_metrics_determinism()
+    errors = (
+        check_trace_determinism()
+        + check_metrics_determinism()
+        + check_engine_latency_is_its_span()
+        + check_experiment_reads_spans()
+    )
     for error in errors:
         print(f"check_obs: {error}")
     if errors:
         return 1
-    print("check_obs: OK (byte-identical trace exports and metrics snapshots)")
+    print(
+        "check_obs: OK (byte-identical trace exports and metrics snapshots; "
+        "latencies and experiment timings read spans)"
+    )
     return 0
 
 

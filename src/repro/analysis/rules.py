@@ -266,31 +266,33 @@ class DeterminismRule(Rule):
 # --------------------------------------------------------------------------- #
 # obs-clock
 # --------------------------------------------------------------------------- #
-_OBS_PACKAGE = "repro.obs"
+#: Packages (and path segments) whose durations come from the clock seam only.
+_CLOCK_PACKAGES = ("obs", "experiments")
 
 
 class ObsClockRule(Rule):
-    """Observability code never reads the process clock directly.
+    """Observability and experiment code never reads the process clock directly.
 
     The PR-8 observability layer promises byte-identical trace exports and
     metrics snapshots under a fake clock, which only holds if every duration
     inside ``repro.obs`` flows through the injected clock seam
     (``repro.clock.monotonic_clock`` passed in, never called as ``time.*``).
-    A direct ``import time`` — or any call resolving into the ``time``
-    module — inside an ``obs`` package reintroduces untestable wall time.
+    The experiments report span durations on that same clock, so
+    ``repro.experiments`` is in scope too.  A direct ``import time`` — or any
+    call resolving into the ``time`` module — inside an ``obs`` or
+    ``experiments`` package is a second, untestable timing source.
     """
 
     rule_id = "obs-clock"
-    title = "observability modules use the injected clock seam, never time.*"
+    title = "observability and experiment modules use the injected clock seam, never time.*"
     rationale = "PR 8: deterministic traces/metrics need every obs duration injectable"
 
     @staticmethod
     def _in_scope(module: ModuleInfo) -> bool:
-        if module.module_name == _OBS_PACKAGE or module.module_name.startswith(
-            _OBS_PACKAGE + "."
-        ):
+        package = module.module_name.split(".")[:2]
+        if package[0] == "repro" and package[-1] in _CLOCK_PACKAGES:
             return True
-        return "obs" in module.relpath.split("/")
+        return any(part in _CLOCK_PACKAGES for part in module.relpath.split("/"))
 
     def check(self, model: ProjectModel) -> Iterator[Finding]:
         for module in model.modules:
@@ -303,20 +305,20 @@ class ObsClockRule(Rule):
                             yield self._finding(
                                 module,
                                 node.lineno,
-                                "import time inside an observability module: "
+                                "import time inside an observability or "
+                                "experiment module: read span durations or "
                                 "accept a clock argument (repro.clock) so "
-                                "traces and metrics stay replayable under a "
-                                "fake clock",
+                                "timings stay replayable under a fake clock",
                             )
                 elif isinstance(node, ast.ImportFrom):
                     if node.level == 0 and (node.module or "").split(".")[0] == "time":
                         yield self._finding(
                             module,
                             node.lineno,
-                            "from time import ... inside an observability "
-                            "module: accept a clock argument (repro.clock) "
-                            "so traces and metrics stay replayable under a "
-                            "fake clock",
+                            "from time import ... inside an observability or "
+                            "experiment module: read span durations or "
+                            "accept a clock argument (repro.clock) so "
+                            "timings stay replayable under a fake clock",
                         )
                 elif isinstance(node, ast.Call):
                     name = dotted_name(node.func)
@@ -329,9 +331,10 @@ class ObsClockRule(Rule):
                         yield self._finding(
                             module,
                             node.lineno,
-                            f"{resolved}() called inside an observability "
-                            "module: durations must come from the injected "
-                            "clock seam (repro.clock), never time.* directly",
+                            f"{resolved}() called inside an observability or "
+                            "experiment module: durations must come from the "
+                            "injected clock seam (repro.clock), never time.* "
+                            "directly",
                         )
 
 

@@ -41,7 +41,6 @@ from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import (
     HALF_PI,
-    angular_distance_angles,
     checked_ray,
     ray_distance,
     to_angles,
@@ -355,9 +354,10 @@ def _closest_point_in_region(
     region = satisfactory.region
     a_matrix, b_vector = region.inequality_system()
     start = np.asarray(satisfactory.representative_angles, dtype=float)
+    query_ray = checked_ray(to_weights(query_angles))
 
-    def objective(theta: np.ndarray) -> float:
-        return angular_distance_angles(np.clip(theta, 0.0, HALF_PI), query_angles)
+    def distance(theta: np.ndarray) -> float:
+        return ray_distance(checked_ray(to_weights(theta)), query_ray)
 
     constraints = []
     if a_matrix.size:
@@ -366,7 +366,7 @@ def _closest_point_in_region(
         )
     bounds = [(0.0, HALF_PI)] * region.dimension
     solution = minimize(
-        objective,
+        lambda theta: distance(np.clip(theta, 0.0, HALF_PI)),
         x0=start,
         method="SLSQP",
         bounds=bounds,
@@ -376,7 +376,7 @@ def _closest_point_in_region(
     candidate = np.clip(solution.x, 0.0, HALF_PI) if solution.success else start
     if a_matrix.size and np.any(a_matrix @ candidate - b_vector > 1e-7):
         candidate = start
-    return candidate, angular_distance_angles(candidate, query_angles)
+    return candidate, distance(candidate)
 
 
 def _nearest_polygon_points(
@@ -520,6 +520,7 @@ def md_baseline(
     # the levels the per-candidate loop would reach, so oracle-call totals are
     # unchanged.
     with stage_span("query.blend_verification") as span:
+        query_ray = checked_ray(to_weights(query_angles))
         verified: list[tuple[float, np.ndarray]] = []
         active = [
             (candidate, np.asarray(satisfactory.representative_angles, dtype=float))
@@ -541,13 +542,13 @@ def md_baseline(
             still_active = []
             for pair, point, ok in zip(active, blended_points, accepted):
                 if ok:
-                    verified.append((angular_distance_angles(point, query_angles), point))
+                    distance = ray_distance(checked_ray(to_weights(point)), query_ray)
+                    verified.append((distance, point))
                 else:
                     still_active.append(pair)
             active = still_active
         # Region representatives are satisfactory by construction; they both
         # serve as a fallback and cap the suggestion distance from above.
-        query_ray = checked_ray(to_weights(query_angles))
         for representative, ray in index._representative_rays():
             verified.append((ray_distance(ray, query_ray), representative))
         best_distance, best_angles = min(verified, key=lambda entry: entry[0])

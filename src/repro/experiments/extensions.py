@@ -16,14 +16,13 @@ Three studies that the paper motivates but does not report, used by the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.approx import ApproximatePreprocessor, md_online
 from repro.data.dataset import Dataset
-from repro.experiments.harness import SweepResult
+from repro.experiments.harness import SweepResult, span_seconds
 from repro.experiments.workloads import default_compas_dataset, default_compas_oracle
 from repro.fairness.baselines import constrained_topk
 from repro.fairness.proportional import ProportionalOracle
@@ -61,11 +60,12 @@ def experiment_ablation_grid_resolution(
     result = SweepResult(parameter="n_cells")
     queries = random_queries(d, n_queries, seed=seed)
     for n_cells in n_cells_values:
-        started = time.perf_counter()
-        index = ApproximatePreprocessor(
-            dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
-        ).run()
-        elapsed = time.perf_counter() - started
+        index, seconds = span_seconds(
+            "ablation.preprocess",
+            lambda: ApproximatePreprocessor(
+                dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
+            ).run(),
+        )
         distances = []
         for query in queries:
             answer = md_online(index, query)
@@ -78,7 +78,9 @@ def experiment_ablation_grid_resolution(
         result.series_named("marked_cell_fraction").add(
             index.n_cells, index.n_marked_cells / index.n_cells
         )
-        result.series_named("preprocess_seconds").add(index.n_cells, elapsed)
+        result.series_named("preprocess_seconds").add(
+            index.n_cells, seconds["ablation.preprocess"]
+        )
     return result
 
 
@@ -105,12 +107,13 @@ def experiment_ablation_partition(
     queries = random_queries(d, n_queries, seed=seed)
     result = SweepResult(parameter="backend_index")
     for backend_index, backend in enumerate(("uniform", "angle")):
-        started = time.perf_counter()
-        index = ApproximatePreprocessor(
-            dataset, oracle, n_cells=n_cells, partition=backend,
-            max_hyperplanes=max_hyperplanes,
-        ).run()
-        elapsed = time.perf_counter() - started
+        index, seconds = span_seconds(
+            "ablation.preprocess",
+            lambda: ApproximatePreprocessor(
+                dataset, oracle, n_cells=n_cells, partition=backend,
+                max_hyperplanes=max_hyperplanes,
+            ).run(),
+        )
         distances = []
         for query in queries:
             answer = md_online(index, query)
@@ -123,7 +126,9 @@ def experiment_ablation_partition(
         result.series_named("marked_cell_fraction").add(
             backend_index, index.n_marked_cells / index.n_cells
         )
-        result.series_named("preprocess_seconds").add(backend_index, elapsed)
+        result.series_named("preprocess_seconds").add(
+            backend_index, seconds["ablation.preprocess"]
+        )
         result.series_named("mean_suggestion_distance").add(
             backend_index, float(np.mean(distances)) if distances else 0.0
         )

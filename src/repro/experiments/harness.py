@@ -3,14 +3,36 @@
 Every table and figure of the paper's evaluation is regenerated by a function
 in :mod:`repro.experiments.workloads`; those functions collect their points
 into the :class:`Series` and :class:`SweepResult` containers here, so that
-benchmarks and the EXPERIMENTS report share one shape of result.
+benchmarks and the EXPERIMENTS report share one shape of result.  Every
+duration they report is read from spans by :func:`span_seconds`, on the
+clock of :class:`~repro.obs.trace.TraceRecorder`, never from a stopwatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
-__all__ = ["Series", "SweepResult"]
+from repro.obs.trace import TraceRecorder, activated
+
+__all__ = ["Series", "SweepResult", "span_seconds"]
+
+
+def span_seconds(name: str, body: Callable[[], Any]) -> tuple[Any, dict[str, float]]:
+    """Run ``body()`` in a span ``name`` of a fresh recorder activated as the stage-span target.
+
+    Returns the body's result and the summed seconds of each span name: ``name``
+    is the body's total, and the program's own stage spans, matched by exact
+    name (so nested chunk spans never count twice), break it down.
+    """
+    recorder = TraceRecorder()
+    with activated(recorder), recorder.span(name) as span:
+        result = body()
+    seconds: dict[str, float] = {}
+    for recorded in recorder.spans:
+        seconds[recorded.name] = seconds.get(recorded.name, 0.0) + recorded.duration
+    seconds[name] = span.duration
+    return result, seconds
 
 
 @dataclass

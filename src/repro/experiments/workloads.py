@@ -10,7 +10,6 @@ preserved across scales.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from repro.data.synthetic import (
     make_compas_like,
     make_dot_like,
 )
-from repro.experiments.harness import SweepResult
+from repro.experiments.harness import SweepResult, span_seconds
 from repro.fairness.multi_attribute import MultiAttributeOracle
 from repro.fairness.oracle import CountingOracle, FairnessOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
@@ -35,8 +34,7 @@ from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.cellplane import assign_hyperplanes_to_cells
 from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.partition import UniformGridPartition
-from repro.core.multi_dim import SatRegions
-from repro.obs.trace import TraceRecorder, activated
+from repro.core.multi_dim import SatRegions, insert_hyperplanes
 from repro.ranking.queries import random_queries
 from repro.ranking.scoring import LinearScoringFunction
 
@@ -213,16 +211,15 @@ class OnlineTimingResult:
         return self.mean_ordering_seconds / self.mean_query_seconds
 
 
-def _time_queries(answer, queries, dataset) -> tuple[float, float]:
-    started = time.perf_counter()
-    for query in queries:
-        answer(query)
-    query_seconds = (time.perf_counter() - started) / len(queries)
-    started = time.perf_counter()
-    for query in queries:
-        query.order(dataset)
-    ordering_seconds = (time.perf_counter() - started) / len(queries)
-    return query_seconds, ordering_seconds
+def _online_timing(label: str, answer, queries, dataset: Dataset) -> OnlineTimingResult:
+    """Mean seconds per query of answering every query and of ordering the dataset by it."""
+    _, answering = span_seconds("online.answer", lambda: [answer(query) for query in queries])
+    _, ordering = span_seconds("online.order", lambda: [query.order(dataset) for query in queries])
+    return OnlineTimingResult(
+        label,
+        answering["online.answer"] / len(queries),
+        ordering["online.order"] / len(queries),
+    )
 
 
 def experiment_online_2d(
@@ -233,8 +230,7 @@ def experiment_online_2d(
     oracle = default_compas_oracle(dataset)
     index = TwoDRaySweep(dataset, oracle).run()
     queries = random_queries(2, n_queries, seed=seed)
-    query_seconds, ordering_seconds = _time_queries(index.query, queries, dataset)
-    return OnlineTimingResult("2DONLINE", query_seconds, ordering_seconds)
+    return _online_timing("2DONLINE", index.query, queries, dataset)
 
 
 def experiment_online_md(
@@ -261,10 +257,11 @@ def experiment_online_md(
             dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
         ).run()
         queries = random_queries(d, n_queries, seed=seed)
-        query_seconds, ordering_seconds = _time_queries(
-            lambda query: md_online_lookup(index, query), queries, dataset
+        results.append(
+            _online_timing(
+                f"MDONLINE d={d}", lambda query: md_online_lookup(index, query), queries, dataset
+            )
         )
-        results.append(OnlineTimingResult(f"MDONLINE d={d}", query_seconds, ordering_seconds))
     return results
 
 
@@ -281,11 +278,9 @@ def experiment_fig17_2d_preprocessing(
     for n in n_values:
         dataset = default_compas_dataset(n=n, d=2, seed=seed)
         oracle = default_compas_oracle(dataset)
-        started = time.perf_counter()
-        index = TwoDRaySweep(dataset, oracle).run()
-        elapsed = time.perf_counter() - started
+        index, seconds = span_seconds("fig17.sweep", lambda: TwoDRaySweep(dataset, oracle).run())
         exchanges_series.add(n, index.n_exchanges)
-        time_series.add(n, elapsed)
+        time_series.add(n, seconds["fig17.sweep"])
     return result
 
 
@@ -298,7 +293,7 @@ def experiment_fig18_arrangement_tree(
     hyperplane_counts: Sequence[int] = (10, 20, 40, 80),
     seed: int = 0,
 ) -> SweepResult:
-    """Arrangement construction time: flat region list vs. arrangement tree."""
+    """Arrangement construction time: flat region list vs. the exact pipeline's tree insertion."""
     dataset = default_compas_dataset(n=n_items, d=d, seed=seed)
     hyperplanes = hyperplanes_for_dataset(dataset)
     result = SweepResult(parameter="hyperplanes")
@@ -306,14 +301,12 @@ def experiment_fig18_arrangement_tree(
     tree_series = result.series_named("arrangement_tree_seconds")
     for count in hyperplane_counts:
         subset = hyperplanes[: min(count, len(hyperplanes))]
-        started = time.perf_counter()
-        Arrangement.build(subset, dimension=d - 1)
-        baseline_series.add(len(subset), time.perf_counter() - started)
-        started = time.perf_counter()
-        tree = ArrangementTree(dimension=d - 1)
-        for hyperplane in subset:
-            tree.insert(hyperplane)
-        tree_series.add(len(subset), time.perf_counter() - started)
+        _, seconds = span_seconds("fig18.flat", lambda: Arrangement.build(subset, dimension=d - 1))
+        baseline_series.add(len(subset), seconds["fig18.flat"])
+        _, seconds = span_seconds(
+            "fig18.tree", lambda: insert_hyperplanes(ArrangementTree(dimension=d - 1), subset)
+        )
+        tree_series.add(len(subset), seconds["preprocess.arrangement_build"])
     return result
 
 
@@ -351,9 +344,10 @@ def experiment_fig20_hyperplanes(
     time_series = result.series_named("construction_seconds")
     for n in n_values:
         dataset = default_compas_dataset(n=n, d=d, seed=seed)
-        started = time.perf_counter()
-        hyperplanes = hyperplanes_for_dataset(dataset)
-        time_series.add(n, time.perf_counter() - started)
+        hyperplanes, seconds = span_seconds(
+            "fig20.hyperplanes", lambda: hyperplanes_for_dataset(dataset)
+        )
+        time_series.add(n, seconds["fig20.hyperplanes"])
         count_series.add(n, len(hyperplanes))
     return result
 
@@ -390,17 +384,13 @@ _APPROX_STAGE_SPANS = {
 def _approx_stage_seconds(
     dataset: Dataset, oracle: FairnessOracle, n_cells: int, max_hyperplanes: int | None
 ) -> dict[str, float]:
-    """Seconds of each approximate preprocessing stage, read from one run's stage spans.
-
-    Spans are matched by exact name, so the ``pair_chunk`` and
-    ``hyperplane_chunk`` spans nested inside a stage are not counted twice.
-    """
-    recorder = TraceRecorder()
-    with activated(recorder):
-        ApproximatePreprocessor(
+    """Seconds of each approximate preprocessing stage, read from one run's stage spans."""
+    _, durations = span_seconds(
+        "approx.preprocess",
+        lambda: ApproximatePreprocessor(
             dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
-        ).run()
-    durations = {span.name: span.duration for span in recorder.spans}
+        ).run(),
+    )
     seconds = {series: durations[name] for series, name in _APPROX_STAGE_SPANS.items()}
     seconds["total_seconds"] = sum(seconds.values())
     return seconds
@@ -489,14 +479,14 @@ def experiment_sampling_dot(
         sample_size=sample_size,
         sample_seed=seed,
     )
-    started = time.perf_counter()
-    engine = create_engine(dataset, oracle, config).preprocess()
-    elapsed = time.perf_counter() - started
+    engine, seconds = span_seconds(
+        "sampling.preprocess", lambda: create_engine(dataset, oracle, config).preprocess()
+    )
     report = validate_index_on_dataset(engine.index, dataset, oracle)
     return SamplingResult(
         full_size=full_size,
         sample_size=engine.preprocessing_dataset.n_items,
-        preprocess_seconds=elapsed,
+        preprocess_seconds=seconds["sampling.preprocess"],
         n_functions_checked=report.n_functions_checked,
         n_satisfactory_on_full=report.n_satisfactory,
     )
@@ -516,10 +506,10 @@ def experiment_ablation_convex_layers(
     results: dict[str, float] = {}
     for label, layer_k in (("full", None), ("convex_layers", k)):
         builder = SatRegions(dataset, oracle, max_hyperplanes=60, convex_layer_k=layer_k)
-        started = time.perf_counter()
-        hyperplanes = builder.build_hyperplanes()
-        index = builder.run()
-        results[f"{label}_seconds"] = time.perf_counter() - started
+        (hyperplanes, index), seconds = span_seconds(
+            "ablation.satregions", lambda: (builder.build_hyperplanes(), builder.run())
+        )
+        results[f"{label}_seconds"] = seconds["ablation.satregions"]
         results[f"{label}_hyperplanes"] = float(len(hyperplanes))
         results[f"{label}_satisfactory_regions"] = float(len(index.satisfactory_regions))
     return results

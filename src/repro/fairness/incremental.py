@@ -52,6 +52,7 @@ __all__ = [
     "as_bulk_sweep",
     "TopKGroupCounter",
     "PrefixGroupCounter",
+    "prefix_violations",
 ]
 
 
@@ -233,6 +234,26 @@ class TopKGroupCounter:
         return self.count + np.cumsum(steps)[judge_at]
 
 
+def prefix_violations(
+    counts: np.ndarray,
+    required: np.ndarray | None,
+    allowed: np.ndarray | None,
+    enforced: np.ndarray,
+    window: slice = slice(None),
+) -> np.ndarray:
+    """Flags of the prefixes (last axis of ``counts``) that break an enforced bound.
+
+    ``window`` of the per-prefix ``required`` / ``allowed`` bounds (``None``
+    when missing) and the ``enforced`` mask lines up with ``counts``.
+    """
+    flags = np.zeros(counts.shape, dtype=bool)
+    if required is not None:
+        flags |= counts < required[window]
+    if allowed is not None:
+        flags |= counts > allowed[window]
+    return flags & enforced[window]
+
+
 class PrefixGroupCounter:
     """Maintains per-prefix member counts (lengths ``1..k``) under transpositions.
 
@@ -273,12 +294,7 @@ class PrefixGroupCounter:
         self.n_violations = int(np.sum(self._violated))
 
     def _violation_flags(self, counts: np.ndarray, window: slice) -> np.ndarray:
-        flags = np.zeros(counts.shape, dtype=bool)
-        if self._required is not None:
-            flags |= counts < self._required[window]
-        if self._allowed is not None:
-            flags |= counts > self._allowed[window]
-        return flags & self._enforced[window]
+        return prefix_violations(counts, self._required, self._allowed, self._enforced, window)
 
     def apply_swap(self, pos_i: int, pos_j: int) -> None:
         ordering = self._ordering

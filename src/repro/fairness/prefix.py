@@ -27,7 +27,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.exceptions import OracleError
 from repro.fairness.batched import ordering_matrix
-from repro.fairness.incremental import PrefixGroupCounter
+from repro.fairness.incremental import PrefixGroupCounter, prefix_violations
 from repro.fairness.oracle import FairnessOracle
 from repro.ranking.topk import resolve_k
 
@@ -147,14 +147,7 @@ class PrefixProportionalOracle(FairnessOracle):
     def _violated(self, orderings: np.ndarray, dataset: Dataset, k: int) -> np.ndarray:
         """Per-prefix violation flags of one ordering or a stack (prefix lengths last)."""
         member = dataset.type_column(self.attribute)[orderings[..., :k]] == self.protected
-        counts = np.cumsum(member.astype(int), axis=-1)
-        required, allowed, enforced = self._prefix_bounds(k)
-        violated = np.zeros(counts.shape, dtype=bool)
-        if required is not None:
-            violated |= counts < required
-        if allowed is not None:
-            violated |= counts > allowed
-        return violated & enforced
+        return prefix_violations(np.cumsum(member.astype(int), axis=-1), *self._prefix_bounds(k))
 
     def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
         k = resolve_k(dataset, self.k)

@@ -26,6 +26,12 @@ per-swap traffic shows up as counters.  A bulk ``sweep_verdicts`` call gets
 one span and counts what the per-swap loop would: one verdict per sector,
 one swap per event.
 
+The latency histograms ``engine.suggest_seconds`` and
+``engine.suggest_many_seconds`` and the workload log's ``batch_elapsed``
+are the durations of the ``engine.suggest`` / ``engine.suggest_many``
+spans, so a call reads the recorder's clock twice and every report of it
+agrees; ``clock=`` sets the clock of the default recorder.
+
 Answers are bit-identical to the uninstrumented engine: instrumentation
 only observes, and the oracle wrapper forwards verdicts unchanged.
 Instrumented engines are not persistable (``to_payload`` raises — save the
@@ -39,7 +45,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.clock import Clock, monotonic_clock
+from repro.clock import Clock
 from repro.core.engine import (
     EngineWrapper,
     as_weight_matrix,
@@ -156,12 +162,11 @@ class InstrumentedEngine(EngineWrapper):
                 f"got {type(config).__name__}"
             )
         self.oracle = oracle
-        self._clock: Clock = clock if clock is not None else monotonic_clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.recorder = (
             recorder
             if recorder is not None
-            else TraceRecorder(clock=self._clock, max_spans=config.max_spans)
+            else TraceRecorder(clock=clock, max_spans=config.max_spans)
         )
         self.instrumented_oracle = InstrumentedOracle(
             oracle, metrics=self.metrics, recorder=self.recorder
@@ -251,21 +256,19 @@ class InstrumentedEngine(EngineWrapper):
     def suggest(self, function: LinearScoringFunction):
         function = self._as_function(function)
         calls_before = self.instrumented_oracle.calls
-        started = self._clock()
         with activated(self.recorder):
-            with self.recorder.span("engine.suggest", engine=self.inner.name):
+            with self.recorder.span("engine.suggest", engine=self.inner.name) as span:
                 result = self.inner.suggest(function)
-        elapsed = self._clock() - started
         self._suggest_calls.inc()
         self._query_count.inc()
-        self._latency.observe(elapsed)
+        self._latency.observe(span.duration)
         if self.workload is not None:
             self.workload.record_batch(
                 np.asarray(function.weights, dtype=float),
                 [result],
                 engine=self.inner.name,
                 tiers=[self._answering_tier()],
-                elapsed=elapsed,
+                elapsed=span.duration,
                 oracle_calls=self.instrumented_oracle.calls - calls_before,
             )
         return result
@@ -273,23 +276,21 @@ class InstrumentedEngine(EngineWrapper):
     def suggest_many(self, weights_matrix) -> list:
         matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         calls_before = self.instrumented_oracle.calls
-        started = self._clock()
         with activated(self.recorder):
             with self.recorder.span(
                 "engine.suggest_many", engine=self.inner.name, q=int(matrix.shape[0])
-            ):
+            ) as span:
                 results = self.inner.suggest_many(matrix)
-        elapsed = self._clock() - started
         self._suggest_many_calls.inc()
         self._query_count.inc(int(matrix.shape[0]))
-        self._batch_latency.observe(elapsed)
+        self._batch_latency.observe(span.duration)
         if self.workload is not None:
             self.workload.record_batch(
                 matrix,
                 results,
                 engine=self.inner.name,
                 tiers=self._batch_tiers(len(results)),
-                elapsed=elapsed,
+                elapsed=span.duration,
                 oracle_calls=self.instrumented_oracle.calls - calls_before,
             )
         return results

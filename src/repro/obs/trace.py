@@ -6,14 +6,11 @@ in-memory buffer and exports them as JSONL (format ``repro.obs.trace/v1``,
 one header line followed by one span per line, keys sorted — so two
 identical runs on the same injected clock export byte-identical bytes).
 
-Two APIs create spans:
-
-- ``recorder.span(name, **attributes)`` — a context manager yielding a
-  mutable handle (``handle.set(key, value)`` attaches attributes computed
-  inside the body).  Nesting is tracked automatically: a span opened inside
-  another becomes its child via ``parent_id``.
-- ``recorder.traced(name)`` — a decorator wrapping a whole function call in
-  a span.
+Spans open one way: ``recorder.span(name, **attributes)``, a context
+manager yielding a mutable handle (``handle.set(key, value)`` attaches
+attributes computed inside the body).  A span opened inside another becomes
+its child via ``parent_id``.  On close the handle's ``duration`` is set from
+the recorded span's two clock reads, even when a full buffer drops the span.
 
 The *stage seam* (:func:`stage_span` + :func:`activated`) lets preprocessing
 hot paths (``data/dominance.py``, ``geometry/dual.py``, ``core/two_dim.py``,
@@ -34,9 +31,8 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import wraps
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.clock import Clock, monotonic_clock
 from repro.exceptions import ConfigurationError
@@ -84,13 +80,14 @@ class Span:
 
 
 class _OpenSpan:
-    """Mutable handle yielded while a span is open."""
+    """Mutable handle yielded while a span is open; ``duration`` is set when it closes."""
 
-    __slots__ = ("name", "attributes")
+    __slots__ = ("name", "attributes", "duration")
 
     def __init__(self, name: str, attributes: dict[str, Any]) -> None:
         self.name = name
         self.attributes = attributes
+        self.duration: float | None = None
 
     def set(self, key: str, value: Any) -> None:
         """Attach an attribute computed inside the span body."""
@@ -131,7 +128,7 @@ class TraceRecorder:
         try:
             yield handle
         finally:
-            duration = self._clock() - start
+            handle.duration = duration = self._clock() - start
             self._stack.pop()
             if len(self._spans) >= self.max_spans:
                 self.n_dropped += 1
@@ -146,21 +143,6 @@ class TraceRecorder:
                         attributes=tuple(sorted(handle.attributes.items())),
                     )
                 )
-
-    def traced(self, name: str | None = None) -> Callable:
-        """Decorator: record one span (default name: the qualname) per call."""
-
-        def decorate(function: Callable) -> Callable:
-            label = name if name is not None else function.__qualname__
-
-            @wraps(function)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(label):
-                    return function(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     # ------------------------------------------------------------------ #
     # inspection and export

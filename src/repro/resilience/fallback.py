@@ -192,54 +192,18 @@ class BatchReport:
         return dict(counts)
 
 
-class _TierCounterView:
-    """``collections.Counter``-like view over one tier-labeled metric family.
-
-    Supports exactly what telemetry consumers use: ``view[tier] += n``,
-    ``dict(view)`` and iteration.  Reads and writes go straight to the
-    underlying :class:`~repro.obs.metrics.MetricsRegistry` series, so there
-    is one counter source however many readers look at it.
-    """
-
-    def __init__(self, metrics: MetricsRegistry, name: str) -> None:
-        self._metrics = metrics
-        self._name = name
-
-    def __getitem__(self, tier: str) -> int:
-        return self._metrics.counter(self._name, tier=tier).value
-
-    def __setitem__(self, tier: str, value: int) -> None:
-        self._metrics.counter(self._name, tier=tier).value = int(value)
-
-    def keys(self) -> list:
-        return [
-            dict(series.labels).get("tier")
-            for series in self._metrics.counter_series(self._name)
-        ]
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
 class FallbackTelemetry:
-    """Cumulative serving counters across the life of a fallback engine.
+    """Cumulative serving counters of a fallback engine, held in its metrics registry.
 
-    Since PR 8 the counters live in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (``fallback.queries``,
-    ``fallback.failovers``, ``fallback.unanswered``, plus the tier-labeled
-    ``fallback.answered`` / ``fallback.tier_failures`` families) — pass
-    ``metrics=`` to share a registry with an instrumented engine so the
-    error budget and ``python -m repro.obs report`` read one counter source.
-    The public surface is unchanged:
-    ``repro.core.monitoring.error_budget_report`` still duck-types on plain
-    ``n_queries``/``n_failovers``/``n_unanswered`` ints and dict-able
-    ``answered_by``/``tier_failures``.
+    The counters are the registry's ``fallback.queries``,
+    ``fallback.failovers`` and ``fallback.unanswered`` series and the
+    tier-labelled ``fallback.answered`` / ``fallback.tier_failures``
+    families — pass ``metrics=`` to share a registry with an instrumented
+    engine so the error budget and ``python -m repro.obs report`` read one
+    counter source.  The five public fields are read-only views of those
+    series (``answered_by`` and ``tier_failures`` as plain dicts in the
+    registry's label order); every write is a ``record_*`` method that calls
+    :meth:`~repro.obs.metrics.Counter.inc`, so no counter moves backwards.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
@@ -247,48 +211,55 @@ class FallbackTelemetry:
         self._queries = self.metrics.counter("fallback.queries")
         self._failovers = self.metrics.counter("fallback.failovers")
         self._unanswered = self.metrics.counter("fallback.unanswered")
-        self.answered_by = _TierCounterView(self.metrics, "fallback.answered")
-        self.tier_failures = _TierCounterView(self.metrics, "fallback.tier_failures")
 
     @property
     def n_queries(self) -> int:
         return self._queries.value
 
-    @n_queries.setter
-    def n_queries(self, value: int) -> None:
-        self._queries.value = int(value)
-
     @property
     def n_failovers(self) -> int:
         return self._failovers.value
-
-    @n_failovers.setter
-    def n_failovers(self, value: int) -> None:
-        self._failovers.value = int(value)
 
     @property
     def n_unanswered(self) -> int:
         return self._unanswered.value
 
-    @n_unanswered.setter
-    def n_unanswered(self, value: int) -> None:
-        self._unanswered.value = int(value)
+    @property
+    def answered_by(self) -> dict:
+        return self._by_tier("fallback.answered")
 
-    def record_answer(self, tier: str, failover: bool) -> None:
-        self.answered_by[tier] += 1
+    @property
+    def tier_failures(self) -> dict:
+        return self._by_tier("fallback.tier_failures")
+
+    def _by_tier(self, name: str) -> dict:
+        return {
+            dict(series.labels)["tier"]: series.value
+            for series in self.metrics.counter_series(name)
+        }
+
+    def record_queries(self, count: int) -> None:
+        self._queries.inc(count)
+
+    def record_answer(self, tier: str, failover: bool = False, count: int = 1) -> None:
+        """``count`` queries answered by ``tier``, after a failover when ``failover``."""
+        self.metrics.counter("fallback.answered", tier=tier).inc(count)
         if failover:
-            self.n_failovers += 1
+            self._failovers.inc(count)
 
     def record_tier_failure(self, tier: str) -> None:
-        self.tier_failures[tier] += 1
+        self.metrics.counter("fallback.tier_failures", tier=tier).inc()
+
+    def record_unanswered(self) -> None:
+        self._unanswered.inc()
 
     def as_dict(self) -> dict:
         return {
             "n_queries": self.n_queries,
             "n_failovers": self.n_failovers,
             "n_unanswered": self.n_unanswered,
-            "answered_by": dict(self.answered_by),
-            "tier_failures": dict(self.tier_failures),
+            "answered_by": self.answered_by,
+            "tier_failures": self.tier_failures,
         }
 
 
@@ -492,41 +463,54 @@ class FallbackEngine(EngineWrapper):
     # ------------------------------------------------------------------ #
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         """Answer one query through the chain; raises only when every tier fails."""
-        deadline = self.config.per_query_deadline
         errors: list[TierError] = []
-        self.telemetry.n_queries += 1
+        self.telemetry.record_queries(1)
         for label, engine in self._active_chain():
-            started = self._clock()
-            try:
-                result = engine.suggest(function)
-            except _PASS_THROUGH:
-                raise
-            except Exception as error:  # noqa: BLE001 — isolation is the point
-                errors.append(TierError(label, type(error).__name__, str(error)))
-                self.telemetry.record_tier_failure(label)
-                continue
-            elapsed = self._clock() - started
-            if deadline is not None and elapsed > deadline:
-                errors.append(
-                    TierError(
-                        label,
-                        "DeadlineExceeded",
-                        f"query took {elapsed:.3f}s, exceeding the {deadline:g}s "
-                        "per-query deadline",
-                    )
-                )
-                self.telemetry.record_tier_failure(label)
-                continue
-            self.last_record = QueryRecord(0, label, tuple(errors))
-            self.telemetry.record_answer(label, failover=bool(errors))
-            return result
-        self.telemetry.n_unanswered += 1
+            result = self._attempt(label, engine, function, errors)
+            if result is not None:
+                self.last_record = QueryRecord(0, label, tuple(errors))
+                return result
+        self.telemetry.record_unanswered()
         self.last_record = QueryRecord(0, None, tuple(errors))
         raise FallbackExhaustedError(
             f"all {len(self._active_chain())} tier(s) failed for this query: "
             + "; ".join(f"{e.tier}: {e.error_type}" for e in errors),
             attempts=tuple(errors),
         )
+
+    def _attempt(
+        self, label: str, engine, function: LinearScoringFunction, errors: list[TierError]
+    ) -> SuggestionResult | None:
+        """One query on one tier: its answer, or ``None`` once its failure is in ``errors``.
+
+        The call is timed on the chain's clock, so ``per_query_deadline``
+        holds whether or not a trace recorder is active; the answer or the
+        :class:`TierError` goes into the telemetry.
+        """
+        started = self._clock()
+        try:
+            result = engine.suggest(function)
+        except _PASS_THROUGH:
+            raise
+        except Exception as error:  # noqa: BLE001 — isolation is the point
+            errors.append(TierError(label, type(error).__name__, str(error)))
+            self.telemetry.record_tier_failure(label)
+            return None
+        elapsed = self._clock() - started
+        deadline = self.config.per_query_deadline
+        if deadline is not None and elapsed > deadline:
+            errors.append(
+                TierError(
+                    label,
+                    "DeadlineExceeded",
+                    f"query took {elapsed:.3f}s, exceeding the {deadline:g}s "
+                    "per-query deadline",
+                )
+            )
+            self.telemetry.record_tier_failure(label)
+            return None
+        self.telemetry.record_answer(label, failover=bool(errors))
+        return result
 
     def suggest_many(self, weights_matrix):
         """Answer a batch with per-query fault isolation.
@@ -541,7 +525,7 @@ class FallbackEngine(EngineWrapper):
         matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         chain = self._active_chain()
         q = matrix.shape[0]
-        self.telemetry.n_queries += q
+        self.telemetry.record_queries(q)
 
         # Happy path: the first tier answers the whole batch natively.  Kept
         # allocation-free beyond the call itself so wrapping an engine in a
@@ -554,7 +538,7 @@ class FallbackEngine(EngineWrapper):
         except Exception:  # noqa: BLE001 — fall through to isolation below
             pass
         else:
-            self.telemetry.answered_by[first_label] += q
+            self.telemetry.record_answer(first_label, count=q)
             self._last_batch = (q, first_label)
             return answers
 
@@ -562,7 +546,6 @@ class FallbackEngine(EngineWrapper):
         results: list = [None] * q
         errors: list[list[TierError]] = [[] for _ in range(q)]
         tiers_of: list[str | None] = [None] * q
-        deadline = self.config.per_query_deadline
 
         # Rows that cannot even become scoring functions are poisoned input:
         # they fail identically on every tier, so record them once and skip.
@@ -598,34 +581,12 @@ class FallbackEngine(EngineWrapper):
                 break
             still_pending: list[int] = []
             for position in pending:
-                started = self._clock()
-                try:
-                    answer = engine.suggest(functions[position])
-                except _PASS_THROUGH:
-                    raise
-                except Exception as error:  # noqa: BLE001
-                    errors[position].append(
-                        TierError(label, type(error).__name__, str(error))
-                    )
-                    self.telemetry.record_tier_failure(label)
+                answer = self._attempt(label, engine, functions[position], errors[position])
+                if answer is None:
                     still_pending.append(position)
-                    continue
-                elapsed = self._clock() - started
-                if deadline is not None and elapsed > deadline:
-                    errors[position].append(
-                        TierError(
-                            label,
-                            "DeadlineExceeded",
-                            f"query took {elapsed:.3f}s, exceeding the "
-                            f"{deadline:g}s per-query deadline",
-                        )
-                    )
-                    self.telemetry.record_tier_failure(label)
-                    still_pending.append(position)
-                    continue
-                results[position] = answer
-                tiers_of[position] = label
-                self.telemetry.record_answer(label, failover=bool(errors[position]))
+                else:
+                    results[position] = answer
+                    tiers_of[position] = label
             pending = still_pending
 
         output: list = []
@@ -635,7 +596,7 @@ class FallbackEngine(EngineWrapper):
                 QueryRecord(position, tiers_of[position], tuple(errors[position]))
             )
             if results[position] is None:
-                self.telemetry.n_unanswered += 1
+                self.telemetry.record_unanswered()
                 output.append(
                     QueryFailure(
                         position,

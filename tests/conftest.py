@@ -119,3 +119,25 @@ def shared_two_d_index(shared_compas_3d, shared_race_oracle_3d):
         dataset, "race", "African-American", k=0.3, slack=0.10
     )
     return dataset, oracle, TwoDRaySweep(dataset, oracle).run()
+
+
+class TickingClock:
+    """A clock that advances one whole tick on every read.
+
+    Under it a span's duration counts the clock reads made inside the span
+    plus one, so a reported duration that is not a whole number of ticks
+    came from some other clock.
+    """
+
+    def __init__(self) -> None:
+        self.ticks = 0.0
+
+    def __call__(self) -> float:
+        self.ticks += 1.0
+        return self.ticks
+
+
+@pytest.fixture
+def ticking_clock() -> TickingClock:
+    """A fresh :class:`TickingClock`."""
+    return TickingClock()

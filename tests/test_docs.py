@@ -8,8 +8,8 @@ Three enforcement points:
 * a ``--doctest-modules`` pytest run over each of ``scripts/check_all.py``'s
   ``DOCTEST_MODULES`` — the ``>>>`` examples in their public docstrings
   must stay runnable;
-* the README quickstart and its command lines run to completion within a
-  time limit.
+* the README quickstart, its command lines and the fast ``examples/``
+  scripts run to completion within a time limit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,15 @@ import pytest
 import repro
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The ``examples/`` scripts that finish in seconds; the others take 18–67 s
+#: each and stay out of tier-1 (ROADMAP direction 1).
+FAST_EXAMPLES = (
+    "college_admissions.py",
+    "flight_diversity.py",
+    "prefix_fairness.py",
+    "quickstart.py",
+)
 
 
 def _load_script(name: str):
@@ -170,3 +179,18 @@ class TestDocumentedEntryPoints:
         assert "engine saved to engine.json" in result.stdout
         assert result.stdout.count(" -> ") == 2
         assert (tmp_path / "engine.json").exists()
+
+    @pytest.mark.parametrize("script", FAST_EXAMPLES)
+    def test_fast_example_scripts_finish(self, script, tmp_path):
+        """Each runs as documented (``python examples/<script>``) and writes no file."""
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / script)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.strip()
+        assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.extensions import (
+    experiment_ablation_grid_resolution,
+    experiment_ablation_partition,
+)
 from repro.experiments.harness import Series, SweepResult
 from repro.experiments.reporting import (
     format_histogram,
@@ -150,6 +154,94 @@ class TestWorkloadsSmallScale:
     def test_ablation_layers(self):
         result = experiment_ablation_convex_layers(n_items=25, d=3, k=8)
         assert result["convex_layers_hyperplanes"] <= result["full_hyperplanes"]
+
+
+#: Each timed experiment at test size, and the number of queries its
+#: reported seconds are a per-query mean over (1 for a total).
+TIMED_EXPERIMENTS = {
+    "fig17": (lambda: experiment_fig17_2d_preprocessing(n_values=(30, 60)), 1),
+    "online_2d": (lambda: experiment_online_2d(n_items=200, n_queries=5), 5),
+    "online_md": (
+        lambda: experiment_online_md(
+            d_values=(3,), n_items=30, n_queries=5, n_cells=16, max_hyperplanes=20
+        ),
+        5,
+    ),
+    "fig18": (lambda: experiment_fig18_arrangement_tree(n_items=15, hyperplane_counts=(5, 10)), 1),
+    "fig20": (lambda: experiment_fig20_hyperplanes(n_values=(20, 40)), 1),
+    "fig22": (
+        lambda: experiment_fig22_preprocessing_vs_n(
+            n_values=(15, 25), d=3, n_cells=16, max_hyperplanes=20
+        ),
+        1,
+    ),
+    "fig23": (
+        lambda: experiment_fig23_preprocessing_vs_d(
+            d_values=(3,), n_items=20, n_cells=16, max_hyperplanes=15
+        ),
+        1,
+    ),
+    "sampling": (
+        lambda: experiment_sampling_dot(
+            full_size=2000, sample_size=50, n_cells=16, max_hyperplanes=25
+        ),
+        1,
+    ),
+    "grid_resolution": (
+        lambda: experiment_ablation_grid_resolution(
+            n_cells_values=(16,), n_items=30, n_queries=3, max_hyperplanes=15
+        ),
+        1,
+    ),
+    "partition": (
+        lambda: experiment_ablation_partition(
+            n_items=30, n_cells=16, n_queries=3, max_hyperplanes=15
+        ),
+        1,
+    ),
+}
+
+
+def _reported_seconds(result) -> list[float]:
+    """Every ``*_seconds`` value an experiment reports."""
+    if isinstance(result, SweepResult):
+        return [
+            value
+            for name, series in result.series.items()
+            if name.endswith("_seconds")
+            for value in series.ys
+        ]
+    return [
+        value
+        for item in (result if isinstance(result, list) else [result])
+        for name, value in vars(item).items()
+        if name.endswith("_seconds")
+    ]
+
+
+@pytest.mark.slow
+class TestExperimentsReadSpans:
+    """Every duration an experiment reports is a span duration on the recorders' clock."""
+
+    @pytest.mark.parametrize("name", sorted(TIMED_EXPERIMENTS))
+    def test_seconds_are_whole_ticks_of_the_recorder_clock(
+        self, name, ticking_clock, monkeypatch
+    ):
+        monkeypatch.setattr("repro.obs.trace.monotonic_clock", ticking_clock)
+        run, n_queries = TIMED_EXPERIMENTS[name]
+        seconds = _reported_seconds(run())
+        assert seconds
+        for value in seconds:
+            ticks = value * n_queries
+            assert ticks >= 1 and ticks == pytest.approx(round(ticks), abs=1e-9), value
+
+    def test_fig18_tree_series_reads_the_arrangement_build_stage(
+        self, ticking_clock, monkeypatch
+    ):
+        monkeypatch.setattr("repro.obs.trace.monotonic_clock", ticking_clock)
+        sweep = experiment_fig18_arrangement_tree(n_items=15, hyperplane_counts=(5,))
+        # insert_hyperplanes opens no span inside its stage: two reads, one tick.
+        assert sweep.series["arrangement_tree_seconds"].ys == [1.0]
 
 
 class TestCLI:

@@ -106,6 +106,20 @@ def test_trace_buffer_is_bounded_and_counts_drops():
     assert len(spans) == 2
 
 
+def test_span_handle_reports_its_duration_even_when_dropped():
+    clock = FakeClock()
+    recorder = TraceRecorder(clock=clock, max_spans=1)
+    handles = []
+    for seconds in (0.25, 0.5):
+        with recorder.span("engine.suggest") as span:
+            assert span.duration is None  # set only once the span closes
+            clock.advance(seconds)
+        handles.append(span)
+    assert recorder.n_dropped == 1
+    assert [span.duration for span in recorder.spans] == [0.25]
+    assert [handle.duration for handle in handles] == [0.25, 0.5]
+
+
 def test_stage_span_is_a_no_op_without_an_active_recorder():
     assert active_recorder() is None
     with stage_span("preprocess.pair_chunk", start=0) as span:
@@ -332,6 +346,39 @@ def test_instrumented_engine_counts_queries_and_latency(
     assert batch_latency["count"] == 1
 
 
+def test_instrumented_latency_histograms_are_the_engine_spans(
+    small_compas_2d, race_oracle_2d, ticking_clock
+):
+    observed = InstrumentedEngine(
+        small_compas_2d,
+        race_oracle_2d,
+        InstrumentedConfig(inner=TwoDConfig(), record_workload=True),
+        clock=ticking_clock,
+    ).preprocess()
+    for weights in _queries(3, 2):
+        observed.suggest(weights)
+    observed.suggest_many(_queries(4, 2))
+    histograms = {
+        series["name"]: series for series in observed.metrics.snapshot()["histograms"]
+    }
+    calls = [
+        span
+        for span in observed.recorder.spans
+        if span.name in ("engine.suggest", "engine.suggest_many")
+    ]
+    for name, count in (("engine.suggest", 3), ("engine.suggest_many", 1)):
+        durations = [span.duration for span in calls if span.name == name]
+        assert len(durations) == count
+        assert all(float(duration).is_integer() and duration >= 1 for duration in durations)
+        assert histograms[f"{name}_seconds"]["count"] == count
+        assert histograms[f"{name}_seconds"]["sum"] == sum(durations)
+    # The workload log's batch_elapsed is the same span duration, per query.
+    batch_sizes = [1, 1, 1, 4]
+    assert [record["batch_elapsed"] for record in observed.workload.records()] == [
+        span.duration for span, size in zip(calls, batch_sizes) for _ in range(size)
+    ]
+
+
 def test_instrumented_maintenance_records_one_span_per_operation(
     small_compas_2d, race_oracle_2d
 ):
@@ -459,7 +506,7 @@ def test_replay_flags_mismatches_against_a_different_engine(
 def test_fallback_telemetry_reads_and_writes_the_registry():
     metrics = MetricsRegistry()
     telemetry = FallbackTelemetry(metrics=metrics)
-    telemetry.n_queries += 3
+    telemetry.record_queries(3)
     telemetry.record_answer("tier0:2d", failover=False)
     telemetry.record_answer("tier1:approximate", failover=True)
     telemetry.record_tier_failure("tier0:2d")
@@ -469,6 +516,26 @@ def test_fallback_telemetry_reads_and_writes_the_registry():
     assert dict(telemetry.answered_by) == {"tier0:2d": 1, "tier1:approximate": 1}
     assert dict(telemetry.tier_failures) == {"tier0:2d": 1}
     assert telemetry.as_dict()["n_failovers"] == 1
+
+
+def test_fallback_telemetry_fields_are_read_only_views_of_the_registry():
+    metrics = MetricsRegistry()
+    telemetry = FallbackTelemetry(metrics=metrics)
+    for field in ("n_queries", "n_failovers", "n_unanswered", "answered_by", "tier_failures"):
+        with pytest.raises(AttributeError):
+            setattr(telemetry, field, 0)
+    telemetry.record_answer("1:approximate", count=4)
+    telemetry.record_answer("0:exact", failover=True)
+    telemetry.record_unanswered()
+    # A copy handed out earlier does not write back.
+    telemetry.answered_by["0:exact"] = 99
+    assert telemetry.answered_by == {"0:exact": 1, "1:approximate": 4}
+    assert list(telemetry.answered_by) == ["0:exact", "1:approximate"]
+    assert metrics.counter("fallback.answered", tier="0:exact").value == 1
+    assert (telemetry.n_failovers, telemetry.n_unanswered) == (1, 1)
+    with pytest.raises(ConfigurationError):
+        telemetry.record_queries(-1)  # a counter cannot move backwards
+    assert telemetry.n_queries == 0
 
 
 def test_fallback_engine_shares_a_registry_with_the_budget_report(

@@ -108,6 +108,24 @@ class TestRuleFixtures:
         fired = [f for f in result.findings if f.rule == rule_id]
         assert fired == [], "\n".join(f.render() for f in fired)
 
+    def test_obs_clock_fires_on_a_stopwatch_in_an_experiment_module(self):
+        # The fixtures live under an "experiments" path segment, which puts
+        # them in the rule's scope (as src/repro/experiments/ is).
+        bad = run_over([FIXTURES / "obs_clock" / "experiments" / "bad.py"])
+        fired = [f for f in bad.findings if f.rule == "obs-clock"]
+        assert [f.line for f in fired] == [2, 6, 8]  # the import and both reads
+        good = run_over([FIXTURES / "obs_clock" / "experiments" / "good.py"])
+        assert [f for f in good.findings if f.rule == "obs-clock"] == []
+
+    def test_obs_clock_ignores_a_stopwatch_outside_its_scope(self, tmp_path):
+        victim = tmp_path / "serving.py"
+        victim.write_text(
+            (FIXTURES / "obs_clock" / "experiments" / "bad.py").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        result = run_over([victim])
+        assert [f for f in result.findings if f.rule == "obs-clock"] == []
+
     def test_determinism_counts_every_violation_kind(self):
         result = run_over([FIXTURES / "determinism" / "bad.py"])
         lines = {f.line for f in result.findings if f.rule == "determinism"}
