@@ -71,11 +71,10 @@ class MDApproxIndex:
     ``assigned_angles[c]`` is the angle vector of the satisfactory function
     assigned to cell ``c`` (``None`` when the constraint is unsatisfiable
     everywhere).  ``marked`` flags the cells whose function was found inside
-    the cell itself (before colouring).
+    the cell itself (before colouring).  The index holds geometry only:
+    ``MDONLINE`` takes the dataset and the oracle from its caller.
     """
 
-    dataset: Dataset
-    oracle: FairnessOracle
     partition: AnglePartitionProtocol
     assigned_angles: list[np.ndarray | None] = field(default_factory=list)
     marked: list[bool] = field(default_factory=list)
@@ -93,6 +92,11 @@ class MDApproxIndex:
         return self.partition.n_cells
 
     @property
+    def n_attributes(self) -> int:
+        """Number of scoring attributes: one more than the angle space's dimension."""
+        return self.partition.dimension + 1
+
+    @property
     def n_marked_cells(self) -> int:
         """Number of cells in which a satisfactory function was found directly."""
         return sum(self.marked)
@@ -104,7 +108,7 @@ class MDApproxIndex:
 
     def approximation_bound(self) -> float:
         """Theorem 6 bound on the extra angular distance of the returned answers."""
-        return theorem6_bound(self.n_cells, self.dataset.n_attributes)
+        return theorem6_bound(self.n_cells, self.n_attributes)
 
     def _assigned_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stack the assigned cells once: ``(cell indices, weight rows, row norms)``.
@@ -131,7 +135,7 @@ class MDApproxIndex:
                     ]
                 )
                 if cells.size
-                else np.zeros((0, self.dataset.n_attributes))
+                else np.zeros((0, self.n_attributes))
             )
             norms = np.asarray([float(np.linalg.norm(row)) for row in weights])
             cache = (cells, weights, norms)
@@ -186,10 +190,6 @@ class MDApproxIndex:
         """
         cells, _weights, _norms = self._assigned_stack()
         return self.assigned_angles[int(cells[self._nearest_assigned_position(query_angles)])]
-
-    def query(self, function: LinearScoringFunction) -> SuggestionResult:
-        """Answer a query using the cell index (Algorithm 11, ``MDONLINE``)."""
-        return md_online(self, function)
 
 
 class ApproximatePreprocessor:
@@ -258,9 +258,7 @@ class ApproximatePreprocessor:
 
         Each of the four stages runs under its own stage span.
         """
-        index = MDApproxIndex(
-            dataset=self.dataset, oracle=self.oracle, partition=self.partition
-        )
+        index = MDApproxIndex(partition=self.partition)
 
         with stage_span("preprocess.hyperplane_construction") as span:
             hyperplanes = exchange_hyperplanes(
@@ -426,7 +424,7 @@ def md_online_lookup(index: MDApproxIndex, function: LinearScoringFunction) -> S
     """
     if not index.assigned_angles:
         raise NotPreprocessedError("run ApproximatePreprocessor before issuing online queries")
-    if function.dimension != index.dataset.n_attributes:
+    if function.dimension != index.n_attributes:
         raise GeometryError("query dimension does not match the dataset")
     if not index.has_satisfactory_function:
         raise NoSatisfactoryFunctionError(
@@ -448,8 +446,17 @@ def md_online_lookup(index: MDApproxIndex, function: LinearScoringFunction) -> S
     )
 
 
-def md_online(index: MDApproxIndex, function: LinearScoringFunction) -> SuggestionResult:
+def md_online(
+    dataset: Dataset,
+    oracle: FairnessOracle,
+    index: MDApproxIndex,
+    function: LinearScoringFunction,
+) -> SuggestionResult:
     """Online query answering over the cell index (Algorithm 11, ``MDONLINE``).
+
+    Line 1 re-checks the query itself with ``oracle`` on ``dataset`` (the
+    dataset the index was built on); an unsatisfactory query is answered by
+    :func:`md_online_lookup`.
 
     Raises
     ------
@@ -460,9 +467,9 @@ def md_online(index: MDApproxIndex, function: LinearScoringFunction) -> Suggesti
     """
     if not index.assigned_angles:
         raise NotPreprocessedError("run ApproximatePreprocessor before issuing online queries")
-    if function.dimension != index.dataset.n_attributes:
+    if function.dimension != index.n_attributes:
         raise GeometryError("query dimension does not match the dataset")
-    if index.oracle.evaluate_function(function, index.dataset):
+    if oracle.evaluate_function(function, dataset):
         return SuggestionResult(
             query=function, satisfactory=True, function=function, angular_distance=0.0
         )

@@ -641,12 +641,11 @@ class _EngineBase:
         dataset = dataset_from_dict(payload["preprocessing_dataset"])
         engine = cls(dataset, oracle, config)
         engine._preprocessing_dataset = dataset
-        engine._index = engine._index_from_dict(payload["index"], dataset, oracle)
+        engine._index = engine._index_from_dict(payload["index"])
         return engine
 
-    def _index_from_dict(
-        self, payload: dict[str, Any], dataset: Dataset, oracle: FairnessOracle
-    ) -> Any:
+    def _index_from_dict(self, payload: dict[str, Any]) -> Any:
+        """Rebuild the index; the engine already holds its dataset and oracle."""
         raise NotImplementedError
 
 
@@ -752,9 +751,7 @@ class TwoDEngine(_EngineBase):
 
         return two_d_index_to_dict(self.index)
 
-    def _index_from_dict(
-        self, payload: dict[str, Any], dataset: Dataset, oracle: FairnessOracle
-    ) -> TwoDIndex:
+    def _index_from_dict(self, payload: dict[str, Any]) -> TwoDIndex:
         from repro.io.index_store import two_d_index_from_dict
 
         return two_d_index_from_dict(payload)
@@ -854,9 +851,7 @@ class ExactEngine(_EngineBase):
 
         return exact_index_to_dict(self.index)
 
-    def _index_from_dict(
-        self, payload: dict[str, Any], dataset: Dataset, oracle: FairnessOracle
-    ) -> MDExactIndex:
+    def _index_from_dict(self, payload: dict[str, Any]) -> MDExactIndex:
         from repro.io.index_store import exact_index_from_dict
 
         return exact_index_from_dict(payload)
@@ -883,7 +878,7 @@ class ApproxEngine(_EngineBase):
         ).run()
 
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
-        return md_online(self.index, function)
+        return md_online(self.preprocessing_dataset, self.oracle, self.index, function)
 
     def suggest_many(
         self, weights_matrix: np.ndarray | Sequence[Sequence[float]]
@@ -908,21 +903,10 @@ class ApproxEngine(_EngineBase):
             raise NotPreprocessedError(
                 "run ApproximatePreprocessor before issuing online queries"
             )
-        # One vectorised validation pass covers the whole batch, so function
-        # construction can use the trusted constructor; rows that would fail
-        # validation go through the normal constructor and raise exactly what
-        # the scalar path raises.
-        trusted = bool(
-            np.all(np.isfinite(matrix))
-            and not np.any(matrix < 0)
-            and np.all(np.any(matrix > 0, axis=1))
-        )
-        make_function = (
-            LinearScoringFunction._from_trusted if trusted else LinearScoringFunction
-        )
+        make_function = LinearScoringFunction._row_constructor(matrix)
         functions = [make_function(tuple(row)) for row in matrix.tolist()]
         satisfactory = evaluate_functions_many(
-            index.oracle, index.dataset, functions, weight_matrix=matrix
+            self.oracle, self.preprocessing_dataset, functions, weight_matrix=matrix
         )
         results: list[SuggestionResult | None] = [None] * matrix.shape[0]
         for position in np.flatnonzero(satisfactory).tolist():
@@ -990,19 +974,25 @@ class ApproxEngine(_EngineBase):
 
         return approx_index_to_dict(self.index)
 
-    def _index_from_dict(
-        self, payload: dict[str, Any], dataset: Dataset, oracle: FairnessOracle
-    ) -> MDApproxIndex:
+    def _index_from_dict(self, payload: dict[str, Any]) -> MDApproxIndex:
         from repro.io.index_store import approx_index_from_dict
 
-        return approx_index_from_dict(payload, oracle=oracle, dataset=dataset)
+        index = approx_index_from_dict(payload)
+        n_attributes = self.preprocessing_dataset.n_attributes
+        if index.n_attributes != n_attributes:
+            raise ConfigurationError(
+                f"index partition has dimension {index.partition.dimension} but the "
+                f"dataset has {n_attributes} scoring attributes"
+            )
+        return index
 
 
 # --------------------------------------------------------------------------- #
 # the serving-layer wrapper base
 # --------------------------------------------------------------------------- #
 class EngineWrapper:
-    """Base of the engines that wrap another engine, held as ``self.inner``.
+    """Base of the engines that wrap another engine, held as ``self.inner``,
+    and of the :class:`~repro.core.system.FairRankingDesigner` facade.
 
     Forwards the seam (``preprocess`` / ``suggest`` / ``suggest_many`` /
     ``apply_delta`` / ``refresh``) and the read-only engine state (``dataset``,

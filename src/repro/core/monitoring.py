@@ -189,7 +189,7 @@ def error_budget_report(engine, budget: float = 0.01) -> ErrorBudgetReport:
 def check_approx_index_freshness(
     index: MDApproxIndex,
     dataset: Dataset,
-    oracle: FairnessOracle | None = None,
+    oracle: FairnessOracle,
     sample_cells: int | None = None,
     seed: int | None = 0,
 ) -> FreshnessReport:
@@ -202,18 +202,17 @@ def check_approx_index_freshness(
     dataset:
         The new dataset snapshot (same scoring attributes as the index's).
     oracle:
-        Oracle to check against; defaults to the index's own oracle.
+        The fairness oracle to check against.
     sample_cells:
         If given, only a uniform random subset of this many assigned cells is
         checked — enough for a quick health check on very fine grids.
     seed:
         Seed of the cell subsample.
     """
-    if dataset.n_attributes != index.dataset.n_attributes:
+    if dataset.n_attributes != index.n_attributes:
         raise ConfigurationError(
             "the new dataset must have the same scoring attributes as the indexed one"
         )
-    oracle = oracle if oracle is not None else index.oracle
     assigned_cells = [
         cell_index
         for cell_index, angles in enumerate(index.assigned_angles)
@@ -345,7 +344,7 @@ def check_engine_freshness(
         )
     if isinstance(index, MDApproxIndex):
         return check_approx_index_freshness(
-            index, dataset, oracle=oracle, sample_cells=sample_cells, seed=seed
+            index, dataset, oracle, sample_cells=sample_cells, seed=seed
         )
     raise ConfigurationError(
         f"engine {getattr(engine, 'name', '?')!r} serves a "

@@ -311,21 +311,6 @@ class SatRegions:
                 span.set("oracle_calls", index.oracle_calls)
         return index
 
-    # ------------------------------------------------------------------ #
-    # online answering (MDBASELINE)
-    # ------------------------------------------------------------------ #
-    def query(self, index: MDExactIndex, function: LinearScoringFunction) -> SuggestionResult:
-        """Answer a query exactly (Algorithm 6, ``MDBASELINE``).
-
-        If the query is already satisfactory it is returned unchanged.
-        Otherwise the closest point of every satisfactory region is found — at
-        ``d = 3`` from the region polygons in one vectorised pass over their
-        edges, otherwise (and for a degenerate polygon) with a constrained
-        non-linear minimisation of the angular distance — and the closest
-        point the oracle verifies is suggested.
-        """
-        return md_baseline(self.dataset, self.oracle, index, function)
-
 
 def insert_hyperplanes(tree: ArrangementTree, hyperplanes: Iterable[Hyperplane]) -> None:
     """Insert ``hyperplanes`` in order under the ``preprocess.arrangement_build`` span.

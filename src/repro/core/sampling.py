@@ -49,7 +49,7 @@ class SampleValidationReport:
 
 
 def validate_index_on_dataset(
-    index: MDApproxIndex, dataset: Dataset, oracle: FairnessOracle | None = None
+    index: MDApproxIndex, dataset: Dataset, oracle: FairnessOracle
 ) -> SampleValidationReport:
     """Check every distinct assigned function of an index against a (full) dataset.
 
@@ -60,7 +60,6 @@ def validate_index_on_dataset(
     (:func:`repro.fairness.batched.as_batched`); black-box oracles are checked
     function by function, bit-identically.
     """
-    oracle = oracle if oracle is not None else index.oracle
     distinct: list[np.ndarray] = []
     for angles in index.assigned_angles:
         if angles is None:

@@ -13,7 +13,7 @@ transcript, and serialised for audit trails.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 

@@ -3,8 +3,9 @@
 The paper describes a *query answering system*: the user hands it a dataset
 and a fairness oracle, the system preprocesses offline, and then every
 proposed weight vector is answered in interactive time with either "already
-fair" or the closest satisfactory alternative.  ``FairRankingDesigner`` is a
-thin facade over the engine registry of :mod:`repro.core.engine`: each
+fair" or the closest satisfactory alternative.  ``FairRankingDesigner`` is an
+:class:`~repro.core.engine.EngineWrapper` around one engine of the registry
+of :mod:`repro.core.engine`: the base forwards the engine seam, and each
 pipeline is a registered :class:`~repro.core.engine.QueryEngine` selected by a
 typed configuration dataclass —
 
@@ -35,6 +36,7 @@ import numpy as np
 from repro.core.engine import (
     ApproxConfig,
     EngineCapabilities,
+    EngineWrapper,
     ExactConfig,
     QueryEngine,
     TwoDConfig,
@@ -50,8 +52,13 @@ from repro.ranking.scoring import LinearScoringFunction
 __all__ = ["FairRankingDesigner"]
 
 
-class FairRankingDesigner:
+class FairRankingDesigner(EngineWrapper):
     """End-to-end system for designing fair linear ranking schemes.
+
+    The designer holds its engine as ``inner``, and the
+    :class:`~repro.core.engine.EngineWrapper` base forwards the engine's state
+    and seam to it; the designer adds the default config, :meth:`check`, a
+    :meth:`suggest` that accepts plain weight lists, and persistence.
 
     Parameters
     ----------
@@ -91,12 +98,12 @@ class FairRankingDesigner:
     ) -> None:
         if config is None:
             config = default_engine_config(dataset)
-        self._engine: QueryEngine = create_engine(dataset, oracle, config)
+        self.inner: QueryEngine = create_engine(dataset, oracle, config)
 
     @classmethod
     def _from_engine(cls, engine: QueryEngine) -> "FairRankingDesigner":
         designer = cls.__new__(cls)
-        designer._engine = engine
+        designer.inner = engine
         return designer
 
     # ------------------------------------------------------------------ #
@@ -105,67 +112,26 @@ class FairRankingDesigner:
     @property
     def engine(self) -> QueryEngine:
         """The underlying pipeline engine."""
-        return self._engine
+        return self.inner
 
     @property
     def config(self):
         """The engine's typed configuration dataclass."""
-        return self._engine.config
+        return self.inner.config
 
     @property
     def mode(self) -> str:
         """Registry name of the active engine (``"2d"``/``"exact"``/``"approximate"``)."""
-        return self._engine.name
+        return self.inner.name
 
     def capabilities(self) -> EngineCapabilities:
         """Capabilities of the active engine."""
-        return self._engine.capabilities()
-
-    @property
-    def dataset(self) -> Dataset:
-        """The dataset being ranked (after :meth:`load`, the restored preprocessing dataset)."""
-        return self._engine.dataset
+        return self.inner.capabilities()
 
     @property
     def oracle(self) -> FairnessOracle:
         """The fairness oracle."""
-        return self._engine.oracle
-
-    # ------------------------------------------------------------------ #
-    # offline phase
-    # ------------------------------------------------------------------ #
-    def preprocess(self) -> "FairRankingDesigner":
-        """Run the offline phase; returns ``self`` so calls can be chained."""
-        self._engine.preprocess()
-        return self
-
-    @property
-    def is_preprocessed(self) -> bool:
-        """True once :meth:`preprocess` has run (or the designer was loaded)."""
-        return self._engine.is_preprocessed
-
-    @property
-    def index(self):
-        """The underlying offline index (engine specific)."""
-        return self._engine.index
-
-    # ------------------------------------------------------------------ #
-    # maintenance
-    # ------------------------------------------------------------------ #
-    def apply_delta(self, delta):
-        """Apply a batch of item mutations to the live index.
-
-        Forwards a :class:`~repro.core.maintenance.DatasetDelta` through the
-        engine seam: the 2-D and exact engines maintain their index
-        incrementally when the delta is small and supported, and every engine
-        rebuilds past :data:`~repro.core.engine.STALENESS_THRESHOLD`.
-        Returns the engine's :class:`~repro.core.maintenance.MaintenanceReport`.
-        """
-        return self._engine.apply_delta(delta)
-
-    def refresh(self):
-        """Re-run the oracle-dependent stages, e.g. after the oracle's criterion drifted."""
-        return self._engine.refresh()
+        return self.inner.oracle
 
     # ------------------------------------------------------------------ #
     # online phase
@@ -177,18 +143,7 @@ class FairRankingDesigner:
 
     def suggest(self, weights: Sequence[float] | LinearScoringFunction) -> SuggestionResult:
         """Answer a CLOSEST SATISFACTORY FUNCTION query for the proposed weights."""
-        return self._engine.suggest(self._as_function(weights))
-
-    def suggest_many(self, weights_matrix) -> list[SuggestionResult]:
-        """Answer a batch of queries — one row of ``weights_matrix`` per query.
-
-        Returns exactly what ``[self.suggest(w) for w in weights_matrix]``
-        would, but through the engine's batched path: the 2-D engine
-        classifies the whole batch with one binary search over the cached
-        interval starts, and the approximate engine locates cells in
-        vectorised chunks.
-        """
-        return self._engine.suggest_many(weights_matrix)
+        return self.inner.suggest(self._as_function(weights))
 
     def _as_function(
         self, weights: Sequence[float] | LinearScoringFunction
@@ -216,7 +171,7 @@ class FairRankingDesigner:
         """
         from repro.io.index_store import save_engine
 
-        save_engine(self._engine, path)
+        save_engine(self.inner, path)
 
     @classmethod
     def load(cls, path, oracle: FairnessOracle) -> "FairRankingDesigner":

@@ -272,18 +272,7 @@ class TwoDIndex:
         )
         distances = np.abs(angles - best)
 
-        # One vectorised validation pass covers the whole batch, so the
-        # result loop can use the trusted constructor; rows that would fail
-        # validation go through the normal constructor and raise exactly what
-        # the scalar path raises.
-        trusted = bool(
-            np.all(np.isfinite(matrix))
-            and not np.any(matrix < 0)
-            and np.all(np.any(matrix > 0, axis=1))
-        )
-        make_function = (
-            LinearScoringFunction._from_trusted if trusted else LinearScoringFunction
-        )
+        make_function = LinearScoringFunction._row_constructor(matrix)
         results: list[SuggestionResult] = []
         satisfied_list = satisfied.tolist()
         radii_list = radii.tolist()

@@ -102,36 +102,41 @@ def non_dominated_pairs(scores: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i_indices.tolist(), j_indices.tolist()))
 
 
+def _exchange_pairs(
+    scores: np.ndarray, rows: np.ndarray, columns: np.ndarray, rtol: float, atol: float
+) -> np.ndarray:
+    """The exchange rule: pairs ``(i, j)`` with ``i < j``, ``i`` in ``rows``, ``j`` in ``columns``.
+
+    A pair exchanges iff neither row dominates the other and the two rows are
+    not near-identical (§3.2, footnote 4).  Scores are finite, so "neither
+    dominates" is "some difference is positive and some is negative" (equal
+    rows are close, and excluded, anyway).  Closeness is ``allclose``'s
+    asymmetric ``|a - b| <= atol + rtol * |b|`` with ``b`` the larger index
+    ``j``.  ``rows`` and ``columns`` are ascending index arrays; pairs come
+    in row-major order.  Every enumerator below runs exactly this function.
+    """
+    difference = scores[rows, None, :] - scores[None, columns, :]
+    mixed = np.any(difference > 0.0, axis=2) & np.any(difference < 0.0, axis=2)
+    np.abs(difference, out=difference)
+    close = np.all(difference <= atol + rtol * np.abs(scores[columns]), axis=2)
+    first, second = np.nonzero(mixed & ~close & (rows[:, None] < columns[None, :]))
+    return np.column_stack((rows[first], columns[second]))
+
+
 def exchange_pair_indices(
     scores: np.ndarray, rtol: float = 1e-5, atol: float = 1e-8
 ) -> np.ndarray:
     """Return the ``(m, 2)`` array of row pairs that produce an ordering exchange.
 
     A pair exchanges iff the two rows are not near-identical (``allclose``) and
-    neither dominates the other (§3.2, footnote 4).  This is the single
-    vectorised pair-enumeration kernel shared by the 2-D ray sweep, the
-    multi-dimensional arrangement construction and the approximate
-    preprocessor; it replaces ~n²/2 scalar ``has_exchange`` calls with three
-    broadcast comparisons.  O(n² d) time and O(n²) memory; pairs are returned
-    with ``i < j`` in row-major (nested-loop) order.
+    neither dominates the other (§3.2, footnote 4).  The concatenation of
+    :func:`iter_exchange_pair_chunks` (the 2-D exchange build reads it; the
+    d ≥ 3 builders consume the chunks directly), so memory stays bounded.
+    Pairs are returned with ``i < j`` in row-major (nested-loop) order.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2:
-        raise DatasetError("exchange_pair_indices expects an (n, d) matrix")
-    # One shared (n, n, d) difference tensor feeds all three masks (IEEE
-    # subtraction preserves comparison signs exactly, so `diff >= 0` matches
-    # `scores[i] >= scores[j]` elementwise), roughly halving peak memory vs.
-    # composing dominance_matrix + pairwise_close_matrix.
-    difference = scores[:, None, :] - scores[None, :, :]
-    greater_equal = np.all(difference >= 0.0, axis=2)
-    strictly_greater = np.any(difference > 0.0, axis=2)
-    dominates_matrix = greater_equal & strictly_greater
-    close = np.all(
-        np.abs(difference) <= atol + rtol * np.abs(scores[None, :, :]), axis=2
+    return np.concatenate(
+        [np.empty((0, 2), dtype=int), *iter_exchange_pair_chunks(scores, rtol=rtol, atol=atol)]
     )
-    eligible = ~dominates_matrix & ~dominates_matrix.T & ~close
-    i_indices, j_indices = np.nonzero(np.triu(eligible, k=1))
-    return np.column_stack((i_indices, j_indices))
 
 
 def default_row_chunk_size(n: int, d: int) -> int:
@@ -164,17 +169,7 @@ def exchange_pairs_for_block(
         raise DatasetError(
             f"block bounds [{start}, {stop}) fall outside the {n}-row score matrix"
         )
-    difference = scores[start:stop, None, :] - scores[None, :, :]
-    forward = np.all(difference >= 0.0, axis=2) & np.any(difference > 0.0, axis=2)
-    backward = np.all(difference <= 0.0, axis=2) & np.any(difference < 0.0, axis=2)
-    close = np.all(
-        np.abs(difference) <= atol + rtol * np.abs(scores[None, :, :]), axis=2
-    )
-    eligible = ~forward & ~backward & ~close
-    # Keep only the strict upper triangle of the full matrix: j > i.
-    eligible &= np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-    i_indices, j_indices = np.nonzero(eligible)
-    return np.column_stack((i_indices + start, j_indices))
+    return _exchange_pairs(scores, np.arange(start, stop), np.arange(start + 1, n), rtol, atol)
 
 
 def exchange_pairs_touching(
@@ -187,12 +182,9 @@ def exchange_pairs_touching(
 
     The incremental-maintenance counterpart of :func:`exchange_pair_indices`:
     after a dataset delta, only the pairs touching a changed item need their
-    eligibility re-derived, and this kernel derives exactly those.  The
-    decisions are bit-identical to the full-matrix kernel's rows — the same
-    subtraction, the same dominance masks, and the same *asymmetric* closeness
-    tolerance ``|a - b| <= atol + rtol * |scores[j]|`` anchored at the pair's
-    **larger** index ``j``, which is what the upper-triangle selection of the
-    full kernel anchors it at.
+    eligibility re-derived.  The exchange rule runs twice — the touched rows
+    against the indices above them, then the indices below them against the
+    touched rows — so each decision is the one the full enumeration makes.
 
     Parameters
     ----------
@@ -215,31 +207,18 @@ def exchange_pairs_touching(
     rows = np.asarray(sorted(set(int(index) for index in touched)), dtype=int)
     if rows.size == 0:
         return np.empty((0, 2), dtype=int)
-    if np.any(rows < 0) or np.any(rows >= n):
+    if rows[0] < 0 or rows[-1] >= n:
         raise DatasetError("touched indices fall outside the score matrix")
-    difference = scores[rows, None, :] - scores[None, :, :]
-    forward = np.all(difference >= 0.0, axis=2) & np.any(difference > 0.0, axis=2)
-    backward = np.all(difference <= 0.0, axis=2) & np.any(difference < 0.0, axis=2)
-    absolute = np.abs(difference)
-    # The full kernel's closeness test anchors the tolerance at the pair's
-    # larger index (the column of the upper triangle); reproduce that for
-    # both orientations of each touched row.
-    close_at_column = np.all(absolute <= atol + rtol * np.abs(scores[None, :, :]), axis=2)
-    close_at_row = np.all(absolute <= atol + rtol * np.abs(scores[rows, None, :]), axis=2)
-    column_is_larger = np.arange(n)[None, :] > rows[:, None]
-    close = np.where(column_is_larger, close_at_column, close_at_row)
-    eligible = ~forward & ~backward & ~close
-    # Drop the diagonal explicitly (a row is trivially close to itself, but
-    # keep the intent visible rather than relying on the tolerance).
-    eligible &= np.arange(n)[None, :] != rows[:, None]
-    row_positions, j_indices = np.nonzero(eligible)
-    i_indices = rows[row_positions]
-    pairs = np.column_stack(
-        (np.minimum(i_indices, j_indices), np.maximum(i_indices, j_indices))
+    every = np.arange(n)
+    pairs = np.concatenate(
+        (
+            _exchange_pairs(scores, rows, every[rows[0] + 1 :], rtol, atol),
+            _exchange_pairs(scores, every[: rows[-1]], rows, rtol, atol),
+        )
     )
-    if pairs.shape[0] == 0:
-        return pairs
-    return np.unique(pairs, axis=0)
+    # Pairs between two touched rows come twice; i * n + j sorts row-major.
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.column_stack((keys // n, keys % n))
 
 
 def iter_exchange_pair_chunks(
@@ -248,21 +227,14 @@ def iter_exchange_pair_chunks(
     atol: float = 1e-8,
     row_chunk_size: int | None = None,
 ):
-    """Yield the rows of :func:`exchange_pair_indices` in bounded-memory chunks.
+    """Yield the exchange pairs of ``scores`` in bounded-memory row blocks.
 
-    The one-shot kernel materialises the full ``(n, n, d)`` difference tensor
-    — 2.4 GB of float64 at ``n = 10⁴, d = 3``, and ~5–6 GB at peak counting
-    the ``np.abs`` copy and the boolean comparison intermediates — and the
-    cost grows quadratically from there, which caps the dataset sizes it can
-    preprocess.  This generator enumerates
-    the same pairs block-row by block-row: each step broadcasts only a
-    ``(row_chunk_size, n, d)`` slice, so peak memory is ``O(chunk · n · d)``
-    no matter how large ``n`` grows.
-
-    Concatenating the yielded chunks reproduces ``exchange_pair_indices``
-    exactly (same pairs, same row-major ``i < j`` order, bit-for-bit the same
-    eligibility decisions: IEEE subtraction gives ``a - b == -(b - a)``, so the
-    block-local dominance tests match the full-matrix ones elementwise).
+    The whole ``(n, n, d)`` difference tensor would be 2.4 GB of float64 at
+    ``n = 10⁴, d = 3``; each step here broadcasts only a
+    ``(row_chunk_size, n, d)`` slice through :func:`exchange_pairs_for_block`,
+    so peak memory is ``O(chunk · n · d)`` no matter how large ``n`` grows.
+    Concatenated, the chunks are :func:`exchange_pair_indices` (row-major,
+    ``i < j``).
 
     Parameters
     ----------

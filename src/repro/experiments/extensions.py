@@ -68,7 +68,7 @@ def experiment_ablation_grid_resolution(
         )
         distances = []
         for query in queries:
-            answer = md_online(index, query)
+            answer = md_online(dataset, oracle, index, query)
             if not answer.satisfactory:
                 distances.append(answer.angular_distance)
         result.series_named("theorem6_bound").add(index.n_cells, index.approximation_bound())
@@ -116,7 +116,7 @@ def experiment_ablation_partition(
         )
         distances = []
         for query in queries:
-            answer = md_online(index, query)
+            answer = md_online(dataset, oracle, index, query)
             if not answer.satisfactory:
                 distances.append(answer.angular_distance)
         result.series_named("realised_cells").add(backend_index, index.n_cells)
@@ -216,7 +216,7 @@ def experiment_baseline_comparison(
     index = ApproximatePreprocessor(
         dataset, oracle, n_cells=n_cells, max_hyperplanes=max_hyperplanes
     ).run()
-    suggestion = md_online(index, query_function)
+    suggestion = md_online(dataset, oracle, index, query_function)
     suggested_ordering = suggestion.function.order(dataset)
     rows.append(
         BaselineComparison(

@@ -36,7 +36,6 @@ from repro.geometry.dual import hyperplanes_for_dataset
 from repro.geometry.partition import UniformGridPartition
 from repro.core.multi_dim import SatRegions, insert_hyperplanes
 from repro.ranking.queries import random_queries
-from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = [
     "default_compas_dataset",
@@ -115,7 +114,7 @@ def experiment_fig16_validation(
     ).run()
     result = ValidationResult(n_queries=n_queries, n_already_satisfactory=0)
     for query in random_queries(d, n_queries, seed=seed):
-        answer = md_online(index, query)
+        answer = md_online(dataset, oracle, index, query)
         if answer.satisfactory:
             result.n_already_satisfactory += 1
         else:

@@ -18,7 +18,6 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.fairness.measures import (
     exposure_ratio,
-    group_share_at_k,
     rkl_measure,
     rnd_measure,
     selection_rate_ratio,

@@ -518,9 +518,10 @@ def exchange_arrays_2d(dataset: Dataset) -> ExchangeArrays:
     lines 2–8.  Pairs come in row-major ``i < j`` order, *not* sorted by
     angle; the ray sweep sorts them.
 
-    Vectorised: pair eligibility comes from one dominance-matrix kernel and
-    all angles from a single ``arctan2`` over the pairwise score differences —
-    no per-pair Python calls.
+    Vectorised: pair eligibility comes from the bounded-memory chunks of
+    :func:`~repro.data.dominance.exchange_pair_indices` and all angles from a
+    single ``arctan2`` over the pairwise score differences — no per-pair
+    Python calls.
     """
     if dataset.n_attributes != 2:
         raise GeometryError("exchange_arrays_2d requires a 2-attribute dataset")

@@ -24,7 +24,6 @@ Both expose the same protocol: ``cells``, ``locate``, ``neighbors``,
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Protocol

@@ -13,10 +13,10 @@ one of three index kinds, one per pipeline, each with a ``*_to_dict`` /
 * :class:`~repro.core.approx.MDApproxIndex` — the per-cell assignment of the
   §5 approximation pipeline.
 
-The 2-D and exact indexes are fully self-contained.  The approximate index
-needs the dataset and the fairness oracle at query time (``MDONLINE`` first
-re-checks whether the query itself is satisfactory): the engine payload
-carries the preprocessing dataset, and the caller supplies the oracle.
+Every index holds geometry only.  Online answering also needs the
+preprocessing dataset and the fairness oracle (``MDBASELINE`` and ``MDONLINE``
+first re-check whether the query itself is satisfactory): the engine payload
+carries the dataset once, and the caller supplies the oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.approx import MDApproxIndex
 from repro.core.multi_dim import MDExactIndex, SatisfactoryRegion
 from repro.core.two_dim import AngularInterval, TwoDIndex
-from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, GeometryError, IndexIntegrityError
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.hyperplane import HalfSpace, Hyperplane, Region
@@ -317,37 +316,20 @@ def approx_index_to_dict(index: MDApproxIndex) -> dict:
     }
 
 
-def approx_index_from_dict(
-    payload: dict, oracle: FairnessOracle, dataset: Dataset
-) -> MDApproxIndex:
-    """Rebuild an approximate index for online answering.
+def approx_index_from_dict(payload: dict) -> MDApproxIndex:
+    """Rebuild an approximate index from :func:`approx_index_to_dict` output.
 
-    Parameters
-    ----------
-    payload:
-        Output of :func:`approx_index_to_dict`.  Keys it does not read, such
-        as the ``timings`` block older versions wrote, are ignored.
-    oracle:
-        The fairness oracle (``MDONLINE`` re-checks queries against it).
-    dataset:
-        The dataset to answer queries over (the engine's preprocessing
-        dataset).
+    Keys it does not read, such as the ``timings`` block older versions
+    wrote, are ignored.
 
     Raises
     ------
-    ConfigurationError
-        If the partition does not match the dataset's dimensionality.
     GeometryError
         If the stored cell assignment does not match the reconstructed
         partition.
     """
     _check_payload(payload, "approx")
     partition = _partition_from_dict(payload["partition"])
-    if partition.dimension != dataset.n_attributes - 1:
-        raise ConfigurationError(
-            f"index partition has dimension {partition.dimension} but the dataset has "
-            f"{dataset.n_attributes} scoring attributes"
-        )
     assigned_payload = payload["assigned_angles"]
     if len(assigned_payload) != partition.n_cells:
         raise GeometryError(
@@ -359,8 +341,6 @@ def approx_index_from_dict(
     ]
     marked = [bool(flag) for flag in payload.get("marked", [False] * len(assigned))]
     return MDApproxIndex(
-        dataset=dataset,
-        oracle=oracle,
         partition=partition,
         assigned_angles=assigned,
         marked=marked,

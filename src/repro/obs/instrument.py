@@ -8,7 +8,7 @@ wrapper, not a facade branch), so
 ``FairRankingDesigner(dataset, oracle, InstrumentedConfig(inner=...))``
 works unchanged.  It wraps the oracle in an :class:`InstrumentedOracle`
 *before* building the inner engine, so the wrapped oracle is the one the
-inner index stores and every oracle call — preprocessing and serving — is
+inner engine holds and every oracle call — preprocessing and serving — is
 counted and spanned.  Around the inner ``preprocess`` it activates its
 :class:`~repro.obs.trace.TraceRecorder` as the ambient
 :func:`~repro.obs.trace.stage_span` target, so the per-chunk hooks in
@@ -177,13 +177,10 @@ class InstrumentedEngine(EngineWrapper):
             self.inner = create_engine(dataset, self.instrumented_oracle, config.inner)
         else:
             # Wrapping an already-built engine (from_engine): rebind its
-            # oracle — and the one its index captured, when it captured one —
-            # so oracle accounting keeps working on the load path.
+            # oracle, which its online answers read, so oracle accounting
+            # keeps working on the load path.
             self.inner = engine
             engine.oracle = self.instrumented_oracle
-            index = getattr(engine, "_index", None)
-            if index is not None and hasattr(index, "oracle"):
-                index.oracle = self.instrumented_oracle
         self.config = config
         self.workload: WorkloadRecorder | None = (
             WorkloadRecorder() if config.record_workload else None

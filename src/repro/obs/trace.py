@@ -157,9 +157,14 @@ class TraceRecorder:
         return tuple(span.name for span in self._spans)
 
     def clear(self) -> None:
-        """Drop all completed spans and restart ids (open spans survive)."""
+        """Drop all completed spans and restart ids (open spans survive).
+
+        Ids restart at 1, or just after the innermost open span's id while
+        spans are open, so ids stay unique and parent links stay valid.
+        """
         self._spans.clear()
         self.n_dropped = 0
+        self._next_id = self._stack[-1] + 1 if self._stack else 1
 
     def export_jsonl(self) -> str:
         """Serialize as JSONL: one header line, then one line per span."""

@@ -68,6 +68,22 @@ class LinearScoringFunction:
         return function
 
     @classmethod
+    def _row_constructor(cls, matrix: np.ndarray):
+        """The constructor for functions built from the rows of a weight matrix.
+
+        One vectorised pass checks the whole ``(q, d)`` matrix (finite,
+        non-negative, some positive entry per row).  When every row passes,
+        rows may skip re-validation through :meth:`_from_trusted`; otherwise
+        the validating constructor raises exactly what the scalar path raises.
+        """
+        trusted = bool(
+            np.all(np.isfinite(matrix))
+            and not np.any(matrix < 0)
+            and np.all(np.any(matrix > 0, axis=1))
+        )
+        return cls._from_trusted if trusted else cls
+
+    @classmethod
     def uniform(cls, dimension: int) -> "LinearScoringFunction":
         """The equal-weights function ``(1/d, ..., 1/d)``."""
         if dimension < 2:

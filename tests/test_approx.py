@@ -127,7 +127,7 @@ class TestMDOnline:
         dataset, oracle, index = approx_setup
         for query in random_queries(3, 40, seed=14):
             if oracle.evaluate_function(query, dataset):
-                result = md_online(index, query)
+                result = md_online(dataset, oracle, index, query)
                 assert result.satisfactory
                 assert result.angular_distance == 0.0
                 return
@@ -137,7 +137,7 @@ class TestMDOnline:
         dataset, oracle, index = approx_setup
         repaired = 0
         for query in random_queries(3, 25, seed=15):
-            result = md_online(index, query)
+            result = md_online(dataset, oracle, index, query)
             if not result.satisfactory:
                 repaired += 1
                 assert oracle.evaluate_function(result.function, dataset)
@@ -151,7 +151,7 @@ class TestMDOnline:
         for query in random_queries(3, 10, seed=16):
             if oracle.evaluate_function(query, dataset):
                 continue
-            approximate = md_online(index, query)
+            approximate = md_online(dataset, oracle, index, query)
             exact = md_baseline(dataset, oracle, exact_index, query)
             assert approximate.angular_distance <= exact.angular_distance + bound + 1e-6
 
@@ -161,22 +161,20 @@ class TestMDOnline:
             if oracle.evaluate_function(query, dataset):
                 continue
             scaled = LinearScoringFunction(tuple(4.0 * query.as_array()))
-            result = md_online(index, scaled)
+            result = md_online(dataset, oracle, index, scaled)
             assert np.linalg.norm(result.function.as_array()) == pytest.approx(4.0, rel=1e-6)
             return
 
     def test_dimension_mismatch(self, approx_setup):
-        _, _, index = approx_setup
+        dataset, oracle, index = approx_setup
         with pytest.raises(GeometryError):
-            md_online(index, LinearScoringFunction((1.0, 1.0)))
+            md_online(dataset, oracle, index, LinearScoringFunction((1.0, 1.0)))
 
     def test_not_preprocessed(self, approx_setup):
         dataset, oracle, _ = approx_setup
-        empty = MDApproxIndex(
-            dataset=dataset, oracle=oracle, partition=UniformGridPartition(2, 4)
-        )
+        empty = MDApproxIndex(partition=UniformGridPartition(2, 4))
         with pytest.raises(NotPreprocessedError):
-            md_online(empty, LinearScoringFunction((1.0, 1.0, 1.0)))
+            md_online(dataset, oracle, empty, LinearScoringFunction((1.0, 1.0, 1.0)))
 
     def test_unsatisfiable_raises(self):
         dataset = make_compas_like(n=10, seed=18).project(
@@ -185,9 +183,4 @@ class TestMDOnline:
         oracle = CallableOracle(lambda ordering, data: False, "never")
         index = ApproximatePreprocessor(dataset, oracle, n_cells=9, max_hyperplanes=6).run()
         with pytest.raises(NoSatisfactoryFunctionError):
-            md_online(index, LinearScoringFunction((1.0, 1.0, 1.0)))
-
-    def test_query_method_on_index(self, approx_setup):
-        _, _, index = approx_setup
-        result = index.query(LinearScoringFunction((0.4, 0.3, 0.3)))
-        assert result.function.dimension == 3
+            md_online(dataset, oracle, index, LinearScoringFunction((1.0, 1.0, 1.0)))

@@ -114,7 +114,7 @@ class TestCompareAndFormat:
         from repro.core.approx import md_online
 
         query = LinearScoringFunction((0.9, 0.05, 0.05))
-        answer = md_online(shared_approx_index, query)
+        answer = md_online(shared_compas_3d, shared_race_oracle_3d, shared_approx_index, query)
         audit = audit_function(
             shared_compas_3d, answer.function, "race", "African-American", k=0.3
         )

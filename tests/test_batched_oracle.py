@@ -329,8 +329,6 @@ class TestNearestAssignedFallback:
         if all(angles is None for angles in assigned):
             pytest.skip("degenerate draw: nothing left assigned")
         index = MDApproxIndex(
-            dataset=dataset,
-            oracle=oracle,
             partition=built.partition,
             assigned_angles=assigned,
             marked=list(built.marked),

@@ -12,6 +12,7 @@ from repro.data.dominance import (
     dominance_matrix,
     dominates,
     exchange_pair_indices,
+    exchange_pairs_touching,
     iter_exchange_pair_chunks,
     non_dominated_pairs,
     skyline_indices,
@@ -132,6 +133,69 @@ class TestIterExchangePairChunks:
             list(iter_exchange_pair_chunks(np.ones(5)))
         with pytest.raises(DatasetError):
             list(iter_exchange_pair_chunks(np.ones((4, 2)), row_chunk_size=0))
+
+
+def _degenerate_tables() -> dict[str, np.ndarray]:
+    """Score tables that exercise every branch of the exchange rule."""
+    rng = np.random.default_rng(23)
+    near = rng.uniform(0.0, 1.0, size=(12, 3))
+    near[6:] = near[:6] * (1.0 + 5e-6)  # within rtol of the first six rows
+    flat = rng.uniform(0.0, 1.0, size=(15, 3))
+    flat[:, 1] = 0.5  # a zero-variance column
+    # Second column below atol; rows on one level of the first are close.
+    tiny = np.column_stack(
+        (
+            rng.choice([0.25, 0.5, 0.75], size=12) + rng.uniform(0.0, 2e-6, size=12),
+            rng.uniform(0.0, 1e-8, size=12),
+        )
+    )
+    return {
+        "ties": rng.integers(0, 3, size=(30, 3)).astype(float),  # with duplicate rows
+        "near_duplicates": near,
+        "zero_variance": flat,
+        "below_atol": tiny,
+        "one_row": np.array([[0.3, 0.7]]),
+        "two_rows": np.array([[0.2, 0.9], [0.8, 0.1]]),
+    }
+
+
+DEGENERATE_TABLES = _degenerate_tables()
+
+
+class TestExchangeRuleOnDegenerateTables:
+    """Every pair enumerator applies footnote 4's rule, ties and near-ties included."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_TABLES))
+    def test_pairs_follow_the_definition(self, name):
+        scores = DEGENERATE_TABLES[name]
+        n = scores.shape[0]
+        expected = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not dominates(scores[i], scores[j])
+            and not dominates(scores[j], scores[i])
+            and not np.allclose(scores[i], scores[j])
+        ]
+        assert [tuple(pair) for pair in exchange_pair_indices(scores).tolist()] == expected
+
+    @pytest.mark.parametrize("row_chunk_size", [1, 3, 7])
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_TABLES))
+    def test_chunks_concatenate_to_the_full_enumeration(self, name, row_chunk_size):
+        scores = DEGENERATE_TABLES[name]
+        chunks = list(iter_exchange_pair_chunks(scores, row_chunk_size=row_chunk_size))
+        assert np.array_equal(np.concatenate(chunks), exchange_pair_indices(scores))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_TABLES))
+    def test_touching_pairs_are_the_full_pairs_at_the_touched_rows(self, name):
+        scores = DEGENERATE_TABLES[name]
+        full = exchange_pair_indices(scores)
+        n = scores.shape[0]
+        rng = np.random.default_rng(7)
+        for size in sorted({0, 1, n // 2, n}):
+            touched = rng.choice(n, size=size, replace=False)
+            at_touched = np.isin(full, touched).any(axis=1)
+            assert np.array_equal(exchange_pairs_touching(scores, touched), full[at_touched])
 
 
 class TestConvexLayers:

@@ -120,27 +120,52 @@ class TestHyperpolar:
         assert plane.dimension == 2
 
     @given(item_vectors(3), item_vectors(3))
-    # Near-axis pair whose chord approximation reaches ~0.36 · scale.
+    # Near-axis pairs: away from where HYPERPOLAR sampled the exchange locus
+    # the line drifts from it, by 0.45 · scale near the box centre for the second.
     @example(np.array([1.0, 0.125, 0.1875]), np.array([0.125, 1.0, 0.125]))
+    @example(np.array([7.0, 0.0625, 0.359375]), np.array([0.125, 7.0, 0.34375]))
+    # Scores one ulp apart in the last attribute: the exchange locus ends in
+    # the corner (π/2, π/2), every angle point HYPERPOLAR samples rounds to
+    # that corner, and the line θ₁ + θ₂ = π meets the box there only.
+    @example(np.array([0.01, 0.01, np.nextafter(0.01, 1.0)]), np.array([1.0, 1.0, 0.01]))
     @settings(max_examples=60, deadline=None)
     def test_points_on_the_hyperplane_give_near_ties(self, first, second):
-        """Angle points on the HYPERPOLAR hyperplane map to rays scoring the pair nearly equally."""
+        """The HYPERPOLAR line passes through rays that tie the pair inside the angle box.
+
+        Algorithm 3 draws the line through angle points sampled on the exchange
+        locus, so the pair's score gap vanishes on the line's segment inside
+        ``[0, π/2]²``.  Along the line the gap changes by at most
+        ``‖first − second‖`` per radian and the segment is at most ``π/√2``
+        long, so the smallest gap over 2,001 evenly spaced points of it is at
+        most ``1e-3 · ‖first − second‖``.
+
+        The segment is cut from the box widened by ``1e-9`` rad on every side,
+        so a line that meets the box at one corner only still has one when
+        rounding moves its ends a few ulps past each other.  Clipping a sample
+        back into the box moves it by at most ``√2 · 1e-9`` rad, which changes
+        its gap by at most ``1.5e-9 · ‖first − second‖``.
+        """
         assume(has_exchange(first, second))
-        plane = hyperpolar(first, second)
-        coefficients = plane.as_array()
-        # Construct a point exactly on the plane inside the legal box when possible.
-        base = np.full(plane.dimension, 0.5)
-        direction = coefficients / np.dot(coefficients, coefficients)
-        point = base + (1.0 - float(np.dot(coefficients, base))) * direction
-        assume(np.all(point >= 0.0) and np.all(point <= math.pi / 2))
-        weights = to_weights(point)
-        score_gap = abs(float(np.dot(weights, first - second)))
-        scale = max(np.linalg.norm(first), np.linalg.norm(second))
-        # The angle-space hyperplane is a chord approximation of the curved
-        # exchange locus, so ties are approximate but must be small.  The
-        # bound is loose: adversarial near-axis pairs (e.g. (1, .125, .1875)
-        # vs (.125, 1, .125)) reach ~0.36 · scale with the seed construction.
-        assert score_gap <= 0.45 * scale
+        coefficients = hyperpolar(first, second).as_array()
+        # The line coefficients · θ = 1 is its foot plus t times its direction.
+        foot = coefficients / np.dot(coefficients, coefficients)
+        along = np.array([-coefficients[1], coefficients[0]]) / np.linalg.norm(coefficients)
+        margin = 1e-9
+        low, high = -np.inf, np.inf
+        for axis in range(2):
+            if along[axis] != 0.0:
+                ends = sorted(
+                    (
+                        (-margin - foot[axis]) / along[axis],
+                        (math.pi / 2 + margin - foot[axis]) / along[axis],
+                    )
+                )
+                low, high = max(low, ends[0]), min(high, ends[1])
+        assert low <= high, "the line misses the angle box"
+        points = np.clip(foot + np.linspace(low, high, 2001)[:, None] * along, 0.0, math.pi / 2)
+        difference = first - second
+        smallest_gap = min(abs(float(np.dot(to_weights(point), difference))) for point in points)
+        assert smallest_gap <= 1e-3 * np.linalg.norm(difference)
 
 
 class TestBatchConstruction:

@@ -20,6 +20,7 @@ from reference.exchanges import build_exchange_hyperplanes_reference
 from repro.core.engine import (
     ApproxConfig,
     ApproxEngine,
+    EngineWrapper,
     ExactConfig,
     ExactEngine,
     QueryEngine,
@@ -31,9 +32,11 @@ from repro.core.engine import (
     engine_name_for_config,
     get_engine,
 )
+from repro.core.maintenance import DatasetDelta
 from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError, NotPreprocessedError
+from repro.fairness.oracle import CountingOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.partition import AnglePartition, UniformGridPartition, locate_cells
 from repro.io.index_store import (
@@ -43,6 +46,7 @@ from repro.io.index_store import (
     save_engine,
     two_d_index_to_dict,
 )
+from repro.ranking.scoring import LinearScoringFunction
 
 
 def _random_queries(q: int, d: int, seed: int) -> np.ndarray:
@@ -259,6 +263,36 @@ class TestFacade:
         designer = FairRankingDesigner(dataset, oracle, ApproxConfig(n_cells=9))
         with pytest.raises(NotPreprocessedError):
             _ = designer.index
+
+    def test_designer_is_an_engine_wrapper(self, approx_designer):
+        assert isinstance(approx_designer, EngineWrapper)
+        assert approx_designer.inner is approx_designer.engine
+
+    def test_designer_forwards_the_journal_and_preprocessing_dataset(self, two_d_designer):
+        designer = FairRankingDesigner(
+            two_d_designer.dataset, two_d_designer.oracle, TwoDConfig()
+        ).preprocess()
+        delta = DatasetDelta(deletes=(3,))
+        designer.apply_delta(delta)
+        assert designer.journal == (delta,)
+        assert designer.preprocessing_dataset is designer.engine.preprocessing_dataset
+        assert designer.preprocessing_dataset.n_items == two_d_designer.dataset.n_items - 1
+
+
+class TestOnlineOracle:
+    """Online answers read the oracle the engine holds, not a copy."""
+
+    def test_approx_precheck_reads_the_engine_oracle(self, md_dataset_oracle):
+        dataset, oracle = md_dataset_oracle
+        engine = create_engine(
+            dataset, oracle, ApproxConfig(n_cells=25, max_hyperplanes=25)
+        ).preprocess()
+        queries = _random_queries(6, 3, seed=3)
+        engine.oracle = counting = CountingOracle(oracle)
+        engine.suggest(LinearScoringFunction(tuple(queries[0])))
+        assert counting.calls == 1
+        engine.suggest_many(queries)
+        assert counting.calls == 1 + len(queries)
 
 
 # --------------------------------------------------------------------------- #

@@ -82,7 +82,7 @@ class TestExactVsApproximateAgreement:
         dataset, oracle, exact, approx = setup
         for query in random_queries(3, 8, seed=41):
             exact_result = md_baseline(dataset, oracle, exact, query)
-            approx_result = md_online(approx, query)
+            approx_result = md_online(dataset, oracle, approx, query)
             assert oracle.evaluate_function(exact_result.function, dataset)
             assert oracle.evaluate_function(approx_result.function, dataset)
             assert exact_result.satisfactory == approx_result.satisfactory
@@ -94,7 +94,7 @@ class TestExactVsApproximateAgreement:
             if oracle.evaluate_function(query, dataset):
                 continue
             exact_result = md_baseline(dataset, oracle, exact, query)
-            approx_result = md_online(approx, query)
+            approx_result = md_online(dataset, oracle, approx, query)
             assert approx_result.angular_distance >= exact_result.angular_distance - 1e-6
 
 

@@ -10,7 +10,14 @@ from differential import assert_engines_equivalent, make_weight_grid, payload_by
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
+from repro.core.approx import md_online
+from repro.core.engine import (
+    ApproxConfig,
+    ExactConfig,
+    TwoDConfig,
+    create_engine,
+    engine_from_payload,
+)
 from repro.core.multi_dim import SatRegions, md_baseline
 from repro.core.two_dim import AngularInterval, TwoDIndex
 from repro.data.dataset import Dataset
@@ -175,13 +182,9 @@ class TestExactIndexStore:
 # approximate index
 # --------------------------------------------------------------------------- #
 class TestApproxIndexStore:
-    def test_round_trip_preserves_assignments(
-        self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
-    ):
+    def test_round_trip_preserves_assignments(self, shared_approx_index):
         payload = approx_index_to_dict(shared_approx_index)
-        rebuilt = approx_index_from_dict(
-            payload, oracle=shared_race_oracle_3d, dataset=shared_compas_3d
-        )
+        rebuilt = approx_index_from_dict(payload)
         assert rebuilt.n_cells == shared_approx_index.n_cells
         assert rebuilt.n_marked_cells == shared_approx_index.n_marked_cells
         for original, copy in zip(shared_approx_index.assigned_angles, rebuilt.assigned_angles):
@@ -193,33 +196,29 @@ class TestApproxIndexStore:
     def test_round_trip_answers_queries_identically(
         self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
     ):
-        rebuilt = approx_index_from_dict(
-            approx_index_to_dict(shared_approx_index),
-            oracle=shared_race_oracle_3d,
-            dataset=shared_compas_3d,
-        )
+        rebuilt = approx_index_from_dict(approx_index_to_dict(shared_approx_index))
         query = LinearScoringFunction((0.6, 0.2, 0.2))
-        original = shared_approx_index.query(query)
-        copy = rebuilt.query(query)
+        original = md_online(shared_compas_3d, shared_race_oracle_3d, shared_approx_index, query)
+        copy = md_online(shared_compas_3d, shared_race_oracle_3d, rebuilt, query)
         assert copy.satisfactory == original.satisfactory
         assert copy.angular_distance == pytest.approx(original.angular_distance)
 
-    def test_dimension_mismatch_rejected(
-        self, shared_approx_index, shared_race_oracle_3d, paper_2d_dataset
-    ):
-        payload = approx_index_to_dict(shared_approx_index)
-        with pytest.raises(ConfigurationError):
-            approx_index_from_dict(payload, oracle=shared_race_oracle_3d, dataset=paper_2d_dataset)
+    def test_dimension_mismatch_rejected(self, shared_compas_3d, shared_race_oracle_3d):
+        """The engine rejects a partition that does not fit its preprocessing dataset."""
+        payload = create_engine(
+            shared_compas_3d, shared_race_oracle_3d, ApproxConfig(n_cells=9, max_hyperplanes=10)
+        ).preprocess().to_payload()
+        dataset = payload["preprocessing_dataset"]
+        dataset["scoring_attributes"].append("extra")
+        dataset["scores"] = [row + [0.5] for row in dataset["scores"]]
+        with pytest.raises(ConfigurationError, match="partition has dimension 2"):
+            engine_from_payload(payload, shared_race_oracle_3d)
 
-    def test_tampered_cell_count_rejected(
-        self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
-    ):
+    def test_tampered_cell_count_rejected(self, shared_approx_index):
         payload = approx_index_to_dict(shared_approx_index)
         payload["assigned_angles"] = payload["assigned_angles"][:-1]
         with pytest.raises(GeometryError):
-            approx_index_from_dict(
-                payload, oracle=shared_race_oracle_3d, dataset=shared_compas_3d
-            )
+            approx_index_from_dict(payload)
 
     def test_payload_is_json_serialisable(self, shared_approx_index):
         json.dumps(approx_index_to_dict(shared_approx_index))

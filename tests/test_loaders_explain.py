@@ -288,11 +288,16 @@ class TestFormatExplanation:
         assert "..." in text
 
     def test_end_to_end_with_designer_suggestion(
-        self, shared_approx_index, shared_compas_3d
+        self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
     ):
         from repro.core.approx import md_online
 
-        answer = md_online(shared_approx_index, LinearScoringFunction((0.9, 0.05, 0.05)))
+        answer = md_online(
+            shared_compas_3d,
+            shared_race_oracle_3d,
+            shared_approx_index,
+            LinearScoringFunction((0.9, 0.05, 0.05)),
+        )
         explanation = explain_repair(shared_compas_3d, answer, k=0.3)
         text = format_explanation(explanation)
         assert isinstance(text, str) and text

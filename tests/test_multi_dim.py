@@ -183,11 +183,6 @@ class TestMDBaseline:
         with pytest.raises(GeometryError):
             md_baseline(dataset, oracle, index, LinearScoringFunction((1.0, 1.0)))
 
-    def test_query_method_on_builder(self, md_setup):
-        dataset, oracle, builder, index = md_setup
-        result = builder.query(index, LinearScoringFunction((1.0, 1.0, 1.0)))
-        assert result.function.dimension == 3
-
 
 class TestOracleCallAccounting:
     def test_one_call_per_region(self):

@@ -28,6 +28,7 @@ from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError
 from repro.fairness.oracle import CountingOracle
 from repro.fairness.proportional import ProportionalOracle
+from repro.io.index_store import load_engine, save_engine
 from repro.obs import (
     InstrumentedConfig,
     InstrumentedEngine,
@@ -149,6 +150,27 @@ def test_trace_recorder_clear_resets_spans_and_drops():
     recorder.clear()
     assert recorder.spans == ()
     assert recorder.n_dropped == 0
+
+
+def test_trace_recorder_clear_restarts_span_ids():
+    """Ids restart at 1, or after the innermost open span, which survives."""
+    recorder = TraceRecorder(clock=FakeClock())
+    with recorder.span("before"):
+        pass
+    recorder.clear()
+    with recorder.span("after"):
+        pass
+    assert [span.span_id for span in recorder.spans] == [1]
+    with recorder.span("outer"):
+        with recorder.span("dropped"):
+            pass
+        recorder.clear()
+        with recorder.span("inner"):
+            pass
+    assert [(span.name, span.span_id, span.parent_id) for span in recorder.spans] == [
+        ("inner", 3, 2),
+        ("outer", 2, None),
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -409,6 +431,24 @@ def test_from_engine_wraps_a_prebuilt_engine(small_compas_2d, race_oracle_2d):
     assert isinstance(engine.oracle, InstrumentedOracle)
     assert observed.suggest_many(_queries(5, 2)) == baseline
     assert observed.workload.n_queries == 5
+
+
+def test_from_engine_counts_the_precheck_of_a_loaded_approximate_engine(
+    shared_compas_3d, shared_race_oracle_3d, tmp_path
+):
+    """A loaded approximate engine's online pre-check reads the rebound engine oracle."""
+    engine = create_engine(
+        shared_compas_3d, shared_race_oracle_3d, ApproxConfig(n_cells=16, max_hyperplanes=20)
+    ).preprocess()
+    save_engine(engine, tmp_path / "engine.json")
+    observed = InstrumentedEngine.from_engine(
+        load_engine(tmp_path / "engine.json", shared_race_oracle_3d)
+    )
+    queries = _queries(4, 3)
+    assert observed.suggest_many(queries) == engine.suggest_many(queries)
+    assert observed.metrics.counter_total("oracle.calls") == 4
+    observed.suggest(LinearScoringFunction(tuple(queries[0])))
+    assert observed.metrics.counter_total("oracle.calls") == 5 == observed.instrumented_oracle.calls
 
 
 def test_instrumented_config_rejects_nesting_and_bad_bounds():

@@ -153,8 +153,12 @@ class TestDesignSession:
 # freshness monitoring
 # --------------------------------------------------------------------------- #
 class TestApproxFreshness:
-    def test_fresh_on_the_indexed_dataset(self, shared_approx_index, shared_compas_3d):
-        report = check_approx_index_freshness(shared_approx_index, shared_compas_3d)
+    def test_fresh_on_the_indexed_dataset(
+        self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
+    ):
+        report = check_approx_index_freshness(
+            shared_approx_index, shared_compas_3d, shared_race_oracle_3d
+        )
         assert isinstance(report, FreshnessReport)
         assert report.is_fresh
         assert report.n_stale == 0
@@ -172,22 +176,30 @@ class TestApproxFreshness:
         assert report.fraction_stale == 1.0
         assert list(report.stale_indices) == sorted(report.stale_indices)
 
-    def test_cell_subsampling_bounds_the_work(self, shared_approx_index, shared_compas_3d):
+    def test_cell_subsampling_bounds_the_work(
+        self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
+    ):
         report = check_approx_index_freshness(
-            shared_approx_index, shared_compas_3d, sample_cells=5
+            shared_approx_index, shared_compas_3d, shared_race_oracle_3d, sample_cells=5
         )
         assert report.n_checked == 5
         assert report.oracle_calls == 5
 
-    def test_subsample_must_be_positive(self, shared_approx_index, shared_compas_3d):
+    def test_subsample_must_be_positive(
+        self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
+    ):
         with pytest.raises(ConfigurationError):
             check_approx_index_freshness(
-                shared_approx_index, shared_compas_3d, sample_cells=0
+                shared_approx_index, shared_compas_3d, shared_race_oracle_3d, sample_cells=0
             )
 
-    def test_dimension_mismatch_rejected(self, shared_approx_index, paper_2d_dataset):
+    def test_dimension_mismatch_rejected(
+        self, shared_approx_index, paper_2d_dataset, shared_race_oracle_3d
+    ):
         with pytest.raises(ConfigurationError):
-            check_approx_index_freshness(shared_approx_index, paper_2d_dataset)
+            check_approx_index_freshness(
+                shared_approx_index, paper_2d_dataset, shared_race_oracle_3d
+            )
 
     def test_empty_report_fraction_is_zero(self):
         report = FreshnessReport(n_checked=0, n_stale=0, stale_indices=(), oracle_calls=0)

@@ -14,6 +14,7 @@ Two jobs, same pattern as ``tests/test_docs.py`` driving ``check_docs``:
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 import subprocess
@@ -44,6 +45,63 @@ def run_over(paths, **kwargs):
     return run_analysis([Path(p) for p in paths], **kwargs)
 
 
+def _string_annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside the string parts of the module's annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations.append(node.returns)
+            annotations += [
+                argument.annotation
+                for argument in (
+                    *arguments.posonlyargs,
+                    *arguments.args,
+                    *arguments.kwonlyargs,
+                    arguments.vararg,
+                    arguments.kwarg,
+                )
+                if argument is not None
+            ]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names |= {name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)}
+    return names
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``line: name`` of each imported name the module never uses.
+
+    A name counts as used when the module reads it, lists it in ``__all__``
+    or names it in a string annotation.  ``from __future__`` imports and
+    imports marked ``# noqa: F401`` (kept for their side effects) are exempt.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        # ``import a.b`` binds ``a``.
+        imported += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {entry.value for entry in ast.walk(node.value) if isinstance(entry, ast.Constant)}
+    used |= _string_annotation_names(tree)
+    return [f"{line}: {name}" for line, name in imported if name not in used]
+
+
 class TestTier1Gate:
     def test_source_tree_passes_with_committed_allowlist(self):
         allowlist = Allowlist.load(REPO_ROOT / ALLOWLIST_FILENAME)
@@ -56,6 +114,14 @@ class TestTier1Gate:
         # are reviewed and rot-checked — never silenced in place.
         result = run_over([SRC_TREE], allowlist=Allowlist.empty())
         assert result.suppression_comments == []
+
+    def test_source_tree_has_no_unused_imports(self):
+        unused = {
+            str(path.relative_to(SRC_TREE)): names
+            for path in sorted(SRC_TREE.rglob("*.py"))
+            if (names := unused_imports(path))
+        }
+        assert unused == {}
 
     def test_every_allowlist_entry_names_a_known_rule(self):
         known = set(rules_by_id())
