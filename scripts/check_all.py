@@ -24,7 +24,9 @@ Runs, in order:
 7. the sweep smoke — one FM1 ray sweep on one small dataset three ways
    (``tests/test_incremental_oracle.py``): the array sweep kernel, the
    per-swap loop and the black-box oracle must give bit-identical intervals
-   and oracle-call counts;
+   and oracle-call counts; on one tied integer dataset the three routes must
+   agree too, and every sector must carry the brute-force label
+   (``tests/ground_truth.py``);
 8. the region smoke — one small exact build twice
    (``tests/test_region_polygon.py``): with the d = 3 polygon route and
    with every region split and emptiness test forced through the linear
@@ -79,7 +81,7 @@ DIFFERENTIAL_SMOKE = (
 DELTA_SMOKE = "tests/test_dynamic_equivalence.py::TestDeltaSmoke::test_delta_smoke"
 
 #: The array-kernel-vs-loop-vs-black-box sweep smoke test (one small 2-D
-#: dataset, one FM1 oracle).
+#: dataset, one FM1 oracle), plus one tied integer dataset against brute force.
 SWEEP_SMOKE = "tests/test_incremental_oracle.py::TestArraySweepKernel::test_sweep_smoke"
 
 #: The polygon-route-vs-all-LP smoke test (one small exact build).
@@ -149,7 +151,7 @@ def run_delta_smoke() -> int:
 def run_sweep_smoke() -> int:
     return _run_pytest(
         (SWEEP_SMOKE,),
-        "sweep smoke: OK (array kernel == per-swap loop == black box)",
+        "sweep smoke: OK (array kernel == per-swap loop == black box == brute force on tied data)",
     )
 
 

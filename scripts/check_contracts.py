@@ -3,7 +3,7 @@
 
 The linter (:mod:`repro.analysis`) statically enforces four contracts —
 typed exceptions, determinism, the observability clock, registry hygiene —
-over ``src/repro`` with the committed allowlist (``contracts_allowlist.txt``).
+over ``src/repro``; every finding fails the gate.
 The other two need the classes' real method resolution, so they are executed
 tests over the imported classes (``tests/test_contracts.py``): every
 registered engine accepts the ``QueryEngine`` seam, and every oracle that

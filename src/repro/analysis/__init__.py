@@ -18,35 +18,24 @@ Run it as a gate::
 or from code::
 
     from repro.analysis import run_analysis
-    result = run_analysis([Path("src/repro")])
-    assert result.ok, result.findings
+    findings = run_analysis([Path("src/repro")])
+    assert findings == [], findings
 
-Deliberate exceptions live in the committed allowlist
-(``contracts_allowlist.txt``); one-off inline suppressions exist but the
-tier-1 gate keeps the tree free of them.  See ``docs/static_analysis.md``.
+Every finding fails the gate: there is no allowlist and no inline
+suppression.  See ``docs/static_analysis.md``.
 """
 
-from repro.analysis.findings import Finding
 from repro.analysis.model import ProjectModel
-from repro.analysis.report import REPORT_FORMAT, render_json, render_text
 from repro.analysis.rules import (
     DeterminismRule,
+    Finding,
     RegistryHygieneRule,
     Rule,
     SYNTAX_ERROR_RULE_ID,
     TypedExceptionsRule,
     all_rules,
-    rules_by_id,
 )
-from repro.analysis.runner import AnalysisResult, main, run_analysis
-from repro.analysis.suppress import (
-    ALLOWLIST_FILENAME,
-    Allowlist,
-    AllowlistEntry,
-    SuppressionComment,
-    collect_suppressions,
-    discover_allowlist,
-)
+from repro.analysis.runner import main, run_analysis
 
 __all__ = [
     "Finding",
@@ -56,18 +45,7 @@ __all__ = [
     "DeterminismRule",
     "RegistryHygieneRule",
     "all_rules",
-    "rules_by_id",
     "SYNTAX_ERROR_RULE_ID",
-    "AnalysisResult",
     "run_analysis",
     "main",
-    "Allowlist",
-    "AllowlistEntry",
-    "ALLOWLIST_FILENAME",
-    "SuppressionComment",
-    "collect_suppressions",
-    "discover_allowlist",
-    "REPORT_FORMAT",
-    "render_text",
-    "render_json",
 ]

@@ -3,11 +3,11 @@
 Rules do not import the code they check — importing would execute it, and a
 linter that executes its subject cannot be run on broken or hostile trees.
 Instead :class:`ProjectModel` parses every ``*.py`` file with :mod:`ast` and
-exposes each module's syntax tree, source text, dotted module name and import
-table (alias → dotted target), so a rule can tell that
-``np.random.default_rng`` really is ``numpy.random.default_rng``.  Contracts
-that need class hierarchies and method resolution are checked against the
-imported classes by ``tests/test_contracts.py`` instead.
+exposes each module's syntax tree, dotted module name and import table
+(alias → dotted target), so a rule can tell that ``np.random.default_rng``
+really is ``numpy.random.default_rng``.  Contracts that need class
+hierarchies and method resolution are checked against the imported classes
+by ``tests/test_contracts.py`` instead.
 
 Files that fail to parse are collected as :class:`ParseFailure` records — the
 runner turns them into ``syntax-error`` findings instead of crashing.
@@ -48,7 +48,6 @@ class ModuleInfo:
     relpath: str
     module_name: str
     tree: ast.Module
-    source: str
     imports: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, name: str | None) -> str | None:
@@ -146,7 +145,6 @@ class ProjectModel:
             relpath=relpath,
             module_name=_module_name_for(path),
             tree=tree,
-            source=source,
         )
         module.imports = _collect_imports(tree, module.module_name)
         self.modules.append(module)

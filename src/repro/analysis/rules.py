@@ -2,31 +2,30 @@
 established at runtime.
 
 Every rule walks the shared :class:`~repro.analysis.model.ProjectModel` and
-yields :class:`~repro.analysis.findings.Finding` records; it never imports or
-executes the code under analysis.  The two contracts that need the classes'
-real method resolution — the engine seam and oracle batch parity — are
-executed tests instead (``tests/test_contracts.py``).  See
-``docs/static_analysis.md`` for the rationale behind each rule id and how to
-suppress a finding.
+yields :class:`Finding` records; it never imports or executes the code under
+analysis.  The two contracts that need the classes' real method resolution —
+the engine seam and oracle batch parity — are executed tests instead
+(``tests/test_contracts.py``).  See ``docs/static_analysis.md`` for the
+rationale behind each rule id.
 """
 
 from __future__ import annotations
 
 import ast
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.findings import Finding
 from repro.analysis.model import ModuleInfo, ProjectModel, dotted_name
 
 __all__ = [
+    "Finding",
     "Rule",
     "TypedExceptionsRule",
     "DeterminismRule",
     "ObsClockRule",
     "RegistryHygieneRule",
     "all_rules",
-    "rules_by_id",
     "SYNTAX_ERROR_RULE_ID",
 ]
 
@@ -34,30 +33,39 @@ __all__ = [
 SYNTAX_ERROR_RULE_ID = "syntax-error"
 
 
+@dataclass(frozen=True, order=True)
+class Finding:
+    """One contract violation, pinned to a source location.
+
+    ``file`` is the root-relative POSIX path, ``line`` is 1-based, ``rule`` is
+    the id of the rule that fired and ``message`` says how to fix it.
+    """
+
+    file: str
+    line: int
+    rule: str
+    message: str
+
+    def render(self) -> str:
+        """One-line text rendering: ``file:line: [rule] message``."""
+        return f"{self.file}:{self.line}: [{self.rule}] {self.message}"
+
+
 class Rule(ABC):
     """One statically checkable contract.
 
-    Subclasses set ``rule_id`` (the id used in reports, suppression comments
-    and allowlist entries), ``title`` and ``rationale`` (which PR's invariant
-    the rule guards), and implement :meth:`check`.
+    Subclasses set ``rule_id`` (the id findings carry) and implement
+    :meth:`check`; the class docstring says which invariant the rule guards.
     """
 
     rule_id: str
-    title: str
-    rationale: str
 
     @abstractmethod
     def check(self, model: ProjectModel) -> Iterator[Finding]:
         """Yield one finding per violation found in the model."""
 
     def _finding(self, module: ModuleInfo, line: int, message: str) -> Finding:
-        return Finding(
-            file=module.relpath,
-            line=line,
-            rule=self.rule_id,
-            message=message,
-            anchor=module.relpath,
-        )
+        return Finding(module.relpath, line, self.rule_id, message)
 
 
 # --------------------------------------------------------------------------- #
@@ -85,6 +93,28 @@ _BANNED_RAISES = {
 }
 
 
+def _module_getattr_raises(tree: ast.Module) -> set[ast.Raise]:
+    """The ``raise`` statements directly in a module-level ``def __getattr__``.
+
+    Nested functions and classes are other scopes, so their raises are not
+    collected.
+    """
+    pending = [
+        statement
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+        for statement in node.body
+    ]
+    raises: set[ast.Raise] = set()
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Raise):
+            raises.add(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+    return raises
+
+
 class TypedExceptionsRule(Rule):
     """Library code raises the typed hierarchy, not bare builtins or asserts.
 
@@ -92,15 +122,17 @@ class TypedExceptionsRule(Rule):
     unclassifiable for callers that guard pipelines with ``except
     ReproError``; PR 6's resilience layer additionally keys retry/fallback
     decisions on the typed hierarchy.  ``NotImplementedError`` (abstract
-    stubs) and ``SystemExit`` (CLI entry points) stay legal.
+    stubs) and ``SystemExit`` (CLI entry points) stay legal, and so does
+    ``raise AttributeError`` directly in a module-level ``__getattr__``: PEP
+    562 requires it for unknown module attributes (``hasattr`` and the import
+    machinery depend on it).
     """
 
     rule_id = "typed-exceptions"
-    title = "no bare builtin raises or control-flow asserts in library code"
-    rationale = "PR 6: typed exceptions drive except-ReproError guards and retry policy"
 
     def check(self, model: ProjectModel) -> Iterator[Finding]:
         for module in model.modules:
+            pep562 = _module_getattr_raises(module.tree)
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     target = node.exc
@@ -112,6 +144,8 @@ class TypedExceptionsRule(Rule):
                     resolved = module.resolve(name) or name
                     tail = resolved.split(".")[-1]
                     builtin = resolved == tail or resolved.startswith("builtins.")
+                    if tail == "AttributeError" and node in pep562:
+                        continue
                     if builtin and tail in _BANNED_RAISES:
                         yield self._finding(
                             module,
@@ -177,16 +211,15 @@ class DeterminismRule(Rule):
     """
 
     rule_id = "determinism"
-    title = "no unseeded RNG or wall-clock access outside approved modules"
-    rationale = "PR 1/6: seeded draws and injectable clocks keep serving replayable"
 
     @staticmethod
     def _parallel_scope(module: ModuleInfo) -> bool:
-        if module.module_name == "repro.parallel" or module.module_name.startswith(
-            "repro.parallel."
-        ):
-            return True
-        return "parallel" in module.relpath.split("/")
+        name = module.module_name
+        return (
+            name == "repro.parallel"
+            or name.startswith("repro.parallel.")
+            or "parallel" in module.relpath.split("/")
+        )
 
     def check(self, model: ProjectModel) -> Iterator[Finding]:
         for module in model.modules:
@@ -268,6 +301,11 @@ class DeterminismRule(Rule):
 # --------------------------------------------------------------------------- #
 #: Packages (and path segments) whose durations come from the clock seam only.
 _CLOCK_PACKAGES = ("obs", "experiments")
+_TIME_IMPORT_ADVICE = (
+    "inside an observability or experiment module: read span durations or "
+    "accept a clock argument (repro.clock) so timings stay replayable under a "
+    "fake clock"
+)
 
 
 class ObsClockRule(Rule):
@@ -284,8 +322,6 @@ class ObsClockRule(Rule):
     """
 
     rule_id = "obs-clock"
-    title = "observability and experiment modules use the injected clock seam, never time.*"
-    rationale = "PR 8: deterministic traces/metrics need every obs duration injectable"
 
     @staticmethod
     def _in_scope(module: ModuleInfo) -> bool:
@@ -303,22 +339,12 @@ class ObsClockRule(Rule):
                     for alias in node.names:
                         if alias.name.split(".")[0] == "time":
                             yield self._finding(
-                                module,
-                                node.lineno,
-                                "import time inside an observability or "
-                                "experiment module: read span durations or "
-                                "accept a clock argument (repro.clock) so "
-                                "timings stay replayable under a fake clock",
+                                module, node.lineno, f"import time {_TIME_IMPORT_ADVICE}"
                             )
                 elif isinstance(node, ast.ImportFrom):
                     if node.level == 0 and (node.module or "").split(".")[0] == "time":
                         yield self._finding(
-                            module,
-                            node.lineno,
-                            "from time import ... inside an observability or "
-                            "experiment module: read span durations or "
-                            "accept a clock argument (repro.clock) so "
-                            "timings stay replayable under a fake clock",
+                            module, node.lineno, f"from time import ... {_TIME_IMPORT_ADVICE}"
                         )
                 elif isinstance(node, ast.Call):
                     name = dotted_name(node.func)
@@ -358,8 +384,6 @@ class RegistryHygieneRule(Rule):
     """
 
     rule_id = "registry-hygiene"
-    title = "no direct mutation of the engine registry dicts"
-    rationale = "PR 2/6: single registration path keeps dispatch and persistence in sync"
 
     def check(self, model: ProjectModel) -> Iterator[Finding]:
         for module in model.modules:
@@ -419,8 +443,3 @@ def all_rules() -> tuple[Rule, ...]:
         ObsClockRule(),
         RegistryHygieneRule(),
     )
-
-
-def rules_by_id() -> dict[str, Rule]:
-    """Map rule id -> rule instance for CLI ``--rule`` selection."""
-    return {rule.rule_id: rule for rule in all_rules()}

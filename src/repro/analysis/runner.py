@@ -1,125 +1,52 @@
-"""Orchestration: parse the tree once, run every rule, apply suppressions.
+"""Orchestration: parse the tree once, run every rule, report the findings.
 
-:func:`run_analysis` is the library entry point (used by
-``scripts/check_contracts.py`` and the tier-1 gate in
+:func:`run_analysis` is the library entry point (used by the tier-1 gate in
 ``tests/test_static_analysis.py``); :func:`main` is the CLI behind
-``python -m repro.analysis``.
+``python -m repro.analysis``, which ``scripts/check_contracts.py`` calls.
 
-Exit codes: ``0`` clean, ``1`` at least one active finding (including
-``syntax-error`` findings for unparsable files and unused allowlist
-entries), ``2`` usage errors (missing path, unreadable allowlist).
+Exit codes: ``0`` clean, ``1`` at least one finding (including
+``syntax-error`` findings for unparsable files), ``2`` a missing path.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.findings import Finding
 from repro.analysis.model import ProjectModel
-from repro.analysis.report import render_json, render_text
-from repro.analysis.rules import SYNTAX_ERROR_RULE_ID, Rule, all_rules, rules_by_id
-from repro.analysis.suppress import (
-    Allowlist,
-    AllowlistEntry,
-    SuppressionComment,
-    collect_suppressions,
-    discover_allowlist,
-)
+from repro.analysis.rules import SYNTAX_ERROR_RULE_ID, Finding, all_rules
 
-__all__ = ["AnalysisResult", "run_analysis", "main"]
+__all__ = ["run_analysis", "main"]
 
 
-@dataclass
-class AnalysisResult:
-    """Everything one analysis run produced."""
+def run_analysis(paths: list[Path], *, root: Path | None = None) -> list[Finding]:
+    """Run every contract rule over ``paths``; returns the findings, sorted.
 
-    root: Path
-    rule_ids: tuple[str, ...]
-    checked_files: int
-    #: Active findings — these fail the run.
-    findings: list[Finding] = field(default_factory=list)
-    #: Findings silenced by an inline suppression comment.
-    suppressed: list[Finding] = field(default_factory=list)
-    #: Findings covered by the allowlist file.
-    allowlisted: list[Finding] = field(default_factory=list)
-    #: Every inline suppression marker present in the tree (used or not).
-    suppression_comments: list[SuppressionComment] = field(default_factory=list)
-    #: Allowlist entries that matched nothing.
-    unused_allowlist_entries: tuple[AllowlistEntry, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """True when nothing fails the gate."""
-        return not self.findings and not self.unused_allowlist_entries
-
-
-def run_analysis(
-    paths: list[Path],
-    *,
-    root: Path | None = None,
-    rules: tuple[Rule, ...] | None = None,
-    allowlist: Allowlist | None = None,
-) -> AnalysisResult:
-    """Run the contract rules over ``paths`` and classify every finding.
-
-    ``root`` anchors the relative paths findings carry (default: the
-    allowlist's directory when one is given, else the current directory).
-    ``allowlist`` defaults to no allowlist — the CLI layers auto-discovery
-    on top (see :func:`repro.analysis.suppress.discover_allowlist`).
+    ``root`` anchors the relative paths findings carry (default: the current
+    directory).
     """
-    if allowlist is None:
-        allowlist = Allowlist.empty()
-    if root is None:
-        root = allowlist.path.parent if allowlist.path is not None else Path.cwd()
-    active_rules = rules if rules is not None else all_rules()
-    model = ProjectModel.build(paths, root)
-    result = AnalysisResult(
-        root=root,
-        rule_ids=tuple(rule.rule_id for rule in active_rules),
-        checked_files=len(model.modules) + len(model.failures),
-    )
-
-    raw: list[Finding] = [
+    model = ProjectModel.build(paths, Path.cwd() if root is None else root)
+    findings = [
         Finding(
             file=failure.relpath,
             line=failure.line,
             rule=SYNTAX_ERROR_RULE_ID,
             message=f"file does not parse: {failure.message}",
-            anchor=failure.relpath,
         )
         for failure in model.failures
     ]
-    for rule in active_rules:
-        raw.extend(rule.check(model))
-    raw.sort()
-
-    suppressions: dict[tuple[str, int], set[str]] = {}
-    for module in model.modules:
-        for comment in collect_suppressions(module):
-            result.suppression_comments.append(comment)
-            suppressions.setdefault((comment.file, comment.line), set()).add(
-                comment.rule
-            )
-
-    for finding in raw:
-        if finding.rule in suppressions.get((finding.file, finding.line), ()):
-            result.suppressed.append(finding)
-        elif allowlist.covers(finding):
-            result.allowlisted.append(finding)
-        else:
-            result.findings.append(finding)
-    result.unused_allowlist_entries = allowlist.unused_entries()
-    return result
+    for rule in all_rules():
+        findings.extend(rule.check(model))
+    return sorted(findings)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Statically enforce the repo's engine/oracle/exception/"
-        "determinism contracts (see docs/static_analysis.md).",
+        description="Statically enforce the repo's exception/determinism/clock/"
+        "registry contracts (see docs/static_analysis.md).",
     )
     parser.add_argument(
         "paths",
@@ -127,49 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=["src/repro"],
         help="files or directories to check (default: src/repro)",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the stable JSON report"
-    )
-    parser.add_argument(
-        "--allowlist",
-        metavar="FILE",
-        help="allowlist file (default: nearest contracts_allowlist.txt above "
-        "the first scanned path)",
-    )
-    parser.add_argument(
-        "--no-allowlist",
-        action="store_true",
-        help="ignore any allowlist file, even a discovered one",
-    )
-    parser.add_argument(
-        "--rule",
-        action="append",
-        metavar="ID",
-        help="run only this rule id (repeatable)",
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list suppressed and allowlisted findings",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="list rule ids and exit"
-    )
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    options = _build_parser().parse_args(argv)
-
-    if options.list_rules:
-        for rule in all_rules():
-            print(f"{rule.rule_id}: {rule.title}")
-            print(f"    guards: {rule.rationale}")
-        print(f"{SYNTAX_ERROR_RULE_ID}: files must parse (always on)")
-        return 0
-
-    paths = [Path(p) for p in options.paths]
+    paths = [Path(p) for p in parser.parse_args(argv).paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(
@@ -178,33 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    rules: tuple[Rule, ...] | None = None
-    if options.rule:
-        catalogue = rules_by_id()
-        unknown = [rule_id for rule_id in options.rule if rule_id not in catalogue]
-        if unknown:
-            print(
-                f"repro.analysis: unknown rule id(s): {', '.join(unknown)}; "
-                f"known: {', '.join(catalogue)}",
-                file=sys.stderr,
-            )
-            return 2
-        rules = tuple(catalogue[rule_id] for rule_id in options.rule)
-
-    allowlist: Allowlist | None = None
-    if not options.no_allowlist:
-        allowlist_path = (
-            Path(options.allowlist) if options.allowlist else discover_allowlist(paths)
-        )
-        if options.allowlist and not allowlist_path.is_file():
-            print(
-                f"repro.analysis: allowlist not found: {allowlist_path}",
-                file=sys.stderr,
-            )
-            return 2
-        if allowlist_path is not None:
-            allowlist = Allowlist.load(allowlist_path)
-
-    result = run_analysis(paths, rules=rules, allowlist=allowlist)
-    print(render_json(result) if options.json else render_text(result, options.verbose))
-    return 0 if result.ok else 1
+    findings = run_analysis(paths)
+    for finding in findings:
+        print(finding.render())
+    print(f"repro.analysis: {len(findings)} finding(s)" if findings else "repro.analysis: OK")
+    return 1 if findings else 0

@@ -42,6 +42,7 @@ from repro.core.engine import (
     TwoDConfig,
     create_engine,
     default_engine_config,
+    engine_from_payload,
 )
 from repro.core.result import SuggestionResult
 from repro.data.dataset import Dataset
@@ -162,6 +163,15 @@ class FairRankingDesigner(EngineWrapper):
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
+    def to_payload(self) -> dict:
+        """The engine's payload: a designer persists as the engine it wraps."""
+        return self.inner.to_payload()
+
+    @classmethod
+    def from_payload(cls, payload: dict, oracle: FairnessOracle) -> "FairRankingDesigner":
+        """A designer around the engine :meth:`to_payload` output rebuilds."""
+        return cls._from_engine(engine_from_payload(payload, oracle))
+
     def save(self, path) -> None:
         """Write the preprocessed engine (config + index + sample) to a JSON file.
 

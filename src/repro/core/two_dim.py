@@ -14,8 +14,10 @@ Hot-path architecture
 Offline, the exchanges stay three parallel arrays ``(angles, i, j)`` from the
 broadcast kernel in :mod:`repro.geometry.dual` to the engine's maintenance
 cache.  One ``np.lexsort`` puts them in ``(angle, i, j)`` order, and event
-groups come from an ``np.diff`` over the sorted angles.  Two kernels then
-judge the sectors:
+groups come from an ``np.diff`` over the sorted angles.  A group of several
+exchanges (duplicate rows crossed by a third item, collinear items) is put
+in insertion-sort order, so each of its exchanges swaps two adjacent items.
+Two kernels then judge the sectors:
 
 * **array** — for oracles :func:`~repro.fairness.incremental.as_bulk_sweep`
   accepts (the top-``k`` counting family).  Every item's rank before every
@@ -23,8 +25,8 @@ judge the sectors:
   proves each event an adjacent transposition; the oracle's
   ``sweep_verdicts`` then turns the ranks into one verdict per sector.
 * **loop** — the per-swap reference, and the path of every oracle or input
-  the array kernel does not cover (prefix and black-box oracles, duplicate
-  rows, non-adjacent swaps at one angle).  With the
+  the array kernel does not cover (prefix and black-box oracles, and
+  allclose near-duplicate rows that leave a swap non-adjacent).  With the
   :class:`~repro.fairness.incremental.IncrementalOracle` protocol it calls
   ``apply_swap`` per event and ``verdict()`` per sector; without it,
   ``is_satisfactory`` per sector.
@@ -316,7 +318,7 @@ class TwoDRaySweep:
         and sharded enumeration inject their exchanges here.
 
     After :meth:`run`, :attr:`exchanges` holds the exchanges the sweep
-    consumed as ``(angles, i, j)`` arrays in sweep order.
+    consumed as ``(angles, i, j)`` arrays in ``(angle, i, j)`` order.
     """
 
     def __init__(
@@ -363,6 +365,9 @@ class TwoDRaySweep:
             judge_at = np.append(starts, angles.size)
             if starts.size and not angles[0] > 0.0:
                 bounds, judge_at = bounds[1:], judge_at[1:]
+            if starts.size < angles.size:
+                order = _insertion_order(scores[:, 0], ordering, first, second, starts)
+                first, second = first[order], second[order]
             trace = None
             if incremental is not None and as_bulk_sweep(incremental) is not None:
                 trace = _adjacent_swap_trace(scores[:, 0], ordering, first, second)
@@ -457,47 +462,91 @@ def _group_starts(angles: np.ndarray) -> np.ndarray:
     return np.array(sorted(starts), dtype=np.intp)
 
 
-def _adjacent_swap_trace(
-    x_scores: np.ndarray, ordering: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Positions of the sorted exchanges, when every one is an adjacent transposition.
+def _move_ranks(
+    x_scores: np.ndarray, ordering: np.ndarray, first: np.ndarray, second: np.ndarray, groups=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Each exchange's two items and their ranks before it, or around its group.
 
     Before its exchange the item with the larger x-score is ahead; at the
-    exchange it moves one place down and its partner one place up.  Each
-    item's rank before every event is then its rank at angle 0 plus a
-    per-item cumulative sum of those ±1 moves.  The ranks are checked, not
-    trusted: if on every event the partner sits exactly one place below
-    (``rank(up) == rank(down) + 1``), induction over the events shows they are
-    the per-swap loop's positions, so every loop swap is ``(low, low + 1)``.
-    Returns ``(low, leaving, entering)`` per event — the smaller of the two
-    swapped positions, the item moving down from it and the item moving up
-    into it — or ``None`` when any event fails the check (duplicate rows,
-    several non-adjacent swaps at one angle).
+    exchange it moves one place down and its partner one place up.  An item's
+    rank before an exchange is its rank at angle 0 plus a per-item cumulative
+    sum of its ±1 moves in earlier exchanges.  Given ``groups`` (each
+    exchange's group id, non-decreasing), the ranks are taken before and after
+    the exchange's group instead, since the moves inside a group add up the
+    same in any order.  Returns ``(leaving, entering, before, after)``: the
+    item moving down and the item moving up at each exchange, and per move
+    (exchange ``e``'s down move at ``2e``, its up move at ``2e + 1``) the
+    mover's rank before, and given ``groups`` after, else ``None``.
     """
     n_events = first.size
     ahead = x_scores[first] > x_scores[second]
     leaving = np.where(ahead, first, second)
     entering = np.where(ahead, second, first)
-    if n_events == 0:
-        return np.empty(0, dtype=np.intp), leaving, entering
     rank0 = np.empty(ordering.size, dtype=np.int64)
     rank0[ordering] = np.arange(ordering.size)
-    # Moves in event order: event e's down move at 2e, its up move at 2e + 1.
     items = np.empty(2 * n_events, dtype=np.intp)
     items[0::2], items[1::2] = leaving, entering
     moves = np.empty(2 * n_events, dtype=np.int64)
     moves[0::2], moves[1::2] = 1, -1
-    # A stable sort by item keeps each item's moves in event order.
+    # A stable sort by item keeps each item's moves in event order, so the
+    # moves of one item in one group are a contiguous run.
     by_item = np.argsort(_item_key(items, ordering.size), kind="stable")
     sorted_items = items[by_item]
     sorted_moves = moves[by_item]
     moved_before = np.cumsum(sorted_moves) - sorted_moves
-    item_starts = np.flatnonzero(np.diff(sorted_items, prepend=-1))
-    run_start = np.repeat(item_starts, np.diff(item_starts, append=sorted_items.size))
-    ranks = np.empty(2 * n_events, dtype=np.int64)
-    ranks[by_item] = rank0[sorted_items] + moved_before - moved_before[run_start]
-    low = ranks[0::2]
-    if not np.array_equal(ranks[1::2], low + 1):
+    new_item = np.diff(sorted_items, prepend=-1) != 0
+    item_starts = np.flatnonzero(new_item)
+    base = rank0[sorted_items] - np.repeat(
+        moved_before[item_starts], np.diff(item_starts, append=sorted_items.size)
+    )
+    before = np.empty_like(moves)
+    if groups is None:
+        before[by_item] = base + moved_before
+        return leaving, entering, before, None
+    new_run = new_item | (np.diff(np.repeat(groups, 2)[by_item], prepend=-1) != 0)
+    run = np.cumsum(new_run) - 1
+    run_lasts = np.append(np.flatnonzero(new_run)[1:], 2 * n_events) - 1
+    after = np.empty_like(moves)
+    before[by_item] = base + moved_before[new_run][run]
+    after[by_item] = base + (moved_before + sorted_moves)[run_lasts][run]
+    return leaving, entering, before, after
+
+
+def _insertion_order(
+    x_scores: np.ndarray, ordering: np.ndarray, first: np.ndarray, second: np.ndarray, starts
+) -> np.ndarray:
+    """Permutation putting every event group's exchanges in insertion-sort order.
+
+    The pairs inverted between the orderings before and after a group are
+    exactly the group's exchanging pairs, so an insertion sort swaps only
+    those pairs, each once, and every swap is adjacent.  It lifts the items
+    moving up in their order at the group's start, each past the items above
+    it from the one that ends lowest.  In ``(angle, i, j)`` order a pair of
+    duplicate rows crossed by a third item, or a collinear triple whose index
+    order differs from its rank order, would swap non-adjacent items.
+    """
+    groups = np.repeat(np.arange(starts.size), np.diff(np.append(starts, first.size)))
+    _, _, before, after = _move_ranks(x_scores, ordering, first, second, groups)
+    return np.lexsort((-after[0::2], before[1::2], groups))
+
+
+def _adjacent_swap_trace(
+    x_scores: np.ndarray, ordering: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Positions of the ordered exchanges, when every one is an adjacent transposition.
+
+    Each exchange's ranks come from :func:`_move_ranks`.  They are checked,
+    not trusted: if on every event the partner sits exactly one place below
+    (``rank(up) == rank(down) + 1``), induction over the events shows they are
+    the per-swap loop's positions, so every loop swap is ``(low, low + 1)``.
+    Returns ``(low, leaving, entering)`` per event — the smaller of the two
+    swapped positions, the item moving down from it and the item moving up
+    into it — or ``None`` when any event fails the check (allclose
+    near-duplicate rows, which never exchange, can make a swap non-adjacent).
+    """
+    leaving, entering, before, _ = _move_ranks(x_scores, ordering, first, second)
+    low = before[0::2]
+    if not np.array_equal(before[1::2], low + 1):
         return None
     return low, leaving, entering
 

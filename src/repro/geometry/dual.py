@@ -136,22 +136,21 @@ def exchange_angle_2d(first: np.ndarray, second: np.ndarray) -> float:
     return float(np.arctan2(weights[1], weights[0]))
 
 
+#: Normal entries at most this fraction of the largest one are rounding noise.
+_NORMAL_NOISE = 1e-12
+
+
 def _strictly_positive_point_on(normal: np.ndarray) -> np.ndarray:
     """Return a strictly positive point ``x`` with ``normal · x = 0``.
 
-    Balances the positive-coefficient mass against the negative-coefficient
-    mass; zero-coefficient coordinates are set to 1.  Such a point exists
-    exactly when ``normal`` has both positive and negative entries, which is
-    guaranteed for non-dominated pairs.
+    Such a point exists exactly when ``normal`` has both positive and
+    negative entries, which is guaranteed for non-dominated pairs; it is row 0
+    of :func:`_strictly_positive_points_on_many`, so the scalar and batched
+    HYPERPOLAR routes start from the same bits.
     """
-    positive = np.flatnonzero(normal > 0)
-    negative = np.flatnonzero(normal < 0)
-    if positive.size == 0 or negative.size == 0:
+    if not np.any(normal > 0) or not np.any(normal < 0):
         raise GeometryError("the exchange hyperplane does not cross the first orthant")
-    point = np.ones_like(normal, dtype=float)
-    point[positive] = 1.0 / (normal[positive] * positive.size)
-    point[negative] = 1.0 / (-normal[negative] * negative.size)
-    return point
+    return _strictly_positive_points_on_many(normal[None, :])[0]
 
 
 def hyperpolar(
@@ -254,16 +253,26 @@ def _hyperpolar_unchecked(
 
 
 def _strictly_positive_points_on_many(normals: np.ndarray) -> np.ndarray:
-    """Batched :func:`_strictly_positive_point_on`: one strictly positive point per normal.
+    """One strictly positive point on each exchange hyperplane of an ``(m, d)`` normal stack.
 
-    ``normals`` is the ``(m, d)`` stack of exchange normals; every row must
-    contain both positive and negative entries (guaranteed for non-dominated
-    pairs, and validated by :func:`hyperpolar_many`).  Row ``k`` of the result
-    is bit-identical to ``_strictly_positive_point_on(normals[k])`` — the same
-    ``1 / (entry · count)`` expression evaluated elementwise.
+    Balances the positive-coefficient mass against the negative-coefficient
+    mass, ``1 / (entry · count)`` per entry; zero-coefficient coordinates are
+    set to 1.  Every row must contain both positive and negative entries
+    (guaranteed for non-dominated pairs, and validated by
+    :func:`hyperpolar_many` and :func:`_strictly_positive_point_on`).  An entry
+    within ``_NORMAL_NOISE`` of zero, relative to the row's largest, counts as
+    zero while a positive and a negative entry survive without it: its
+    coordinate would pin every point HYPERPOLAR samples to one corner of the
+    angle box.
     """
-    positive = normals > 0
-    negative = normals < 0
+    positive, negative = normals > 0, normals < 0
+    magnitudes = np.abs(normals)
+    significant = magnitudes > _NORMAL_NOISE * magnitudes.max(axis=1, keepdims=True)
+    keep = significant | ~(
+        np.any(positive & significant, axis=1) & np.any(negative & significant, axis=1)
+    )[:, None]
+    positive &= keep
+    negative &= keep
     positive_counts = positive.sum(axis=1)[:, None]
     negative_counts = negative.sum(axis=1)[:, None]
     points = np.ones_like(normals, dtype=float)

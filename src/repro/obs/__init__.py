@@ -77,7 +77,7 @@ def __getattr__(name: str) -> Any:
     module_name = _LAZY.get(name)
     if module_name is None:
         # The one AttributeError the obs package raises: PEP 562 requires it
-        # for unknown module attributes (allowlisted for typed-exceptions).
+        # for unknown module attributes (typed-exceptions exempts it here).
         raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
     value = getattr(import_module(module_name), name)
     globals()[name] = value

@@ -90,15 +90,13 @@ class FallbackConfig:
         Seconds a single query may take on a tier before the tier is
         considered failed for that query (checked post-hoc on the injected
         clock; enforced on the per-query isolation path).
-    lenient_preprocess:
-        When True (default), a tier whose *preprocessing* fails is dropped
-        from the chain (recorded in ``preprocess_errors``) as long as at
-        least one tier survives; when False any preprocessing failure raises.
+
+    A tier whose preprocessing or maintenance fails is dropped from the chain
+    (recorded in ``preprocess_errors``) as long as at least one tier survives.
     """
 
     tiers: tuple = ()
     per_query_deadline: float | None = None
-    lenient_preprocess: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tiers", tuple(self.tiers))
@@ -322,7 +320,6 @@ class FallbackEngine(EngineWrapper):
         engines,
         *,
         per_query_deadline: float | None = None,
-        lenient_preprocess: bool = True,
         clock=None,
         metrics=None,
     ) -> "FallbackEngine":
@@ -339,10 +336,7 @@ class FallbackEngine(EngineWrapper):
         return cls(
             first.dataset,
             first.oracle,
-            FallbackConfig(
-                per_query_deadline=per_query_deadline,
-                lenient_preprocess=lenient_preprocess,
-            ),
+            FallbackConfig(per_query_deadline=per_query_deadline),
             engines=engines,
             clock=clock,
             metrics=metrics,
@@ -352,7 +346,7 @@ class FallbackEngine(EngineWrapper):
     # offline phase
     # ------------------------------------------------------------------ #
     def preprocess(self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None):
-        """Preprocess every tier; drop tiers that fail when lenient.
+        """Preprocess every tier; drop the tiers that fail.
 
         A bare ``preprocess()`` skips tiers that are already preprocessed
         (how :meth:`from_engines` adopts built tiers); passing a dataset or
@@ -370,8 +364,6 @@ class FallbackEngine(EngineWrapper):
                     engine.preprocess(dataset, oracle)
                 active.append((label, engine))
             except Exception as error:  # noqa: BLE001 — isolation is the point
-                if not self.config.lenient_preprocess:
-                    raise
                 errors.append(TierError(label, type(error).__name__, str(error)))
         if not active:
             raise ConfigurationError(
@@ -410,11 +402,10 @@ class FallbackEngine(EngineWrapper):
 
         Each tier maintains its own index through its own ``apply_delta``
         (incremental where supported, rebuild otherwise).  A tier whose
-        maintenance fails is dropped from the chain when
-        ``lenient_preprocess`` is set — the same isolation discipline as
-        preprocessing — and recorded in :attr:`preprocess_errors`; with
-        leniency off the failure raises.  The returned report is the primary
-        (first surviving) tier's, with every tier's strategy in ``details``.
+        maintenance fails is dropped from the chain — the same isolation
+        discipline as preprocessing — and recorded in
+        :attr:`preprocess_errors`.  The returned report is the primary (first
+        surviving) tier's, with every tier's strategy in ``details``.
         """
         return self._maintain("apply_delta", lambda engine: engine.apply_delta(delta))
 
@@ -433,8 +424,6 @@ class FallbackEngine(EngineWrapper):
             except _PASS_THROUGH:
                 raise
             except Exception as error:  # noqa: BLE001 — isolation is the point
-                if not self.config.lenient_preprocess:
-                    raise
                 errors.append(TierError(label, type(error).__name__, str(error)))
         if not survivors:
             raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""Fixture: a violation silenced by an inline suppression comment."""
+"""Fixture: a ``repro: allow-`` comment is an ordinary comment, so its line's finding fires."""
 
 
 def validate(n):

@@ -119,6 +119,18 @@ class TestHyperpolar:
         plane = hyperpolar(np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 1.0]))
         assert plane.dimension == 2
 
+    def test_rounding_noise_in_the_normal_does_not_move_the_line(self):
+        """One ulp on two scores leaves the line near the exact pair's, on both routes."""
+        first = np.array([0.01, 2.300058363807645, 0.01])
+        second = np.array([9.978303784769198, 0.01, 0.01])
+        nudged = np.array([9.978303784769198, np.nextafter(0.01, 1.0), np.nextafter(0.01, 1.0)])
+        line = hyperpolar(first, second).as_array()
+        assert line == pytest.approx([0.7977922754081657, -0.15733214164732007], rel=1e-9)
+        noisy = hyperpolar(first, nudged).as_array()
+        assert noisy == pytest.approx(line, abs=0.02)
+        (batched,) = hyperpolar_many(np.stack([first, nudged]), np.array([[0, 1]]))
+        assert batched.as_array().tobytes() == noisy.tobytes()
+
     @given(item_vectors(3), item_vectors(3))
     # Near-axis pairs: away from where HYPERPOLAR sampled the exchange locus
     # the line drifts from it, by 0.45 · scale near the box centre for the second.
@@ -128,6 +140,17 @@ class TestHyperpolar:
     # the corner (π/2, π/2), every angle point HYPERPOLAR samples rounds to
     # that corner, and the line θ₁ + θ₂ = π meets the box there only.
     @example(np.array([0.01, 0.01, np.nextafter(0.01, 1.0)]), np.array([1.0, 1.0, 0.01]))
+    # Rounding noise in the normal: raising the last two scores of the second
+    # item by one ulp leaves an entry of -1.7e-18 beside entries of order 1.
+    # As a base-point coordinate of 1 / (|entry| · count) it would pin every
+    # sample to one corner, so HYPERPOLAR counts it as zero.
+    @example(
+        np.array([0.01, 2.300058363807645, 0.01]), np.array([9.978303784769198, 0.01, 0.01])
+    )
+    @example(
+        np.array([0.01, 2.300058363807645, 0.01]),
+        np.array([9.978303784769198, np.nextafter(0.01, 1.0), np.nextafter(0.01, 1.0)]),
+    )
     @settings(max_examples=60, deadline=None)
     def test_points_on_the_hyperplane_give_near_ties(self, first, second):
         """The HYPERPOLAR line passes through rays that tie the pair inside the angle box.

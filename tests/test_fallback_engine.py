@@ -277,14 +277,6 @@ class TestLenientPreprocess:
         matrix = _queries(3)
         assert engine.suggest_many(matrix) == tier_a.suggest_many(matrix)
 
-    def test_strict_mode_raises(self, serving_setup):
-        dataset, oracle, tier_a, _ = serving_setup
-        engine = FallbackEngine.from_engines(
-            [tier_a, AlwaysBrokenEngine(dataset, oracle)], lenient_preprocess=False
-        )
-        with pytest.raises(RuntimeError, match="never comes up"):
-            engine.preprocess()
-
     def test_all_tiers_broken_raises_even_when_lenient(self, serving_setup):
         dataset, oracle, _, _ = serving_setup
         engine = FallbackEngine.from_engines(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ground_truth import wrong_sectors_2d
 from reference.exchanges import (
     build_exchange_angles_2d_reference,
     build_exchange_hyperplanes_reference,
@@ -414,10 +415,15 @@ class TestArraySweepKernel:
 
     @pytest.mark.perf_smoke
     def test_sweep_smoke(self):
-        """One FM1 sweep three ways on one small dataset: the check_all.py sweep gate."""
+        """The check_all.py sweep gate: one FM1 sweep three ways, one tied sweep vs brute force."""
         dataset = _compas_2d(60, seed=5)
         attributes = _assert_routes_agree(dataset, lambda: _oracle_zoo(dataset)[0])
         assert attributes["kernel"] == "array"
+        tied = _two_group_dataset(np.random.default_rng(4).integers(0, 4, size=(30, 2)))
+        attributes = _assert_routes_agree(tied, lambda: _degenerate_oracles(tied)[0])
+        assert attributes["kernel"] == "array"
+        oracle = _degenerate_oracles(tied)[0]
+        assert wrong_sectors_2d(TwoDRaySweep(tied, oracle).run(), tied, oracle) == []
 
     def test_instrumented_wrappers_count_the_loop_totals(self):
         """Verdicts and swaps of nested instrumented wrappers match the per-swap loop."""
@@ -471,13 +477,14 @@ class TestArraySweepKernel:
         ],
         ids=["exact-duplicates", "allclose-duplicates"],
     )
-    def test_duplicate_rows_fall_back_to_the_loop(self, scores):
+    def test_duplicate_rows_take_the_array_kernel(self, scores):
+        """A third item crossing duplicate rows swaps past them one at a time."""
         dataset = _two_group_dataset(scores)
         for oracle_index in range(2):
             attributes = _assert_routes_agree(
                 dataset, lambda: _degenerate_oracles(dataset)[oracle_index]
             )
-            assert attributes["kernel"] == "loop"
+            assert attributes["kernel"] == ("array" if oracle_index == 0 else "loop")
 
     @pytest.mark.parametrize(
         "scores",
@@ -506,7 +513,7 @@ class TestArraySweepKernel:
         attributes = _assert_routes_agree(
             dataset, lambda: TopKGroupBoundOracle("group", "a", k=5, max_count=3)
         )
-        assert attributes["kernel"] == "loop"
+        assert attributes["kernel"] == "array"
 
     @pytest.mark.parametrize("n_items", [1, 2])
     def test_tiny_datasets(self, n_items):
