@@ -1,17 +1,11 @@
-"""Happy-path overhead of the resilience wrappers: they must be nearly free.
+"""Happy-path overhead of the fallback chain: it must be nearly free.
 
-The fallback chain (`repro.resilience.fallback.FallbackEngine`) and the
-resilient oracle (`repro.resilience.oracle.ResilientOracle`) only earn their
-keep when the protection costs nothing while nothing is failing: the fast
-route of ``suggest_many`` is one native batch call on the first tier plus
-O(1) bookkeeping, and the guarded oracle adds one circuit check and a few
-counter increments per call.  This benchmark times wrapped against unwrapped
+The fallback chain (`repro.resilience.fallback.FallbackEngine`) only earns
+its keep when the protection costs nothing while nothing is failing: the
+fast route of ``suggest_many`` is one native batch call on the first tier
+plus O(1) bookkeeping.  This benchmark times wrapped against unwrapped
 serving and asserts the answers stay bit-identical; the target is **< 5%**
-overhead on the committed record's serving rows.  The per-call oracle rows
-are a microbenchmark of the wrapper's fixed cost (about a microsecond per
-call) against a deliberately tiny in-process oracle — a worst-case
-denominator; the batched protocol (`is_satisfactory_many` is one guarded
-call per batch) amortises it to nothing on the serving paths.
+overhead on the committed record's serving rows.
 
 Run standalone to regenerate the machine-readable record::
 
@@ -29,7 +23,7 @@ import numpy as np
 from repro.core.engine import TwoDConfig, create_engine
 from repro.data.synthetic import make_compas_like
 from repro.fairness.proportional import ProportionalOracle
-from repro.resilience import FallbackEngine, ResilientOracle
+from repro.resilience import FallbackEngine
 
 from _results import write_bench_record
 
@@ -47,7 +41,7 @@ def _serving_pair(n: int):
     )
     engine = create_engine(dataset, oracle, TwoDConfig()).preprocess()
     wrapped = FallbackEngine.from_engines([engine]).preprocess()
-    return dataset, oracle, engine, wrapped
+    return engine, wrapped
 
 
 def _interleaved(bare_call, wrapped_call, repeats: int):
@@ -71,7 +65,7 @@ def _interleaved(bare_call, wrapped_call, repeats: int):
 
 def compare_suggest_many(n: int, q: int, repeats: int = 7) -> dict:
     """Time ``suggest_many`` through the chain vs on the bare engine."""
-    _, _, engine, wrapped = _serving_pair(n)
+    engine, wrapped = _serving_pair(n)
     rng = np.random.default_rng(q)
     queries = np.abs(rng.normal(size=(q, 2)))
     queries[np.all(queries == 0.0, axis=1)] = 1.0  # probability-zero guard
@@ -91,44 +85,18 @@ def compare_suggest_many(n: int, q: int, repeats: int = 7) -> dict:
     }
 
 
-def compare_oracle_calls(n: int, calls: int = 300, repeats: int = 15) -> dict:
-    """Time ``is_satisfactory`` through :class:`ResilientOracle` vs bare."""
-    dataset, oracle, _, _ = _serving_pair(n)
-    rng = np.random.default_rng(n)
-    orderings = [rng.permutation(dataset.n_items) for _ in range(calls)]
-
-    def _drive(target) -> tuple:
-        return tuple(target.is_satisfactory(ordering, dataset) for ordering in orderings)
-
-    guarded = ResilientOracle(oracle)
-    bare_seconds, bare, wrapped_seconds, served = _interleaved(
-        lambda: _drive(oracle), lambda: _drive(guarded), repeats
-    )
-    return {
-        "n": n,
-        "calls": calls,
-        "bare_seconds": bare_seconds,
-        "wrapped_seconds": wrapped_seconds,
-        "overhead_fraction": wrapped_seconds / bare_seconds - 1.0,
-        "identical": served == bare,
-        "retries": guarded.stats.retries,
-    }
-
-
 def run_grid(n_values=DEFAULT_N_VALUES, q_values=DEFAULT_Q_VALUES, repeats: int = 15) -> dict:
     serving = [
         compare_suggest_many(n, q, repeats=repeats) for n in n_values for q in q_values
     ]
-    oracle_rows = [compare_oracle_calls(n, repeats=repeats) for n in n_values]
     return {
         "benchmark": "resilience_happy_path_overhead",
         "workload": "make_compas_like(seed=5) projected to 2 attributes, "
         "FM1 (<= share+10% African-American in top 30%); random first-orthant queries",
-        "bare_path": "QueryEngine.suggest_many / FairnessOracle.is_satisfactory",
-        "wrapped_path": "FallbackEngine.from_engines([engine]) / ResilientOracle(oracle)",
+        "bare_path": "QueryEngine.suggest_many",
+        "wrapped_path": "FallbackEngine.from_engines([engine])",
         "target": "happy-path overhead below 5% at the largest batch size",
         "suggest_many": serving,
-        "oracle": oracle_rows,
     }
 
 
@@ -142,13 +110,7 @@ def test_happy_path_overhead_is_small(benchmark, once):
             f"{row['bare_seconds'] * 1e3:.2f}ms -> {row['wrapped_seconds'] * 1e3:.2f}ms "
             f"({row['overhead_fraction'] * 100:+.1f}%)"
         )
-    for row in payload["oracle"]:
-        print(
-            f"  oracle n={row['n']} x{row['calls']}: "
-            f"{row['bare_seconds'] * 1e3:.2f}ms -> {row['wrapped_seconds'] * 1e3:.2f}ms "
-            f"({row['overhead_fraction'] * 100:+.1f}%)"
-        )
-    for row in payload["suggest_many"] + payload["oracle"]:
+    for row in payload["suggest_many"]:
         assert row["identical"]
     # The committed BENCH_resilience.json records < 5% on the full grid; the
     # in-suite bound is looser to tolerate noisy CI boxes.
@@ -163,7 +125,6 @@ def main() -> None:
         parameters={
             "n_values": list(DEFAULT_N_VALUES),
             "q_values": list(DEFAULT_Q_VALUES),
-            "oracle_calls": 300,
             "repeats": 15,
             "seed": 5,
         },
@@ -174,12 +135,6 @@ def main() -> None:
             f"suggest_many n={row['n']} q={row['q']}: bare {row['bare_seconds'] * 1e3:.2f}ms, "
             f"wrapped {row['wrapped_seconds'] * 1e3:.2f}ms, "
             f"overhead {row['overhead_fraction'] * 100:+.2f}%, identical={row['identical']}"
-        )
-    for row in payload["oracle"]:
-        print(
-            f"oracle n={row['n']} x{row['calls']}: bare {row['bare_seconds'] * 1e3:.2f}ms, "
-            f"wrapped {row['wrapped_seconds'] * 1e3:.2f}ms, "
-            f"overhead {row['overhead_fraction'] * 100:+.2f}%"
         )
     print(f"wrote {output}")
 

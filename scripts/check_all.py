@@ -67,7 +67,7 @@ DOCTEST_MODULES = (
     "src/repro/core/system.py",
     "src/repro/core/session.py",
     "src/repro/parallel/shards.py",
-    "src/repro/resilience/policy.py",
+    "src/repro/clock.py",
 )
 
 #: The unconditional serial-vs-pooled smoke test (workers 1 and 2, one small

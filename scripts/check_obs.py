@@ -5,7 +5,7 @@ Two round trips with no dataset, then two small runs on a clock that ticks
 once per read, so the gate runs in about a second:
 
 1. **Trace export** — drive a :class:`repro.obs.trace.TraceRecorder` on a
-   :class:`repro.resilience.policy.FakeClock` through a nested span tree,
+   :class:`repro.clock.FakeClock` through a nested span tree,
    twice from scratch, and require the two ``export_jsonl()`` texts to be
    byte-identical and to parse back through ``parse_trace_jsonl``.
 2. **Metrics snapshot** — exercise counters, gauges and histograms on two
@@ -47,7 +47,7 @@ def _build_trace(clock) -> str:
 
 def check_trace_determinism() -> list[str]:
     from repro.obs.trace import parse_trace_jsonl
-    from repro.resilience.policy import FakeClock
+    from repro.clock import FakeClock
 
     first = _build_trace(FakeClock())
     second = _build_trace(FakeClock())

@@ -25,9 +25,8 @@ Preprocessed designers persist with ``designer.save(path)`` and come back with
 ``FairRankingDesigner.load(path, oracle)``, answering bit-identically without
 re-preprocessing (see :mod:`repro.core.engine` for the engine protocol).
 Persisted files carry a checksum; a corrupted file raises a typed
-:class:`IndexIntegrityError` with a rebuild hint.  For serving against flaky
-oracles or with graceful degradation across pipelines, see
-:mod:`repro.resilience` (``ResilientOracle``, ``FallbackConfig``) and
+:class:`IndexIntegrityError` with a rebuild hint.  For graceful degradation
+across pipelines, see :mod:`repro.resilience` (``FallbackConfig``) and
 ``docs/robustness.md``.  For tracing, metrics and replayable workload
 recording around any engine, see :mod:`repro.obs` (``InstrumentedConfig``,
 ``MetricsRegistry``, ``TraceRecorder``, ``WorkloadRecorder``) and
@@ -61,11 +60,8 @@ from repro.exceptions import (
     NoSatisfactoryFunctionError,
     NotPreprocessedError,
     OracleError,
-    OracleTimeoutError,
-    OracleUnavailableError,
     ReproError,
     ScoringFunctionError,
-    TransientOracleError,
 )
 from repro.fairness import (
     CallableOracle,
@@ -87,13 +83,7 @@ from repro.obs import (
     WorkloadRecorder,
 )
 from repro.ranking import LinearScoringFunction
-from repro.resilience import (
-    CircuitBreaker,
-    FallbackConfig,
-    FallbackEngine,
-    ResilientOracle,
-    RetryPolicy,
-)
+from repro.resilience import FallbackConfig, FallbackEngine
 
 __version__ = "1.3.0"
 
@@ -127,9 +117,6 @@ __all__ = [
     "MDExactIndex",
     "ApproximatePreprocessor",
     "MDApproxIndex",
-    "ResilientOracle",
-    "RetryPolicy",
-    "CircuitBreaker",
     "FallbackConfig",
     "FallbackEngine",
     "InstrumentedConfig",
@@ -142,9 +129,6 @@ __all__ = [
     "ScoringFunctionError",
     "GeometryError",
     "OracleError",
-    "TransientOracleError",
-    "OracleTimeoutError",
-    "OracleUnavailableError",
     "FallbackExhaustedError",
     "IndexIntegrityError",
     "ConfigurationError",

@@ -120,8 +120,8 @@ class TypedExceptionsRule(Rule):
 
     ``raise ValueError(...)`` and control-flow ``assert`` make failures
     unclassifiable for callers that guard pipelines with ``except
-    ReproError``; PR 6's resilience layer additionally keys retry/fallback
-    decisions on the typed hierarchy.  ``NotImplementedError`` (abstract
+    ReproError``; the fallback chain additionally passes two typed errors
+    through instead of failing over.  ``NotImplementedError`` (abstract
     stubs) and ``SystemExit`` (CLI entry points) stay legal, and so does
     ``raise AttributeError`` directly in a module-level ``__getattr__``: PEP
     562 requires it for unknown module attributes (``hasattr`` and the import
@@ -264,7 +264,7 @@ class DeterminismRule(Rule):
         if resolved in ("time.time", "time.time_ns"):
             return (
                 f"{resolved}() reads the wall clock; inject a clock (see the "
-                "repro.resilience.policy seam) or use time.monotonic for durations"
+                "repro.clock seam) or use time.monotonic for durations"
             )
         if len(parts) >= 2 and tuple(parts[-2:]) in _WALL_CLOCK_TAILS:
             return (

@@ -25,8 +25,8 @@ Two kernels then judge the sectors:
   proves each event an adjacent transposition; the oracle's
   ``sweep_verdicts`` then turns the ranks into one verdict per sector.
 * **loop** — the per-swap reference, and the path of every oracle or input
-  the array kernel does not cover (prefix and black-box oracles, and
-  allclose near-duplicate rows that leave a swap non-adjacent).  With the
+  the array kernel does not cover (prefix and black-box oracles, and rounded
+  angles that leave a swap non-adjacent).  With the
   :class:`~repro.fairness.incremental.IncrementalOracle` protocol it calls
   ``apply_swap`` per event and ``verdict()`` per sector; without it,
   ``is_satisfactory`` per sector.
@@ -541,8 +541,9 @@ def _adjacent_swap_trace(
     the per-swap loop's positions, so every loop swap is ``(low, low + 1)``.
     Returns ``(low, leaving, entering)`` per event — the smaller of the two
     swapped positions, the item moving down from it and the item moving up
-    into it — or ``None`` when any event fails the check (allclose
-    near-duplicate rows, which never exchange, can make a swap non-adjacent).
+    into it — or ``None`` when any event fails the check (rounding can put
+    two near-tied exchange angles in separate groups out of their exact
+    order, which makes a swap non-adjacent).
     """
     leaving, entering, before, _ = _move_ranks(x_scores, ordering, first, second)
     low = before[0::2]

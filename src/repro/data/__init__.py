@@ -15,7 +15,6 @@ from repro.data.dominance import (
     exchange_pair_indices,
     iter_exchange_pair_chunks,
     non_dominated_pairs,
-    pairwise_close_matrix,
     skyline_indices,
 )
 from repro.data.layers import convex_layers, topk_candidate_indices, upper_hull_indices
@@ -39,7 +38,6 @@ __all__ = [
     "load_dot_csv",
     "dominates",
     "dominance_matrix",
-    "pairwise_close_matrix",
     "skyline_indices",
     "non_dominated_pairs",
     "exchange_pair_indices",

@@ -19,7 +19,6 @@ from repro.obs.trace import stage_span
 __all__ = [
     "dominates",
     "dominance_matrix",
-    "pairwise_close_matrix",
     "skyline_indices",
     "non_dominated_pairs",
     "exchange_pair_indices",
@@ -70,24 +69,6 @@ def skyline_indices(scores: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~dominated)
 
 
-def pairwise_close_matrix(
-    scores: np.ndarray, rtol: float = 1e-5, atol: float = 1e-8
-) -> np.ndarray:
-    """Return a boolean matrix ``C`` with ``C[i, j]`` true iff ``allclose(scores[i], scores[j])``.
-
-    Uses the same (asymmetric) tolerance rule as :func:`numpy.allclose`,
-    ``|a - b| <= atol + rtol * |b|`` with ``b = scores[j]``, so masking with
-    this matrix is exactly equivalent to the per-pair ``np.allclose`` check of
-    the scalar exchange-construction path.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2:
-        raise DatasetError("pairwise_close_matrix expects an (n, d) matrix")
-    difference = np.abs(scores[:, None, :] - scores[None, :, :])
-    tolerance = atol + rtol * np.abs(scores[None, :, :])
-    return np.all(difference <= tolerance, axis=2)
-
-
 def non_dominated_pairs(scores: np.ndarray) -> list[tuple[int, int]]:
     """Return all index pairs ``(i, j)`` with ``i < j`` where neither item dominates the other.
 
@@ -102,40 +83,33 @@ def non_dominated_pairs(scores: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i_indices.tolist(), j_indices.tolist()))
 
 
-def _exchange_pairs(
-    scores: np.ndarray, rows: np.ndarray, columns: np.ndarray, rtol: float, atol: float
-) -> np.ndarray:
+def _exchange_pairs(scores: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The exchange rule: pairs ``(i, j)`` with ``i < j``, ``i`` in ``rows``, ``j`` in ``columns``.
 
-    A pair exchanges iff neither row dominates the other and the two rows are
-    not near-identical (§3.2, footnote 4).  Scores are finite, so "neither
-    dominates" is "some difference is positive and some is negative" (equal
-    rows are close, and excluded, anyway).  Closeness is ``allclose``'s
-    asymmetric ``|a - b| <= atol + rtol * |b|`` with ``b`` the larger index
-    ``j``.  ``rows`` and ``columns`` are ascending index arrays; pairs come
-    in row-major order.  Every enumerator below runs exactly this function.
+    A pair exchanges iff neither row dominates the other (§3.2, footnote 4).
+    Scores are finite, so that is "some difference is positive and some is
+    negative"; equal rows have neither and never exchange.  ``rows`` and
+    ``columns`` are ascending index arrays; pairs come in row-major order.
+    Every enumerator below runs exactly this function.
     """
     difference = scores[rows, None, :] - scores[None, columns, :]
     mixed = np.any(difference > 0.0, axis=2) & np.any(difference < 0.0, axis=2)
-    np.abs(difference, out=difference)
-    close = np.all(difference <= atol + rtol * np.abs(scores[columns]), axis=2)
-    first, second = np.nonzero(mixed & ~close & (rows[:, None] < columns[None, :]))
+    first, second = np.nonzero(mixed & (rows[:, None] < columns[None, :]))
     return np.column_stack((rows[first], columns[second]))
 
 
-def exchange_pair_indices(
-    scores: np.ndarray, rtol: float = 1e-5, atol: float = 1e-8
-) -> np.ndarray:
+def exchange_pair_indices(scores: np.ndarray) -> np.ndarray:
     """Return the ``(m, 2)`` array of row pairs that produce an ordering exchange.
 
-    A pair exchanges iff the two rows are not near-identical (``allclose``) and
-    neither dominates the other (§3.2, footnote 4).  The concatenation of
-    :func:`iter_exchange_pair_chunks` (the 2-D exchange build reads it; the
-    d ≥ 3 builders consume the chunks directly), so memory stays bounded.
-    Pairs are returned with ``i < j`` in row-major (nested-loop) order.
+    A pair exchanges iff neither row dominates the other, so some score
+    difference is positive and some negative (§3.2, footnote 4).  The
+    concatenation of :func:`iter_exchange_pair_chunks` (the 2-D exchange
+    build reads it; the d ≥ 3 builders consume the chunks directly), so
+    memory stays bounded.  Pairs are returned with ``i < j`` in row-major
+    (nested-loop) order.
     """
     return np.concatenate(
-        [np.empty((0, 2), dtype=int), *iter_exchange_pair_chunks(scores, rtol=rtol, atol=atol)]
+        [np.empty((0, 2), dtype=int), *iter_exchange_pair_chunks(scores)]
     )
 
 
@@ -149,13 +123,7 @@ def default_row_chunk_size(n: int, d: int) -> int:
     return max(1, _CHUNK_BUDGET_ELEMENTS // max(1, n * d))
 
 
-def exchange_pairs_for_block(
-    scores: np.ndarray,
-    start: int,
-    stop: int,
-    rtol: float = 1e-5,
-    atol: float = 1e-8,
-) -> np.ndarray:
+def exchange_pairs_for_block(scores: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Exchange pairs ``(i, j)`` with ``start <= i < stop`` and ``j > i``.
 
     The block-row kernel of :func:`iter_exchange_pair_chunks`, shared with the
@@ -169,15 +137,10 @@ def exchange_pairs_for_block(
         raise DatasetError(
             f"block bounds [{start}, {stop}) fall outside the {n}-row score matrix"
         )
-    return _exchange_pairs(scores, np.arange(start, stop), np.arange(start + 1, n), rtol, atol)
+    return _exchange_pairs(scores, np.arange(start, stop), np.arange(start + 1, n))
 
 
-def exchange_pairs_touching(
-    scores: np.ndarray,
-    touched,
-    rtol: float = 1e-5,
-    atol: float = 1e-8,
-) -> np.ndarray:
+def exchange_pairs_touching(scores: np.ndarray, touched) -> np.ndarray:
     """Exchange pairs ``(i, j)`` with ``i < j`` and at least one endpoint in ``touched``.
 
     The incremental-maintenance counterpart of :func:`exchange_pair_indices`:
@@ -212,8 +175,8 @@ def exchange_pairs_touching(
     every = np.arange(n)
     pairs = np.concatenate(
         (
-            _exchange_pairs(scores, rows, every[rows[0] + 1 :], rtol, atol),
-            _exchange_pairs(scores, every[: rows[-1]], rows, rtol, atol),
+            _exchange_pairs(scores, rows, every[rows[0] + 1 :]),
+            _exchange_pairs(scores, every[: rows[-1]], rows),
         )
     )
     # Pairs between two touched rows come twice; i * n + j sorts row-major.
@@ -221,12 +184,7 @@ def exchange_pairs_touching(
     return np.column_stack((keys // n, keys % n))
 
 
-def iter_exchange_pair_chunks(
-    scores: np.ndarray,
-    rtol: float = 1e-5,
-    atol: float = 1e-8,
-    row_chunk_size: int | None = None,
-):
+def iter_exchange_pair_chunks(scores: np.ndarray, row_chunk_size: int | None = None):
     """Yield the exchange pairs of ``scores`` in bounded-memory row blocks.
 
     The whole ``(n, n, d)`` difference tensor would be 2.4 GB of float64 at
@@ -240,8 +198,6 @@ def iter_exchange_pair_chunks(
     ----------
     scores:
         ``(n, d)`` score matrix.
-    rtol, atol:
-        Near-duplicate tolerances, as in :func:`exchange_pair_indices`.
     row_chunk_size:
         Rows per block; defaults to whatever keeps the broadcast block near
         64 MB (at least 1).
@@ -260,7 +216,7 @@ def iter_exchange_pair_chunks(
         # to the chunk; it is a no-op unless an instrumented engine is
         # preprocessing (repro.obs.trace.activated).
         with stage_span("preprocess.pair_chunk", start=start, stop=stop) as span:
-            pairs = exchange_pairs_for_block(scores, start, stop, rtol=rtol, atol=atol)
+            pairs = exchange_pairs_for_block(scores, start, stop)
             if span is not None:
                 span.set("n_pairs", int(pairs.shape[0]))
         yield pairs

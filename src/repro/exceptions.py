@@ -20,9 +20,6 @@ __all__ = [
     "NoSatisfactoryFunctionError",
     "NotPreprocessedError",
     "OracleError",
-    "TransientOracleError",
-    "OracleTimeoutError",
-    "OracleUnavailableError",
     "FallbackExhaustedError",
     "ConfigurationError",
     "IndexIntegrityError",
@@ -63,32 +60,6 @@ class NotPreprocessedError(ReproError):
 
 class OracleError(ReproError):
     """Raised when a fairness oracle is misconfigured or evaluated incorrectly."""
-
-
-class TransientOracleError(OracleError):
-    """An oracle failure that may heal on retry (network blip, flaky service).
-
-    The resilience layer (:mod:`repro.resilience`) retries these with
-    exponential backoff; every other :class:`OracleError` is treated as
-    permanent and surfaces immediately.
-    """
-
-
-class OracleTimeoutError(TransientOracleError):
-    """Raised when an oracle call exceeded its configured deadline."""
-
-
-class OracleUnavailableError(OracleError):
-    """Raised when the oracle cannot be reached at all.
-
-    Either the circuit breaker is open (too many consecutive failures) or a
-    bounded retry loop exhausted its attempts.  ``last_error`` carries the
-    failure that exhausted the budget, when there was one.
-    """
-
-    def __init__(self, message: str, last_error: BaseException | None = None) -> None:
-        super().__init__(message)
-        self.last_error = last_error
 
 
 class FallbackExhaustedError(ReproError):

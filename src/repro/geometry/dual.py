@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.dominance import (
-    dominates,
     exchange_pair_indices,
     iter_exchange_pair_chunks,
 )
@@ -89,7 +88,9 @@ def has_exchange(first: np.ndarray, second: np.ndarray) -> bool:
     """Return True if the pair produces an ordering exchange inside the first orthant.
 
     Identical items and dominated pairs do not exchange anywhere in the space
-    of non-negative weight vectors (§3.2, footnote 4).
+    of non-negative weight vectors (§3.2, footnote 4); every other pair has
+    some score difference positive and some negative, the rule of
+    :func:`repro.data.dominance.exchange_pair_indices`.
 
     >>> import numpy as np
     >>> has_exchange(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
@@ -99,9 +100,10 @@ def has_exchange(first: np.ndarray, second: np.ndarray) -> bool:
     """
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
-    if np.allclose(first, second):
-        return False
-    return not dominates(first, second) and not dominates(second, first)
+    if first.shape != second.shape:
+        raise GeometryError("has_exchange expects two vectors of the same dimension")
+    difference = first - second
+    return bool(np.any(difference > 0.0) and np.any(difference < 0.0))
 
 
 def exchange_angle_2d(first: np.ndarray, second: np.ndarray) -> float:

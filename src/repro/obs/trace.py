@@ -22,7 +22,7 @@ pay one global read per stage.
 
 Clock discipline: this module never touches ``time.*`` (the ``obs-clock``
 contract rule); the default clock is :data:`repro.clock.monotonic_clock` and
-any ``() -> float`` callable — e.g. ``resilience.policy.FakeClock`` — can be
+any ``() -> float`` callable — e.g. :class:`repro.clock.FakeClock` — can be
 injected for deterministic tests.
 """
 

@@ -1,14 +1,9 @@
-"""Resilient serving layer: fault-tolerant oracles, fallback chains, chaos.
+"""Resilient serving layer: the fallback chain and seeded fault injection.
 
-The paper's oracle is an external dependency (a human expert, a policy
-service) and the serving layer answers interactive queries against it — so
-this package adds the protections a production deployment of the pipelines
-needs, without touching their numerics:
+A serving layer answering interactive queries cannot let one failing
+pipeline take down a whole batch, so this package adds graceful degradation
+at the engine seam without touching the pipelines' numerics:
 
-* :mod:`repro.resilience.policy` — retry/backoff schedules, circuit breaker,
-  and the injectable :class:`~repro.resilience.policy.FakeClock`;
-* :mod:`repro.resilience.oracle` — :class:`ResilientOracle`, wrapping any
-  fairness oracle with deadlines, bounded retry and circuit breaking;
 * :mod:`repro.resilience.fallback` — :class:`FallbackEngine`, a registered
   query engine running an ordered tier chain with per-query fault isolation;
 * :mod:`repro.resilience.chaos` — seeded, deterministic fault injection
@@ -27,21 +22,8 @@ from repro.resilience.fallback import (
     QueryRecord,
     TierError,
 )
-from repro.resilience.oracle import OracleCallStats, ResilientOracle
-from repro.resilience.policy import (
-    CircuitBreaker,
-    FakeClock,
-    RetryPolicy,
-    is_transient_failure,
-)
 
 __all__ = [
-    "RetryPolicy",
-    "CircuitBreaker",
-    "FakeClock",
-    "is_transient_failure",
-    "ResilientOracle",
-    "OracleCallStats",
     "FallbackConfig",
     "FallbackEngine",
     "FallbackTelemetry",

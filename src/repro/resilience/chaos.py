@@ -2,8 +2,8 @@
 
 Resilience claims are worthless untested, and testing them against real
 flakiness is itself flaky.  :class:`ChaosOracle` and :class:`ChaosEngine`
-inject failures, latency and wrong verdicts at configurable rates, **keyed by
-a seeded hash of the call's payload** (the ordering for oracles, the weight
+inject failures and wrong verdicts at configurable rates, **keyed by a
+seeded hash of the call's payload** (the ordering for oracles, the weight
 vector for engines) rather than by a call counter.  That choice makes
 injection
 
@@ -15,12 +15,8 @@ injection
   invariants of :class:`~repro.resilience.fallback.FallbackEngine` can be
   asserted exactly.
 
-Injected failures raise :class:`InjectedFault`, a
-:class:`~repro.exceptions.TransientOracleError` subclass, so the default
-classification in :class:`~repro.resilience.oracle.ResilientOracle` treats
-them as retryable.  Injected latency advances an attached
-:class:`~repro.resilience.policy.FakeClock` instead of sleeping, which makes
-deadline handling testable in zero wall time.
+Injected failures raise :class:`InjectedFault`, an
+:class:`~repro.exceptions.OracleError` subclass.
 """
 
 from __future__ import annotations
@@ -31,15 +27,14 @@ import numpy as np
 
 from repro.core.engine import EngineWrapper
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError, OracleError, TransientOracleError
+from repro.exceptions import ConfigurationError, OracleError
 from repro.fairness.oracle import FairnessOracle
-from repro.resilience.policy import FakeClock
 
 __all__ = ["InjectedFault", "ChaosOracle", "ChaosEngine"]
 
 
-class InjectedFault(TransientOracleError):
-    """The failure raised by chaos wrappers (transient, hence retryable)."""
+class InjectedFault(OracleError):
+    """The failure raised by chaos wrappers."""
 
 
 def _roll(seed: int, salt: bytes, payload: bytes) -> float:
@@ -69,13 +64,8 @@ class ChaosOracle(FairnessOracle):
     wrong_verdict_rate:
         Probability (per distinct ordering, drawn independently of failures)
         of flipping the inner verdict.
-    latency:
-        Simulated seconds added to ``clock`` per call (requires ``clock``).
     seed:
         Seed of every injection draw.
-    clock:
-        A :class:`~repro.resilience.policy.FakeClock` advanced by ``latency``
-        so wrapped deadline checks observe the slowness.
     enabled:
         When False the wrapper forwards transparently — flip it on *after*
         preprocessing to model an oracle that degrades once serving starts.
@@ -87,23 +77,15 @@ class ChaosOracle(FairnessOracle):
         *,
         failure_rate: float = 0.0,
         wrong_verdict_rate: float = 0.0,
-        latency: float = 0.0,
         seed: int = 0,
-        clock: FakeClock | None = None,
         enabled: bool = True,
     ) -> None:
         if not isinstance(inner, FairnessOracle):
             raise OracleError("ChaosOracle wraps a FairnessOracle")
-        if latency and clock is None:
-            raise ConfigurationError(
-                "injecting latency requires a FakeClock to advance"
-            )
         self.inner = inner
         self.failure_rate = _check_rate("failure_rate", failure_rate)
         self.wrong_verdict_rate = _check_rate("wrong_verdict_rate", wrong_verdict_rate)
-        self.latency = float(latency)
         self.seed = int(seed)
-        self.clock = clock
         self.enabled = enabled
         self.injected_failures = 0
         self.injected_flips = 0
@@ -118,8 +100,6 @@ class ChaosOracle(FairnessOracle):
         if not self.enabled:
             self.forwarded_calls += 1
             return self.inner.is_satisfactory(ordering, dataset)
-        if self.clock is not None and self.latency:
-            self.clock.advance(self.latency)
         payload = np.ascontiguousarray(ordering, dtype=np.int64).tobytes()
         if _roll(self.seed, b"oracle-fail", payload) < self.failure_rate:
             self.injected_failures += 1
@@ -139,14 +119,14 @@ class ChaosOracle(FairnessOracle):
 
 
 class ChaosEngine(EngineWrapper):
-    """A query-engine wrapper that injects per-query faults and latency.
+    """A query-engine wrapper that injects per-query faults.
 
     Forwards the whole :class:`~repro.core.engine.QueryEngine` seam to
     ``inner`` — so a chaos tier follows ``apply_delta`` / ``refresh`` like
     any other — and presents the inner engine's name, oracle, config,
     capabilities and payload as its own.  Faults are keyed by each query's
-    weight vector, so a poisoned query fails the same way in the batch path,
-    the per-query path, and on retries (see module docstring).
+    weight vector, so a poisoned query fails the same way in the batch path
+    and in the per-query path (see module docstring).
     ``suggest_many`` raises on the *first* poisoned query in the batch —
     exactly how one bad query used to take down a whole unprotected batch —
     which is the failure mode the fallback layer's per-query isolation is
@@ -158,20 +138,12 @@ class ChaosEngine(EngineWrapper):
         inner,
         *,
         failure_rate: float = 0.0,
-        latency: float = 0.0,
         seed: int = 0,
-        clock: FakeClock | None = None,
         enabled: bool = True,
     ) -> None:
-        if latency and clock is None:
-            raise ConfigurationError(
-                "injecting latency requires a FakeClock to advance"
-            )
         self.inner = inner
         self.failure_rate = _check_rate("failure_rate", failure_rate)
-        self.latency = float(latency)
         self.seed = int(seed)
-        self.clock = clock
         self.enabled = enabled
         self.injected_failures = 0
 
@@ -206,8 +178,6 @@ class ChaosEngine(EngineWrapper):
         )
 
     def _maybe_fault(self, weights) -> None:
-        if self.clock is not None and self.latency:
-            self.clock.advance(self.latency)
         if self.would_fail(weights):
             self.injected_failures += 1
             raise InjectedFault("chaos: injected engine failure")

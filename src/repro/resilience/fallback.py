@@ -6,7 +6,7 @@ registered in the ordinary engine registry (name ``"fallback"``, configured
 by :class:`FallbackConfig`) — per the PR-2 seam discipline, it is a
 registered engine *wrapping* other registered engines, not a facade branch.
 It runs an ordered chain of tiers (e.g. exact → approximate) and advances on
-failure or per-query deadline:
+failure:
 
 * ``suggest`` tries each tier in order and returns the first answer,
   recording which tier answered in :attr:`FallbackEngine.last_record`;
@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.clock import monotonic_clock
 from repro.core.engine import (
     EngineWrapper,
     as_weight_matrix,
@@ -86,17 +85,12 @@ class FallbackConfig:
         ``(TwoDConfig(),)`` in 2-D, ``(ExactConfig(), ApproxConfig())``
         otherwise (exact answers preferred, grid approximation as the
         degraded tier).
-    per_query_deadline:
-        Seconds a single query may take on a tier before the tier is
-        considered failed for that query (checked post-hoc on the injected
-        clock; enforced on the per-query isolation path).
 
     A tier whose preprocessing or maintenance fails is dropped from the chain
     (recorded in ``preprocess_errors``) as long as at least one tier survives.
     """
 
     tiers: tuple = ()
-    per_query_deadline: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tiers", tuple(self.tiers))
@@ -105,8 +99,6 @@ class FallbackConfig:
                 raise ConfigurationError("fallback chains cannot nest")
             # Raises ConfigurationError for non-engine configs.
             engine_name_for_config(tier)
-        if self.per_query_deadline is not None and self.per_query_deadline <= 0:
-            raise ConfigurationError("per_query_deadline must be positive")
 
 
 @dataclass(frozen=True)
@@ -278,7 +270,6 @@ class FallbackEngine(EngineWrapper):
         config: FallbackConfig | None = None,
         *,
         engines=None,
-        clock=None,
         metrics=None,
     ) -> None:
         config = config if config is not None else FallbackConfig()
@@ -287,7 +278,6 @@ class FallbackEngine(EngineWrapper):
                 f"FallbackEngine expects a FallbackConfig, got {type(config).__name__}"
             )
         self.oracle = oracle
-        self._clock = clock if clock is not None else monotonic_clock
         if engines is None:
             config = replace(config, tiers=config.tiers or self._default_tiers(dataset))
             engines = tuple(create_engine(dataset, oracle, tier) for tier in config.tiers)
@@ -315,14 +305,7 @@ class FallbackEngine(EngineWrapper):
         return f"{position}:{getattr(engine, 'name', type(engine).__name__)}"
 
     @classmethod
-    def from_engines(
-        cls,
-        engines,
-        *,
-        per_query_deadline: float | None = None,
-        clock=None,
-        metrics=None,
-    ) -> "FallbackEngine":
+    def from_engines(cls, engines, *, metrics=None) -> "FallbackEngine":
         """Build a chain over already-constructed (possibly wrapped) engines.
 
         The engines' own configs stay authoritative; the first engine supplies
@@ -336,9 +319,8 @@ class FallbackEngine(EngineWrapper):
         return cls(
             first.dataset,
             first.oracle,
-            FallbackConfig(per_query_deadline=per_query_deadline),
+            FallbackConfig(),
             engines=engines,
-            clock=clock,
             metrics=metrics,
         )
 
@@ -472,30 +454,14 @@ class FallbackEngine(EngineWrapper):
     ) -> SuggestionResult | None:
         """One query on one tier: its answer, or ``None`` once its failure is in ``errors``.
 
-        The call is timed on the chain's clock, so ``per_query_deadline``
-        holds whether or not a trace recorder is active; the answer or the
-        :class:`TierError` goes into the telemetry.
+        The answer or the :class:`TierError` goes into the telemetry.
         """
-        started = self._clock()
         try:
             result = engine.suggest(function)
         except _PASS_THROUGH:
             raise
         except Exception as error:  # noqa: BLE001 — isolation is the point
             errors.append(TierError(label, type(error).__name__, str(error)))
-            self.telemetry.record_tier_failure(label)
-            return None
-        elapsed = self._clock() - started
-        deadline = self.config.per_query_deadline
-        if deadline is not None and elapsed > deadline:
-            errors.append(
-                TierError(
-                    label,
-                    "DeadlineExceeded",
-                    f"query took {elapsed:.3f}s, exceeding the {deadline:g}s "
-                    "per-query deadline",
-                )
-            )
             self.telemetry.record_tier_failure(label)
             return None
         self.telemetry.record_answer(label, failover=bool(errors))

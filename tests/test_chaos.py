@@ -14,19 +14,15 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ApproxConfig, create_engine
-from repro.exceptions import OracleUnavailableError
+from repro.exceptions import ConfigurationError, OracleError
 from repro.fairness.oracle import CountingOracle
 from repro.ranking.scoring import LinearScoringFunction
 from repro.resilience import (
     ChaosEngine,
     ChaosOracle,
-    CircuitBreaker,
-    FakeClock,
     FallbackEngine,
     InjectedFault,
     QueryFailure,
-    ResilientOracle,
-    RetryPolicy,
 )
 
 pytestmark = pytest.mark.chaos
@@ -100,16 +96,94 @@ class TestChaosOracle:
         )
         assert chaos.injected_failures == 0 and chaos.forwarded_calls == 1
 
-    def test_latency_advances_the_clock(self, chaos_setup):
-        dataset, oracle, _, _ = chaos_setup
-        clock = FakeClock()
-        chaos = ChaosOracle(oracle, latency=0.5, clock=clock)
-        chaos.is_satisfactory(np.arange(dataset.n_items), dataset)
-        assert clock() == 0.5
-
     def test_describe_names_the_rates(self, chaos_setup):
         _, oracle, _, _ = chaos_setup
         assert "fail=0.25" in ChaosOracle(oracle, failure_rate=0.25).describe()
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    @pytest.mark.parametrize("field", ["failure_rate", "wrong_verdict_rate"])
+    def test_rejects_rates_outside_the_unit_interval(self, chaos_setup, field, rate):
+        _, oracle, _, _ = chaos_setup
+        with pytest.raises(ConfigurationError, match=field):
+            ChaosOracle(oracle, **{field: rate})
+
+    def test_requires_a_fairness_oracle(self):
+        with pytest.raises(OracleError, match="FairnessOracle"):
+            ChaosOracle(lambda ordering, dataset: True)  # type: ignore[arg-type]
+
+    def test_injected_faults_are_oracle_errors(self, chaos_setup):
+        dataset, oracle, _, _ = chaos_setup
+        chaos = ChaosOracle(oracle, failure_rate=1.0)
+        with pytest.raises(OracleError, match="injected oracle failure"):
+            chaos.is_satisfactory(np.arange(dataset.n_items), dataset)
+
+    def test_a_faulted_payload_faults_on_every_call(self, chaos_setup):
+        # Payload-keyed injection models a deterministically failing input:
+        # calling again with the same ordering does not heal it.
+        dataset, oracle, _, _ = chaos_setup
+        counting = CountingOracle(oracle)
+        chaos = ChaosOracle(counting, failure_rate=1.0, seed=0)
+        ordering = np.arange(dataset.n_items)
+        for _ in range(3):
+            with pytest.raises(InjectedFault):
+                chaos.is_satisfactory(ordering, dataset)
+        assert chaos.injected_failures == 3
+        assert chaos.forwarded_calls == 0 and counting.calls == 0
+
+    def test_counters_partition_the_calls(self, chaos_setup):
+        dataset, oracle, _, _ = chaos_setup
+        counting = CountingOracle(oracle)
+        chaos = ChaosOracle(counting, failure_rate=0.4, wrong_verdict_rate=0.3, seed=4)
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            try:
+                chaos.is_satisfactory(rng.permutation(dataset.n_items), dataset)
+            except InjectedFault:
+                pass
+        assert chaos.injected_failures > 0 and chaos.injected_flips > 0
+        assert chaos.injected_failures + chaos.injected_flips + chaos.forwarded_calls == 40
+        # Only the calls that were not faulted reach the inner oracle.
+        assert counting.calls == chaos.forwarded_calls + chaos.injected_flips
+
+    def test_zero_rates_forward_every_verdict(self, chaos_setup):
+        dataset, oracle, _, _ = chaos_setup
+        chaos = ChaosOracle(oracle, seed=9)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            ordering = rng.permutation(dataset.n_items)
+            assert not chaos.would_fail(ordering)
+            assert chaos.is_satisfactory(ordering, dataset) == oracle.is_satisfactory(
+                ordering, dataset
+            )
+        assert chaos.forwarded_calls == 20
+        assert chaos.injected_failures == chaos.injected_flips == 0
+
+    def test_the_seed_picks_the_faulted_payloads(self, chaos_setup):
+        dataset, oracle, _, _ = chaos_setup
+        rng = np.random.default_rng(4)
+        orderings = [rng.permutation(dataset.n_items) for _ in range(60)]
+        faulted = [
+            [ChaosOracle(oracle, failure_rate=0.5, seed=seed).would_fail(o) for o in orderings]
+            for seed in (0, 1)
+        ]
+        assert any(faulted[0]) and any(faulted[1])
+        assert faulted[0] != faulted[1]
+
+    def test_flips_are_drawn_independently_of_failures(self, chaos_setup):
+        dataset, oracle, _, _ = chaos_setup
+        failing = ChaosOracle(oracle, failure_rate=0.5, seed=5)
+        flipping = ChaosOracle(oracle, wrong_verdict_rate=0.5, seed=5)
+        rng = np.random.default_rng(6)
+        fails, flips = [], []
+        for _ in range(60):
+            ordering = rng.permutation(dataset.n_items)
+            fails.append(failing.would_fail(ordering))
+            flips.append(
+                flipping.is_satisfactory(ordering, dataset)
+                != oracle.is_satisfactory(ordering, dataset)
+            )
+        assert any(fails) and any(flips)
+        assert fails != flips
 
 
 class TestChaosEngine:
@@ -133,81 +207,54 @@ class TestChaosEngine:
             else:
                 assert chaos.suggest(function) == tier_a.suggest(function)
 
+    @pytest.mark.parametrize("rate", [-0.5, 1.01])
+    def test_rejects_rates_outside_the_unit_interval(self, chaos_setup, rate):
+        _, _, tier_a, _ = chaos_setup
+        with pytest.raises(ConfigurationError, match="failure_rate"):
+            ChaosEngine(tier_a, failure_rate=rate)
 
-# --------------------------------------------------------------------------- #
-# resilient oracle under chaos
-# --------------------------------------------------------------------------- #
-class TestResilientOracleUnderChaos:
-    def test_retry_does_not_heal_payload_keyed_faults(self, chaos_setup):
-        # Payload-keyed injection models a *deterministically* failing input:
-        # the retry budget burns out and the typed error surfaces.
-        dataset, oracle, _, _ = chaos_setup
-        chaos = ChaosOracle(oracle, failure_rate=1.0, seed=0)
-        resilient = ResilientOracle(
-            chaos,
-            retry_policy=RetryPolicy(max_attempts=3, jitter=0.0),
-            circuit_breaker=CircuitBreaker(failure_threshold=100, clock=FakeClock()),
-            sleep=lambda _s: None,
-        )
-        with pytest.raises(OracleUnavailableError) as excinfo:
-            resilient.is_satisfactory(np.arange(dataset.n_items), dataset)
-        assert isinstance(excinfo.value.last_error, InjectedFault)
-        assert resilient.stats.calls == 3
+    def test_presents_the_inner_engine_as_its_own(self, chaos_setup):
+        _, _, tier_a, _ = chaos_setup
+        chaos = ChaosEngine(tier_a, failure_rate=0.5)
+        assert chaos.name == tier_a.name == "approximate"
+        assert chaos.oracle is tier_a.oracle
+        assert chaos.config is tier_a.config
+        assert chaos.capabilities() == tier_a.capabilities()
+        assert chaos.dataset is tier_a.dataset
+        assert chaos.is_preprocessed
 
-    def test_clean_payloads_pass_through_chaos(self, chaos_setup):
-        dataset, oracle, _, _ = chaos_setup
-        chaos = ChaosOracle(oracle, failure_rate=0.5, seed=3)
-        resilient = ResilientOracle(chaos, sleep=lambda _s: None)
-        rng = np.random.default_rng(5)
-        checked = 0
-        for _ in range(20):
-            ordering = rng.permutation(dataset.n_items)
-            if not chaos.would_fail(ordering):
-                assert resilient.is_satisfactory(
-                    ordering, dataset
-                ) == oracle.is_satisfactory(ordering, dataset)
-                checked += 1
-        assert checked > 0
+    def test_clean_batch_matches_the_inner_engine(self, chaos_setup):
+        _, _, tier_a, _ = chaos_setup
+        chaos = ChaosEngine(tier_a, seed=7)
+        matrix = _queries(10, seed=3)
+        assert chaos.suggest_many(matrix) == tier_a.suggest_many(matrix)
+        assert chaos.injected_failures == 0
 
-    def test_breaker_opens_under_sustained_chaos(self, chaos_setup):
-        dataset, oracle, _, _ = chaos_setup
-        clock = FakeClock()
-        chaos = ChaosOracle(oracle, failure_rate=1.0, seed=0)
-        resilient = ResilientOracle(
-            chaos,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            circuit_breaker=CircuitBreaker(
-                failure_threshold=3, recovery_time=60.0, clock=clock
-            ),
-            clock=clock,
-            sleep=clock.advance,
-        )
-        ordering = np.arange(dataset.n_items)
-        for _ in range(2):
-            with pytest.raises(OracleUnavailableError):
-                resilient.is_satisfactory(ordering, dataset)
-        assert resilient.circuit_breaker.state == "open"
-        calls_before = resilient.stats.calls
-        with pytest.raises(OracleUnavailableError):
-            resilient.is_satisfactory(ordering, dataset)
-        assert resilient.stats.calls == calls_before  # fail-fast, no oracle call
-        assert resilient.stats.rejected_open >= 1
+    def test_disabled_engine_is_transparent(self, chaos_setup):
+        _, _, tier_a, _ = chaos_setup
+        chaos = ChaosEngine(tier_a, failure_rate=1.0, enabled=False)
+        matrix = _queries(5, seed=4)
+        function = LinearScoringFunction(tuple(matrix[0].tolist()))
+        assert chaos.suggest_many(matrix) == tier_a.suggest_many(matrix)
+        assert chaos.suggest(function) == tier_a.suggest(function)
+        assert chaos.injected_failures == 0
 
-    def test_chaos_latency_trips_the_deadline(self, chaos_setup):
-        dataset, oracle, _, _ = chaos_setup
-        clock = FakeClock()
-        chaos = ChaosOracle(oracle, latency=3.0, clock=clock)
-        resilient = ResilientOracle(
-            chaos,
-            deadline=1.0,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            circuit_breaker=CircuitBreaker(failure_threshold=100, clock=clock),
-            clock=clock,
-            sleep=clock.advance,
-        )
-        with pytest.raises(OracleUnavailableError):
-            resilient.is_satisfactory(np.arange(dataset.n_items), dataset)
-        assert resilient.stats.timeouts == 2
+    def test_enabling_after_preprocessing_starts_the_faults(self, chaos_setup):
+        _, _, tier_a, _ = chaos_setup
+        chaos = ChaosEngine(tier_a, failure_rate=1.0, enabled=False)
+        function = LinearScoringFunction((0.4, 0.3, 0.3))
+        assert chaos.suggest(function) == tier_a.suggest(function)
+        chaos.enabled = True
+        with pytest.raises(InjectedFault):
+            chaos.suggest(function)
+        assert chaos.injected_failures == 1
+
+    def test_batch_stops_at_the_first_poisoned_query(self, chaos_setup):
+        _, _, tier_a, _ = chaos_setup
+        chaos = ChaosEngine(tier_a, failure_rate=1.0)
+        with pytest.raises(InjectedFault, match="injected engine failure"):
+            chaos.suggest_many(_queries(6, seed=5))
+        assert chaos.injected_failures == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -12,6 +12,7 @@ from repro.data.dominance import (
     dominance_matrix,
     dominates,
     exchange_pair_indices,
+    exchange_pairs_for_block,
     exchange_pairs_touching,
     iter_exchange_pair_chunks,
     non_dominated_pairs,
@@ -154,6 +155,8 @@ def _degenerate_tables() -> dict[str, np.ndarray]:
         "near_duplicates": near,
         "zero_variance": flat,
         "below_atol": tiny,
+        # np.allclose but unequal rows, which still cross (at π/4).
+        "allclose_duplicates": np.array([[1, 2], [1 + 5e-9, 2 - 5e-9], [0.5, 3], [2, 1]]),
         "one_row": np.array([[0.3, 0.7]]),
         "two_rows": np.array([[0.2, 0.9], [0.8, 0.1]]),
     }
@@ -175,7 +178,7 @@ class TestExchangeRuleOnDegenerateTables:
             for j in range(i + 1, n)
             if not dominates(scores[i], scores[j])
             and not dominates(scores[j], scores[i])
-            and not np.allclose(scores[i], scores[j])
+            and not np.array_equal(scores[i], scores[j])
         ]
         assert [tuple(pair) for pair in exchange_pair_indices(scores).tolist()] == expected
 
@@ -196,6 +199,22 @@ class TestExchangeRuleOnDegenerateTables:
             touched = rng.choice(n, size=size, replace=False)
             at_touched = np.isin(full, touched).any(axis=1)
             assert np.array_equal(exchange_pairs_touching(scores, touched), full[at_touched])
+
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_TABLES))
+    def test_block_pairs_are_the_full_pairs_of_their_rows(self, name):
+        scores = DEGENERATE_TABLES[name]
+        full = exchange_pair_indices(scores)
+        n = scores.shape[0]
+        for start, stop in sorted({(0, n), (0, n // 2), (n // 2, n), (n, n)}):
+            in_block = (full[:, 0] >= start) & (full[:, 0] < stop)
+            assert np.array_equal(exchange_pairs_for_block(scores, start, stop), full[in_block])
+
+    def test_block_bounds_are_checked(self):
+        scores = DEGENERATE_TABLES["two_rows"]
+        for start, stop in ((-1, 1), (1, 0), (0, 3)):
+            with pytest.raises(DatasetError, match="block bounds"):
+                exchange_pairs_for_block(scores, start, stop)
 
 
 class TestConvexLayers:

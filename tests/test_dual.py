@@ -63,6 +63,13 @@ class TestHasExchange:
     def test_incomparable_pair_has_exchange(self):
         assert has_exchange(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
 
+    def test_allclose_but_unequal_items_exchange(self):
+        assert has_exchange(np.array([1.0, 2.0]), np.array([1.0 + 5e-9, 2.0 - 5e-9]))
+
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(GeometryError):
+            has_exchange(np.array([1.0]), np.array([1.0, 2.0, 3.0]))
+
 
 class TestExchangeAngle2D:
     def test_paper_example(self):

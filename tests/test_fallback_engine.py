@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -27,11 +30,13 @@ from repro.fairness.oracle import CallableOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.ranking.scoring import LinearScoringFunction
 from repro.resilience import (
+    BatchReport,
     ChaosEngine,
-    FakeClock,
     FallbackConfig,
     FallbackEngine,
     QueryFailure,
+    QueryRecord,
+    TierError,
 )
 
 TIER_A = ApproxConfig(n_cells=64, max_hyperplanes=40)
@@ -62,6 +67,23 @@ class AlwaysBrokenEngine:
 
     def preprocess(self, dataset=None, oracle=None):
         raise RuntimeError("this tier never comes up")
+
+
+class UnpreparedEngine:
+    """An engine stub that claims to be preprocessed but answers like one that is not."""
+
+    name = "unprepared"
+
+    def __init__(self, dataset, oracle) -> None:
+        self.dataset = dataset
+        self.oracle = oracle
+        self.is_preprocessed = True
+
+    def suggest(self, function):
+        raise NotPreprocessedError("call preprocess() first")
+
+    def suggest_many(self, weights_matrix):
+        raise NotPreprocessedError("call preprocess() first")
 
 
 # --------------------------------------------------------------------------- #
@@ -119,10 +141,6 @@ class TestFallbackConfig:
         with pytest.raises(ConfigurationError):
             FallbackConfig(tiers=("approximate",))  # type: ignore[arg-type]
 
-    def test_rejects_nonpositive_deadline(self):
-        with pytest.raises(ConfigurationError):
-            FallbackConfig(per_query_deadline=0.0)
-
     def test_wrong_config_type_rejected(self, serving_setup):
         dataset, oracle, _, _ = serving_setup
         with pytest.raises(ConfigurationError, match="FallbackConfig"):
@@ -131,6 +149,40 @@ class TestFallbackConfig:
     def test_empty_engine_list_rejected(self):
         with pytest.raises(ConfigurationError):
             FallbackEngine.from_engines([])
+
+
+# --------------------------------------------------------------------------- #
+# per-query records
+# --------------------------------------------------------------------------- #
+FAULT = TierError("0:exact", "InjectedFault", "chaos: injected engine failure")
+CLEAN = QueryRecord(0, "0:exact")
+FAILED_OVER = QueryRecord(1, "1:approximate", (FAULT,))
+LOST = QueryRecord(2, None, (FAULT, TierError("1:approximate", "LPError", "infeasible")))
+
+
+class TestRecords:
+    def test_query_record_flags(self):
+        assert (CLEAN.faulted, CLEAN.answered) == (False, True)
+        assert (FAILED_OVER.faulted, FAILED_OVER.answered) == (True, True)
+        assert (LOST.faulted, LOST.answered) == (True, False)
+
+    def test_query_failure_is_never_answered(self):
+        assert not QueryFailure(2, (0.5, 0.5), LOST.errors).answered
+        assert not QueryFailure(3, (0.5, 0.5), ()).answered
+
+    def test_batch_report_counts(self):
+        report = BatchReport((CLEAN, FAILED_OVER, LOST, QueryRecord(3, "0:exact")))
+        assert report.n_queries == 4
+        assert report.n_faulted == 2
+        assert report.n_unanswered == 1
+        assert report.tiers_used == {"0:exact": 2, "1:approximate": 1}
+        assert BatchReport(()).tiers_used == {}
+
+    def test_records_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            CLEAN.tier = None  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            FAULT.message = ""  # type: ignore[misc]
 
 
 # --------------------------------------------------------------------------- #
@@ -246,21 +298,80 @@ class TestServing:
         with pytest.raises(NoSatisfactoryFunctionError):
             engine.suggest_many(_queries(3))
 
-    def test_per_query_deadline_advances_the_chain(self, serving_setup):
-        _, _, tier_a, tier_b = serving_setup
-        clock = FakeClock()
-        slow = ChaosEngine(tier_a, latency=2.0, clock=clock)
-        engine = FallbackEngine(
-            tier_a.dataset,
-            tier_a.oracle,
-            FallbackConfig(per_query_deadline=1.0),
-            engines=(slow, tier_b),
-            clock=clock,
+
+    def test_not_preprocessed_tier_passes_through(self, serving_setup):
+        dataset, oracle, _, tier_b = serving_setup
+        engine = FallbackEngine.from_engines(
+            [UnpreparedEngine(dataset, oracle), tier_b]
         ).preprocess()
-        function = LinearScoringFunction((0.4, 0.3, 0.3))
-        result = engine.suggest(function)
-        assert result == tier_b.suggest(function)
-        assert engine.last_record.errors[0].error_type == "DeadlineExceeded"
+        with pytest.raises(NotPreprocessedError):
+            engine.suggest(LinearScoringFunction((0.4, 0.3, 0.3)))
+        with pytest.raises(NotPreprocessedError):
+            engine.suggest_many(_queries(3))
+        assert engine.telemetry.n_failovers == 0
+
+    def test_active_tiers_require_preprocessing(self, serving_setup):
+        _, _, tier_a, tier_b = serving_setup
+        engine = FallbackEngine.from_engines([tier_a, tier_b])
+        assert not engine.is_preprocessed
+        with pytest.raises(NotPreprocessedError):
+            engine.active_tiers
+        engine.preprocess()
+        assert engine.is_preprocessed
+        assert engine.active_tiers == ("0:approximate", "1:approximate")
+
+    def test_reports_are_empty_before_the_first_query(self, serving_setup):
+        _, _, tier_a, _ = serving_setup
+        engine = FallbackEngine.from_engines([tier_a]).preprocess()
+        assert engine.last_report is None and engine.last_record is None
+        assert engine.telemetry.as_dict() == {
+            "n_queries": 0,
+            "n_failovers": 0,
+            "n_unanswered": 0,
+            "answered_by": {},
+            "tier_failures": {},
+        }
+
+    def test_happy_path_report_is_built_once(self, serving_setup):
+        _, _, tier_a, _ = serving_setup
+        engine = FallbackEngine.from_engines([tier_a]).preprocess()
+        engine.suggest_many(_queries(3))
+        report = engine.last_report
+        assert report is engine.last_report
+        assert report.records == tuple(QueryRecord(row, "0:approximate") for row in range(3))
+
+    def test_telemetry_counts_a_single_query_failover(self, serving_setup):
+        _, _, tier_a, tier_b = serving_setup
+        engine = FallbackEngine.from_engines(
+            [ChaosEngine(tier_a, failure_rate=1.0), tier_b]
+        ).preprocess()
+        engine.suggest(LinearScoringFunction((0.4, 0.3, 0.3)))
+        assert engine.telemetry.as_dict() == {
+            "n_queries": 1,
+            "n_failovers": 1,
+            "n_unanswered": 0,
+            "answered_by": {"1:approximate": 1},
+            "tier_failures": {"0:approximate": 1},
+        }
+
+    def test_telemetry_accumulates_across_batches(self, serving_setup):
+        _, _, tier_a, tier_b = serving_setup
+        chaotic = ChaosEngine(tier_a, failure_rate=0.3, seed=7)
+        engine = FallbackEngine.from_engines([chaotic, tier_b]).preprocess()
+        matrix = _queries(20, seed=1)
+        poisoned = sum(chaotic.would_fail(row) for row in matrix)
+        assert 0 < poisoned < 20
+        for _ in range(2):
+            engine.suggest_many(matrix)
+        counters = engine.telemetry.as_dict()
+        assert counters == {
+            "n_queries": 40,
+            "n_failovers": 2 * poisoned,
+            "n_unanswered": 0,
+            "answered_by": {"0:approximate": 2 * (20 - poisoned), "1:approximate": 2 * poisoned},
+            "tier_failures": {"0:approximate": 2 * poisoned},
+        }
+        assert json.loads(json.dumps(counters)) == counters
 
 
 # --------------------------------------------------------------------------- #

@@ -26,6 +26,8 @@ from repro.fairness.proportional import ProportionalOracle
 
 TIED_DATA = {
     "exact-duplicates": [[1, 2], [1, 2], [0.5, 3], [2, 1], [0.8, 2.5]],
+    # Rows that are np.allclose but not equal still cross (at π/4).
+    "allclose-duplicates": [[1, 2], [1 + 5e-9, 2 - 5e-9], [0.5, 3], [2, 1]],
     # The crossing item has the lowest index, so (angle, i, j) order swaps it
     # with the farther duplicate first.
     "duplicates-crossed-from-below": [[1, 3], [2, 1], [2, 1], [3, 0], [2, 1]],

@@ -34,7 +34,6 @@ from repro.data.dominance import (
     dominance_matrix,
     exchange_pair_indices,
     non_dominated_pairs,
-    pairwise_close_matrix,
 )
 from repro.data.synthetic import make_compas_like
 from repro.fairness.composite import AndOracle, NotOracle, OrOracle
@@ -146,19 +145,6 @@ class TestVectorizedKernels:
             if not matrix[i, j] and not matrix[j, i]
         ]
         assert non_dominated_pairs(scores) == reference
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_pairwise_close_matrix_matches_allclose(self, seed):
-        """The broadcast closeness matrix encodes exactly np.allclose's rule."""
-        rng = np.random.default_rng(seed)
-        scores = rng.random((10, 3))
-        scores[4] = scores[1]
-        scores[7] = scores[2] + 1e-9
-        close = pairwise_close_matrix(scores)
-        for i in range(scores.shape[0]):
-            for j in range(scores.shape[0]):
-                assert close[i, j] == np.allclose(scores[i], scores[j])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

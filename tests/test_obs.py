@@ -16,11 +16,14 @@ Covers the four pillars the PR promises:
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.clock import FakeClock
 from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.core.maintenance import DatasetDelta
 from repro.core.monitoring import error_budget_report
@@ -43,7 +46,6 @@ from repro.obs.trace import activated, active_recorder, parse_trace_jsonl, stage
 from repro.resilience import FallbackEngine
 from repro.resilience.fallback import FallbackTelemetry
 from repro.ranking.scoring import LinearScoringFunction
-from repro.resilience.policy import FakeClock
 
 pytestmark = pytest.mark.obs
 
@@ -171,6 +173,40 @@ def test_trace_recorder_clear_restarts_span_ids():
         ("inner", 3, 2),
         ("outer", 2, None),
     ]
+
+
+#: The package tree whose clock readers the guard below counts.
+SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _clock_users() -> tuple[set[str], set[str]]:
+    """Modules of ``src/repro`` that import ``time``, and those that name ``monotonic_clock``."""
+    imports_time: set[str] = set()
+    names_clock: set[str] = set()
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        module = path.relative_to(SRC_REPRO.parent).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                if any(alias.name.split(".")[0] == "time" for alias in node.names):
+                    imports_time.add(module)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0 and (node.module or "").split(".")[0] == "time":
+                    imports_time.add(module)
+            elif (
+                (isinstance(node, ast.Name) and node.id == "monotonic_clock")
+                or (isinstance(node, ast.Attribute) and node.attr == "monotonic_clock")
+                or (isinstance(node, ast.alias) and node.name == "monotonic_clock")
+            ):
+                names_clock.add(module)
+    return imports_time, names_clock
+
+
+def test_spans_are_the_only_clock_reader():
+    """One timing source: only the clock seam imports ``time``, and only it and
+    the trace recorder, whose spans read it, name ``monotonic_clock``."""
+    imports_time, names_clock = _clock_users()
+    assert imports_time == {"repro/clock.py"}
+    assert names_clock == {"repro/clock.py", "repro/obs/trace.py"}
 
 
 # --------------------------------------------------------------------- #

@@ -1,151 +1,20 @@
-"""Tests for the resilience policies and the fault-tolerant oracle wrapper."""
+"""Tests for the clock seam of the spans and the callable-oracle verdict coercion."""
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
+import repro.obs.trace
+from repro.clock import FakeClock, monotonic_clock
 from repro.data.dataset import Dataset
-from repro.exceptions import (
-    ConfigurationError,
-    OracleError,
-    OracleTimeoutError,
-    OracleUnavailableError,
-    TransientOracleError,
-)
-from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
-from repro.fairness.proportional import ProportionalOracle
-from repro.resilience import (
-    CircuitBreaker,
-    FakeClock,
-    OracleCallStats,
-    ResilientOracle,
-    RetryPolicy,
-    is_transient_failure,
-)
-
-
-class FlakyOracle(FairnessOracle):
-    """Fails the first ``fail_times`` calls, then answers True."""
-
-    def __init__(self, fail_times: int, error: BaseException | None = None) -> None:
-        self.fail_times = fail_times
-        self.calls = 0
-        self.error = error if error is not None else TransientOracleError("blip")
-
-    def is_satisfactory(self, ordering, dataset) -> bool:
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise self.error
-        return True
-
-
-class SlowOracle(FairnessOracle):
-    """Advances a FakeClock by ``seconds`` per call, then answers True."""
-
-    def __init__(self, clock: FakeClock, seconds: float) -> None:
-        self.clock = clock
-        self.seconds = seconds
-        self.calls = 0
-
-    def is_satisfactory(self, ordering, dataset) -> bool:
-        self.calls += 1
-        self.clock.advance(self.seconds)
-        return True
-
+from repro.exceptions import ConfigurationError, OracleError
+from repro.fairness.oracle import CallableOracle
+from repro.obs.trace import TraceRecorder
 
 ORDERING = np.array([0, 1, 2])
-
-
-# --------------------------------------------------------------------------- #
-# retry policy
-# --------------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.1, multiplier=2.0, jitter=0.0)
-        assert policy.schedule() == (0.1, 0.2, 0.4)
-
-    def test_backoff_caps_at_max_delay(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_delay=1.0, multiplier=10.0, max_delay=3.0, jitter=0.0
-        )
-        assert max(policy.schedule()) == 3.0
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.1, jitter=0.2, seed=42)
-        again = RetryPolicy(max_attempts=5, base_delay=0.1, jitter=0.2, seed=42)
-        assert policy.schedule() == again.schedule()
-        for attempt, delay in enumerate(policy.schedule(), start=1):
-            bare = RetryPolicy(
-                max_attempts=5, base_delay=0.1, jitter=0.0
-            ).backoff(attempt)
-            assert bare * 0.8 <= delay <= bare * 1.2
-
-    def test_different_seeds_give_different_schedules(self):
-        a = RetryPolicy(jitter=0.3, seed=1).schedule()
-        b = RetryPolicy(jitter=0.3, seed=2).schedule()
-        assert a != b
-
-    def test_invalid_configurations_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(base_delay=-1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy().backoff(0)
-
-
-# --------------------------------------------------------------------------- #
-# circuit breaker
-# --------------------------------------------------------------------------- #
-class TestCircuitBreaker:
-    def test_opens_at_threshold_and_rejects(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, recovery_time=10.0, clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-        assert breaker.n_opens == 1
-
-    def test_half_opens_after_cooldown_and_closes_on_success(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time=5.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(5.0)
-        assert breaker.state == "half_open" and breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.consecutive_failures == 0
-
-    def test_half_open_failure_reopens_immediately(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, recovery_time=5.0, clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.state == "half_open"
-        breaker.record_failure()  # one probe failure re-opens, threshold or not
-        assert breaker.state == "open"
-        assert breaker.n_opens == 2
-
-    def test_success_resets_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_invalid_configurations_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(recovery_time=-1.0)
 
 
 class TestFakeClock:
@@ -157,179 +26,49 @@ class TestFakeClock:
         with pytest.raises(ConfigurationError):
             clock.advance(-1.0)
 
-
-# --------------------------------------------------------------------------- #
-# classification
-# --------------------------------------------------------------------------- #
-class TestClassification:
-    def test_transient_types(self):
-        assert is_transient_failure(TransientOracleError("x"))
-        assert is_transient_failure(OracleTimeoutError("x"))
-        assert is_transient_failure(TimeoutError())
-        assert is_transient_failure(ConnectionError())
-        assert is_transient_failure(OSError())
-
-    def test_permanent_types(self):
-        assert not is_transient_failure(OracleError("misconfigured"))
-        assert not is_transient_failure(ValueError("bad shape"))
-        assert not is_transient_failure(KeyError("missing"))
-
-
-# --------------------------------------------------------------------------- #
-# the resilient oracle
-# --------------------------------------------------------------------------- #
-class TestResilientOracle:
-    def test_happy_path_forwards_verdict(self):
-        inner = FlakyOracle(fail_times=0)
-        oracle = ResilientOracle(inner, sleep=lambda _s: None)
-        assert oracle.is_satisfactory(ORDERING, None) is True
-        assert oracle.stats.calls == 1 and oracle.stats.retries == 0
-        assert oracle.describe().startswith("resilient(")
-
-    def test_transient_failures_are_retried(self):
-        inner = FlakyOracle(fail_times=2)
-        slept: list[float] = []
-        oracle = ResilientOracle(
-            inner,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
-            sleep=slept.append,
-        )
-        assert oracle.is_satisfactory(ORDERING, None) is True
-        assert inner.calls == 3
-        assert oracle.stats.retries == 2
-        assert slept == [0.01, 0.02]
-
-    def test_retry_exhaustion_raises_typed_error_with_cause(self):
-        inner = FlakyOracle(fail_times=10)
-        oracle = ResilientOracle(
-            inner,
-            retry_policy=RetryPolicy(max_attempts=3, jitter=0.0),
-            circuit_breaker=CircuitBreaker(failure_threshold=100, clock=FakeClock()),
-            sleep=lambda _s: None,
-        )
-        with pytest.raises(OracleUnavailableError) as excinfo:
-            oracle.is_satisfactory(ORDERING, None)
-        assert isinstance(excinfo.value.last_error, TransientOracleError)
-        assert oracle.stats.exhausted == 1
-        assert inner.calls == 3
-
-    def test_permanent_failures_surface_immediately(self):
-        inner = FlakyOracle(fail_times=10, error=OracleError("contract violation"))
-        oracle = ResilientOracle(inner, sleep=lambda _s: None)
-        with pytest.raises(OracleError, match="contract violation"):
-            oracle.is_satisfactory(ORDERING, None)
-        assert inner.calls == 1
-        assert oracle.stats.permanent_failures == 1
-
-    def test_deadline_exceeded_counts_as_timeout_and_retries(self):
+    def test_starts_at_zero_and_reads_without_moving(self):
         clock = FakeClock()
-        inner = SlowOracle(clock, seconds=2.0)
-        oracle = ResilientOracle(
-            inner,
-            deadline=1.0,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            circuit_breaker=CircuitBreaker(failure_threshold=100, clock=clock),
-            clock=clock,
-            sleep=clock.advance,
-        )
-        with pytest.raises(OracleUnavailableError) as excinfo:
-            oracle.is_satisfactory(ORDERING, None)
-        assert isinstance(excinfo.value.last_error, OracleTimeoutError)
-        assert oracle.stats.timeouts == 2
-        assert inner.calls == 2
+        assert clock() == 0.0
+        assert clock() == 0.0
 
-    def test_deadline_not_tripped_by_fast_calls(self):
+    def test_zero_advance_is_allowed(self):
+        clock = FakeClock(start=3.0)
+        clock.advance(0.0)
+        assert clock() == 3.0
+
+    def test_rejected_backwards_move_leaves_the_time_unchanged(self):
+        clock = FakeClock(start=1.0)
+        with pytest.raises(ConfigurationError, match="backwards"):
+            clock.advance(-0.5)
+        assert clock() == 1.0
+
+    def test_readings_are_floats(self):
+        clock = FakeClock(start=2)
+        clock.advance(1)
+        assert type(clock()) is float and clock() == 3.0
+
+
+class TestClockSeam:
+    """The spans read the one production clock, or the clock a caller injects."""
+
+    def test_production_clock_is_monotonic_time(self):
+        assert monotonic_clock is time.monotonic
+
+    def test_span_lasts_the_simulated_time(self):
+        clock = FakeClock(start=100.0)
+        recorder = TraceRecorder(clock=clock)
+        with recorder.span("engine.suggest") as span:
+            clock.advance(0.75)
+        assert span.duration == 0.75
+        assert recorder.spans[0].duration == 0.75
+
+    def test_a_new_recorder_defaults_to_the_module_clock(self, monkeypatch):
         clock = FakeClock()
-        inner = SlowOracle(clock, seconds=0.1)
-        oracle = ResilientOracle(inner, deadline=1.0, clock=clock, sleep=clock.advance)
-        assert oracle.is_satisfactory(ORDERING, None) is True
-        assert oracle.stats.timeouts == 0
-
-    def test_open_circuit_rejects_without_calling_inner(self):
-        clock = FakeClock()
-        inner = FlakyOracle(fail_times=10)
-        oracle = ResilientOracle(
-            inner,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            circuit_breaker=CircuitBreaker(
-                failure_threshold=2, recovery_time=30.0, clock=clock
-            ),
-            clock=clock,
-            sleep=clock.advance,
-        )
-        with pytest.raises(OracleUnavailableError):
-            oracle.is_satisfactory(ORDERING, None)  # two failures trip the breaker
-        calls_before = inner.calls
-        with pytest.raises(OracleUnavailableError):
-            oracle.is_satisfactory(ORDERING, None)
-        assert inner.calls == calls_before  # rejected at the breaker
-        assert oracle.stats.rejected_open >= 1
-
-    def test_circuit_recovers_after_cooldown(self):
-        clock = FakeClock()
-        inner = FlakyOracle(fail_times=2)
-        oracle = ResilientOracle(
-            inner,
-            retry_policy=RetryPolicy(max_attempts=1, jitter=0.0),
-            circuit_breaker=CircuitBreaker(
-                failure_threshold=2, recovery_time=10.0, clock=clock
-            ),
-            clock=clock,
-            sleep=clock.advance,
-        )
-        for _ in range(2):
-            with pytest.raises(OracleUnavailableError):
-                oracle.is_satisfactory(ORDERING, None)
-        assert not oracle.circuit_breaker.allow()
-        clock.advance(10.0)
-        assert oracle.is_satisfactory(ORDERING, None) is True
-        assert oracle.circuit_breaker.state == "closed"
-
-    def test_custom_classifier_overrides_default(self):
-        inner = FlakyOracle(fail_times=1, error=ValueError("transient here"))
-        oracle = ResilientOracle(
-            inner,
-            classify=lambda error: isinstance(error, ValueError),
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            sleep=lambda _s: None,
-        )
-        assert oracle.is_satisfactory(ORDERING, None) is True
-        assert inner.calls == 2
-
-    def test_requires_a_fairness_oracle(self):
-        with pytest.raises(OracleError):
-            ResilientOracle(lambda ordering, dataset: True)  # type: ignore[arg-type]
-
-    def test_stats_snapshot_is_json_compatible(self):
-        stats = OracleCallStats(calls=3, successes=2)
-        snapshot = stats.as_dict()
-        assert snapshot["calls"] == 3 and snapshot["successes"] == 2
-
-    def test_batched_forwarding_matches_scalar(self, small_compas_3d):
-        oracle = ProportionalOracle.at_most_share_plus_slack(
-            small_compas_3d, "race", "African-American", k=0.3, slack=0.10
-        )
-        resilient = ResilientOracle(oracle, sleep=lambda _s: None)
-        assert resilient.batched_capable()
-        rng = np.random.default_rng(3)
-        orderings = np.stack(
-            [rng.permutation(small_compas_3d.n_items) for _ in range(4)]
-        )
-        verdicts = resilient.is_satisfactory_many(orderings, small_compas_3d)
-        expected = [
-            oracle.is_satisfactory(row, small_compas_3d) for row in orderings
-        ]
-        assert list(verdicts) == expected
-
-    def test_composes_with_counting_oracle(self):
-        inner = CountingOracle(FlakyOracle(fail_times=1))
-        oracle = ResilientOracle(
-            inner,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            sleep=lambda _s: None,
-        )
-        assert oracle.is_satisfactory(ORDERING, None) is True
-        assert inner.calls == 2  # counting sits inside: physical attempts
+        monkeypatch.setattr(repro.obs.trace, "monotonic_clock", clock)
+        recorder = TraceRecorder()
+        with recorder.span("engine.suggest") as span:
+            clock.advance(2.0)
+        assert span.duration == 2.0
 
 
 # --------------------------------------------------------------------------- #
