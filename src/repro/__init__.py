@@ -25,9 +25,10 @@ Preprocessed designers persist with ``designer.save(path)`` and come back with
 ``FairRankingDesigner.load(path, oracle)``, answering bit-identically without
 re-preprocessing (see :mod:`repro.core.engine` for the engine protocol).
 Persisted files carry a checksum; a corrupted file raises a typed
-:class:`IndexIntegrityError` with a rebuild hint.  For graceful degradation
-across pipelines, see :mod:`repro.resilience` (``FallbackConfig``) and
-``docs/robustness.md``.  For tracing, metrics and replayable workload
+:class:`IndexIntegrityError` with a rebuild hint.  :mod:`repro.parallel`
+(``PoolConfig``) shards ``suggest_many`` over worker processes and answers a
+failing query with a ``QueryFailure`` record instead of failing the batch
+(``docs/robustness.md``).  For tracing, metrics and replayable workload
 recording around any engine, see :mod:`repro.obs` (``InstrumentedConfig``,
 ``MetricsRegistry``, ``TraceRecorder``, ``WorkloadRecorder``) and
 ``docs/observability.md``.
@@ -54,7 +55,6 @@ from repro.data import Dataset
 from repro.exceptions import (
     ConfigurationError,
     DatasetError,
-    FallbackExhaustedError,
     GeometryError,
     IndexIntegrityError,
     NoSatisfactoryFunctionError,
@@ -83,7 +83,6 @@ from repro.obs import (
     WorkloadRecorder,
 )
 from repro.ranking import LinearScoringFunction
-from repro.resilience import FallbackConfig, FallbackEngine
 
 __version__ = "1.3.0"
 
@@ -117,8 +116,6 @@ __all__ = [
     "MDExactIndex",
     "ApproximatePreprocessor",
     "MDApproxIndex",
-    "FallbackConfig",
-    "FallbackEngine",
     "InstrumentedConfig",
     "InstrumentedEngine",
     "MetricsRegistry",
@@ -129,7 +126,6 @@ __all__ = [
     "ScoringFunctionError",
     "GeometryError",
     "OracleError",
-    "FallbackExhaustedError",
     "IndexIntegrityError",
     "ConfigurationError",
     "NoSatisfactoryFunctionError",

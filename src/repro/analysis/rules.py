@@ -120,8 +120,8 @@ class TypedExceptionsRule(Rule):
 
     ``raise ValueError(...)`` and control-flow ``assert`` make failures
     unclassifiable for callers that guard pipelines with ``except
-    ReproError``; the fallback chain additionally passes two typed errors
-    through instead of failing over.  ``NotImplementedError`` (abstract
+    ReproError``; the pool additionally passes two typed errors through
+    instead of isolating them as per-query failures.  ``NotImplementedError`` (abstract
     stubs) and ``SystemExit`` (CLI entry points) stay legal, and so does
     ``raise AttributeError`` directly in a module-level ``__getattr__``: PEP
     562 requires it for unknown module attributes (``hasattr`` and the import

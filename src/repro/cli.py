@@ -245,6 +245,23 @@ def _constraint_oracle(args: argparse.Namespace) -> ProportionalOracle | None:
         return None
 
 
+def _weight_vector(text: str, dimension: int, where: str) -> list[float]:
+    """One comma-separated weight vector, checked before any preprocessing.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` naming ``where`` (the
+    flag, and a weights-file row's line) unless the text is ``dimension``
+    numbers that make a valid scoring function.
+    """
+    try:
+        weights = [float(value) for value in text.strip().split(",")]
+        LinearScoringFunction(tuple(weights))
+    except (ValueError, ReproError) as error:
+        raise ConfigurationError(f"{where}: {error}") from None
+    if len(weights) != dimension:
+        raise ConfigurationError(f"{where}: expected {dimension} weights, got {len(weights)}")
+    return weights
+
+
 def _load_engine_file(path: str, oracle: ProportionalOracle) -> FairRankingDesigner | None:
     """Load a ``--load-index`` engine file, or return ``None`` after printing why not.
 
@@ -292,17 +309,27 @@ def _run_suggest(args: argparse.Namespace) -> int:
         designer = _load_engine_file(args.load_index, oracle)
         if designer is None:
             return 2
-        if args.record_workload:
-            # Re-wrap the loaded engine: instrumented engines are not
-            # persistable, so recording is always layered on after loading.
-            from repro.obs.instrument import InstrumentedEngine
-
-            designer = FairRankingDesigner._from_engine(
-                InstrumentedEngine.from_engine(designer.engine, record_workload=True)
-            )
         dataset = designer.dataset
     else:
-        dataset = _load_dataset(args)
+        designer, dataset = None, _load_dataset(args)
+    weights = batch = None
+    try:
+        if args.weights is not None:
+            weights = _weight_vector(args.weights, dataset.n_attributes, "--weights")
+        if args.weights_file is not None:
+            with open(args.weights_file, "r", encoding="utf-8") as handle:
+                batch = [
+                    _weight_vector(line, dataset.n_attributes, f"--weights-file line {number}")
+                    for number, line in enumerate(handle, start=1)
+                    if line.strip()
+                ]
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if batch == []:
+        print("error: the weights file contains no weight vectors", file=sys.stderr)
+        return 2
+    if designer is None:
         if dataset.n_attributes == 2:
             config = TwoDConfig(preprocess_workers=args.workers)
         else:
@@ -316,6 +343,14 @@ def _run_suggest(args: argparse.Namespace) -> int:
 
             config = InstrumentedConfig(inner=config, record_workload=True)
         designer = FairRankingDesigner(dataset, oracle, config).preprocess()
+    elif args.record_workload:
+        # Re-wrap the loaded engine: instrumented engines are not
+        # persistable, so recording is always layered on after loading.
+        from repro.obs.instrument import InstrumentedEngine
+
+        designer = FairRankingDesigner._from_engine(
+            InstrumentedEngine.from_engine(designer.engine, record_workload=True)
+        )
     if args.save_index:
         if args.record_workload:
             # The instrumented wrapper itself is not persistable; persist the
@@ -326,22 +361,13 @@ def _run_suggest(args: argparse.Namespace) -> int:
         else:
             designer.save(args.save_index)
         print(f"engine saved to {args.save_index}")
-    if args.weights is not None:
-        weights = [float(value) for value in args.weights.split(",")]
+    if weights is not None:
         result = designer.suggest(weights)
         _format_result(result)
         if getattr(args, "explain", False):
             print()
             print(format_explanation(explain_repair(dataset, result, k=oracle.k)))
-    if args.weights_file is not None:
-        with open(args.weights_file, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        batch = [
-            [float(value) for value in line.split(",")] for line in lines if line
-        ]
-        if not batch:
-            print("error: the weights file contains no weight vectors", file=sys.stderr)
-            return 2
+    if batch is not None:
         if args.workers > 1:
             # Shard the batch across worker processes; single queries and
             # everything else still run in-process on the original engine.
@@ -490,7 +516,11 @@ def _run_audit(args: argparse.Namespace) -> int:
     if k is None:
         return 2
     dataset = _load_dataset(args)
-    weights = [float(value) for value in args.weights.split(",")]
+    try:
+        weights = _weight_vector(args.weights, dataset.n_attributes, "--weights")
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     function = LinearScoringFunction(tuple(weights))
     audit = audit_function(dataset, function, args.attribute, args.group, k=k)
     print(format_audit(audit, title=f"fairness audit of weights [{args.weights}]"))

@@ -28,11 +28,9 @@ from repro.core.explain import (
     format_explanation,
 )
 from repro.core.monitoring import (
-    ErrorBudgetReport,
     FreshnessReport,
     check_approx_index_freshness,
     check_two_d_index_freshness,
-    error_budget_report,
 )
 from repro.core.multi_dim import MDExactIndex, SatisfactoryRegion, SatRegions, md_baseline
 from repro.core.result import SuggestionResult
@@ -72,8 +70,6 @@ __all__ = [
     "FreshnessReport",
     "check_approx_index_freshness",
     "check_two_d_index_freshness",
-    "ErrorBudgetReport",
-    "error_budget_report",
     "DesignSession",
     "ProposalRecord",
     "SessionSummary",

@@ -14,7 +14,7 @@ one is behind a query.  This module gives every pipeline the same shape:
 * a registry keyed by engine name, so facades (and later shards / async
   servers) dispatch on data instead of ``isinstance`` checks;
 * :class:`EngineWrapper`, the base of the engines that wrap another engine
-  (pool, instrumented, fallback, chaos), which forwards the seam to it.
+  (pool, instrumented, chaos), which forwards the seam to it.
 
 ``suggest_many`` is the batch entry point for serving-shaped workloads: the
 2-D engine classifies a whole weight matrix with one ``searchsorted`` over the
@@ -284,16 +284,15 @@ _PLUGINS_LOADED: bool = False
 def _load_builtin_plugins() -> None:
     """Import engine modules that live outside this one (lazily, once).
 
-    The resilience layer registers its :class:`FallbackEngine` through the
-    ordinary registry but imports this module to do so; deferring its import
-    to the first registry *lookup* keeps the modules acyclic while making
-    ``"fallback"`` a first-class registered engine.
+    The instrumented and pool engines register through the ordinary registry
+    but import this module to do so; deferring their import to the first
+    registry *lookup* keeps the modules acyclic while making ``"instrumented"``
+    and ``"pool"`` first-class registered engines.
     """
     global _PLUGINS_LOADED
     if _PLUGINS_LOADED:
         return
     _PLUGINS_LOADED = True
-    import repro.resilience.fallback  # noqa: F401  (registers on import)
     import repro.obs.instrument  # noqa: F401  (registers on import)
     import repro.parallel.pool  # noqa: F401  (registers on import)
 
@@ -318,7 +317,7 @@ def available_engines() -> tuple[str, ...]:
     on which plugin modules were imported first — sort for a stable view).
 
     >>> sorted(available_engines())
-    ['2d', 'approximate', 'exact', 'fallback', 'instrumented', 'pool']
+    ['2d', 'approximate', 'exact', 'instrumented', 'pool']
     """
     _load_builtin_plugins()
     return tuple(_ENGINE_REGISTRY)
@@ -1068,6 +1067,6 @@ class EngineWrapper:
     def _not_persistable(cls) -> ConfigurationError:
         return ConfigurationError(
             f"{cls.__name__} is a serving-layer wrapper and is not persistable as "
-            "one payload; save the wrapped engine(s) and re-wrap them after "
-            "loading with from_engine() / from_engines()"
+            "one payload; save the wrapped engine and re-wrap it after loading "
+            "with from_engine()"
         )

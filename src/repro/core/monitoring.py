@@ -18,14 +18,7 @@ needed".  This module implements that verification step for a deployed index:
   assignments it drives the engine's ``refresh()`` hook, which re-runs the
   oracle-dependent stages — over the cached exchange arrays on a 2-D
   engine, as a full rebuild on a grid (a new dataset snapshot is indexed
-  with ``engine.preprocess(new_dataset)``);
-* :func:`error_budget_report` summarises a fallback engine's serving
-  telemetry (see :mod:`repro.resilience.fallback`) as an error budget —
-  freshness watches the *data*, the error budget watches the *serving path*.
-  Since the observability layer landed, ``FallbackTelemetry`` keeps its
-  counts in a :class:`~repro.obs.metrics.MetricsRegistry` (series
-  ``fallback.*``), so the error budget and an obs metrics snapshot read the
-  same counter source; this function's duck-typed view is unchanged.
+  with ``engine.preprocess(new_dataset)``).
 
 Cell-level freshness is deliberately finer-grained than the §5.4 sample
 validation in :mod:`repro.core.sampling`, which checks *distinct functions*;
@@ -54,8 +47,6 @@ __all__ = [
     "check_two_d_index_freshness",
     "check_engine_freshness",
     "refresh_if_stale",
-    "ErrorBudgetReport",
-    "error_budget_report",
 ]
 
 
@@ -93,7 +84,7 @@ class FreshnessReport:
         return self.n_stale == 0
 
     def as_dict(self) -> dict:
-        """JSON-compatible snapshot (for dashboards, next to the error budget)."""
+        """JSON-compatible snapshot (for dashboards)."""
         return {
             "n_checked": self.n_checked,
             "n_stale": self.n_stale,
@@ -102,88 +93,6 @@ class FreshnessReport:
             "fraction_stale": self.fraction_stale,
             "is_fresh": self.is_fresh,
         }
-
-
-@dataclass(frozen=True)
-class ErrorBudgetReport:
-    """Serving health of a fallback engine against an availability budget.
-
-    Built from a :class:`~repro.resilience.fallback.FallbackTelemetry`
-    snapshot: the *error rate* is the fraction of queries no tier could
-    answer, the *failover rate* the fraction that needed a non-first tier.
-    ``budget`` is the tolerated error rate (an SLO like "99% of queries get
-    an answer" is ``budget=0.01``).
-    """
-
-    n_queries: int
-    n_failovers: int
-    n_unanswered: int
-    budget: float
-    answered_by: dict
-    tier_failures: dict
-
-    @property
-    def error_rate(self) -> float:
-        """Fraction of queries that went entirely unanswered."""
-        if self.n_queries == 0:
-            return 0.0
-        return self.n_unanswered / self.n_queries
-
-    @property
-    def failover_rate(self) -> float:
-        """Fraction of queries answered by a tier other than the first."""
-        if self.n_queries == 0:
-            return 0.0
-        return self.n_failovers / self.n_queries
-
-    @property
-    def budget_remaining(self) -> float:
-        """Unused share of the budget (negative once the budget is blown)."""
-        return self.budget - self.error_rate
-
-    @property
-    def within_budget(self) -> bool:
-        """True while the unanswered-query rate stays at or under the budget."""
-        return self.error_rate <= self.budget
-
-    def as_dict(self) -> dict:
-        """JSON-compatible snapshot (for dashboards, next to freshness)."""
-        return {
-            "n_queries": self.n_queries,
-            "n_failovers": self.n_failovers,
-            "n_unanswered": self.n_unanswered,
-            "budget": self.budget,
-            "error_rate": self.error_rate,
-            "failover_rate": self.failover_rate,
-            "within_budget": self.within_budget,
-            "answered_by": dict(self.answered_by),
-            "tier_failures": dict(self.tier_failures),
-        }
-
-
-def error_budget_report(engine, budget: float = 0.01) -> ErrorBudgetReport:
-    """Summarise a fallback engine's cumulative telemetry as an error budget.
-
-    Duck-typed on ``engine.telemetry`` (any object with the
-    :class:`~repro.resilience.fallback.FallbackTelemetry` counters), so
-    monitoring stays decoupled from the resilience package.
-    """
-    if not 0.0 <= budget <= 1.0:
-        raise ConfigurationError(f"budget must be in [0, 1], got {budget!r}")
-    telemetry = getattr(engine, "telemetry", None)
-    if telemetry is None:
-        raise ConfigurationError(
-            f"{type(engine).__name__} exposes no serving telemetry; error budgets "
-            "are reported for fallback engines (see repro.resilience)"
-        )
-    return ErrorBudgetReport(
-        n_queries=telemetry.n_queries,
-        n_failovers=telemetry.n_failovers,
-        n_unanswered=telemetry.n_unanswered,
-        budget=float(budget),
-        answered_by=dict(telemetry.answered_by),
-        tier_failures=dict(telemetry.tier_failures),
-    )
 
 
 def check_approx_index_freshness(

@@ -43,19 +43,12 @@ class ProposalRecord:
         Optional free-text note supplied by the user ("try favouring GPA").
     accepted:
         True if the user accepted this step's outcome as the final function.
-    tier:
-        When the designer serves through a fallback chain
-        (:mod:`repro.resilience.fallback`), the label of the tier that
-        answered this proposal; ``None`` for single-pipeline engines.  Audit
-        trails record it so a degraded (approximate-tier) answer is
-        distinguishable from an exact one after the fact.
     """
 
     step: int
     result: SuggestionResult
     note: str = ""
     accepted: bool = False
-    tier: str | None = None
 
     @property
     def query(self) -> LinearScoringFunction:
@@ -77,7 +70,6 @@ class ProposalRecord:
             "angular_distance": self.result.angular_distance,
             "note": self.note,
             "accepted": self.accepted,
-            "tier": self.tier,
         }
 
 
@@ -151,20 +143,9 @@ class DesignSession:
         """Submit a weight proposal and record the system's answer."""
         self._stamp_workload_context(note)
         result = self.designer.suggest(weights)
-        record = ProposalRecord(
-            step=len(self._records) + 1,
-            result=result,
-            note=note,
-            tier=self._answering_tier(),
-        )
+        record = ProposalRecord(step=len(self._records) + 1, result=result, note=note)
         self._records.append(record)
         return record
-
-    def _answering_tier(self) -> str | None:
-        """The tier that answered the last query, for fallback-served designers."""
-        engine = getattr(self.designer, "engine", None)
-        record = getattr(engine, "last_record", None)
-        return getattr(record, "tier", None)
 
     def _stamp_workload_context(self, note: str) -> None:
         """Attach the session step/note to workload-recording engines.
@@ -188,17 +169,9 @@ class DesignSession:
         """
         self._stamp_workload_context(note)
         results = self.designer.suggest_many(weights_matrix)
-        report = getattr(getattr(self.designer, "engine", None), "last_report", None)
-        tiers = (
-            [record.tier for record in report.records]
-            if report is not None and len(report.records) == len(results)
-            else [None] * len(results)
-        )
         records = []
-        for result, tier in zip(results, tiers):
-            record = ProposalRecord(
-                step=len(self._records) + 1, result=result, note=note, tier=tier
-            )
+        for result in results:
+            record = ProposalRecord(step=len(self._records) + 1, result=result, note=note)
             self._records.append(record)
             records.append(record)
         return records
@@ -225,7 +198,6 @@ class DesignSession:
                 result=record.result,
                 note=record.note,
                 accepted=(record.step == step),
-                tier=record.tier,
             )
             for record in self._records
         ]

@@ -14,10 +14,13 @@ typed configuration dataclass —
 * :class:`~repro.core.engine.ExactConfig` — ``SATREGIONS`` + ``MDBASELINE``
   (§4), exact but slower;
 * :class:`~repro.core.engine.ApproxConfig` — the §5 grid pipeline with the
-  Theorem 6 guarantee (the default for three or more attributes);
-* :class:`~repro.resilience.fallback.FallbackConfig` — a resilient serving
-  chain over the other pipelines (e.g. exact with approximate as the degraded
-  tier), with per-query fault isolation; see ``docs/robustness.md``.
+  Theorem 6 guarantee (the default for three or more attributes).
+
+The serving wrappers are registered engines too:
+:class:`~repro.obs.instrument.InstrumentedConfig` adds spans, metrics and
+workload recording, and :class:`~repro.parallel.pool.PoolConfig` shards
+``suggest_many`` over worker processes with per-query fault isolation (see
+``docs/robustness.md``).
 
 With no config, the designer auto-picks the 2-D pipeline for two attributes
 and the approximate pipeline otherwise

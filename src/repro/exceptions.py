@@ -7,7 +7,6 @@ being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from os import PathLike
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "NoSatisfactoryFunctionError",
     "NotPreprocessedError",
     "OracleError",
-    "FallbackExhaustedError",
     "ConfigurationError",
     "IndexIntegrityError",
 ]
@@ -60,18 +58,6 @@ class NotPreprocessedError(ReproError):
 
 class OracleError(ReproError):
     """Raised when a fairness oracle is misconfigured or evaluated incorrectly."""
-
-
-class FallbackExhaustedError(ReproError):
-    """Raised when every tier of a fallback engine chain failed for a query.
-
-    ``attempts`` holds one structured record per tier that was tried (see
-    :class:`repro.resilience.fallback.TierError`).
-    """
-
-    def __init__(self, message: str, attempts: Sequence[object] = ()) -> None:
-        super().__init__(message)
-        self.attempts: tuple[object, ...] = tuple(attempts)
 
 
 class ConfigurationError(ReproError):

@@ -2,9 +2,8 @@
 around any inner engine, plus the matching :class:`InstrumentedOracle`.
 
 :class:`InstrumentedEngine` registers through the :mod:`repro.core.engine`
-seam (same composite pattern as
-:class:`~repro.resilience.fallback.FallbackEngine` — a serving-layer
-wrapper, not a facade branch), so
+seam (same composite pattern as :class:`~repro.parallel.pool.PoolEngine` —
+a serving-layer wrapper, not a facade branch), so
 ``FairRankingDesigner(dataset, oracle, InstrumentedConfig(inner=...))``
 works unchanged.  It wraps the oracle in an :class:`InstrumentedOracle`
 *before* building the inner engine, so the wrapped oracle is the one the
@@ -41,7 +40,7 @@ inner engine and re-wrap on load, see :meth:`InstrumentedEngine.from_engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -185,7 +184,6 @@ class InstrumentedEngine(EngineWrapper):
         self.workload: WorkloadRecorder | None = (
             WorkloadRecorder() if config.record_workload else None
         )
-        self._unify_inner_telemetry()
         self._suggest_calls = self.metrics.counter("engine.suggest", engine=self.inner.name)
         self._suggest_many_calls = self.metrics.counter(
             "engine.suggest_many", engine=self.inner.name
@@ -193,19 +191,6 @@ class InstrumentedEngine(EngineWrapper):
         self._query_count = self.metrics.counter("engine.queries", engine=self.inner.name)
         self._latency = self.metrics.histogram("engine.suggest_seconds")
         self._batch_latency = self.metrics.histogram("engine.suggest_many_seconds")
-
-    def _unify_inner_telemetry(self) -> None:
-        """Point a fallback inner's telemetry at this engine's registry.
-
-        Done immediately after construction (the telemetry is still all
-        zero), so the error budget and the obs report read one counter
-        source instead of double counting.
-        """
-        if self.telemetry is None:
-            return
-        from repro.resilience.fallback import FallbackTelemetry
-
-        self.inner.telemetry = FallbackTelemetry(metrics=self.metrics)
 
     @classmethod
     def from_engine(
@@ -264,7 +249,6 @@ class InstrumentedEngine(EngineWrapper):
                 np.asarray(function.weights, dtype=float),
                 [result],
                 engine=self.inner.name,
-                tiers=[self._answering_tier()],
                 elapsed=span.duration,
                 oracle_calls=self.instrumented_oracle.calls - calls_before,
             )
@@ -286,7 +270,6 @@ class InstrumentedEngine(EngineWrapper):
                 matrix,
                 results,
                 engine=self.inner.name,
-                tiers=self._batch_tiers(len(results)),
                 elapsed=span.duration,
                 oracle_calls=self.instrumented_oracle.calls - calls_before,
             )
@@ -332,30 +315,3 @@ class InstrumentedEngine(EngineWrapper):
         if isinstance(function, LinearScoringFunction):
             return function
         return LinearScoringFunction(tuple(np.asarray(function, dtype=float)))
-
-    def _answering_tier(self) -> str | None:
-        record = self.last_record
-        if record is not None:
-            return record.tier
-        return self.inner.name
-
-    def _batch_tiers(self, size: int) -> Sequence[str | None]:
-        report = self.last_report
-        if report is not None and len(report.records) == size:
-            return [record.tier for record in report.records]
-        return [self.inner.name] * size
-
-    # ------------------------------------------------------------------ #
-    # fallback-chain state, read through
-    # ------------------------------------------------------------------ #
-    @property
-    def last_record(self):
-        return getattr(self.inner, "last_record", None)
-
-    @property
-    def last_report(self):
-        return getattr(self.inner, "last_report", None)
-
-    @property
-    def telemetry(self):
-        return getattr(self.inner, "telemetry", None)

@@ -222,15 +222,9 @@ class MetricsRegistry:
         return series
 
     def counter_total(self, name: str) -> int | float:
-        """Sum of one counter name across all of its label series."""
-        return sum(series.value for series in self.counter_series(name))
-
-    def counter_series(self, name: str) -> tuple[Counter, ...]:
-        """All label series of one counter name, sorted by labels."""
-        return tuple(
-            series
-            for key, series in sorted(self._counters.items())
-            if key[0] == name
+        """Sum of one counter name across all of its label series, in label order."""
+        return sum(
+            series.value for key, series in sorted(self._counters.items()) if key[0] == name
         )
 
     def _all_series(self) -> Iterator[Counter | Gauge | Histogram]:

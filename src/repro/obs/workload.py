@@ -1,7 +1,8 @@
 """Replayable workload recording: capture the live query stream, play it back.
 
 :class:`WorkloadRecorder` captures every served query — weights and angles,
-the answering engine and tier, a latency bucket, and the oracle-call cost —
+the answering engine (under the format's ``engine`` and ``tier`` keys alike),
+a latency bucket, and the oracle-call cost —
 into a JSONL log (format ``repro.obs.workload/v1``: one header line, one
 record per line, keys sorted).  This is the substrate the ROADMAP's
 workload-aware autotuning item needs: record suggested-weight traffic, then
@@ -59,14 +60,13 @@ class _Batch:
     """One recorded ``suggest``/``suggest_many`` call, stored without copies
     beyond the defensive weights-matrix copy."""
 
-    __slots__ = ("matrix", "results", "engine", "tiers", "elapsed", "oracle_calls", "context")
+    __slots__ = ("matrix", "results", "engine", "elapsed", "oracle_calls", "context")
 
     def __init__(
         self,
         matrix: np.ndarray,
         results: list[Any],
         engine: str,
-        tiers: Sequence[str | None] | None,
         elapsed: float,
         oracle_calls: int,
         context: dict[str, Any],
@@ -74,7 +74,6 @@ class _Batch:
         self.matrix = matrix
         self.results = results
         self.engine = engine
-        self.tiers = tiers
         self.elapsed = elapsed
         self.oracle_calls = oracle_calls
         self.context = context
@@ -106,7 +105,6 @@ class WorkloadRecorder:
         engine: str,
         elapsed: float,
         oracle_calls: int,
-        tiers: Sequence[str | None] | None = None,
     ) -> None:
         """Record one served batch (also used for single queries, q=1)."""
         matrix = np.array(weights_matrix, dtype=float, copy=True, ndmin=2)
@@ -120,7 +118,6 @@ class WorkloadRecorder:
                 matrix=matrix,
                 results=results,
                 engine=str(engine),
-                tiers=tiers,
                 elapsed=float(elapsed),
                 oracle_calls=int(oracle_calls),
                 context=self._context,
@@ -147,13 +144,12 @@ class WorkloadRecorder:
             bucket = bucket_label(per_query, DEFAULT_LATENCY_BUCKETS)
             for position, result in enumerate(batch.results):
                 weights = [float(value) for value in batch.matrix[position]]
-                tier = batch.tiers[position] if batch.tiers is not None else batch.engine
                 record: dict[str, Any] = {
                     "index": len(records),
                     "weights": weights,
                     "angles": [float(value) for value in to_angles(np.asarray(weights))],
                     "engine": batch.engine,
-                    "tier": tier,
+                    "tier": batch.engine,
                     "latency_bucket": bucket,
                     "batch_size": size,
                     "batch_elapsed": batch.elapsed,
@@ -211,7 +207,8 @@ class WorkloadRecorder:
     def replay(self, engine: Any) -> ReplayReport:
         """Re-serve every recorded query through ``engine.suggest_many``.
 
-        Failed records (queries no tier could answer at record time) are
+        Failed records (queries that came back as a pool's
+        :class:`~repro.parallel.pool.QueryFailure` at record time) are
         skipped.  A replayed answer *matches* when ``satisfactory``, the
         suggested weights and the angular distance are all exactly equal to
         the recording — bit-identical, not approximately equal.

@@ -16,12 +16,12 @@ Serving semantics:
   shards over the pool, and merges the per-shard answers **in shard order**
   — so the output is bit-identical to the serial engine's regardless of
   worker count or completion order;
-* every worker serves through a single-tier
-  :class:`~repro.resilience.fallback.FallbackEngine` chain around the loaded
-  engine, so per-query faults come back as structured
-  :class:`~repro.resilience.fallback.QueryFailure` records with exactly the
-  tier labels a single-process chain would produce (the parent re-bases the
-  shard-local failure indices to batch positions);
+* a batch is answered with per-query isolation (:func:`_serve`): one
+  ``suggest_many`` call answers a clean batch, and if it raises, every query
+  is answered alone, so a query that fails comes back as a structured
+  :class:`QueryFailure` record in its batch position while the other queries
+  keep their answers (the parent re-bases shard-local failure indices to
+  batch positions);
 * a worker death (``BrokenProcessPool``) poisons only its own shard's
   queries: the affected shards are retried once, each in a fresh isolated
   single-worker executor, and a shard that kills its worker again
@@ -29,7 +29,8 @@ Serving semantics:
   shard alone — other shards' answers are unaffected;
 * :class:`~repro.exceptions.NotPreprocessedError` and
   :class:`~repro.exceptions.NoSatisfactoryFunctionError` pass through from
-  workers to the caller, exactly as the serial chain passes them through.
+  workers to the caller: the first is a caller bug and the second an answer
+  about the dataset, not a failure of one query.
 
 Observability: the parent increments ``pool.*`` counters on an injectable
 :class:`~repro.obs.metrics.MetricsRegistry` and opens one ``pool.shard``
@@ -37,8 +38,8 @@ stage span per shard when a recorder is active; workers detach any inherited
 recorder state (:func:`repro.obs.trace.reset_stage_recorder`) and re-seed
 their RNG per shard from :func:`repro.parallel.shards.derive_shard_seed`.
 
-``n_workers=1`` serves inline through the same single-tier chain in the
-parent process — no worker processes, no pickling, identical results.
+``n_workers=1`` serves inline through the same :func:`_serve` in the parent
+process — no worker processes, no pickling, identical results.
 """
 
 from __future__ import annotations
@@ -63,15 +64,67 @@ from repro.core.engine import (
     register_engine,
 )
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError, NotPreprocessedError
+from repro.exceptions import (
+    ConfigurationError,
+    NoSatisfactoryFunctionError,
+    NotPreprocessedError,
+)
 from repro.fairness.oracle import FairnessOracle
 from repro.io.index_store import load_engine, read_store_digest, save_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import reset_stage_recorder, stage_span
 from repro.parallel.shards import derive_shard_seed, plan_shards, shard_size_for
-from repro.resilience.fallback import _PASS_THROUGH, FallbackEngine, QueryFailure, TierError
+from repro.ranking.scoring import LinearScoringFunction
 
-__all__ = ["PoolConfig", "PoolEngine"]
+__all__ = ["PoolConfig", "PoolEngine", "QueryFailure"]
+
+#: Exceptions that carry meaning, not a failure of one query — never isolated.
+_PASS_THROUGH = (NotPreprocessedError, NoSatisfactoryFunctionError)
+
+
+@dataclass(frozen=True)
+class QueryFailure:
+    """The ``suggest_many`` entry of a query the pool could not answer.
+
+    Takes the place of a :class:`~repro.core.result.SuggestionResult` at batch
+    position ``index``, so one failing query never fails its batch.
+    ``error_type`` and ``message`` are the class name and text of the error
+    the query raised (``BrokenProcessPool`` for a shard that killed its worker
+    twice).
+    """
+
+    index: int
+    weights: tuple[float, ...]
+    error_type: str
+    message: str
+
+
+def _serve(engine: Any, rows: np.ndarray) -> list:
+    """Answer ``rows`` on ``engine``, isolating the queries that fail.
+
+    One ``suggest_many`` call answers a clean batch.  If it raises anything
+    but the pass-through errors, each row is answered alone through
+    ``suggest``, and a row that raises becomes a :class:`QueryFailure` whose
+    index is its position in ``rows``.
+    """
+    try:
+        return engine.suggest_many(rows)
+    except _PASS_THROUGH:
+        raise
+    except Exception:  # noqa: BLE001 — answer row by row below
+        pass
+    entries: list = []
+    for index, row in enumerate(rows):
+        weights = tuple(row.tolist())
+        try:
+            entries.append(engine.suggest(LinearScoringFunction(weights)))
+        except _PASS_THROUGH:
+            raise
+        except Exception as error:  # noqa: BLE001 — isolation is the point
+            entries.append(
+                QueryFailure(index, weights, type(error).__name__, str(error))
+            )
+    return entries
 
 
 @dataclass(frozen=True)
@@ -84,7 +137,7 @@ class PoolConfig:
         Typed config of the engine every worker serves with.  Must select a
         *persistable* registered engine (the index is shared through one
         saved file), which rules out the serving-layer composites —
-        ``fallback``, ``instrumented`` and ``pool`` itself.  ``None`` selects
+        ``instrumented`` and ``pool`` itself.  ``None`` selects
         the default for the dataset's dimensionality at construction time
         (the 2-D ray sweep in 2-D, the exact pipeline otherwise).
     n_workers:
@@ -129,7 +182,7 @@ def _require_persistable_config(config: Any) -> str:
 # ---------------------------------------------------------------------- #
 # worker-process side
 # ---------------------------------------------------------------------- #
-_CHAIN: FallbackEngine | None = None
+_ENGINE: Any = None
 _ORACLE: FairnessOracle | None = None
 _BASE_SEED: int = 0
 _RNG: np.random.Generator | None = None
@@ -149,7 +202,7 @@ def _init_pool_worker(
     ``BrokenProcessPool`` surfaces the corruption loudly instead of serving
     silently divergent answers).
     """
-    global _CHAIN, _ORACLE, _BASE_SEED
+    global _ENGINE, _ORACLE, _BASE_SEED
     reset_stage_recorder()
     if expected_digest is not None:
         digest = read_store_digest(index_path)
@@ -162,8 +215,7 @@ def _init_pool_worker(
                 f"{str(digest)[:12]}…)",
                 path=index_path,
             )
-    engine = load_engine(index_path, oracle)
-    _CHAIN = FallbackEngine.from_engines([engine]).preprocess()
+    _ENGINE = load_engine(index_path, oracle)
     _ORACLE = oracle
     _BASE_SEED = base_seed
 
@@ -171,7 +223,7 @@ def _init_pool_worker(
 def _pool_worker_task(
     shard_index: int, rows: np.ndarray
 ) -> tuple[list, int | float]:
-    """Serve one shard through the worker's single-tier chain.
+    """Serve one shard from the worker's loaded engine through :func:`_serve`.
 
     Returns ``(entries, oracle_calls_delta)`` where entries are
     :class:`SuggestionResult` / :class:`QueryFailure` records with
@@ -179,11 +231,11 @@ def _pool_worker_task(
     exception types propagate through the future to the parent.
     """
     global _RNG
-    if _CHAIN is None:
+    if _ENGINE is None:
         raise NotPreprocessedError("pool worker initialised without an index")
     _RNG = np.random.default_rng(derive_shard_seed(_BASE_SEED, shard_index))
     before = getattr(_ORACLE, "calls", None)
-    entries = _CHAIN.suggest_many(rows)
+    entries = _serve(_ENGINE, rows)
     delta = (getattr(_ORACLE, "calls", 0) - before) if before is not None else 0
     return entries, delta
 
@@ -225,7 +277,6 @@ class PoolEngine(EngineWrapper):
         self.config = config
         self.inner = inner_engine
         self._executor: ProcessPoolExecutor | None = None
-        self._local_chain: FallbackEngine | None = None
         self._tempdir: tempfile.TemporaryDirectory | None = None
         self._index_path: Path | None = None
         self._index_digest: str | None = None
@@ -303,7 +354,6 @@ class PoolEngine(EngineWrapper):
         self._index_digest = read_store_digest(path)
         # Workers of an existing pool hold the previous index: retire them.
         self._shutdown_executor()
-        self._local_chain = None
 
     def _ensure_published(self) -> None:
         if self._index_path is None:
@@ -350,7 +400,7 @@ class PoolEngine(EngineWrapper):
         if q == 0:
             return []
         if self.config.n_workers == 1:
-            return self._ensure_local_chain().suggest_many(matrix)
+            return _serve(self.inner, matrix)
 
         shard_size = (
             self.config.shard_size
@@ -407,15 +457,16 @@ class PoolEngine(EngineWrapper):
                         raise
                     except BrokenProcessPool as error:
                         self.metrics.counter("pool.shard_failures").inc()
-                        record = TierError(
-                            "pool",
-                            type(error).__name__,
+                        message = (
                             f"shard {shard} killed its worker process twice; "
-                            "its queries are unanswerable",
+                            "its queries are unanswerable"
                         )
                         entries = [
                             QueryFailure(
-                                row, tuple(matrix[lo + row].tolist()), (record,)
+                                row,
+                                tuple(matrix[lo + row].tolist()),
+                                type(error).__name__,
+                                message,
                             )
                             for row in range(hi - lo)
                         ]
@@ -431,7 +482,7 @@ class PoolEngine(EngineWrapper):
             for entry in results_by_shard[shard]:
                 if isinstance(entry, QueryFailure):
                     # Re-base the shard-local failure index to the batch row.
-                    entry = QueryFailure(lo + entry.index, entry.weights, entry.errors)
+                    entry = replace(entry, index=lo + entry.index)
                     self.metrics.counter("pool.query_failures").inc()
                 output.append(entry)
         return output
@@ -483,16 +534,6 @@ class PoolEngine(EngineWrapper):
             )
         return self._executor
 
-    def _ensure_local_chain(self) -> FallbackEngine:
-        """The parent-process single-tier chain of the ``n_workers=1`` path.
-
-        The same chain shape the workers build, so the inline path returns
-        exactly the entries (and tier labels) a one-worker pool would.
-        """
-        if self._local_chain is None:
-            self._local_chain = FallbackEngine.from_engines([self.inner]).preprocess()
-        return self._local_chain
-
     def _shutdown_executor(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
@@ -501,7 +542,6 @@ class PoolEngine(EngineWrapper):
     def close(self) -> None:
         """Retire the worker pool and remove the published index file."""
         self._shutdown_executor()
-        self._local_chain = None
         if self._tempdir is not None:
             self._tempdir.cleanup()
             self._tempdir = None

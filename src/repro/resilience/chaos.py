@@ -10,10 +10,9 @@ injection
 * *deterministic* — the same seed and payload always produce the same fault,
   independent of ``PYTHONHASHSEED``;
 * *path-independent* — a query that faults inside a ``suggest_many`` batch
-  faults identically when the fallback layer retries it query-by-query, so a
-  "poisoned" query stays poisoned on a tier and the per-query isolation
-  invariants of :class:`~repro.resilience.fallback.FallbackEngine` can be
-  asserted exactly.
+  faults identically when the pool answers it query by query, so a
+  "poisoned" query stays poisoned and the per-query isolation invariants of
+  :class:`~repro.parallel.pool.PoolEngine` can be asserted exactly.
 
 Injected failures raise :class:`InjectedFault`, an
 :class:`~repro.exceptions.OracleError` subclass.
@@ -122,15 +121,15 @@ class ChaosEngine(EngineWrapper):
     """A query-engine wrapper that injects per-query faults.
 
     Forwards the whole :class:`~repro.core.engine.QueryEngine` seam to
-    ``inner`` — so a chaos tier follows ``apply_delta`` / ``refresh`` like
+    ``inner`` — so a chaos engine follows ``apply_delta`` / ``refresh`` like
     any other — and presents the inner engine's name, oracle, config,
     capabilities and payload as its own.  Faults are keyed by each query's
     weight vector, so a poisoned query fails the same way in the batch path
     and in the per-query path (see module docstring).
     ``suggest_many`` raises on the *first* poisoned query in the batch —
     exactly how one bad query used to take down a whole unprotected batch —
-    which is the failure mode the fallback layer's per-query isolation is
-    tested against.
+    which is the failure mode the pool's per-query isolation is tested
+    against.
     """
 
     def __init__(

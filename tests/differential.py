@@ -8,9 +8,13 @@ instrument behind that claim:
 
 * :func:`entry_fingerprint` collapses a batch entry — a
   :class:`~repro.core.result.SuggestionResult` or a
-  :class:`~repro.resilience.fallback.QueryFailure` — into a hashable tuple of
+  :class:`~repro.parallel.pool.QueryFailure` — into a hashable tuple of
   *exact* float hex digits (``float.hex``), so two fingerprints are equal iff
   the answers are bit-identical, never merely close;
+* :func:`per_query_entries` is the specification of the pool's per-query
+  isolation: a plain loop of ``suggest`` calls in which a query that raises
+  becomes the :class:`~repro.parallel.pool.QueryFailure` the pool must
+  return for it;
 * :func:`oracle_call_count` totals an engine's fairness-oracle calls wherever
   they happened — the parent oracle's ``calls`` counter plus the pool's
   ``remote_oracle_calls`` accumulator for calls made in worker processes;
@@ -43,9 +47,14 @@ import numpy as np
 
 from repro.core.multi_dim import MDExactIndex, _PolygonEdges
 from repro.core.result import SuggestionResult
-from repro.exceptions import ConfigurationError
+from repro.exceptions import (
+    ConfigurationError,
+    NoSatisfactoryFunctionError,
+    NotPreprocessedError,
+)
 from repro.geometry.hyperplane import Region
-from repro.resilience.fallback import QueryFailure
+from repro.parallel.pool import QueryFailure
+from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = [
     "assert_engines_equivalent",
@@ -54,6 +63,7 @@ __all__ = [
     "make_weight_grid",
     "oracle_call_count",
     "payload_bytes",
+    "per_query_entries",
     "slsqp_only_regions",
 ]
 
@@ -108,18 +118,16 @@ def entry_fingerprint(entry) -> tuple:
 
     ``SuggestionResult`` → ``("result", query weights, satisfactory,
     suggested weights, distance)``; ``QueryFailure`` → ``("failure", index,
-    weights, ((tier, error_type, message), ...))``.  All floats are rendered
-    with :meth:`float.hex`, so equality means bit-identity.
+    weights, error_type, message)``.  All floats are rendered with
+    :meth:`float.hex`, so equality means bit-identity.
     """
     if isinstance(entry, QueryFailure):
         return (
             "failure",
             entry.index,
             _weights_hex(entry.weights),
-            tuple(
-                (error.tier, error.error_type, error.message)
-                for error in entry.errors
-            ),
+            entry.error_type,
+            entry.message,
         )
     if isinstance(entry, SuggestionResult):
         return (
@@ -132,6 +140,26 @@ def entry_fingerprint(entry) -> tuple:
     raise ConfigurationError(
         f"cannot fingerprint a batch entry of type {type(entry).__name__}"
     )
+
+
+def per_query_entries(engine, matrix) -> list:
+    """What the pool must return for ``matrix``: one ``suggest`` per row.
+
+    Row ``i`` becomes ``engine.suggest(LinearScoringFunction(row))``, or, when
+    building the function or answering it raises, ``QueryFailure(i, weights,
+    type(error).__name__, str(error))``.  ``NotPreprocessedError`` and
+    ``NoSatisfactoryFunctionError`` propagate: they are not per-query faults.
+    """
+    entries = []
+    for index, row in enumerate(np.asarray(matrix, dtype=float)):
+        weights = tuple(row.tolist())
+        try:
+            entries.append(engine.suggest(LinearScoringFunction(weights)))
+        except (NotPreprocessedError, NoSatisfactoryFunctionError):
+            raise
+        except Exception as error:  # noqa: BLE001 — every other error is the query's
+            entries.append(QueryFailure(index, weights, type(error).__name__, str(error)))
+    return entries
 
 
 def oracle_call_count(engine) -> float:

@@ -2,28 +2,28 @@
 
 Every test here is marked ``chaos`` (run them alone with ``-m chaos``).  The
 headline acceptance test is :class:`TestServingUnderChaos`: at a 20% seeded
-fault rate, a fallback chain's ``suggest_many`` never raises, non-faulted
-answers are bit-identical to the unwrapped engine's, and every faulted query
-carries a structured per-query record naming the tier that (or whether any
-tier) answered.
+fault rate, the pool's ``suggest_many`` never raises, non-faulted answers are
+bit-identical to the unwrapped engine's, and every faulted query comes back
+as the :class:`~repro.parallel.pool.QueryFailure` the per-query reference
+(:func:`differential.per_query_entries`) expects.  The last test keeps the
+fault injectors out of every production module.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from differential import entry_fingerprint, per_query_entries
 from repro.core.engine import ApproxConfig, create_engine
 from repro.exceptions import ConfigurationError, OracleError
 from repro.fairness.oracle import CountingOracle
+from repro.parallel.pool import PoolEngine, QueryFailure
 from repro.ranking.scoring import LinearScoringFunction
-from repro.resilience import (
-    ChaosEngine,
-    ChaosOracle,
-    FallbackEngine,
-    InjectedFault,
-    QueryFailure,
-)
+from repro.resilience import ChaosEngine, ChaosOracle, InjectedFault
 
 pytestmark = pytest.mark.chaos
 
@@ -261,70 +261,75 @@ class TestChaosEngine:
 # the headline acceptance criterion
 # --------------------------------------------------------------------------- #
 class TestServingUnderChaos:
-    """At 20% seeded faults: never raise, bit-identical clean answers,
-    structured per-query records for the faulted ones."""
+    """At 20% seeded faults the pool never raises, answers clean queries
+    bit-identically and returns a structured record for each faulted one."""
 
     FAILURE_RATE = 0.2
     N_QUERIES = 40
 
-    def test_suggest_many_never_raises_and_isolates_faults(self, chaos_setup):
-        _, _, tier_a, tier_b = chaos_setup
+    def _pooled_run(self, tier_a) -> tuple[ChaosEngine, np.ndarray, list]:
         chaotic = ChaosEngine(tier_a, failure_rate=self.FAILURE_RATE, seed=13)
-        engine = FallbackEngine.from_engines([chaotic, tier_b]).preprocess()
         matrix = _queries(self.N_QUERIES, seed=2)
+        with PoolEngine.from_engine(chaotic, n_workers=1) as pool:
+            return chaotic, matrix, pool.suggest_many(matrix)  # must not raise
+
+    def test_suggest_many_never_raises_and_isolates_faults(self, chaos_setup):
+        _, _, tier_a, _ = chaos_setup
+        chaotic, matrix, results = self._pooled_run(tier_a)
         baseline = tier_a.suggest_many(matrix)  # the unwrapped engine
-        backup = tier_b.suggest_many(matrix)
         poisoned = {row for row in range(self.N_QUERIES) if chaotic.would_fail(matrix[row])}
         assert poisoned, "the seed must fault some queries for this test to bite"
-
-        results = engine.suggest_many(matrix)  # must not raise
-        report = engine.last_report
-        assert report.n_queries == self.N_QUERIES
-
+        assert len(results) == self.N_QUERIES
         for row, result in enumerate(results):
-            record = report.records[row]
-            assert record.index == row
             if row in poisoned:
-                # Faulted query: structured record naming the answering tier.
-                assert record.faulted
-                assert record.errors[0].tier == "0:approximate"
-                assert record.errors[0].error_type == "InjectedFault"
-                assert record.tier == "1:approximate" and record.answered
-                assert result == backup[row]
+                assert result == QueryFailure(
+                    row,
+                    tuple(matrix[row].tolist()),
+                    "InjectedFault",
+                    "chaos: injected engine failure",
+                )
             else:
-                # Clean query: bit-identical to the unwrapped engine.
-                assert not record.faulted and record.tier == "0:approximate"
                 assert result == baseline[row]
-        assert report.n_faulted == len(poisoned)
-        assert report.n_unanswered == 0
 
-    def test_single_tier_chain_surfaces_failures_as_records(self, chaos_setup):
+    def test_pool_matches_the_per_query_reference(self, chaos_setup):
         _, _, tier_a, _ = chaos_setup
-        chaotic = ChaosEngine(tier_a, failure_rate=self.FAILURE_RATE, seed=13)
-        engine = FallbackEngine.from_engines([chaotic]).preprocess()
-        matrix = _queries(self.N_QUERIES, seed=2)
-        baseline = tier_a.suggest_many(matrix)
-        results = engine.suggest_many(matrix)  # still never raises
-        for row, result in enumerate(results):
-            if chaotic.would_fail(matrix[row]):
-                assert isinstance(result, QueryFailure)
-                assert result.errors[0].error_type == "InjectedFault"
-                assert not engine.last_report.records[row].answered
-            else:
-                assert result == baseline[row]
-        assert engine.last_report.n_unanswered == len(
-            [r for r in results if isinstance(r, QueryFailure)]
-        )
+        chaotic, matrix, results = self._pooled_run(tier_a)
+        reference = per_query_entries(chaotic, matrix)
+        assert [entry_fingerprint(entry) for entry in results] == [
+            entry_fingerprint(entry) for entry in reference
+        ]
 
     def test_chaos_run_is_reproducible(self, chaos_setup):
-        _, _, tier_a, tier_b = chaos_setup
-        matrix = _queries(self.N_QUERIES, seed=2)
-        outcomes = []
-        for _ in range(2):
-            chaotic = ChaosEngine(tier_a, failure_rate=self.FAILURE_RATE, seed=13)
-            engine = FallbackEngine.from_engines([chaotic, tier_b]).preprocess()
-            engine.suggest_many(matrix)
-            outcomes.append(
-                tuple(record.tier for record in engine.last_report.records)
-            )
-        assert outcomes[0] == outcomes[1]
+        _, _, tier_a, _ = chaos_setup
+        runs = [self._pooled_run(tier_a)[2] for _ in range(2)]
+        assert [entry_fingerprint(entry) for entry in runs[0]] == [
+            entry_fingerprint(entry) for entry in runs[1]
+        ]
+
+
+#: The package tree the import guard below scans.
+SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _resilience_importers() -> set[str]:
+    """Modules of ``src/repro`` outside ``repro/resilience/`` that import ``repro.resilience``."""
+    importers: set[str] = set()
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        module = path.relative_to(SRC_REPRO.parent).as_posix()
+        if module.startswith("repro/resilience/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["repro", "resilience"] for name in names):
+                importers.add(module)
+    return importers
+
+
+def test_fault_injectors_stay_out_of_production_modules():
+    """Only tests reach the chaos doubles: no production module imports them."""
+    assert _resilience_importers() == set()

@@ -8,6 +8,7 @@ from differential import assert_engines_equivalent, make_weight_grid
 from repro.cli import build_parser, main
 from repro.core.engine import TwoDConfig, create_engine
 from repro.core.maintenance import DatasetDelta
+from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import COMPAS_SCORING_ATTRIBUTES, make_compas_like
 from repro.fairness.proportional import ProportionalOracle
 from repro.io.index_store import load_engine
@@ -315,6 +316,76 @@ class TestShareFlags:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
         assert all(flag in line for flag in named)
+
+
+class TestWeightFlags:
+    """A malformed weight vector exits 2 before any preprocessing, with one
+    ``error:`` line naming the flag (and a weights-file row's line number)."""
+
+    #: Bad 2-D vectors, each with a phrase its error line must contain.
+    BAD_VECTORS = {
+        "all-zero": ("0,0", "at least one weight must be positive"),
+        "non-numeric": ("1,x", "'x'"),
+        "too-long": ("1,2,3", "expected 2 weights, got 3"),
+        "too-short": ("1", "at least two weights"),
+        "negative": ("-1,2", "non-negative"),
+        "non-finite": ("nan,1", "finite"),
+    }
+    CONSTRAINT = ["--attribute", "race", "--group", "African-American", "--k", "0.3"]
+
+    def _suggest(self, workers: str, *flags: str) -> list[str]:
+        return [
+            "suggest", "--n", "60", "--d", "2", *self.CONSTRAINT,
+            "--max-share", "0.6", "--workers", workers, *flags,
+        ]
+
+    @staticmethod
+    def _error_line(argv, monkeypatch, capsys) -> str:
+        def never(self, *args, **kwargs):
+            raise AssertionError("a malformed weight vector reached preprocessing")
+
+        monkeypatch.setattr(FairRankingDesigner, "preprocess", never)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        return line
+
+    @pytest.mark.parametrize("command", ["suggest-1", "suggest-2", "audit"])
+    @pytest.mark.parametrize("kind", sorted(BAD_VECTORS))
+    def test_bad_weights_exit_2_naming_the_flag(self, command, kind, monkeypatch, capsys):
+        vector, reason = self.BAD_VECTORS[kind]
+        if command == "audit":
+            argv = ["audit", "--n", "60", "--d", "2", *self.CONSTRAINT, f"--weights={vector}"]
+        else:
+            argv = self._suggest(command[-1], f"--weights={vector}")
+        line = self._error_line(argv, monkeypatch, capsys)
+        assert line.startswith("error: --weights: ")
+        assert reason in line
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kind", sorted(BAD_VECTORS))
+    def test_bad_weights_file_row_exits_2_naming_its_line(
+        self, workers, kind, tmp_path, monkeypatch, capsys
+    ):
+        vector, reason = self.BAD_VECTORS[kind]
+        weights_file = tmp_path / "queries.txt"
+        weights_file.write_text(f"0.9,0.1\n\n{vector}\n0.5,0.5\n", encoding="utf-8")
+        argv = self._suggest(workers, "--weights-file", str(weights_file))
+        line = self._error_line(argv, monkeypatch, capsys)
+        assert line.startswith("error: --weights-file line 3: ")
+        assert reason in line
+
+    def test_loaded_engine_checks_the_weights_against_its_dimension(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        source = tmp_path / "a.json"
+        assert main(self._suggest("1", "--weights", "0.9,0.1", "--save-index", str(source))) == 0
+        capsys.readouterr()
+        argv = ["suggest", "--load-index", str(source), *self.CONSTRAINT, "--max-share", "0.6"]
+        line = self._error_line([*argv, "--weights", "0.2,0.3,0.5"], monkeypatch, capsys)
+        assert line == "error: --weights: expected 2 weights, got 3"
 
 
 class TestTopKFlag:

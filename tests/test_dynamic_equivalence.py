@@ -24,11 +24,10 @@ Covered:
   rebuild's bytes, reloads equivalent to it and re-saves byte-identically;
   the in-memory journal records every delta since the last successful
   ``preprocess``;
-* the wrapper engines (``pool``, ``instrumented``, ``fallback``) that
-  override ``apply_delta``: each propagates a delta to the same bits as a
-  fresh rebuild; every wrapper, ``ChaosEngine`` included, exposes the
-  wrapped engine's seam state, and a chaos tier survives maintenance in a
-  fallback chain.
+* the wrapper engines (``pool``, ``instrumented``) that override
+  ``apply_delta``: each propagates a delta to the same bits as a fresh
+  rebuild, and every wrapper, ``ChaosEngine`` included, exposes the wrapped
+  engine's seam state.
 
 The oracles on both sides of every differential are constructed with *fixed*
 parameters (never derived from a dataset, e.g. via
@@ -46,7 +45,6 @@ import pytest
 
 from differential import (
     assert_engines_equivalent,
-    entry_fingerprint,
     make_weight_grid,
     payload_bytes,
 )
@@ -61,14 +59,13 @@ from repro.core.engine import (
 from repro.core.maintenance import DELTA_FORMAT, DatasetDelta, MaintenanceReport
 from repro.core.monitoring import check_engine_freshness, refresh_if_stale
 from repro.data.synthetic import make_compas_like
-from repro.exceptions import ConfigurationError, DatasetError, OracleError
+from repro.exceptions import DatasetError, OracleError
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.io.index_store import load_engine, save_engine
 from repro.obs.instrument import InstrumentedEngine
 from repro.parallel.pool import PoolEngine
 from repro.resilience.chaos import ChaosEngine
-from repro.resilience.fallback import FallbackEngine
 
 pytestmark = pytest.mark.dynamic
 
@@ -253,7 +250,7 @@ class TestPersistence:
 
 
 # --------------------------------------------------------------------------- #
-# wrapper engines overriding apply_delta (pool / instrumented / fallback)
+# wrapper engines overriding apply_delta (pool / instrumented)
 # --------------------------------------------------------------------------- #
 class TestWrapperEngines:
     def _base(self, seed=1):
@@ -277,19 +274,6 @@ class TestWrapperEngines:
         refresh_report = engine.refresh()
         assert refresh_report.strategy == "refresh"
 
-    def test_fallback_maintains_every_tier(self):
-        ds, inner = self._base()
-        engine = FallbackEngine.from_engines([inner]).preprocess()
-        delta = random_delta(ds, seed=0)
-        report = engine.apply_delta(delta)
-        assert report.engine == "fallback"
-        assert report.strategy == "incremental"
-        assert report.details["tiers"]
-        fresh = self._fresh_after(delta)
-        assert_engines_equivalent(
-            engine.engines[0], fresh, make_weight_grid(24, 2, seed=3), check_oracle_calls=False
-        )
-
     def test_pool_republishes_maintained_index(self):
         ds, inner = self._base()
         engine = PoolEngine.from_engine(inner, n_workers=1)
@@ -311,7 +295,6 @@ class TestWrapperEngines:
             engine.close()
 
     WRAPPERS = {
-        "fallback": lambda inner: FallbackEngine.from_engines([inner]),
         "instrumented": InstrumentedEngine.from_engine,
         "pool": lambda inner: PoolEngine.from_engine(inner, n_workers=1),
         "chaos": ChaosEngine,
@@ -333,35 +316,6 @@ class TestWrapperEngines:
         finally:
             if isinstance(engine, PoolEngine):
                 engine.close()
-
-    def test_fallback_keeps_a_chaos_tier_through_maintenance(self):
-        ds, first = self._base()
-        _, second = self._base()
-        chain = FallbackEngine.from_engines([ChaosEngine(first), second]).preprocess()
-        delta = random_delta(ds, seed=0)
-        chain.apply_delta(delta)
-        chain.refresh()
-        assert chain.active_tiers == ("0:2d", "1:2d")
-        assert chain.preprocess_errors == ()
-        fresh = self._fresh_after(delta)
-        grid = make_weight_grid(24, 2, seed=3)
-        assert_engines_equivalent(
-            chain, fresh, grid, check_oracle_calls=False, check_payloads=False
-        )
-        for tier in chain.engines:
-            assert_engines_equivalent(tier, fresh, grid, check_oracle_calls=False)
-
-    def test_fallback_rebind_re_preprocesses_built_tiers(self):
-        _, inner = self._base()
-        chain = FallbackEngine.from_engines([inner]).preprocess()
-        rebound = dataset(60, 2, seed=2)
-        chain.preprocess(dataset=rebound)
-        fresh = fresh_twin(rebound, TwoDConfig())
-        grid = make_weight_grid(24, 2, seed=3)
-        assert [entry_fingerprint(entry) for entry in chain.suggest_many(grid)] == [
-            entry_fingerprint(entry) for entry in fresh.suggest_many(grid)
-        ]
-        assert chain.preprocessing_dataset.n_items == 60
 
 
 # --------------------------------------------------------------------------- #
@@ -489,9 +443,7 @@ class TestFailedMaintenance:
             before = payload_bytes(inner)
             armed = Criterion()
             armed.armed = True
-            # A chain whose every tier failed reports them in one ConfigurationError.
-            error = ConfigurationError if wrapper == "fallback" else OracleError
-            with pytest.raises(error):
+            with pytest.raises(OracleError):
                 engine.preprocess(dataset(30, 2, seed=5), criterion_oracle(armed))
             assert engine.dataset is inner.dataset is ds
             assert engine.oracle is oracle

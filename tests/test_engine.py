@@ -47,7 +47,6 @@ from repro.io.index_store import (
     two_d_index_to_dict,
 )
 from repro.ranking.scoring import LinearScoringFunction
-from repro.resilience.fallback import FallbackConfig
 
 
 def _random_queries(q: int, d: int, seed: int) -> np.ndarray:
@@ -103,7 +102,6 @@ class TestRegistry:
             "2d",
             "exact",
             "approximate",
-            "fallback",
             "instrumented",
             "pool",
         }
@@ -423,13 +421,6 @@ class TestPersistence:
         assert loaded.mode == "approximate"
         queries = _random_queries(8, 3, seed=13)
         assert loaded.suggest_many(queries) == approx_designer.suggest_many(queries)
-
-    def test_fallback_designer_payload_raises_the_fallback_error(self, md_dataset_oracle):
-        dataset, oracle = md_dataset_oracle
-        tier = ApproxConfig(n_cells=9, max_hyperplanes=10)
-        designer = FairRankingDesigner(dataset, oracle, FallbackConfig(tiers=(tier,)))
-        with pytest.raises(ConfigurationError, match="FallbackEngine is a serving-layer"):
-            designer.preprocess().to_payload()
 
     def test_unknown_config_keys_warn_but_load(self, two_d_designer):
         payload = two_d_designer.engine.to_payload()

@@ -9,9 +9,7 @@ Covers the four pillars the PR promises:
   :class:`~repro.fairness.oracle.CountingOracle` subclass, reports the
   counter's totals;
 * **Replayability** — a recorded workload saves, loads and replays bit for
-  bit through a fresh engine;
-* **One counter source** — a fallback engine handed a shared registry keeps
-  ``error_budget_report`` working off the same series the obs report reads.
+  bit through a fresh engine, and names the answering engine in every record.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import pytest
 from repro.clock import FakeClock
 from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.core.maintenance import DatasetDelta
-from repro.core.monitoring import error_budget_report
 from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError
 from repro.fairness.oracle import CountingOracle
@@ -43,8 +40,8 @@ from repro.obs.instrument import InstrumentedOracle
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, bucket_label
 from repro.obs.report import main as report_main
 from repro.obs.trace import activated, active_recorder, parse_trace_jsonl, stage_span
-from repro.resilience import FallbackEngine
-from repro.resilience.fallback import FallbackTelemetry
+from repro.parallel.pool import PoolEngine
+from repro.resilience import ChaosEngine
 from repro.ranking.scoring import LinearScoringFunction
 
 pytestmark = pytest.mark.obs
@@ -546,10 +543,31 @@ def test_workload_records_carry_context_and_buckets(small_compas_2d, race_oracle
     records = recording.workload.records()
     assert len(records) == 3
     for record in records:
-        assert record["engine"] == "2d"
+        assert record["engine"] == record["tier"] == "2d"
         assert record["context"] == {"session": "unit-test"}
         assert record["batch_size"] == 3
         assert record["latency_bucket"].startswith("le=")
+
+
+def test_workload_logs_pool_failures_and_replay_skips_them(
+    tmp_path, small_compas_2d, race_oracle_2d
+):
+    """A pool's ``QueryFailure`` is logged as a failed record under the engine's name."""
+    inner = create_engine(small_compas_2d, race_oracle_2d, TwoDConfig()).preprocess()
+    chaotic = ChaosEngine(inner, failure_rate=0.3, seed=4)
+    matrix = _queries(8, 2)
+    failed = [chaotic.would_fail(row) for row in matrix]
+    assert 0 < sum(failed) < len(failed), "the seed must fault some queries, not all"
+    with PoolEngine.from_engine(chaotic, n_workers=1) as pool:
+        observed = InstrumentedEngine.from_engine(pool, record_workload=True)
+        observed.suggest_many(matrix)
+    loaded = WorkloadRecorder.load(observed.workload.save(tmp_path / "workload.jsonl"))
+    records = loaded.records()
+    assert [record["tier"] for record in records] == ["pool"] * len(matrix)
+    assert [bool(record.get("failed")) for record in records] == failed
+    report = loaded.replay(inner)
+    assert report.bit_identical
+    assert (report.n_queries, report.n_skipped) == (failed.count(False), sum(failed))
 
 
 def test_workload_load_rejects_foreign_formats(tmp_path):
@@ -574,71 +592,6 @@ def test_replay_flags_mismatches_against_a_different_engine(
     report = recording.workload.replay(other)
     assert not report.bit_identical
     assert report.n_mismatched + report.n_skipped > 0
-
-
-# --------------------------------------------------------------------- #
-# one counter source: fallback telemetry on the shared registry
-# --------------------------------------------------------------------- #
-def test_fallback_telemetry_reads_and_writes_the_registry():
-    metrics = MetricsRegistry()
-    telemetry = FallbackTelemetry(metrics=metrics)
-    telemetry.record_queries(3)
-    telemetry.record_answer("tier0:2d", failover=False)
-    telemetry.record_answer("tier1:approximate", failover=True)
-    telemetry.record_tier_failure("tier0:2d")
-    assert metrics.counter_total("fallback.queries") == 3
-    assert metrics.counter_total("fallback.failovers") == 1
-    assert metrics.counter_total("fallback.answered") == 2
-    assert dict(telemetry.answered_by) == {"tier0:2d": 1, "tier1:approximate": 1}
-    assert dict(telemetry.tier_failures) == {"tier0:2d": 1}
-    assert telemetry.as_dict()["n_failovers"] == 1
-
-
-def test_fallback_telemetry_fields_are_read_only_views_of_the_registry():
-    metrics = MetricsRegistry()
-    telemetry = FallbackTelemetry(metrics=metrics)
-    for field in ("n_queries", "n_failovers", "n_unanswered", "answered_by", "tier_failures"):
-        with pytest.raises(AttributeError):
-            setattr(telemetry, field, 0)
-    telemetry.record_answer("1:approximate", count=4)
-    telemetry.record_answer("0:exact", failover=True)
-    telemetry.record_unanswered()
-    # A copy handed out earlier does not write back.
-    telemetry.answered_by["0:exact"] = 99
-    assert telemetry.answered_by == {"0:exact": 1, "1:approximate": 4}
-    assert list(telemetry.answered_by) == ["0:exact", "1:approximate"]
-    assert metrics.counter("fallback.answered", tier="0:exact").value == 1
-    assert (telemetry.n_failovers, telemetry.n_unanswered) == (1, 1)
-    with pytest.raises(ConfigurationError):
-        telemetry.record_queries(-1)  # a counter cannot move backwards
-    assert telemetry.n_queries == 0
-
-
-def test_fallback_engine_shares_a_registry_with_the_budget_report(
-    small_compas_2d, race_oracle_2d
-):
-    metrics = MetricsRegistry()
-    engine = FallbackEngine(
-        small_compas_2d, race_oracle_2d, metrics=metrics
-    ).preprocess()
-    engine.suggest_many(_queries(9, 2))
-    assert engine.telemetry.n_queries == 9
-    assert metrics.counter_total("fallback.queries") == 9
-    report = error_budget_report(engine)
-    assert report.n_queries == 9
-    assert report.n_unanswered == 0
-    assert report.error_rate == 0.0
-
-
-def test_instrumenting_a_fallback_engine_unifies_telemetry(
-    small_compas_2d, race_oracle_2d
-):
-    inner = FallbackEngine(small_compas_2d, race_oracle_2d)
-    observed = InstrumentedEngine.from_engine(inner).preprocess()
-    assert inner.telemetry.metrics is observed.metrics
-    observed.suggest_many(_queries(4, 2))
-    assert observed.metrics.counter_total("fallback.queries") == 4
-    assert observed.metrics.counter_total("engine.queries") == 4
 
 
 # --------------------------------------------------------------------- #

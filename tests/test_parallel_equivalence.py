@@ -8,9 +8,12 @@ equal index payloads.  Covered:
 
 * all three engine families (``2d``, ``exact``, ``approximate``) at worker
   counts 1, 2 and 4;
-* the chaos path: payload-keyed :class:`ChaosOracle` faults produce the same
-  per-query ``QueryFailure`` verdicts (same tier labels, same error types)
-  whether the chain runs in-process or inside pool workers;
+* per-query isolation, checked against the test-owned specification
+  :func:`differential.per_query_entries` (one ``suggest`` per row): invalid
+  weight rows and payload-keyed :class:`ChaosOracle` faults come back as the
+  same ``QueryFailure`` records (same rows, error types and messages) in
+  worker processes as in the reference loop, and the two pass-through errors
+  still raise;
 * worker-death isolation: a query whose oracle evaluation kills its worker
   process poisons only its own shard — every other shard still answers
   bit-identically to the serial engine.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -36,14 +40,19 @@ from differential import (
     entry_fingerprint,
     make_weight_grid,
     payload_bytes,
+    per_query_entries,
 )
 from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.data.synthetic import make_compas_like
-from repro.fairness.oracle import CountingOracle, FairnessOracle
+from repro.exceptions import (
+    ConfigurationError,
+    NoSatisfactoryFunctionError,
+    NotPreprocessedError,
+)
+from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
 from repro.fairness.proportional import ProportionalOracle
-from repro.parallel.pool import PoolConfig, PoolEngine
+from repro.parallel.pool import PoolConfig, PoolEngine, QueryFailure
 from repro.resilience.chaos import ChaosOracle
-from repro.resilience.fallback import FallbackEngine, QueryFailure
 
 pytestmark = pytest.mark.parallel
 
@@ -139,14 +148,17 @@ def test_differential_smoke_workers_1_and_2():
 
 
 # --------------------------------------------------------------------------- #
-# chaos path: pooled faults must match single-process verdicts
+# chaos path: pooled faults must match the per-query reference
 # --------------------------------------------------------------------------- #
-@MULTIPROCESS
-def test_pooled_chaos_faults_match_single_process_verdicts():
-    """Payload-keyed chaos injects the same ``QueryFailure`` verdicts in
-    workers as in a single-process chain: same failing rows, same tier
-    labels, same error types, and bit-identical answers for clean rows."""
-    dimension, n_items, seed, config = FAMILIES["approximate"]
+@pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+@pytest.mark.parametrize("family", ["approximate", "exact"])
+def test_pooled_chaos_faults_match_single_process_verdicts(family, n_workers):
+    """Payload-keyed chaos injects the same ``QueryFailure`` verdicts in the
+    pool as the per-query reference loop does in-process: same failing rows,
+    same error types and messages, and bit-identical answers for clean rows.
+    (The 2-D family answers from its intervals alone, so its oracle never
+    runs online and chaos cannot reach it.)"""
+    dimension, n_items, seed, config = FAMILIES[family]
     dataset = _dataset(dimension, n_items, seed=seed)
 
     def chaotic_oracle() -> ChaosOracle:
@@ -165,24 +177,122 @@ def test_pooled_chaos_faults_match_single_process_verdicts():
 
     engine_a = create_engine(dataset, chaotic_oracle(), config).preprocess()
     engine_b = create_engine(dataset, chaotic_oracle(), config).preprocess()
-    serial = FallbackEngine.from_engines([engine_a]).preprocess()
     engine_a.oracle.enabled = True
     engine_b.oracle.enabled = True
 
     grid = make_weight_grid(16, dimension, seed=4)
-    with PoolEngine.from_engine(engine_b, n_workers=2, seed=3) as pool:
-        entries = assert_engines_equivalent(
-            serial, pool, grid, check_oracle_calls=False, check_payloads=False
-        )
+    reference = per_query_entries(engine_a, grid)
+    with PoolEngine.from_engine(engine_b, n_workers=n_workers, seed=3) as pool:
+        entries = pool.suggest_many(grid)
+    assert [entry_fingerprint(entry) for entry in entries] == [
+        entry_fingerprint(entry) for entry in reference
+    ]
     failures = [entry for entry in entries if isinstance(entry, QueryFailure)]
     assert failures, "the chaos seed must fault some queries for this test to bite"
     assert len(failures) < len(entries), "some queries must survive the chaos"
     for failure in failures:
-        assert failure.errors[0].tier == "0:approximate"
-        assert failure.errors[0].error_type == "InjectedFault"
-    # The serving composites refuse to serialise; the underlying indexes are
-    # still byte-for-byte equal.
+        assert failure.error_type == "InjectedFault"
+        assert failure.message == "chaos: injected oracle failure"
     assert payload_bytes(engine_a) == payload_bytes(engine_b)
+
+
+# --------------------------------------------------------------------------- #
+# per-query isolation: bad rows fail alone, the pass-through errors raise
+# --------------------------------------------------------------------------- #
+ISOLATION_WORKERS = [1, pytest.param(2, marks=MULTIPROCESS)]
+
+#: Weight rows that make no scoring function at dimension ``d``, one per
+#: rule the function checks.
+INVALID_ROWS = {
+    "negative": lambda d: [-1.0] + [0.5] * (d - 1),
+    "all-zero": lambda d: [0.0] * d,
+    "nan": lambda d: [np.nan] + [0.5] * (d - 1),
+    "infinite": lambda d: [0.5] * (d - 1) + [np.inf],
+}
+
+
+@pytest.fixture(scope="module")
+def family_engines():
+    """One preprocessed engine per family, shared by the isolation tests."""
+    engines = {}
+    for name, (dimension, n_items, seed, config) in FAMILIES.items():
+        dataset = _dataset(dimension, n_items, seed=seed)
+        engines[name] = create_engine(dataset, _counting_oracle(dataset), config).preprocess()
+    return engines
+
+
+@pytest.mark.parametrize("n_workers", ISOLATION_WORKERS)
+@pytest.mark.parametrize("kind", sorted(INVALID_ROWS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_invalid_weight_rows_fail_per_query_not_per_batch(
+    family_engines, family, kind, n_workers
+):
+    """One invalid row (in the second shard at two workers) fails alone."""
+    engine = family_engines[family]
+    dimension = FAMILIES[family][0]
+    grid = make_weight_grid(6, dimension, seed=5)
+    grid[4] = INVALID_ROWS[kind](dimension)
+    bare = engine.suggest_many(np.delete(grid, 4, axis=0))
+    with PoolEngine.from_engine(engine, n_workers=n_workers, seed=1) as pool:
+        entries = pool.suggest_many(grid)
+    failure = entries.pop(4)
+    assert isinstance(failure, QueryFailure)
+    assert (failure.index, failure.error_type) == (4, "ScoringFunctionError")
+    assert entry_fingerprint(failure) == entry_fingerprint(per_query_entries(engine, grid)[4])
+    assert [entry_fingerprint(entry) for entry in entries] == [
+        entry_fingerprint(entry) for entry in bare
+    ]
+
+
+def _never_satisfied(ordering, dataset) -> bool:
+    return False
+
+
+@pytest.mark.parametrize("n_workers", ISOLATION_WORKERS)
+def test_no_satisfactory_function_passes_through(n_workers):
+    """An answer about the dataset raises out of the batch instead of becoming records."""
+    dimension, n_items, seed, config = FAMILIES["approximate"]
+    dataset = _dataset(dimension, n_items, seed=seed)
+    never = CallableOracle(_never_satisfied, "never")
+    engine = create_engine(dataset, never, config).preprocess()
+    grid = make_weight_grid(4, dimension, seed=1)
+    with pytest.raises(NoSatisfactoryFunctionError):
+        per_query_entries(engine, grid)
+    with PoolEngine.from_engine(engine, n_workers=n_workers, seed=1) as pool:
+        with pytest.raises(NoSatisfactoryFunctionError):
+            pool.suggest_many(grid)
+
+
+def test_not_preprocessed_error_passes_through(family_engines, monkeypatch):
+    """A caller bug raised by the engine's batch call is not isolated row by row."""
+    engine = family_engines["2d"]
+
+    def not_preprocessed(weights_matrix):
+        raise NotPreprocessedError("call preprocess() first")
+
+    def never(function):
+        raise AssertionError("a pass-through error must not be retried per query")
+
+    with PoolEngine.from_engine(engine, n_workers=1, seed=1) as pool:
+        monkeypatch.setattr(engine, "suggest_many", not_preprocessed)
+        monkeypatch.setattr(engine, "suggest", never)
+        with pytest.raises(NotPreprocessedError):
+            pool.suggest_many(make_weight_grid(3, 2, seed=0))
+
+
+@pytest.mark.parametrize("n_workers", ISOLATION_WORKERS)
+def test_wrong_shape_still_raises(family_engines, n_workers):
+    """A matrix of the wrong width is the caller's error, not a per-query fault."""
+    with PoolEngine.from_engine(family_engines["approximate"], n_workers=n_workers) as pool:
+        with pytest.raises(ConfigurationError, match="weight matrix"):
+            pool.suggest_many(np.ones((3, 5)))
+
+
+def test_query_failures_are_frozen_records():
+    failure = QueryFailure(3, (0.0, 0.0), "ScoringFunctionError", "at least one weight")
+    with pytest.raises(FrozenInstanceError):
+        failure.index = 0  # type: ignore[misc]
+    assert failure == QueryFailure(3, (0.0, 0.0), "ScoringFunctionError", "at least one weight")
 
 
 # --------------------------------------------------------------------------- #
@@ -278,9 +388,9 @@ def test_dead_worker_poisons_only_its_own_shard():
         if row == poison_row:
             assert isinstance(entry, QueryFailure)
             assert entry.index == row
-            assert entry.errors[0].tier == "pool"
-            assert entry.errors[0].error_type == "BrokenProcessPool"
-            assert "twice" in entry.errors[0].message
+            assert entry.weights == tuple(grid[row].tolist())
+            assert entry.error_type == "BrokenProcessPool"
+            assert "twice" in entry.message
         else:
             assert entry_fingerprint(entry) == entry_fingerprint(reference[row]), (
                 f"row {row} was poisoned by shard {poison_row}'s worker death"
@@ -291,16 +401,13 @@ def test_dead_worker_poisons_only_its_own_shard():
 # pool construction contracts
 # --------------------------------------------------------------------------- #
 def test_pool_rejects_non_persistable_inner():
-    from repro.exceptions import ConfigurationError
-    from repro.resilience.fallback import FallbackConfig
+    from repro.obs.instrument import InstrumentedConfig
 
     with pytest.raises(ConfigurationError, match="persistable"):
-        PoolConfig(inner=FallbackConfig())
+        PoolConfig(inner=InstrumentedConfig(inner=TwoDConfig()))
 
 
 def test_pool_requires_preprocessing_before_serving():
-    from repro.exceptions import NotPreprocessedError
-
     dataset = _dataset(2, 20, seed=1)
     pool = PoolEngine(dataset, _counting_oracle(dataset), PoolConfig(n_workers=1))
     with pytest.raises(NotPreprocessedError):
