@@ -123,7 +123,7 @@ def bench_serving(n_items: int, batch: int) -> dict:
     serial, serial_seconds = _timed(engine.suggest_many, grid)
     runs = []
     for n_workers in WORKER_COUNTS:
-        with PoolEngine.from_engine(engine, n_workers=n_workers, seed=1) as pool:
+        with PoolEngine.from_engine(engine, n_workers=n_workers) as pool:
             pooled, seconds = _timed(pool.suggest_many, grid)
         runs.append((n_workers, seconds, pooled == serial))
     return {

@@ -202,12 +202,12 @@ class DeterminismRule(Rule):
     injects it; wall-clock and hidden RNG state are not reproducible across
     shards or replays.
 
-    Inside the PR-9 parallel modules the rule additionally requires every
+    Inside the parallel modules the rule additionally requires every
     ``ProcessPoolExecutor(...)`` to pass an ``initializer=``: forked workers
-    inherit the parent's ambient trace recorder and RNG state, so a pool
-    without a worker initializer (which must detach the recorder and derive
-    per-shard seeds — see :mod:`repro.parallel.shards`) silently breaks the
-    bit-identity guarantee.
+    inherit the parent's ambient trace recorder, and a pool without a worker
+    initializer that detaches it
+    (:func:`repro.obs.trace.reset_stage_recorder`) records worker spans into
+    a copy of the parent's buffer that the parent never sees.
     """
 
     rule_id = "determinism"
@@ -250,9 +250,8 @@ class DeterminismRule(Rule):
                         node.lineno,
                         "ProcessPoolExecutor(...) without initializer= in a "
                         "parallel module: forked workers inherit the ambient "
-                        "trace recorder and RNG state; pass an initializer that "
-                        "calls reset_stage_recorder() and re-seeds from "
-                        "derive_shard_seed(...)",
+                        "trace recorder; pass an initializer that calls "
+                        "reset_stage_recorder() to detach it",
                     )
                 message = self._violation(resolved, node)
                 if message is not None:

@@ -27,11 +27,6 @@ from repro.core.explain import (
     explain_repair,
     format_explanation,
 )
-from repro.core.monitoring import (
-    FreshnessReport,
-    check_approx_index_freshness,
-    check_two_d_index_freshness,
-)
 from repro.core.multi_dim import MDExactIndex, SatisfactoryRegion, SatRegions, md_baseline
 from repro.core.result import SuggestionResult
 from repro.core.sampling import SampleValidationReport, validate_index_on_dataset
@@ -67,9 +62,6 @@ __all__ = [
     "md_online_lookup",
     "SampleValidationReport",
     "validate_index_on_dataset",
-    "FreshnessReport",
-    "check_approx_index_freshness",
-    "check_two_d_index_freshness",
     "DesignSession",
     "ProposalRecord",
     "SessionSummary",

@@ -115,7 +115,7 @@ class MDApproxIndex:
 
         Built lazily on the first nearest-assigned lookup and cached; mutating
         ``assigned_angles`` afterwards requires building a fresh index (which
-        is what every refresh/load path does).
+        is what every preprocess/load path does).
         """
         cache = self._assigned_stack_cache
         if cache is None:

@@ -261,9 +261,6 @@ class QueryEngine(Protocol):
     def apply_delta(self, delta: DatasetDelta) -> MaintenanceReport:
         """Apply one batch of item mutations, maintaining the index in place."""
 
-    def refresh(self) -> MaintenanceReport:
-        """Re-run the oracle-dependent stages, e.g. after the oracle's criterion drifted."""
-
     def capabilities(self) -> EngineCapabilities:
         """Static description of what the engine supports."""
 
@@ -514,22 +511,6 @@ class _EngineBase:
             details=details,
         )
 
-    def refresh(self) -> MaintenanceReport:
-        """Re-run the oracle-dependent stages, e.g. after the oracle's criterion drifted.
-
-        The refresh hook the freshness monitors drive
-        (:func:`repro.core.monitoring.refresh_if_stale`).  Oracle verdicts are
-        re-evaluated in full on the preprocessing dataset.  The 2-D engine
-        reuses its cached exchange arrays and the exact engine its cached
-        arrangement tree; the approximate engine, and any engine without its
-        caches (e.g. one loaded from a payload), rebuilds from scratch.
-        """
-        if self._index is None:
-            raise NotPreprocessedError("preprocess() before refreshing")
-        with stage_span("maintenance.refresh", engine=self.name):
-            self._refresh_index()
-        return MaintenanceReport(engine=self.name, strategy="refresh")
-
     def _supports_incremental(self, delta: DatasetDelta) -> bool:
         """True when this engine can maintain its index incrementally for ``delta``."""
         return False
@@ -539,10 +520,6 @@ class _EngineBase:
     ) -> tuple[Any, dict[str, Any]]:
         """Return the index for ``mutated`` and the report details; ``apply_delta`` commits."""
         raise NotImplementedError  # only reachable when _supports_incremental lies
-
-    def _refresh_index(self) -> None:
-        """Default refresh: rebuild the index on the preprocessing dataset."""
-        self._index = self._build_index(self.preprocessing_dataset, self.oracle)
 
     @property
     def journal(self) -> tuple[DatasetDelta, ...]:
@@ -719,15 +696,6 @@ class TwoDEngine(_EngineBase):
         index = self._sweep(mutated, self.oracle, lambda dataset: merged)
         return index, {"n_retained_exchanges": n_retained, "n_fresh_exchanges": n_fresh}
 
-    def _refresh_index(self) -> None:
-        exchanges = getattr(self, "_exchanges", None)
-        if exchanges is None:
-            super()._refresh_index()
-            return
-        self._index = self._sweep(
-            self.preprocessing_dataset, self.oracle, lambda dataset: exchanges
-        )
-
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         return self.index.query(function)
 
@@ -819,18 +787,6 @@ class ExactEngine(_EngineBase):
             "n_fresh_hyperplanes": len(fresh),
         }
 
-    def _refresh_index(self) -> None:
-        tree = getattr(self, "_exact_tree", None)
-        hyperplanes = getattr(self, "_exact_hyperplanes", None)
-        if tree is None or hyperplanes is None:
-            super()._refresh_index()
-            return
-        self._index = SatRegions(
-            self.preprocessing_dataset,
-            self.oracle,
-            preprocess_workers=self.config.preprocess_workers,
-        ).evaluate_tree(tree, n_hyperplanes=len(hyperplanes))
-
     def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
         return md_baseline(self.preprocessing_dataset, self.oracle, self.index, function)
 
@@ -865,7 +821,7 @@ class ApproxEngine(_EngineBase):
 
     def _build_index(self, working: Dataset, oracle: FairnessOracle) -> MDApproxIndex:
         # No geometry is cached: MARKCELL's oracle probes dominate a build and
-        # re-run after any delta, so apply_delta() and refresh() rebuild.
+        # re-run after any delta, so apply_delta() rebuilds.
         return ApproximatePreprocessor(
             working,
             oracle,
@@ -994,8 +950,8 @@ class EngineWrapper:
     and of the :class:`~repro.core.system.FairRankingDesigner` facade.
 
     Forwards the seam (``preprocess`` / ``suggest`` / ``suggest_many`` /
-    ``apply_delta`` / ``refresh``) and the read-only engine state (``dataset``,
-    ``index``, ``is_preprocessed``, ``preprocessing_dataset``, ``journal``) to
+    ``apply_delta``) and the read-only engine state (``dataset``, ``index``,
+    ``is_preprocessed``, ``preprocessing_dataset``, ``journal``) to
     ``self.inner`` unchanged, so a wrapper overrides only what it changes.
     ``oracle`` is not forwarded: each wrapper keeps its own.  For the
     registered wrappers it also supplies ``capabilities()`` and the
@@ -1041,9 +997,6 @@ class EngineWrapper:
 
     def apply_delta(self, delta: DatasetDelta) -> MaintenanceReport:
         return self.inner.apply_delta(delta)
-
-    def refresh(self) -> MaintenanceReport:
-        return self.inner.refresh()
 
     @classmethod
     def capabilities(cls) -> EngineCapabilities:

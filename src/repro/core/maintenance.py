@@ -293,17 +293,17 @@ class DatasetDelta:
 
 @dataclass(frozen=True)
 class MaintenanceReport:
-    """What one ``apply_delta`` / ``refresh`` call did to an engine's index.
+    """What one ``apply_delta`` call did to an engine's index.
 
     ``strategy`` is ``"incremental"`` when the oracle-free geometry was
     maintained in place, ``"rebuild"`` when the engine fell back to a full
     from-scratch preprocess (the delta exceeded
     :data:`~repro.core.engine.STALENESS_THRESHOLD`, or the engine holds no
     geometry to maintain: the approximate engine never caches any, and a
-    loaded engine starts without), and ``"refresh"`` when the
-    oracle-dependent stages were re-run after the oracle changed.  No wall
-    clocks are recorded here, so a report depends only on the engine and the
-    delta; the ``maintenance.apply_delta`` stage span carries the timing.
+    loaded engine starts without), and ``"noop"`` for an empty delta.  No
+    wall clocks are recorded here, so a report depends only on the engine
+    and the delta; the ``maintenance.apply_delta`` stage span carries the
+    timing.
     """
 
     engine: str

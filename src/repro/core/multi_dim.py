@@ -277,7 +277,7 @@ class SatRegions:
     def evaluate_tree(self, tree: ArrangementTree, n_hyperplanes: int) -> MDExactIndex:
         """Evaluate the leaf regions of a (possibly cached) arrangement tree.
 
-        The delta-maintenance and refresh entry point: the tree carries the
+        The delta-maintenance entry point: the tree carries the
         oracle-free geometry, so only the per-region oracle evaluation — which
         is data-dependent and must re-run after any change — happens here.
         The result is exactly what :meth:`run` would produce after inserting

@@ -3,8 +3,8 @@
 Line 1 of ``MDONLINE`` (Algorithm 11) — *is the query itself satisfactory?* —
 is a black-box oracle call, and the batched serving paths
 (:meth:`~repro.core.engine.ApproxEngine.suggest_many`, the §5.4 sample
-validation, the freshness monitor) used to make it one query at a time: a
-full ``argsort`` plus a Python-level ``is_satisfactory`` per query.  The
+validation) used to make it one query at a time: a full ``argsort`` plus a
+Python-level ``is_satisfactory`` per query.  The
 :class:`BatchedOracle` protocol is the batch mirror of the incremental one
 (:mod:`repro.fairness.incremental`):
 

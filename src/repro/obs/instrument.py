@@ -303,14 +303,6 @@ class InstrumentedEngine(EngineWrapper):
         ).inc(delta.n_changes)
         return report
 
-    def refresh(self):
-        """Forward a refresh to the inner engine, spanned and counted."""
-        with activated(self.recorder):
-            with self.recorder.span("engine.refresh", engine=self.inner.name):
-                report = self.inner.refresh()
-        self.metrics.counter("maintenance.refresh", engine=self.inner.name).inc()
-        return report
-
     def _as_function(self, function) -> LinearScoringFunction:
         if isinstance(function, LinearScoringFunction):
             return function

@@ -1,9 +1,9 @@
 """Replayable workload recording: capture the live query stream, play it back.
 
-:class:`WorkloadRecorder` captures every served query — weights and angles,
-the answering engine (under the format's ``engine`` and ``tier`` keys alike),
-a latency bucket, and the oracle-call cost —
-into a JSONL log (format ``repro.obs.workload/v1``: one header line, one
+:class:`WorkloadRecorder` captures every served query — weights (and the
+angles of every answered one), the answering engine (under the format's
+``engine`` and ``tier`` keys alike), a latency bucket, and the oracle-call
+cost — into a JSONL log (format ``repro.obs.workload/v1``: one header line, one
 record per line, keys sorted).  This is the substrate the ROADMAP's
 workload-aware autotuning item needs: record suggested-weight traffic, then
 :meth:`replay` it through alternative engine configurations.
@@ -147,7 +147,6 @@ class WorkloadRecorder:
                 record: dict[str, Any] = {
                     "index": len(records),
                     "weights": weights,
-                    "angles": [float(value) for value in to_angles(np.asarray(weights))],
                     "engine": batch.engine,
                     "tier": batch.engine,
                     "latency_bucket": bucket,
@@ -157,6 +156,11 @@ class WorkloadRecorder:
                     "context": dict(batch.context),
                 }
                 if hasattr(result, "satisfactory"):
+                    # A failed row may be no valid weight vector (all zero,
+                    # negative, non-finite), so only answered rows get angles.
+                    record["angles"] = [
+                        float(value) for value in to_angles(np.asarray(weights))
+                    ]
                     record["satisfactory"] = bool(result.satisfactory)
                     record["suggested_weights"] = [
                         float(value) for value in result.function.weights

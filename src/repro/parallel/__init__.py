@@ -5,8 +5,8 @@ Both halves of this package fan embarrassingly parallel work out over
 standing guarantee: the parallel result is **bit-identical** to the serial
 reference, regardless of worker count, shard size or completion order.
 
-* :mod:`repro.parallel.shards` — shard planning and the deterministic
-  per-shard seed derivation every worker re-seeds from;
+* :mod:`repro.parallel.shards` — shard planning: contiguous slices,
+  submitted and merged in order;
 * :mod:`repro.parallel.preprocess` — the sharded preprocessing driver over
   :func:`repro.data.dominance.exchange_pairs_for_block` (the exact block
   kernel the serial :func:`~repro.data.dominance.iter_exchange_pair_chunks`
@@ -23,12 +23,11 @@ argument and the worker-failure semantics.
 
 from repro.parallel.pool import PoolConfig, PoolEngine
 from repro.parallel.preprocess import parallel_hyperplanes_for_dataset
-from repro.parallel.shards import derive_shard_seed, plan_shards
+from repro.parallel.shards import plan_shards
 
 __all__ = [
     "PoolConfig",
     "PoolEngine",
-    "derive_shard_seed",
     "parallel_hyperplanes_for_dataset",
     "plan_shards",
 ]

@@ -33,10 +33,11 @@ Serving semantics:
   about the dataset, not a failure of one query.
 
 Observability: the parent increments ``pool.*`` counters on an injectable
-:class:`~repro.obs.metrics.MetricsRegistry` and opens one ``pool.shard``
-stage span per shard when a recorder is active; workers detach any inherited
-recorder state (:func:`repro.obs.trace.reset_stage_recorder`) and re-seed
-their RNG per shard from :func:`repro.parallel.shards.derive_shard_seed`.
+:class:`~repro.obs.metrics.MetricsRegistry` (``pool.query_failures`` counts
+the :class:`QueryFailure` records of every batch, inline or sharded) and
+opens one ``pool.shard`` stage span per shard when a recorder is active;
+workers detach any inherited recorder state
+(:func:`repro.obs.trace.reset_stage_recorder`).
 
 ``n_workers=1`` serves inline through the same :func:`_serve` in the parent
 process — no worker processes, no pickling, identical results.
@@ -48,7 +49,6 @@ import tempfile
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Any
 
@@ -73,7 +73,7 @@ from repro.fairness.oracle import FairnessOracle
 from repro.io.index_store import load_engine, read_store_digest, save_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import reset_stage_recorder, stage_span
-from repro.parallel.shards import derive_shard_seed, plan_shards, shard_size_for
+from repro.parallel.shards import plan_shards, shard_size_for
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = ["PoolConfig", "PoolEngine", "QueryFailure"]
@@ -144,18 +144,11 @@ class PoolConfig:
         Worker processes in the pool (``1`` = serve inline, no processes).
     shard_size:
         Queries per shard; defaults to one contiguous slice per worker.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); defaults to the platform default.
-    seed:
-        Base seed for the deterministic per-shard worker RNG re-seeding.
     """
 
     inner: EngineConfig | None = None
     n_workers: int = 2
     shard_size: int | None = None
-    start_method: str | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -184,15 +177,10 @@ def _require_persistable_config(config: Any) -> str:
 # ---------------------------------------------------------------------- #
 _ENGINE: Any = None
 _ORACLE: FairnessOracle | None = None
-_BASE_SEED: int = 0
-_RNG: np.random.Generator | None = None
 
 
 def _init_pool_worker(
-    index_path: str,
-    oracle: FairnessOracle,
-    base_seed: int,
-    expected_digest: str | None,
+    index_path: str, oracle: FairnessOracle, expected_digest: str | None
 ) -> None:
     """Load the shared index exactly once per worker process.
 
@@ -202,7 +190,7 @@ def _init_pool_worker(
     ``BrokenProcessPool`` surfaces the corruption loudly instead of serving
     silently divergent answers).
     """
-    global _ENGINE, _ORACLE, _BASE_SEED
+    global _ENGINE, _ORACLE
     reset_stage_recorder()
     if expected_digest is not None:
         digest = read_store_digest(index_path)
@@ -217,12 +205,9 @@ def _init_pool_worker(
             )
     _ENGINE = load_engine(index_path, oracle)
     _ORACLE = oracle
-    _BASE_SEED = base_seed
 
 
-def _pool_worker_task(
-    shard_index: int, rows: np.ndarray
-) -> tuple[list, int | float]:
+def _pool_worker_task(rows: np.ndarray) -> tuple[list, int | float]:
     """Serve one shard from the worker's loaded engine through :func:`_serve`.
 
     Returns ``(entries, oracle_calls_delta)`` where entries are
@@ -230,10 +215,8 @@ def _pool_worker_task(
     *shard-local* indices (the parent re-bases them).  The two pass-through
     exception types propagate through the future to the parent.
     """
-    global _RNG
     if _ENGINE is None:
         raise NotPreprocessedError("pool worker initialised without an index")
-    _RNG = np.random.default_rng(derive_shard_seed(_BASE_SEED, shard_index))
     before = getattr(_ORACLE, "calls", None)
     entries = _serve(_ENGINE, rows)
     delta = (getattr(_ORACLE, "calls", 0) - before) if before is not None else 0
@@ -299,8 +282,6 @@ class PoolEngine(EngineWrapper):
         *,
         n_workers: int = 2,
         shard_size: int | None = None,
-        start_method: str | None = None,
-        seed: int = 0,
         metrics: MetricsRegistry | None = None,
     ) -> "PoolEngine":
         """Wrap an already-constructed (typically preprocessed) engine in a pool.
@@ -311,13 +292,7 @@ class PoolEngine(EngineWrapper):
         return cls(
             engine.dataset,
             engine.oracle,
-            PoolConfig(
-                inner=engine.config,
-                n_workers=n_workers,
-                shard_size=shard_size,
-                start_method=start_method,
-                seed=seed,
-            ),
+            PoolConfig(inner=engine.config, n_workers=n_workers, shard_size=shard_size),
             inner_engine=engine,
             metrics=metrics,
         )
@@ -379,13 +354,6 @@ class PoolEngine(EngineWrapper):
         self._publish_index()
         return report
 
-    def refresh(self) -> Any:
-        """Refresh the inner engine's oracle-dependent stages and republish."""
-        report = self.inner.refresh()
-        self.metrics.counter("pool.index_republished").inc()
-        self._publish_index()
-        return report
-
     # ------------------------------------------------------------------ #
     # online phase (``suggest`` is inherited: a single query never amortises
     # the IPC round-trip, so the inner engine answers it in-process)
@@ -400,8 +368,17 @@ class PoolEngine(EngineWrapper):
         if q == 0:
             return []
         if self.config.n_workers == 1:
-            return _serve(self.inner, matrix)
+            output = _serve(self.inner, matrix)
+        else:
+            output = self._suggest_sharded(matrix)
+        failures = _failure_count(output)
+        if failures:
+            self.metrics.counter("pool.query_failures").inc(failures)
+        return output
 
+    def _suggest_sharded(self, matrix: np.ndarray) -> list:
+        """Fan ``matrix`` over the worker pool and merge the shards in order."""
+        q = matrix.shape[0]
         shard_size = (
             self.config.shard_size
             if self.config.shard_size is not None
@@ -414,8 +391,7 @@ class PoolEngine(EngineWrapper):
         retry: list[int] = []
         executor = self._ensure_executor(len(bounds))
         futures: list[Future] = [
-            executor.submit(_pool_worker_task, shard, matrix[lo:hi])
-            for shard, (lo, hi) in enumerate(bounds)
+            executor.submit(_pool_worker_task, matrix[lo:hi]) for lo, hi in bounds
         ]
         # Consume strictly in shard-submission order: completion order never
         # influences the merged output, only how long the parent blocks.
@@ -450,9 +426,7 @@ class PoolEngine(EngineWrapper):
                     "pool.shard", shard=shard, n_queries=hi - lo, retry=True
                 ) as span:
                     try:
-                        entries, oracle_delta = self._run_isolated(
-                            shard, matrix[lo:hi]
-                        )
+                        entries, oracle_delta = self._run_isolated(matrix[lo:hi])
                     except _PASS_THROUGH:
                         raise
                     except BrokenProcessPool as error:
@@ -483,7 +457,6 @@ class PoolEngine(EngineWrapper):
                 if isinstance(entry, QueryFailure):
                     # Re-base the shard-local failure index to the batch row.
                     entry = replace(entry, index=lo + entry.index)
-                    self.metrics.counter("pool.query_failures").inc()
                 output.append(entry)
         return output
 
@@ -499,32 +472,19 @@ class PoolEngine(EngineWrapper):
         if oracle_delta:
             self.metrics.counter("pool.oracle_calls").inc(oracle_delta)
 
-    def _run_isolated(
-        self, shard: int, rows: np.ndarray
-    ) -> tuple[list, int | float]:
+    def _run_isolated(self, rows: np.ndarray) -> tuple[list, int | float]:
         """Run one shard in a throwaway single-worker executor."""
         with self._make_executor(1) as isolated:
-            return isolated.submit(_pool_worker_task, shard, rows).result()
+            return isolated.submit(_pool_worker_task, rows).result()
 
     # ------------------------------------------------------------------ #
     # pool plumbing
     # ------------------------------------------------------------------ #
     def _make_executor(self, max_workers: int) -> ProcessPoolExecutor:
-        context = (
-            get_context(self.config.start_method)
-            if self.config.start_method is not None
-            else None
-        )
         return ProcessPoolExecutor(
             max_workers=max_workers,
-            mp_context=context,
             initializer=_init_pool_worker,
-            initargs=(
-                str(self._index_path),
-                self.oracle,
-                self.config.seed,
-                self._index_digest,
-            ),
+            initargs=(str(self._index_path), self.oracle, self._index_digest),
         )
 
     def _ensure_executor(self, n_shards: int) -> ProcessPoolExecutor:

@@ -18,16 +18,14 @@ very same blocks out over a ``ProcessPoolExecutor``:
 * ``max_hyperplanes`` is honoured across shards: the parent truncates the
   merged list at the cap, then cancels every not-yet-started chunk.
 
-Workers call :func:`repro.obs.trace.reset_stage_recorder` first thing (stage
-spans degrade to no-ops in children) and re-seed their RNG from
-:func:`repro.parallel.shards.derive_shard_seed` at the start of every chunk,
-so no worker ever observes inherited recorder state or OS entropy.
+Workers call :func:`repro.obs.trace.reset_stage_recorder` first thing, so
+stage spans degrade to no-ops in children and no worker ever observes
+inherited recorder state.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from typing import Callable
 
 import numpy as np
@@ -43,9 +41,8 @@ from repro.geometry.dual import (
     hyperplanes_for_dataset,
 )
 from repro.geometry.hyperplane import Hyperplane
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import reset_stage_recorder, stage_span
-from repro.parallel.shards import derive_shard_seed, plan_shards
+from repro.parallel.shards import plan_shards
 
 __all__ = [
     "make_parallel_exchange_builder",
@@ -58,8 +55,6 @@ __all__ = [
 _SCORES: np.ndarray | None = None
 _RESTRICTED: np.ndarray | None = None
 _INDICES: np.ndarray | None = None
-_BASE_SEED: int = 0
-_RNG: np.random.Generator | None = None
 
 
 def _require_workers(n_workers: int) -> int:
@@ -68,43 +63,27 @@ def _require_workers(n_workers: int) -> int:
     return int(n_workers)
 
 
-def _executor(n_workers: int, start_method: str | None, initializer, initargs):
-    context = get_context(start_method) if start_method is not None else None
-    return ProcessPoolExecutor(
-        max_workers=n_workers,
-        mp_context=context,
-        initializer=initializer,
-        initargs=initargs,
-    )
-
-
 # ---------------------------------------------------------------------- #
 # d >= 3: sharded hyperplane construction
 # ---------------------------------------------------------------------- #
 def _init_hyperplane_worker(
-    scores: np.ndarray,
-    restricted: np.ndarray,
-    indices: np.ndarray,
-    base_seed: int,
+    scores: np.ndarray, restricted: np.ndarray, indices: np.ndarray
 ) -> None:
     """Per-worker setup: detach inherited obs state, pin the shared inputs."""
-    global _SCORES, _RESTRICTED, _INDICES, _BASE_SEED
+    global _SCORES, _RESTRICTED, _INDICES
     reset_stage_recorder()
     _SCORES = scores
     _RESTRICTED = restricted
     _INDICES = indices
-    _BASE_SEED = base_seed
 
 
-def _hyperplane_chunk_task(chunk_index: int, start: int, stop: int) -> list[Hyperplane]:
+def _hyperplane_chunk_task(start: int, stop: int) -> list[Hyperplane]:
     """Construct every hyperplane of one pair-enumeration block, uncapped.
 
     Runs in a worker process.  The parent applies the ``max_hyperplanes``
     prefix truncation while merging — construction is independent per pair,
     so block-then-prefix equals prefix-then-block.
     """
-    global _RNG
-    _RNG = np.random.default_rng(derive_shard_seed(_BASE_SEED, chunk_index))
     position_pairs = exchange_pairs_for_block(_RESTRICTED, start, stop)
     if position_pairs.shape[0] == 0:
         return []
@@ -118,9 +97,6 @@ def parallel_hyperplanes_for_dataset(
     n_workers: int = 1,
     pair_chunk_size: int | None = None,
     max_hyperplanes: int | None = None,
-    start_method: str | None = None,
-    seed: int = 0,
-    metrics: MetricsRegistry | None = None,
 ) -> list[Hyperplane]:
     """Sharded-parallel :func:`repro.geometry.dual.hyperplanes_for_dataset`.
 
@@ -133,14 +109,6 @@ def parallel_hyperplanes_for_dataset(
     ------------------------------------------
     n_workers:
         Worker processes to fan the pair-enumeration blocks over.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); defaults to the platform default.
-    seed:
-        Base seed the per-chunk worker RNG re-seeding derives from.
-    metrics:
-        Optional registry; increments ``preprocess.parallel_chunks`` and
-        ``preprocess.parallel_hyperplanes`` counters.
     """
     _require_workers(n_workers)
     if n_workers == 1:
@@ -173,15 +141,13 @@ def parallel_hyperplanes_for_dataset(
         return []
 
     hyperplanes: list[Hyperplane] = []
-    with _executor(
-        min(n_workers, len(bounds)),
-        start_method,
-        _init_hyperplane_worker,
-        (scores, restricted, indices, seed),
+    with ProcessPoolExecutor(
+        max_workers=min(n_workers, len(bounds)),
+        initializer=_init_hyperplane_worker,
+        initargs=(scores, restricted, indices),
     ) as executor:
         futures = [
-            executor.submit(_hyperplane_chunk_task, chunk_index, start, stop)
-            for chunk_index, (start, stop) in enumerate(bounds)
+            executor.submit(_hyperplane_chunk_task, start, stop) for start, stop in bounds
         ]
         # Merge strictly in chunk-submission order: completion order never
         # influences the output, only how long the parent blocks per future.
@@ -195,9 +161,6 @@ def parallel_hyperplanes_for_dataset(
                 if span is not None:
                     span.set("n_hyperplanes", len(chunk_planes))
             hyperplanes.extend(chunk_planes)
-            if metrics is not None:
-                metrics.counter("preprocess.parallel_chunks").inc()
-                metrics.counter("preprocess.parallel_hyperplanes").inc(len(chunk_planes))
             if max_hyperplanes is not None and len(hyperplanes) >= max_hyperplanes:
                 for outstanding in futures[chunk_index + 1 :]:
                     outstanding.cancel()
@@ -208,28 +171,21 @@ def parallel_hyperplanes_for_dataset(
 # ---------------------------------------------------------------------- #
 # d == 2: sharded exchange-angle enumeration
 # ---------------------------------------------------------------------- #
-def _init_angle_worker(scores: np.ndarray, base_seed: int) -> None:
+def _init_angle_worker(scores: np.ndarray) -> None:
     """Per-worker setup for the 2-D angle path."""
-    global _SCORES, _BASE_SEED
+    global _SCORES
     reset_stage_recorder()
     _SCORES = scores
-    _BASE_SEED = base_seed
 
 
-def _angle_chunk_task(chunk_index: int, start: int, stop: int) -> ExchangeArrays:
+def _angle_chunk_task(start: int, stop: int) -> ExchangeArrays:
     """Enumerate one block's exchange arrays; runs in a worker process."""
-    global _RNG
-    _RNG = np.random.default_rng(derive_shard_seed(_BASE_SEED, chunk_index))
     # Same Eq. 2 kernel as exchange_arrays_2d, applied block-wise.
     return exchange_angles_for_pairs(_SCORES, exchange_pairs_for_block(_SCORES, start, stop))
 
 
 def _parallel_exchange_arrays_2d(
-    dataset: Dataset,
-    n_workers: int,
-    row_chunk_size: int | None,
-    start_method: str | None,
-    seed: int,
+    dataset: Dataset, n_workers: int, row_chunk_size: int | None
 ) -> ExchangeArrays:
     """Sharded-parallel :func:`repro.geometry.dual.exchange_arrays_2d`.
 
@@ -253,13 +209,12 @@ def _parallel_exchange_arrays_2d(
         return exchange_angles_for_pairs(scores, np.empty((0, 2), dtype=np.intp))
 
     chunks: list[ExchangeArrays] = []
-    with _executor(
-        min(n_workers, len(bounds)), start_method, _init_angle_worker, (scores, seed)
+    with ProcessPoolExecutor(
+        max_workers=min(n_workers, len(bounds)),
+        initializer=_init_angle_worker,
+        initargs=(scores,),
     ) as executor:
-        futures = [
-            executor.submit(_angle_chunk_task, chunk_index, start, stop)
-            for chunk_index, (start, stop) in enumerate(bounds)
-        ]
+        futures = [executor.submit(_angle_chunk_task, start, stop) for start, stop in bounds]
         for chunk_index, future in enumerate(futures):
             with stage_span(
                 "preprocess.parallel_chunk", chunk=chunk_index, n_workers=n_workers
@@ -272,11 +227,7 @@ def _parallel_exchange_arrays_2d(
 
 
 def make_parallel_exchange_builder(
-    n_workers: int,
-    *,
-    row_chunk_size: int | None = None,
-    start_method: str | None = None,
-    seed: int = 0,
+    n_workers: int, *, row_chunk_size: int | None = None
 ) -> Callable[[Dataset], ExchangeArrays]:
     """Exchange-builder closure for :class:`repro.core.two_dim.TwoDRaySweep`.
 
@@ -288,8 +239,6 @@ def make_parallel_exchange_builder(
     _require_workers(n_workers)
 
     def build(dataset: Dataset) -> ExchangeArrays:
-        return _parallel_exchange_arrays_2d(
-            dataset, n_workers, row_chunk_size, start_method, seed
-        )
+        return _parallel_exchange_arrays_2d(dataset, n_workers, row_chunk_size)
 
     return build

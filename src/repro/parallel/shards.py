@@ -1,46 +1,19 @@
-"""Shard planning and deterministic per-shard seeds.
+"""Shard planning.
 
 A *shard* is a contiguous ``[start, stop)`` slice of work items — block rows
 of the pair enumeration during preprocessing, query rows of a
 ``suggest_many`` batch during serving.  Shards are planned up front in the
 parent, submitted in order, and merged in the same order, so the assembled
-result never depends on which worker finished first.
-
-Per-shard seeds are derived with a keyed BLAKE2b hash of the parent's base
-seed and the shard index.  Workers re-seed their RNG from this derivation at
-the start of every shard (the ``determinism`` contract-rule extension for
-``src/repro/parallel/`` statically enforces that every pool passes an
-``initializer=``), so any randomness a worker ever draws is a pure function
-of the parent configuration — never of process ids, import order or OS
-entropy.
+result never depends on which worker finished first.  Workers keep no RNG
+state, so a shard's result is a pure function of its rows and the inputs
+the pool initializer pinned.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.exceptions import ConfigurationError
 
-__all__ = ["derive_shard_seed", "plan_shards", "shard_size_for"]
-
-#: Domain-separation key of the shard-seed derivation (stable across runs).
-_SEED_KEY = b"repro.parallel.shard-seed/v1"
-
-
-def derive_shard_seed(base_seed: int, shard_index: int) -> int:
-    """Deterministic 64-bit seed for one shard of a run seeded by ``base_seed``.
-
-    >>> derive_shard_seed(0, 0) == derive_shard_seed(0, 0)
-    True
-    >>> derive_shard_seed(0, 0) != derive_shard_seed(0, 1)
-    True
-    """
-    digest = hashlib.blake2b(
-        f"{int(base_seed)}:{int(shard_index)}".encode("ascii"),
-        key=_SEED_KEY,
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "big")
+__all__ = ["plan_shards", "shard_size_for"]
 
 
 def shard_size_for(n_items: int, n_workers: int) -> int:

@@ -121,9 +121,9 @@ class ChaosEngine(EngineWrapper):
     """A query-engine wrapper that injects per-query faults.
 
     Forwards the whole :class:`~repro.core.engine.QueryEngine` seam to
-    ``inner`` — so a chaos engine follows ``apply_delta`` / ``refresh`` like
-    any other — and presents the inner engine's name, oracle, config,
-    capabilities and payload as its own.  Faults are keyed by each query's
+    ``inner`` — so a chaos engine follows ``apply_delta`` like any other —
+    and presents the inner engine's name, oracle, config, capabilities and
+    payload as its own.  Faults are keyed by each query's
     weight vector, so a poisoned query fails the same way in the batch path
     and in the per-query path (see module docstring).
     ``suggest_many`` raises on the *first* poisoned query in the batch —

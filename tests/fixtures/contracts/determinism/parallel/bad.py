@@ -1,8 +1,8 @@
 """Violation fixture: a pool in a parallel module without a worker initializer.
 
-Forked workers inherit the parent's ambient trace recorder and RNG state;
-the determinism rule requires every ``ProcessPoolExecutor`` in parallel
-modules to pass ``initializer=`` so that state is detached and re-seeded.
+Forked workers inherit the parent's ambient trace recorder; the determinism
+rule requires every ``ProcessPoolExecutor`` in parallel modules to pass
+``initializer=`` so that recorder is detached.
 """
 
 from concurrent.futures import ProcessPoolExecutor

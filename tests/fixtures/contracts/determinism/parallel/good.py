@@ -3,12 +3,12 @@
 from concurrent.futures import ProcessPoolExecutor
 
 
-def _init_worker(base_seed):
+def _init_worker(scores):
     pass
 
 
-def fan_out(task, shards, base_seed):
+def fan_out(task, shards, scores):
     with ProcessPoolExecutor(
-        max_workers=2, initializer=_init_worker, initargs=(base_seed,)
+        max_workers=2, initializer=_init_worker, initargs=(scores,)
     ) as executor:
         return [future.result() for future in [executor.submit(task, s) for s in shards]]

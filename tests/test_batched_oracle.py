@@ -3,10 +3,10 @@
 The anchor is the black-box reference: for every oracle type,
 ``is_satisfactory_many`` over a ``(q, n)`` ordering stack must equal a Python
 loop of ``is_satisfactory`` — exactly, row for row — and the batched serving
-paths (``ApproxEngine.suggest_many``, the §5.4 sample validation, the
-freshness monitor, ``MDBASELINE``'s candidate re-validation) must return
-bit-identical answers and unchanged oracle-call counts whether the oracle is
-batched or a black box.
+paths (``ApproxEngine.suggest_many``, the §5.4 sample validation,
+``MDBASELINE``'s candidate re-validation) must return bit-identical answers
+and unchanged oracle-call counts whether the oracle is batched or a black
+box.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from reference.exchanges import build_exchange_hyperplanes_reference
 
 from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online_lookup
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
-from repro.core.monitoring import check_approx_index_freshness
 from repro.core.multi_dim import SatRegions, exchange_hyperplanes
 from repro.core.sampling import validate_index_on_dataset
 from repro.data.dataset import Dataset
@@ -437,17 +436,4 @@ class TestBatchedServingPaths:
         batched_report = validate_index_on_dataset(index, dataset, batched_counting)
         fallback_report = validate_index_on_dataset(index, dataset, black_box_counting)
         assert batched_report == fallback_report
-        assert batched_counting.calls == black_box_counting.calls
-
-    def test_freshness_check_identical_across_routes(self, md_setup):
-        dataset, fm1 = md_setup
-        index = ApproximatePreprocessor(
-            dataset, fm1, n_cells=25, max_hyperplanes=30
-        ).run()
-        batched_counting = CountingOracle(fm1)
-        black_box_counting = CountingOracle(CallableOracle(fm1.is_satisfactory, "bb"))
-        batched_report = check_approx_index_freshness(index, dataset, batched_counting)
-        fallback_report = check_approx_index_freshness(index, dataset, black_box_counting)
-        assert batched_report == fallback_report
-        assert batched_report.oracle_calls == batched_counting.calls
         assert batched_counting.calls == black_box_counting.calls

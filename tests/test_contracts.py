@@ -117,9 +117,6 @@ class SeamBase:
     def apply_delta(self, delta):
         return None
 
-    def refresh(self):
-        return None
-
     def to_payload(self):
         return {}
 
@@ -162,7 +159,6 @@ class TestEngineSeam:
             "suggest": (1,),
             "suggest_many": (1,),
             "apply_delta": (1,),
-            "refresh": (0,),
             "capabilities": (0,),
             "to_payload": (0,),
             "from_payload": (2,),
@@ -181,7 +177,6 @@ class TestEngineSeam:
             "preprocess",
             "suggest_many",
             "apply_delta",
-            "refresh",
             "capabilities",
             "from_payload",
         }

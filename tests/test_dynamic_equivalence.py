@@ -18,8 +18,11 @@ Covered:
 * a delta or preprocess that raises leaves the engine as it was — a wrapper
   and its inner engine keep their oracle too — and the retried delta still
   lands on rebuild bits;
-* ``refresh()`` after the oracle's criterion drifted in place equals a fresh
-  preprocess under the drifted oracle, and ``refresh_if_stale`` drives it;
+* ``preprocess()`` after the oracle's criterion drifted in place asks the
+  oracle again and equals an engine built fresh under the drifted oracle, and
+  §5.4 validation flags the drifted approximate index until it does;
+* ``preprocess(snapshot)`` on new data equals an engine built fresh on it, and
+  a snapshot of another dimension is rejected without changing the engine;
 * persistence: a maintained engine saves as a snapshot with a fresh
   rebuild's bytes, reloads equivalent to it and re-saves byte-identically;
   the in-memory journal records every delta since the last successful
@@ -57,9 +60,9 @@ from repro.core.engine import (
     create_engine,
 )
 from repro.core.maintenance import DELTA_FORMAT, DatasetDelta, MaintenanceReport
-from repro.core.monitoring import check_engine_freshness, refresh_if_stale
+from repro.core.sampling import validate_index_on_dataset
 from repro.data.synthetic import make_compas_like
-from repro.exceptions import DatasetError, OracleError
+from repro.exceptions import DatasetError, GeometryError, OracleError
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.io.index_store import load_engine, save_engine
@@ -271,8 +274,6 @@ class TestWrapperEngines:
         assert_engines_equivalent(
             engine.inner, fresh, make_weight_grid(24, 2, seed=3), check_oracle_calls=False
         )
-        refresh_report = engine.refresh()
-        assert refresh_report.strategy == "refresh"
 
     def test_pool_republishes_maintained_index(self):
         ds, inner = self._base()
@@ -307,7 +308,6 @@ class TestWrapperEngines:
         try:
             delta = random_delta(ds, seed=0)
             assert engine.apply_delta(delta).strategy == "incremental"
-            assert engine.refresh().strategy == "refresh"
             assert engine.is_preprocessed
             assert engine.dataset is inner.dataset
             assert engine.index is inner.index
@@ -455,44 +455,73 @@ class TestFailedMaintenance:
 
 
 # --------------------------------------------------------------------------- #
-# refresh after the oracle's criterion drifted in place
+# preprocess after the oracle's criterion drifted in place
 # --------------------------------------------------------------------------- #
 #: The drifted cap of each family; each changes that family's index, so a
-#: refresh that kept the old index would fail the differential.
+#: preprocess that kept the old verdicts would fail the differential.
 DRIFTED_CAP = {"2d": 0.5, "exact": 0.7, "approximate": 0.5}
 
 
-class TestRefresh:
+class TestOracleDrift:
     @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
-    def test_refresh_equals_a_fresh_preprocess_under_the_drifted_oracle(self, family):
-        """2-D re-sweeps its cached exchanges, exact re-evaluates its cached
-        tree, and approximate rebuilds."""
+    def test_preprocess_after_drift_equals_a_fresh_engine(self, family):
+        """The same oracle object judges by a new criterion: ``preprocess()``
+        asks it again instead of reusing the verdicts of the last build."""
         n, dimension, config = FAMILY_CASES[family]
         ds = dataset(n, dimension, seed=2)
         criterion = Criterion()
         engine = create_engine(ds, criterion_oracle(criterion), config).preprocess()
+        oracle = engine.oracle
         criterion.max_fraction = DRIFTED_CAP[family]
         fresh = create_engine(
             ds, criterion_oracle(Criterion(DRIFTED_CAP[family])), config
         ).preprocess()
         assert payload_bytes(engine) != payload_bytes(fresh)
-        assert engine.refresh().strategy == "refresh"
+        engine.preprocess()
+        assert engine.oracle is oracle
         assert_engines_equivalent(engine, fresh, make_weight_grid(16, dimension, seed=3))
 
-    def test_refresh_if_stale_refreshes_only_a_drifted_engine(self):
-        n, dimension, config = FAMILY_CASES["2d"]
+    def test_validation_flags_a_drifted_index_until_preprocess(self):
+        """§5.4 validation re-checks an approximate index: it fails once the
+        criterion drifts and passes again after ``preprocess()``."""
+        n, dimension, config = FAMILY_CASES["approximate"]
+        ds = dataset(n, dimension, seed=2)
         criterion = Criterion()
-        engine = create_engine(
-            dataset(n, dimension, seed=2), criterion_oracle(criterion), config
-        ).preprocess()
-        report, maintenance = refresh_if_stale(engine)
-        assert report.is_fresh and maintenance is None
-        criterion.max_fraction = DRIFTED_CAP["2d"]
-        report, maintenance = refresh_if_stale(engine)
-        assert not report.is_fresh
-        assert maintenance.strategy == "refresh"
-        after = check_engine_freshness(engine)
-        assert after.is_fresh and after.n_checked > 0
+        engine = create_engine(ds, criterion_oracle(criterion), config).preprocess()
+        assert validate_index_on_dataset(engine.index, ds, engine.oracle).all_satisfactory
+        criterion.max_fraction = DRIFTED_CAP["approximate"]
+        drifted = validate_index_on_dataset(engine.index, ds, engine.oracle)
+        assert 0 < drifted.n_satisfactory < drifted.n_functions_checked
+        engine.preprocess()
+        assert validate_index_on_dataset(engine.index, ds, engine.oracle).all_satisfactory
+
+
+class TestNewSnapshot:
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_preprocess_on_a_new_snapshot_equals_a_fresh_engine(self, family):
+        """Nothing cached from the last build (2-D exchanges, the exact tree)
+        survives a preprocess on other data."""
+        n, dimension, config = FAMILY_CASES[family]
+        engine = create_engine(dataset(n, dimension, seed=2), fixed_oracle(), config)
+        engine.preprocess()
+        snapshot = dataset(n, dimension, seed=9)
+        fresh = create_engine(snapshot, fixed_oracle(), config).preprocess()
+        assert payload_bytes(engine) != payload_bytes(fresh)
+        engine.preprocess(snapshot)
+        assert engine.dataset is snapshot
+        assert payload_bytes(engine) == payload_bytes(fresh)
+        assert_engines_equivalent(engine, fresh, make_weight_grid(16, dimension, seed=3))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_snapshot_of_another_dimension_is_rejected_and_changes_nothing(self, family):
+        n, dimension, config = FAMILY_CASES[family]
+        ds = dataset(n, dimension, seed=2)
+        engine = create_engine(ds, fixed_oracle(), config).preprocess()
+        before = payload_bytes(engine)
+        with pytest.raises(GeometryError):
+            engine.preprocess(dataset(n, 3 if dimension == 2 else 2, seed=9))
+        assert engine.dataset is ds
+        assert payload_bytes(engine) == before
 
 
 # --------------------------------------------------------------------------- #

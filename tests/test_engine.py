@@ -257,9 +257,16 @@ class TestFacade:
     def test_capabilities_exposed_on_facade(self, exact_designer):
         assert exact_designer.capabilities().name == "exact"
 
-    def test_index_requires_preprocess(self, md_dataset_oracle):
+    @pytest.mark.parametrize(
+        "config",
+        [TwoDConfig(), ExactConfig(max_hyperplanes=5), ApproxConfig(n_cells=9)],
+        ids=["2d", "exact", "approximate"],
+    )
+    def test_index_requires_preprocess(self, md_dataset_oracle, config):
         dataset, oracle = md_dataset_oracle
-        designer = FairRankingDesigner(dataset, oracle, ApproxConfig(n_cells=9))
+        if isinstance(config, TwoDConfig):
+            dataset = dataset.project(dataset.scoring_attributes[:2])
+        designer = FairRankingDesigner(dataset, oracle, config)
         with pytest.raises(NotPreprocessedError):
             _ = designer.index
 

@@ -443,17 +443,13 @@ def test_instrumented_maintenance_records_one_span_per_operation(
     ).preprocess()
     engine.recorder.clear()
     engine.apply_delta(DatasetDelta(deletes=(3,)))
-    engine.refresh()
     names = [span.name for span in engine.recorder.spans]
     assert names.count("maintenance.apply_delta") == 1
-    assert names.count("maintenance.refresh") == 1
-    for operation in ("apply_delta", "refresh"):
-        (outer,) = [span for span in engine.recorder.spans if span.name == f"engine.{operation}"]
-        assert [span.name for span in _children(engine.recorder, outer)] == [
-            f"maintenance.{operation}"
-        ]
+    (outer,) = [span for span in engine.recorder.spans if span.name == "engine.apply_delta"]
+    assert [span.name for span in _children(engine.recorder, outer)] == [
+        "maintenance.apply_delta"
+    ]
     assert engine.metrics.counter_total("maintenance.apply_delta") == 1
-    assert engine.metrics.counter_total("maintenance.refresh") == 1
 
 
 def test_from_engine_wraps_a_prebuilt_engine(small_compas_2d, race_oracle_2d):
@@ -552,12 +548,16 @@ def test_workload_records_carry_context_and_buckets(small_compas_2d, race_oracle
 def test_workload_logs_pool_failures_and_replay_skips_them(
     tmp_path, small_compas_2d, race_oracle_2d
 ):
-    """A pool's ``QueryFailure`` is logged as a failed record under the engine's name."""
+    """A pool's ``QueryFailure`` is logged as a failed record under the engine's name.
+
+    The last row is no weight vector at all (``0, 0``): its record carries no
+    angles, and the log still saves, loads and replays.
+    """
     inner = create_engine(small_compas_2d, race_oracle_2d, TwoDConfig()).preprocess()
     chaotic = ChaosEngine(inner, failure_rate=0.3, seed=4)
-    matrix = _queries(8, 2)
-    failed = [chaotic.would_fail(row) for row in matrix]
-    assert 0 < sum(failed) < len(failed), "the seed must fault some queries, not all"
+    matrix = np.vstack([_queries(8, 2), [[0.0, 0.0]]])
+    failed = [chaotic.would_fail(row) for row in matrix[:-1]] + [True]
+    assert 0 < sum(failed[:-1]) < len(failed) - 1, "the seed must fault some queries, not all"
     with PoolEngine.from_engine(chaotic, n_workers=1) as pool:
         observed = InstrumentedEngine.from_engine(pool, record_workload=True)
         observed.suggest_many(matrix)
@@ -565,6 +565,7 @@ def test_workload_logs_pool_failures_and_replay_skips_them(
     records = loaded.records()
     assert [record["tier"] for record in records] == ["pool"] * len(matrix)
     assert [bool(record.get("failed")) for record in records] == failed
+    assert ["angles" in record for record in records] == [not flag for flag in failed]
     report = loaded.replay(inner)
     assert report.bit_identical
     assert (report.n_queries, report.n_skipped) == (failed.count(False), sum(failed))

@@ -111,7 +111,7 @@ def family_pair(request):
 @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
 def test_pool_matches_serial(family_pair, n_workers):
     name, dimension, serial, inner = family_pair
-    with PoolEngine.from_engine(inner, n_workers=n_workers, seed=5) as pool:
+    with PoolEngine.from_engine(inner, n_workers=n_workers) as pool:
         grid = make_weight_grid(12, dimension, seed=2)
         assert_engines_equivalent(serial, pool, grid)
 
@@ -124,7 +124,7 @@ def test_pool_is_invariant_to_shard_size(family_pair, n_workers):
     reference = [entry_fingerprint(entry) for entry in serial.suggest_many(grid)]
     for shard_size in (1, 5, len(grid)):
         with PoolEngine.from_engine(
-            inner, n_workers=n_workers, shard_size=shard_size, seed=5
+            inner, n_workers=n_workers, shard_size=shard_size
         ) as pool:
             entries = pool.suggest_many(grid)
         assert [entry_fingerprint(entry) for entry in entries] == reference, (
@@ -143,7 +143,7 @@ def test_differential_smoke_workers_1_and_2():
     inner = create_engine(dataset, _counting_oracle(dataset), TwoDConfig()).preprocess()
     grid = make_weight_grid(6, 2, seed=9)
     for n_workers in (1, 2):
-        with PoolEngine.from_engine(inner, n_workers=n_workers, seed=1) as pool:
+        with PoolEngine.from_engine(inner, n_workers=n_workers) as pool:
             assert_engines_equivalent(serial, pool, grid)
 
 
@@ -182,7 +182,7 @@ def test_pooled_chaos_faults_match_single_process_verdicts(family, n_workers):
 
     grid = make_weight_grid(16, dimension, seed=4)
     reference = per_query_entries(engine_a, grid)
-    with PoolEngine.from_engine(engine_b, n_workers=n_workers, seed=3) as pool:
+    with PoolEngine.from_engine(engine_b, n_workers=n_workers) as pool:
         entries = pool.suggest_many(grid)
     assert [entry_fingerprint(entry) for entry in entries] == [
         entry_fingerprint(entry) for entry in reference
@@ -233,8 +233,9 @@ def test_invalid_weight_rows_fail_per_query_not_per_batch(
     grid = make_weight_grid(6, dimension, seed=5)
     grid[4] = INVALID_ROWS[kind](dimension)
     bare = engine.suggest_many(np.delete(grid, 4, axis=0))
-    with PoolEngine.from_engine(engine, n_workers=n_workers, seed=1) as pool:
+    with PoolEngine.from_engine(engine, n_workers=n_workers) as pool:
         entries = pool.suggest_many(grid)
+    assert pool.metrics.counter_total("pool.query_failures") == 1
     failure = entries.pop(4)
     assert isinstance(failure, QueryFailure)
     assert (failure.index, failure.error_type) == (4, "ScoringFunctionError")
@@ -258,7 +259,7 @@ def test_no_satisfactory_function_passes_through(n_workers):
     grid = make_weight_grid(4, dimension, seed=1)
     with pytest.raises(NoSatisfactoryFunctionError):
         per_query_entries(engine, grid)
-    with PoolEngine.from_engine(engine, n_workers=n_workers, seed=1) as pool:
+    with PoolEngine.from_engine(engine, n_workers=n_workers) as pool:
         with pytest.raises(NoSatisfactoryFunctionError):
             pool.suggest_many(grid)
 
@@ -273,7 +274,7 @@ def test_not_preprocessed_error_passes_through(family_engines, monkeypatch):
     def never(function):
         raise AssertionError("a pass-through error must not be retried per query")
 
-    with PoolEngine.from_engine(engine, n_workers=1, seed=1) as pool:
+    with PoolEngine.from_engine(engine, n_workers=1) as pool:
         monkeypatch.setattr(engine, "suggest_many", not_preprocessed)
         monkeypatch.setattr(engine, "suggest", never)
         with pytest.raises(NotPreprocessedError):
@@ -375,7 +376,7 @@ def test_dead_worker_poisons_only_its_own_shard():
     assert poison_row is not None, "no query with an exclusive ordering; grow the grid"
 
     inner = create_engine(dataset, base, config).preprocess()
-    with PoolEngine.from_engine(inner, n_workers=2, shard_size=1, seed=2) as pool:
+    with PoolEngine.from_engine(inner, n_workers=2, shard_size=1) as pool:
         # The killer must only ever run inside worker processes: swap it in
         # after preprocessing, before the first batch snapshots the oracle.
         pool.oracle = KillerOracle(base, lethal)

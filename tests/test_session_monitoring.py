@@ -1,4 +1,4 @@
-"""Tests for interactive design sessions and index freshness monitoring."""
+"""Tests for interactive design sessions and re-preprocessing on new data."""
 
 from __future__ import annotations
 
@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
-from repro.core.monitoring import (
-    FreshnessReport,
-    check_approx_index_freshness,
-    check_engine_freshness,
-    check_two_d_index_freshness,
-    refresh_if_stale,
-)
+from repro.core.maintenance import DatasetDelta
+from repro.core.sampling import SampleValidationReport, validate_index_on_dataset
 from repro.core.session import DesignSession
 from repro.core.system import FairRankingDesigner
+from repro.data.dataset import Dataset
 from repro.data.synthetic import make_compas_like
-from repro.exceptions import ConfigurationError, NotPreprocessedError
-from repro.fairness.oracle import CallableOracle
+from repro.exceptions import ConfigurationError, NotPreprocessedError, ScoringFunctionError
+from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.ranking.scoring import LinearScoringFunction
 
@@ -150,86 +146,76 @@ class TestDesignSession:
 
 
 # --------------------------------------------------------------------------- #
-# freshness monitoring
+# §5.4 validation: re-checking an index against a dataset
 # --------------------------------------------------------------------------- #
-class TestApproxFreshness:
-    def test_fresh_on_the_indexed_dataset(
+def _distinct_assigned_angles(index) -> int:
+    distinct: list[np.ndarray] = []
+    for angles in index.assigned_angles:
+        if angles is not None and not any(np.allclose(angles, seen) for seen in distinct):
+            distinct.append(np.asarray(angles))
+    return len(distinct)
+
+
+class TestIndexValidation:
+    def test_valid_on_the_indexed_dataset(
         self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
     ):
-        report = check_approx_index_freshness(
+        report = validate_index_on_dataset(
             shared_approx_index, shared_compas_3d, shared_race_oracle_3d
         )
-        assert isinstance(report, FreshnessReport)
-        assert report.is_fresh
-        assert report.n_stale == 0
-        assert report.fraction_stale == 0.0
-        assert report.oracle_calls == report.n_checked
+        assert report.n_functions_checked == _distinct_assigned_angles(shared_approx_index)
+        assert report.n_satisfactory == report.n_functions_checked
+        assert report.all_satisfactory
+        assert report.fraction_satisfactory == 1.0
 
-    def test_stale_under_an_impossible_oracle(self, shared_approx_index, shared_compas_3d):
+    def test_invalid_under_an_impossible_oracle(self, shared_approx_index, shared_compas_3d):
         never = CallableOracle(lambda ordering, dataset: False, "never satisfied")
-        report = check_approx_index_freshness(
-            shared_approx_index, shared_compas_3d, oracle=never
-        )
-        assert report.n_checked > 0
-        assert report.n_stale == report.n_checked
-        assert not report.is_fresh
-        assert report.fraction_stale == 1.0
-        assert list(report.stale_indices) == sorted(report.stale_indices)
+        report = validate_index_on_dataset(shared_approx_index, shared_compas_3d, never)
+        assert report.n_functions_checked > 0
+        assert report.n_satisfactory == 0
+        assert not report.all_satisfactory
+        assert report.fraction_satisfactory == 0.0
 
-    def test_cell_subsampling_bounds_the_work(
+    def test_one_oracle_call_per_distinct_function(
         self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
     ):
-        report = check_approx_index_freshness(
-            shared_approx_index, shared_compas_3d, shared_race_oracle_3d, sample_cells=5
-        )
-        assert report.n_checked == 5
-        assert report.oracle_calls == 5
+        """Cells that share a function are judged once, not once per cell."""
+        counting = CountingOracle(shared_race_oracle_3d)
+        report = validate_index_on_dataset(shared_approx_index, shared_compas_3d, counting)
+        assert counting.calls == report.n_functions_checked
+        assert report.n_functions_checked < shared_approx_index.n_cells
 
-    def test_subsample_must_be_positive(
+    def test_judges_the_new_snapshot_not_the_indexed_one(
         self, shared_approx_index, shared_compas_3d, shared_race_oracle_3d
     ):
-        with pytest.raises(ConfigurationError):
-            check_approx_index_freshness(
-                shared_approx_index, shared_compas_3d, shared_race_oracle_3d, sample_cells=0
-            )
+        """Same scores, but every item now belongs to the capped group."""
+        types = {name: list(values) for name, values in shared_compas_3d.types.items()}
+        types["race"] = ["African-American"] * shared_compas_3d.n_items
+        snapshot = Dataset(
+            shared_compas_3d.scores, shared_compas_3d.scoring_attributes, types
+        )
+        report = validate_index_on_dataset(
+            shared_approx_index, snapshot, shared_race_oracle_3d
+        )
+        assert report.n_functions_checked > 0
+        assert report.n_satisfactory == 0
 
     def test_dimension_mismatch_rejected(
-        self, shared_approx_index, paper_2d_dataset, shared_race_oracle_3d
+        self, shared_approx_index, shared_two_d_index, shared_race_oracle_3d
     ):
-        with pytest.raises(ConfigurationError):
-            check_approx_index_freshness(
-                shared_approx_index, paper_2d_dataset, shared_race_oracle_3d
-            )
+        dataset_2d, _oracle, _index = shared_two_d_index
+        with pytest.raises(ScoringFunctionError):
+            validate_index_on_dataset(shared_approx_index, dataset_2d, shared_race_oracle_3d)
 
     def test_empty_report_fraction_is_zero(self):
-        report = FreshnessReport(n_checked=0, n_stale=0, stale_indices=(), oracle_calls=0)
-        assert report.fraction_stale == 0.0
+        report = SampleValidationReport(n_functions_checked=0, n_satisfactory=0)
+        assert report.fraction_satisfactory == 0.0
+        assert not report.all_satisfactory
 
 
-class TestTwoDFreshness:
-    def test_fresh_on_the_indexed_dataset(self, shared_two_d_index):
-        dataset, oracle, index = shared_two_d_index
-        report = check_two_d_index_freshness(index, dataset, oracle)
-        assert report.n_checked == len(index.intervals)
-        assert report.is_fresh
-
-    def test_stale_under_an_impossible_oracle(self, shared_two_d_index):
-        dataset, _oracle, index = shared_two_d_index
-        never = CallableOracle(lambda ordering, data: False, "never satisfied")
-        report = check_two_d_index_freshness(index, dataset, never)
-        assert report.n_stale == report.n_checked
-
-    def test_requires_two_attributes(self, shared_two_d_index, shared_compas_3d):
-        _dataset, oracle, index = shared_two_d_index
-        with pytest.raises(ConfigurationError):
-            check_two_d_index_freshness(index, shared_compas_3d, oracle)
-
-    def test_requires_positive_probe_count(self, shared_two_d_index):
-        dataset, oracle, index = shared_two_d_index
-        with pytest.raises(ConfigurationError):
-            check_two_d_index_freshness(index, dataset, oracle, probes_per_interval=0)
-
-
+# --------------------------------------------------------------------------- #
+# re-preprocessing on a new dataset snapshot
+# --------------------------------------------------------------------------- #
 class TestRefresh:
     """A new dataset snapshot is indexed by re-preprocessing the engine on it."""
 
@@ -250,7 +236,7 @@ class TestRefresh:
         engine = self._engine_on(shared_compas_3d, shared_race_oracle_3d)
         engine.preprocess(new_dataset, oracle)
         assert engine.index.n_cells == 64
-        assert check_engine_freshness(engine).is_fresh
+        assert validate_index_on_dataset(engine.index, new_dataset, oracle).all_satisfactory
 
     def test_repreprocessed_engine_answers_queries(
         self, shared_compas_3d, shared_race_oracle_3d
@@ -263,19 +249,29 @@ class TestRefresh:
         answer = engine.suggest(LinearScoringFunction((0.5, 0.3, 0.2)))
         assert answer.angular_distance >= 0.0
 
+
 @pytest.mark.parametrize(
     "config",
     [TwoDConfig(), ExactConfig(max_hyperplanes=5), ApproxConfig(n_cells=4, max_hyperplanes=5)],
     ids=["2d", "exact", "approximate"],
 )
 def test_unpreprocessed_engine_raises_not_preprocessed(config):
-    """Reading a fresh engine's index raises before any freshness dispatch."""
+    """Every seam member that needs an index raises on a fresh engine and
+    leaves it unpreprocessed."""
     attributes = ["c_days_from_compas", "juv_other_count", "start"]
     n_attributes = 2 if isinstance(config, TwoDConfig) else 3
     dataset = make_compas_like(n=20, seed=3).project(attributes[:n_attributes])
     oracle = CallableOracle(lambda ordering, data: True, "always")
     engine = create_engine(dataset, oracle, config)
-    with pytest.raises(NotPreprocessedError):
-        check_engine_freshness(engine)
-    with pytest.raises(NotPreprocessedError):
-        refresh_if_stale(engine)
+    weights = np.full(n_attributes, 1.0 / n_attributes)
+    calls = {
+        "index": lambda: engine.index,
+        "suggest": lambda: engine.suggest(LinearScoringFunction(tuple(weights))),
+        "suggest_many": lambda: engine.suggest_many(np.stack([weights, weights])),
+        "to_payload": engine.to_payload,
+        "apply_delta": lambda: engine.apply_delta(DatasetDelta(deletes=(0,))),
+    }
+    for member, call in calls.items():
+        with pytest.raises(NotPreprocessedError):
+            call()
+        assert not engine.is_preprocessed, member
