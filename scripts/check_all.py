@@ -27,10 +27,13 @@ Runs, in order:
    and oracle-call counts; on one tied integer dataset the three routes must
    agree too, and every sector must carry the brute-force label
    (``tests/ground_truth.py``);
-8. the region smoke — one small exact build twice
+8. the region smoke — one small exact build three times
    (``tests/test_region_polygon.py``): with the d = 3 polygon route and
    with every region split and emptiness test forced through the linear
    program, bit-identical answers, oracle-call counts and payload bytes;
+   and with every representative point from the centring linear program,
+   the same satisfactory regions, oracle-call counts and representatives'
+   arrangement regions, with every suggestion passing the raw oracle;
 9. the cellplane smoke — the ``CELLPLANE×`` array kernel on one uniform
    grid and one angle partition (``tests/test_partition_cellplane.py``):
    every cell's hyperplane list must equal the scalar per-cell corner
@@ -84,7 +87,8 @@ DELTA_SMOKE = "tests/test_dynamic_equivalence.py::TestDeltaSmoke::test_delta_smo
 #: dataset, one FM1 oracle), plus one tied integer dataset against brute force.
 SWEEP_SMOKE = "tests/test_incremental_oracle.py::TestArraySweepKernel::test_sweep_smoke"
 
-#: The polygon-route-vs-all-LP smoke test (one small exact build).
+#: The polygon-route-vs-all-LP and polygon-centres-vs-LP-centres smoke test
+#: (one small exact build).
 REGION_SMOKE = "tests/test_region_polygon.py::test_region_smoke"
 
 #: The CELLPLANE× array-kernel-vs-scalar-reference smoke test (one uniform
@@ -158,7 +162,8 @@ def run_sweep_smoke() -> int:
 def run_region_smoke() -> int:
     return _run_pytest(
         (REGION_SMOKE,),
-        "region smoke: OK (polygon route == all-LP route on one exact build)",
+        "region smoke: OK (polygon route == all-LP route, and polygon centres keep the "
+        "LP centres' regions and oracle calls, on one exact build)",
     )
 
 

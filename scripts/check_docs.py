@@ -8,7 +8,9 @@ resolves:
 
 * inline-code spans that are dotted ``repro.…`` paths must resolve to an
   importable module (a trailing attribute, e.g. ``repro.io.index_store.save_engine``,
-  must exist on the module);
+  must exist on the module); a span that writes a call signature
+  (``repro.core.approx.md_online(dataset, …)``) is checked up to its ``(``,
+  and a span may wrap over one line break;
 * inline-code spans naming ``BENCH_*.json`` trajectories must exist at the
   repository root;
 * inline-code spans naming ``bench_*.py`` modules must exist in ``benchmarks/``;
@@ -38,16 +40,18 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Spans that must import as ``repro`` modules (optionally ending in attributes).
-_MODULE_SPAN = re.compile(r"repro(\.[A-Za-z_]\w*)+\Z")
+#: Spans that must import as ``repro`` modules (optionally ending in attributes),
+#: alone or followed by a call signature; group 1 is the dotted name.
+_MODULE_SPAN = re.compile(r"(repro(?:\.[A-Za-z_]\w*)+)(?:\(.*)?\Z")
 #: Committed benchmark-trajectory files referenced by name.
 _BENCH_JSON_SPAN = re.compile(r"BENCH_\w+\.json\Z")
 #: Benchmark scripts referenced by bare file name.
 _BENCH_PY_SPAN = re.compile(r"bench_\w+\.py\Z")
 #: Repo-relative paths mentioned anywhere in the text.
 _PATH_TOKEN = re.compile(r"(?:src|docs|tests|benchmarks|examples|scripts)/[\w./*-]*")
-#: Inline code spans and markdown link targets.
-_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+#: Inline code spans (on one line or wrapped over one line break) and
+#: markdown link targets.
+_CODE_SPAN = re.compile(r"`([^`\n]+(?:\n[^`\n]+)?)`")
 _LINK_TARGET = re.compile(r"\[[^\]\n]*\]\(([^)#\s]+)\)")
 #: Markdown file names mentioned in code, with any leading directories.
 _MD_NAME = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
@@ -95,9 +99,10 @@ def check_file(path: Path) -> list[str]:
     errors: list[str] = []
 
     for span in _CODE_SPAN.findall(text):
-        span = span.strip()
-        if _MODULE_SPAN.fullmatch(span):
-            error = _module_error(span)
+        span = " ".join(span.split())
+        module_span = _MODULE_SPAN.fullmatch(span)
+        if module_span:
+            error = _module_error(module_span.group(1))
             if error:
                 errors.append(error)
         elif _BENCH_JSON_SPAN.fullmatch(span):

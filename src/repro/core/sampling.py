@@ -48,6 +48,24 @@ class SampleValidationReport:
         return self.n_functions_checked > 0 and self.n_satisfactory == self.n_functions_checked
 
 
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows that are not ``np.allclose`` to an earlier kept row, in order.
+
+    A greedy pass where the first kept row wins: a row is dropped when
+    ``|row - kept| <= 1e-8 + 1e-5 |kept|``, ``np.allclose``'s test, holds on
+    every coordinate for some row kept before it.  Each row is compared with
+    every kept row at once.
+    """
+    kept = np.empty_like(rows)
+    n_kept = 0
+    for row in rows:
+        earlier = kept[:n_kept]
+        if not np.any(np.all(np.abs(row - earlier) <= 1e-8 + 1e-5 * np.abs(earlier), axis=1)):
+            kept[n_kept] = row
+            n_kept += 1
+    return kept[:n_kept]
+
+
 def validate_index_on_dataset(
     index: MDApproxIndex, dataset: Dataset, oracle: FairnessOracle
 ) -> SampleValidationReport:
@@ -60,12 +78,9 @@ def validate_index_on_dataset(
     (:func:`repro.fairness.batched.as_batched`); black-box oracles are checked
     function by function, bit-identically.
     """
-    distinct: list[np.ndarray] = []
-    for angles in index.assigned_angles:
-        if angles is None:
-            continue
-        if not any(np.allclose(angles, existing) for existing in distinct):
-            distinct.append(np.asarray(angles, dtype=float))
+    assigned = [angles for angles in index.assigned_angles if angles is not None]
+    rows = np.asarray(assigned, dtype=float).reshape(-1, index.partition.dimension)
+    distinct = _distinct_rows(rows)
     functions = [LinearScoringFunction(tuple(to_weights(angles))) for angles in distinct]
     verdicts = evaluate_functions_many(oracle, dataset, functions)
     return SampleValidationReport(

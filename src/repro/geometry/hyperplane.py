@@ -14,14 +14,20 @@ vertices there and answers those two tests from the vertex values
 ``h · v - 1`` whenever the answer is certain; every uncertain case (a vertex
 within the band of a hyperplane, a degenerate or empty polygon) and every
 region of any other dimension runs the linear program.  Representative
-points are always Chebyshev centres from
-:func:`~repro.geometry.lp.chebyshev_center`.
+points are Chebyshev centres.  The centring linear program
+(:func:`~repro.geometry.lp.chebyshev_center`) is their specification; a
+region with a solid polygon finds its centre from the polygon instead,
+among the ``(x, y, r)`` solutions of the triples of rows that touch it, and
+so agrees with the LP to round-off wherever the optimum is unique.  When the
+optimum is a segment (two parallel rows, as in a rectangle) it returns the
+segment's midpoint, where HiGHS returns one of its ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -47,9 +53,20 @@ _POLYGON_FAR = 1e-6
 #: A polygon whose area / perimeter (between half its inradius and its
 #: inradius) does not exceed this floor is degenerate and decides nothing.
 _POLYGON_FLOOR = 1e-9
+#: A normalised row whose slack at some vertex is at most this touches the
+#: polygon, so it may bound the inscribed circle.
+_TOUCHING = 1e-9
+#: A triple of rows whose ``(a, 1)`` system has a smaller determinant is singular.
+_SINGULAR = 1e-12
+#: Centre candidates whose radius is this close to the best are optimal, and
+#: optimal candidates this close to each other are one point.
+_TIE = 1e-12
 
 #: Counter-clockwise corners of the two-dimensional angle box.
 _BOX_POLYGON = ((0.0, 0.0), (HALF_PI, 0.0), (HALF_PI, HALF_PI), (0.0, HALF_PI))
+#: The angle box as normalised rows ``a · θ <= b``, as the centring LP adds it.
+_BOX_ROWS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_BOX_RHS = np.array([HALF_PI, 0.0, HALF_PI, 0.0])
 
 
 def angle_box_bounds(dimension: int) -> list[tuple[float, float]]:
@@ -206,6 +223,36 @@ def _clip(
             clipped.append((x, y))
         previous_x, previous_y, previous = x, y, value
     return _solid(clipped)
+
+
+def _inscribed_centre(
+    polygon: tuple[tuple[float, float], ...], a_matrix: np.ndarray, b_vector: np.ndarray
+) -> np.ndarray:
+    """The Chebyshev centre of a solid polygon ``{θ : A θ <= b}`` within the box.
+
+    The centring LP's optimum has three active rows, and each touches the
+    polygon, so the centre is the best of the ``(x, y, r)`` solutions of
+    every triple of touching rows, each scored by its true inscribed radius
+    (its least slack over every row).  When several candidates far apart are
+    optimal, the optimum is a segment and its midpoint is returned.
+    """
+    norms = np.hypot(a_matrix[:, 0], a_matrix[:, 1])
+    rows = np.vstack([a_matrix / norms[:, None], _BOX_ROWS])
+    rhs = np.concatenate([b_vector / norms, _BOX_RHS])
+    slack = rhs[:, None] - rows @ np.asarray(polygon).T
+    touching = np.flatnonzero(slack.min(axis=1) <= _TOUCHING)
+    triples = np.array(list(combinations(touching, 3)))
+    systems = np.dstack([rows[triples], np.ones(triples.shape)])
+    regular = np.abs(np.linalg.det(systems)) > _SINGULAR
+    solutions = np.linalg.solve(systems[regular], rhs[triples[regular], None])
+    candidates = solutions[:, :2, 0]
+    radii = (rhs[:, None] - rows @ candidates.T).min(axis=0)
+    optimal = candidates[radii >= radii.max() - _TIE]
+    gaps = np.linalg.norm(optimal[:, None] - optimal[None], axis=2)
+    if gaps.max() <= _TIE:
+        return candidates[np.argmax(radii)]
+    first, last = np.unravel_index(np.argmax(gaps), gaps.shape)
+    return (optimal[first] + optimal[last]) / 2.0
 
 
 @dataclass
@@ -397,8 +444,18 @@ class Region:
                 self._witness = result.point
         return True
 
+    def _polygon_centre(self, a_matrix: np.ndarray, b_vector: np.ndarray) -> np.ndarray | None:
+        """The Chebyshev centre of the region's solid polygon, else None (the LP decides)."""
+        if self.dimension != 2:
+            return None
+        polygon = self._vertices()
+        return _inscribed_centre(polygon, a_matrix, b_vector) if polygon else None
+
     def interior_point(self) -> np.ndarray:
         """Return a point well inside the region (Chebyshev centre).
+
+        A dimension-2 region with a solid polygon computes the centre from
+        the polygon; every other region solves the centring LP.
 
         Raises
         ------
@@ -412,10 +469,13 @@ class Region:
             centre = np.full(self.dimension, HALF_PI / 2.0)
             self._cached_interior = centre
             return centre
-        result = chebyshev_center(a_matrix, b_vector, self.bounds())
-        if not result.feasible or result.point is None:
-            raise InfeasibleRegionError("region has no interior point")
-        point = np.clip(result.point, 0.0, HALF_PI)
+        point = self._polygon_centre(a_matrix, b_vector)
+        if point is None:
+            result = chebyshev_center(a_matrix, b_vector, self.bounds())
+            if not result.feasible or result.point is None:
+                raise InfeasibleRegionError("region has no interior point")
+            point = result.point
+        point = np.clip(point, 0.0, HALF_PI)
         self._cached_interior = point
         if self._witness is None:
             self._witness = point

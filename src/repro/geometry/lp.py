@@ -15,11 +15,12 @@ bounding hyperplanes), so the feasibility routine supports a small interior
 margin and the representative-point routine returns the Chebyshev centre,
 the point deepest inside the region.
 
-The feasibility routine is the specification of the first question.  At
-``d = 3`` a :class:`~repro.geometry.hyperplane.Region` answers it from its
-convex polygon whenever the answer is certain and calls this routine only in
-the uncertain cases; at every other dimension each test is a linear program.
-Representative points are Chebyshev centres at every dimension.
+Both routines are the specifications of their questions.  At ``d = 3`` a
+:class:`~repro.geometry.hyperplane.Region` answers the first from its convex
+polygon whenever the answer is certain and calls the feasibility routine
+only in the uncertain cases, and it finds the Chebyshev centre of a solid
+polygon from the polygon, calling :func:`chebyshev_center` only for a
+degenerate one; at every other dimension each is a linear program.
 """
 
 from __future__ import annotations

@@ -32,7 +32,13 @@ the fast differential smoke target of ``scripts/check_all.py``.
 
 :func:`lp_only_regions` builds the other side of the region-route
 differential: inside it, every region split and emptiness test runs the
-Eq. 6 linear program, as if no region kept a polygon.  Likewise, inside
+Eq. 6 linear program, as if no region kept a polygon.  Inside
+:func:`lp_centres` every representative point is the centring LP's
+Chebyshev centre instead of the polygon's; the two routes' representatives
+differ in their last bits, so :func:`region_geometry` and
+:func:`representative_sign_vectors` give what they must keep: the marked
+cells or satisfactory regions, and the arrangement region of every
+representative.  Likewise, inside
 :func:`slsqp_only_regions` ``MDBASELINE`` finds every region's nearest point
 with one SLSQP solve, as it does at ``d >= 4``.
 """
@@ -59,11 +65,14 @@ from repro.ranking.scoring import LinearScoringFunction
 __all__ = [
     "assert_engines_equivalent",
     "entry_fingerprint",
+    "lp_centres",
     "lp_only_regions",
     "make_weight_grid",
     "oracle_call_count",
     "payload_bytes",
     "per_query_entries",
+    "region_geometry",
+    "representative_sign_vectors",
     "slsqp_only_regions",
 ]
 
@@ -86,6 +95,50 @@ def lp_only_regions() -> Iterator[None]:
         yield
     finally:
         Region._polygon_meets = decide
+
+
+def _no_polygon_centre(region, a_matrix, b_vector):
+    return None
+
+
+@contextmanager
+def lp_centres() -> Iterator[None]:
+    """Route every ``Region`` interior point through the centring linear program.
+
+    Patches the polygon centre of dimension-2 regions to "none" for the
+    body, so ``interior_point`` solves ``chebyshev_center`` as it does at
+    ``d >= 4`` and for a degenerate polygon.  Split and emptiness tests keep
+    their route.  Production code has no such switch.
+    """
+    centre = Region._polygon_centre
+    Region._polygon_centre = _no_polygon_centre
+    try:
+        yield
+    finally:
+        Region._polygon_centre = centre
+
+
+def region_geometry(engine) -> tuple:
+    """What a d >= 3 index decided: its marked and assigned cells, or its satisfactory regions."""
+    index = engine.index
+    if hasattr(index, "assigned_angles"):
+        return tuple(index.marked), tuple(angles is not None for angles in index.assigned_angles)
+    return tuple(tuple(region.region.half_spaces) for region in index.satisfactory_regions)
+
+
+def representative_sign_vectors(engine, hyperplanes) -> np.ndarray:
+    """The side of every hyperplane each representative lies on: its arrangement region.
+
+    One row per assigned cell of an approximate index, or per satisfactory
+    region of an exact one.
+    """
+    index = engine.index
+    if hasattr(index, "assigned_angles"):
+        points = [angles for angles in index.assigned_angles if angles is not None]
+    else:
+        points = [region.representative_angles for region in index.satisfactory_regions]
+    coefficients = np.array([plane.coefficients for plane in hyperplanes])
+    return np.sign(np.asarray(points, dtype=float) @ coefficients.T - 1.0)
 
 
 def _no_polygons(index):

@@ -93,6 +93,23 @@ class TestCheckDocs:
         assert len(errors) == 1
         assert "no_such_function" in errors[0]
 
+    def test_checks_call_signatures_and_wrapped_spans(self, tmp_path):
+        """A span is checked up to its ``(`` and may wrap over one line break."""
+        check_docs = _load_script("check_docs")
+        doc = tmp_path / "signatures.md"
+        doc.write_text(
+            "Call `repro.geometry.warp_drive(dataset, oracle)`, then\n"
+            "`repro.core.monitoring.check_freshness(index,\n  dataset)`.  Both\n"
+            "`repro.core.approx.md_online(dataset, oracle, index, function)` and\n"
+            "`repro.core.sampling.validate_index_on_dataset(index,\n  dataset, oracle)` "
+            "are real, and `repro.engine/v1` is a schema name.\n",
+            encoding="utf-8",
+        )
+        errors = check_docs.check_file(doc)
+        assert len(errors) == 2
+        assert "repro.geometry.warp_drive:" in errors[0]
+        assert "repro.core.monitoring.check_freshness:" in errors[1]
+
     def test_cli_entry_point_passes(self):
         result = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" / "check_docs.py")],

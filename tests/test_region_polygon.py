@@ -22,24 +22,48 @@ directly, or the polygon must have deferred.  Covered:
   exact engine, the approximate engine on both partitions, and an exact
   insert-only ``apply_delta``; and no region of the flat
   :class:`~repro.geometry.arrangement.Arrangement`.
+
+Representative points are Chebyshev centres.  A region with a solid polygon
+computes its centre from the polygon; the centring LP stays the
+specification (``tests/differential.py::lp_centres``):
+
+* on the degenerate table, random arrangements and tied data that makes
+  rectangles, the polygon centre's inscribed radius equals the LP centre's
+  within 1e-12; where the optimum is unique the two points agree within
+  1e-9, and where it is a segment (the rectangles) the polygon centre is
+  its midpoint, in the region at that radius;
+* at the engine seam, a build with LP centres marks the same cells and
+  keeps the same satisfactory regions, and every suggestion passes the raw
+  oracle, for the exact engine, the approximate engine on both partitions
+  and an exact insert-only ``apply_delta``.  The builds ask for the same
+  centres, each within 1e-9 of the other route's, until a region whose
+  optimum is a segment; a build that meets none also makes the same oracle
+  calls and places every representative in the same arrangement region.
+  Only the angle partition's build meets one, in a thin edge cell.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 from differential import (
     assert_engines_equivalent,
+    lp_centres,
     lp_only_regions,
     make_weight_grid,
+    region_geometry,
+    representative_sign_vectors,
 )
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
 from repro.core.maintenance import DatasetDelta
+from repro.core.multi_dim import exchange_hyperplanes
 from repro.data.dataset import Dataset
 from repro.data.synthetic import COMPAS_SCORING_ATTRIBUTES, make_compas_like
+from repro.exceptions import InfeasibleRegionError
 from repro.fairness.oracle import CountingOracle
 from repro.fairness.proportional import ProportionalOracle
 from repro.geometry.angles import HALF_PI
@@ -226,6 +250,104 @@ def test_other_dimensions_keep_no_polygon():
 
 
 # --------------------------------------------------------------------------- #
+# representative points: the polygon's Chebyshev centre against the LP's
+# --------------------------------------------------------------------------- #
+def inscribed_radius(region: Region, point: np.ndarray) -> float:
+    """The radius of the largest disc about ``point`` inside the region and the box."""
+    a_matrix, b_vector = region.inequality_system()
+    rows = (b_vector - a_matrix @ point) / np.linalg.norm(a_matrix, axis=1)
+    return float(min(rows.min(initial=np.inf), point.min(), (HALF_PI - point).min()))
+
+
+def centre(region: Region, route=nullcontext):
+    """A fresh copy's interior point on one route, or the error it raised."""
+    with route():
+        try:
+            return Region(region.dimension, list(region.half_spaces)).interior_point()
+        except InfeasibleRegionError as error:
+            return type(error)
+
+
+def centre_is_unique(region: Region) -> bool:
+    """Check the polygon's centre against the LP's; False where the optimum is a segment."""
+    point, reference = centre(region), centre(region, lp_centres)
+    if not region._vertices():
+        # No solid polygon: both routes solve the LP.
+        assert point is reference or np.array_equal(point, reference)
+        return True
+    radius = inscribed_radius(region, reference)
+    assert abs(inscribed_radius(region, point) - radius) <= 1e-12
+    if np.linalg.norm(point - reference) <= 1e-9:
+        return True
+    # Two distinct points at the optimal radius: the optimum is not unique.
+    assert region.contains(point, tolerance=0.0) and radius > 0.0
+    return False
+
+
+def regions_of_the_table():
+    """Each degenerate case's region, and both sides of its hyperplane."""
+    for _case, half_spaces, hyperplane, _expected in DEGENERATE_CASES:
+        region = box_region(*half_spaces)
+        yield region
+        if hyperplane is not None:
+            yield from region.split(hyperplane)
+
+
+def test_degenerate_geometry_centres_match_the_lp():
+    verdicts = [centre_is_unique(region) for region in regions_of_the_table()]
+    assert len(verdicts) == 42 and all(verdicts)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_arrangement_centres_match_the_lp(seed):
+    tree = ArrangementTree(dimension=2)
+    for line in random_lines(seed, 30):
+        tree.insert(line)
+    leaves = tree.leaf_regions()
+    assert len(leaves) > 200
+    assert all(centre_is_unique(leaf) for leaf in leaves)
+
+
+def axis_box(low, high) -> Region:
+    """The rectangle ``low <= θ <= high`` as four half-spaces."""
+    return box_region(
+        Hyperplane((1.0 / high[0], 0.0)).negative(),
+        Hyperplane((1.0 / low[0], 0.0)).positive(),
+        Hyperplane((0.0, 1.0 / high[1])).negative(),
+        Hyperplane((0.0, 1.0 / low[1])).positive(),
+    )
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [((0.2, 0.1), (1.0, 0.3)), ((0.1, 0.2), (0.3, 1.0)), ((0.25, 0.25), (0.75, 0.75))],
+    ids=["wide", "tall", "square"],
+)
+def test_rectangle_centre_is_the_middle_of_the_optimal_segment(low, high):
+    region = axis_box(low, high)
+    assert centre_is_unique(region) is (high[0] - low[0] == high[1] - low[1])
+    assert np.allclose(centre(region), np.add(low, high) / 2.0, rtol=0.0, atol=1e-12)
+
+
+def test_tied_data_centres_match_the_lp():
+    """Tied scores make rectangles: three of the 61 regions have a segment of centres."""
+    tree = ArrangementTree(dimension=2)
+    for plane in hyperplanes_for_dataset(tied_dataset(), max_hyperplanes=21):
+        tree.insert(plane)
+    verdicts = [centre_is_unique(leaf) for leaf in tree.leaf_regions()]
+    assert (len(verdicts), verdicts.count(False)) == (61, 3)
+
+
+def test_other_dimensions_keep_the_lp_centre():
+    for dimension in (1, 3):
+        region = Region.whole_space(dimension).with_half_space(
+            Hyperplane((1.0,) * dimension).negative()
+        )
+        assert region._polygon_centre(*region.inequality_system()) is None
+        assert np.array_equal(centre(region), centre(region, lp_centres))
+
+
+# --------------------------------------------------------------------------- #
 # all-LP differential at the engine seam
 # --------------------------------------------------------------------------- #
 def fixed_oracle() -> CountingOracle:
@@ -303,6 +425,111 @@ def test_all_lp_route_is_bit_identical_after_an_insert_only_delta():
 
 
 # --------------------------------------------------------------------------- #
+# LP-centre differential at the engine seam
+# --------------------------------------------------------------------------- #
+@contextmanager
+def recorded_centres(log: list) -> Iterator[None]:
+    """Log ``(half-spaces, point)`` of every interior point asked for in the body."""
+    interior_point = Region.interior_point
+
+    def recorded(region):
+        point = interior_point(region)
+        log.append((tuple(region.half_spaces), point))
+        return point
+
+    Region.interior_point = recorded
+    try:
+        yield
+    finally:
+        Region.interior_point = interior_point
+
+
+def meets_a_segment(log: list, lp_log: list) -> bool:
+    """Whether the two routes' centres part, at a region whose optimum is a segment.
+
+    Up to that region both builds asked for the same regions in the same
+    order.  The LP's centre and the polygon's are two points of its segment,
+    and each can order the items differently when the arrangement leaves out
+    some exchanges, so the builds may part there.
+    """
+    for (spaces, point), (lp_spaces, lp_point) in zip(log, lp_log):
+        assert spaces == lp_spaces
+        if np.linalg.norm(point - lp_point) > 1e-9:
+            assert not centre_is_unique(Region(2, list(spaces)))
+            return True
+    assert len(log) == len(lp_log)
+    return False
+
+
+def lp_centres_differential(build, max_hyperplanes, n_queries: int, seed: int) -> bool:
+    """Polygon centres against LP centres at the engine seam; True if a segment was met.
+
+    ``build`` returns a preprocessed engine.  Both builds keep the same
+    marked cells or satisfactory regions, and every suggestion passes the
+    raw oracle.  Unless some centre's optimum is a segment, both also make
+    the same preprocessing and online oracle calls and place every
+    representative in the same arrangement region.
+    """
+    logs: tuple[list, list] = ([], [])
+    with recorded_centres(logs[0]):
+        polygon = build()
+    with lp_centres(), recorded_centres(logs[1]):
+        reference = build()
+    met_segment = meets_a_segment(*logs)
+    assert region_geometry(polygon) == region_geometry(reference)
+    grid = make_weight_grid(n_queries, 3, seed=seed)
+    answers, online_calls = [], []
+    for engine in (polygon, reference):
+        before = engine.oracle.calls
+        answers.append(engine.suggest_many(grid))
+        online_calls.append(engine.oracle.calls - before)
+    raw = fixed_oracle().inner
+    assert all(raw.evaluate_function(result.function, polygon.dataset) for result in answers[0])
+    assert [result.satisfactory for result in answers[0]] == [
+        result.satisfactory for result in answers[1]
+    ]
+    if met_segment:
+        return True
+    assert polygon.oracle.calls - online_calls[0] == reference.oracle.calls - online_calls[1]
+    assert online_calls[0] == online_calls[1]
+    planes = exchange_hyperplanes(polygon.dataset, max_hyperplanes)
+    signs = representative_sign_vectors(polygon, planes)
+    assert len(signs) and np.array_equal(signs, representative_sign_vectors(reference, planes))
+    return False
+
+
+#: The LP-route cases whose builds meet a centre optimum that is a segment:
+#: the angle partition's edge cells are thin strips.
+SEGMENT_CASES = {"approximate-angle"}
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("case", sorted(LP_ROUTE_CASES))
+def test_polygon_centres_keep_the_lp_centres_regions(case):
+    n, seed, config = LP_ROUTE_CASES[case]
+    met_segment = lp_centres_differential(
+        lambda: create_engine(dataset(n, seed), fixed_oracle(), config).preprocess(),
+        config.max_hyperplanes,
+        n_queries=16,
+        seed=seed,
+    )
+    assert met_segment is (case in SEGMENT_CASES)
+
+
+@pytest.mark.perf_smoke
+def test_polygon_centres_keep_the_lp_centres_regions_after_an_insert_only_delta():
+    delta = insert_only_delta(dataset(6, 2), seed=1)
+
+    def build():
+        engine = create_engine(dataset(6, 2), fixed_oracle(), ExactConfig()).preprocess()
+        report = engine.apply_delta(delta)
+        assert report.strategy == "incremental", report.as_dict()
+        return engine
+
+    assert not lp_centres_differential(build, None, n_queries=8, seed=2)
+
+
+# --------------------------------------------------------------------------- #
 # tied scores: duplicate hyperplanes
 # --------------------------------------------------------------------------- #
 def tied_dataset() -> Dataset:
@@ -357,5 +584,13 @@ def test_duplicate_hyperplanes_split_no_region(case, monkeypatch):
 
 @pytest.mark.perf_smoke
 def test_region_smoke():
-    """One small exact build both ways: the check_all.py region gate."""
-    assert_lp_route_identical(30, 1, ExactConfig(max_hyperplanes=12), n_queries=8)
+    """One small exact build against all-LP tests and against LP centres: the
+    check_all.py region gate."""
+    config = ExactConfig(max_hyperplanes=12)
+    assert_lp_route_identical(30, 1, config, n_queries=8)
+    assert not lp_centres_differential(
+        lambda: create_engine(dataset(30, 1), fixed_oracle(), config).preprocess(),
+        config.max_hyperplanes,
+        n_queries=8,
+        seed=1,
+    )

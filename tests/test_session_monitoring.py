@@ -9,14 +9,21 @@ import pytest
 
 from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engine
 from repro.core.maintenance import DatasetDelta
-from repro.core.sampling import SampleValidationReport, validate_index_on_dataset
+from repro.core.approx import MDApproxIndex
+from repro.core.sampling import (
+    SampleValidationReport,
+    _distinct_rows,
+    validate_index_on_dataset,
+)
 from repro.core.session import DesignSession
 from repro.core.system import FairRankingDesigner
 from repro.data.dataset import Dataset
-from repro.data.synthetic import make_compas_like
+from repro.data.synthetic import COMPAS_SCORING_ATTRIBUTES, make_compas_like
 from repro.exceptions import ConfigurationError, NotPreprocessedError, ScoringFunctionError
 from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.proportional import ProportionalOracle
+from repro.geometry.angles import HALF_PI, to_weights
+from repro.geometry.partition import UniformGridPartition
 from repro.ranking.scoring import LinearScoringFunction
 
 
@@ -148,12 +155,42 @@ class TestDesignSession:
 # --------------------------------------------------------------------------- #
 # §5.4 validation: re-checking an index against a dataset
 # --------------------------------------------------------------------------- #
-def _distinct_assigned_angles(index) -> int:
+def _distinct_assigned_angles(index) -> list[np.ndarray]:
+    """The scalar dedup: each assigned function against every one kept before it."""
     distinct: list[np.ndarray] = []
     for angles in index.assigned_angles:
         if angles is not None and not any(np.allclose(angles, seen) for seen in distinct):
             distinct.append(np.asarray(angles))
-    return len(distinct)
+    return distinct
+
+
+def _scalar_report(index, dataset, oracle) -> SampleValidationReport:
+    """§5.4 validation by the scalar dedup and one oracle call per function."""
+    distinct = _distinct_assigned_angles(index)
+    verdicts = [
+        oracle.evaluate_function(LinearScoringFunction(tuple(to_weights(angles))), dataset)
+        for angles in distinct
+    ]
+    return SampleValidationReport(len(distinct), sum(verdicts))
+
+
+def near_duplicate_index(seed: int) -> MDApproxIndex:
+    """Assigned angles perturbed around a few bases at the scale of ``np.allclose``'s test.
+
+    Steps of 1e-8 and 1e-6 to 6e-6 relative make chains whose neighbours are
+    close and whose ends are not; exact repeats, ``-0.0`` and empty cells
+    are mixed in.
+    """
+    rng = np.random.default_rng(seed)
+    bases = np.vstack([rng.uniform(0.0, HALF_PI, size=(6, 2)), [[0.0, 0.5], [-0.0, 0.5]]])
+    steps = np.array([0.0, 1e-8, 1e-6, 2e-6, 3e-6, 4.5e-6, 6e-6])
+    rows = bases[rng.integers(len(bases), size=300)]
+    rows = rows + rng.choice(steps, size=rows.shape) * rng.choice([-1.0, 1.0], size=rows.shape) * (
+        np.abs(rows) + 1e-3
+    )
+    rows[-60:] = rows[:60]
+    assigned = [None if index % 11 == 0 else row for index, row in enumerate(rows)]
+    return MDApproxIndex(partition=UniformGridPartition(2, len(assigned)), assigned_angles=assigned)
 
 
 class TestIndexValidation:
@@ -163,7 +200,7 @@ class TestIndexValidation:
         report = validate_index_on_dataset(
             shared_approx_index, shared_compas_3d, shared_race_oracle_3d
         )
-        assert report.n_functions_checked == _distinct_assigned_angles(shared_approx_index)
+        assert report.n_functions_checked == len(_distinct_assigned_angles(shared_approx_index))
         assert report.n_satisfactory == report.n_functions_checked
         assert report.all_satisfactory
         assert report.fraction_satisfactory == 1.0
@@ -206,6 +243,33 @@ class TestIndexValidation:
         dataset_2d, _oracle, _index = shared_two_d_index
         with pytest.raises(ScoringFunctionError):
             validate_index_on_dataset(shared_approx_index, dataset_2d, shared_race_oracle_3d)
+
+    def test_dedup_equals_the_scalar_loop_on_a_large_index(self):
+        """1,024 cells built on a sample, validated on a larger snapshot."""
+        attributes = list(COMPAS_SCORING_ATTRIBUTES[:3])
+        oracle = ProportionalOracle("race", "African-American", 0.3, max_fraction=0.6)
+        engine = create_engine(
+            make_compas_like(n=300, seed=3).project(attributes),
+            oracle,
+            ApproxConfig(n_cells=1024, max_hyperplanes=60),
+        ).preprocess()
+        full = make_compas_like(n=1000, seed=5).project(attributes)
+        report = validate_index_on_dataset(engine.index, full, oracle)
+        assert report == _scalar_report(engine.index, full, oracle)
+        assert 0 < report.n_satisfactory < report.n_functions_checked
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dedup_equals_the_scalar_loop_on_near_duplicates(
+        self, seed, shared_compas_3d, shared_race_oracle_3d
+    ):
+        index = near_duplicate_index(seed)
+        report = validate_index_on_dataset(index, shared_compas_3d, shared_race_oracle_3d)
+        assert report == _scalar_report(index, shared_compas_3d, shared_race_oracle_3d)
+        assigned = np.asarray([row for row in index.assigned_angles if row is not None])
+        kept = _distinct_rows(assigned)
+        scalar = _distinct_assigned_angles(index)
+        assert 8 < len(kept) < len(np.unique(assigned, axis=0))
+        assert np.array_equal(kept, np.asarray(scalar))
 
     def test_empty_report_fraction_is_zero(self):
         report = SampleValidationReport(n_functions_checked=0, n_satisfactory=0)
