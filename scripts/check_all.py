@@ -37,7 +37,13 @@ Runs, in order:
 9. the cellplane smoke — the ``CELLPLANE×`` array kernel on one uniform
    grid and one angle partition (``tests/test_partition_cellplane.py``):
    every cell's hyperplane list must equal the scalar per-cell corner
-   test's, order included.
+   test's, order included;
+10. the ordering smoke — the batched ordering kernel on an untied batch, a
+    tied one and one on a dataset with equal score vectors
+    (``tests/test_batched_oracle.py``): ``order_many`` must equal the stable
+    reference (``tests/reference/ordering.py``) and per-function ``order``,
+    and ``to_weights_many`` must equal the scalar loop
+    (``tests/reference/angles.py``) bit for bit.
 
 Usage::
 
@@ -94,6 +100,10 @@ REGION_SMOKE = "tests/test_region_polygon.py::test_region_smoke"
 #: The CELLPLANE× array-kernel-vs-scalar-reference smoke test (one uniform
 #: grid, one angle partition).
 CELLPLANE_SMOKE = "tests/test_partition_cellplane.py::test_cellplane_smoke"
+
+#: The ordering-kernel-vs-stable-reference smoke test (an untied, a tied and
+#: an every-row-tied batch), plus to_weights_many against the scalar loop.
+ORDERING_SMOKE = "tests/test_batched_oracle.py::TestOrderMany::test_ordering_smoke"
 
 
 def _load_script(name: str):
@@ -174,6 +184,14 @@ def run_cellplane_smoke() -> int:
     )
 
 
+def run_ordering_smoke() -> int:
+    return _run_pytest(
+        (ORDERING_SMOKE,),
+        "ordering smoke: OK (order_many == stable reference == per-function order on an "
+        "untied, a tied and an every-row-tied batch, to_weights_many == scalar loop)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="consolidated pre-PR gate")
     parser.add_argument(
@@ -192,6 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         ("sweep_smoke", run_sweep_smoke),
         ("region_smoke", run_region_smoke),
         ("cellplane_smoke", run_cellplane_smoke),
+        ("ordering_smoke", run_ordering_smoke),
     )
     if args.quick:
         gates = (("differential_smoke", run_differential_smoke),)

@@ -42,6 +42,7 @@ from repro.geometry.angles import (
     angular_distance_angles,
     to_angles,
     to_weights,
+    to_weights_many,
 )
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.cellplane import assign_hyperplanes_to_cells
@@ -127,15 +128,11 @@ class MDApproxIndex:
                 ],
                 dtype=int,
             )
-            weights = (
-                np.stack(
-                    [
-                        to_weights(np.asarray(self.assigned_angles[cell_index], dtype=float))
-                        for cell_index in cells.tolist()
-                    ]
-                )
-                if cells.size
-                else np.zeros((0, self.n_attributes))
+            weights = to_weights_many(
+                np.asarray(
+                    [self.assigned_angles[cell_index] for cell_index in cells.tolist()],
+                    dtype=float,
+                ).reshape(cells.size, self.partition.dimension)
             )
             norms = np.asarray([float(np.linalg.norm(row)) for row in weights])
             cache = (cells, weights, norms)

@@ -50,7 +50,7 @@ from repro.exceptions import (
 )
 from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
-from repro.geometry.angles import to_angles_many, to_weights
+from repro.geometry.angles import to_angles_many, to_weights_many
 from repro.geometry.dual import (
     exchange_angles_for_pairs,
     exchange_arrays_2d,
@@ -843,14 +843,17 @@ class ApproxEngine(_EngineBase):
         Line 1 of Algorithm 11 (is the query itself satisfactory?) goes to the
         oracle as one batch: when the oracle supports the batched protocol
         (:func:`repro.fairness.batched.as_batched`), the whole weight matrix
-        is ordered with one stacked matmul + argsort
-        (:func:`repro.ranking.scoring.order_many`) and judged with one
+        is ordered with one stacked matmul and one unstable argsort, with a
+        stable re-sort of only the rows that have tied scores
+        (:func:`repro.ranking.scoring.order_many`), and judged with one
         ``is_satisfactory_many`` — bit-identical verdicts to the per-query
         calls ``md_online`` makes, which remain the fallback for black-box
         oracles.  The index part — locating each remaining query's cell — is
         done in vectorised chunks over the partition, with the
         nearest-assigned fallback answered from the index's cached assigned
-        stack.  Results are bit-identical to looping :meth:`suggest`.
+        stack, and the query unit vectors come from one
+        :func:`~repro.geometry.angles.to_weights_many`.  Results are
+        bit-identical to looping :meth:`suggest`.
         """
         matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         index = self.index
@@ -901,7 +904,7 @@ class ApproxEngine(_EngineBase):
             stack_positions[row] = index._nearest_assigned_position(angle_matrix[row])
         assigned_rows = stack_weights[stack_positions]
         # Scalar reference: angular_distance(to_weights(query), to_weights(assigned)).
-        query_units = np.stack([to_weights(row) for row in angle_matrix])
+        query_units = to_weights_many(angle_matrix)
         query_norms = np.sqrt(
             np.matmul(query_units[:, None, :], query_units[:, :, None])[:, 0, 0]
         )

@@ -45,6 +45,7 @@ from repro.geometry.angles import (
     ray_distance,
     to_angles,
     to_weights,
+    to_weights_many,
 )
 from repro.geometry.arrangement_tree import ArrangementTree
 from repro.geometry.dual import hyperplanes_for_dataset
@@ -507,31 +508,30 @@ def md_baseline(
     with stage_span("query.blend_verification") as span:
         query_ray = checked_ray(to_weights(query_angles))
         verified: list[tuple[float, np.ndarray]] = []
-        active = [
-            (candidate, np.asarray(satisfactory.representative_angles, dtype=float))
-            for _distance, candidate, satisfactory in candidates[:3]
-        ]
+        nearest = candidates[:3]
+        width = query_angles.size
+        points = np.array([point for _, point, _ in nearest], dtype=float).reshape(-1, width)
+        interiors = np.array(
+            [region.representative_angles for _, _, region in nearest], dtype=float
+        ).reshape(-1, width)
         oracle_calls = 0
         for blend in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0):
-            if not active:
+            if not len(points):
                 break
-            blended_points = [
-                (1.0 - blend) * candidate + blend * interior for candidate, interior in active
-            ]
-            probes = [
-                LinearScoringFunction(tuple(to_weights(point, radius=radius)))
-                for point in blended_points
-            ]
-            accepted = evaluate_functions_many(oracle, dataset, probes)
+            blended = (1.0 - blend) * points + blend * interiors
+            # to_weights(point, radius) is radius * to_weights(point): one unit
+            # row per point serves both the probe and the verified distance.
+            units = to_weights_many(blended)
+            probe_weights = radius * units
+            make_probe = LinearScoringFunction._row_constructor(probe_weights)
+            probes = [make_probe(tuple(row)) for row in probe_weights.tolist()]
+            accepted = evaluate_functions_many(
+                oracle, dataset, probes, weight_matrix=probe_weights
+            )
             oracle_calls += len(probes)
-            still_active = []
-            for pair, point, ok in zip(active, blended_points, accepted):
-                if ok:
-                    distance = ray_distance(checked_ray(to_weights(point)), query_ray)
-                    verified.append((distance, point))
-                else:
-                    still_active.append(pair)
-            active = still_active
+            for point, unit in zip(blended[accepted], units[accepted]):
+                verified.append((ray_distance(checked_ray(unit), query_ray), point))
+            points, interiors = points[~accepted], interiors[~accepted]
         # Region representatives are satisfactory by construction; they both
         # serve as a fallback and cap the suggestion distance from above.
         for representative, ray in index._representative_rays():

@@ -22,7 +22,7 @@ from repro.core.approx import MDApproxIndex
 from repro.data.dataset import Dataset
 from repro.fairness.batched import evaluate_functions_many
 from repro.fairness.oracle import FairnessOracle
-from repro.geometry.angles import to_weights
+from repro.geometry.angles import to_weights_many
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = ["SampleValidationReport", "validate_index_on_dataset"]
@@ -81,8 +81,9 @@ def validate_index_on_dataset(
     assigned = [angles for angles in index.assigned_angles if angles is not None]
     rows = np.asarray(assigned, dtype=float).reshape(-1, index.partition.dimension)
     distinct = _distinct_rows(rows)
-    functions = [LinearScoringFunction(tuple(to_weights(angles))) for angles in distinct]
-    verdicts = evaluate_functions_many(oracle, dataset, functions)
+    weights = to_weights_many(distinct)
+    functions = [LinearScoringFunction(tuple(row)) for row in weights.tolist()]
+    verdicts = evaluate_functions_many(oracle, dataset, functions, weight_matrix=weights)
     return SampleValidationReport(
         n_functions_checked=len(distinct), n_satisfactory=int(np.sum(verdicts))
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -116,6 +117,17 @@ class Dataset:
     def type_attributes(self) -> list[str]:
         """Names of the categorical type attributes."""
         return list(self.types.keys())
+
+    @cached_property
+    def has_duplicate_scores(self) -> bool:
+        """Whether two items have equal score vectors (``-0.0 == 0.0``).
+
+        Every scoring function ties such a pair, so a batched ordering of this
+        dataset (:func:`repro.ranking.scoring.order_many`) sorts every row
+        stably at once instead of looking for ties row by row.
+        """
+        rows = self.scores[np.lexsort(self.scores.T)]
+        return bool((rows[1:] == rows[:-1]).all(axis=1).any())
 
     def __len__(self) -> int:
         return self.n_items

@@ -17,6 +17,7 @@ from repro.geometry.angles import (
     to_angles,
     to_angles_many,
     to_weights,
+    to_weights_many,
 )
 from repro.geometry.arrangement import Arrangement
 from repro.geometry.arrangement_tree import ArrangementTree, ArrangementTreeNode
@@ -48,6 +49,7 @@ __all__ = [
     "to_angles",
     "to_angles_many",
     "to_weights",
+    "to_weights_many",
     "angular_distance",
     "angular_distance_angles",
     "clamp_angles",

@@ -37,6 +37,7 @@ __all__ = [
     "to_angles",
     "to_angles_many",
     "to_weights",
+    "to_weights_many",
     "angular_distance",
     "angular_distance_angles",
     "checked_ray",
@@ -152,25 +153,58 @@ def to_weights(angles: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
     This is the exact inverse of :func:`to_angles` (up to scaling): for any
     first-orthant direction ``w``, ``to_weights(to_angles(w))`` is the unit
-    vector along ``w``.
+    vector along ``w``.  It is the one-row case of :func:`to_weights_many`.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size < 1:
         raise GeometryError("to_weights expects a 1-D angle vector of length >= 1")
-    if not np.all(np.isfinite(angles)):
+    return to_weights_many(angles[None, :], radius)[0]
+
+
+def to_weights_many(angle_matrix: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    """Convert a stack of angle vectors to weight vectors of the given magnitude.
+
+    Row ``k`` of the result is ``to_weights(angle_matrix[k], radius)``.  The
+    sines and cosines come from ``math.sin`` / ``math.cos`` element by
+    element (NumPy's trigonometric kernels depend on the CPU and can round
+    differently), and each row's sine prefixes are left-to-right products.
+
+    Parameters
+    ----------
+    angle_matrix:
+        ``(m, d - 1)`` matrix of finite angle vectors, ``d >= 2``.
+    radius:
+        Positive magnitude of every returned weight vector.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(m, d)`` matrix of non-negative weight vectors.
+
+    Raises
+    ------
+    GeometryError
+        If the matrix is not 2-D with at least one column, any angle is not
+        finite, or the radius is not positive.
+    """
+    angle_matrix = np.asarray(angle_matrix, dtype=float)
+    if angle_matrix.ndim != 2 or angle_matrix.shape[1] < 1:
+        raise GeometryError("to_weights_many expects an (m, d - 1) angle matrix with d >= 2")
+    if not np.isfinite(angle_matrix).all():
         raise GeometryError("angles must be finite")
     if radius <= 0:
         raise GeometryError("radius must be positive")
-    d = angles.size + 1
-    weights = np.empty(d, dtype=float)
-    sin_prefix = 1.0
-    for k in range(d - 1):
-        weights[k] = sin_prefix * math.cos(angles[k])
-        sin_prefix *= math.sin(angles[k])
-    weights[d - 1] = sin_prefix
+    flat = []
+    for angles in angle_matrix.tolist():
+        sin_prefix = 1.0
+        for angle in angles:
+            flat.append(sin_prefix * math.cos(angle))
+            sin_prefix *= math.sin(angle)
+        flat.append(sin_prefix)
+    m, width = angle_matrix.shape
+    weights = np.array(flat, dtype=float).reshape(m, width + 1)
     # Numerical noise can produce tiny negatives for angles at the boundary.
-    weights = np.clip(weights, 0.0, None)
-    return radius * weights
+    return radius * np.clip(weights, 0.0, None)
 
 
 def angular_distance(first: np.ndarray, second: np.ndarray) -> float:

@@ -77,9 +77,9 @@ class LinearScoringFunction:
         the validating constructor raises exactly what the scalar path raises.
         """
         trusted = bool(
-            np.all(np.isfinite(matrix))
-            and not np.any(matrix < 0)
-            and np.all(np.any(matrix > 0, axis=1))
+            np.isfinite(matrix).all()
+            and not (matrix < 0).any()
+            and (matrix > 0).any(axis=1).all()
         )
         return cls._from_trusted if trusted else cls
 
@@ -185,9 +185,20 @@ def order_many(dataset: Dataset, weight_matrix: np.ndarray) -> np.ndarray:
     whole batch is scored with one stacked ``np.matmul`` over the
     ``(q, n, d) @ (q, d, 1)`` broadcast — the gufunc applies the identical
     per-matrix kernel that scores a single function, which is what keeps the
-    scores (and therefore the stable argsort) exactly equal to the scalar
-    path; a plain ``scores @ W.T`` GEMM accumulates in a different order and
-    can drift by an ulp.  One stable axis-wise argsort then orders every row.
+    scores exactly equal to the scalar path; a plain ``scores @ W.T`` GEMM
+    accumulates in a different order and can drift by an ulp.
+
+    Every row is then ordered by NumPy's default (unstable) argsort of its
+    negated scores.  A row whose scores are all distinct has exactly one
+    descending order, so the unstable sort returns the stable one.  The
+    negated scores are sorted in place to find the other rows — those whose
+    sorted values are not strictly increasing (equal scores, ``-0.0`` beside
+    ``0.0``, NaN) — and only those rows are re-scored with the same matmul
+    (a row's scores do not depend on the batch it sits in) and re-ordered
+    with a stable argsort, ties broken by ascending item index.  On a dataset
+    with two equal score vectors
+    (:attr:`~repro.data.dataset.Dataset.has_duplicate_scores`) every row
+    ties, so every row is ordered by the stable argsort at once.
 
     Parameters
     ----------
@@ -214,10 +225,28 @@ def order_many(dataset: Dataset, weight_matrix: np.ndarray) -> np.ndarray:
             f"order_many expects a (q, {dataset.n_attributes}) weight matrix, "
             f"got shape {weight_matrix.shape}"
         )
-    score_matrix = np.matmul(
-        dataset.scores[None, :, :], weight_matrix[:, :, None]
-    )[..., 0]
-    return np.argsort(-score_matrix, axis=1, kind="stable")
+    negated = _negated_scores(dataset, weight_matrix)
+    if dataset.has_duplicate_scores:
+        return negated.argsort(axis=1, kind="stable")
+    orderings = negated.argsort(axis=1)
+    negated.sort(axis=1)
+    increasing = negated[:, 1:] > negated[:, :-1]
+    del negated
+    if increasing.all():
+        return orderings
+    tied = np.flatnonzero(~increasing.all(axis=1))
+    # Free the mask before the tied rows are scored again.
+    del increasing
+    orderings[tied] = _negated_scores(dataset, weight_matrix[tied]).argsort(
+        axis=1, kind="stable"
+    )
+    return orderings
+
+
+def _negated_scores(dataset: Dataset, weight_matrix: np.ndarray) -> np.ndarray:
+    """``(q, n)`` negated scores of every weight row, by one stacked matmul."""
+    scores = np.matmul(dataset.scores[None, :, :], weight_matrix[:, :, None])[..., 0]
+    return np.negative(scores, out=scores)
 
 
 def random_scoring_function(

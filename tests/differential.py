@@ -40,7 +40,9 @@ differ in their last bits, so :func:`region_geometry` and
 cells or satisfactory regions, and the arrangement region of every
 representative.  Likewise, inside
 :func:`slsqp_only_regions` ``MDBASELINE`` finds every region's nearest point
-with one SLSQP solve, as it does at ``d >= 4``.
+with one SLSQP solve, as it does at ``d >= 4``, and inside
+:func:`stable_orderings` every batch of the batched oracle route is ordered
+by the stable reference kernel (``tests/reference/ordering.py``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
+from reference.ordering import order_many_stable
 
 from repro.core.multi_dim import MDExactIndex, _PolygonEdges
 from repro.core.result import SuggestionResult
@@ -58,6 +61,7 @@ from repro.exceptions import (
     NoSatisfactoryFunctionError,
     NotPreprocessedError,
 )
+from repro.fairness import batched
 from repro.geometry.hyperplane import Region
 from repro.parallel.pool import QueryFailure
 from repro.ranking.scoring import LinearScoringFunction
@@ -74,6 +78,7 @@ __all__ = [
     "region_geometry",
     "representative_sign_vectors",
     "slsqp_only_regions",
+    "stable_orderings",
 ]
 
 
@@ -160,6 +165,24 @@ def slsqp_only_regions() -> Iterator[None]:
         yield
     finally:
         MDExactIndex._polygon_edges = edges
+
+
+@contextmanager
+def stable_orderings() -> Iterator[None]:
+    """Order every batch of the batched oracle route with one stable argsort.
+
+    Patches ``repro.fairness.batched.order_many`` with the reference kernel
+    ``order_many_stable`` for the body, so ``evaluate_functions_many`` (the
+    ``suggest_many`` pre-check, ``MDBASELINE``'s blend probes, the §5.4
+    validation) orders its batches as the kernel did before it re-sorted
+    only tied rows.  Production code has no such switch.
+    """
+    kernel = batched.order_many
+    batched.order_many = order_many_stable
+    try:
+        yield
+    finally:
+        batched.order_many = kernel
 
 
 def _weights_hex(weights) -> tuple[str, ...]:

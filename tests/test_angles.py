@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference.angles import to_weights_loop
 
 from repro.exceptions import GeometryError
 from repro.geometry.angles import (
@@ -20,6 +21,7 @@ from repro.geometry.angles import (
     to_angles,
     to_angles_many,
     to_weights,
+    to_weights_many,
 )
 
 
@@ -135,6 +137,65 @@ class TestToWeights:
             # direction is recoverable, which the previous test covers.
             return
         assert angular_distance_angles(angles, to_angles(weights)) == pytest.approx(0.0, abs=1e-7)
+
+
+def _hex_rows(matrix: np.ndarray) -> list[list[str]]:
+    return [[value.hex() for value in row] for row in matrix.tolist()]
+
+
+class TestToWeightsMany:
+    """Both conversions against the scalar loop they replace, by ``float.hex``."""
+
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 5])
+    def test_bit_identical_to_the_scalar_loop(self, dimension, radius):
+        rng = np.random.default_rng(dimension)
+        angles = rng.uniform(0.0, HALF_PI, size=(120, dimension - 1))
+        angles[::4, 0] = 0.0
+        angles[1::4, -1] = HALF_PI
+        angles[2::8] = HALF_PI
+        angles[3::8] = 0.0
+        looped = np.stack([to_weights_loop(row, radius=radius) for row in angles])
+        batched = to_weights_many(angles, radius=radius)
+        assert batched.shape == (120, dimension)
+        assert _hex_rows(batched) == _hex_rows(looped)
+        rows = np.stack([to_weights(row, radius=radius) for row in angles])
+        assert _hex_rows(rows) == _hex_rows(looped)
+
+    @given(
+        arrays(float, (6, 3), elements=st.floats(-4.0, 4.0, allow_nan=False)),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_outside_the_box_too(self, angles, radius):
+        """Angles outside ``[0, π/2]`` make negative products, which both clip."""
+        looped = np.stack([to_weights_loop(row, radius=radius) for row in angles])
+        assert _hex_rows(to_weights_many(angles, radius=radius)) == _hex_rows(looped)
+        assert _hex_rows(np.stack([to_weights(row, radius) for row in angles])) == _hex_rows(
+            looped
+        )
+
+    def test_empty_batch(self):
+        assert to_weights_many(np.zeros((0, 2))).shape == (0, 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_angles_like_the_scalar(self, value):
+        angles = np.full((3, 2), 0.5)
+        angles[1, 0] = value
+        with pytest.raises(GeometryError, match="angles must be finite"):
+            to_weights(angles[1])
+        with pytest.raises(GeometryError, match="angles must be finite"):
+            to_weights_many(angles)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 2, 2)])
+    def test_rejects_a_bad_shape(self, shape):
+        with pytest.raises(GeometryError, match="angle matrix"):
+            to_weights_many(np.zeros(shape))
+
+    def test_rejects_non_positive_radius(self):
+        with pytest.raises(GeometryError, match="radius must be positive"):
+            to_weights_many(np.zeros((1, 2)), radius=0.0)
 
 
 class TestAngularDistance:

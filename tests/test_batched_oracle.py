@@ -7,15 +7,28 @@ paths (``ApproxEngine.suggest_many``, the §5.4 sample validation,
 ``MDBASELINE``'s candidate re-validation) must return bit-identical answers
 and unchanged oracle-call counts whether the oracle is batched or a black
 box.
+
+The ordering kernel feeding the batched route, ``order_many``, sorts unstably
+and re-sorts only tied rows; it is checked against its stable reference
+(``tests/reference/ordering.py``) on duplicate rows, an integer grid, signed
+zeros, all-equal scores, tiny inputs and three weight-matrix layouts, and
+whole engines served with the reference (``differential.stable_orderings``)
+must give the same answers, oracle calls, payload bytes and §5.4 validation
+report.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from differential import assert_engines_equivalent, make_weight_grid, stable_orderings
 from reference.exchanges import build_exchange_hyperplanes_reference
+from reference.angles import to_weights_loop
+from reference.ordering import order_many_stable
 
 from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online_lookup
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
@@ -35,14 +48,100 @@ from repro.fairness.oracle import CallableOracle, CountingOracle
 from repro.fairness.pairwise import PairwiseParityOracle
 from repro.fairness.prefix import MinimumAtEveryPrefixOracle, PrefixProportionalOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
-from repro.geometry.angles import angular_distance_angles
+from repro.geometry.angles import HALF_PI, angular_distance_angles, to_weights_many
 from repro.geometry.dual import hyperplanes_for_dataset
+from repro.ranking import scoring
 from repro.ranking.scoring import LinearScoringFunction, order_many
 
 
 def _compas(n: int, seed: int, d: int = 2) -> Dataset:
     attributes = ["c_days_from_compas", "juv_other_count", "start"][:d]
     return make_compas_like(n=n, seed=seed).project(attributes)
+
+
+def _dataset_of(scores: np.ndarray) -> Dataset:
+    return Dataset(
+        scores=np.asarray(scores, dtype=float),
+        scoring_attributes=[f"a{column}" for column in range(np.shape(scores)[1])],
+    )
+
+
+def _tied_rows(dataset: Dataset, weight_matrix: np.ndarray) -> np.ndarray:
+    """Whether each weight row gives two items equal scores (``-0.0 == 0.0``)."""
+    return np.array(
+        [
+            np.unique(LinearScoringFunction(tuple(weights)).score(dataset)).size
+            < dataset.n_items
+            for weights in np.asarray(weight_matrix).tolist()
+        ],
+        dtype=bool,
+    )
+
+
+def _assert_orders_like_the_references(dataset: Dataset, weight_matrix: np.ndarray):
+    """``order_many`` equals the stable reference and per-function ``order``, row for row."""
+    orderings = order_many(dataset, weight_matrix)
+    assert np.array_equal(orderings, order_many_stable(dataset, weight_matrix))
+    for row, weights in zip(orderings, np.asarray(weight_matrix).tolist()):
+        assert np.array_equal(row, LinearScoringFunction(tuple(weights)).order(dataset))
+    return orderings
+
+
+def _mixed_batch(tied_weights, d: int, seed: int) -> np.ndarray:
+    """Generic random weight rows shuffled together with the given tie-making rows."""
+    rng = np.random.default_rng(seed)
+    generic = np.abs(rng.normal(size=(12, d))) + 1e-3
+    rows = np.vstack([generic, np.asarray(tied_weights, dtype=float)])
+    return rows[rng.permutation(len(rows))]
+
+
+def _ordering_cases() -> dict:
+    rng = np.random.default_rng(20)
+    continuous = rng.random((60, 3))
+    grid = np.array(list(itertools.product(range(5), repeat=3)), dtype=float)
+    signed_zeros = [[-0.0, -0.0, 0.3], [0.0, -0.0, 0.7], [-0.0, 0.4, -0.0], [0.0, 0.0, 0.9]]
+    return {
+        "duplicate-rows": (
+            np.vstack([continuous, continuous[::3]]),
+            _mixed_batch([[1.0, 0.0, 0.0]], 3, seed=1),
+            True,
+        ),
+        "integer-grid": (
+            grid[rng.permutation(len(grid))[:70]],
+            _mixed_batch([[1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 1, 3]], 3, seed=2),
+            False,
+        ),
+        "signed-zeros": (
+            np.vstack([continuous[:40], signed_zeros]),
+            _mixed_batch([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], 3, seed=3),
+            False,
+        ),
+        "all-scores-equal": (
+            np.column_stack([np.full(50, 2.0), rng.random((50, 2))]),
+            _mixed_batch([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], 3, seed=4),
+            False,
+        ),
+    }
+
+
+#: ``case -> (dataset scores, weight matrix, whether every row ties)``: each
+#: batch shuffles generic rows together with rows that tie items, and on
+#: duplicate dataset rows every row ties.
+ORDERING_CASES = _ordering_cases()
+
+
+def _strided(matrix: np.ndarray) -> np.ndarray:
+    wide = np.zeros((2 * matrix.shape[0], 2 * matrix.shape[1]))
+    wide[::2, ::2] = matrix
+    return wide[::2, ::2]
+
+
+#: Memory layouts of the weight matrix, none of which may change an ordering.
+WEIGHT_LAYOUTS = {
+    "c-order": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "strided": _strided,
+}
 
 
 def _oracle_zoo(dataset: Dataset) -> list:
@@ -281,6 +380,87 @@ class TestOrderMany:
             expected = LinearScoringFunction(tuple(weights)).order(dataset)
             assert np.array_equal(row, expected)
 
+    @pytest.mark.parametrize("layout", sorted(WEIGHT_LAYOUTS))
+    @pytest.mark.parametrize("case", sorted(ORDERING_CASES))
+    def test_tied_and_untied_rows_match_the_stable_reference(self, case, layout):
+        scores, weight_matrix, every_row_ties = ORDERING_CASES[case]
+        dataset = _dataset_of(scores)
+        tied = _tied_rows(dataset, weight_matrix)
+        assert tied.any() and bool(tied.all()) == every_row_ties
+        _assert_orders_like_the_references(dataset, WEIGHT_LAYOUTS[layout](weight_matrix))
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.25, 1.0)], ids=["tie", "no-tie"])
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_datasets_and_batches(self, n, q, weights):
+        dataset = _dataset_of(np.array([[1.0, 2.0], [2.0, 1.0]])[:n])
+        weight_matrix = np.array([weights] * q).reshape(q, 2)
+        orderings = _assert_orders_like_the_references(dataset, weight_matrix)
+        assert orderings.shape == (q, n)
+
+    def test_signed_zero_scores_are_re_sorted_stably(self, monkeypatch):
+        """A ``-0.0`` score beside a ``0.0`` one ties, so its row takes the stable route.
+
+        The stacked matmul never returns ``-0.0`` (it accumulates from
+        ``+0.0``), so the scores are injected: distinct values with one
+        ``0.0`` and one ``-0.0`` per row but the first, whose bits all differ,
+        and which the unstable sort alone puts out of index order.
+        """
+        rng = np.random.default_rng(21)
+        crafted = rng.random((8, 300))
+        for row in crafted[1:]:
+            row[rng.choice(300, size=2, replace=False)] = (0.0, -0.0)
+        dataset = _dataset_of(np.ones((300, 2)))
+        weight_matrix = np.array([[float(row), 1.0] for row in range(8)])
+        monkeypatch.setattr(
+            scoring,
+            "_negated_scores",
+            lambda _dataset, weights: -crafted[weights[:, 0].astype(int)],
+        )
+        expected = np.argsort(-crafted, axis=1, kind="stable")
+        assert not np.array_equal(np.argsort(-crafted, axis=1), expected)
+        assert np.array_equal(order_many(dataset, weight_matrix), expected)
+
+    @pytest.mark.parametrize("case", sorted(ORDERING_CASES))
+    def test_only_duplicate_free_datasets_search_for_ties(self, case, monkeypatch):
+        """A dataset with equal score vectors ties every row, so it is ordered
+        stably at once; elsewhere only the tied rows are scored a second time."""
+        scores, weight_matrix, every_row_ties = ORDERING_CASES[case]
+        dataset = _dataset_of(scores)
+        assert dataset.has_duplicate_scores == every_row_ties
+        scored = []
+        kernel = scoring._negated_scores
+
+        def counting(dataset, weights):
+            scored.append(len(weights))
+            return kernel(dataset, weights)
+
+        monkeypatch.setattr(scoring, "_negated_scores", counting)
+        orderings = order_many(dataset, weight_matrix)
+        assert np.array_equal(orderings, order_many_stable(dataset, weight_matrix))
+        tied = _tied_rows(dataset, weight_matrix)
+        expected = [len(weight_matrix)] if every_row_ties else [len(weight_matrix), tied.sum()]
+        assert scored == expected
+
+    @pytest.mark.perf_smoke
+    def test_ordering_smoke(self):
+        """An untied, a tied and an every-row-tied batch against the stable
+        reference, and to_weights_many against the scalar loop: the
+        check_all.py ordering gate."""
+        scores, weight_matrix, _ = ORDERING_CASES["integer-grid"]
+        dataset = _dataset_of(scores)
+        tied = _tied_rows(dataset, weight_matrix)
+        assert tied.any() and not tied.all()
+        for batch in (weight_matrix[tied], weight_matrix[~tied]):
+            _assert_orders_like_the_references(dataset, batch)
+        duplicates, weight_matrix, _ = ORDERING_CASES["duplicate-rows"]
+        assert _dataset_of(duplicates).has_duplicate_scores
+        _assert_orders_like_the_references(_dataset_of(duplicates), weight_matrix)
+        angles = np.random.default_rng(22).uniform(0.0, HALF_PI, size=(64, 2))
+        angles[::5] = (0.0, HALF_PI)
+        looped = np.stack([to_weights_loop(row, radius=1.7) for row in angles])
+        assert to_weights_many(angles, radius=1.7).tobytes() == looped.tobytes()
+
 
 class TestHyperplaneCap:
     @pytest.mark.parametrize(
@@ -437,3 +617,96 @@ class TestBatchedServingPaths:
         fallback_report = validate_index_on_dataset(index, dataset, black_box_counting)
         assert batched_report == fallback_report
         assert batched_counting.calls == black_box_counting.calls
+
+
+class _ServedStably:
+    """An engine whose batches are served inside ``stable_orderings()``."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.oracle = engine.oracle
+
+    def suggest_many(self, weight_grid):
+        with stable_orderings():
+            return self.engine.suggest_many(weight_grid)
+
+    def to_payload(self):
+        return self.engine.to_payload()
+
+
+#: The engines whose batches go through ``order_many``.
+STABLE_ORDERING_CONFIGS = {
+    "approximate-uniform": ApproxConfig(n_cells=25, max_hyperplanes=20),
+    "approximate-angle": ApproxConfig(n_cells=25, max_hyperplanes=20, partition="angle"),
+    "exact": ExactConfig(max_hyperplanes=20),
+}
+
+
+def _duplicated(dataset: Dataset) -> Dataset:
+    """Every row twice; the copies take other items' types, so the order of a
+    tied pair can change a group count."""
+    return Dataset(
+        scores=np.vstack([dataset.scores, dataset.scores]),
+        scoring_attributes=dataset.scoring_attributes,
+        types={
+            attribute: np.concatenate([column, np.roll(column, 1)])
+            for attribute, column in dataset.types.items()
+        },
+    )
+
+
+def _on_integer_grid(dataset: Dataset, levels: int = 8) -> Dataset:
+    """Scores floored onto ``levels`` steps, the first item at each point kept:
+    no two items share a score vector, yet coarse weights tie many pairs."""
+    grid = np.floor(dataset.scores * levels)
+    keep = np.sort(np.unique(grid, axis=0, return_index=True)[1])
+    return Dataset(
+        scores=grid[keep],
+        scoring_attributes=dataset.scoring_attributes,
+        types={attribute: np.asarray(column)[keep] for attribute, column in dataset.types.items()},
+    )
+
+
+def _differential_case(name: str) -> tuple[Dataset, np.ndarray]:
+    """``(dataset, weight grid)``: no tie, every batch row tied by duplicate
+    items (the stable argsort at once), or some rows tied (the tie re-sort)."""
+    grid = make_weight_grid(40, 3, seed=23)
+    if name == "compas":
+        return _compas(60, seed=19, d=3), grid
+    if name == "duplicate-rows":
+        return _duplicated(_compas(60, seed=19, d=3)), grid
+    # Quarter-step weights score grid points exactly, so equal sums tie.
+    grid[::2] = np.ceil(grid[::2] * 4) / 4
+    return _on_integer_grid(_compas(200, seed=19, d=3)), grid
+
+
+class TestStableOrderingsDifferential:
+    """The kernel against the stable reference at the engine seam: same answers,
+    oracle calls, payload bytes and §5.4 validation report."""
+
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("data", ["compas", "duplicate-rows", "integer-grid"])
+    @pytest.mark.parametrize("case", sorted(STABLE_ORDERING_CONFIGS))
+    def test_stable_orderings_change_no_answer(self, case, data):
+        dataset, grid = _differential_case(data)
+        tied = _tied_rows(dataset, grid)
+        assert dataset.has_duplicate_scores == (data == "duplicate-rows")
+        assert (tied.any(), tied.all()) == {
+            "compas": (False, False),
+            "duplicate-rows": (True, True),
+            "integer-grid": (True, False),
+        }[data]
+        fm1 = ProportionalOracle.at_most_share_plus_slack(
+            dataset, "race", "African-American", k=0.3, slack=0.05
+        )
+        config = STABLE_ORDERING_CONFIGS[case]
+        engine = create_engine(dataset, CountingOracle(fm1), config).preprocess()
+        with stable_orderings():
+            reference = create_engine(dataset, CountingOracle(fm1), config).preprocess()
+        assert engine.oracle.calls == reference.oracle.calls
+        entries = assert_engines_equivalent(engine, _ServedStably(reference), grid)
+        assert {entry.satisfactory for entry in entries} == {True, False}
+        if isinstance(config, ApproxConfig):
+            report = validate_index_on_dataset(engine.index, dataset, fm1)
+            with stable_orderings():
+                assert validate_index_on_dataset(reference.index, dataset, fm1) == report

@@ -105,6 +105,30 @@ class TestColumnsAndItems:
         assert sum(proportions.values()) == pytest.approx(1.0)
 
 
+class TestDuplicateScores:
+    @pytest.mark.parametrize(
+        "scores, expected",
+        [
+            ([[0.1, 0.2], [0.2, 0.1], [0.3, 0.3]], False),
+            ([[0.1, 0.2], [0.3, 0.3], [0.1, 0.2]], True),
+            ([[0.0, 0.5], [0.2, 0.5], [-0.0, 0.5]], True),
+            ([[0.4, 0.4]], False),
+            ([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], False),
+        ],
+        ids=["distinct", "repeated-row", "signed-zero", "one-item", "one-column-equal"],
+    )
+    def test_equal_score_vectors(self, scores, expected):
+        dataset = Dataset(scores=np.array(scores), scoring_attributes=["u", "v"])
+        assert dataset.has_duplicate_scores is expected
+
+    def test_projection_can_create_duplicates(self):
+        dataset = Dataset(
+            scores=np.array([[0.1, 0.5], [0.2, 0.5]]), scoring_attributes=["u", "v"]
+        )
+        assert not dataset.has_duplicate_scores
+        assert dataset.project(["v"]).has_duplicate_scores
+
+
 class TestProjectionAndSubsets:
     def test_project_selects_and_reorders(self):
         dataset = make_simple()
