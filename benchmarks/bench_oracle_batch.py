@@ -3,7 +3,7 @@
 After the geometry was vectorised, the remaining per-query hot loop in
 ``ApproxEngine.suggest_many`` was the oracle itself: line 1 of ``MDONLINE``
 (Algorithm 11) ran one full ``argsort`` plus one Python-level
-``is_satisfactory`` per query.  The batched-oracle protocol
+``is_satisfactory`` per query.  The batch route
 (``repro.fairness.batched``) answers the whole batch with one stacked
 matmul, one unstable argsort and a stable re-sort of only the tied rows
 (``order_many``), and one ``is_satisfactory_many``.  This

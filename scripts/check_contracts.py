@@ -7,10 +7,10 @@ over ``src/repro``; every finding fails the gate.
 The other two need the classes' real method resolution, so they are executed
 tests over the imported classes (``tests/test_contracts.py``): every
 registered engine accepts the ``QueryEngine`` seam, and every oracle that
-overrides ``is_satisfactory`` keeps a batched twin.  On top of that, when mypy
-is installed, the two fully annotated modules (``src/repro/exceptions.py`` and
-``src/repro/core/engine.py``) are checked with ``mypy --strict``; when mypy
-is absent the step is skipped cleanly.
+overrides ``is_satisfactory`` pairs it with a batch kernel of its own.  On
+top of that, when mypy is installed, the two fully annotated modules
+(``src/repro/exceptions.py`` and ``src/repro/core/engine.py``) are checked
+with ``mypy --strict``; when mypy is absent the step is skipped cleanly.
 
 Run it as a tier-2 check::
 

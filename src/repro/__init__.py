@@ -71,7 +71,6 @@ from repro.fairness import (
     PrefixProportionalOracle,
     ProportionalOracle,
     TopKGroupBoundOracle,
-    as_batched,
     as_incremental,
 )
 from repro.io import load_engine, save_engine
@@ -97,7 +96,6 @@ __all__ = [
     "MultiAttributeOracle",
     "PairwiseParityOracle",
     "PrefixProportionalOracle",
-    "as_batched",
     "as_incremental",
     "FairRankingDesigner",
     "DesignSession",

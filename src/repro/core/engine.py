@@ -19,7 +19,7 @@ one is behind a query.  This module gives every pipeline the same shape:
 ``suggest_many`` is the batch entry point for serving-shaped workloads: the
 2-D engine classifies a whole weight matrix with one ``searchsorted`` over the
 cached interval-start array, and the approximate engine answers the per-query
-oracle pre-check through the batched oracle protocol
+oracle pre-check as one oracle batch
 (:mod:`repro.fairness.batched`) and locates all unsatisfactory queries' cells
 in vectorised chunks.  Both return exactly what a Python loop over ``suggest``
 would — same objects, bit-identical numbers — so batching is a pure
@@ -841,17 +841,16 @@ class ApproxEngine(_EngineBase):
         """Batched ``MDONLINE``: batched oracle pre-check, chunked cell lookups.
 
         Line 1 of Algorithm 11 (is the query itself satisfactory?) goes to the
-        oracle as one batch: when the oracle supports the batched protocol
-        (:func:`repro.fairness.batched.as_batched`), the whole weight matrix
-        is ordered with one stacked matmul and one unstable argsort, with a
-        stable re-sort of only the rows that have tied scores
+        oracle as one batch
+        (:func:`repro.fairness.batched.evaluate_functions_many`): the whole
+        weight matrix is ordered with one stacked matmul and one unstable
+        argsort, with a stable re-sort of only the rows that have tied scores
         (:func:`repro.ranking.scoring.order_many`), and judged with one
         ``is_satisfactory_many`` — bit-identical verdicts to the per-query
-        calls ``md_online`` makes, which remain the fallback for black-box
-        oracles.  The index part — locating each remaining query's cell — is
-        done in vectorised chunks over the partition, with the
-        nearest-assigned fallback answered from the index's cached assigned
-        stack, and the query unit vectors come from one
+        calls ``md_online`` makes.  The index part — locating each remaining
+        query's cell — is done in vectorised chunks over the partition, with
+        the nearest-assigned fallback answered from the index's cached
+        assigned stack, and the query unit vectors come from one
         :func:`~repro.geometry.angles.to_weights_many`.  Results are
         bit-identical to looping :meth:`suggest`.
         """

@@ -74,9 +74,8 @@ def validate_index_on_dataset(
     This reproduces the §6.4 validation: order the full dataset by each
     function the sample-based preprocessing assigned to a cell, and count how
     many of those orderings the oracle accepts.  The orderings go to the
-    oracle as one batch when it supports the batched protocol
-    (:func:`repro.fairness.batched.as_batched`); black-box oracles are checked
-    function by function, bit-identically.
+    oracle as one batch (:func:`repro.fairness.batched.evaluate_functions_many`),
+    with the verdicts and call totals of a per-function loop.
     """
     assigned = [angles for angles in index.assigned_angles if angles is not None]
     rows = np.asarray(assigned, dtype=float).reshape(-1, index.partition.dimension)

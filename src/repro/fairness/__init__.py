@@ -1,11 +1,6 @@
 """Fairness layer: oracles (FM1, FM2, prefix, composites), graded measures, audits and baselines."""
 
-from repro.fairness.batched import (
-    BatchedOracle,
-    as_batched,
-    evaluate_functions_many,
-    evaluate_many,
-)
+from repro.fairness.batched import evaluate_functions_many, evaluate_many
 from repro.fairness.auditing import (
     RankingAudit,
     audit_function,
@@ -49,8 +44,6 @@ __all__ = [
     "as_incremental",
     "TopKGroupCounter",
     "PrefixGroupCounter",
-    "BatchedOracle",
-    "as_batched",
     "evaluate_many",
     "evaluate_functions_many",
     "PairwiseParityOracle",

@@ -75,11 +75,6 @@ class _NaryOracle(FairnessOracle):
     def incremental_capable(self) -> bool:
         return all(as_incremental(child) is not None for child in self.children)
 
-    # No batched_capable: unlike the incremental protocol (whose begin/apply_swap
-    # must reach every child), the batched protocol is stateless, so the
-    # composite can batch its capable children and loop the black-box ones —
-    # evaluate_many handles each child's fallback.
-
     def begin(self, ordering: np.ndarray, dataset: Dataset) -> None:
         for child in self.children:
             child.begin(ordering, dataset)
@@ -145,12 +140,7 @@ class NotOracle(FairnessOracle):
         return not self.child.is_satisfactory(ordering, dataset)
 
     def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
-        """Negated child verdict vector (≡ a loop of ``is_satisfactory``).
-
-        No ``batched_capable`` probe: ``evaluate_many`` falls back to a
-        per-row loop for a black-box child, so the wrapper stays usable as a
-        batched oracle either way.
-        """
+        """Negated child verdict vector (≡ a loop of ``is_satisfactory``)."""
         return ~evaluate_many(self.child, orderings, dataset)
 
     # incremental protocol: capable only when the child is.

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import OracleError
-from repro.fairness.batched import as_batched, evaluate_many, ordering_matrix
+from repro.fairness.batched import evaluate_many, ordering_matrix
 from repro.fairness.incremental import as_incremental
 from repro.ranking.scoring import LinearScoringFunction
 
@@ -33,13 +33,38 @@ class FairnessOracle(ABC):
     """Abstract base class of all fairness oracles.
 
     Subclasses implement :meth:`is_satisfactory` over an ordering (an array of
-    item indices, best first).  The convenience methods evaluate scoring
-    functions directly.
+    item indices, best first).  :meth:`is_satisfactory_many` judges a stack of
+    orderings; its default loops :meth:`is_satisfactory` row by row, and is
+    the specification a subclass's vectorised kernel must reproduce exactly.
+    The convenience methods evaluate scoring functions directly.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A class whose scalar verdict is defined below its batch kernel (it,
+        # or a mixin ahead of the kernel's class, redefines is_satisfactory
+        # only) would judge batches by another class's rule: it gets the loop
+        # over its own verdict instead.
+        names = {"is_satisfactory", "is_satisfactory_many"}
+        lowest = next(klass for klass in cls.__mro__ if names & vars(klass).keys())
+        if "is_satisfactory_many" not in vars(lowest):
+            cls.is_satisfactory_many = FairnessOracle.is_satisfactory_many
 
     @abstractmethod
     def is_satisfactory(self, ordering: np.ndarray, dataset: Dataset) -> bool:
         """Return True if the ordering meets the fairness criteria."""
+
+    def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
+        """Boolean verdict per row of a ``(q, n)`` ordering matrix (best first).
+
+        Asks :meth:`is_satisfactory` once per row, in row order.
+        """
+        orderings = ordering_matrix(orderings)
+        return np.fromiter(
+            (bool(self.is_satisfactory(row, dataset)) for row in orderings),
+            dtype=bool,
+            count=orderings.shape[0],
+        )
 
     def evaluate_function(self, function: LinearScoringFunction, dataset: Dataset) -> bool:
         """Order the dataset with ``function`` and evaluate the result."""
@@ -106,9 +131,10 @@ class CountingOracle(FairnessOracle):
     This is the one counting rule of the library: +1 per ``is_satisfactory``
     or ``verdict``, +q per ``is_satisfactory_many`` batch of q, +1 per sector
     of a ``sweep_verdicts`` call, so a workload reports the same number
-    whether it runs per query, batched, per swap or as one whole sweep.  The
-    batched and incremental protocols are forwarded to the wrapped oracle and
-    capable exactly when it is.  Every call passes through two hooks,
+    whether it runs per query, batched, per swap or as one whole sweep.  A
+    batch is forwarded to the wrapped oracle's ``is_satisfactory_many``, and
+    the incremental protocol to the wrapped oracle, capable exactly when it
+    is.  Every call passes through two hooks,
     :meth:`_count` and :meth:`_span`; a subclass that observes the calls
     (:class:`~repro.obs.instrument.InstrumentedOracle`) extends those and
     redefines no protocol method, so :func:`~repro.fairness.incremental.as_bulk_sweep`
@@ -147,9 +173,6 @@ class CountingOracle(FairnessOracle):
         self._count("is_satisfactory", 1)
         with self._span("oracle.is_satisfactory"):
             return self.inner.is_satisfactory(ordering, dataset)
-
-    def batched_capable(self) -> bool:
-        return as_batched(self.inner) is not None
 
     def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
         orderings = ordering_matrix(orderings)

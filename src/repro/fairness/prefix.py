@@ -154,7 +154,7 @@ class PrefixProportionalOracle(FairnessOracle):
         return not np.any(self._violated(np.asarray(ordering, dtype=int), dataset, k))
 
     # ------------------------------------------------------------------ #
-    # batched protocol (query-batch hot path)
+    # batch kernel (query-batch hot path)
     # ------------------------------------------------------------------ #
     def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
         """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``)."""

@@ -67,7 +67,7 @@ class _TopKCountOracle(FairnessOracle):
         return _holds(counts.get(self.group, 0), *self._count_bounds(k))
 
     # ------------------------------------------------------------------ #
-    # batched protocol (query-batch hot path)
+    # batch kernel (query-batch hot path)
     # ------------------------------------------------------------------ #
     def is_satisfactory_many(self, orderings: np.ndarray, dataset: Dataset) -> np.ndarray:
         """Verdict per row of a ``(q, n)`` ordering stack (≡ a loop of ``is_satisfactory``).

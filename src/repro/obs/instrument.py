@@ -97,8 +97,9 @@ class InstrumentedOracle(CountingOracle):
     ``oracle.batches``, and ``_span`` opens a span per scalar call, batch,
     ``begin`` and whole sweep when a ``recorder`` is given.  Counting and
     forwarding stay the parent's, so the call totals are the parent's by
-    construction, and batched, incremental and whole-sweep capability mirror
-    the inner oracle.
+    construction, a batch is one ``is_satisfactory_many`` call and span
+    whatever the inner oracle, and incremental and whole-sweep capability
+    mirror the inner oracle.
     """
 
     def __init__(

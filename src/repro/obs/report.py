@@ -8,7 +8,7 @@
   export (format ``repro.obs.trace/v1``), aggregated per span name,
 - ``--workload workload.jsonl`` — a
   :class:`~repro.obs.workload.WorkloadRecorder` log (format
-  ``repro.obs.workload/v1``), summarized per engine/tier/latency bucket.
+  ``repro.obs.workload/v1``), summarized per engine and latency bucket.
 
 Exit codes: 0 on success, 2 on bad arguments or an unreadable/mis-formatted
 file (one actionable line on stderr, matching the main ``repro.cli``
@@ -83,17 +83,14 @@ def format_trace(text: str) -> str:
 
 
 def format_workload(recorder: WorkloadRecorder) -> str:
-    """Summarize a workload log per engine, tier and latency bucket."""
+    """Summarize a workload log per engine and latency bucket."""
     records = recorder.records()
     by_engine: dict[str, int] = {}
-    by_tier: dict[str, int] = {}
     by_bucket: dict[str, int] = {}
     n_satisfactory = 0
     n_failed = 0
     for record in records:
         by_engine[record["engine"]] = by_engine.get(record["engine"], 0) + 1
-        tier = str(record.get("tier"))
-        by_tier[tier] = by_tier.get(tier, 0) + 1
         bucket = record["latency_bucket"]
         by_bucket[bucket] = by_bucket.get(bucket, 0) + 1
         if record.get("failed"):
@@ -104,7 +101,7 @@ def format_workload(recorder: WorkloadRecorder) -> str:
         f"workload: {len(records)} queries "
         f"({n_satisfactory} already satisfactory, {n_failed} failed)"
     ]
-    for label, counts in (("engine", by_engine), ("tier", by_tier), ("latency", by_bucket)):
+    for label, counts in (("engine", by_engine), ("latency", by_bucket)):
         for key in sorted(counts):
             lines.append(f"  {label:8s} {key:40s} n={counts[key]}")
     if not records:

@@ -1,12 +1,11 @@
 """Replayable workload recording: capture the live query stream, play it back.
 
 :class:`WorkloadRecorder` captures every served query — weights (and the
-angles of every answered one), the answering engine (under the format's
-``engine`` and ``tier`` keys alike), a latency bucket, and the oracle-call
-cost — into a JSONL log (format ``repro.obs.workload/v1``: one header line, one
-record per line, keys sorted).  This is the substrate the ROADMAP's
-workload-aware autotuning item needs: record suggested-weight traffic, then
-:meth:`replay` it through alternative engine configurations.
+angles of every answered one), the answering engine, a latency bucket, and
+the oracle-call cost — into a JSONL log (format ``repro.obs.workload/v1``:
+one header line, one record per line, keys sorted).  This is the substrate
+the ROADMAP's workload-aware autotuning item needs: record suggested-weight
+traffic, then :meth:`replay` it through alternative engine configurations.
 
 Recording is O(1) per batch on the serving path: ``record_batch`` stores one
 ``(weights matrix copy, results, metadata)`` tuple and per-query records are
@@ -148,7 +147,6 @@ class WorkloadRecorder:
                     "index": len(records),
                     "weights": weights,
                     "engine": batch.engine,
-                    "tier": batch.engine,
                     "latency_bucket": bucket,
                     "batch_size": size,
                     "batch_elapsed": batch.elapsed,

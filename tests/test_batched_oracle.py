@@ -1,12 +1,14 @@
-"""Equivalence tests for the batched-oracle protocol and the paths it feeds.
+"""Equivalence tests for the oracles' batch kernels and the paths they feed.
 
 The anchor is the black-box reference: for every oracle type,
 ``is_satisfactory_many`` over a ``(q, n)`` ordering stack must equal a Python
-loop of ``is_satisfactory`` — exactly, row for row — and the batched serving
-paths (``ApproxEngine.suggest_many``, the §5.4 sample validation,
-``MDBASELINE``'s candidate re-validation) must return bit-identical answers
-and unchanged oracle-call counts whether the oracle is batched or a black
-box.
+loop of ``is_satisfactory`` — exactly, row for row, with the same counted
+calls.  That loop is ``FairnessOracle.is_satisfactory_many`` itself, the
+batch route of every black box and of every subclass that redefines
+``is_satisfactory`` without a kernel of its own.  The batched serving paths
+(``ApproxEngine.suggest_many``, the §5.4 sample validation, ``MDBASELINE``'s
+candidate re-validation) must return bit-identical answers and unchanged
+oracle-call counts whether the oracle has a kernel or is a black box.
 
 The ordering kernel feeding the batched route, ``order_many``, sorts unstably
 and re-sorts only tied rows; it is checked against its stable reference
@@ -37,19 +39,17 @@ from repro.core.sampling import validate_index_on_dataset
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_compas_like
 from repro.exceptions import OracleError
-from repro.fairness.batched import (
-    as_batched,
-    evaluate_functions_many,
-    evaluate_many,
-)
+from repro.fairness.batched import evaluate_functions_many, evaluate_many
 from repro.fairness.composite import AndOracle, NotOracle, OrOracle
 from repro.fairness.multi_attribute import MultiAttributeOracle
-from repro.fairness.oracle import CallableOracle, CountingOracle
+from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
 from repro.fairness.pairwise import PairwiseParityOracle
 from repro.fairness.prefix import MinimumAtEveryPrefixOracle, PrefixProportionalOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.angles import HALF_PI, angular_distance_angles, to_weights_many
 from repro.geometry.dual import hyperplanes_for_dataset
+from repro.obs.instrument import InstrumentedOracle
+from repro.obs.trace import TraceRecorder
 from repro.ranking import scoring
 from repro.ranking.scoring import LinearScoringFunction, order_many
 
@@ -145,7 +145,7 @@ WEIGHT_LAYOUTS = {
 
 
 def _oracle_zoo(dataset: Dataset) -> list:
-    """One oracle of every batched-capable flavour, on the given dataset."""
+    """One oracle of every flavour with a batch kernel, on the given dataset."""
     fm1 = ProportionalOracle.at_most_share_plus_slack(
         dataset, "race", "African-American", k=0.3, slack=0.10
     )
@@ -177,18 +177,32 @@ def _oracle_zoo(dataset: Dataset) -> list:
     ]
 
 
+def _random_orderings(dataset: Dataset, q: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.permutation(dataset.n_items) for _ in range(q)])
+
+
+def _assert_batch_is_the_loop(oracle, counter: CountingOracle, orderings, dataset):
+    """``is_satisfactory_many`` gives the ``is_satisfactory`` loop's verdicts,
+    and ``counter``, a ``CountingOracle`` inside ``oracle``, the loop's total."""
+    counter.reset()
+    verdicts = oracle.is_satisfactory_many(orderings, dataset).tolist()
+    batched_calls = counter.calls
+    counter.reset()
+    assert verdicts == [oracle.is_satisfactory(row, dataset) for row in orderings]
+    assert batched_calls == counter.calls > 0
+
+
 class TestBatchedProtocolEquivalence:
     @pytest.mark.perf_smoke
     @pytest.mark.parametrize("oracle_index", range(12))
     def test_is_satisfactory_many_matches_scalar_loop(self, oracle_index):
         dataset = _compas(50, seed=11)
         oracle = _oracle_zoo(dataset)[oracle_index]
-        batched = as_batched(oracle)
-        assert batched is not None
+        assert type(oracle).is_satisfactory_many is not FairnessOracle.is_satisfactory_many
 
-        rng = np.random.default_rng(oracle_index)
-        orderings = np.stack([rng.permutation(dataset.n_items) for _ in range(60)])
-        verdicts = batched.is_satisfactory_many(orderings, dataset)
+        orderings = _random_orderings(dataset, 60, seed=oracle_index)
+        verdicts = oracle.is_satisfactory_many(orderings, dataset)
         expected = [oracle.is_satisfactory(row, dataset) for row in orderings]
         assert np.asarray(verdicts).tolist() == expected
 
@@ -209,28 +223,26 @@ class TestBatchedProtocolEquivalence:
         fm1 = ProportionalOracle.at_most_share_plus_slack(
             dataset, "race", "African-American", k=0.3, slack=0.10
         )
-        black_box = CallableOracle(fm1.is_satisfactory, "wrapped fm1")
-        assert as_batched(black_box) is None
-        rng = np.random.default_rng(5)
-        orderings = np.stack([rng.permutation(dataset.n_items) for _ in range(20)])
-        # evaluate_many falls back to the loop and still answers correctly.
+        leaf = CountingOracle(fm1)
+        black_box = CallableOracle(leaf.is_satisfactory, "wrapped fm1")
+        orderings = _random_orderings(dataset, 20, seed=5)
+        # The black box batches with the base loop, one leaf call per row.
+        _assert_batch_is_the_loop(black_box, leaf, orderings, dataset)
+        assert leaf.calls == len(orderings)
         assert evaluate_many(black_box, orderings, dataset).tolist() == [
             fm1.is_satisfactory(row, dataset) for row in orderings
         ]
-        # A composite with one black-box leaf stays batched-capable (the
-        # protocol is stateless): the capable child batches, the black-box
-        # leaf is looped per row, and verdicts match the scalar loop.
+        # A composite with one black-box leaf batches its kernel child and
+        # loops the black box only over the rows the kernel left open.
         mixed = AndOracle([fm1, black_box])
-        assert as_batched(mixed) is not None
-        assert mixed.is_satisfactory_many(orderings, dataset).tolist() == [
-            mixed.is_satisfactory(row, dataset) for row in orderings
-        ]
+        _assert_batch_is_the_loop(mixed, leaf, orderings, dataset)
 
     def test_ordering_matrix_shape_validated(self):
         dataset = _compas(20, seed=1)
-        oracle = _oracle_zoo(dataset)[0]
-        with pytest.raises(OracleError):
-            as_batched(oracle).is_satisfactory_many(np.arange(dataset.n_items), dataset)
+        black_box = CallableOracle(lambda ordering, data: True, "always")
+        for oracle in (_oracle_zoo(dataset)[0], black_box):
+            with pytest.raises(OracleError):
+                oracle.is_satisfactory_many(np.arange(dataset.n_items), dataset)
 
     def test_evaluate_functions_many_matches_evaluate_function(self):
         dataset = _compas(40, seed=9)
@@ -239,50 +251,109 @@ class TestBatchedProtocolEquivalence:
             LinearScoringFunction(tuple(np.abs(rng.normal(size=2)) + 1e-9))
             for _ in range(25)
         ]
-        for oracle in _oracle_zoo(dataset):
-            verdicts = evaluate_functions_many(oracle, dataset, functions)
-            assert verdicts.tolist() == [
-                oracle.evaluate_function(function, dataset) for function in functions
-            ]
+        leaf = CountingOracle(_oracle_zoo(dataset)[0])
+        black_box = CallableOracle(leaf.is_satisfactory, "wrapped fm1")
+        for oracle in [*_oracle_zoo(dataset), black_box, CountingOracle(black_box)]:
+            counters = [leaf, oracle] if isinstance(oracle, CountingOracle) else [leaf]
+            totals = []
+            for route in (
+                lambda: evaluate_functions_many(oracle, dataset, functions).tolist(),
+                lambda: [oracle.evaluate_function(function, dataset) for function in functions],
+            ):
+                for counter in counters:
+                    counter.reset()
+                totals.append((route(), [counter.calls for counter in counters]))
+            assert totals[0] == totals[1]
+        assert leaf.calls == len(functions)
         assert evaluate_functions_many(_oracle_zoo(dataset)[0], dataset, []).shape == (0,)
 
 
-class TestAsBatchedGuards:
-    def test_black_box_oracles_are_not_batched(self):
-        callable_oracle = CallableOracle(lambda ordering, dataset: True, "always")
-        assert as_batched(callable_oracle) is None
-        # A counting wrapper is only as capable as what it wraps.
-        assert as_batched(CountingOracle(callable_oracle)) is None
+class StricterOracle(ProportionalOracle):
+    """FM1, and the top item's index must be even."""
+
+    def is_satisfactory(self, ordering, dataset) -> bool:
+        return super().is_satisfactory(ordering, dataset) and int(ordering[0]) % 2 == 0
+
+
+class _EvenTopItem:
+    """The same extra rule in a plain mixin."""
+
+    def is_satisfactory(self, ordering, dataset) -> bool:
+        return super().is_satisfactory(ordering, dataset) and int(ordering[0]) % 2 == 0
+
+
+class MixinStricterOracle(_EvenTopItem, ProportionalOracle):
+    """``StricterOracle`` with its rule from a mixin ahead of the kernel's class."""
+
+
+class TestBaseBatchLoop:
+    """Oracles without a kernel of their own batch with ``FairnessOracle``'s loop."""
+
+    def test_black_box_oracles_batch_with_the_loop(self):
         dataset = _compas(20, seed=0)
         fm1 = ProportionalOracle.at_most_share_plus_slack(
             dataset, "race", "African-American", k=0.3, slack=0.10
         )
-        assert as_batched(CountingOracle(fm1)) is not None
-        # Composites with a black-box leaf remain capable (unlike the
-        # incremental protocol): the leaf is looped per row inside the batch.
-        assert as_batched(AndOracle([fm1, callable_oracle])) is not None
+        leaf = CountingOracle(fm1)
+        callable_oracle = CallableOracle(leaf.is_satisfactory, "wrapped fm1")
+        assert CallableOracle.is_satisfactory_many is FairnessOracle.is_satisfactory_many
+        orderings = _random_orderings(dataset, 15, seed=0)
+        # A counting wrapper forwards a batch to what it wraps: the base loop
+        # of a black box, or a kernel.
+        _assert_batch_is_the_loop(CountingOracle(callable_oracle), leaf, orderings, dataset)
+        _assert_batch_is_the_loop(CountingOracle(leaf), leaf, orderings, dataset)
+        # Instrumented, a black box's batch is one labelled call and one span.
+        recorder = TraceRecorder()
+        observed = InstrumentedOracle(callable_oracle, recorder=recorder)
+        evaluate_many(observed, orderings, dataset)
+        calls = {
+            method: observed.metrics.counter("oracle.calls", method=method).value
+            for method in ("is_satisfactory", "is_satisfactory_many")
+        }
+        assert calls == {"is_satisfactory": 0, "is_satisfactory_many": len(orderings)}
+        assert recorder.span_names() == ("oracle.is_satisfactory_many",)
 
-    def test_shared_oracle_instance_in_composite_falls_back(self):
+    def test_shared_oracle_instance_in_composite_batches_like_the_loop(self):
+        """A composite that reaches one instance twice batches through its own
+        per-row short-circuit: the batch route is stateless."""
         dataset = _compas(20, seed=4)
-        leaf = ProportionalOracle.at_most_share_plus_slack(
-            dataset, "race", "African-American", k=0.3, slack=0.10
+        leaf = InstrumentedOracle(
+            ProportionalOracle.at_most_share_plus_slack(
+                dataset, "race", "African-American", k=0.3, slack=0.10
+            )
         )
-        assert as_batched(AndOracle([leaf, leaf])) is None
-        assert as_batched(OrOracle([leaf, AndOracle([leaf])])) is None
+        orderings = _random_orderings(dataset, 25, seed=4)
+        for shared in (AndOracle([leaf, leaf]), OrOracle([leaf, AndOracle([leaf])])):
+            _assert_batch_is_the_loop(shared, leaf, orderings, dataset)
+        # The batch entry point asks the shared leaf in batches, never row by row.
+        scalar_calls = leaf.metrics.counter("oracle.calls", method="is_satisfactory")
+        asked = scalar_calls.value
+        evaluate_many(AndOracle([leaf, leaf]), orderings, dataset)
+        assert scalar_calls.value == asked
 
-    def test_subclass_overriding_is_satisfactory_falls_back(self):
-        class StricterOracle(ProportionalOracle):
-            def is_satisfactory(self, ordering, dataset) -> bool:
-                return super().is_satisfactory(ordering, dataset) and int(ordering[0]) % 2 == 0
-
-        stricter = StricterOracle("race", "African-American", k=10, max_fraction=0.7)
-        assert as_batched(stricter) is None
-        # evaluate_many then routes through the override, not the parent kernel.
+    @pytest.mark.parametrize(
+        "stricter_class", [StricterOracle, MixinStricterOracle], ids=["subclass", "mixin"]
+    )
+    def test_subclass_overriding_is_satisfactory_gets_the_loop(self, stricter_class):
+        """A scalar-only override, in the class or in a plain mixin ahead of the
+        kernel's class, is judged by its own verdict on every batch route,
+        never by the parent's kernel."""
+        stricter = stricter_class("race", "African-American", k=10, max_fraction=0.7)
+        assert stricter_class.is_satisfactory_many is FairnessOracle.is_satisfactory_many
         dataset = _compas(20, seed=6)
-        rng = np.random.default_rng(0)
-        orderings = np.stack([rng.permutation(dataset.n_items) for _ in range(10)])
-        assert evaluate_many(stricter, orderings, dataset).tolist() == [
-            stricter.is_satisfactory(row, dataset) for row in orderings
+        orderings = _random_orderings(dataset, 10, seed=0)
+        expected = [stricter.is_satisfactory(row, dataset) for row in orderings]
+        # The parent's kernel would judge these rows differently.
+        parent_kernel = ProportionalOracle.is_satisfactory_many
+        assert parent_kernel(stricter, orderings, dataset).tolist() != expected
+        assert stricter.is_satisfactory_many(orderings, dataset).tolist() == expected
+        assert evaluate_many(stricter, orderings, dataset).tolist() == expected
+        functions = [
+            LinearScoringFunction((np.cos(angle), np.sin(angle)))
+            for angle in np.linspace(0.0, np.pi / 2.0, 12)
+        ]
+        assert evaluate_functions_many(stricter, dataset, functions).tolist() == [
+            stricter.evaluate_function(function, dataset) for function in functions
         ]
 
 

@@ -37,7 +37,7 @@ from repro.data.dominance import (
 )
 from repro.data.synthetic import make_compas_like
 from repro.fairness.composite import AndOracle, NotOracle, OrOracle
-from repro.fairness.batched import as_batched, evaluate_many
+from repro.fairness.batched import evaluate_many
 from repro.fairness.incremental import as_bulk_sweep, as_incremental
 from repro.fairness.multi_attribute import MultiAttributeOracle
 from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
@@ -653,7 +653,7 @@ class TestSharedBodies:
                 name: route(oracle, dataset, inputs) for name, route in ROUTES.items()
             }
             record["probes"] = tuple(
-                probe(oracle) is not None for probe in (as_batched, as_incremental, as_bulk_sweep)
+                probe(oracle) is not None for probe in (as_incremental, as_bulk_sweep)
             )
             record["sweep"] = _traced_sweep(dataset, make(dataset))
             record["sweep_routes"] = _assert_routes_agree(dataset, lambda: make(dataset))

@@ -17,6 +17,7 @@ from repro.core.approx import ApproximatePreprocessor, md_online
 from repro.core.multi_dim import SatRegions, md_baseline
 from repro.core.two_dim import TwoDRaySweep
 from repro.data.synthetic import make_admissions_like, make_compas_like
+from repro.exceptions import NoSatisfactoryFunctionError
 from repro.fairness.measures import group_share_at_k, selection_rate_ratio
 from repro.fairness.multi_attribute import MultiAttributeOracle
 from repro.fairness.baselines import greedy_fair_rerank
@@ -122,8 +123,11 @@ class TestTwoDConsistencyWithMeasures:
             assert after <= before + 1e-9
         assert repaired >= 1
 
-    def test_selection_rate_ratio_moves_toward_parity(self):
-        dataset = make_compas_like(n=150, seed=45).project(
+    @pytest.mark.parametrize(
+        "seed, satisfiable", [(45, False), (43, True)], ids=["unsatisfiable", "satisfiable"]
+    )
+    def test_selection_rate_ratio_moves_toward_parity(self, seed, satisfiable):
+        dataset = make_compas_like(n=150, seed=seed).project(
             ["c_days_from_compas", "priors_count"]
         )
         k = 45
@@ -131,21 +135,22 @@ class TestTwoDConsistencyWithMeasures:
             dataset, "race", "African-American", k=k, slack=0.05
         )
         index = TwoDRaySweep(dataset, oracle).run()
-        if not index.has_satisfactory_region:
-            pytest.skip("constraint unsatisfiable for this draw")
-        for query in random_queries(2, 10, seed=46):
-            result = index.query(query)
-            if result.satisfactory:
-                continue
-            before = selection_rate_ratio(
-                dataset, query.order(dataset), "race", "African-American", k
-            )
-            after = selection_rate_ratio(
-                dataset, result.function.order(dataset), "race", "African-American", k
-            )
-            # The protected group was over-selected before; the repair reduces the ratio.
-            assert after <= before + 1e-9
-            break
+        assert index.has_satisfactory_region == satisfiable
+        queries = random_queries(2, 10, seed=46)
+        if not satisfiable:
+            with pytest.raises(NoSatisfactoryFunctionError):
+                index.query(queries[0])
+            return
+        answered = [(query, index.query(query)) for query in queries]
+        query, result = next(pair for pair in answered if not pair[1].satisfactory)
+        before = selection_rate_ratio(
+            dataset, query.order(dataset), "race", "African-American", k
+        )
+        after = selection_rate_ratio(
+            dataset, result.function.order(dataset), "race", "African-American", k
+        )
+        # The protected group was over-selected before; the repair reduces the ratio.
+        assert after <= before + 1e-9
 
 
 class TestFM2EndToEnd:

@@ -505,9 +505,21 @@ def test_instrumented_engine_is_not_persistable(small_compas_2d, race_oracle_2d)
 # --------------------------------------------------------------------- #
 # workload recording and replay
 # --------------------------------------------------------------------- #
+def _with_tier_keys(path: Path) -> Path:
+    """The log as older versions wrote it: every record repeats its ``engine`` as ``tier``."""
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in body]
+    lines = [json.dumps({**record, "tier": record["engine"]}, sort_keys=True) for record in records]
+    older = path.with_name(f"older-{path.name}")
+    older.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return older
+
+
+@pytest.mark.parametrize("written_by", ["current", "older"])
 def test_workload_save_load_replay_is_bit_identical(
-    tmp_path, small_compas_2d, race_oracle_2d
+    tmp_path, capsys, small_compas_2d, race_oracle_2d, written_by
 ):
+    """A log loads, replays and reports, also as older versions wrote it (with ``tier``)."""
     recording = create_engine(
         small_compas_2d,
         race_oracle_2d,
@@ -515,9 +527,12 @@ def test_workload_save_load_replay_is_bit_identical(
     ).preprocess()
     recording.suggest_many(_queries(12, 2))
     path = recording.workload.save(tmp_path / "workload.jsonl")
+    if written_by == "older":
+        path = _with_tier_keys(path)
 
     loaded = WorkloadRecorder.load(path)
     assert loaded.n_queries == 12
+    assert {"tier" in record for record in loaded.records()} == {written_by == "older"}
     fresh = create_engine(
         small_compas_2d, race_oracle_2d, InstrumentedConfig(inner=TwoDConfig())
     ).preprocess()
@@ -526,6 +541,11 @@ def test_workload_save_load_replay_is_bit_identical(
     assert report.n_queries == 12
     assert report.n_skipped == 0
     assert report.n_mismatched == 0
+    assert report_main(["report", "--workload", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("workload: 12 queries")
+    assert out.splitlines()[1].split() == ["engine", "2d", "n=12"]
+    assert "tier" not in out
 
 
 def test_workload_records_carry_context_and_buckets(small_compas_2d, race_oracle_2d):
@@ -539,7 +559,8 @@ def test_workload_records_carry_context_and_buckets(small_compas_2d, race_oracle
     records = recording.workload.records()
     assert len(records) == 3
     for record in records:
-        assert record["engine"] == record["tier"] == "2d"
+        assert record["engine"] == "2d"
+        assert "tier" not in record
         assert record["context"] == {"session": "unit-test"}
         assert record["batch_size"] == 3
         assert record["latency_bucket"].startswith("le=")
@@ -563,7 +584,7 @@ def test_workload_logs_pool_failures_and_replay_skips_them(
         observed.suggest_many(matrix)
     loaded = WorkloadRecorder.load(observed.workload.save(tmp_path / "workload.jsonl"))
     records = loaded.records()
-    assert [record["tier"] for record in records] == ["pool"] * len(matrix)
+    assert [record["engine"] for record in records] == ["pool"] * len(matrix)
     assert [bool(record.get("failed")) for record in records] == failed
     assert ["angles" in record for record in records] == [not flag for flag in failed]
     report = loaded.replay(inner)

@@ -9,7 +9,11 @@ from repro.core.engine import ApproxConfig, ExactConfig, TwoDConfig, create_engi
 from repro.core.sampling import validate_index_on_dataset
 from repro.core.system import FairRankingDesigner
 from repro.data.synthetic import make_compas_like, make_dot_like
-from repro.exceptions import ConfigurationError, NotPreprocessedError
+from repro.exceptions import (
+    ConfigurationError,
+    NoSatisfactoryFunctionError,
+    NotPreprocessedError,
+)
 from repro.fairness.oracle import CallableOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.ranking.queries import random_queries
@@ -114,17 +118,24 @@ class TestFairRankingDesignerModes:
         with pytest.raises(NotPreprocessedError):
             designer.suggest([0.5, 0.5])
 
-    def test_2d_end_to_end(self):
-        dataset = make_compas_like(n=60, seed=24).project(
+    @pytest.mark.parametrize(
+        "seed, satisfiable", [(24, False), (23, True)], ids=["unsatisfiable", "satisfiable"]
+    )
+    def test_2d_end_to_end(self, seed, satisfiable):
+        dataset = make_compas_like(n=60, seed=seed).project(
             ["c_days_from_compas", "juv_other_count"]
         )
         oracle = ProportionalOracle.at_most_share_plus_slack(
             dataset, "race", "African-American", k=0.3, slack=0.15
         )
         designer = FairRankingDesigner(dataset, oracle).preprocess()
-        if not designer.index.has_satisfactory_region:
-            pytest.skip("constraint unsatisfiable for this draw")
+        assert designer.index.has_satisfactory_region == satisfiable
+        if not satisfiable:
+            with pytest.raises(NoSatisfactoryFunctionError):
+                designer.suggest([0.5, 0.5])
+            return
         result = designer.suggest([0.5, 0.5])
+        assert not result.satisfactory
         assert oracle.evaluate_function(result.function, dataset)
         assert designer.check(result.function)
 
@@ -152,8 +163,11 @@ class TestFairRankingDesignerModes:
             result = designer.suggest(query)
             assert oracle.evaluate_function(result.function, dataset)
 
-    def test_sample_size_option(self):
-        dataset = make_compas_like(n=200, seed=27).project(
+    @pytest.mark.parametrize(
+        "seed, satisfiable", [(27, False), (26, True)], ids=["unsatisfiable", "satisfiable"]
+    )
+    def test_sample_size_option(self, seed, satisfiable):
+        dataset = make_compas_like(n=200, seed=seed).project(
             ["c_days_from_compas", "juv_other_count"]
         )
         oracle = ProportionalOracle.at_most_share_plus_slack(
@@ -161,8 +175,11 @@ class TestFairRankingDesignerModes:
         )
         designer = FairRankingDesigner(dataset, oracle, TwoDConfig(sample_size=50)).preprocess()
         assert designer.is_preprocessed
-        if not designer.index.has_satisfactory_region:
-            pytest.skip("constraint unsatisfiable for this sample")
+        assert designer.index.has_satisfactory_region == satisfiable
+        if not satisfiable:
+            with pytest.raises(NoSatisfactoryFunctionError):
+                designer.suggest([0.5, 0.5])
+            return
         result = designer.suggest([0.5, 0.5])
         assert result.function.dimension == 2
 
