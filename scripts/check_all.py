@@ -54,6 +54,10 @@ Usage::
 layer: it runs only the differential smoke, which forks real worker
 processes even on a single-CPU machine.
 
+Gates 4 to 10 run in one pytest session, started in this process, so the
+script pays pytest's start-up and the library's imports once; each of them
+still passes only when its own tests ran and none of them failed.
+
 Prints one PASS/FAIL line per gate and exits 0 only when every gate passed.
 This is the command to run before opening a PR; the full test suite
 (``PYTHONPATH=src python -m pytest -q``) re-enforces all of them in tier-1.
@@ -62,10 +66,14 @@ This is the command to run before opening a PR; the full test suite
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
-import subprocess
+import io
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,71 +133,121 @@ def run_check_obs() -> int:
     return _load_script("check_obs").main()
 
 
-def _run_pytest(args: tuple[str, ...], ok_message: str) -> int:
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    if result.returncode != 0:
-        print(result.stdout.strip())
-        if result.stderr.strip():
-            print(result.stderr.strip())
-    else:
-        print(ok_message)
-    return result.returncode
-
-
-def run_doctests() -> int:
-    return _run_pytest(
-        ("--doctest-modules", *DOCTEST_MODULES),
-        f"doctests: OK ({', '.join(DOCTEST_MODULES)})",
-    )
-
-
-def run_differential_smoke() -> int:
-    return _run_pytest(
+#: The gates that share one pytest session: name, the node ids (module paths
+#: for the doctest gate) it must run, and the line it prints when they pass.
+PYTEST_GATES = {
+    "doctests": (DOCTEST_MODULES, f"doctests: OK ({', '.join(DOCTEST_MODULES)})"),
+    "differential_smoke": (
         (DIFFERENTIAL_SMOKE,),
         "differential smoke: OK (serial == pooled at workers 1 and 2)",
-    )
-
-
-def run_delta_smoke() -> int:
-    return _run_pytest(
+    ),
+    "delta_smoke": (
         (DELTA_SMOKE,),
         "delta smoke: OK (apply_delta == rebuild on the mutated dataset)",
-    )
-
-
-def run_sweep_smoke() -> int:
-    return _run_pytest(
+    ),
+    "sweep_smoke": (
         (SWEEP_SMOKE,),
-        "sweep smoke: OK (array kernel == per-swap loop == black box == brute force on tied data)",
-    )
-
-
-def run_region_smoke() -> int:
-    return _run_pytest(
+        "sweep smoke: OK (array kernel == per-swap loop == black box == brute force on "
+        "tied data)",
+    ),
+    "region_smoke": (
         (REGION_SMOKE,),
         "region smoke: OK (polygon route == all-LP route, and polygon centres keep the "
         "LP centres' regions and oracle calls, on one exact build)",
-    )
-
-
-def run_cellplane_smoke() -> int:
-    return _run_pytest(
+    ),
+    "cellplane_smoke": (
         (CELLPLANE_SMOKE,),
         "cellplane smoke: OK (array kernel == scalar corner test, both partitions)",
-    )
-
-
-def run_ordering_smoke() -> int:
-    return _run_pytest(
+    ),
+    "ordering_smoke": (
         (ORDERING_SMOKE,),
         "ordering smoke: OK (order_many == stable reference == per-function order on an "
         "untied, a tied and an every-row-tied batch, to_weights_many == scalar loop)",
-    )
+    ),
+}
+
+
+def _covers(target: str, node_id: str) -> bool:
+    """Whether ``node_id`` is ``target`` or one of the items under it."""
+    return node_id == target or node_id.startswith((f"{target}::", f"{target}["))
+
+
+class _GateSession:
+    """Pytest plugin: keep only the gates' tests, and record which ran and failed.
+
+    The session collects whole files and keeps the items under the gates'
+    node ids, so a node id that names no test leaves only its own gate
+    empty instead of stopping the session.
+    """
+
+    def __init__(self, targets: list[str]) -> None:
+        self.targets = targets
+        self.collected: list[str] = []
+        self.failed: list[str] = []
+
+    def pytest_collection_modifyitems(self, config, items) -> None:
+        kept = [
+            item
+            for item in items
+            if any(_covers(target, item.nodeid) for target in self.targets)
+        ]
+        config.hook.pytest_deselected(items=[item for item in items if item not in kept])
+        items[:] = kept
+        self.collected = [item.nodeid for item in kept]
+
+    def pytest_collectreport(self, report) -> None:
+        if report.failed:
+            self.failed.append(report.nodeid)
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed:
+            self.failed.append(report.nodeid)
+
+
+def run_pytest_gates(names: list[str]) -> dict[str, int]:
+    """Run the named :data:`PYTEST_GATES` in one pytest session; status per gate.
+
+    A gate passes only when the session ran at least one of its tests and
+    none of them, nor the collection of its files, failed.  pytest's report
+    is printed only when a gate fails.
+    """
+    targets = [target for name in names for target in PYTEST_GATES[name][0]]
+    files = [
+        path
+        for path in dict.fromkeys(target.split("::")[0] for target in targets)
+        if (REPO_ROOT / path).is_file()
+    ]
+    doctests = ["--doctest-modules"] if "doctests" in names else []
+    session = _GateSession(targets)
+    report = io.StringIO()
+    previous = os.getcwd()
+    os.chdir(REPO_ROOT)
+    try:
+        with contextlib.redirect_stdout(report):
+            pytest.main(
+                ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                 *doctests, *files],
+                plugins=[session],
+            )
+    finally:
+        os.chdir(previous)
+    statuses = {}
+    for name in names:
+        gate_targets = PYTEST_GATES[name][0]
+        ran = any(
+            _covers(target, node_id)
+            for target in gate_targets
+            for node_id in session.collected
+        )
+        broken = any(
+            _covers(target, node_id) or _covers(node_id, target)
+            for target in gate_targets
+            for node_id in session.failed
+        )
+        statuses[name] = 0 if ran and not broken else 1
+    if any(statuses.values()):
+        print(report.getvalue().strip())
+    return statuses
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -200,26 +258,22 @@ def main(argv: list[str] | None = None) -> int:
         help="run only the serial-vs-pooled differential smoke gate",
     )
     args = parser.parse_args(argv)
-    gates = (
+    scripts = () if args.quick else (
         ("check_docs", run_check_docs),
         ("check_contracts", run_check_contracts),
         ("check_obs", run_check_obs),
-        ("doctests", run_doctests),
-        ("differential_smoke", run_differential_smoke),
-        ("delta_smoke", run_delta_smoke),
-        ("sweep_smoke", run_sweep_smoke),
-        ("region_smoke", run_region_smoke),
-        ("cellplane_smoke", run_cellplane_smoke),
-        ("ordering_smoke", run_ordering_smoke),
     )
-    if args.quick:
-        gates = (("differential_smoke", run_differential_smoke),)
-    failures = []
-    for name, gate in gates:
-        status = gate()
+    statuses = {}
+    for name, script in scripts:
+        statuses[name] = script()
+        print(f"[{'PASS' if statuses[name] == 0 else 'FAIL'}] {name}")
+    pytest_gates = ["differential_smoke"] if args.quick else list(PYTEST_GATES)
+    for name, status in run_pytest_gates(pytest_gates).items():
+        if status == 0:
+            print(PYTEST_GATES[name][1])
         print(f"[{'PASS' if status == 0 else 'FAIL'}] {name}")
-        if status != 0:
-            failures.append(name)
+        statuses[name] = status
+    failures = [name for name, status in statuses.items() if status != 0]
     if failures:
         print(f"check_all: {len(failures)} gate(s) failed: {', '.join(failures)}")
         return 1

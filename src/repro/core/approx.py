@@ -13,7 +13,9 @@ preprocessing, assigns one satisfactory function to *every* cell:
    (``ATC+``, Algorithm 9);
 3. ``CELLCOLORING`` (Algorithm 10) propagates the discovered functions to the
    remaining cells with a Dijkstra pass over the cell-adjacency graph, so each
-   uncovered cell is assigned the nearest discovered satisfactory function;
+   uncovered cell is assigned the nearest discovered satisfactory function.
+   Both partitions tile the angle box, so that graph is connected and every
+   cell ends up assigned — or none is, when ``MARKCELL`` marked no cell;
 4. ``MDONLINE`` (Algorithm 11) answers a query by locating its cell and
    returning the assigned function — with the Theorem 6 guarantee that the
    answer is within a user-controllable angle of the optimum.
@@ -38,7 +40,6 @@ from repro.exceptions import (
 )
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.angles import (
-    angular_distance,
     angular_distance_angles,
     to_angles,
     to_weights,
@@ -50,7 +51,6 @@ from repro.geometry.hyperplane import Hyperplane, Region
 from repro.obs.trace import stage_span
 from repro.geometry.partition import (
     AnglePartition,
-    AnglePartitionProtocol,
     Cell,
     UniformGridPartition,
     theorem6_bound,
@@ -70,20 +70,23 @@ class MDApproxIndex:
     """The per-cell index produced by the approximate preprocessing pipeline.
 
     ``assigned_angles[c]`` is the angle vector of the satisfactory function
-    assigned to cell ``c`` (``None`` when the constraint is unsatisfiable
-    everywhere).  ``marked`` flags the cells whose function was found inside
-    the cell itself (before colouring).  The index holds geometry only:
-    ``MDONLINE`` takes the dataset and the oracle from its caller.
+    assigned to cell ``c``.  Either every cell has one, or every entry is
+    ``None`` (the constraint is unsatisfiable everywhere): ``CELLCOLORING``
+    spreads a function over the connected cell-adjacency graph, and the
+    loader refuses a payload with only some cells assigned.  ``marked``
+    flags the cells whose function was found inside the cell itself (before
+    colouring).  The index holds geometry only: ``MDONLINE`` takes the
+    dataset and the oracle from its caller.
     """
 
-    partition: AnglePartitionProtocol
+    partition: UniformGridPartition | AnglePartition
     assigned_angles: list[np.ndarray | None] = field(default_factory=list)
     marked: list[bool] = field(default_factory=list)
     n_hyperplanes: int = 0
     oracle_calls: int = 0
-    #: Lazily built stack over the assigned cells (cell indices, weight rows,
-    #: row norms) backing the vectorised nearest-assigned fallback.
-    _assigned_stack_cache: tuple | None = field(
+    #: Lazily built unit weight rows and row norms of every cell's assigned
+    #: function, read by the batched lookup.
+    _cell_weights_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -111,82 +114,24 @@ class MDApproxIndex:
         """Theorem 6 bound on the extra angular distance of the returned answers."""
         return theorem6_bound(self.n_cells, self.n_attributes)
 
-    def _assigned_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stack the assigned cells once: ``(cell indices, weight rows, row norms)``.
+    def _cell_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's assigned function as ``(unit weight rows, row norms)``.
 
-        Built lazily on the first nearest-assigned lookup and cached; mutating
-        ``assigned_angles`` afterwards requires building a fresh index (which
-        is what every preprocess/load path does).
+        Row ``c`` is ``to_weights(assigned_angles[c])`` and its norm is
+        ``np.linalg.norm`` of that row, so the batched lookup gathers exactly
+        the numbers the scalar :func:`md_online_lookup` computes.  Built on
+        the first call and cached; a changed ``assigned_angles`` needs a
+        fresh index (which is what every preprocess and load path makes).
         """
-        cache = self._assigned_stack_cache
-        if cache is None:
-            cells = np.asarray(
-                [
-                    cell_index
-                    for cell_index, angles in enumerate(self.assigned_angles)
-                    if angles is not None
-                ],
-                dtype=int,
-            )
+        if self._cell_weights_cache is None:
             weights = to_weights_many(
-                np.asarray(
-                    [self.assigned_angles[cell_index] for cell_index in cells.tolist()],
-                    dtype=float,
-                ).reshape(cells.size, self.partition.dimension)
+                np.asarray(self.assigned_angles, dtype=float).reshape(
+                    self.n_cells, self.partition.dimension
+                )
             )
             norms = np.asarray([float(np.linalg.norm(row)) for row in weights])
-            cache = (cells, weights, norms)
-            self._assigned_stack_cache = cache
-        return cache
-
-    def _nearest_assigned_position(self, query_angles: np.ndarray) -> int:
-        """Stack position (into :meth:`_assigned_stack`) of the nearest assigned cell.
-
-        One stacked matmul + argmin instead of an O(n_cells) Python scan, and
-        the chosen cell is exactly the one the scan's ``min`` would pick: the
-        cosines are bit-identical to the scalar
-        :func:`~repro.geometry.angles.angular_distance` cosines (the stacked
-        ``np.matmul`` applies the same per-row dot kernel), and the rare
-        near-maximal cosines — within the ``acos`` rounding margin of the best
-        — are re-scored with the scalar distance itself, first minimum wins.
-        """
-        cells, weights, norms = self._assigned_stack()
-        if cells.size == 0:
-            raise NoSatisfactoryFunctionError(
-                "no scoring function satisfies the fairness constraint on this dataset"
-            )
-        query_angles = np.asarray(query_angles, dtype=float)
-        query_weights = to_weights(query_angles)
-        dots = np.matmul(
-            weights[:, None, :],
-            np.broadcast_to(
-                query_weights[:, None], (weights.shape[0], query_weights.size, 1)
-            ),
-        )[:, 0, 0]
-        cosines = np.clip(dots / (norms * float(np.linalg.norm(query_weights))), -1.0, 1.0)
-        # acos is monotone with at most ~2 ulp of rounding, so only cosines
-        # within this margin of the maximum can tie for the minimal distance.
-        near = np.flatnonzero(cosines >= np.max(cosines) - 1e-13)
-        best = int(near[0])
-        if near.size > 1:
-            best = min(
-                (
-                    (angular_distance(weights[candidate], query_weights), candidate)
-                    for candidate in near.tolist()
-                ),
-                key=lambda pair: pair[0],
-            )[1]
-        return best
-
-    def nearest_assigned_angles(self, query_angles: np.ndarray) -> np.ndarray:
-        """Assigned angle vector of the cell nearest to ``query_angles``.
-
-        The fallback for queries landing in cells the colouring could not
-        reach; see :meth:`_nearest_assigned_position` for the equivalence
-        argument against the seed's per-cell scan.
-        """
-        cells, _weights, _norms = self._assigned_stack()
-        return self.assigned_angles[int(cells[self._nearest_assigned_position(query_angles)])]
+            self._cell_weights_cache = (weights, norms)
+        return self._cell_weights_cache
 
 
 class ApproximatePreprocessor:
@@ -202,7 +147,7 @@ class ApproximatePreprocessor:
         Target number of cells ``N`` of the angle-space partition.
     partition:
         ``"uniform"`` for the equal-width grid (default) or ``"angle"`` for the
-        paper's adaptive equal-area partition, or a ready-made partition object.
+        paper's adaptive equal-area partition.
     max_hyperplanes:
         Optional cap on the number of exchange hyperplanes (useful for sweeps).
     convex_layer_k:
@@ -217,7 +162,7 @@ class ApproximatePreprocessor:
         dataset: Dataset,
         oracle: FairnessOracle,
         n_cells: int = 1024,
-        partition: str | AnglePartitionProtocol = "uniform",
+        partition: str = "uniform",
         max_hyperplanes: int | None = None,
         convex_layer_k: int | None = None,
         preprocess_workers: int = 1,
@@ -235,17 +180,16 @@ class ApproximatePreprocessor:
         self.convex_layer_k = convex_layer_k
         self.preprocess_workers = preprocess_workers
         dimension = dataset.n_attributes - 1
-        if isinstance(partition, str):
-            if partition == "uniform":
-                self.partition: AnglePartitionProtocol = UniformGridPartition(dimension, n_cells)
-            elif partition == "angle":
-                self.partition = AnglePartition(dimension, n_cells)
-            else:
-                raise ConfigurationError(f"unknown partition kind {partition!r}")
+        if partition == "uniform":
+            self.partition: UniformGridPartition | AnglePartition = UniformGridPartition(
+                dimension, n_cells
+            )
+        elif partition == "angle":
+            self.partition = AnglePartition(dimension, n_cells)
         else:
-            if partition.dimension != dimension:
-                raise ConfigurationError("partition dimension does not match the dataset")
-            self.partition = partition
+            raise ConfigurationError(
+                f"partition must be 'uniform' or 'angle', got {partition!r}"
+            )
 
     # ------------------------------------------------------------------ #
     # pipeline steps
@@ -430,10 +374,7 @@ def md_online_lookup(index: MDApproxIndex, function: LinearScoringFunction) -> S
     weights = function.as_array()
     radius = float(np.linalg.norm(weights))
     query_angles = to_angles(weights)
-    cell_index = index.partition.locate(query_angles)
-    assigned = index.assigned_angles[cell_index]
-    if assigned is None:
-        assigned = index.nearest_assigned_angles(query_angles)
+    assigned = index.assigned_angles[index.partition.locate(query_angles)]
     suggestion = LinearScoringFunction(tuple(to_weights(assigned, radius=radius)))
     return SuggestionResult(
         query=function,
@@ -470,7 +411,4 @@ def md_online(
         return SuggestionResult(
             query=function, satisfactory=True, function=function, angular_distance=0.0
         )
-    # The query is not satisfactory: answer from the cell index.  The query's
-    # own cell can lack an assignment only when the colouring could not reach
-    # it; the lookup then falls back to the nearest assigned cell.
     return md_online_lookup(index, function)

@@ -145,9 +145,7 @@ class ExactConfig:
 class ApproxConfig:
     """Configuration of the approximate grid pipeline (§5).
 
-    ``partition`` is the name of a built-in partition backend (``"uniform"``
-    or ``"angle"``); power users who need a custom partition object can drive
-    :class:`~repro.core.approx.ApproximatePreprocessor` directly.
+    ``partition`` names the partition backend: ``"uniform"`` or ``"angle"``.
 
     >>> ApproxConfig(n_cells=256).partition
     'uniform'
@@ -816,9 +814,6 @@ class ExactEngine(_EngineBase):
 class ApproxEngine(_EngineBase):
     """The §5 grid pipeline: cell marking/colouring offline, ``MDONLINE`` online."""
 
-    #: Queries whose cells are located per vectorised batch in ``suggest_many``.
-    lookup_chunk_size = 1024
-
     def _build_index(self, working: Dataset, oracle: FairnessOracle) -> MDApproxIndex:
         # No geometry is cached: MARKCELL's oracle probes dominate a build and
         # re-run after any delta, so apply_delta() rebuilds.
@@ -838,7 +833,7 @@ class ApproxEngine(_EngineBase):
     def suggest_many(
         self, weights_matrix: np.ndarray | Sequence[Sequence[float]]
     ) -> list[SuggestionResult]:
-        """Batched ``MDONLINE``: batched oracle pre-check, chunked cell lookups.
+        """Batched ``MDONLINE``: batched oracle pre-check, one cell lookup.
 
         Line 1 of Algorithm 11 (is the query itself satisfactory?) goes to the
         oracle as one batch
@@ -847,12 +842,12 @@ class ApproxEngine(_EngineBase):
         argsort, with a stable re-sort of only the rows that have tied scores
         (:func:`repro.ranking.scoring.order_many`), and judged with one
         ``is_satisfactory_many`` — bit-identical verdicts to the per-query
-        calls ``md_online`` makes.  The index part — locating each remaining
-        query's cell — is done in vectorised chunks over the partition, with
-        the nearest-assigned fallback answered from the index's cached
-        assigned stack, and the query unit vectors come from one
-        :func:`~repro.geometry.angles.to_weights_many`.  Results are
-        bit-identical to looping :meth:`suggest`.
+        calls ``md_online`` makes.  The index part locates every remaining
+        query's cell with one :func:`~repro.geometry.partition.locate_cells`
+        call and gathers the cells' functions from the index's cached unit
+        weight rows (every cell is assigned once one is), and the query unit
+        vectors come from one :func:`~repro.geometry.angles.to_weights_many`.
+        Results are bit-identical to looping :meth:`suggest`.
         """
         matrix = as_weight_matrix(weights_matrix, self.dataset.n_attributes)
         index = self.index
@@ -878,37 +873,25 @@ class ApproxEngine(_EngineBase):
             )
         # Vectorised Algorithm 11 tail, bit-identical step for step to
         # md_online_lookup: angles via the batched to_angles kernel, radii via
-        # the same dot+sqrt the scalar norm computes, cell location in chunks,
-        # and distances from stacked per-row dot products finished with the
-        # scalar math.acos (np.arccos rounds differently on ~9% of inputs).
+        # the same dot+sqrt the scalar norm computes, one cell location for
+        # the batch, and distances from stacked per-row dot products finished
+        # with the scalar math.acos (np.arccos rounds differently on ~9% of
+        # inputs).
         pending_weights = matrix[pending]
         angle_matrix = to_angles_many(pending_weights)
         radii = np.sqrt(
             np.matmul(pending_weights[:, None, :], pending_weights[:, :, None])[:, 0, 0]
         )
-        located = np.empty(pending.size, dtype=int)
-        chunk = self.lookup_chunk_size
-        for start in range(0, pending.size, chunk):
-            located[start : start + chunk] = locate_cells(
-                index.partition, angle_matrix[start : start + chunk]
-            )
-        # Map each located cell to its row in the index's assigned stack; the
-        # cells the colouring could not reach take the nearest-assigned
-        # fallback, exactly as md_online_lookup does.
-        stack_cells, stack_weights, stack_norms = index._assigned_stack()
-        stack_position_of_cell = np.full(index.n_cells, -1, dtype=int)
-        stack_position_of_cell[stack_cells] = np.arange(stack_cells.size)
-        stack_positions = stack_position_of_cell[located]
-        for row in np.flatnonzero(stack_positions < 0).tolist():
-            stack_positions[row] = index._nearest_assigned_position(angle_matrix[row])
-        assigned_rows = stack_weights[stack_positions]
+        located = locate_cells(index.partition, angle_matrix)
+        cell_weights, cell_norms = index._cell_weights()
+        assigned_rows = cell_weights[located]
         # Scalar reference: angular_distance(to_weights(query), to_weights(assigned)).
         query_units = to_weights_many(angle_matrix)
         query_norms = np.sqrt(
             np.matmul(query_units[:, None, :], query_units[:, :, None])[:, 0, 0]
         )
         dots = np.matmul(query_units[:, None, :], assigned_rows[:, :, None])[:, 0, 0]
-        cosines = np.clip(dots / (query_norms * stack_norms[stack_positions]), -1.0, 1.0)
+        cosines = np.clip(dots / (query_norms * cell_norms[located]), -1.0, 1.0)
         # to_weights(assigned, radius) is radius * to_weights(assigned): the
         # stacked unit rows scale to the suggestion weights elementwise.
         suggestion_rows = (assigned_rows * radii[:, None]).tolist()

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.exceptions import GeometryError
 from repro.geometry.hyperplane import Hyperplane
-from repro.geometry.partition import AnglePartitionProtocol, Cell
+from repro.geometry.partition import AnglePartition, Cell, UniformGridPartition
 
 __all__ = [
     "assign_hyperplanes_to_cells",
@@ -83,14 +83,14 @@ def _crossing_pairs(
 
 
 def assign_hyperplanes_to_cells(
-    partition: AnglePartitionProtocol, hyperplanes: list[Hyperplane]
+    partition: UniformGridPartition | AnglePartition, hyperplanes: list[Hyperplane]
 ) -> CellPlaneIndex:
     """Compute, for every cell, the hyperplanes passing through it (``CELLPLANE×``).
 
     Parameters
     ----------
     partition:
-        Any partition implementing the common protocol (uniform or adaptive).
+        The uniform grid or the adaptive partition.
     hyperplanes:
         Exchange hyperplanes in angle space.
 

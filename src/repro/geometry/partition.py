@@ -18,15 +18,17 @@ Two interchangeable partitions are provided:
   so every cell has (approximately) the same surface area on the unit sphere
   and the same angular-diameter bound ``γ`` per axis.
 
-Both expose the same protocol: ``cells``, ``locate``, ``neighbors``,
-``cell_center`` and ``max_cell_diameter``.
+Both tile the box and have the same methods: ``n_cells``, ``cells``,
+``cell``, ``locate``, ``locate_many``, ``neighbors`` and
+``max_cell_diameter``.  Because the cells tile the box, each partition's
+``neighbors`` graph is connected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from repro.geometry.angles import HALF_PI
 
 __all__ = [
     "Cell",
-    "AnglePartitionProtocol",
     "UniformGridPartition",
     "AnglePartition",
     "cell_gamma",
@@ -105,23 +106,6 @@ class Cell:
     def coordinate_extents(self) -> np.ndarray:
         """Per-axis widths of the cell box."""
         return np.asarray(self.high) - np.asarray(self.low)
-
-
-class AnglePartitionProtocol(Protocol):
-    """Common interface of the partition backends used by the approximation pipeline."""
-
-    dimension: int
-
-    @property
-    def n_cells(self) -> int: ...
-
-    def cells(self) -> list[Cell]: ...
-
-    def locate(self, angles: np.ndarray) -> int: ...
-
-    def neighbors(self, index: int) -> list[int]: ...
-
-    def max_cell_diameter(self) -> float: ...
 
 
 class UniformGridPartition:
@@ -358,6 +342,13 @@ class AnglePartition:
             )
         return node
 
+    def locate_many(self, angle_matrix: np.ndarray) -> np.ndarray:
+        """:meth:`locate` for every row of a ``(q, dimension)`` matrix of angle vectors."""
+        matrix = np.asarray(angle_matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != self.dimension:
+            raise GeometryError("locate_many expects a (q, dimension) angle matrix")
+        return np.array([self.locate(row) for row in matrix], dtype=np.int64)
+
     def neighbors(self, index: int) -> list[int]:
         """Cells whose boxes touch the given cell's box (computed once, then cached)."""
         if self._neighbor_cache is None:
@@ -382,17 +373,13 @@ class AnglePartition:
         return self.dimension * self.gamma
 
 
-def locate_cells(partition: AnglePartitionProtocol, angle_matrix: np.ndarray) -> np.ndarray:
+def locate_cells(
+    partition: UniformGridPartition | AnglePartition, angle_matrix: np.ndarray
+) -> np.ndarray:
     """Locate every row of a ``(q, dimension)`` angle matrix in one call.
 
-    Uses the partition's vectorised ``locate_many`` when it has one (the
-    uniform grid), and falls back to a per-row :meth:`locate` loop otherwise —
-    either way row ``i`` equals ``partition.locate(angle_matrix[i])``.
+    Row ``i`` equals ``partition.locate(angle_matrix[i])``.  The engine's
+    batched lookup calls this module-level name once per batch, so a test or
+    a profiler can wrap it in one place.
     """
-    locate_many = getattr(partition, "locate_many", None)
-    if locate_many is not None:
-        return np.asarray(locate_many(angle_matrix))
-    matrix = np.asarray(angle_matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != partition.dimension:
-        raise GeometryError("locate_cells expects a (q, dimension) angle matrix")
-    return np.array([partition.locate(row) for row in matrix], dtype=np.int64)
+    return partition.locate_many(angle_matrix)

@@ -33,8 +33,8 @@ from repro.core.two_dim import AngularInterval, TwoDIndex
 from repro.exceptions import ConfigurationError, GeometryError, IndexIntegrityError
 from repro.fairness.oracle import FairnessOracle
 from repro.geometry.hyperplane import HalfSpace, Hyperplane, Region
-from repro.geometry.partition import AnglePartition, AnglePartitionProtocol, UniformGridPartition
-from repro.geometry.angles import to_weights
+from repro.geometry.partition import AnglePartition, UniformGridPartition
+from repro.geometry.angles import HALF_PI, to_weights
 from repro.ranking.scoring import LinearScoringFunction
 
 __all__ = [
@@ -187,10 +187,27 @@ def two_d_index_to_dict(index: TwoDIndex) -> dict:
 
 
 def two_d_index_from_dict(payload: dict) -> TwoDIndex:
-    """Rebuild a 2-D index from :func:`two_d_index_to_dict` output."""
+    """Rebuild a 2-D index from :func:`two_d_index_to_dict` output.
+
+    Raises
+    ------
+    ConfigurationError
+        If an interval starts before the previous one ends: the online
+        binary search needs sorted, disjoint intervals.
+    """
     _check_payload(payload, "2d")
+    intervals = [
+        AngularInterval(float(start), float(end)) for start, end in payload["intervals"]
+    ]
+    for position, (previous, current) in enumerate(zip(intervals, intervals[1:])):
+        if current.start < previous.end:
+            raise ConfigurationError(
+                f"stored intervals {position} [{previous.start}, {previous.end}] and "
+                f"{position + 1} [{current.start}, {current.end}] are out of order or "
+                "overlap; each interval must start no earlier than the previous one ends"
+            )
     return TwoDIndex(
-        intervals=[AngularInterval(float(start), float(end)) for start, end in payload["intervals"]],
+        intervals=intervals,
         n_exchanges=int(payload.get("n_exchanges", 0)),
         oracle_calls=int(payload.get("oracle_calls", 0)),
     )
@@ -266,7 +283,7 @@ def exact_index_from_dict(payload: dict) -> MDExactIndex:
 # --------------------------------------------------------------------------- #
 # approximate (grid) index
 # --------------------------------------------------------------------------- #
-def _partition_to_dict(partition: AnglePartitionProtocol) -> dict:
+def _partition_to_dict(partition: UniformGridPartition | AnglePartition) -> dict:
     if isinstance(partition, UniformGridPartition):
         return {
             "kind": "uniform",
@@ -285,7 +302,7 @@ def _partition_to_dict(partition: AnglePartitionProtocol) -> dict:
     )
 
 
-def _partition_from_dict(payload: dict) -> AnglePartitionProtocol:
+def _partition_from_dict(payload: dict) -> UniformGridPartition | AnglePartition:
     kind = payload.get("kind")
     dimension = int(payload["dimension"])
     if kind == "uniform":
@@ -327,6 +344,11 @@ def approx_index_from_dict(payload: dict) -> MDApproxIndex:
     GeometryError
         If the stored cell assignment does not match the reconstructed
         partition.
+    ConfigurationError
+        If a cell's angles are not ``dimension`` finite values inside the
+        angle box, if ``marked`` is not one boolean per cell, or if some
+        cells are assigned and others are not (a build assigns every cell or
+        none).
     """
     _check_payload(payload, "approx")
     partition = _partition_from_dict(payload["partition"])
@@ -339,11 +361,34 @@ def approx_index_from_dict(payload: dict) -> MDApproxIndex:
     assigned = [
         None if angles is None else np.asarray(angles, dtype=float) for angles in assigned_payload
     ]
-    marked = [bool(flag) for flag in payload.get("marked", [False] * len(assigned))]
+    for cell, angles in enumerate(assigned):
+        # NaN fails both comparisons, and an infinity one of them.
+        if angles is not None and not (
+            angles.shape == (partition.dimension,)
+            and np.all((angles >= -1e-9) & (angles <= HALF_PI + 1e-9))
+        ):
+            raise ConfigurationError(
+                f"cell {cell} is assigned {assigned_payload[cell]!r}, not "
+                f"{partition.dimension} finite angles inside [0, π/2]"
+            )
+    empty = [cell for cell, angles in enumerate(assigned) if angles is None]
+    if 0 < len(empty) < len(assigned):
+        raise ConfigurationError(
+            f"cell {empty[0]} has no assigned function but other cells do; a grid "
+            "index assigns every cell or none"
+        )
+    marked = payload.get("marked", [False] * len(assigned))
+    if not isinstance(marked, list) or len(marked) != len(assigned):
+        raise ConfigurationError(
+            f"'marked' must be a list of {len(assigned)} booleans, one per cell"
+        )
+    for cell, flag in enumerate(marked):
+        if not isinstance(flag, bool):
+            raise ConfigurationError(f"cell {cell}'s 'marked' flag {flag!r} is not a boolean")
     return MDApproxIndex(
         partition=partition,
         assigned_angles=assigned,
-        marked=marked,
+        marked=list(marked),
         n_hyperplanes=int(payload.get("n_hyperplanes", 0)),
         oracle_calls=int(payload.get("oracle_calls", 0)),
     )

@@ -15,7 +15,7 @@ from repro.exceptions import (
     NotPreprocessedError,
 )
 from repro.fairness.oracle import CallableOracle
-from repro.fairness.proportional import TopKGroupBoundOracle
+from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
 from repro.geometry.angles import to_weights
 from repro.geometry.partition import UniformGridPartition, theorem6_bound
 from repro.obs.trace import TraceRecorder, activated
@@ -47,21 +47,49 @@ class TestPreprocessing:
         with pytest.raises(ConfigurationError):
             ApproximatePreprocessor(paper_3d_dataset, balanced_topk_oracle, partition="weird")
 
-    def test_partition_dimension_checked(self, paper_3d_dataset, balanced_topk_oracle):
-        wrong = UniformGridPartition(5, 32)
-        with pytest.raises(ConfigurationError):
-            ApproximatePreprocessor(paper_3d_dataset, balanced_topk_oracle, partition=wrong)
+    def test_partition_object_refused(self, paper_3d_dataset, balanced_topk_oracle):
+        """A partition is named, as ``ApproxConfig.partition`` names it."""
+        ready_made = UniformGridPartition(2, 32)
+        with pytest.raises(ConfigurationError, match="'uniform' or 'angle'"):
+            ApproximatePreprocessor(paper_3d_dataset, balanced_topk_oracle, partition=ready_made)
 
     def test_index_covers_every_cell(self, approx_setup):
         _, _, index = approx_setup
         assert len(index.assigned_angles) == index.n_cells
         assert len(index.marked) == index.n_cells
 
-    def test_every_cell_assigned_when_satisfiable(self, approx_setup):
-        """CELLCOLORING must propagate a function to every cell once one exists."""
-        _, _, index = approx_setup
-        assert index.has_satisfactory_function
-        assert all(angles is not None for angles in index.assigned_angles)
+    @pytest.mark.parametrize("n_items", [1, 2, 40])
+    @pytest.mark.parametrize("oracle_kind", ["always", "never", "fm1"])
+    @pytest.mark.parametrize("partition", ["uniform", "angle"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_every_cell_assigned_when_satisfiable(self, d, partition, oracle_kind, n_items):
+        """CELLCOLORING assigns every cell once one is marked, and none otherwise.
+
+        The table reaches n <= 2 and constraints that every ordering or no
+        ordering satisfies; FM1 with no slack marks few cells, so the
+        colouring assigns most of them.
+        """
+        dataset = make_compas_like(n=n_items, seed=4).project(
+            ["c_days_from_compas", "juv_other_count", "start", "priors_count"][:d]
+        )
+        oracle = {
+            "always": lambda: CallableOracle(lambda ordering, data: True, "always"),
+            "never": lambda: CallableOracle(lambda ordering, data: False, "never"),
+            "fm1": lambda: ProportionalOracle.at_most_share_plus_slack(
+                dataset, "race", "African-American", k=0.3, slack=0.0
+            ),
+        }[oracle_kind]()
+        index = ApproximatePreprocessor(
+            dataset, oracle, n_cells=16, partition=partition, max_hyperplanes=6
+        ).run()
+        assigned = [angles is not None for angles in index.assigned_angles]
+        assert len(assigned) == index.n_cells
+        assert all(assigned) or not any(assigned)
+        assert any(assigned) == any(index.marked)
+        if oracle_kind == "always":
+            assert all(index.marked)
+        if oracle_kind == "never":
+            assert not any(assigned)
 
     def test_marked_cells_carry_functions_inside_the_cell(self, approx_setup):
         _, _, index = approx_setup

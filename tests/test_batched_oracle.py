@@ -32,7 +32,7 @@ from reference.exchanges import build_exchange_hyperplanes_reference
 from reference.angles import to_weights_loop
 from reference.ordering import order_many_stable
 
-from repro.core.approx import ApproximatePreprocessor, MDApproxIndex, md_online_lookup
+from repro.core.approx import ApproximatePreprocessor
 from repro.core.engine import ApproxConfig, ExactConfig, create_engine
 from repro.core.multi_dim import SatRegions, exchange_hyperplanes
 from repro.core.sampling import validate_index_on_dataset
@@ -46,7 +46,7 @@ from repro.fairness.oracle import CallableOracle, CountingOracle, FairnessOracle
 from repro.fairness.pairwise import PairwiseParityOracle
 from repro.fairness.prefix import MinimumAtEveryPrefixOracle, PrefixProportionalOracle
 from repro.fairness.proportional import ProportionalOracle, TopKGroupBoundOracle
-from repro.geometry.angles import HALF_PI, angular_distance_angles, to_weights_many
+from repro.geometry.angles import HALF_PI, to_weights_many
 from repro.geometry.dual import hyperplanes_for_dataset
 from repro.obs.instrument import InstrumentedOracle
 from repro.obs.trace import TraceRecorder
@@ -559,70 +559,6 @@ class TestHyperplaneCap:
         assert exchange_hyperplanes(dataset, max_hyperplanes=10) == full[:10]
         assert approx.n_hyperplanes == 10
         assert exact == full[:10]
-
-
-class TestNearestAssignedFallback:
-    def _index_with_holes(self) -> tuple[MDApproxIndex, list]:
-        dataset = _compas(35, seed=14, d=3)
-        oracle = ProportionalOracle.at_most_share_plus_slack(
-            dataset, "race", "African-American", k=0.3, slack=0.15
-        )
-        built = ApproximatePreprocessor(
-            dataset, oracle, n_cells=36, max_hyperplanes=40
-        ).run()
-        assert built.has_satisfactory_function
-        # Punch holes: clear every third assignment to force the fallback.
-        assigned = [
-            None if position % 3 == 0 else angles
-            for position, angles in enumerate(built.assigned_angles)
-        ]
-        if all(angles is None for angles in assigned):
-            pytest.skip("degenerate draw: nothing left assigned")
-        index = MDApproxIndex(
-            partition=built.partition,
-            assigned_angles=assigned,
-            marked=list(built.marked),
-        )
-        return index, assigned
-
-    def test_vectorized_argmin_matches_reference_scan(self):
-        index, assigned = self._index_with_holes()
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            query_angles = rng.uniform(0.0, np.pi / 2.0, size=index.partition.dimension)
-            # The seed implementation: a per-cell Python scan, first minimum wins.
-            reference = min(
-                (
-                    (angular_distance_angles(angles, query_angles), angles)
-                    for angles in assigned
-                    if angles is not None
-                ),
-                key=lambda pair: pair[0],
-            )[1]
-            chosen = index.nearest_assigned_angles(query_angles)
-            assert np.array_equal(chosen, reference)
-
-    def test_lookup_answers_are_unchanged_in_holed_cells(self):
-        index, assigned = self._index_with_holes()
-        cells = index.partition.cells()
-        holed = [cell for cell in cells if assigned[cell.index] is None][:10]
-        for cell in holed:
-            query = LinearScoringFunction.from_angles(cell.center(), radius=1.3)
-            result = md_online_lookup(index, query)
-            query_angles = query.to_angles()
-            reference = min(
-                (
-                    (angular_distance_angles(angles, query_angles), angles)
-                    for angles in assigned
-                    if angles is not None
-                ),
-                key=lambda pair: pair[0],
-            )[1]
-            expected_distance = angular_distance_angles(query_angles, np.asarray(reference))
-            assert result.angular_distance == expected_distance
-            assert result.function.weights == LinearScoringFunction.from_angles(
-                np.asarray(reference), radius=float(np.linalg.norm(query.as_array()))
-            ).weights
 
 
 class TestBatchedServingPaths:

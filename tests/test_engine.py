@@ -349,7 +349,7 @@ class TestLocateCells:
         batched = locate_cells(partition, matrix)
         assert batched.tolist() == [partition.locate(row) for row in matrix]
 
-    def test_angle_partition_fallback_matches_scalar_locate(self):
+    def test_angle_partition_matches_scalar_locate(self):
         partition = AnglePartition(dimension=2, n_cells=30)
         rng = np.random.default_rng(6)
         matrix = rng.uniform(0.0, np.pi / 2, size=(50, 2))

@@ -2,7 +2,9 @@
 
 Covers the checksum envelope of engine files in :mod:`repro.io.index_store`
 (truncation at every length, bit flips, digest mismatches, unknown store
-versions and algorithms, malformed envelopes, schema-broken payloads), the
+versions and algorithms, malformed envelopes, schema-broken payloads: 2-D
+intervals out of order or overlapping, grid cells with malformed angles or
+flags, grids with only some cells assigned), the
 formats the library no longer reads (pre-envelope payloads, enveloped bare
 index payloads, ``repro.engine-journal/v1`` delta logs), and the CLI's
 ``suggest --load-index`` / ``maintain --load-index`` error paths (missing,
@@ -19,7 +21,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.engine import ENGINE_FORMAT, TwoDConfig, create_engine
+from repro.core.engine import (
+    ENGINE_FORMAT,
+    ApproxConfig,
+    TwoDConfig,
+    create_engine,
+    engine_from_payload,
+)
 from repro.data.synthetic import make_compas_like
 from repro.exceptions import ConfigurationError, IndexIntegrityError
 from repro.fairness.proportional import ProportionalOracle
@@ -49,6 +57,36 @@ def engine_file(tmp_path_factory):
     return path, oracle, engine
 
 
+@pytest.fixture(scope="module")
+def three_interval_engine():
+    """A preprocessed 2-D engine whose index holds three satisfactory intervals."""
+    dataset = make_compas_like(n=120, seed=11).project(
+        ["c_days_from_compas", "juv_other_count"]
+    )
+    oracle = ProportionalOracle.at_most_share_plus_slack(
+        dataset, "race", "African-American", k=0.3, slack=0.15
+    )
+    engine = create_engine(dataset, oracle, TwoDConfig()).preprocess()
+    assert len(engine.index.intervals) == 3
+    return engine, oracle
+
+
+@pytest.fixture(scope="module")
+def grid_engine():
+    """A preprocessed d = 3 grid engine with 16 cells, every one assigned."""
+    dataset = make_compas_like(n=60, seed=11).project(
+        ["c_days_from_compas", "juv_other_count", "start"]
+    )
+    oracle = ProportionalOracle.at_most_share_plus_slack(
+        dataset, "race", "African-American", k=0.3, slack=0.10
+    )
+    engine = create_engine(
+        dataset, oracle, ApproxConfig(n_cells=16, max_hyperplanes=20)
+    ).preprocess()
+    assert all(angles is not None for angles in engine.index.assigned_angles)
+    return engine, oracle
+
+
 def _flip_bit(text: str, char_index: int, bit: int = 0) -> str:
     data = bytearray(text.encode("utf-8"))
     data[char_index] ^= 1 << bit
@@ -74,6 +112,40 @@ RETIRED_FORMATS = {
     "pre-envelope-index": (IndexIntegrityError, STORE_FORMAT),
     "enveloped-index": (ConfigurationError, ENGINE_FORMAT),
     "engine-journal": (ConfigurationError, ENGINE_FORMAT),
+}
+
+
+#: Edits of a 2-D payload's intervals that break its schema, each with a
+#: pattern of the error it must raise; the last two name the first bad pair.
+BROKEN_INTERVALS = {
+    "intervals-not-a-list": (lambda intervals: "nope", "malformed"),
+    "intervals-reversed": (
+        lambda intervals: intervals[::-1],
+        r"intervals 0 \[.*\] and 1 \[.*\] are out of order or overlap",
+    ),
+    "interval-overlapping": (
+        lambda intervals: [*intervals, intervals[1]],
+        r"intervals 2 \[.*\] and 3 \[.*\] are out of order or overlap",
+    ),
+}
+
+
+#: Edits of a grid payload's index that break its schema: the field, the
+#: entry, how it changes, and a pattern of the error (which names the cell).
+BROKEN_GRIDS = {
+    "row-one-short": ("assigned_angles", 5, lambda row: row[:-1], "cell 5 is assigned"),
+    "row-one-long": ("assigned_angles", 5, lambda row: [*row, 0.5], "cell 5 is assigned"),
+    "row-outside-box": ("assigned_angles", 5, lambda row: [5.0, -3.0], "cell 5 is assigned"),
+    "row-not-finite": (
+        "assigned_angles", 5, lambda row: [float("nan"), 0.5], "cell 5 is assigned"
+    ),
+    "partly-assigned": (
+        "assigned_angles", 5, lambda row: None, "cell 5 has no assigned function"
+    ),
+    "marked-too-short": (
+        "marked", slice(3, None), lambda flags: [], "'marked' must be a list of 16 booleans"
+    ),
+    "marked-not-boolean": ("marked", 2, lambda flag: 1, "cell 2's 'marked' flag 1 is not"),
 }
 
 
@@ -197,17 +269,47 @@ class TestCorruptionFuzz:
         with pytest.raises(IndexIntegrityError, match="malformed checksum envelope"):
             load_engine(path, oracle)
 
+    @pytest.mark.parametrize("edit", sorted(BROKEN_INTERVALS))
     def test_checksummed_but_schema_broken_payload_is_configuration_error(
-        self, store_file
+        self, three_interval_engine, tmp_path, edit
     ):
         # A valid envelope around a nonsense payload is not *corruption* —
         # the digest matches what was written — so the schema layer reports it.
-        path, oracle = store_file
-        payload = json.loads(path.read_text(encoding="utf-8"))["payload"]
-        payload["index"]["intervals"] = "nope"
-        _write_envelope(path, payload)
-        with pytest.raises(ConfigurationError, match="malformed") as excinfo:
+        engine, oracle = three_interval_engine
+        payload = engine.to_payload()
+        broken, pattern = BROKEN_INTERVALS[edit]
+        payload["index"]["intervals"] = broken(payload["index"]["intervals"])
+        path = _write_envelope(tmp_path / "engine.json", payload)
+        with pytest.raises(ConfigurationError, match=pattern) as excinfo:
             load_engine(path, oracle)
+        assert not isinstance(excinfo.value, IndexIntegrityError)
+
+    @pytest.mark.parametrize("edit", ["intervals-reversed", "interval-overlapping"])
+    def test_unordered_intervals_are_refused_by_engine_from_payload(
+        self, three_interval_engine, edit
+    ):
+        engine, oracle = three_interval_engine
+        payload = engine.to_payload()
+        broken, pattern = BROKEN_INTERVALS[edit]
+        payload["index"]["intervals"] = broken(payload["index"]["intervals"])
+        with pytest.raises(ConfigurationError, match=pattern):
+            engine_from_payload(payload, oracle)
+
+    @pytest.mark.parametrize("route", ["load_engine", "engine_from_payload"])
+    @pytest.mark.parametrize("edit", sorted(BROKEN_GRIDS))
+    def test_malformed_grid_payload_is_configuration_error(
+        self, grid_engine, tmp_path, edit, route
+    ):
+        engine, oracle = grid_engine
+        payload = engine.to_payload()
+        field, entry, change, pattern = BROKEN_GRIDS[edit]
+        entries = payload["index"][field]
+        entries[entry] = change(entries[entry])
+        with pytest.raises(ConfigurationError, match=pattern) as excinfo:
+            if route == "load_engine":
+                load_engine(_write_envelope(tmp_path / "engine.json", payload), oracle)
+            else:
+                engine_from_payload(payload, oracle)
         assert not isinstance(excinfo.value, IndexIntegrityError)
 
 

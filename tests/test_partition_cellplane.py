@@ -164,6 +164,35 @@ class TestAnglePartition:
             partition.cell(partition.n_cells + 5)
 
 
+#: Target cell counts of the adjacency check; the table stops at 400 from
+#: dimension 3 on, where the cell counts grow fastest.
+ADJACENCY_CELL_COUNTS = (1, 2, 3, 5, 9, 16, 25, 36, 64, 100, 256, 400, 1024)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+@pytest.mark.parametrize("partition_type", [UniformGridPartition, AnglePartition])
+def test_neighbors_graph_is_connected(partition_type, dimension):
+    """Every cell reaches every other through ``neighbors``, and each edge is mutual.
+
+    ``CELLCOLORING`` spreads a function over this graph, and the grid index's
+    invariant (every cell assigned, or none) holds because it is connected.
+    """
+    for n_cells in ADJACENCY_CELL_COUNTS:
+        if dimension >= 3 and n_cells > 400:
+            continue
+        partition = partition_type(dimension, n_cells)
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            cell = frontier.pop()
+            for neighbor in partition.neighbors(cell):
+                assert cell in partition.neighbors(neighbor), (n_cells, cell, neighbor)
+                if neighbor not in reached:
+                    reached.add(neighbor)
+                    frontier.append(neighbor)
+        assert len(reached) == partition.n_cells, n_cells
+
+
 class TestCellPlaneAssignment:
     def test_matches_bruteforce_reference(self):
         partition = UniformGridPartition(2, 36)
